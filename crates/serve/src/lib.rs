@@ -11,8 +11,8 @@
 //!   `f32` rows with NaN-declared missing cells; responses carry typed
 //!   verdicts, health reports, observability snapshots or typed errors.
 //! * **[`server`]** — the [`server::Server`]: a tenant registry mapping
-//!   stream ids to [`imdiffusion::StreamingMonitor`]s loaded from IMDF
-//!   checkpoints, shard worker threads that **micro-batch** concurrent
+//!   stream ids to [`imdiffusion::StreamingMonitor`]s loaded from IMDE
+//!   detector envelopes, shard worker threads that **micro-batch** concurrent
 //!   requests per tenant into single ensemble calls (bit-identical to
 //!   sequential scoring), admission control with explicit backpressure
 //!   (overload refusals, queue deadlines, load-shedding to the degraded

@@ -451,9 +451,9 @@ pub enum Response {
 // Framing
 // ---------------------------------------------------------------------------
 
-fn frame_crc(version: u8, kind: u8, payload: &[u8]) -> u32 {
+fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
     // Streamed over header bytes then payload: no concatenation copy.
-    let state = crc32_update(CRC32_INIT, &[version, kind]);
+    let state = crc32_update(CRC32_INIT, &[WIRE_VERSION, kind]);
     crc32_finish(crc32_update(state, payload))
 }
 
@@ -472,7 +472,7 @@ pub fn append_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     out.push(WIRE_VERSION);
     out.push(kind);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame_crc(WIRE_VERSION, kind, payload).to_le_bytes());
+    out.extend_from_slice(&frame_crc(kind, payload).to_le_bytes());
     out.extend_from_slice(payload);
 }
 
@@ -490,28 +490,55 @@ pub fn scan_frame(buf: &[u8]) -> Result<Option<(u8, usize)>, WireError> {
     if buf.len() < HEADER_LEN {
         return Ok(None);
     }
-    if buf[0..2] != MAGIC {
-        return Err(WireError::BadMagic([buf[0], buf[1]]));
-    }
-    let version = buf[2];
-    if version != WIRE_VERSION {
-        return Err(WireError::UnsupportedVersion(version));
-    }
-    let kind = buf[3];
-    let len = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    if len > MAX_PAYLOAD {
-        return Err(WireError::TooLarge(len));
-    }
-    let total = HEADER_LEN + len as usize;
+    let header = FrameHeader::parse(buf)?;
+    let total = HEADER_LEN + header.len;
     if buf.len() < total {
         return Ok(None);
     }
-    let stored = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
-    let actual = frame_crc(version, kind, &buf[HEADER_LEN..total]);
-    if stored != actual {
-        return Err(WireError::CrcMismatch { stored, actual });
+    header.check_crc(&buf[HEADER_LEN..total])?;
+    Ok(Some((header.kind, total)))
+}
+
+/// The fixed 12-byte frame header, validated up to its CRC.
+struct FrameHeader {
+    kind: u8,
+    /// Declared payload length, already checked against the cap.
+    len: usize,
+    stored_crc: u32,
+}
+
+impl FrameHeader {
+    /// Validates magic, version and the length cap of the header at the
+    /// front of `buf` (which must hold at least [`HEADER_LEN`] bytes).
+    fn parse(buf: &[u8]) -> Result<FrameHeader, WireError> {
+        if buf[0..2] != MAGIC {
+            return Err(WireError::BadMagic([buf[0], buf[1]]));
+        }
+        if buf[2] != WIRE_VERSION {
+            return Err(WireError::UnsupportedVersion(buf[2]));
+        }
+        let len = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
+        if len > MAX_PAYLOAD {
+            return Err(WireError::TooLarge(len));
+        }
+        Ok(FrameHeader {
+            kind: buf[3],
+            len: len as usize,
+            stored_crc: u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes")),
+        })
     }
-    Ok(Some((kind, total)))
+
+    /// Checks the stored CRC against the frame's `payload`.
+    fn check_crc(&self, payload: &[u8]) -> Result<(), WireError> {
+        let actual = frame_crc(self.kind, payload);
+        if self.stored_crc != actual {
+            return Err(WireError::CrcMismatch {
+                stored: self.stored_crc,
+                actual,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Routing peek: the tenant id of a tenant-addressed request, borrowed
@@ -594,20 +621,8 @@ pub fn parse_frame(buf: &[u8]) -> Result<(u8, &[u8]), WireError> {
     if buf.len() < HEADER_LEN {
         return Err(WireError::Truncated);
     }
-    if buf[0..2] != MAGIC {
-        return Err(WireError::BadMagic([buf[0], buf[1]]));
-    }
-    let version = buf[2];
-    if version != WIRE_VERSION {
-        return Err(WireError::UnsupportedVersion(version));
-    }
-    let kind = buf[3];
-    let len = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    if len > MAX_PAYLOAD {
-        return Err(WireError::TooLarge(len));
-    }
-    let stored = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
-    let end = HEADER_LEN + len as usize;
+    let header = FrameHeader::parse(buf)?;
+    let end = HEADER_LEN + header.len;
     if buf.len() < end {
         return Err(WireError::Truncated);
     }
@@ -615,11 +630,8 @@ pub fn parse_frame(buf: &[u8]) -> Result<(u8, &[u8]), WireError> {
         return Err(WireError::TrailingBytes(buf.len() - end));
     }
     let payload = &buf[HEADER_LEN..end];
-    let actual = frame_crc(version, kind, payload);
-    if stored != actual {
-        return Err(WireError::CrcMismatch { stored, actual });
-    }
-    Ok((kind, payload))
+    header.check_crc(payload)?;
+    Ok((header.kind, payload))
 }
 
 /// Reads one frame from `r`. `Ok(None)` means the peer closed the
@@ -647,24 +659,12 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, WireError
             Err(e) => return Err(WireError::Io(e.to_string())),
         }
     }
-    if header[0..2] != MAGIC {
-        return Err(WireError::BadMagic([header[0], header[1]]));
-    }
-    let version = header[2];
-    if version != WIRE_VERSION {
-        return Err(WireError::UnsupportedVersion(version));
-    }
-    let kind = header[3];
-    let len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if len > MAX_PAYLOAD {
-        return Err(WireError::TooLarge(len));
-    }
-    let stored = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+    let header = FrameHeader::parse(&header)?;
     // The length prefix is untrusted until the CRC passes: grow the
     // payload buffer only as bytes actually arrive, in bounded chunks,
     // so a garbage header claiming the 16 MiB cap cannot force a
     // cap-sized allocation from a peer that never delivers the bytes.
-    let len = len as usize;
+    let len = header.len;
     let mut payload: Vec<u8> = Vec::new();
     let mut filled = 0usize;
     while filled < len {
@@ -678,11 +678,8 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, WireError
         }
     }
     payload.truncate(len);
-    let actual = frame_crc(version, kind, &payload);
-    if stored != actual {
-        return Err(WireError::CrcMismatch { stored, actual });
-    }
-    Ok(Some((kind, payload)))
+    header.check_crc(&payload)?;
+    Ok(Some((header.kind, payload)))
 }
 
 /// Writes a complete frame to `w`.

@@ -358,6 +358,37 @@ fn regression_rolls_back_to_bit_identical_incumbent() {
     let health = client.health().unwrap();
     assert_eq!(health[0].generation, 3);
 
+    // Restart leg: a drain/restart (or a failover adoption) loads the
+    // canonical checkpoint, so the rollback must have persisted the
+    // restored incumbent there — not left the regressed candidate on
+    // disk. With no sidecar the restarted tenant re-warms, and its
+    // verdicts must bit-match a fresh incumbent mirror.
+    drop(client);
+    server.drain();
+    let server =
+        Server::start(base_config(), vec![tenant_spec("t", &path, 4, channels)]).unwrap();
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    client.set_timeout(Some(Duration::from_secs(120))).unwrap();
+    let mut fresh = StreamingMonitor::new(incumbent_spec.build(), channels, 2).unwrap();
+    let (mut wire, mut local) = (Vec::new(), Vec::new());
+    for _ in 0..16 {
+        let rows: Vec<Vec<f32>> =
+            (0..4).map(|r| ds.train.row((pos + r) % ds.train.len()).to_vec()).collect();
+        push_rows(&mut client, &mut fresh, &mut wire, &mut local, rows);
+        pos += 4;
+    }
+    assert!(!local.is_empty(), "restarted tenant never judged a row");
+    let wire_bits: Vec<_> =
+        wire.iter().map(|w| (w.0, w.1.to_bits(), w.2, w.3, w.4)).collect();
+    let local_bits: Vec<_> = local
+        .iter()
+        .map(|l| (l.index, l.score.to_bits(), l.votes, l.anomalous, l.degraded))
+        .collect();
+    assert_eq!(
+        wire_bits, local_bits,
+        "after restart the tenant does not serve the rolled-back incumbent"
+    );
+
     drop(client);
     server.drain();
     let _ = std::fs::remove_dir_all(&dir);
