@@ -9,10 +9,10 @@ use imdiff_nn::layers::{Linear, Module};
 use imdiff_nn::ops::{bce_with_logits, mse};
 use imdiff_nn::optim::{Adam, Optimizer};
 use imdiff_nn::{backward, no_grad, Tensor};
+use imdiff_nn::serialize::{ByteReader, ByteWriter};
 
 use crate::common::{
-    batch_windows, coverage_starts, require_len, rng_for, sample_starts, NormState, PayloadReader,
-    PayloadWriter, PointScores,
+    batch_windows, coverage_starts, require_len, rng_for, sample_starts, NormState, PointScores,
 };
 
 const WINDOW: usize = 24;
@@ -104,7 +104,7 @@ impl BeatGan {
     /// Serializes the fitted state as the family's registry payload.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = ByteWriter::new();
         st.norm.encode(&mut w);
         w.tensors(&st.ae.params());
         Ok(w.finish())
@@ -114,12 +114,12 @@ impl BeatGan {
     /// The module skeleton is reconstructed from seed + channel count and
     /// the stored weights overwrite the fresh initialization.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = ByteReader::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let mut rng = rng_for(seed, 0xbea7);
         let ae = AutoEncoder::new(&mut rng, WINDOW * norm.channels);
         r.tensors_into(&ae.params())?;
-        r.expect_end()?;
+        r.finish()?;
         Ok(BeatGan {
             seed,
             state: Some(Fitted { norm, ae }),

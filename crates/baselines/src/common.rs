@@ -4,6 +4,7 @@
 use imdiff_data::{DetectorError, Mts, NormMethod, Normalizer};
 use imdiff_nn::optim::Optimizer;
 use imdiff_nn::rng::seeded;
+use imdiff_nn::serialize::{ByteReader, ByteWriter};
 use imdiff_nn::{backward, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -114,7 +115,7 @@ impl NormState {
     }
 
     /// Serializes the normalization state (registry snapshot payloads).
-    pub(crate) fn encode(&self, w: &mut PayloadWriter) {
+    pub(crate) fn encode(&self, w: &mut ByteWriter) {
         let (offset, scale) = self.normalizer.stats();
         w.u32(self.channels as u32);
         w.f32s(&offset);
@@ -122,7 +123,7 @@ impl NormState {
     }
 
     /// Inverse of [`Self::encode`].
-    pub(crate) fn decode(r: &mut PayloadReader) -> Result<Self, DetectorError> {
+    pub(crate) fn decode(r: &mut ByteReader) -> Result<Self, DetectorError> {
         let channels = r.u32()? as usize;
         let offset = r.f32s()?;
         let scale = r.f32s()?;
@@ -139,152 +140,6 @@ impl NormState {
 /// Typed corruption error for snapshot payload decoding.
 pub(crate) fn corrupt(msg: &str) -> DetectorError {
     DetectorError::CorruptCheckpoint(format!("baseline payload: {msg}"))
-}
-
-/// Little-endian byte writer for baseline snapshot payloads (the
-/// family-native body wrapped by the registry's CRC-checked envelope).
-pub(crate) struct PayloadWriter {
-    buf: Vec<u8>,
-}
-
-impl PayloadWriter {
-    pub(crate) fn new() -> Self {
-        PayloadWriter { buf: Vec::new() }
-    }
-
-    pub(crate) fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Length-prefixed `f32` slice.
-    pub(crate) fn f32s(&mut self, vs: &[f32]) {
-        self.u32(vs.len() as u32);
-        for &v in vs {
-            self.f32(v);
-        }
-    }
-
-    /// Length-prefixed `f64` slice.
-    pub(crate) fn f64s(&mut self, vs: &[f64]) {
-        self.u32(vs.len() as u32);
-        for &v in vs {
-            self.f64(v);
-        }
-    }
-
-    /// Module parameters in `params()` order: count, then each tensor as
-    /// a length-prefixed value blob. Shapes are *not* stored — the reader
-    /// rebuilds the module skeleton from seed + config and only checks
-    /// element counts, exactly like the IMDF loader's arity check.
-    pub(crate) fn tensors(&mut self, params: &[Tensor]) {
-        self.u32(params.len() as u32);
-        for p in params {
-            self.f32s(&p.to_vec());
-        }
-    }
-}
-
-/// Little-endian cursor over a snapshot payload; running off the end or
-/// any shape mismatch is a typed corruption, never a panic.
-pub(crate) struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        PayloadReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DetectorError> {
-        if self.pos + n > self.buf.len() {
-            return Err(corrupt("truncated payload"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, DetectorError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, DetectorError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f32(&mut self) -> Result<f32, DetectorError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, DetectorError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f32s(&mut self) -> Result<Vec<f32>, DetectorError> {
-        let n = self.u32()? as usize;
-        if self.pos + n.saturating_mul(4) > self.buf.len() {
-            return Err(corrupt("truncated f32 slice"));
-        }
-        (0..n).map(|_| self.f32()).collect()
-    }
-
-    pub(crate) fn f64s(&mut self) -> Result<Vec<f64>, DetectorError> {
-        let n = self.u32()? as usize;
-        if self.pos + n.saturating_mul(8) > self.buf.len() {
-            return Err(corrupt("truncated f64 slice"));
-        }
-        (0..n).map(|_| self.f64()).collect()
-    }
-
-    /// Loads tensors written by [`PayloadWriter::tensors`] into a freshly
-    /// constructed skeleton's parameter list, checking arity and element
-    /// counts.
-    pub(crate) fn tensors_into(&mut self, params: &[Tensor]) -> Result<(), DetectorError> {
-        let n = self.u32()? as usize;
-        if n != params.len() {
-            return Err(corrupt(&format!(
-                "payload has {n} tensors, model expects {}",
-                params.len()
-            )));
-        }
-        for p in params {
-            let data = self.f32s()?;
-            let want: usize = p.dims().iter().product();
-            if data.len() != want {
-                return Err(corrupt(&format!(
-                    "tensor has {} values, model expects {want}",
-                    data.len()
-                )));
-            }
-            p.set_data(&data);
-        }
-        Ok(())
-    }
-
-    /// Rejects trailing garbage after a fully parsed payload.
-    pub(crate) fn expect_end(&self) -> Result<(), DetectorError> {
-        if self.pos != self.buf.len() {
-            return Err(corrupt("trailing bytes after payload"));
-        }
-        Ok(())
-    }
 }
 
 /// Validates the series is long enough for windowed training.
@@ -497,59 +352,5 @@ mod tests {
         // A mask of the wrong geometry is rejected.
         let short_mask = vec![false; 3];
         assert!(ns.transform_masked(&test, Some(&short_mask)).is_err());
-    }
-
-    #[test]
-    fn payload_codec_roundtrip_and_corruption() {
-        let mut w = PayloadWriter::new();
-        w.u8(7);
-        w.u32(42);
-        w.f32(1.5);
-        w.f64(-2.25);
-        w.f32s(&[1.0, 2.0]);
-        w.f64s(&[3.0]);
-        let bytes = w.finish();
-
-        let mut r = PayloadReader::new(&bytes);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 42);
-        assert_eq!(r.f32().unwrap(), 1.5);
-        assert_eq!(r.f64().unwrap(), -2.25);
-        assert_eq!(r.f32s().unwrap(), vec![1.0, 2.0]);
-        assert_eq!(r.f64s().unwrap(), vec![3.0]);
-        assert!(r.expect_end().is_ok());
-
-        // Truncation is a typed corruption, not a panic.
-        let mut r = PayloadReader::new(&bytes[..bytes.len() - 1]);
-        r.u8().unwrap();
-        r.u32().unwrap();
-        r.f32().unwrap();
-        r.f64().unwrap();
-        r.f32s().unwrap();
-        assert!(matches!(
-            r.f64s(),
-            Err(DetectorError::CorruptCheckpoint(_))
-        ));
-
-        // Trailing garbage is rejected.
-        let mut padded = bytes.clone();
-        padded.push(0);
-        let mut r = PayloadReader::new(&padded);
-        r.u8().unwrap();
-        r.u32().unwrap();
-        r.f32().unwrap();
-        r.f64().unwrap();
-        r.f32s().unwrap();
-        r.f64s().unwrap();
-        assert!(matches!(
-            r.expect_end(),
-            Err(DetectorError::CorruptCheckpoint(_))
-        ));
-
-        // An absurd length prefix fails fast instead of allocating.
-        let mut huge = PayloadWriter::new();
-        huge.u32(u32::MAX);
-        let hb = huge.finish();
-        assert!(PayloadReader::new(&hb).f32s().is_err());
     }
 }

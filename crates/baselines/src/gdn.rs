@@ -11,10 +11,10 @@ use imdiff_nn::layers::{Linear, Module};
 use imdiff_nn::ops::mse;
 use imdiff_nn::optim::Adam;
 use imdiff_nn::{init, no_grad, Tensor};
+use imdiff_nn::serialize::{ByteReader, ByteWriter};
 
 use crate::common::{
     batch_windows, corrupt, require_len, rng_for, run_training, sample_starts, NormState,
-    PayloadReader, PayloadWriter,
 };
 
 const WINDOW: usize = 12;
@@ -176,7 +176,7 @@ impl Gdn {
     /// both must travel with the weights.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = ByteWriter::new();
         st.norm.encode(&mut w);
         w.tensors(&st.model.params());
         w.u32(st.model.neighbours.len() as u32);
@@ -191,7 +191,7 @@ impl Gdn {
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = ByteReader::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let k = norm.channels;
         let mut rng = rng_for(seed, 0x6d4);
@@ -215,7 +215,7 @@ impl Gdn {
         if err_scale.len() != k || err_scale.iter().any(|&e| !e.is_finite() || e <= 0.0) {
             return Err(corrupt("invalid error scales"));
         }
-        r.expect_end()?;
+        r.finish()?;
         Ok(Gdn {
             seed,
             state: Some(Fitted {

@@ -7,10 +7,11 @@
 //! length of an unsuccessful BST search.
 
 use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_nn::serialize::{ByteReader, ByteWriter};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::common::{corrupt, rng_for, NormState, PayloadReader, PayloadWriter};
+use crate::common::{corrupt, rng_for, NormState};
 
 /// Decode recursion guard: real trees are ≤ log2(ψ)=8 deep, so anything
 /// past this is corrupt data, not a stack to unwind.
@@ -66,7 +67,7 @@ fn grow(points: &[&[f32]], depth: usize, max_depth: usize, rng: &mut StdRng) -> 
 }
 
 /// Preorder tree encoding: tag byte, then leaf size or split payload.
-fn encode_node(node: &Node, w: &mut PayloadWriter) {
+fn encode_node(node: &Node, w: &mut ByteWriter) {
     match node {
         Node::Leaf { size } => {
             w.u8(0);
@@ -87,7 +88,7 @@ fn encode_node(node: &Node, w: &mut PayloadWriter) {
     }
 }
 
-fn decode_node(r: &mut PayloadReader, dim: usize, depth: usize) -> Result<Node, DetectorError> {
+fn decode_node(r: &mut ByteReader, dim: usize, depth: usize) -> Result<Node, DetectorError> {
     if depth > MAX_DECODE_DEPTH {
         return Err(corrupt("isolation tree deeper than any valid forest"));
     }
@@ -192,7 +193,7 @@ impl IsolationForest {
     /// Serializes the fitted forest as the family's registry payload.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = ByteWriter::new();
         st.norm.encode(&mut w);
         w.u32(self.subsample as u32);
         w.f64(st.c_psi);
@@ -205,7 +206,7 @@ impl IsolationForest {
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = ByteReader::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let subsample = r.u32()? as usize;
         let c_psi = r.f64()?;
@@ -219,7 +220,7 @@ impl IsolationForest {
         let trees = (0..n_trees)
             .map(|_| decode_node(&mut r, norm.channels, 0))
             .collect::<Result<Vec<_>, _>>()?;
-        r.expect_end()?;
+        r.finish()?;
         Ok(IsolationForest {
             seed,
             n_trees,

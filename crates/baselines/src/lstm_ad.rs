@@ -9,10 +9,10 @@ use imdiff_data::{Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Linear, Lstm, Module};
 use imdiff_nn::optim::Adam;
 use imdiff_nn::{no_grad, ops, Tensor};
+use imdiff_nn::serialize::{ByteReader, ByteWriter};
 
 use crate::common::{
-    batch_windows, require_len, rng_for, run_training, sample_starts, NormState, PayloadReader,
-    PayloadWriter,
+    batch_windows, require_len, rng_for, run_training, sample_starts, NormState,
 };
 
 /// Context length fed to the LSTM.
@@ -90,7 +90,7 @@ impl LstmAd {
     /// Serializes the fitted state as the family's registry payload.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = ByteWriter::new();
         st.norm.encode(&mut w);
         w.tensors(&st.params());
         Ok(w.finish())
@@ -98,7 +98,7 @@ impl LstmAd {
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = ByteReader::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let k = norm.channels;
         let mut rng = rng_for(seed, 0x15a);
@@ -108,7 +108,7 @@ impl LstmAd {
             head: Linear::new(&mut rng, HIDDEN, k),
         };
         r.tensors_into(&st.params())?;
-        r.expect_end()?;
+        r.finish()?;
         Ok(LstmAd {
             seed,
             state: Some(st),

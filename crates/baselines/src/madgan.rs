@@ -12,10 +12,10 @@ use imdiff_nn::ops::{bce_with_logits, mse};
 use imdiff_nn::optim::{Adam, Optimizer};
 use imdiff_nn::rng::normal_vec;
 use imdiff_nn::{backward, no_grad, Tensor};
+use imdiff_nn::serialize::{ByteReader, ByteWriter};
 
 use crate::common::{
-    batch_windows, coverage_starts, require_len, rng_for, sample_starts, NormState, PayloadReader,
-    PayloadWriter, PointScores,
+    batch_windows, coverage_starts, require_len, rng_for, sample_starts, NormState, PointScores,
 };
 
 const WINDOW: usize = 16;
@@ -170,7 +170,7 @@ impl MadGan {
     /// Serializes the fitted state as the family's registry payload.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = ByteWriter::new();
         st.norm.encode(&mut w);
         let mut params = st.gen.params();
         params.extend(st.disc.params());
@@ -180,14 +180,14 @@ impl MadGan {
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = ByteReader::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let mut rng = rng_for(seed, 0x6a2d);
         let (gen, disc) = build_models(&mut rng, norm.channels);
         let mut params = gen.params();
         params.extend(disc.params());
         r.tensors_into(&params)?;
-        r.expect_end()?;
+        r.finish()?;
         Ok(MadGan {
             seed,
             state: Some(Fitted { norm, gen, disc }),

@@ -15,10 +15,11 @@ use imdiff_nn::ops::mse;
 use imdiff_nn::optim::Adam;
 use imdiff_nn::rng::normal_vec;
 use imdiff_nn::{no_grad, Tensor};
+use imdiff_nn::serialize::{ByteReader, ByteWriter};
 use rand::rngs::StdRng;
 
 use crate::common::{
-    corrupt, require_len, rng_for, run_training, NormState, PayloadReader, PayloadWriter,
+    corrupt, require_len, rng_for, run_training, NormState,
 };
 use rand::Rng;
 
@@ -181,7 +182,7 @@ impl Mscred {
     /// independent of the RNG draw order at fit time.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = ByteWriter::new();
         st.norm.encode(&mut w);
         w.u32(st.extractor.projections.len() as u32);
         for p in &st.extractor.projections {
@@ -193,7 +194,7 @@ impl Mscred {
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = ByteReader::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let k = norm.channels;
         let n_scales = r.u32()? as usize;
@@ -213,7 +214,7 @@ impl Mscred {
         let mut rng = rng_for(seed, 0x35c7ed);
         let ae = AutoEncoder::new(&mut rng);
         r.tensors_into(&ae.params())?;
-        r.expect_end()?;
+        r.finish()?;
         Ok(Mscred {
             seed,
             state: Some(Fitted {

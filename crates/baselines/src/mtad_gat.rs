@@ -11,10 +11,10 @@ use imdiff_nn::layers::{Gru, Linear, Module, MultiHeadAttention};
 use imdiff_nn::ops::mse;
 use imdiff_nn::optim::Adam;
 use imdiff_nn::{no_grad, Tensor};
+use imdiff_nn::serialize::{ByteReader, ByteWriter};
 
 use crate::common::{
-    batch_windows, require_len, rng_for, run_training, sample_starts, NormState, PayloadReader,
-    PayloadWriter,
+    batch_windows, require_len, rng_for, run_training, sample_starts, NormState,
 };
 
 const WINDOW: usize = 16;
@@ -148,7 +148,7 @@ impl MtadGat {
     /// Serializes the fitted state as the family's registry payload.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = ByteWriter::new();
         st.norm.encode(&mut w);
         w.tensors(&st.model.params());
         Ok(w.finish())
@@ -156,12 +156,12 @@ impl MtadGat {
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = ByteReader::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let mut rng = rng_for(seed, 0x3a7);
         let model = Model::new(&mut rng, norm.channels);
         r.tensors_into(&model.params())?;
-        r.expect_end()?;
+        r.finish()?;
         Ok(MtadGat {
             seed,
             state: Some(Fitted { norm, model }),

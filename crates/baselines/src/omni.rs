@@ -11,10 +11,11 @@ use imdiff_nn::ops::{kl_standard_normal, mse};
 use imdiff_nn::optim::Adam;
 use imdiff_nn::rng::normal_vec;
 use imdiff_nn::{no_grad, Tensor};
+use imdiff_nn::serialize::{ByteReader, ByteWriter};
 
 use crate::common::{
     batch_windows, coverage_starts, require_len, rng_for, run_training, sample_starts, NormState,
-    PayloadReader, PayloadWriter, PointScores,
+    PointScores,
 };
 
 const WINDOW: usize = 24;
@@ -119,7 +120,7 @@ impl OmniAnomaly {
     /// Serializes the fitted state as the family's registry payload.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = ByteWriter::new();
         st.norm.encode(&mut w);
         w.tensors(&st.vae.params());
         Ok(w.finish())
@@ -127,12 +128,12 @@ impl OmniAnomaly {
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = ByteReader::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let mut rng = rng_for(seed, 0x0a21);
         let vae = Vae::new(&mut rng, norm.channels);
         r.tensors_into(&vae.params())?;
-        r.expect_end()?;
+        r.finish()?;
         Ok(OmniAnomaly {
             seed,
             state: Some(Fitted { norm, vae }),

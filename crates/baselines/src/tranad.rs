@@ -11,10 +11,10 @@ use imdiff_nn::layers::{Linear, Module, TransformerEncoderLayer};
 use imdiff_nn::ops::mse;
 use imdiff_nn::optim::{Adam, Optimizer};
 use imdiff_nn::{backward, no_grad, Tensor};
+use imdiff_nn::serialize::{ByteReader, ByteWriter};
 
 use crate::common::{
-    batch_windows, coverage_starts, require_len, rng_for, sample_starts, NormState, PayloadReader,
-    PayloadWriter, PointScores,
+    batch_windows, coverage_starts, require_len, rng_for, sample_starts, NormState, PointScores,
 };
 
 const WINDOW: usize = 16;
@@ -118,7 +118,7 @@ impl TranAd {
     /// Serializes the fitted state as the family's registry payload.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = ByteWriter::new();
         st.norm.encode(&mut w);
         w.tensors(&st.model.all_params());
         Ok(w.finish())
@@ -126,12 +126,12 @@ impl TranAd {
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = ByteReader::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let mut rng = rng_for(seed, 0x72a4);
         let model = Model::new(&mut rng, norm.channels);
         r.tensors_into(&model.all_params())?;
-        r.expect_end()?;
+        r.finish()?;
         Ok(TranAd {
             seed,
             state: Some(Fitted { norm, model }),

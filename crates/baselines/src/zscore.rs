@@ -6,8 +6,9 @@
 //! for tenants whose regime a linear profile explains well.
 
 use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_nn::serialize::{ByteReader, ByteWriter};
 
-use crate::common::{corrupt, PayloadReader, PayloadWriter};
+use crate::common::corrupt;
 
 /// Floor on the per-channel standard deviation so constant channels don't
 /// blow up the score.
@@ -81,7 +82,7 @@ impl ZScoreDetector {
     /// Serializes the fitted profile as the family's registry payload.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = ByteWriter::new();
         w.u32(st.mean.len() as u32);
         w.f64s(&st.mean);
         w.f64s(&st.std);
@@ -90,11 +91,11 @@ impl ZScoreDetector {
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = ByteReader::new(bytes);
         let k = r.u32()? as usize;
         let mean = r.f64s()?;
         let std = r.f64s()?;
-        r.expect_end()?;
+        r.finish()?;
         if k == 0 || mean.len() != k || std.len() != k {
             return Err(corrupt("z-score profile shape mismatch"));
         }

@@ -15,9 +15,10 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use imdiff_data::synthetic::{generate, Benchmark, SizeProfile};
 use imdiff_data::Detector;
+use imdiff_registry::{AnyDetector, DetectorKind};
 use imdiff_serve::wire::Request;
 use imdiff_serve::{ClientError, ErrorCode, ServeClient, ServeConfig, Server, TenantSpec};
-use imdiffusion::{ImDiffusionConfig, ImDiffusionDetector};
+use imdiffusion::ImDiffusionConfig;
 
 fn bench_cfg() -> ImDiffusionConfig {
     ImDiffusionConfig {
@@ -43,11 +44,11 @@ fn bench_request_latency(c: &mut Criterion) {
         test_len: 64,
     };
     let ds = generate(Benchmark::Gcp, &profile, 4);
-    let mut det = ImDiffusionDetector::new(bench_cfg(), 4);
+    let mut det = AnyDetector::new(DetectorKind::ImDiffusion, bench_cfg(), 4);
     det.fit(&ds.train).expect("fit");
     let dir = std::env::temp_dir().join(format!("imdiff-bench-serve-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench dir");
-    let checkpoint = dir.join("tenant.imdf");
+    let checkpoint = dir.join("tenant.imde");
     det.save(&checkpoint).expect("save");
 
     let mut group = c.benchmark_group("serve_score");
@@ -167,11 +168,11 @@ fn bench_soak(_c: &mut Criterion) {
         test_len: 64,
     };
     let ds = generate(Benchmark::Gcp, &profile, 4);
-    let mut det = ImDiffusionDetector::new(bench_cfg(), 4);
+    let mut det = AnyDetector::new(DetectorKind::ImDiffusion, bench_cfg(), 4);
     det.fit(&ds.train).expect("fit");
     let dir = std::env::temp_dir().join(format!("imdiff-bench-soak-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench dir");
-    let checkpoint = dir.join("tenant.imdf");
+    let checkpoint = dir.join("tenant.imde");
     det.save(&checkpoint).expect("save");
 
     let tenants = ["soak-a", "soak-b"];

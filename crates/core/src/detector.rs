@@ -5,7 +5,7 @@ use imdiff_diffusion::NoiseSchedule;
 use imdiff_nn::layers::Module;
 
 use crate::config::ImDiffusionConfig;
-use crate::infer::{ensemble_infer_masked, ensemble_infer_windows, EnsembleOutput};
+use crate::infer::{ensemble_infer, EnsembleOutput};
 use crate::model::ImTransformer;
 use crate::streaming::DriftReference;
 use crate::trainer::{Trainer, TrainerOptions, TrainReport};
@@ -21,7 +21,8 @@ pub struct ImDiffusionDetector {
     last_output: Option<EnsembleOutput>,
     last_report: Option<TrainReport>,
     /// Training-time per-channel statistics for streaming drift
-    /// detection; captured by `fit`, persisted with the checkpoint.
+    /// detection; captured by `fit`, persisted in the IMDE envelope's
+    /// drift field.
     drift_ref: Option<DriftReference>,
 }
 
@@ -56,9 +57,9 @@ impl ImDiffusionDetector {
         self.seed
     }
 
-    /// Training-time reference statistics for drift detection (`None` on
-    /// detectors fitted before the statistics existed, e.g. restored from
-    /// a legacy checkpoint — drift detection stays unarmed there).
+    /// Training-time reference statistics for drift detection (`None`
+    /// before fit, or when restored from a checkpoint without one — drift
+    /// detection stays unarmed there).
     pub fn drift_reference(&self) -> Option<&DriftReference> {
         self.drift_ref.as_ref()
     }
@@ -241,14 +242,14 @@ impl ImDiffusionDetector {
             }
         }
         let test_n = fitted.normalizer.transform(test);
-        let out = ensemble_infer_masked(
+        let out = ensemble_infer(
             &fitted.model,
             &self.cfg,
             &fitted.schedule,
-            &test_n,
-            missing,
+            &[(&test_n, missing)],
             self.seed ^ 0x5A5A,
-        );
+        )
+        .remove(0);
         let detection = Detection {
             scores: out.scores.clone(),
             labels: Some(out.labels.clone()),
@@ -263,8 +264,8 @@ impl ImDiffusionDetector {
     /// row-major `[W, K]`. Validation matches [`Self::detect_with_missing`]
     /// (NaN accepted only in declared-missing cells), and the results are
     /// bit-identical to scoring each window alone: both paths reach
-    /// [`ensemble_infer_windows`]'s arithmetic with the same per-window
-    /// RNG stream and the same inference seed.
+    /// [`ensemble_infer`] with the same inference seed, and each window is
+    /// a one-window series of the batch.
     ///
     /// `&self`, not `&mut self`: batched scoring never touches the
     /// `last_output` trace, so concurrent read-only sharing is safe.
@@ -319,7 +320,7 @@ impl ImDiffusionDetector {
             .zip(windows)
             .map(|(n, (_, missing))| (n, *missing))
             .collect();
-        Ok(ensemble_infer_windows(
+        Ok(ensemble_infer(
             &fitted.model,
             &self.cfg,
             &fitted.schedule,

@@ -54,11 +54,7 @@ struct GroupAccum {
 }
 
 /// Read-only context shared by every denoising-chain task: the run's
-/// configuration, schedule and mask policies plus the step plan. The
-/// chain body lives here so the coverage path ([`ensemble_infer_masked`])
-/// and the request-batching path ([`ensemble_infer_windows`]) execute the
-/// *same* arithmetic — they differ only in which windows they feed and
-/// which RNG stream each window owns.
+/// configuration, schedule and mask policies plus the step plan.
 struct ChainCtx<'a> {
     cfg: &'a ImDiffusionConfig,
     schedule: &'a NoiseSchedule,
@@ -464,28 +460,22 @@ fn coverage_starts(len: usize, window: usize, stride: usize) -> Vec<usize> {
     starts
 }
 
-/// Runs Algorithm 1 over a (normalized) test series.
+/// Runs Algorithm 1 over a batch of (normalized) test series — the one
+/// inference entry, for whole-series detection and for the serving
+/// layer's micro-batches of single-window requests alike.
 ///
-/// For each mask policy, all windows are batched into a single reverse
-/// diffusion chain: starting from Gaussian noise on the masked region, the
-/// model denoises step by step, conditioned on fresh forward noise drawn
-/// for the observed region (the unconditional design of §4.1; the
+/// Each element of `batch` is a series of at least `cfg.window` rows
+/// with an optional row-major `[L, K]` *missing-cell* mask (`true` marks
+/// values that are unreliable or absent: lost samples, offline sensors,
+/// gap-bridged rows). Each series is tiled with coverage windows; all
+/// windows of the batch run their reverse diffusion chains in fixed-size
+/// groups: starting from Gaussian noise on the masked region, the model
+/// denoises step by step, conditioned on fresh forward noise drawn for
+/// the observed region (the unconditional design of §4.1; the
 /// conditional ablation feeds raw observed values instead). Imputation
-/// errors are recorded at every vote step, merged across the complementary
-/// policies, thresholded with Eq. (12) and aggregated by voting.
-pub fn ensemble_infer(
-    model: &ImTransformer,
-    cfg: &ImDiffusionConfig,
-    schedule: &NoiseSchedule,
-    test: &Mts,
-    seed: u64,
-) -> EnsembleOutput {
-    ensemble_infer_masked(model, cfg, schedule, test, None, seed)
-}
-
-/// [`ensemble_infer`] with an explicit *missing-cell* mask: `missing` is
-/// row-major `[L, K]`, `true` marking cells whose values are unreliable or
-/// absent (lost samples, offline sensors, gap-bridged rows).
+/// errors are recorded at every vote step, merged across the
+/// complementary policies, thresholded with Eq. (12) and aggregated by
+/// voting — per series, by `finalize`.
 ///
 /// Missing cells are folded into the grating mask: they are forced to be
 /// imputation targets under **both** complementary policies, so the
@@ -494,30 +484,52 @@ pub fn ensemble_infer(
 /// missing cell has no ground truth, it contributes no imputation error
 /// (it receives the step's neutral mean error, like uncovered cells) but
 /// its imputed value *is* recorded, turning the detector into an online
-/// repair mechanism. Undeclared non-finite values in `test` are folded
-/// into the missing set defensively so the chain arithmetic stays finite.
-pub fn ensemble_infer_masked(
+/// repair mechanism. Undeclared non-finite values are folded into the
+/// missing set defensively so the chain arithmetic stays finite.
+///
+/// Each output is **bit-identical** to scoring its series alone: every
+/// window draws its noise from `window_rng(seed, i)` with `i` its index
+/// within its own series, the mask policies derive from `seed` alone, and
+/// all post-chain statistics (channel scales, the τ percentile, Eq. 12
+/// ratios, score smoothing) are computed per series. Batching only
+/// changes how many windows share one model forward; the blocked kernels
+/// accumulate each output element in a batch-size-independent order, so
+/// no bit changes.
+pub fn ensemble_infer(
     model: &ImTransformer,
     cfg: &ImDiffusionConfig,
     schedule: &NoiseSchedule,
-    test: &Mts,
-    missing: Option<&[bool]>,
+    batch: &[(&Mts, Option<&[bool]>)],
     seed: u64,
-) -> EnsembleOutput {
+) -> Vec<EnsembleOutput> {
     let _ens = obs::span("infer.ensemble");
     cfg.validate();
-    let (len, k, w) = (test.len(), test.dim(), cfg.window);
-    assert_eq!(k, model.channels(), "test data channel mismatch");
-
-    let (test, missing_bits, missing_cells) = sanitize_missing(test, missing);
-    let test = &test;
+    let (k, w) = (model.channels(), cfg.window);
+    let cell = k * w;
     let stride = match cfg.task {
         TaskMode::Forecasting => (w / 2).max(1),
         _ => w,
     };
-    let starts = coverage_starts(len, w, stride);
-    let nw = starts.len();
-    let cell = k * w;
+
+    let series: Vec<(Mts, Vec<bool>, usize)> = batch
+        .iter()
+        .map(|&(test, missing)| {
+            assert_eq!(test.dim(), k, "test data channel mismatch");
+            sanitize_missing(test, missing)
+        })
+        .collect();
+    // Every window of the batch as (series, index within series, start).
+    let windows: Vec<(usize, usize, usize)> = series
+        .iter()
+        .enumerate()
+        .flat_map(|(si, (test, _, _))| {
+            coverage_starts(test.len(), w, stride)
+                .into_iter()
+                .enumerate()
+                .map(move |(wi, start)| (si, wi, start))
+        })
+        .collect();
+    let nw = windows.len();
 
     let reverse_steps = cfg.reverse_steps(); // descending, ends at 1
     let vote_steps = cfg.vote_steps_among(&reverse_steps);
@@ -530,19 +542,20 @@ pub fn ensemble_infer_masked(
     let policy_masks: Vec<(Vec<f32>, Vec<f32>)> =
         policies.iter().map(mask_channel_major).collect();
 
-    let x0_batch: Vec<f32> = starts
+    let x0_batch: Vec<f32> = windows
         .iter()
-        .flat_map(|&s| window_channel_major(&test.slice_time(s, w)))
+        .flat_map(|&(si, _, s)| window_channel_major(&series[si].0.slice_time(s, w)))
         .collect();
     // Per-window missing flags in channel-major layout (`c * w + t`),
     // matching the policy masks.
-    let win_missing: Vec<Vec<bool>> = starts
+    let win_missing: Vec<Vec<bool>> = windows
         .iter()
-        .map(|&s| {
+        .map(|&(si, _, s)| {
+            let bits = &series[si].1;
             let mut m = vec![false; cell];
             for c in 0..k {
                 for tl in 0..w {
-                    m[c * w + tl] = missing_bits[(s + tl) * k + c];
+                    m[c * w + tl] = bits[(s + tl) * k + c];
                 }
             }
             m
@@ -576,27 +589,39 @@ pub fn ensemble_infer_masked(
     let run_group = |model: &ImTransformer, g: usize| -> GroupAccum {
         let gs = g * GROUP_WINDOWS;
         let ge = ((g + 1) * GROUP_WINDOWS).min(nw);
-        let rngs: Vec<StdRng> = (gs..ge).map(|wi| window_rng(seed, wi)).collect();
+        let rngs: Vec<StdRng> = windows[gs..ge]
+            .iter()
+            .map(|&(_, wi, _)| window_rng(seed, wi))
+            .collect();
         ctx.run_chain(model, &x0_batch[gs * cell..ge * cell], &win_missing[gs..ge], rngs)
     };
     let group_outs = run_groups(model, cfg, k, n_groups, run_group);
 
-    let mut acc = SeriesAccum::zeros(n_votes, len * k);
-    for (g, ga) in group_outs.iter().enumerate() {
-        let gs = g * GROUP_WINDOWS;
-        for (wl, &start) in starts[gs..].iter().take(GROUP_WINDOWS).enumerate() {
-            acc.merge_window(ga, wl, start, k, w);
-        }
+    // Fold windows into their series in fixed window order (overlapping
+    // tail windows make the f64 addition order-sensitive), then finalize
+    // each series on its own.
+    let mut accs: Vec<SeriesAccum> = series
+        .iter()
+        .map(|(test, _, _)| SeriesAccum::zeros(n_votes, test.len() * k))
+        .collect();
+    for (i, &(si, _, start)) in windows.iter().enumerate() {
+        accs[si].merge_window(&group_outs[i / GROUP_WINDOWS], i % GROUP_WINDOWS, start, k, w);
     }
-    finalize(cfg, test, &vote_steps, &acc, missing_cells)
+    series
+        .iter()
+        .zip(&accs)
+        .map(|((test, _, missing_cells), acc)| {
+            finalize(cfg, test, &vote_steps, acc, *missing_cells)
+        })
+        .collect()
 }
 
 /// Turns merged series accumulators into the final [`EnsembleOutput`]:
 /// coverage-normalised per-step cell errors, per-channel robust rescale,
 /// Eq. (12) thresholds and votes, score smoothing and attribution. All
 /// statistics are local to the series the accumulators describe — this
-/// is what makes per-window finalisation in [`ensemble_infer_windows`]
-/// bit-identical to a standalone single-window run.
+/// is what makes each series of an [`ensemble_infer`] batch bit-identical
+/// to a standalone run.
 fn finalize(
     cfg: &ImDiffusionConfig,
     test: &Mts,
@@ -753,111 +778,6 @@ fn finalize(
     }
 }
 
-/// Scores a batch of *independent* single-window series in one pass —
-/// the serving layer's micro-batching entry point.
-///
-/// Each element of `windows` is one `cfg.window`-row series with an
-/// optional row-major `[W, K]` missing mask, exactly what a standalone
-/// [`ensemble_infer_masked`] call would receive. The outputs are
-/// **bit-identical** to those standalone calls: every window draws its
-/// noise from `window_rng(seed, 0)` — the stream a single-window series
-/// (which has exactly one window, index 0) owns — the mask policies
-/// derive from `seed` alone, and all post-chain statistics (channel
-/// scales, the τ percentile, Eq. 12 ratios, score smoothing) are
-/// computed per window by [`finalize`]. Batching only changes how many
-/// windows share one model forward; the blocked kernels accumulate each
-/// output element in a batch-size-independent order, so no bit changes.
-pub fn ensemble_infer_windows(
-    model: &ImTransformer,
-    cfg: &ImDiffusionConfig,
-    schedule: &NoiseSchedule,
-    windows: &[(&Mts, Option<&[bool]>)],
-    seed: u64,
-) -> Vec<EnsembleOutput> {
-    let _ens = obs::span("infer.ensemble_windows");
-    cfg.validate();
-    let (k, w) = (model.channels(), cfg.window);
-    let nw = windows.len();
-    if nw == 0 {
-        return Vec::new();
-    }
-    let cell = k * w;
-
-    // Sanitize every window independently (missing ∪ non-finite,
-    // forward-filled placeholders), as the standalone path would.
-    let sanitized: Vec<(Mts, Vec<bool>, usize)> = windows
-        .iter()
-        .map(|(series, missing)| {
-            assert_eq!(series.len(), w, "each batched series must be exactly one window");
-            assert_eq!(series.dim(), k, "batched window channel mismatch");
-            sanitize_missing(series, *missing)
-        })
-        .collect();
-
-    let reverse_steps = cfg.reverse_steps();
-    let vote_steps = cfg.vote_steps_among(&reverse_steps);
-    let n_votes = vote_steps.len();
-    let mut mask_rng = seeded(seed ^ 0x1fe2_77ab);
-    let policies = task_masks(cfg, &mut mask_rng, w, k);
-    let policy_masks: Vec<(Vec<f32>, Vec<f32>)> =
-        policies.iter().map(mask_channel_major).collect();
-
-    let x0_batch: Vec<f32> = sanitized
-        .iter()
-        .flat_map(|(t, _, _)| window_channel_major(t))
-        .collect();
-    let win_missing: Vec<Vec<bool>> = sanitized
-        .iter()
-        .map(|(_, bits, _)| {
-            let mut m = vec![false; cell];
-            for c in 0..k {
-                for tl in 0..w {
-                    m[c * w + tl] = bits[tl * k + c];
-                }
-            }
-            m
-        })
-        .collect();
-
-    let ctx = ChainCtx {
-        cfg,
-        schedule,
-        policy_masks: &policy_masks,
-        reverse_steps: &reverse_steps,
-        vote_steps: &vote_steps,
-        k,
-        w,
-    };
-    let n_groups = nw.div_ceil(GROUP_WINDOWS);
-    if obs::enabled() {
-        obs::counter("infer.batched_runs", 1);
-        obs::counter("infer.windows", nw as u64);
-        obs::counter("infer.window_groups", n_groups as u64);
-    }
-    let run_group = |model: &ImTransformer, g: usize| -> GroupAccum {
-        let gs = g * GROUP_WINDOWS;
-        let ge = ((g + 1) * GROUP_WINDOWS).min(nw);
-        // Every window replays the noise stream of a standalone
-        // single-window call: window index 0, not its batch position.
-        let rngs: Vec<StdRng> = (gs..ge).map(|_| window_rng(seed, 0)).collect();
-        ctx.run_chain(model, &x0_batch[gs * cell..ge * cell], &win_missing[gs..ge], rngs)
-    };
-    let group_outs = run_groups(model, cfg, k, n_groups, run_group);
-
-    // Per-window finalisation: each window is its own one-window series,
-    // so its statistics never see a neighbour's errors.
-    sanitized
-        .iter()
-        .enumerate()
-        .map(|(wi, (test, _, missing_cells))| {
-            let ga = &group_outs[wi / GROUP_WINDOWS];
-            let mut acc = SeriesAccum::zeros(n_votes, cell);
-            acc.merge_window(ga, wi % GROUP_WINDOWS, 0, k, w);
-            finalize(cfg, test, &vote_steps, &acc, *missing_cells)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -879,6 +799,18 @@ mod tests {
             vote_every: 2,
             ..ImDiffusionConfig::quick()
         }
+    }
+
+    /// One series through the batch entry.
+    fn infer_one(
+        model: &ImTransformer,
+        cfg: &ImDiffusionConfig,
+        schedule: &NoiseSchedule,
+        test: &Mts,
+        missing: Option<&[bool]>,
+        seed: u64,
+    ) -> EnsembleOutput {
+        ensemble_infer(model, cfg, schedule, &[(test, missing)], seed).remove(0)
     }
 
     #[test]
@@ -903,7 +835,7 @@ mod tests {
         let cfg = tiny_cfg();
         let model = ImTransformer::new(&cfg, test_n.dim(), 1);
         let schedule = NoiseSchedule::new(cfg.schedule, cfg.diffusion_steps);
-        let out = ensemble_infer(&model, &cfg, &schedule, &test_n, 7);
+        let out = infer_one(&model, &cfg, &schedule, &test_n, None, 7);
 
         assert_eq!(out.scores.len(), 40);
         assert_eq!(out.votes.len(), 40);
@@ -954,7 +886,7 @@ mod tests {
         let model = ImTransformer::new(&cfg, k, 1);
         let schedule = NoiseSchedule::new(cfg.schedule, cfg.diffusion_steps);
         let out =
-            ensemble_infer_masked(&model, &cfg, &schedule, &test_n, Some(&missing), 7);
+            infer_one(&model, &cfg, &schedule, &test_n, Some(&missing), 7);
 
         assert_eq!(out.missing_cells, declared);
         // Every score stays finite even though the input held NaN cells.
@@ -972,7 +904,7 @@ mod tests {
         // Without a mask the same NaN-laden series is sanitized internally
         // too (undeclared non-finite is caught one layer up, in the
         // detector): the masked path must not be the only NaN-safe one.
-        let unmasked = ensemble_infer_masked(&model, &cfg, &schedule, &test_n, None, 7);
+        let unmasked = infer_one(&model, &cfg, &schedule, &test_n, None, 7);
         assert_eq!(unmasked.missing_cells, declared);
         assert!(unmasked.scores.iter().all(|&s| s.is_finite()));
     }
@@ -991,8 +923,8 @@ mod tests {
         let cfg = tiny_cfg();
         let model = ImTransformer::new(&cfg, ds.test.dim(), 5);
         let schedule = NoiseSchedule::new(cfg.schedule, cfg.diffusion_steps);
-        let a = ensemble_infer(&model, &cfg, &schedule, &ds.test, 9);
-        let b = ensemble_infer(&model, &cfg, &schedule, &ds.test, 9);
+        let a = infer_one(&model, &cfg, &schedule, &ds.test, None, 9);
+        let b = infer_one(&model, &cfg, &schedule, &ds.test, None, 9);
         assert_eq!(a.scores, b.scores);
         assert_eq!(a.labels, b.labels);
     }
@@ -1013,7 +945,7 @@ mod tests {
         };
         let model = ImTransformer::new(&cfg, ds.test.dim(), 5);
         let schedule = NoiseSchedule::new(cfg.schedule, cfg.diffusion_steps);
-        let out = ensemble_infer(&model, &cfg, &schedule, &ds.test, 1);
+        let out = infer_one(&model, &cfg, &schedule, &ds.test, None, 1);
         assert_eq!(out.scores.len(), 48);
     }
 
@@ -1033,8 +965,8 @@ mod tests {
         };
         let model = ImTransformer::new(&cfg, ds.test.dim(), 5);
         let schedule = NoiseSchedule::new(cfg.schedule, cfg.diffusion_steps);
-        let a = ensemble_infer(&model, &cfg, &schedule, &ds.test, 2);
-        let b = ensemble_infer(&model, &cfg, &schedule, &ds.test, 2);
+        let a = infer_one(&model, &cfg, &schedule, &ds.test, None, 2);
+        let b = infer_one(&model, &cfg, &schedule, &ds.test, None, 2);
         assert_eq!(a.scores, b.scores);
         assert_eq!(a.steps.last().unwrap().t, 1);
         assert!(a.scores.iter().all(|s| s.is_finite()));
@@ -1053,7 +985,7 @@ mod tests {
         let cfg = tiny_cfg();
         let model = ImTransformer::new(&cfg, ds.test.dim(), 5);
         let schedule = NoiseSchedule::new(cfg.schedule, cfg.diffusion_steps);
-        let out = ensemble_infer(&model, &cfg, &schedule, &ds.test, 3);
+        let out = infer_one(&model, &cfg, &schedule, &ds.test, None, 3);
         let k = ds.test.dim();
         for l in [0usize, 15, 31] {
             let attr = out.channel_attribution(l);
@@ -1102,11 +1034,11 @@ mod tests {
 
         let solo: Vec<EnsembleOutput> = reqs
             .iter()
-            .map(|(m, miss)| ensemble_infer_masked(&model, &cfg, &schedule, m, *miss, 21))
+            .map(|(m, miss)| infer_one(&model, &cfg, &schedule, m, *miss, 21))
             .collect();
         for width in [1usize, 4] {
             let batched = imdiff_nn::pool::with_threads(width, || {
-                ensemble_infer_windows(&model, &cfg, &schedule, &reqs, 21)
+                ensemble_infer(&model, &cfg, &schedule, &reqs, 21)
             });
             assert_eq!(batched.len(), solo.len());
             for (b, s) in batched.iter().zip(&solo) {
@@ -1142,7 +1074,7 @@ mod tests {
         };
         let model = ImTransformer::new(&cfg, ds.test.dim(), 5);
         let schedule = NoiseSchedule::new(cfg.schedule, cfg.diffusion_steps);
-        let out = ensemble_infer(&model, &cfg, &schedule, &ds.test, 1);
+        let out = infer_one(&model, &cfg, &schedule, &ds.test, None, 1);
         assert_eq!(out.steps.len(), 1);
         assert_eq!(out.steps[0].t, 1);
         assert_eq!(out.vote_threshold, 0);

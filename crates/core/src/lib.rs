@@ -52,7 +52,7 @@ pub use ablation::AblationVariant;
 pub use config::{ImDiffusionConfig, SentinelConfig, TaskMode};
 pub use detector::{DetectorSpec, ImDiffusionDetector};
 pub use finetune::{FineTuneOptions, FineTuneOutcome, FineTuneReport, FineTuner};
-pub use infer::{ensemble_infer_masked, ensemble_infer_windows, EnsembleOutput, StepTrace};
+pub use infer::{ensemble_infer, EnsembleOutput, StepTrace};
 pub use model::ImTransformer;
 pub use persist::stream_path;
 pub use scorer::WindowScorer;
@@ -64,8 +64,3 @@ pub use trainer::{
     train, train_resume, IncidentKind, TrainIncident, TrainReport, Trainer,
     TrainerOptions,
 };
-
-/// Test-only re-export of the raw inference entry point (used by the
-/// diagnostic probes in the bench crate).
-#[doc(hidden)]
-pub use infer::ensemble_infer as ensemble_infer_for_tests;

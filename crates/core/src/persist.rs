@@ -1,116 +1,73 @@
-//! Checkpointing for trained ImDiffusion detectors and live monitors.
+//! Checkpoint payloads for trained ImDiffusion detectors and the stream
+//! state of live monitors.
 //!
-//! A detector checkpoint stores the ImTransformer weights plus the fitted
-//! normalization statistics, so a production deployment can train once and
-//! reload across process restarts (the §6 scenario). The configuration is
-//! *not* stored — reconstruct the detector with the same
-//! [`crate::ImDiffusionConfig`]; mismatches are caught by shape checks.
+//! A detector's payload ([`ImDiffusionDetector::snapshot_payload`]) holds
+//! the ImTransformer weights plus the fitted normalization statistics as
+//! one tensor list, with no framing of its own: it travels inside the
+//! registry's `IMDE` envelope, which adds the family tag, seed, channel
+//! count, drift reference and the CRC-checked record frame. The
+//! configuration is *not* stored — the architecture is rebuilt from the
+//! same [`crate::ImDiffusionConfig`], and mismatches are caught by shape
+//! checks.
 //!
-//! A *monitor* checkpoint ([`StreamingMonitor::checkpoint`]) additionally
-//! persists the full streaming state — window buffer, missing flags,
-//! error/fallback histories, health state and fault counters — in a
-//! sidecar file, so a restarted serving process resumes mid-stream and
-//! produces byte-identical subsequent verdicts (inference is reseeded per
-//! call, so the buffered window fully determines the output).
-//!
-//! Both artifacts are written atomically (temp file + rename) and carry a
-//! CRC32 of the payload since format v2, so a mid-write crash or bit rot
-//! surfaces as [`DetectorError::CorruptCheckpoint`] — never as silently
-//! altered weights or monitor state. Version-1 files (pre-CRC) still load.
+//! A monitor's stream state ([`StreamingMonitor::checkpoint_stream`]) —
+//! window buffer, missing flags, error/fallback histories, health state,
+//! fault counters and drift tracker — goes to an `IMSM` sidecar next to
+//! the detector checkpoint, so a restarted serving process resumes
+//! mid-stream and produces byte-identical subsequent verdicts (inference
+//! is reseeded per call, so the buffered window fully determines the
+//! output). The sidecar is one `imdiff_nn::serialize` record at exactly
+//! one version, written atomically (temp file + rename): a torn
+//! write or a flipped bit anywhere surfaces as
+//! [`DetectorError::CorruptCheckpoint`] — never as silently altered
+//! monitor state.
 
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
 use imdiff_data::DetectorError;
 use imdiff_nn::layers::Module;
-use imdiff_nn::serialize::{
-    atomic_write, crc32, load_params_from_bytes, write_params,
-};
+use imdiff_nn::serialize::{atomic_write, open_record, ByteReader, ByteWriter};
 use imdiff_nn::{NnError, Tensor};
 
 use crate::detector::ImDiffusionDetector;
 use crate::scorer::WindowScorer;
-use crate::streaming::{
-    ChannelStats, DriftReference, HealthState, StreamingMonitor, ThresholdMode,
-    HISTORY_CAP,
-};
-
-/// Maps an [`NnError`] from the weight-file layer onto the detector error
-/// taxonomy: I/O stays I/O, damage stays damage, and everything else is an
-/// architecture/config mismatch.
-fn map_nn(e: NnError) -> DetectorError {
-    match e {
-        NnError::Io(msg) => DetectorError::Io(msg),
-        NnError::Corrupt(msg) => DetectorError::CorruptCheckpoint(msg),
-        other => DetectorError::InvalidTrainingData(format!("checkpoint mismatch: {other}")),
-    }
-}
+use crate::streaming::{HealthState, StreamingMonitor, ThresholdMode};
 
 impl ImDiffusionDetector {
-    /// Saves the fitted model and normalizer to `path` (IMDF v2: CRC32
-    /// integrity header, atomic write).
+    /// The detector's checkpoint payload: model parameters followed by
+    /// the normalizer's per-channel offset and scale, as one tensor list.
     ///
     /// Returns [`DetectorError::NotFitted`] when called before
-    /// [`Detector::fit`].
-    pub fn save(&self, path: &Path) -> Result<(), DetectorError> {
-        let bytes = self.save_bytes()?;
-        atomic_write(path, &bytes)
-            .map_err(|e| DetectorError::Io(format!("cannot write checkpoint: {e}")))
-    }
-
-    /// The full IMDF checkpoint image as an in-memory byte buffer —
-    /// exactly what [`Self::save`] would write to disk. This is the
-    /// ImDiffusion payload of the detector-registry envelope.
-    pub fn save_bytes(&self) -> Result<Vec<u8>, DetectorError> {
-        let (model, normalizer) = self
-            .fitted_parts()
-            .ok_or(DetectorError::NotFitted)?;
+    /// [`imdiff_data::Detector::fit`].
+    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
+        let (model, normalizer) = self.fitted_parts().ok_or(DetectorError::NotFitted)?;
         let mut params = model.params();
-        let (offset, scale) = normalizer_vectors(normalizer);
-        params.push(Tensor::from_vec(offset.clone(), &[offset.len()]).expect("offset"));
-        params.push(Tensor::from_vec(scale.clone(), &[scale.len()]).expect("scale"));
-        // Drift reference rides as one trailing `[4, K]` tensor (mean,
-        // std, q25, q75). Readers detect its presence by tensor count, so
-        // legacy checkpoints (without it) keep loading.
-        if let Some(r) = self.drift_reference() {
-            let k = r.channels();
-            params.push(Tensor::from_vec(r.to_flat(), &[4, k]).expect("drift ref"));
-        }
-        let mut buf = Vec::new();
-        write_params(&mut buf, &params)
-            .map_err(|e| DetectorError::Io(format!("cannot encode checkpoint: {e}")))?;
-        Ok(buf)
+        let (offset, scale) = normalizer.stats();
+        let k = offset.len();
+        params.push(Tensor::from_vec(offset, &[k]).expect("offset"));
+        params.push(Tensor::from_vec(scale, &[k]).expect("scale"));
+        let mut w = ByteWriter::new();
+        w.tensors(&params);
+        Ok(w.finish())
     }
 
-    /// Restores a detector from a checkpoint written by [`Self::save`].
+    /// Rebuilds a detector from [`Self::snapshot_payload`] bytes.
     ///
     /// `cfg` and `seed` must match the saving detector's configuration
     /// (the architecture is rebuilt from them); `channels` is the channel
     /// count of the training data. Shape mismatches surface as
-    /// [`DetectorError::InvalidTrainingData`], damaged files as
-    /// [`DetectorError::CorruptCheckpoint`].
-    pub fn load(
-        cfg: crate::ImDiffusionConfig,
-        seed: u64,
-        channels: usize,
-        path: &Path,
-    ) -> Result<Self, DetectorError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| DetectorError::Io(format!("cannot read {}: {e}", path.display())))?;
-        Self::load_bytes(cfg, seed, channels, &bytes)
-    }
-
-    /// Byte-buffer form of [`Self::load`] (the registry envelope carries
-    /// IMDF images in memory). Identical validation and error taxonomy.
-    pub fn load_bytes(
+    /// [`DetectorError::InvalidTrainingData`], damaged bytes as
+    /// [`DetectorError::CorruptCheckpoint`]. The drift reference is not
+    /// part of the payload; the envelope restores it.
+    pub fn restore_from_payload(
         cfg: crate::ImDiffusionConfig,
         seed: u64,
         channels: usize,
         bytes: &[u8],
     ) -> Result<Self, DetectorError> {
         let mut det = ImDiffusionDetector::new(cfg, seed);
-        // Build an architecture-matching skeleton by "fitting" statistics
-        // placeholders, then overwrite everything from the checkpoint.
+        // Build an architecture-matching skeleton, then overwrite every
+        // parameter and the normalizer from the payload.
         det.init_untrained(channels);
         let (model, _) = det.fitted_parts().expect("skeleton just initialised");
         let mut params = model.params();
@@ -118,49 +75,12 @@ impl ImDiffusionDetector {
         let scale = Tensor::ones(&[channels]);
         params.push(offset.clone());
         params.push(scale.clone());
-        // One extra trailing tensor = the drift reference; its absence is
-        // a legacy checkpoint, not an error (drift detection stays
-        // unarmed). Any other count mismatch falls through to the strict
-        // loader's architecture check.
-        let drift = if imdf_tensor_count(bytes)? == params.len() + 1 {
-            let t = Tensor::zeros(&[4, channels]);
-            params.push(t.clone());
-            Some(t)
-        } else {
-            None
-        };
-        load_params_from_bytes(bytes, &params).map_err(map_nn)?;
+        let mut r = ByteReader::new(bytes);
+        r.tensors_into(&params)?;
+        r.finish()?;
         det.set_normalizer_vectors(&offset.to_vec(), &scale.to_vec());
-        if let Some(t) = drift {
-            det.set_drift_reference(DriftReference::from_flat(&t.to_vec(), channels));
-        }
         Ok(det)
     }
-}
-
-/// Reads only the tensor count from an IMDF header, so [`load`] can tell
-/// a drift-reference-bearing checkpoint from a legacy one before shaping
-/// the parameter list. Integrity is *not* checked here —
-/// `load_params_from_bytes` verifies the CRC before any tensor is
-/// interpreted.
-///
-/// [`load`]: ImDiffusionDetector::load
-fn imdf_tensor_count(bytes: &[u8]) -> Result<usize, DetectorError> {
-    let mut r = Reader::new(bytes);
-    if r.take(4)? != b"IMDF" {
-        return Err(DetectorError::CorruptCheckpoint(
-            "not an IMDF checkpoint".into(),
-        ));
-    }
-    if r.u32()? >= 2 {
-        r.u32()?; // CRC, verified by the strict loader
-    }
-    Ok(r.u32()? as usize)
-}
-
-/// Extracts the normalizer's per-channel offset/scale.
-fn normalizer_vectors(norm: &imdiff_data::Normalizer) -> (Vec<f32>, Vec<f32>) {
-    norm.stats()
 }
 
 // ---------------------------------------------------------------------------
@@ -168,7 +88,8 @@ fn normalizer_vectors(norm: &imdiff_data::Normalizer) -> (Vec<f32>, Vec<f32>) {
 // ---------------------------------------------------------------------------
 
 const STREAM_MAGIC: &[u8; 4] = b"IMSM";
-const STREAM_VERSION: u32 = 3;
+/// The one `IMSM` sidecar version this build reads and writes.
+const STREAM_VERSION: u32 = 4;
 
 /// The sidecar path holding streaming state for a detector checkpoint at
 /// `path` (`<path>.stream`). Public so supervisors and fault-injection
@@ -180,84 +101,53 @@ pub fn stream_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Little-endian cursor over a checkpoint byte buffer. Shared by the
-/// stream-state reader here and the training-state reader in `trainer.rs`;
-/// running off the end is a corruption, not a panic.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// One buffered row: `channels` values, then one missing flag byte each.
+fn write_row(w: &mut ByteWriter, row: &[f32], miss: &[bool]) {
+    for &v in row {
+        w.f32(v);
+    }
+    for &m in miss {
+        w.u8(u8::from(m));
+    }
 }
 
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
+/// Inverse of [`write_row`].
+fn read_row(r: &mut ByteReader, channels: usize) -> Result<(Vec<f32>, Vec<bool>), NnError> {
+    let row = r.f32_array(channels)?;
+    let miss = r.take(channels)?.iter().map(|&b| b == 1).collect();
+    Ok((row, miss))
+}
 
-    /// The unread remainder (for whole-payload CRC checks).
-    pub(crate) fn rest(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DetectorError> {
-        if self.pos + n > self.buf.len() {
-            return Err(DetectorError::CorruptCheckpoint(
-                "truncated checkpoint".into(),
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, DetectorError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, DetectorError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, DetectorError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f32(&mut self) -> Result<f32, DetectorError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, DetectorError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
+fn corrupt(msg: String) -> DetectorError {
+    DetectorError::CorruptCheckpoint(msg)
 }
 
 impl<D: WindowScorer> StreamingMonitor<D> {
-    /// Serializes the streaming state (everything after the format
-    /// header) — the v2 payload, identical to the v1 body so old readers'
-    /// field layout is preserved.
-    fn encode_stream_payload(&self) -> Vec<u8> {
-        let mut b: Vec<u8> = Vec::new();
-        b.extend_from_slice(&(self.window as u32).to_le_bytes());
-        b.extend_from_slice(&(self.hop as u32).to_le_bytes());
-        b.extend_from_slice(&(self.channels as u32).to_le_bytes());
+    /// The complete `IMSM` sidecar record for the current stream state.
+    fn encode_stream(&self) -> Vec<u8> {
+        let mut w = ByteWriter::record(STREAM_MAGIC, STREAM_VERSION);
+        w.u32(self.window as u32);
+        w.u32(self.hop as u32);
+        w.u32(self.channels as u32);
         match self.threshold_mode {
             ThresholdMode::Native => {
-                b.push(0);
-                b.extend_from_slice(&0.0f64.to_le_bytes());
+                w.u8(0);
+                w.f64(0.0);
             }
             ThresholdMode::PotDynamic { risk } => {
-                b.push(1);
-                b.extend_from_slice(&risk.to_le_bytes());
+                w.u8(1);
+                w.f64(risk);
             }
         }
-        b.extend_from_slice(&self.seen.to_le_bytes());
-        b.extend_from_slice(&(self.since_eval as u32).to_le_bytes());
-        b.push(match self.health {
+        w.u64(self.seen);
+        w.u32(self.since_eval as u32);
+        w.u8(match self.health {
             HealthState::Healthy => 0,
             HealthState::Degraded => 1,
             HealthState::Warming => 2,
         });
-        b.extend_from_slice(&(self.pending_gap as u32).to_le_bytes());
-        b.extend_from_slice(&(self.max_bridge as u32).to_le_bytes());
+        w.u32(self.pending_gap as u32);
+        w.u32(self.max_bridge as u32);
         for counter in [
             self.rows_rejected,
             self.cells_imputed,
@@ -267,448 +157,202 @@ impl<D: WindowScorer> StreamingMonitor<D> {
             self.degraded_evals,
             self.recoveries,
         ] {
-            b.extend_from_slice(&counter.to_le_bytes());
+            w.u64(counter);
         }
-        match self.fallback_tau {
-            Some(tau) => {
-                b.push(1);
-                b.extend_from_slice(&tau.to_le_bytes());
-            }
-            None => {
-                b.push(0);
-                b.extend_from_slice(&0.0f64.to_le_bytes());
-            }
-        }
+        w.u8(u8::from(self.fallback_tau.is_some()));
+        w.f64(self.fallback_tau.unwrap_or(0.0));
         let reason = self.last_degraded_reason.as_deref().unwrap_or("");
-        b.extend_from_slice(&(reason.len() as u32).to_le_bytes());
-        b.extend_from_slice(reason.as_bytes());
+        w.u32(reason.len() as u32);
+        w.bytes(reason.as_bytes());
 
-        b.extend_from_slice(&(self.buffer.len() as u32).to_le_bytes());
+        w.u32(self.buffer.len() as u32);
         for (row, miss) in self.buffer.iter().zip(&self.missing) {
-            for &v in row {
-                b.extend_from_slice(&v.to_le_bytes());
-            }
-            for &m in miss {
-                b.push(u8::from(m));
-            }
+            write_row(&mut w, row, miss);
         }
-        b.extend_from_slice(&(self.error_history.len() as u32).to_le_bytes());
-        for &e in &self.error_history {
-            b.extend_from_slice(&e.to_le_bytes());
-        }
-        b.extend_from_slice(&(self.fallback_history.len() as u32).to_le_bytes());
-        for &s in &self.fallback_history {
-            b.extend_from_slice(&s.to_le_bytes());
+        for history in [&self.error_history, &self.fallback_history] {
+            w.u32(history.len() as u32);
+            for &v in history {
+                w.f64(v);
+            }
         }
         for st in &self.fallback_stats {
-            b.extend_from_slice(&st.count.to_le_bytes());
-            b.extend_from_slice(&st.mean.to_le_bytes());
-            b.extend_from_slice(&st.m2.to_le_bytes());
+            w.u64(st.count);
+            w.f64(st.mean);
+            w.f64(st.m2);
         }
 
-        // v3 extension: drift-tracker state (reference excluded — it
-        // lives in the weight file and re-arms the tracker on restore).
-        // v1/v2 readers stop before this block; the payload up to here is
-        // the exact v2 layout.
+        // Drift-tracker state. The reference is excluded: it lives in the
+        // detector checkpoint and re-arms the tracker on restore.
         match &self.drift {
             Some(t) => {
-                b.push(1);
-                b.extend_from_slice(&(t.capacity as u32).to_le_bytes());
-                b.extend_from_slice(&t.threshold.to_le_bytes());
-                b.extend_from_slice(&t.debounce.to_le_bytes());
-                b.extend_from_slice(&t.consecutive.to_le_bytes());
-                b.extend_from_slice(&t.clear_streak.to_le_bytes());
-                b.push(u8::from(t.latched));
-                b.extend_from_slice(&t.evals.to_le_bytes());
-                b.extend_from_slice(&t.trips.to_le_bytes());
-                b.extend_from_slice(&t.last_score.to_le_bytes());
-                b.extend_from_slice(&(t.ring.len() as u32).to_le_bytes());
+                w.u8(1);
+                w.u32(t.capacity as u32);
+                w.f64(t.threshold);
+                w.u32(t.debounce);
+                w.u32(t.consecutive);
+                w.u32(t.clear_streak);
+                w.u8(u8::from(t.latched));
+                w.u64(t.evals);
+                w.u64(t.trips);
+                w.f64(t.last_score);
+                w.u32(t.ring.len() as u32);
                 for (row, miss) in &t.ring {
-                    for &v in row {
-                        b.extend_from_slice(&v.to_le_bytes());
-                    }
-                    for &m in miss {
-                        b.push(u8::from(m));
-                    }
+                    write_row(&mut w, row, miss);
                 }
             }
-            None => b.push(0),
+            None => w.u8(0),
         }
-        b
+        w.finish()
     }
 
-    /// Writes **only** the IMSM streaming-state sidecar at
-    /// `<path>.stream`, leaving the weight file untouched. This is the
+    /// Writes the `IMSM` streaming-state sidecar at `<path>.stream`,
+    /// leaving the detector checkpoint at `path` untouched. This is the
     /// periodic-snapshot path of the serving layer: weights change only on
     /// hot reload (and the checkpoint file on disk is already the source
     /// of those weights), while the stream state advances with every row —
     /// so the cadenced write covers just the cheap, frequently-changing
-    /// half. Atomic (temp file + rename), CRC-protected (IMSM v2).
+    /// half. Atomic (temp file + rename) and CRC-protected.
     pub fn checkpoint_stream(&self, path: &Path) -> Result<(), DetectorError> {
-        let payload = self.encode_stream_payload();
-        let mut b: Vec<u8> = Vec::with_capacity(payload.len() + 12);
-        b.extend_from_slice(STREAM_MAGIC);
-        b.extend_from_slice(&STREAM_VERSION.to_le_bytes());
-        b.extend_from_slice(&crc32(&payload).to_le_bytes());
-        b.extend_from_slice(&payload);
-        atomic_write(&stream_path(path), &b)
+        atomic_write(&stream_path(path), &self.encode_stream())
             .map_err(|e| DetectorError::Io(format!("cannot write stream checkpoint: {e}")))
     }
 
     /// Restores a monitor around an **already loaded** detector from the
-    /// IMSM sidecar at `<path>.stream` — the family-agnostic restore path
-    /// used by the detector registry and the serving layer's failover
-    /// adoption. The detector must be fitted and match the sidecar's
-    /// window/channel geometry; everything else — hop, buffer, histories,
-    /// health, counters, drift tracker — comes from the sidecar.
+    /// `IMSM` sidecar at `<path>.stream` — the one restore path, used by
+    /// the detector registry and the serving layer's failover adoption.
+    /// The detector must be fitted and match the sidecar's window;
+    /// everything else — channel count, hop, buffer, histories, health,
+    /// counters, drift tracker — comes from the sidecar, and subsequent
+    /// verdicts are identical to the ones the saved monitor would have
+    /// produced.
     pub fn restore_with(detector: D, path: &Path) -> Result<Self, DetectorError> {
         let bytes = std::fs::read(stream_path(path)).map_err(|e| {
             DetectorError::Io(format!("cannot read stream checkpoint: {e}"))
         })?;
-        let st = parse_stream_sidecar(&bytes)?;
-        if detector.window() != st.window {
+        Self::decode_stream(detector, &bytes).map_err(|e| match e {
+            DetectorError::CorruptCheckpoint(msg) => {
+                corrupt(format!("stream checkpoint: {msg}"))
+            }
+            other => other,
+        })
+    }
+
+    /// Inverse of [`Self::encode_stream`], around `detector`.
+    fn decode_stream(detector: D, bytes: &[u8]) -> Result<Self, DetectorError> {
+        let mut r = ByteReader::new(open_record(bytes, STREAM_MAGIC, STREAM_VERSION)?);
+        let window = r.u32()? as usize;
+        let hop = r.u32()? as usize;
+        let channels = r.u32()? as usize;
+        if detector.window() != window {
             return Err(DetectorError::InvalidTrainingData(format!(
-                "checkpoint window {} != detector window {}",
-                st.window,
+                "checkpoint window {window} != detector window {}",
                 detector.window()
             )));
         }
-        Self::attach_state(detector, st)
-    }
-
-    /// Builds a monitor from a fitted detector plus parsed sidecar state.
-    fn attach_state(detector: D, st: StreamState) -> Result<Self, DetectorError> {
-        let mut monitor = StreamingMonitor::new(detector, st.channels, st.hop)?;
-        monitor.buffer = st.buffer;
-        monitor.missing = st.missing;
-        monitor.seen = st.seen;
-        monitor.since_eval = st.since_eval;
-        monitor.threshold_mode = st.threshold_mode;
-        monitor.error_history = st.error_history;
-        monitor.health = st.health;
-        monitor.pending_gap = st.pending_gap;
-        monitor.max_bridge = st.max_bridge;
-        monitor.fallback_stats = st.fallback_stats;
-        monitor.fallback_history = st.fallback_history;
-        monitor.fallback_tau = st.fallback_tau;
-        monitor.last_degraded_reason = st.last_degraded_reason;
-        monitor.rows_rejected = st.rows_rejected;
-        monitor.cells_imputed = st.cells_imputed;
-        monitor.gaps_bridged = st.gaps_bridged;
-        monitor.rows_bridged = st.rows_bridged;
-        monitor.rewarms = st.rewarms;
-        monitor.degraded_evals = st.degraded_evals;
-        monitor.recoveries = st.recoveries;
-        // A sidecar drift block means the saved monitor had drift armed:
-        // re-arm against the weight file's reference, then restore the
-        // tracker's mutable state on top. The sidecar carries no reference
-        // of its own — a weight file without one leaves drift unarmed
-        // (that monitor could never have armed it in the first place).
-        if let Some(ds) = st.drift {
-            monitor.set_drift_policy(ds.threshold, ds.debounce);
-            if let Some(tracker) = &mut monitor.drift {
-                tracker.capacity = ds.capacity;
-                tracker.consecutive = ds.consecutive;
-                tracker.clear_streak = ds.clear_streak;
-                tracker.latched = ds.latched;
-                tracker.evals = ds.evals;
-                tracker.trips = ds.trips;
-                tracker.last_score = ds.last_score;
-                tracker.ring = ds.ring.into_iter().collect();
-            }
+        if channels == 0 {
+            return Err(corrupt("zero channels".into()));
         }
-        Ok(monitor)
-    }
-}
+        let mut m = StreamingMonitor::new(detector, channels, hop)?;
+        m.threshold_mode = match (r.u8()?, r.f64()?) {
+            (0, _) => ThresholdMode::Native,
+            (1, risk) => ThresholdMode::PotDynamic { risk },
+            (t, _) => return Err(corrupt(format!("unknown threshold mode tag {t}"))),
+        };
+        m.seen = r.u64()?;
+        m.since_eval = r.u32()? as usize;
+        m.health = match r.u8()? {
+            0 => HealthState::Healthy,
+            1 => HealthState::Degraded,
+            2 => HealthState::Warming,
+            t => return Err(corrupt(format!("unknown health state tag {t}"))),
+        };
+        m.pending_gap = r.u32()? as usize;
+        m.max_bridge = r.u32()? as usize;
+        for counter in [
+            &mut m.rows_rejected,
+            &mut m.cells_imputed,
+            &mut m.gaps_bridged,
+            &mut m.rows_bridged,
+            &mut m.rewarms,
+            &mut m.degraded_evals,
+            &mut m.recoveries,
+        ] {
+            *counter = r.u64()?;
+        }
+        let (has_tau, tau) = (r.u8()? == 1, r.f64()?);
+        m.fallback_tau = has_tau.then_some(tau);
+        let reason_len = r.u32()? as usize;
+        let reason = String::from_utf8(r.take(reason_len)?.to_vec())
+            .map_err(|_| corrupt("corrupt degraded-reason string".into()))?;
+        m.last_degraded_reason = (!reason.is_empty()).then_some(reason);
 
-impl StreamingMonitor {
-    /// Checkpoints the monitor: model weights + normalizer at `path`
-    /// (readable by [`ImDiffusionDetector::load`]) and the complete
-    /// streaming state — buffer, missing flags, histories, health state,
-    /// counters, thresholds — at `<path>.stream` (IMSM v2: CRC32 header,
-    /// atomic write).
-    pub fn checkpoint(&self, path: &Path) -> Result<(), DetectorError> {
-        self.detector.save(path)?;
-        self.checkpoint_stream(path)
-    }
-
-    /// Restores a monitor from a checkpoint written by
-    /// [`Self::checkpoint`]. `cfg` and `seed` must match the saving
-    /// detector (as for [`ImDiffusionDetector::load`]); everything else —
-    /// channel count, hop, buffer, histories, health, counters — comes
-    /// from the checkpoint. Subsequent verdicts are identical to the ones
-    /// the saved monitor would have produced. Reads v3 (drift-tracker
-    /// state), v2 (CRC-checked) and legacy v1 sidecars; pre-v3 files
-    /// restore with a freshly armed drift tracker.
-    pub fn restore(
-        cfg: crate::ImDiffusionConfig,
-        seed: u64,
-        path: &Path,
-    ) -> Result<StreamingMonitor, DetectorError> {
-        let bytes = std::fs::read(stream_path(path)).map_err(|e| {
-            DetectorError::Io(format!("cannot read stream checkpoint: {e}"))
-        })?;
-        let st = parse_stream_sidecar(&bytes)?;
-        if st.window != cfg.window {
-            return Err(DetectorError::InvalidTrainingData(format!(
-                "checkpoint window {} != config window {}",
-                st.window, cfg.window
+        let n_rows = r.u32()? as usize;
+        if n_rows > window {
+            return Err(corrupt(format!(
+                "checkpoint buffer has {n_rows} rows, window is {window}"
             )));
         }
-        let detector = ImDiffusionDetector::load(cfg, seed, st.channels, path)?;
-        Self::attach_state(detector, st)
-    }
-}
+        for _ in 0..n_rows {
+            let (row, miss) = read_row(&mut r, channels)?;
+            m.buffer.push_back(row);
+            m.missing.push_back(miss);
+        }
+        for history in [&mut m.error_history, &mut m.fallback_history] {
+            let n = r.u32()? as usize;
+            for _ in 0..n {
+                history.push_back(r.f64()?);
+            }
+        }
+        for st in &mut m.fallback_stats {
+            st.count = r.u64()?;
+            st.mean = r.f64()?;
+            st.m2 = r.f64()?;
+        }
 
-/// Fully parsed IMSM sidecar state, detector-independent: everything
-/// [`StreamingMonitor`] persists besides the model weights.
-struct StreamState {
-    window: usize,
-    hop: usize,
-    channels: usize,
-    threshold_mode: ThresholdMode,
-    seen: u64,
-    since_eval: usize,
-    health: HealthState,
-    pending_gap: usize,
-    max_bridge: usize,
-    rows_rejected: u64,
-    cells_imputed: u64,
-    gaps_bridged: u64,
-    rows_bridged: u64,
-    rewarms: u64,
-    degraded_evals: u64,
-    recoveries: u64,
-    fallback_tau: Option<f64>,
-    last_degraded_reason: Option<String>,
-    buffer: VecDeque<Vec<f32>>,
-    missing: VecDeque<Vec<bool>>,
-    error_history: VecDeque<f64>,
-    fallback_history: VecDeque<f64>,
-    fallback_stats: Vec<ChannelStats>,
-    drift: Option<DriftState>,
-}
-
-/// The v3 drift-tracker block of a sidecar.
-struct DriftState {
-    capacity: usize,
-    threshold: f64,
-    debounce: u32,
-    consecutive: u32,
-    clear_streak: u32,
-    latched: bool,
-    evals: u64,
-    trips: u64,
-    last_score: f64,
-    ring: Vec<(Vec<f32>, Vec<bool>)>,
-}
-
-/// Parses an IMSM sidecar image (any supported version) into
-/// [`StreamState`]. Validation mirrors the writer: magic, version, CRC
-/// (v2+), and structural bounds on the buffer and drift ring.
-fn parse_stream_sidecar(bytes: &[u8]) -> Result<StreamState, DetectorError> {
-    let mut r = Reader::new(bytes);
-    if r.take(4)? != STREAM_MAGIC {
-        return Err(DetectorError::CorruptCheckpoint(
-            "not an IMSM stream checkpoint".into(),
-        ));
-    }
-    let version = r.u32()?;
-    match version {
-        1 => {}
-        2 | 3 => {
-            let stored = r.u32()?;
-            let actual = crc32(r.rest());
-            if stored != actual {
-                return Err(DetectorError::CorruptCheckpoint(format!(
-                    "stream checkpoint CRC mismatch: header {stored:#010x}, \
-                     payload {actual:#010x}"
+        // A drift block means the saved monitor had drift armed: re-arm
+        // against the detector's reference, then restore the tracker's
+        // mutable state on top. A detector without a reference leaves
+        // drift unarmed (that monitor could never have armed it).
+        if r.u8()? == 1 {
+            let capacity = r.u32()? as usize;
+            let threshold = r.f64()?;
+            let debounce = r.u32()?;
+            m.set_drift_policy(threshold, debounce);
+            let (consecutive, clear_streak) = (r.u32()?, r.u32()?);
+            let latched = r.u8()? == 1;
+            let (evals, trips, last_score) = (r.u64()?, r.u64()?, r.f64()?);
+            let n_ring = r.u32()? as usize;
+            if n_ring > capacity {
+                return Err(corrupt(format!(
+                    "drift ring has {n_ring} rows, capacity is {capacity}"
                 )));
             }
-        }
-        v => {
-            return Err(DetectorError::CorruptCheckpoint(format!(
-                "unsupported stream checkpoint version {v}"
-            )))
-        }
-    }
-    let window = r.u32()? as usize;
-    let hop = r.u32()? as usize;
-    let channels = r.u32()? as usize;
-    let threshold_mode = match r.u8()? {
-        0 => {
-            r.f64()?;
-            ThresholdMode::Native
-        }
-        1 => ThresholdMode::PotDynamic { risk: r.f64()? },
-        t => {
-            return Err(DetectorError::CorruptCheckpoint(format!(
-                "unknown threshold mode tag {t}"
-            )))
-        }
-    };
-    let seen = r.u64()?;
-    let since_eval = r.u32()? as usize;
-    let health = match r.u8()? {
-        0 => HealthState::Healthy,
-        1 => HealthState::Degraded,
-        2 => HealthState::Warming,
-        t => {
-            return Err(DetectorError::CorruptCheckpoint(format!(
-                "unknown health state tag {t}"
-            )))
-        }
-    };
-    let pending_gap = r.u32()? as usize;
-    let max_bridge = r.u32()? as usize;
-    let rows_rejected = r.u64()?;
-    let cells_imputed = r.u64()?;
-    let gaps_bridged = r.u64()?;
-    let rows_bridged = r.u64()?;
-    let rewarms = r.u64()?;
-    let degraded_evals = r.u64()?;
-    let recoveries = r.u64()?;
-    let fallback_tau = {
-        let has = r.u8()? == 1;
-        let tau = r.f64()?;
-        has.then_some(tau)
-    };
-    let reason_len = r.u32()? as usize;
-    let reason = String::from_utf8(r.take(reason_len)?.to_vec()).map_err(|_| {
-        DetectorError::CorruptCheckpoint("corrupt degraded-reason string".into())
-    })?;
-    let last_degraded_reason = (!reason.is_empty()).then_some(reason);
-
-    let n_rows = r.u32()? as usize;
-    if n_rows > window {
-        return Err(DetectorError::CorruptCheckpoint(format!(
-            "checkpoint buffer has {n_rows} rows, window is {window}"
-        )));
-    }
-    let mut buffer = VecDeque::with_capacity(window);
-    let mut missing = VecDeque::with_capacity(window);
-    for _ in 0..n_rows {
-        let mut row = Vec::with_capacity(channels);
-        for _ in 0..channels {
-            row.push(r.f32()?);
-        }
-        let mut miss = Vec::with_capacity(channels);
-        for _ in 0..channels {
-            miss.push(r.u8()? == 1);
-        }
-        buffer.push_back(row);
-        missing.push_back(miss);
-    }
-    let n_err = r.u32()? as usize;
-    let mut error_history = VecDeque::with_capacity(HISTORY_CAP);
-    for _ in 0..n_err {
-        error_history.push_back(r.f64()?);
-    }
-    let n_fb = r.u32()? as usize;
-    let mut fallback_history = VecDeque::with_capacity(HISTORY_CAP);
-    for _ in 0..n_fb {
-        fallback_history.push_back(r.f64()?);
-    }
-    let mut fallback_stats = Vec::with_capacity(channels);
-    for _ in 0..channels {
-        fallback_stats.push(ChannelStats {
-            count: r.u64()?,
-            mean: r.f64()?,
-            m2: r.f64()?,
-        });
-    }
-
-    // v3 drift-tracker block; pre-v3 sidecars restore with whatever
-    // fresh tracker the (possibly drift-bearing) weight file arms.
-    let drift_state = if version >= 3 && r.u8()? == 1 {
-        let capacity = r.u32()? as usize;
-        let threshold = r.f64()?;
-        let debounce = r.u32()?;
-        let consecutive = r.u32()?;
-        let clear_streak = r.u32()?;
-        let latched = r.u8()? == 1;
-        let evals = r.u64()?;
-        let trips = r.u64()?;
-        let last_score = r.f64()?;
-        let n_ring = r.u32()? as usize;
-        if n_ring > capacity {
-            return Err(DetectorError::CorruptCheckpoint(format!(
-                "drift ring has {n_ring} rows, capacity is {capacity}"
-            )));
-        }
-        let mut ring = Vec::with_capacity(n_ring);
-        for _ in 0..n_ring {
-            let mut row = Vec::with_capacity(channels);
-            for _ in 0..channels {
-                row.push(r.f32()?);
+            let mut ring = std::collections::VecDeque::with_capacity(
+                r.capacity(n_ring, 5 * channels),
+            );
+            for _ in 0..n_ring {
+                ring.push_back(read_row(&mut r, channels)?);
             }
-            let mut miss = Vec::with_capacity(channels);
-            for _ in 0..channels {
-                miss.push(r.u8()? == 1);
+            if let Some(tracker) = &mut m.drift {
+                tracker.capacity = capacity;
+                tracker.consecutive = consecutive;
+                tracker.clear_streak = clear_streak;
+                tracker.latched = latched;
+                tracker.evals = evals;
+                tracker.trips = trips;
+                tracker.last_score = last_score;
+                tracker.ring = ring;
             }
-            ring.push((row, miss));
         }
-        Some(DriftState {
-            capacity,
-            threshold,
-            debounce,
-            consecutive,
-            clear_streak,
-            latched,
-            evals,
-            trips,
-            last_score,
-            ring,
-        })
-    } else {
-        None
-    };
-
-    Ok(StreamState {
-        window,
-        hop,
-        channels,
-        threshold_mode,
-        seen,
-        since_eval,
-        health,
-        pending_gap,
-        max_bridge,
-        rows_rejected,
-        cells_imputed,
-        gaps_bridged,
-        rows_bridged,
-        rewarms,
-        degraded_evals,
-        recoveries,
-        fallback_tau,
-        last_degraded_reason,
-        buffer,
-        missing,
-        error_history,
-        fallback_history,
-        fallback_stats,
-        drift: drift_state,
-    })
-}
-
-/// A `fit`-free smoke check used in tests: a checkpoint roundtrip must
-/// reproduce identical detections.
-#[cfg(test)]
-fn roundtrip_equivalent(
-    original: &mut ImDiffusionDetector,
-    restored: &mut ImDiffusionDetector,
-    test: &imdiff_data::Mts,
-) -> bool {
-    use imdiff_data::Detector;
-    let a = original.detect(test).expect("original detect");
-    let b = restored.detect(test).expect("restored detect");
-    a.scores == b.scores && a.labels == b.labels
+        r.finish()?;
+        Ok(m)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::StreamingMonitor;
     use crate::ImDiffusionConfig;
     use imdiff_data::synthetic::{generate, Benchmark, SizeProfile};
     use imdiff_data::Detector;
@@ -733,51 +377,26 @@ mod tests {
         std::env::temp_dir().join(format!("imdiffusion-{}-{name}", std::process::id()))
     }
 
-    #[test]
-    fn save_requires_fit() {
-        let det = ImDiffusionDetector::new(tiny_cfg(), 1);
-        assert!(matches!(
-            det.save(&tmp("unfitted.ckpt")),
-            Err(DetectorError::NotFitted)
-        ));
+    /// A payload round trip plus the drift reference, which the registry
+    /// envelope carries next to the payload.
+    fn reload(det: &ImDiffusionDetector) -> ImDiffusionDetector {
+        let bytes = det.snapshot_payload().unwrap();
+        let k = det.channels().unwrap();
+        let mut out =
+            ImDiffusionDetector::restore_from_payload(det.config().clone(), det.seed(), k, &bytes)
+                .unwrap();
+        out.set_drift_reference(det.drift_reference().cloned());
+        out
     }
 
     #[test]
-    fn drift_reference_roundtrips_and_legacy_weights_stay_unarmed() {
-        let ds = generate(
-            Benchmark::Gcp,
-            &SizeProfile {
-                train_len: 64,
-                test_len: 16,
-            },
-            21,
-        );
-        let k = ds.train.dim();
-        let mut det = ImDiffusionDetector::new(tiny_cfg(), 13);
-        det.fit(&ds.train).unwrap();
-        let reference = det.drift_reference().cloned().expect("fit computes it");
-
-        let path = tmp("drift-ref.ckpt");
-        det.save(&path).unwrap();
-        let loaded = ImDiffusionDetector::load(tiny_cfg(), 13, k, &path).unwrap();
-        assert_eq!(loaded.drift_reference(), Some(&reference));
-
-        // A checkpoint written without a reference (the pre-drift layout)
-        // loads fine and simply leaves drift detection unarmed.
-        det.set_drift_reference(None);
-        let legacy = tmp("drift-legacy.ckpt");
-        det.save(&legacy).unwrap();
-        let mut old = ImDiffusionDetector::load(tiny_cfg(), 13, k, &legacy).unwrap();
-        assert!(old.drift_reference().is_none());
-        assert!(old.detect(&ds.test).is_ok());
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&legacy).ok();
+    fn snapshot_requires_fit() {
+        let det = ImDiffusionDetector::new(tiny_cfg(), 1);
+        assert!(matches!(det.snapshot_payload(), Err(DetectorError::NotFitted)));
     }
 
     #[test]
     fn armed_drift_tracker_survives_monitor_checkpoint() {
-        use crate::streaming::StreamingMonitor;
-
         let ds = generate(
             Benchmark::Gcp,
             &SizeProfile {
@@ -789,14 +408,15 @@ mod tests {
         let k = ds.train.dim();
         let mut det = ImDiffusionDetector::new(tiny_cfg(), 17);
         det.fit(&ds.train).unwrap();
+        let restored_det = reload(&det);
         let mut monitor = StreamingMonitor::new(det, k, 8).unwrap();
         assert!(monitor.set_drift_policy(2.5, 2));
         for l in 0..40 {
             monitor.push(ds.test.row(l)).unwrap();
         }
         let path = tmp("drift-monitor.ckpt");
-        monitor.checkpoint(&path).unwrap();
-        let mut restored = StreamingMonitor::restore(tiny_cfg(), 17, &path).unwrap();
+        monitor.checkpoint_stream(&path).unwrap();
+        let mut restored = StreamingMonitor::restore_with(restored_det, &path).unwrap();
         assert_eq!(restored.drift_status(), monitor.drift_status());
         // The tracker keeps evolving identically after the restore.
         for l in 40..ds.test.len() {
@@ -806,12 +426,11 @@ mod tests {
         }
         assert_eq!(restored.drift_status(), monitor.drift_status());
         assert_eq!(restored.health(), monitor.health());
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(path.with_extension("ckpt.stream")).ok();
+        std::fs::remove_file(stream_path(&path)).ok();
     }
 
     #[test]
-    fn checkpoint_roundtrip_reproduces_detections() {
+    fn payload_roundtrip_reproduces_detections() {
         let ds = generate(
             Benchmark::Gcp,
             &SizeProfile {
@@ -820,21 +439,17 @@ mod tests {
             },
             3,
         );
-        let path = tmp("roundtrip.ckpt");
         let mut det = ImDiffusionDetector::new(tiny_cfg(), 9);
         det.fit(&ds.train).unwrap();
-        det.save(&path).unwrap();
-
-        let mut restored =
-            ImDiffusionDetector::load(tiny_cfg(), 9, ds.train.dim(), &path).unwrap();
-        assert!(roundtrip_equivalent(&mut det, &mut restored, &ds.test));
-        std::fs::remove_file(&path).ok();
+        let mut restored = reload(&det);
+        let a = det.detect(&ds.test).unwrap();
+        let b = restored.detect(&ds.test).unwrap();
+        assert_eq!(a.scores, b.scores);
+        assert_eq!(a.labels, b.labels);
     }
 
     #[test]
     fn monitor_checkpoint_restores_identical_verdicts() {
-        use crate::streaming::StreamingMonitor;
-
         let ds = generate(
             Benchmark::Gcp,
             &SizeProfile {
@@ -845,6 +460,7 @@ mod tests {
         );
         let mut det = ImDiffusionDetector::new(tiny_cfg(), 5);
         det.fit(&ds.train).unwrap();
+        let restored_det = reload(&det);
         let k = ds.train.dim();
         let mut monitor = StreamingMonitor::new(det, k, 8).unwrap();
 
@@ -858,8 +474,8 @@ mod tests {
             monitor.push(&row).unwrap();
         }
         let path = tmp("monitor.ckpt");
-        monitor.checkpoint(&path).unwrap();
-        let mut restored = StreamingMonitor::restore(tiny_cfg(), 5, &path).unwrap();
+        monitor.checkpoint_stream(&path).unwrap();
+        let mut restored = StreamingMonitor::restore_with(restored_det, &path).unwrap();
         assert_eq!(restored.seen(), monitor.seen());
         assert_eq!(restored.health(), monitor.health());
 
@@ -871,8 +487,7 @@ mod tests {
             assert_eq!(a, b, "diverged at row {l}");
         }
         assert_eq!(restored.health(), monitor.health());
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(path.with_extension("ckpt.stream")).ok();
+        std::fs::remove_file(stream_path(&path)).ok();
     }
 
     /// Failover can land while a tenant is Degraded. The restored monitor
@@ -882,8 +497,6 @@ mod tests {
     /// for a full window and erase the fault history operators alarm on).
     #[test]
     fn restore_mid_stream_preserves_degraded_state() {
-        use crate::streaming::StreamingMonitor;
-
         let ds = generate(
             Benchmark::Gcp,
             &SizeProfile {
@@ -894,6 +507,7 @@ mod tests {
         );
         let mut det = ImDiffusionDetector::new(tiny_cfg(), 11);
         det.fit(&ds.train).unwrap();
+        let restored_det = reload(&det);
         let k = ds.train.dim();
         let mut monitor = StreamingMonitor::new(det, k, 8).unwrap();
 
@@ -911,8 +525,8 @@ mod tests {
         assert!(before.degraded_evals > 0);
 
         let path = tmp("degraded-monitor.ckpt");
-        monitor.checkpoint(&path).unwrap();
-        let mut restored = StreamingMonitor::restore(tiny_cfg(), 11, &path).unwrap();
+        monitor.checkpoint_stream(&path).unwrap();
+        let mut restored = StreamingMonitor::restore_with(restored_det, &path).unwrap();
 
         let after = restored.health();
         assert_eq!(after.state, HealthState::Degraded, "restore reset health");
@@ -946,7 +560,6 @@ mod tests {
         }
         assert_eq!(restored.health(), monitor.health());
         assert!(restored.health().recoveries > before.recoveries);
-        std::fs::remove_file(&path).ok();
         std::fs::remove_file(stream_path(&path)).ok();
     }
 
@@ -954,8 +567,6 @@ mod tests {
     /// the cadence trigger is pure policy and never persisted.
     #[test]
     fn sidecar_only_checkpoint_and_cadence() {
-        use crate::streaming::StreamingMonitor;
-
         let ds = generate(
             Benchmark::Gcp,
             &SizeProfile {
@@ -966,14 +577,16 @@ mod tests {
         );
         let mut det = ImDiffusionDetector::new(tiny_cfg(), 13);
         det.fit(&ds.train).unwrap();
+        let restored_det = reload(&det);
         let k = ds.train.dim();
         let mut monitor = StreamingMonitor::new(det, k, 8).unwrap();
         monitor.set_snapshot_cadence(Some(10));
 
         let path = tmp("cadence-monitor.ckpt");
-        monitor.checkpoint(&path).unwrap();
+        let weight_bytes = monitor.detector().snapshot_payload().unwrap();
+        std::fs::write(&path, &weight_bytes).unwrap();
+        monitor.checkpoint_stream(&path).unwrap();
         monitor.mark_snapshotted();
-        let weight_bytes = std::fs::read(&path).unwrap();
 
         assert!(!monitor.snapshot_due());
         for l in 0..24 {
@@ -997,7 +610,7 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), weight_bytes);
 
         // The sidecar alone restores the advanced stream position.
-        let mut restored = StreamingMonitor::restore(tiny_cfg(), 13, &path).unwrap();
+        let mut restored = StreamingMonitor::restore_with(restored_det, &path).unwrap();
         assert_eq!(restored.seen(), monitor.seen());
         assert!(!restored.snapshot_due(), "cadence must not persist");
         for l in 24..ds.test.len() {
@@ -1010,58 +623,26 @@ mod tests {
     }
 
     #[test]
-    fn v1_stream_sidecars_still_restore() {
-        use crate::streaming::StreamingMonitor;
-
+    fn monitor_restore_rejects_missing_or_garbage_state() {
         let ds = generate(
             Benchmark::Gcp,
             &SizeProfile {
-                train_len: 80,
-                test_len: 48,
+                train_len: 64,
+                test_len: 16,
             },
-            7,
+            5,
         );
-        let mut det = ImDiffusionDetector::new(tiny_cfg(), 7);
+        let mut det = ImDiffusionDetector::new(tiny_cfg(), 5);
         det.fit(&ds.train).unwrap();
-        let k = ds.train.dim();
-        let mut monitor = StreamingMonitor::new(det, k, 8).unwrap();
-        for l in 0..24 {
-            monitor.push(ds.test.row(l)).unwrap();
-        }
-        let path = tmp("v1-monitor.ckpt");
-        monitor.checkpoint(&path).unwrap();
-
-        // Rewrite the sidecar in the legacy v1 layout: magic + version,
-        // no CRC, same payload.
-        let mut v1: Vec<u8> = Vec::new();
-        v1.extend_from_slice(STREAM_MAGIC);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&monitor.encode_stream_payload());
-        std::fs::write(stream_path(&path), v1).unwrap();
-
-        let mut restored = StreamingMonitor::restore(tiny_cfg(), 7, &path).unwrap();
-        assert_eq!(restored.seen(), monitor.seen());
-        for l in 24..ds.test.len() {
-            let a = monitor.push(ds.test.row(l)).unwrap();
-            let b = restored.push(ds.test.row(l)).unwrap();
-            assert_eq!(a, b, "diverged at row {l}");
-        }
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(stream_path(&path)).ok();
-    }
-
-    #[test]
-    fn monitor_restore_rejects_missing_or_garbage_state() {
-        use crate::streaming::StreamingMonitor;
 
         let path = tmp("missing-monitor.ckpt");
         assert!(matches!(
-            StreamingMonitor::restore(tiny_cfg(), 5, &path),
+            StreamingMonitor::restore_with(reload(&det), &path),
             Err(DetectorError::Io(_))
         ));
         let stream = stream_path(&path);
         std::fs::write(&stream, b"garbage").unwrap();
-        let err = match StreamingMonitor::restore(tiny_cfg(), 5, &path) {
+        let err = match StreamingMonitor::restore_with(det, &path) {
             Ok(_) => panic!("garbage stream state must not restore"),
             Err(e) => e,
         };
@@ -1080,20 +661,19 @@ mod tests {
             },
             3,
         );
-        let path = tmp("wrong-arch.ckpt");
         let mut det = ImDiffusionDetector::new(tiny_cfg(), 9);
         det.fit(&ds.train).unwrap();
-        det.save(&path).unwrap();
+        let bytes = det.snapshot_payload().unwrap();
 
         let bigger = ImDiffusionConfig {
             hidden: 16,
             ..tiny_cfg()
         };
-        let err = match ImDiffusionDetector::load(bigger, 9, ds.train.dim(), &path) {
+        let err = match ImDiffusionDetector::restore_from_payload(bigger, 9, ds.train.dim(), &bytes)
+        {
             Ok(_) => panic!("mismatched architecture must not load"),
             Err(e) => e,
         };
         assert!(matches!(err, DetectorError::InvalidTrainingData(_)));
-        std::fs::remove_file(&path).ok();
     }
 }

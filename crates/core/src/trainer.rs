@@ -34,17 +34,16 @@ use imdiff_nn::obs;
 use imdiff_nn::ops::masked_mse;
 use imdiff_nn::optim::{Adam, AdamState, Optimizer};
 use imdiff_nn::rng::{normal_vec, seeded};
-use imdiff_nn::serialize::{atomic_write, crc32};
+use imdiff_nn::serialize::{atomic_write, open_record, ByteReader, ByteWriter};
 use imdiff_nn::{backward, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::config::{ImDiffusionConfig, SentinelConfig, TaskMode};
 use crate::model::ImTransformer;
-use crate::persist::Reader;
 
 const TRAIN_MAGIC: &[u8; 4] = b"IMTS";
-const TRAIN_VERSION: u32 = 2;
+const TRAIN_VERSION: u32 = 3;
 
 /// Why a divergence sentinel tripped.
 #[derive(Debug, Clone, PartialEq)]
@@ -333,8 +332,8 @@ impl Trainer {
             Some(snap) => {
                 restore_into(&snap, &params, &mut opt, &mut st)?;
                 // Reconcile the shadow with this run's options: seed it
-                // from the restored weights when the checkpoint predates
-                // the EMA (v1), drop it when EMA is off for this run.
+                // from the restored weights when the checkpointed run had
+                // EMA off, drop it when EMA is off for this run.
                 match self.opts.ema {
                     Some(_) if st.ema.is_none() => {
                         st.ema = Some(params.iter().map(|p| p.to_vec()).collect());
@@ -605,68 +604,51 @@ fn write_train_state(
     cfg: &ImDiffusionConfig,
     channels: usize,
 ) -> Result<(), DetectorError> {
-    let mut p: Vec<u8> = Vec::new();
-    p.extend_from_slice(&(cfg.window as u32).to_le_bytes());
-    p.extend_from_slice(&(channels as u32).to_le_bytes());
-    p.extend_from_slice(&(cfg.train_steps as u64).to_le_bytes());
-    p.extend_from_slice(&(snap.step as u64).to_le_bytes());
-    for w in snap.rng_state {
-        p.extend_from_slice(&w.to_le_bytes());
+    let mut w = ByteWriter::record(TRAIN_MAGIC, TRAIN_VERSION);
+    w.u32(cfg.window as u32);
+    w.u32(channels as u32);
+    w.u64(cfg.train_steps as u64);
+    w.u64(snap.step as u64);
+    for s in snap.rng_state {
+        w.u64(s);
     }
-    p.extend_from_slice(&snap.lr_scale.to_le_bytes());
-    p.extend_from_slice(&snap.retries.to_le_bytes());
-    p.extend_from_slice(&snap.trips.to_le_bytes());
-    p.extend_from_slice(&snap.adam.t.to_le_bytes());
-    p.extend_from_slice(&(snap.params.len() as u32).to_le_bytes());
-    for ((w, m), v) in snap.params.iter().zip(&snap.adam.m).zip(&snap.adam.v) {
-        p.extend_from_slice(&(w.len() as u32).to_le_bytes());
-        for &x in w.iter().chain(m).chain(v) {
-            p.extend_from_slice(&x.to_le_bytes());
-        }
+    w.f32(snap.lr_scale);
+    w.u32(snap.retries);
+    w.u64(snap.trips);
+    w.u64(snap.adam.t);
+    w.u32(snap.params.len() as u32);
+    for ((p, m), v) in snap.params.iter().zip(&snap.adam.m).zip(&snap.adam.v) {
+        w.f32s(p);
+        w.f32s(m);
+        w.f32s(v);
     }
-    p.extend_from_slice(&(snap.losses.len() as u32).to_le_bytes());
-    for &x in &snap.losses {
-        p.extend_from_slice(&x.to_le_bytes());
-    }
-    p.extend_from_slice(&(snap.grad_norms.len() as u32).to_le_bytes());
-    for &x in &snap.grad_norms {
-        p.extend_from_slice(&x.to_le_bytes());
-    }
-    p.extend_from_slice(&(incidents.len() as u32).to_le_bytes());
+    w.f32s(&snap.losses);
+    w.f32s(&snap.grad_norms);
+    w.u32(incidents.len() as u32);
     for inc in incidents {
-        p.extend_from_slice(&(inc.step as u64).to_le_bytes());
-        p.extend_from_slice(&inc.retry.to_le_bytes());
-        p.extend_from_slice(&inc.lr_scale.to_le_bytes());
+        w.u64(inc.step as u64);
+        w.u32(inc.retry);
+        w.f32(inc.lr_scale);
         let (tag, norm, med) = match inc.kind {
             IncidentKind::NonFiniteLoss => (0u8, 0.0, 0.0),
             IncidentKind::GradExplosion { norm, median } => (1, norm, median),
             IncidentKind::NanPlateau => (2, 0.0, 0.0),
         };
-        p.push(tag);
-        p.extend_from_slice(&norm.to_le_bytes());
-        p.extend_from_slice(&med.to_le_bytes());
+        w.u8(tag);
+        w.f32(norm);
+        w.f32(med);
     }
-    // v2: optional EMA shadow block. v1 readers never reach here; the v2
-    // reader treats a 0 flag as "EMA off for this run".
+    // Optional EMA shadow block; a 0 flag is "EMA off for this run".
     match &snap.ema {
         Some(ema) => {
-            p.push(1);
-            for w in ema {
-                p.extend_from_slice(&(w.len() as u32).to_le_bytes());
-                for &x in w {
-                    p.extend_from_slice(&x.to_le_bytes());
-                }
+            w.u8(1);
+            for shadow in ema {
+                w.f32s(shadow);
             }
         }
-        None => p.push(0),
+        None => w.u8(0),
     }
-
-    let mut b: Vec<u8> = Vec::with_capacity(p.len() + 12);
-    b.extend_from_slice(TRAIN_MAGIC);
-    b.extend_from_slice(&TRAIN_VERSION.to_le_bytes());
-    b.extend_from_slice(&crc32(&p).to_le_bytes());
-    b.extend_from_slice(&p);
-    atomic_write(path, &b)
+    atomic_write(path, &w.finish())
         .map_err(|e| DetectorError::Io(format!("cannot write training checkpoint: {e}")))
 }
 
@@ -682,25 +664,7 @@ fn read_train_state(
             path.display()
         ))
     })?;
-    let mut r = Reader::new(&bytes);
-    if r.take(4)? != TRAIN_MAGIC {
-        return Err(DetectorError::CorruptCheckpoint(
-            "not an IMTS training checkpoint".into(),
-        ));
-    }
-    let version = r.u32()?;
-    if !(1..=TRAIN_VERSION).contains(&version) {
-        return Err(DetectorError::CorruptCheckpoint(format!(
-            "unsupported training checkpoint version {version}"
-        )));
-    }
-    let stored = r.u32()?;
-    let actual = crc32(r.rest());
-    if stored != actual {
-        return Err(DetectorError::CorruptCheckpoint(format!(
-            "training checkpoint CRC mismatch: header {stored:#010x}, payload {actual:#010x}"
-        )));
-    }
+    let mut r = ByteReader::new(open_record(&bytes, TRAIN_MAGIC, TRAIN_VERSION)?);
     let window = r.u32()? as usize;
     let k = r.u32()? as usize;
     let train_steps = r.u64()? as usize;
@@ -714,67 +678,40 @@ fn read_train_state(
     }
     let step = r.u64()? as usize;
     let mut rng_state = [0u64; 4];
-    for w in &mut rng_state {
-        *w = r.u64()?;
+    for s in &mut rng_state {
+        *s = r.u64()?;
     }
     let lr_scale = r.f32()?;
     let retries = r.u32()?;
     let trips = r.u64()?;
     let t = r.u64()?;
     let n_params = r.u32()? as usize;
-    let mut params = Vec::with_capacity(n_params);
-    let mut m = Vec::with_capacity(n_params);
-    let mut v = Vec::with_capacity(n_params);
+    // Three length prefixes per parameter bound the pre-allocation.
+    let cap = r.capacity(n_params, 12);
+    let (mut params, mut m, mut v) =
+        (Vec::with_capacity(cap), Vec::with_capacity(cap), Vec::with_capacity(cap));
     for _ in 0..n_params {
-        let len = r.u32()? as usize;
-        let read_vec = |r: &mut Reader| -> Result<Vec<f32>, DetectorError> {
-            let mut out = Vec::with_capacity(len);
-            for _ in 0..len {
-                out.push(r.f32()?);
-            }
-            Ok(out)
-        };
-        params.push(read_vec(&mut r)?);
-        m.push(read_vec(&mut r)?);
-        v.push(read_vec(&mut r)?);
+        params.push(r.f32s()?);
+        m.push(r.f32s()?);
+        v.push(r.f32s()?);
     }
-    let n_losses = r.u32()? as usize;
-    let mut losses = Vec::with_capacity(n_losses.min(1 << 20));
-    for _ in 0..n_losses {
-        losses.push(r.f32()?);
-    }
-    let n_norms = r.u32()? as usize;
-    let mut grad_norms = Vec::with_capacity(n_norms.min(1 << 20));
-    for _ in 0..n_norms {
-        grad_norms.push(r.f32()?);
-    }
+    let losses = r.f32s()?;
+    let grad_norms = r.f32s()?;
     // Incidents are validated (they are inside the CRC boundary) but a
     // resumed run re-accumulates only future ones; past incidents live in
     // the checkpoint for post-mortems.
     let n_inc = r.u32()? as usize;
-    for _ in 0..n_inc {
-        r.u64()?;
-        r.u32()?;
-        r.f32()?;
-        r.u8()?;
-        r.f32()?;
-        r.f32()?;
-    }
-    // v1 checkpoints predate the EMA shadow; a resume seeds it from the
-    // restored weights when this run asks for EMA.
-    let ema = if version >= 2 && r.u8()? == 1 {
-        let mut shadow = Vec::with_capacity(n_params);
+    r.take(n_inc.saturating_mul(25))?;
+    let ema = if r.u8()? == 1 {
+        let mut shadow = Vec::with_capacity(params.len());
         for stored in &params {
-            let len = r.u32()? as usize;
-            if len != stored.len() {
+            let w = r.f32s()?;
+            if w.len() != stored.len() {
                 return Err(DetectorError::CorruptCheckpoint(format!(
-                    "EMA shadow length {len} does not match parameter length {}",
+                    "EMA shadow length {} does not match parameter length {}",
+                    w.len(),
                     stored.len()
                 )));
-            }
-            let mut w = Vec::with_capacity(len);
-            for _ in 0..len {
-                w.push(r.f32()?);
             }
             shadow.push(w);
         }
@@ -782,6 +719,7 @@ fn read_train_state(
     } else {
         None
     };
+    r.finish()?;
     Ok(Snapshot {
         step,
         rng_state,
@@ -1193,58 +1131,6 @@ mod tests {
         .resume(&model, &cfg, &schedule, &ds.train, 7)
         .unwrap();
         assert_eq!(weights_of(&model), uninterrupted);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v1_train_state_resumes_with_fresh_ema() {
-        let ds = generate(
-            Benchmark::Gcp,
-            &SizeProfile {
-                train_len: 64,
-                test_len: 16,
-            },
-            5,
-        );
-        let cfg = tiny_cfg();
-        let schedule = NoiseSchedule::new(cfg.schedule, cfg.diffusion_steps);
-        let path = std::env::temp_dir().join(format!(
-            "imdiffusion-imts-v1-{}.imts",
-            std::process::id()
-        ));
-        let model = ImTransformer::new(&cfg, ds.train.dim(), 3);
-        Trainer::new(TrainerOptions {
-            checkpoint_every: 3,
-            checkpoint_path: Some(path.clone()),
-            stop_after: Some(6),
-            ..TrainerOptions::default()
-        })
-        .run(&model, &cfg, &schedule, &ds.train, 7)
-        .unwrap();
-
-        // Rewrite the checkpoint as a v1 file: strip the trailing EMA flag
-        // byte (the only v2 addition when EMA is off), refresh the CRC and
-        // downgrade the header version.
-        let bytes = std::fs::read(&path).unwrap();
-        let payload = &bytes[12..bytes.len() - 1];
-        let mut v1 = Vec::with_capacity(bytes.len() - 1);
-        v1.extend_from_slice(TRAIN_MAGIC);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&crc32(payload).to_le_bytes());
-        v1.extend_from_slice(payload);
-        std::fs::write(&path, &v1).unwrap();
-
-        // A v1 checkpoint resumes both without EMA and with EMA freshly
-        // seeded from the restored weights.
-        let report = Trainer::new(TrainerOptions {
-            ema: Some(0.9),
-            checkpoint_path: Some(path.clone()),
-            ..TrainerOptions::default()
-        })
-        .resume(&model, &cfg, &schedule, &ds.train, 7)
-        .unwrap();
-        assert_eq!(report.resumed_at, Some(6));
-        assert_eq!(report.losses.len(), cfg.train_steps);
         std::fs::remove_file(&path).ok();
     }
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use imdiff_nn::NnError;
+
 use crate::Mts;
 
 /// Errors surfaced by detectors.
@@ -119,6 +121,19 @@ impl DetectorError {
 }
 
 impl std::error::Error for DetectorError {}
+
+/// Maps an [`NnError`] from the record codec (`imdiff_nn::serialize`)
+/// onto the detector taxonomy: I/O stays I/O, damage stays damage, and an
+/// intact checkpoint that does not fit the model is a mismatch.
+impl From<NnError> for DetectorError {
+    fn from(e: NnError) -> Self {
+        match e {
+            NnError::Io(msg) => DetectorError::Io(msg),
+            NnError::Corrupt(msg) => DetectorError::CorruptCheckpoint(msg),
+            other => DetectorError::InvalidTrainingData(format!("checkpoint mismatch: {other}")),
+        }
+    }
+}
 
 /// The output of a detector on a test series.
 #[derive(Debug, Clone)]

@@ -1,27 +1,37 @@
-//! Model checkpointing: save/load parameter lists in a simple binary
-//! format.
+//! The workspace's one record codec: a CRC-checked record frame plus a
+//! little-endian byte writer/reader pair.
 //!
-//! Every [`crate::layers::Module`] exposes its parameters in a stable
-//! order, so a checkpoint is just that ordered list of tensors. The format
-//! is self-describing enough to catch mismatches (magic, version, per-
-//! tensor shape) but deliberately minimal: little-endian `f32` throughout.
+//! Every checkpoint file in the workspace — the `IMDE` detector envelope,
+//! the `IMSM` stream sidecar and the `IMTS` training state — is one
+//! *record*:
 //!
-//! Version 2 adds an integrity boundary: a CRC32 of the payload sits in
-//! the header and is verified before any byte is interpreted, so a
-//! truncated or bit-rotted file surfaces as [`NnError::Corrupt`] instead
-//! of loading as garbage weights. Version 1 files (no CRC) are still
-//! readable. All writers in this module go through [`atomic_write`] —
-//! temp file plus atomic rename — so a crash mid-write leaves either the
-//! old checkpoint or none, never a half-written one.
+//! | bytes | field |
+//! |---|---|
+//! | `0..4` | magic |
+//! | `4..8` | version, `u32` LE |
+//! | `8..12` | CRC32 of magic ‖ version ‖ body, `u32` LE |
+//! | `12..` | body |
+//!
+//! The CRC covers the header as well as the body, so a flipped bit
+//! anywhere — version included — is a CRC error, and
+//! [`open_record`] accepts exactly one version per magic. Bodies (and
+//! the record-less payloads nested inside them, and the wire protocol's
+//! payloads) are written with [`ByteWriter`] and read back with
+//! [`ByteReader`]: running off the end, leaving trailing bytes or
+//! claiming a count the remaining bytes cannot hold is a typed
+//! [`NnError::Corrupt`], never a panic or an oversized allocation.
+//! Intact data that does not fit the model it is loaded into (tensor
+//! count or shape) is [`NnError::InvalidArgument`].
+//!
+//! Files are written through [`atomic_write`] — temp file plus atomic
+//! rename — so a crash mid-write leaves either the old file or none,
+//! never a half-written one.
 
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 use crate::{NnError, Result, Tensor};
-
-const MAGIC: &[u8; 4] = b"IMDF";
-const VERSION: u32 = 2;
 
 /// CRC32 (IEEE 802.3, polynomial `0xEDB88320`) lookup table, built at
 /// compile time.
@@ -41,17 +51,11 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC32 (IEEE) of a byte slice — the integrity check used by every
-/// checkpoint format in the workspace (IMDF v2, IMSM v2, IMTS).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_finish(crc32_update(CRC32_INIT, bytes))
-}
-
-/// Initial state for the streaming form of [`crc32`]: feed chunks
-/// through [`crc32_update`] and close with [`crc32_finish`]. Lets
-/// callers checksum logically concatenated buffers (e.g. a frame header
-/// followed by a borrowed payload slice) without materialising the
-/// concatenation.
+/// Initial CRC32 (IEEE) state — the integrity check of every record and
+/// wire frame in the workspace: feed chunks through [`crc32_update`] and
+/// close with [`crc32_finish`]. Streaming lets callers checksum logically
+/// concatenated buffers (e.g. a frame header followed by a borrowed
+/// payload slice) without materialising the concatenation.
 pub const CRC32_INIT: u32 = 0xFFFF_FFFF;
 
 /// Folds `bytes` into a streaming CRC32 `state` (see [`CRC32_INIT`]).
@@ -91,128 +95,301 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     result
 }
 
-/// Serializes a parameter list (payload only — no header) into `buf`.
-fn write_payload(buf: &mut Vec<u8>, params: &[Tensor]) {
-    buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
-    for p in params {
-        let dims = p.dims();
-        buf.extend_from_slice(&(dims.len() as u32).to_le_bytes());
-        for &d in dims {
-            buf.extend_from_slice(&(d as u32).to_le_bytes());
-        }
-        for &v in p.data().iter() {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
+// ---------------------------------------------------------------------------
+// Record frame
+// ---------------------------------------------------------------------------
+
+/// Length of the record header: magic, version, CRC.
+const RECORD_HEADER: usize = 12;
+
+/// CRC of a framed record: magic ‖ version ‖ body, skipping the CRC slot.
+fn record_crc(record: &[u8]) -> u32 {
+    let state = crc32_update(CRC32_INIT, &record[..8]);
+    crc32_finish(crc32_update(state, &record[RECORD_HEADER..]))
 }
 
-/// Serializes a parameter list to a writer in the v2 (CRC-checked)
-/// format.
-pub fn write_params(mut w: impl Write, params: &[Tensor]) -> std::io::Result<()> {
-    let mut payload = Vec::new();
-    write_payload(&mut payload, params);
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&crc32(&payload).to_le_bytes())?;
-    w.write_all(&payload)
-}
-
-/// Saves a parameter list to a file (v2 format, atomic write).
-pub fn save_params(path: &Path, params: &[Tensor]) -> std::io::Result<()> {
-    let mut buf = Vec::new();
-    write_params(&mut buf, params)?;
-    atomic_write(path, &buf)
-}
-
-fn read_u32(r: &mut impl Read) -> std::io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-/// Loads a checkpoint *into* an existing parameter list (e.g. a freshly
-/// constructed model), verifying integrity, count and shapes.
-///
-/// Error taxonomy: [`NnError::Io`] when the file cannot be read,
-/// [`NnError::Corrupt`] when it is damaged (bad magic, CRC mismatch,
-/// truncation), and [`NnError::InvalidArgument`] when it is intact but
-/// belongs to a different architecture — a checkpoint must never be
-/// silently truncated into a model.
-pub fn load_params_into(path: &Path, params: &[Tensor]) -> Result<()> {
-    let bytes = fs::read(path)
-        .map_err(|e| NnError::Io(format!("cannot read {}: {e}", path.display())))?;
-    load_params_from_bytes(&bytes, params)
-}
-
-/// Byte-buffer form of [`load_params_into`], for checkpoints that travel
-/// inside another container (the detector-registry envelope wraps a full
-/// IMDF image as its ImDiffusion payload) rather than as a standalone
-/// file. Identical validation and error taxonomy.
-pub fn load_params_from_bytes(bytes: &[u8], params: &[Tensor]) -> Result<()> {
-    let mut r: &[u8] = bytes;
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)
-        .map_err(|_| NnError::Corrupt("truncated checkpoint header".into()))?;
-    if &magic != MAGIC {
-        return Err(NnError::Corrupt("not an IMDF checkpoint".into()));
-    }
-    let version = read_u32(&mut r)
-        .map_err(|_| NnError::Corrupt("truncated checkpoint header".into()))?;
-    match version {
-        1 => {}
-        2 => {
-            let stored = read_u32(&mut r)
-                .map_err(|_| NnError::Corrupt("truncated checkpoint header".into()))?;
-            let actual = crc32(r);
-            if stored != actual {
-                return Err(NnError::Corrupt(format!(
-                    "CRC mismatch: header {stored:#010x}, payload {actual:#010x}"
-                )));
-            }
-        }
-        v => {
-            return Err(NnError::InvalidArgument(format!(
-                "unsupported checkpoint version {v}"
-            )))
-        }
-    }
-    let count = read_u32(&mut r)
-        .map_err(|_| NnError::Corrupt("truncated checkpoint header".into()))? as usize;
-    if count != params.len() {
-        return Err(NnError::InvalidArgument(format!(
-            "checkpoint has {count} tensors, model expects {}",
-            params.len()
+/// Validates a record frame and returns its body: the magic must match,
+/// the version must be exactly `version`, and the CRC must cover the
+/// header and body. Every failure is [`NnError::Corrupt`].
+pub fn open_record<'a>(bytes: &'a [u8], magic: &[u8; 4], version: u32) -> Result<&'a [u8]> {
+    let name = || String::from_utf8_lossy(magic);
+    if bytes.len() < RECORD_HEADER {
+        return Err(NnError::Corrupt(format!(
+            "{} record truncated: {} header bytes",
+            name(),
+            bytes.len()
         )));
     }
-    for (i, p) in params.iter().enumerate() {
-        let ndim = read_u32(&mut r)
-            .map_err(|_| NnError::Corrupt(format!("truncated at tensor {i}")))?
-            as usize;
-        let mut dims = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            dims.push(
-                read_u32(&mut r)
-                    .map_err(|_| NnError::Corrupt(format!("truncated at tensor {i} dims")))?
-                    as usize,
-            );
+    if &bytes[..4] != magic {
+        return Err(NnError::Corrupt(format!("not an {} record", name())));
+    }
+    let stored_version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    if stored_version != version {
+        return Err(NnError::Corrupt(format!(
+            "unsupported {} version {stored_version} (expected {version})",
+            name()
+        )));
+    }
+    let stored = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    let actual = record_crc(bytes);
+    if stored != actual {
+        return Err(NnError::Corrupt(format!(
+            "{} record CRC mismatch: header {stored:#010x}, computed {actual:#010x}",
+            name()
+        )));
+    }
+    Ok(&bytes[RECORD_HEADER..])
+}
+
+// ---------------------------------------------------------------------------
+// Byte writer
+// ---------------------------------------------------------------------------
+
+/// Little-endian byte writer. [`ByteWriter::new`] writes a bare body (a
+/// payload nested in another record, a wire payload);
+/// [`ByteWriter::record`] reserves a record header whose CRC
+/// [`ByteWriter::finish`] seals.
+#[derive(Default)]
+pub struct ByteWriter {
+    buf: Vec<u8>,
+    record: bool,
+}
+
+impl ByteWriter {
+    /// A writer for a bare body.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A writer for a framed record: the body follows the header.
+    pub fn record(magic: &[u8; 4], version: u32) -> Self {
+        let mut buf = Vec::with_capacity(256);
+        buf.extend_from_slice(magic);
+        buf.extend_from_slice(&version.to_le_bytes());
+        buf.extend_from_slice(&[0; 4]);
+        ByteWriter { buf, record: true }
+    }
+
+    /// The written bytes; a record gets its CRC sealed first.
+    pub fn finish(mut self) -> Vec<u8> {
+        if self.record {
+            let crc = record_crc(&self.buf);
+            self.buf[8..12].copy_from_slice(&crc.to_le_bytes());
         }
-        if dims != p.dims() {
-            return Err(NnError::InvalidArgument(format!(
-                "tensor {i}: checkpoint shape {dims:?} != model shape {:?}",
-                p.dims()
+        self.buf
+    }
+
+    /// Raw bytes, no length prefix.
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
+
+    /// A `u16`.
+    pub fn u16(&mut self, v: u16) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// A `u32`.
+    pub fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// A `u64`.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// An `f32`.
+    pub fn f32(&mut self, v: f32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// An `f64`.
+    pub fn f64(&mut self, v: f64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// A `u32` length-prefixed `f32` slice.
+    pub fn f32s(&mut self, vs: &[f32]) {
+        self.u32(vs.len() as u32);
+        self.buf.reserve(vs.len() * 4);
+        for &v in vs {
+            self.f32(v);
+        }
+    }
+
+    /// A `u32` length-prefixed `f64` slice.
+    pub fn f64s(&mut self, vs: &[f64]) {
+        self.u32(vs.len() as u32);
+        self.buf.reserve(vs.len() * 8);
+        for &v in vs {
+            self.f64(v);
+        }
+    }
+
+    /// A tensor list in order: count, then per tensor its rank, dims and
+    /// `f32` values. Read back with [`ByteReader::tensors_into`].
+    pub fn tensors(&mut self, tensors: &[Tensor]) {
+        self.u32(tensors.len() as u32);
+        for t in tensors {
+            self.u32(t.dims().len() as u32);
+            for &d in t.dims() {
+                self.u32(d as u32);
+            }
+            let data = t.data();
+            self.buf.reserve(data.len() * 4);
+            for &v in data.iter() {
+                self.f32(v);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Byte reader
+// ---------------------------------------------------------------------------
+
+/// Little-endian cursor over a body. Every shortfall is a typed
+/// [`NnError::Corrupt`]; error messages are only built on failure.
+pub struct ByteReader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> ByteReader<'a> {
+    /// A reader over `buf`, positioned at its start.
+    pub fn new(buf: &'a [u8]) -> Self {
+        ByteReader { buf, pos: 0 }
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// A pre-allocation for `n` items of at least `min_bytes` bytes each,
+    /// capped at what the remaining bytes can hold — an untrusted count
+    /// can never reserve more memory than the input could fill.
+    pub fn capacity(&self, n: usize, min_bytes: usize) -> usize {
+        n.min(self.remaining() / min_bytes.max(1))
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if n > self.remaining() {
+            return Err(NnError::Corrupt(format!(
+                "ended early: {n} bytes needed at offset {}, {} left",
+                self.pos,
+                self.remaining()
             )));
         }
-        let n: usize = dims.iter().product();
-        let mut data = vec![0.0f32; n];
-        for v in &mut data {
-            let mut b = [0u8; 4];
-            r.read_exact(&mut b)
-                .map_err(|_| NnError::Corrupt(format!("truncated at tensor {i} data")))?;
-            *v = f32::from_le_bytes(b);
-        }
-        p.set_data(&data);
+        let out = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
     }
-    Ok(())
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// A `u16`.
+    pub fn u16(&mut self) -> Result<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// A `u32`.
+    pub fn u32(&mut self) -> Result<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A `u64`.
+    pub fn u64(&mut self) -> Result<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// An `f32`.
+    pub fn f32(&mut self) -> Result<f32> {
+        self.array().map(f32::from_le_bytes)
+    }
+
+    /// An `f64`.
+    pub fn f64(&mut self) -> Result<f64> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    /// Exactly `n` `f32` values (no prefix); fails before allocating when
+    /// the remaining bytes cannot hold them.
+    pub fn f32_array(&mut self, n: usize) -> Result<Vec<f32>> {
+        let bytes = self.take(n.saturating_mul(4))?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
+            .collect())
+    }
+
+    /// A `u32` length-prefixed `f32` slice.
+    pub fn f32s(&mut self) -> Result<Vec<f32>> {
+        let n = self.u32()? as usize;
+        self.f32_array(n)
+    }
+
+    /// A `u32` length-prefixed `f64` slice.
+    pub fn f64s(&mut self) -> Result<Vec<f64>> {
+        let n = self.u32()? as usize;
+        let bytes = self.take(n.saturating_mul(8))?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+            .collect())
+    }
+
+    /// Loads a [`ByteWriter::tensors`] list into `params` (e.g. a freshly
+    /// built model skeleton). A count or shape that differs from
+    /// `params` is [`NnError::InvalidArgument`] — the data is intact but
+    /// belongs to a different architecture, and is never truncated into
+    /// the model.
+    pub fn tensors_into(&mut self, params: &[Tensor]) -> Result<()> {
+        let count = self.u32()? as usize;
+        if count != params.len() {
+            return Err(NnError::InvalidArgument(format!(
+                "checkpoint has {count} tensors, model expects {}",
+                params.len()
+            )));
+        }
+        for (i, p) in params.iter().enumerate() {
+            let rank = self.u32()? as usize;
+            let mut dims = Vec::with_capacity(self.capacity(rank, 4));
+            for _ in 0..rank {
+                dims.push(self.u32()? as usize);
+            }
+            if dims != p.dims() {
+                return Err(NnError::InvalidArgument(format!(
+                    "tensor {i}: checkpoint shape {dims:?} != model shape {:?}",
+                    p.dims()
+                )));
+            }
+            p.set_data(&self.f32_array(p.numel())?);
+        }
+        Ok(())
+    }
+
+    /// Succeeds only when every byte has been read.
+    pub fn finish(&self) -> Result<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(NnError::Corrupt(format!("{n} trailing bytes after the body"))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -221,126 +398,155 @@ mod tests {
     use crate::layers::{Linear, Module};
     use crate::rng::seeded;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("imdf-{}-{name}", std::process::id()))
+    const MAGIC: &[u8; 4] = b"TEST";
+
+    /// A small record exercising every value kind.
+    fn sample_record() -> Vec<u8> {
+        let mut w = ByteWriter::record(MAGIC, 3);
+        w.u8(7);
+        w.u16(513);
+        w.u32(42);
+        w.u64(1 << 40);
+        w.f32(1.5);
+        w.f64(-2.25);
+        w.f32s(&[1.0, 2.0]);
+        w.f64s(&[3.0]);
+        w.finish()
     }
 
-    /// Writes the pre-CRC v1 layout, as older deployments produced it.
-    fn save_params_v1(path: &Path, params: &[Tensor]) {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        write_payload(&mut buf, params);
-        std::fs::write(path, buf).unwrap();
+    /// Decodes [`sample_record`] in full, including the trailing-bytes
+    /// check.
+    fn decode_sample(bytes: &[u8]) -> Result<()> {
+        let mut r = ByteReader::new(open_record(bytes, MAGIC, 3)?);
+        assert_eq!(r.u8()?, 7);
+        assert_eq!(r.u16()?, 513);
+        assert_eq!(r.u32()?, 42);
+        assert_eq!(r.u64()?, 1 << 40);
+        assert_eq!(r.f32()?, 1.5);
+        assert_eq!(r.f64()?, -2.25);
+        assert_eq!(r.f32s()?, vec![1.0, 2.0]);
+        assert_eq!(r.f64s()?, vec![3.0]);
+        r.finish()
     }
 
     #[test]
     fn crc32_matches_reference_vector() {
+        let crc32 = |b: &[u8]| crc32_finish(crc32_update(CRC32_INIT, b));
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }
 
     #[test]
-    fn roundtrip_restores_values() {
+    fn record_roundtrips_every_value_kind() {
+        decode_sample(&sample_record()).unwrap();
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_corrupt() {
+        let bytes = sample_record();
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut b = bytes.clone();
+                b[i] ^= 1 << bit;
+                assert!(
+                    matches!(decode_sample(&b), Err(NnError::Corrupt(_))),
+                    "flip of byte {i} bit {bit} accepted"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_is_corrupt() {
+        let bytes = sample_record();
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(decode_sample(&bytes[..cut]), Err(NnError::Corrupt(_))),
+                "truncation to {cut} bytes accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn trailing_byte_is_corrupt() {
+        // Appended to the body under a valid CRC: the frame passes, the
+        // body reader refuses the leftover byte.
+        let body = &sample_record()[RECORD_HEADER..];
+        let mut w = ByteWriter::record(MAGIC, 3);
+        w.bytes(body);
+        w.u8(0);
+        assert!(matches!(decode_sample(&w.finish()), Err(NnError::Corrupt(_))));
+    }
+
+    #[test]
+    fn other_versions_and_magics_are_refused() {
+        let mut w = ByteWriter::record(MAGIC, 2);
+        w.u8(7);
+        let older = w.finish();
+        assert!(matches!(open_record(&older, MAGIC, 3), Err(NnError::Corrupt(_))));
+        let err = open_record(&older, b"ELSE", 2).unwrap_err();
+        assert!(err.to_string().contains("ELSE"), "{err}");
+    }
+
+    #[test]
+    fn huge_count_with_valid_crc_fails_without_reserving() {
+        // A CRC-valid record whose count field claims u32::MAX values:
+        // the reader must refuse it from the remaining length alone.
+        for read in [
+            (|r: &mut ByteReader| r.f32s().map(drop)) as fn(&mut ByteReader) -> Result<()>,
+            |r| r.f64s().map(drop),
+        ] {
+            let mut w = ByteWriter::record(MAGIC, 1);
+            w.u32(u32::MAX);
+            w.f32(1.0);
+            let bytes = w.finish();
+            let mut r = ByteReader::new(open_record(&bytes, MAGIC, 1).unwrap());
+            assert!(matches!(read(&mut r), Err(NnError::Corrupt(_))));
+        }
+        let r = ByteReader::new(&[0u8; 8]);
+        assert_eq!(r.capacity(u32::MAX as usize, 4), 2);
+    }
+
+    #[test]
+    fn tensors_roundtrip_values() {
         let l1 = Linear::new(&mut seeded(1), 4, 3);
-        let path = tmp("roundtrip.bin");
-        save_params(&path, &l1.params()).unwrap();
+        let mut w = ByteWriter::new();
+        w.tensors(&l1.params());
+        let bytes = w.finish();
 
         let l2 = Linear::new(&mut seeded(99), 4, 3);
         assert_ne!(l1.params()[0].to_vec(), l2.params()[0].to_vec());
-        load_params_into(&path, &l2.params()).unwrap();
+        let mut r = ByteReader::new(&bytes);
+        r.tensors_into(&l2.params()).unwrap();
+        r.finish().unwrap();
         for (a, b) in l1.params().iter().zip(l2.params().iter()) {
             assert_eq!(a.to_vec(), b.to_vec());
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn v1_checkpoints_still_load() {
+    fn tensor_count_and_shape_mismatch_are_invalid_argument() {
         let l1 = Linear::new(&mut seeded(1), 4, 3);
-        let path = tmp("v1.bin");
-        save_params_v1(&path, &l1.params());
-        let l2 = Linear::new(&mut seeded(99), 4, 3);
-        load_params_into(&path, &l2.params()).unwrap();
-        assert_eq!(l1.params()[0].to_vec(), l2.params()[0].to_vec());
-        std::fs::remove_file(&path).ok();
-    }
+        let mut w = ByteWriter::new();
+        w.tensors(&l1.params());
+        let bytes = w.finish();
 
-    #[test]
-    fn bit_flip_is_corrupt_not_weights() {
-        let l1 = Linear::new(&mut seeded(1), 4, 3);
-        let path = tmp("bitflip.bin");
-        save_params(&path, &l1.params()).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let victim = bytes.len() - 5; // inside tensor data
-        bytes[victim] ^= 0x10;
-        std::fs::write(&path, bytes).unwrap();
-        let l2 = Linear::new(&mut seeded(99), 4, 3);
+        let wrong_shape = Linear::new(&mut seeded(2), 4, 5);
         assert!(matches!(
-            load_params_into(&path, &l2.params()),
-            Err(NnError::Corrupt(_))
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn truncation_is_corrupt() {
-        let l1 = Linear::new(&mut seeded(1), 4, 3);
-        let path = tmp("trunc.bin");
-        save_params(&path, &l1.params()).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-        assert!(matches!(
-            load_params_into(&path, &l1.params()),
-            Err(NnError::Corrupt(_))
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn missing_file_is_io() {
-        let l = Linear::new(&mut seeded(1), 2, 2);
-        assert!(matches!(
-            load_params_into(&tmp("does-not-exist.bin"), &l.params()),
-            Err(NnError::Io(_))
-        ));
-    }
-
-    #[test]
-    fn shape_mismatch_rejected() {
-        let l1 = Linear::new(&mut seeded(1), 4, 3);
-        let path = tmp("mismatch.bin");
-        save_params(&path, &l1.params()).unwrap();
-        let wrong = Linear::new(&mut seeded(2), 4, 5);
-        assert!(matches!(
-            load_params_into(&path, &wrong.params()),
+            ByteReader::new(&bytes).tensors_into(&wrong_shape.params()),
             Err(NnError::InvalidArgument(_))
         ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn count_mismatch_rejected() {
-        let l1 = Linear::new(&mut seeded(1), 2, 2);
-        let path = tmp("count.bin");
-        save_params(&path, &l1.params()).unwrap();
         let one = &l1.params()[..1];
         assert!(matches!(
-            load_params_into(&path, one),
+            ByteReader::new(&bytes).tensors_into(one),
             Err(NnError::InvalidArgument(_))
         ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn garbage_rejected() {
-        let path = tmp("garbage.bin");
-        std::fs::write(&path, b"not a checkpoint").unwrap();
-        let l = Linear::new(&mut seeded(1), 2, 2);
-        let err = load_params_into(&path, &l.params()).unwrap_err();
-        assert!(err.to_string().contains("IMDF"));
-        std::fs::remove_file(&path).ok();
+        // A truncated tensor body is damage, not a mismatch.
+        assert!(matches!(
+            ByteReader::new(&bytes[..bytes.len() - 3]).tensors_into(&l1.params()),
+            Err(NnError::Corrupt(_))
+        ));
     }
 
     #[test]

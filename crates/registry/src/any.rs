@@ -32,8 +32,8 @@ use crate::kind::DetectorKind;
 const TAU_PERCENTILE: f64 = 99.0;
 
 /// The wrapped family model. ImDiffusion keeps its full detector (ensemble
-/// trace, fine-tuning, native IMDF checkpoints), boxed because it dwarfs
-/// every baseline struct; each baseline keeps its fitted family struct.
+/// trace, fine-tuning), boxed because it dwarfs every baseline struct;
+/// each baseline keeps its fitted family struct.
 pub(crate) enum Model {
     ZScore(ZScoreDetector),
     IForest(IsolationForest),
@@ -80,7 +80,8 @@ pub struct AnyDetector {
     /// percentile). Unused by ImDiffusion, whose ensemble carries its own.
     tau: f64,
     /// Drift reference for baseline families; ImDiffusion's lives inside
-    /// its own detector (and its IMDF checkpoint image).
+    /// its own detector (fit and fine-tuning set it there). Either way the
+    /// envelope's drift field persists it.
     drift_ref: Option<DriftReference>,
     /// Channel count once fitted or restored.
     channels: Option<usize>,
@@ -130,7 +131,8 @@ impl AnyDetector {
     }
 
     /// Rebuilds a restored detector from its envelope-decoded parts
-    /// (crate-internal: [`crate::envelope`] is the public entry).
+    /// (crate-internal: [`crate::envelope`] is the public entry). The drift
+    /// reference goes where [`WindowScorer::drift_reference`] reads it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         kind: DetectorKind,
@@ -138,10 +140,13 @@ impl AnyDetector {
         seed: u64,
         serving_window: usize,
         tau: f64,
-        drift_ref: Option<DriftReference>,
+        mut drift_ref: Option<DriftReference>,
         channels: usize,
-        model: Model,
+        mut model: Model,
     ) -> Self {
+        if let Model::ImDiffusion(d) = &mut model {
+            d.set_drift_reference(drift_ref.take());
+        }
         AnyDetector {
             kind,
             cfg,
@@ -175,8 +180,8 @@ impl AnyDetector {
         self.tau
     }
 
-    /// The wrapped ImDiffusion detector, when this is one (fine-tuning and
-    /// the native checkpoint tooling need the concrete type).
+    /// The wrapped ImDiffusion detector, when this is one (fine-tuning
+    /// needs the concrete type).
     pub fn as_imdiffusion(&self) -> Option<&ImDiffusionDetector> {
         match &self.model {
             Model::ImDiffusion(d) => Some(d.as_ref()),
@@ -251,11 +256,10 @@ impl AnyDetector {
         })
     }
 
-    /// The family's native checkpoint payload — what the IMDE envelope
-    /// wraps: `snapshot_payload` bytes for baselines, the full IMDF image
-    /// for ImDiffusion.
+    /// The family's `snapshot_payload` bytes — what the IMDE envelope
+    /// wraps.
     pub(crate) fn native_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        dispatch!(&self.model, |d| d.snapshot_payload(), |im| im.save_bytes())
+        dispatch!(&self.model, |d| d.snapshot_payload(), |im| im.snapshot_payload())
     }
 
     /// Synthesizes the degenerate single-step [`EnsembleOutput`] for a
@@ -297,6 +301,24 @@ impl AnyDetector {
     }
 }
 
+/// Wraps an ImDiffusion detector built outside the registry — e.g. a
+/// [`imdiffusion::FineTuner`] candidate — so it can be persisted as an
+/// IMDE envelope and served.
+impl From<ImDiffusionDetector> for AnyDetector {
+    fn from(d: ImDiffusionDetector) -> Self {
+        AnyDetector {
+            kind: DetectorKind::ImDiffusion,
+            cfg: d.config().clone(),
+            seed: d.seed(),
+            serving_window: d.config().window,
+            tau: 0.0,
+            drift_ref: None,
+            channels: d.channels(),
+            model: Model::ImDiffusion(Box::new(d)),
+        }
+    }
+}
+
 impl Model {
     /// Rebuilds a fitted family model from its native payload bytes.
     pub(crate) fn restore(
@@ -327,7 +349,7 @@ impl Model {
             DetectorKind::Mscred => Model::Mscred(Mscred::restore_from_payload(seed, payload)?),
             DetectorKind::TranAd => Model::TranAd(TranAd::restore_from_payload(seed, payload)?),
             DetectorKind::ImDiffusion => Model::ImDiffusion(Box::new(
-                ImDiffusionDetector::load_bytes(cfg.clone(), seed, channels, payload)?,
+                ImDiffusionDetector::restore_from_payload(cfg.clone(), seed, channels, payload)?,
             )),
         })
     }

@@ -1,13 +1,12 @@
-//! The IMDE checkpoint envelope — one CRC-checked container format for
-//! every detector family.
+//! The IMDE checkpoint envelope — the one detector checkpoint format, for
+//! every family.
 //!
-//! Layout (all integers little-endian):
+//! An envelope is one `imdiff_nn::serialize` record (magic `"IMDE"`,
+//! exactly [`ENVELOPE_VERSION`], CRC over header and body) whose body is,
+//! all integers little-endian:
 //!
 //! | field | size | meaning |
 //! |---|---|---|
-//! | magic | 4 | `"IMDE"` |
-//! | version | u32 | format version (currently 1) |
-//! | crc | u32 | CRC-32 of every byte after this field |
 //! | family | u8 | [`DetectorKind::tag`] |
 //! | seed | u64 | construction seed (restore rebuilds RNG state from it) |
 //! | serving window | u32 | rows per streaming evaluation |
@@ -15,17 +14,15 @@
 //! | τ | f64 | synthesized vote threshold (baselines; 0 for ImDiffusion) |
 //! | drift flag | u8 | 1 ⇒ a `[4, K]` f32 drift reference follows |
 //! | payload len | u32 | length of the family-native payload |
-//! | payload | … | `snapshot_payload` bytes, or the IMDF image |
+//! | payload | … | the family's `snapshot_payload` bytes |
 //!
-//! Legacy raw `IMDF` checkpoints (written before the registry existed) are
-//! accepted by magic sniffing: they restore as ImDiffusion with the
-//! caller-supplied seed/channel fallbacks, exactly as
-//! [`ImDiffusionDetector::load_bytes`] always did.
+//! The drift field is the only persisted drift reference, for every
+//! family; family payloads carry model state only.
 
 use std::path::Path;
 
 use imdiff_data::{Detector, DetectorError, Mts};
-use imdiff_nn::serialize::{atomic_write, crc32};
+use imdiff_nn::serialize::{atomic_write, open_record, ByteReader, ByteWriter};
 use imdiffusion::{DriftReference, ImDiffusionConfig, WindowScorer};
 
 use crate::any::{AnyDetector, Model};
@@ -33,59 +30,11 @@ use crate::kind::DetectorKind;
 
 /// Magic prefix of a registry envelope.
 pub const ENVELOPE_MAGIC: &[u8; 4] = b"IMDE";
-/// Current envelope format version.
-pub const ENVELOPE_VERSION: u32 = 1;
-/// Magic prefix of a legacy raw ImDiffusion checkpoint.
-const LEGACY_MAGIC: &[u8; 4] = b"IMDF";
+/// The one envelope format version this build reads and writes.
+pub const ENVELOPE_VERSION: u32 = 2;
 
 fn corrupt(msg: impl std::fmt::Display) -> DetectorError {
     DetectorError::CorruptCheckpoint(format!("registry envelope: {msg}"))
-}
-
-/// Minimal cursor over envelope bytes (every shortfall is a typed
-/// corruption error, mirroring the baselines' payload reader).
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DetectorError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or_else(|| corrupt("truncated"))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, DetectorError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DetectorError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DetectorError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, DetectorError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, DetectorError> {
-        if n.saturating_mul(4) > self.buf.len() - self.pos {
-            return Err(corrupt("truncated drift reference"));
-        }
-        (0..n)
-            .map(|_| Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap())))
-            .collect()
-    }
 }
 
 impl AnyDetector {
@@ -94,30 +43,24 @@ impl AnyDetector {
     pub fn save_bytes(&self) -> Result<Vec<u8>, DetectorError> {
         let channels = self.channels().ok_or(DetectorError::NotFitted)?;
         let payload = self.native_payload()?;
-        let mut body = Vec::with_capacity(payload.len() + 64);
-        body.push(self.kind().tag());
-        body.extend_from_slice(&self.seed().to_le_bytes());
-        body.extend_from_slice(&(self.window() as u32).to_le_bytes());
-        body.extend_from_slice(&(channels as u32).to_le_bytes());
-        body.extend_from_slice(&self.tau().to_le_bytes());
+        let mut w = ByteWriter::record(ENVELOPE_MAGIC, ENVELOPE_VERSION);
+        w.u8(self.kind().tag());
+        w.u64(self.seed());
+        w.u32(self.window() as u32);
+        w.u32(channels as u32);
+        w.f64(self.tau());
         match self.drift_reference() {
             Some(r) => {
-                body.push(1);
+                w.u8(1);
                 for v in r.to_flat() {
-                    body.extend_from_slice(&v.to_le_bytes());
+                    w.f32(v);
                 }
             }
-            None => body.push(0),
+            None => w.u8(0),
         }
-        body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        body.extend_from_slice(&payload);
-
-        let mut out = Vec::with_capacity(body.len() + 12);
-        out.extend_from_slice(ENVELOPE_MAGIC);
-        out.extend_from_slice(&ENVELOPE_VERSION.to_le_bytes());
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        Ok(out)
+        w.u32(payload.len() as u32);
+        w.bytes(&payload);
+        Ok(w.finish())
     }
 
     /// Persists the envelope atomically (write-to-temp + rename).
@@ -131,120 +74,28 @@ impl AnyDetector {
     ///
     /// `cfg` rebuilds the ImDiffusion architecture when the envelope holds
     /// that family (and supplies the serving window for its validation);
-    /// `fallback_seed`/`fallback_channels` are used **only** for legacy
-    /// raw-IMDF checkpoints, which don't record them. IMDE envelopes carry
-    /// their own.
+    /// the envelope carries its own seed and channel count.
+    /// `_seed`/`_channels` are no longer read; removing them waits for a
+    /// benchmark change, since the end-to-end benchmark calls this form.
     pub fn load_bytes(
         cfg: &ImDiffusionConfig,
-        fallback_seed: u64,
-        fallback_channels: usize,
+        _seed: u64,
+        _channels: usize,
         bytes: &[u8],
     ) -> Result<AnyDetector, DetectorError> {
-        if bytes.len() >= 4 && &bytes[..4] == LEGACY_MAGIC {
-            let model = Model::restore(
-                DetectorKind::ImDiffusion,
-                cfg,
-                fallback_seed,
-                fallback_channels,
-                bytes,
-            )?;
-            return Ok(AnyDetector::from_parts(
-                DetectorKind::ImDiffusion,
-                cfg.clone(),
-                fallback_seed,
-                cfg.window,
-                0.0,
-                None,
-                fallback_channels,
-                model,
-            ));
-        }
-        let mut d = Dec::new(bytes);
-        if d.take(4)? != ENVELOPE_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let version = d.u32()?;
-        if version != ENVELOPE_VERSION {
-            return Err(corrupt(format!("unsupported version {version}")));
-        }
-        let stored_crc = d.u32()?;
-        let body = &bytes[d.pos..];
-        if crc32(body) != stored_crc {
-            return Err(corrupt("CRC mismatch"));
-        }
-        let kind = DetectorKind::from_tag(d.u8()?)
-            .ok_or_else(|| corrupt("unknown family tag"))?;
-        let seed = d.u64()?;
-        let serving_window = d.u32()? as usize;
-        let channels = d.u32()? as usize;
-        let tau = d.f64()?;
-        if channels == 0 {
-            return Err(corrupt("zero channels"));
-        }
-        if !tau.is_finite() {
-            return Err(corrupt("non-finite tau"));
-        }
-        if kind == DetectorKind::ImDiffusion {
-            if serving_window != cfg.window {
-                return Err(DetectorError::InvalidTrainingData(format!(
-                    "envelope serving window {serving_window} does not match \
-                     configured diffusion window {}",
-                    cfg.window
-                )));
-            }
-        } else if serving_window < kind.min_serving_window() {
-            return Err(corrupt(format!(
-                "serving window {serving_window} below the {} family floor {}",
-                kind.name(),
-                kind.min_serving_window()
-            )));
-        }
-        let drift_ref = match d.u8()? {
-            0 => None,
-            1 => {
-                let flat = d.f32s(4 * channels)?;
-                Some(
-                    DriftReference::from_flat(&flat, channels)
-                        .ok_or_else(|| corrupt("malformed drift reference"))?,
-                )
-            }
-            other => return Err(corrupt(format!("bad drift flag {other}"))),
-        };
-        let payload_len = d.u32()? as usize;
-        let payload = d.take(payload_len)?;
-        if d.pos != bytes.len() {
-            return Err(corrupt("trailing bytes"));
-        }
-        let model = Model::restore(kind, cfg, seed, channels, payload)?;
-        // ImDiffusion's drift reference lives inside its IMDF payload; the
-        // envelope copy is authoritative only for baseline families.
-        let drift_ref = if kind == DetectorKind::ImDiffusion {
-            None
-        } else {
-            drift_ref
-        };
-        Ok(AnyDetector::from_parts(
-            kind,
-            cfg.clone(),
-            seed,
-            serving_window,
-            tau,
-            drift_ref,
-            channels,
-            model,
-        ))
+        decode(cfg, bytes)
     }
 
-    /// File form of [`Self::load_bytes`].
+    /// File form of [`Self::load_bytes`] (same unread `_seed`/`_channels`).
     pub fn load(
         cfg: &ImDiffusionConfig,
-        fallback_seed: u64,
-        fallback_channels: usize,
+        _seed: u64,
+        _channels: usize,
         path: &Path,
     ) -> Result<AnyDetector, DetectorError> {
         let bytes = std::fs::read(path)
             .map_err(|e| DetectorError::Io(format!("cannot read {}: {e}", path.display())))?;
-        Self::load_bytes(cfg, fallback_seed, fallback_channels, &bytes)
+        decode(cfg, &bytes)
     }
 
     /// A [`Send`]-safe snapshot of this detector (the cross-thread
@@ -252,8 +103,6 @@ impl AnyDetector {
     pub fn to_spec(&self) -> Result<AnySpec, DetectorError> {
         Ok(AnySpec {
             cfg: self.config().clone(),
-            seed: self.seed(),
-            channels: self.channels().ok_or(DetectorError::NotFitted)?,
             bytes: self.save_bytes()?,
         })
     }
@@ -266,39 +115,84 @@ impl AnyDetector {
 pub struct AnySpec {
     /// Configuration (architecture + serving window source).
     pub cfg: ImDiffusionConfig,
-    /// Construction seed (legacy-IMDF fallback; envelopes embed their own).
-    pub seed: u64,
-    /// Channel count (legacy-IMDF fallback).
-    pub channels: usize,
-    /// The envelope image ([`AnyDetector::save_bytes`]) — or a legacy raw
-    /// IMDF image, accepted identically.
+    /// The envelope image ([`AnyDetector::save_bytes`]).
     pub bytes: Vec<u8>,
 }
 
 impl AnySpec {
     /// Reconstructs the detector (typically on another thread).
     pub fn build(&self) -> Result<AnyDetector, DetectorError> {
-        AnyDetector::load_bytes(&self.cfg, self.seed, self.channels, &self.bytes)
+        decode(&self.cfg, &self.bytes)
     }
 
-    /// The family recorded in the snapshot (envelope tag, or ImDiffusion
-    /// for legacy images); `None` when the bytes are unparseable.
+    /// The family recorded in the snapshot's envelope tag; `None` when
+    /// the bytes are unparseable.
     pub fn kind(&self) -> Option<DetectorKind> {
         sniff_family(&self.bytes)
     }
 }
 
-/// Reads only the family tag from an envelope (or legacy) image without
-/// full decoding — what supervisors use to report the family of an
-/// on-disk checkpoint they haven't adopted yet.
+/// Reads only the family tag from an envelope image without full
+/// decoding — what supervisors use to report the family of an on-disk
+/// checkpoint they haven't adopted yet.
 pub fn sniff_family(bytes: &[u8]) -> Option<DetectorKind> {
-    if bytes.len() >= 4 && &bytes[..4] == LEGACY_MAGIC {
-        return Some(DetectorKind::ImDiffusion);
-    }
     if bytes.len() >= 13 && &bytes[..4] == ENVELOPE_MAGIC {
         return DetectorKind::from_tag(bytes[12]);
     }
     None
+}
+
+/// Decodes and validates an envelope image into a restored detector.
+fn decode(cfg: &ImDiffusionConfig, bytes: &[u8]) -> Result<AnyDetector, DetectorError> {
+    let mut r = ByteReader::new(open_record(bytes, ENVELOPE_MAGIC, ENVELOPE_VERSION)?);
+    let kind = DetectorKind::from_tag(r.u8()?).ok_or_else(|| corrupt("unknown family tag"))?;
+    let seed = r.u64()?;
+    let serving_window = r.u32()? as usize;
+    let channels = r.u32()? as usize;
+    let tau = r.f64()?;
+    if channels == 0 {
+        return Err(corrupt("zero channels"));
+    }
+    if !tau.is_finite() {
+        return Err(corrupt("non-finite tau"));
+    }
+    if kind == DetectorKind::ImDiffusion {
+        if serving_window != cfg.window {
+            return Err(DetectorError::InvalidTrainingData(format!(
+                "envelope serving window {serving_window} does not match \
+                 configured diffusion window {}",
+                cfg.window
+            )));
+        }
+    } else if serving_window < kind.min_serving_window() {
+        return Err(corrupt(format!(
+            "serving window {serving_window} below the {} family floor {}",
+            kind.name(),
+            kind.min_serving_window()
+        )));
+    }
+    let drift_ref = match r.u8()? {
+        0 => None,
+        1 => Some(
+            DriftReference::from_flat(&r.f32_array(4 * channels)?, channels)
+                .ok_or_else(|| corrupt("malformed drift reference"))?,
+        ),
+        other => return Err(corrupt(format!("bad drift flag {other}"))),
+    };
+    let payload_len = r.u32()? as usize;
+    let payload = r.take(payload_len)?;
+    r.finish()?;
+    let model = Model::restore(kind, cfg, seed, channels, payload)?;
+    Ok(AnyDetector::from_parts(
+        kind,
+        cfg.clone(),
+        seed,
+        serving_window,
+        tau,
+        drift_ref,
+        channels,
+        model,
+    ))
 }
 
 /// Convenience for tests and examples: fit a fresh detector of `kind` on

@@ -7,12 +7,11 @@
 //! fit  →  snapshot (IMDE envelope bytes)  →  persist  →  restore
 //! ```
 //!
-//! The envelope ([`mod@envelope`]) is a CRC-checked container that tags
-//! the family and wraps the family's *native* payload — the full IMDF
-//! image for ImDiffusion, each baseline's `snapshot_payload` bytes
-//! otherwise — so every family gains atomic persistence, corruption
-//! detection and hot-reload for free. Legacy raw IMDF checkpoints keep
-//! loading via magic sniffing.
+//! The envelope ([`mod@envelope`]) is a CRC-checked record that tags the
+//! family and wraps the family's *native* `snapshot_payload` bytes plus
+//! its drift reference — so every family gains atomic persistence,
+//! corruption detection and hot-reload for free. It is the only detector
+//! checkpoint format.
 //!
 //! [`AnyDetector`] implements both [`imdiff_data::Detector`] (offline
 //! evaluation) and [`imdiffusion::WindowScorer`] (the streaming monitor

@@ -1,7 +1,7 @@
 //! Envelope integrity properties: every family round-trips bit-exactly
 //! through its IMDE envelope, and *any* single-byte flip, truncation or
 //! trailing-garbage corruption is detected as a typed error — mirroring
-//! the IMDF/IMSM corruption suites.
+//! the IMSM/IMTS corruption suites.
 
 use imdiff_data::synthetic::{generate, Benchmark, SizeProfile};
 use imdiff_data::{Detector, DetectorError, Mts};
@@ -83,21 +83,22 @@ fn windowed_scoring_survives_the_roundtrip() {
     assert_eq!(out_before[0].tau_base, out_after[0].tau_base);
 }
 
+/// The envelope's drift field is ImDiffusion's only persisted drift
+/// reference: it restores exactly, and an envelope written without one
+/// loads fine with drift detection unarmed.
 #[test]
-fn legacy_imdf_image_loads_as_imdiffusion() {
-    let (det, test) = fitted(DetectorKind::ImDiffusion);
-    let legacy = det
-        .as_imdiffusion()
-        .expect("is ImDiffusion")
-        .save_bytes()
-        .expect("IMDF image");
-    assert_eq!(sniff_family(&legacy), Some(DetectorKind::ImDiffusion));
-    let restored =
-        AnyDetector::load_bytes(&tiny_cfg(), SEED, test.dim(), &legacy).expect("legacy restore");
-    assert_eq!(restored.kind(), DetectorKind::ImDiffusion);
-    let before = det.score_series(&test, None).unwrap();
-    let after = restored.score_series(&test, None).unwrap();
-    assert_eq!(before, after);
+fn imdiffusion_drift_reference_roundtrips_and_absent_stays_unarmed() {
+    let (mut det, test) = fitted(DetectorKind::ImDiffusion);
+    let reference = det.drift_reference().cloned().expect("fit computes it");
+    let bytes = det.save_bytes().unwrap();
+    let loaded = AnyDetector::load_bytes(&tiny_cfg(), SEED, test.dim(), &bytes).unwrap();
+    assert_eq!(loaded.drift_reference(), Some(&reference));
+
+    det.as_imdiffusion_mut().unwrap().set_drift_reference(None);
+    let bytes = det.save_bytes().unwrap();
+    let mut unarmed = AnyDetector::load_bytes(&tiny_cfg(), SEED, test.dim(), &bytes).unwrap();
+    assert!(unarmed.drift_reference().is_none());
+    assert!(unarmed.detect(&test).is_ok());
 }
 
 #[test]

@@ -35,9 +35,8 @@ use std::time::Duration;
 
 use imdiff_data::synthetic::{generate, Benchmark, SizeProfile};
 use imdiff_data::Detector;
-use imdiffusion::{
-    stream_path, ImDiffusionConfig, ImDiffusionDetector, StreamingMonitor,
-};
+use imdiff_registry::{AnyDetector, DetectorKind};
+use imdiffusion::{stream_path, ImDiffusionConfig, StreamingMonitor};
 
 use crate::server::{ServeConfig, TenantSpec};
 use crate::wire::{self, Request, WireVerdict};
@@ -281,8 +280,8 @@ pub fn run_chaos(plan: &ChaosPlan) -> Result<ChaosReport, String> {
             },
             seed,
         );
-        let checkpoint = dir.join(format!("tenant-{t}.imdf"));
-        let mut det = ImDiffusionDetector::new(tiny_cfg(), seed);
+        let checkpoint = dir.join(format!("tenant-{t}.imde"));
+        let mut det = AnyDetector::new(DetectorKind::ImDiffusion, tiny_cfg(), seed);
         det.fit(&ds.train).map_err(|e| format!("train tenant {t}: {e}"))?;
         det.save(&checkpoint)
             .map_err(|e| format!("save tenant {t}: {e}"))?;
@@ -628,7 +627,7 @@ fn verify_tenant(tenant: &TenantState, dir: &Path, report: &mut ChaosReport) {
     };
     // Reconstruct "the run that never crashed": same weights, the
     // archived sidecar, the same rows from the snapshot position on.
-    let baseline_ckpt = dir.join(format!("{}-baseline.imdf", tenant.id));
+    let baseline_ckpt = dir.join(format!("{}-baseline.imde", tenant.id));
     if let Err(e) = std::fs::copy(&tenant.checkpoint, &baseline_ckpt) {
         report.violations.push(format!("{}: baseline copy: {e}", tenant.id));
         return;
@@ -637,7 +636,9 @@ fn verify_tenant(tenant: &TenantState, dir: &Path, report: &mut ChaosReport) {
         report.violations.push(format!("{}: baseline sidecar: {e}", tenant.id));
         return;
     }
-    let mut monitor = match StreamingMonitor::restore(tiny_cfg(), tenant.seed, &baseline_ckpt)
+    let channels = tenant.rows[0].len();
+    let mut monitor = match AnyDetector::load(&tiny_cfg(), tenant.seed, channels, &baseline_ckpt)
+        .and_then(|det| StreamingMonitor::restore_with(det, &baseline_ckpt))
     {
         Ok(m) => m,
         Err(e) => {

@@ -6,8 +6,8 @@
 //! workspace's own threading ([`imdiff_nn::pool`]) and telemetry
 //! ([`imdiff_nn::obs`]):
 //!
-//! * **[`wire`]** — a versioned, CRC-framed binary protocol (framing in
-//!   the spirit of the IMDF checkpoint format): score requests carry raw
+//! * **[`wire`]** — a versioned, CRC-framed binary protocol (payloads
+//!   use the checkpoint files' byte codec): score requests carry raw
 //!   `f32` rows with NaN-declared missing cells; responses carry typed
 //!   verdicts, health reports, observability snapshots or typed errors.
 //! * **[`server`]** — the [`server::Server`]: a tenant registry mapping

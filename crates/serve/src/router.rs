@@ -91,7 +91,7 @@ pub struct RouterConfig {
     /// (`None` = never close a silent client).
     pub idle_timeout: Option<Duration>,
     /// Ahead-of-failure checkpoint replication: `Some` makes the
-    /// supervisor copy every tenant's IMDF checkpoint + IMSM sidecar
+    /// supervisor copy every tenant's IMDE checkpoint + IMSM sidecar
     /// into a standby directory on a cadence, and restore from that
     /// standby during failover when the canonical files were lost with
     /// the dead replica. `None` (the default) preserves the

@@ -413,8 +413,8 @@ pub(super) fn load_monitor(
     monitor.set_snapshot_cadence(snapshot_every);
     if let Some((threshold, debounce)) = spec.drift_policy {
         // Arms only when the checkpoint carries a training-time drift
-        // reference; legacy weight files keep serving unarmed (and
-        // bit-identically to the pre-drift code).
+        // reference; without one the tenant serves unarmed (and
+        // bit-identically to a monitor without drift detection).
         let _ = monitor.set_drift_policy(threshold, debounce);
     }
     Ok(monitor)

@@ -97,15 +97,15 @@ use crate::wire::{ErrorCode, PromotionVerdict, Response, TenantHealth, WireHealt
 // ---------------------------------------------------------------------------
 
 /// One stream to serve: where its fitted checkpoint lives and how to
-/// rebuild the detector around it (envelopes and legacy IMDF images
-/// store weights only; the architecture comes from `cfg`/`seed`, as for
+/// rebuild the detector around it (an envelope stores weights, seed and
+/// channel count; the ImDiffusion architecture comes from `cfg`, as for
 /// [`AnyDetector::load`]).
 #[derive(Debug, Clone)]
 pub struct TenantSpec {
     /// Stream id used on the wire.
     pub id: String,
-    /// Path of the detector checkpoint — an IMDE registry envelope or a
-    /// legacy raw IMDF image (also the hot-reload watch target).
+    /// Path of the detector checkpoint — an IMDE registry envelope (also
+    /// the hot-reload watch target).
     pub checkpoint: PathBuf,
     /// Detector configuration matching the checkpoint.
     pub cfg: ImDiffusionConfig,
@@ -122,7 +122,7 @@ pub struct TenantSpec {
     pub holdout: Option<HoldoutSpec>,
     /// Drift policy `(threshold, debounce)` armed on the monitor at load
     /// time. Arms only when the checkpoint carries a training-time drift
-    /// reference; legacy weight files (and `None`) serve unarmed with
+    /// reference; checkpoints without one (and `None`) serve unarmed with
     /// bit-identical behavior.
     pub drift_policy: Option<(f64, u32)>,
     /// Detector family this tenant is configured to serve. The canonical

@@ -35,7 +35,7 @@
 //!
 //! # Replication ahead of failure
 //!
-//! Adoption reads the tenant's IMDF checkpoint and IMSM sidecar from
+//! Adoption reads the tenant's IMDE checkpoint and IMSM sidecar from
 //! their canonical paths — historically a **shared-disk** assumption:
 //! if those files die with the replica's machine, the sidecar-resume
 //! path is gone. With [`RouterConfig::replication`] set, a replication

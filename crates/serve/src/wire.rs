@@ -19,14 +19,17 @@
 //! `serve_protocol` property suite flips every byte to enforce this.
 //!
 //! Payload layouts are fixed little-endian structs (no self-describing
-//! envelope); see the `encode_payload`/`decode` pairs on [`Request`] and
-//! [`Response`]. NaN cells inside a score request declare missing values,
-//! exactly as in [`imdiffusion::StreamingMonitor::push_batch`].
+//! envelope), written and read with the workspace byte codec
+//! (`imdiff_nn::serialize::{ByteWriter, ByteReader}`); see the
+//! `encode_payload`/`decode` pairs on [`Request`] and [`Response`]. NaN
+//! cells inside a score request declare missing values, exactly as in
+//! [`imdiffusion::StreamingMonitor::push_batch`].
 
 use std::fmt;
 use std::io::{Read, Write};
 
-use imdiff_nn::serialize::{crc32_finish, crc32_update, CRC32_INIT};
+use imdiff_nn::serialize::{crc32_finish, crc32_update, ByteReader, ByteWriter, CRC32_INIT};
+use imdiff_nn::NnError;
 
 /// Current protocol version byte. v2 added the idempotency sequence id on
 /// score requests and the replication control kinds
@@ -554,65 +557,20 @@ impl FrameHeader {
 /// router depends on this: a shared upstream connection must never be
 /// poisoned by one client's malformed frame.
 pub fn peek_tenant(kind_byte: u8, payload: &[u8]) -> Result<Option<&str>, WireError> {
-    let early = || WireError::Malformed("payload ended early".into());
-    let short_str = |payload: &[u8]| -> Result<(usize, usize), WireError> {
-        if payload.len() < 2 {
-            return Err(early());
-        }
-        let n = u16::from_le_bytes([payload[0], payload[1]]) as usize;
-        if payload.len() < 2 + n {
-            return Err(early());
-        }
-        Ok((2, 2 + n))
-    };
-    match kind_byte {
+    let mut r = ByteReader::new(payload);
+    let tenant = match kind_byte {
         kind::SCORE => {
-            let (start, end) = short_str(payload)?;
-            let tenant = std::str::from_utf8(&payload[start..end])
-                .map_err(|_| WireError::Malformed("string is not UTF-8".into()))?;
-            // tenant ‖ seq:u64 ‖ start_row:u64 ‖ gap:u32 ‖ n:u32 ‖ c:u32 ‖ cells
-            let fixed = end.checked_add(8 + 8 + 4 + 4 + 4).ok_or_else(early)?;
-            if payload.len() < fixed {
-                return Err(early());
-            }
-            let grid = &payload[fixed - 8..fixed];
-            let n_rows = u32::from_le_bytes(grid[0..4].try_into().expect("4 bytes")) as usize;
-            let channels = u32::from_le_bytes(grid[4..8].try_into().expect("4 bytes")) as usize;
-            let ok = n_rows
-                .checked_mul(channels)
-                .and_then(|cells| cells.checked_mul(4))
-                .map(|bytes| bytes == payload.len() - fixed)
-                .unwrap_or(false);
-            if !ok {
-                return Err(WireError::Malformed(
-                    "row grid does not match payload size".into(),
-                ));
-            }
-            Ok(Some(tenant))
+            let tenant = short_str(&mut r)?;
+            r.take(8 + 8 + 4)?; // seq:u64 ‖ start_row:u64 ‖ gap:u32
+            score_grid(&mut r)?;
+            return Ok(Some(tenant));
         }
-        kind::RELOAD | kind::ADOPT | kind::SNAPSHOT => {
-            let (start, end) = short_str(payload)?;
-            if end != payload.len() {
-                return Err(WireError::Malformed(format!(
-                    "{} unexpected bytes after payload",
-                    payload.len() - end
-                )));
-            }
-            std::str::from_utf8(&payload[start..end])
-                .map(Some)
-                .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
-        }
-        kind::HEALTH | kind::OBS_SNAPSHOT | kind::DRAIN | kind::PING => {
-            if !payload.is_empty() {
-                return Err(WireError::Malformed(format!(
-                    "{} unexpected bytes after payload",
-                    payload.len()
-                )));
-            }
-            Ok(None)
-        }
-        other => Err(WireError::UnknownKind(other)),
-    }
+        kind::RELOAD | kind::ADOPT | kind::SNAPSHOT => Some(short_str(&mut r)?),
+        kind::HEALTH | kind::OBS_SNAPSHOT | kind::DRAIN | kind::PING => None,
+        other => return Err(WireError::UnknownKind(other)),
+    };
+    r.finish()?;
+    Ok(tenant)
 }
 
 /// Parses one frame from `buf`, requiring the buffer to contain exactly
@@ -690,91 +648,65 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<(), 
 }
 
 // ---------------------------------------------------------------------------
-// Payload cursor
+// Payload helpers over the shared byte codec
 // ---------------------------------------------------------------------------
 
-struct Cur<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(b: &'a [u8]) -> Cur<'a> {
-        Cur { b, i: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .i
-            .checked_add(n)
-            .filter(|&e| e <= self.b.len())
-            .ok_or_else(|| WireError::Malformed("payload ended early".into()))?;
-        let s = &self.b[self.i..end];
-        self.i = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// A `u16` length-prefixed UTF-8 string (tenant ids).
-    fn short_str(&mut self) -> Result<String, WireError> {
-        let n = self.u16()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
-    }
-
-    /// A `u32` length-prefixed UTF-8 string (messages, JSON).
-    fn long_str(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        if self.i == self.b.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed(format!(
-                "{} unexpected bytes after payload",
-                self.b.len() - self.i
-            )))
+/// Payload decoding runs on the workspace byte codec; every codec error
+/// (running off the end, trailing bytes) is a malformed payload.
+impl From<NnError> for WireError {
+    fn from(e: NnError) -> Self {
+        match e {
+            NnError::Corrupt(msg) | NnError::InvalidArgument(msg) | NnError::Io(msg) => {
+                WireError::Malformed(msg)
+            }
+            other => WireError::Malformed(other.to_string()),
         }
     }
 }
 
-fn put_short_str(out: &mut Vec<u8>, s: &str) {
-    assert!(s.len() <= u16::MAX as usize, "string too long for u16 prefix");
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// A `u16` length-prefixed UTF-8 string (tenant ids), borrowed.
+fn short_str<'a>(r: &mut ByteReader<'a>) -> Result<&'a str, WireError> {
+    let n = r.u16()? as usize;
+    utf8(r.take(n)?)
 }
 
-fn put_long_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// A `u32` length-prefixed UTF-8 string (messages, JSON).
+fn long_str(r: &mut ByteReader) -> Result<String, WireError> {
+    let n = r.u32()? as usize;
+    utf8(r.take(n)?).map(str::to_owned)
+}
+
+fn utf8(bytes: &[u8]) -> Result<&str, WireError> {
+    std::str::from_utf8(bytes).map_err(|_| WireError::Malformed("string is not UTF-8".into()))
+}
+
+/// The score request's `n:u32 ‖ c:u32` row grid, which must account for
+/// exactly the remaining payload bytes (`n · c` `f32` cells). Rows need
+/// at least one channel, so a short payload cannot claim unbounded rows.
+fn score_grid(r: &mut ByteReader) -> Result<(usize, usize), WireError> {
+    let n_rows = r.u32()? as usize;
+    let channels = r.u32()? as usize;
+    let exact = n_rows
+        .checked_mul(channels)
+        .and_then(|cells| cells.checked_mul(4))
+        .is_some_and(|bytes| bytes == r.remaining());
+    if !exact || (n_rows > 0 && channels == 0) {
+        return Err(WireError::Malformed(
+            "row grid does not match payload size".into(),
+        ));
+    }
+    Ok((n_rows, channels))
+}
+
+fn put_short_str(w: &mut ByteWriter, s: &str) {
+    assert!(s.len() <= u16::MAX as usize, "string too long for u16 prefix");
+    w.u16(s.len() as u16);
+    w.bytes(s.as_bytes());
+}
+
+fn put_long_str(w: &mut ByteWriter, s: &str) {
+    w.u32(s.len() as u32);
+    w.bytes(s.as_bytes());
 }
 
 // ---------------------------------------------------------------------------
@@ -798,7 +730,7 @@ impl Request {
 
     /// Encodes the payload (without the frame header).
     pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut w = ByteWriter::new();
         match self {
             Request::Score {
                 tenant,
@@ -807,29 +739,27 @@ impl Request {
                 gap_before,
                 rows,
             } => {
-                put_short_str(&mut out, tenant);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&start_row.to_le_bytes());
-                out.extend_from_slice(&gap_before.to_le_bytes());
+                put_short_str(&mut w, tenant);
+                w.u64(*seq);
+                w.u64(*start_row);
+                w.u32(*gap_before);
                 let channels = rows.first().map_or(0, Vec::len);
                 assert!(
                     rows.iter().all(|r| r.len() == channels),
                     "score rows must be rectangular"
                 );
-                out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-                out.extend_from_slice(&(channels as u32).to_le_bytes());
-                for row in rows {
-                    for v in row {
-                        out.extend_from_slice(&v.to_le_bytes());
-                    }
+                w.u32(rows.len() as u32);
+                w.u32(channels as u32);
+                for &v in rows.iter().flatten() {
+                    w.f32(v);
                 }
             }
             Request::Reload { tenant }
             | Request::Adopt { tenant }
-            | Request::Snapshot { tenant } => put_short_str(&mut out, tenant),
+            | Request::Snapshot { tenant } => put_short_str(&mut w, tenant),
             Request::Health | Request::ObsSnapshot | Request::Drain | Request::Ping => {}
         }
-        out
+        w.finish()
     }
 
     /// Serializes the request as one complete frame.
@@ -845,30 +775,17 @@ impl Request {
 
     /// Decodes a request payload for `kind`.
     pub fn decode(kind_byte: u8, payload: &[u8]) -> Result<Request, WireError> {
-        let mut c = Cur::new(payload);
+        let mut c = ByteReader::new(payload);
         let req = match kind_byte {
             kind::SCORE => {
-                let tenant = c.short_str()?;
+                let tenant = short_str(&mut c)?.to_owned();
                 let seq = c.u64()?;
                 let start_row = c.u64()?;
                 let gap_before = c.u32()?;
-                let n_rows = c.u32()? as usize;
-                let channels = c.u32()? as usize;
-                let cells = n_rows
-                    .checked_mul(channels)
-                    .filter(|&n| n * 4 == payload.len() - c.i)
-                    .ok_or_else(|| {
-                        WireError::Malformed("row grid does not match payload size".into())
-                    })?;
-                let _ = cells;
-                let mut rows = Vec::with_capacity(n_rows);
-                for _ in 0..n_rows {
-                    let mut row = Vec::with_capacity(channels);
-                    for _ in 0..channels {
-                        row.push(c.f32()?);
-                    }
-                    rows.push(row);
-                }
+                let (n_rows, channels) = score_grid(&mut c)?;
+                let rows = (0..n_rows)
+                    .map(|_| c.f32_array(channels))
+                    .collect::<Result<Vec<_>, _>>()?;
                 Request::Score {
                     tenant,
                     seq,
@@ -880,15 +797,15 @@ impl Request {
             kind::HEALTH => Request::Health,
             kind::OBS_SNAPSHOT => Request::ObsSnapshot,
             kind::RELOAD => Request::Reload {
-                tenant: c.short_str()?,
+                tenant: short_str(&mut c)?.to_owned(),
             },
             kind::DRAIN => Request::Drain,
             kind::PING => Request::Ping,
             kind::ADOPT => Request::Adopt {
-                tenant: c.short_str()?,
+                tenant: short_str(&mut c)?.to_owned(),
             },
             kind::SNAPSHOT => Request::Snapshot {
-                tenant: c.short_str()?,
+                tenant: short_str(&mut c)?.to_owned(),
             },
             other => return Err(WireError::UnknownKind(other)),
         };
@@ -916,43 +833,47 @@ impl Response {
 
     /// Encodes the payload (without the frame header).
     pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut w = ByteWriter::new();
         match self {
             Response::Verdicts {
                 generation,
                 verdicts,
             } => {
-                out.extend_from_slice(&generation.to_le_bytes());
-                out.extend_from_slice(&(verdicts.len() as u32).to_le_bytes());
+                w.u64(*generation);
+                w.u32(verdicts.len() as u32);
                 for v in verdicts {
-                    out.extend_from_slice(&v.index.to_le_bytes());
-                    out.extend_from_slice(&v.score.to_le_bytes());
-                    out.extend_from_slice(&v.votes.to_le_bytes());
-                    out.push(u8::from(v.anomalous) | (u8::from(v.degraded) << 1));
+                    w.u64(v.index);
+                    w.f64(v.score);
+                    w.u32(v.votes);
+                    w.u8(u8::from(v.anomalous) | (u8::from(v.degraded) << 1));
                 }
             }
             Response::Error { code, message } => {
-                out.push(*code as u8);
-                put_long_str(&mut out, message);
+                w.u8(*code as u8);
+                put_long_str(&mut w, message);
             }
             Response::Health { tenants } => {
-                out.extend_from_slice(&(tenants.len() as u32).to_le_bytes());
+                w.u32(tenants.len() as u32);
                 for t in tenants {
-                    put_short_str(&mut out, &t.id);
-                    out.push(t.state as u8);
-                    out.extend_from_slice(&t.generation.to_le_bytes());
-                    out.extend_from_slice(&t.rows_seen.to_le_bytes());
-                    out.extend_from_slice(&t.rows_rejected.to_le_bytes());
-                    out.extend_from_slice(&t.degraded_evals.to_le_bytes());
-                    out.extend_from_slice(&t.rewarms.to_le_bytes());
-                    out.extend_from_slice(&t.recoveries.to_le_bytes());
-                    out.extend_from_slice(&t.queue_depth.to_le_bytes());
-                    out.push(u8::from(t.drifted));
-                    out.extend_from_slice(&t.drift_trips.to_le_bytes());
-                    put_short_str(&mut out, &t.family);
+                    put_short_str(&mut w, &t.id);
+                    w.u8(t.state as u8);
+                    for counter in [
+                        t.generation,
+                        t.rows_seen,
+                        t.rows_rejected,
+                        t.degraded_evals,
+                        t.rewarms,
+                        t.recoveries,
+                    ] {
+                        w.u64(counter);
+                    }
+                    w.u32(t.queue_depth);
+                    w.u8(u8::from(t.drifted));
+                    w.u64(t.drift_trips);
+                    put_short_str(&mut w, &t.family);
                 }
             }
-            Response::ObsJson { json } => put_long_str(&mut out, json),
+            Response::ObsJson { json } => put_long_str(&mut w, json),
             Response::Ok => {}
             Response::ReloadStatus {
                 generation,
@@ -960,13 +881,13 @@ impl Response {
                 detail,
                 family,
             } => {
-                out.extend_from_slice(&generation.to_le_bytes());
-                out.push(*verdict as u8);
-                put_long_str(&mut out, detail);
-                put_short_str(&mut out, family);
+                w.u64(*generation);
+                w.u8(*verdict as u8);
+                put_long_str(&mut w, detail);
+                put_short_str(&mut w, family);
             }
         }
-        out
+        w.finish()
     }
 
     /// Serializes the response as one complete frame.
@@ -982,7 +903,7 @@ impl Response {
 
     /// Decodes a response payload for `kind`.
     pub fn decode(kind_byte: u8, payload: &[u8]) -> Result<Response, WireError> {
-        let mut c = Cur::new(payload);
+        let mut c = ByteReader::new(payload);
         let resp = match kind_byte {
             kind::VERDICTS => {
                 let generation = c.u64()?;
@@ -1025,7 +946,7 @@ impl Response {
                 })?;
                 Response::Error {
                     code,
-                    message: c.long_str()?,
+                    message: long_str(&mut c)?,
                 }
             }
             kind::HEALTH_REPORT => {
@@ -1038,7 +959,7 @@ impl Response {
                 }
                 let mut tenants = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let id = c.short_str()?;
+                    let id = short_str(&mut c)?.to_owned();
                     let state_byte = c.u8()?;
                     let state = WireHealthState::from_u8(state_byte).ok_or_else(|| {
                         WireError::Malformed(format!("unknown health state {state_byte}"))
@@ -1068,13 +989,13 @@ impl Response {
                         queue_depth,
                         drifted: drifted_byte == 1,
                         drift_trips: c.u64()?,
-                        family: c.short_str()?,
+                        family: short_str(&mut c)?.to_owned(),
                     });
                 }
                 Response::Health { tenants }
             }
             kind::OBS_JSON => Response::ObsJson {
-                json: c.long_str()?,
+                json: long_str(&mut c)?,
             },
             kind::OK => Response::Ok,
             kind::RELOAD_STATUS => {
@@ -1088,8 +1009,8 @@ impl Response {
                 Response::ReloadStatus {
                     generation,
                     verdict,
-                    detail: c.long_str()?,
-                    family: c.short_str()?,
+                    detail: long_str(&mut c)?,
+                    family: short_str(&mut c)?.to_owned(),
                 }
             }
             other => return Err(WireError::UnknownKind(other)),
@@ -1236,6 +1157,30 @@ mod tests {
         assert!(matches!(
             peek_tenant(kind::VERDICTS, &[]),
             Err(WireError::UnknownKind(_))
+        ));
+    }
+
+    /// A score payload claiming `u32::MAX` rows of zero channels carries
+    /// no cell bytes, so the size check alone cannot bound it; both the
+    /// routing peek and the decoder refuse it instead of materializing
+    /// billions of empty rows.
+    #[test]
+    fn zero_channel_rows_are_malformed() {
+        let mut w = ByteWriter::new();
+        put_short_str(&mut w, "t");
+        w.u64(1);
+        w.u64(0);
+        w.u32(0);
+        w.u32(u32::MAX);
+        w.u32(0);
+        let payload = w.finish();
+        assert!(matches!(
+            peek_tenant(kind::SCORE, &payload),
+            Err(WireError::Malformed(_))
+        ));
+        assert!(matches!(
+            Request::decode(kind::SCORE, &payload),
+            Err(WireError::Malformed(_))
         ));
     }
 

@@ -14,12 +14,11 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use imdiffusion_repro::core::{
-    FineTuneOptions, FineTuner, ImDiffusionConfig, ImDiffusionDetector,
-};
+use imdiffusion_repro::core::{FineTuneOptions, FineTuner, ImDiffusionConfig};
 use imdiffusion_repro::data::scenario::{drift, ScenarioProfile};
 use imdiffusion_repro::data::{Detector, Mts};
 use imdiffusion_repro::nn::obs;
+use imdiffusion_repro::registry::{AnyDetector, DetectorKind};
 use imdiffusion_repro::serve::{
     HoldoutSpec, PromotionVerdict, ServeClient, ServeConfig, Server, TenantSpec,
     WireHealthState,
@@ -45,7 +44,7 @@ fn main() {
     obs::set_enabled(true);
     let dir = PathBuf::from("target/continual_loop");
     std::fs::create_dir_all(&dir).expect("create demo dir");
-    let checkpoint = dir.join("sensors.imdf");
+    let checkpoint = dir.join("sensors.imde");
 
     // --- A drifting scenario with ground truth -----------------------------
     let profile = ScenarioProfile::quick();
@@ -62,7 +61,7 @@ fn main() {
     );
 
     // --- Fit, checkpoint, and serve with the loop armed --------------------
-    let mut stale = ImDiffusionDetector::new(loop_cfg(), 4);
+    let mut stale = AnyDetector::new(DetectorKind::ImDiffusion, loop_cfg(), 4);
     stale.fit(&sc.train).expect("fit");
     stale.save(&checkpoint).expect("save checkpoint");
 
@@ -144,7 +143,8 @@ fn main() {
         seed_salt: 1,
         ..FineTuneOptions::default()
     });
-    let outcome = tuner.run(&stale, &corpus).expect("fine-tune");
+    let stale = stale.as_imdiffusion().expect("ImDiffusion");
+    let outcome = tuner.run(stale, &corpus).expect("fine-tune");
     assert!(outcome.report.applied, "vetoed: {:?}", outcome.report.reason);
     let candidate = outcome.candidate.expect("applied implies candidate");
     println!(
@@ -157,7 +157,7 @@ fn main() {
     );
 
     // --- Phase 4: gate, promote, recover -----------------------------------
-    candidate.save(&checkpoint).expect("publish candidate");
+    AnyDetector::from(candidate).save(&checkpoint).expect("publish candidate");
     let reload = client.reload("sensors").expect("reload");
     assert_eq!(
         reload.verdict,

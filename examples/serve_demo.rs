@@ -13,11 +13,12 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use imdiffusion_repro::core::{ImDiffusionConfig, ImDiffusionDetector, StreamingMonitor};
+use imdiffusion_repro::core::{ImDiffusionConfig, StreamingMonitor};
 use imdiffusion_repro::data::replay::{replay_chunks, ReplayConfig};
 use imdiffusion_repro::data::synthetic::{generate, Benchmark, SizeProfile};
 use imdiffusion_repro::data::Detector;
 use imdiffusion_repro::nn::obs;
+use imdiffusion_repro::registry::{AnyDetector, DetectorKind};
 use imdiffusion_repro::serve::{
     ClientError, ErrorCode, ServeClient, ServeConfig, Server, TenantSpec,
 };
@@ -52,9 +53,9 @@ fn main() {
     let mut datasets = Vec::new();
     for (id, seed) in [("payments", 4u64), ("telemetry", 5u64)] {
         let ds = generate(Benchmark::Gcp, &profile, seed);
-        let mut det = ImDiffusionDetector::new(demo_cfg(), seed);
+        let mut det = AnyDetector::new(DetectorKind::ImDiffusion, demo_cfg(), seed);
         det.fit(&ds.train).expect("fit");
-        let checkpoint = dir.join(format!("{id}.imdf"));
+        let checkpoint = dir.join(format!("{id}.imde"));
         det.save(&checkpoint).expect("save checkpoint");
         specs.push(TenantSpec {
             id: id.into(),
@@ -114,13 +115,8 @@ fn main() {
             }
         }
 
-        let det = ImDiffusionDetector::load(
-            spec.cfg.clone(),
-            spec.seed,
-            spec.channels,
-            &spec.checkpoint,
-        )
-        .expect("load");
+        let det = AnyDetector::load(&spec.cfg, spec.seed, spec.channels, &spec.checkpoint)
+            .expect("load");
         let mut local = StreamingMonitor::new(det, spec.channels, spec.hop).expect("monitor");
         let mut expect = Vec::new();
         for c in &chunks {
@@ -180,7 +176,7 @@ fn main() {
     );
 
     // --- Hot reload mid-traffic --------------------------------------------
-    let mut det2 = ImDiffusionDetector::new(demo_cfg(), 77);
+    let mut det2 = AnyDetector::new(DetectorKind::ImDiffusion, demo_cfg(), 77);
     det2.fit(&datasets[0].train).expect("fit replacement");
     det2.save(&spec.checkpoint).expect("atomic rewrite");
     let deadline = Instant::now() + Duration::from_secs(30);

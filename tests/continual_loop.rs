@@ -13,11 +13,10 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use imdiffusion_repro::core::{
-    FineTuneOptions, FineTuner, ImDiffusionConfig, ImDiffusionDetector, StreamingMonitor,
-};
+use imdiffusion_repro::core::{FineTuneOptions, FineTuner, ImDiffusionConfig, StreamingMonitor};
 use imdiffusion_repro::data::scenario::{drift, ScenarioProfile};
 use imdiffusion_repro::data::{Detector, Mts};
+use imdiffusion_repro::registry::{AnyDetector, DetectorKind};
 use imdiffusion_repro::serve::{
     HoldoutSpec, PromotionVerdict, ServeClient, ServeConfig, Server, TenantSpec,
     WireHealthState,
@@ -58,9 +57,10 @@ fn drifting_stream_degrades_retrains_and_recovers_bit_identically() {
 
     let dir = tmp_dir("drift");
     let path = dir.join("t.imdf");
-    let mut incumbent = ImDiffusionDetector::new(tiny_cfg(), 4);
+    let mut incumbent = AnyDetector::new(DetectorKind::ImDiffusion, tiny_cfg(), 4);
     incumbent.fit(&sc.train).unwrap();
     incumbent.save(&path).unwrap();
+    let incumbent = incumbent.as_imdiffusion().expect("ImDiffusion");
     let incumbent_spec = incumbent.to_spec().expect("fitted");
 
     // Labeled holdout from the settled post-change regime, covering the
@@ -157,11 +157,11 @@ fn drifting_stream_degrades_retrains_and_recovers_bit_identically() {
         seed_salt: 1,
         ..FineTuneOptions::default()
     });
-    let outcome = tuner.run(&incumbent, &corpus).unwrap();
+    let outcome = tuner.run(incumbent, &corpus).unwrap();
     assert!(outcome.report.applied, "fine-tune vetoed: {:?}", outcome.report.reason);
     let candidate = outcome.candidate.expect("applied implies candidate");
     let candidate_spec = candidate.to_spec().expect("fitted");
-    candidate.save(&path).unwrap();
+    AnyDetector::from(candidate).save(&path).unwrap();
 
     // The gate replays the labeled holdout for both models off the shard
     // thread and promotes the adapted candidate; the reply arrives after

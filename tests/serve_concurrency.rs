@@ -6,12 +6,11 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use imdiffusion_repro::core::{
-    ImDiffusionConfig, ImDiffusionDetector, PointVerdict, StreamingMonitor,
-};
+use imdiffusion_repro::core::{ImDiffusionConfig, PointVerdict, StreamingMonitor};
 use imdiffusion_repro::data::replay::{replay_chunks, ReplayConfig};
 use imdiffusion_repro::data::synthetic::{generate, Benchmark, LabeledDataset, SizeProfile};
 use imdiffusion_repro::data::Detector;
+use imdiffusion_repro::registry::{AnyDetector, DetectorKind};
 use imdiffusion_repro::serve::{
     ClientError, ErrorCode, ServeClient, ServeConfig, Server, TenantSpec,
 };
@@ -51,7 +50,7 @@ fn train_and_save(path: &Path, seed: u64) -> LabeledDataset {
         },
         seed,
     );
-    let mut det = ImDiffusionDetector::new(tiny_cfg(), seed);
+    let mut det = AnyDetector::new(DetectorKind::ImDiffusion, tiny_cfg(), seed);
     det.fit(&ds.train).unwrap();
     det.save(path).unwrap();
     ds
@@ -146,13 +145,8 @@ fn batched_matches_sequential(shards: usize) {
 
         // Local sequential path from the same checkpoint.
         let spec = specs.iter().find(|s| s.id == *id).unwrap();
-        let det = ImDiffusionDetector::load(
-            spec.cfg.clone(),
-            spec.seed,
-            spec.channels,
-            &spec.checkpoint,
-        )
-        .unwrap();
+        let det =
+            AnyDetector::load(&spec.cfg, spec.seed, spec.channels, &spec.checkpoint).unwrap();
         let mut monitor = StreamingMonitor::new(det, spec.channels, spec.hop).unwrap();
         let mut local = Vec::new();
         for c in &chunks {
@@ -198,7 +192,7 @@ fn hot_reload_mid_traffic_never_fails_requests_or_mixes_generations() {
 
     // Replacement weights: same architecture, different training run.
     // Written only after some traffic is in flight.
-    let mut det2 = ImDiffusionDetector::new(tiny_cfg(), 77);
+    let mut det2 = AnyDetector::new(DetectorKind::ImDiffusion, tiny_cfg(), 77);
     det2.fit(&ds.train).unwrap();
 
     let mut generations = Vec::new();

@@ -10,10 +10,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use imdiffusion_repro::core::{ImDiffusionConfig, ImDiffusionDetector};
+use imdiffusion_repro::core::ImDiffusionConfig;
 use imdiffusion_repro::data::synthetic::{generate, Benchmark, SizeProfile};
 use imdiffusion_repro::data::Detector;
 use imdiffusion_repro::nn::obs;
+use imdiffusion_repro::registry::{AnyDetector, DetectorKind};
 use imdiffusion_repro::serve::chaos::{run_chaos, ChaosEvent, ChaosPlan};
 use imdiffusion_repro::serve::wire::WireVerdict;
 use imdiffusion_repro::serve::{
@@ -60,7 +61,7 @@ fn train_and_save(path: &Path, seed: u64, test_len: usize) -> (Vec<Vec<f32>>, us
         },
         seed,
     );
-    let mut det = ImDiffusionDetector::new(tiny_cfg(), seed);
+    let mut det = AnyDetector::new(DetectorKind::ImDiffusion, tiny_cfg(), seed);
     det.fit(&ds.train).unwrap();
     det.save(path).unwrap();
     let rows = (0..ds.test.len()).map(|l| ds.test.row(l).to_vec()).collect();

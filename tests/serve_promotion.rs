@@ -7,9 +7,10 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use imdiffusion_repro::core::{ImDiffusionConfig, ImDiffusionDetector, StreamingMonitor};
+use imdiffusion_repro::core::{DetectorSpec, ImDiffusionConfig, StreamingMonitor};
 use imdiffusion_repro::data::synthetic::{generate, Benchmark, LabeledDataset, SizeProfile};
 use imdiffusion_repro::data::{Detector, Mts};
+use imdiffusion_repro::registry::{AnyDetector, DetectorKind};
 use imdiffusion_repro::serve::{
     HoldoutSpec, PromotionVerdict, ServeClient, ServeConfig, Server, TenantSpec,
 };
@@ -39,7 +40,7 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn train_and_save(path: &Path, seed: u64) -> (LabeledDataset, ImDiffusionDetector) {
+fn train_and_save(path: &Path, seed: u64) -> (LabeledDataset, AnyDetector) {
     let ds = generate(
         Benchmark::Gcp,
         &SizeProfile {
@@ -48,10 +49,19 @@ fn train_and_save(path: &Path, seed: u64) -> (LabeledDataset, ImDiffusionDetecto
         },
         seed,
     );
-    let mut det = ImDiffusionDetector::new(tiny_cfg(), seed);
+    let mut det = imdiffusion(seed);
     det.fit(&ds.train).unwrap();
     det.save(path).unwrap();
     (ds, det)
+}
+
+fn imdiffusion(seed: u64) -> AnyDetector {
+    AnyDetector::new(DetectorKind::ImDiffusion, tiny_cfg(), seed)
+}
+
+/// The `Send`-safe ImDiffusion snapshot local mirrors are rebuilt from.
+fn mirror_spec(det: &AnyDetector) -> DetectorSpec {
+    det.as_imdiffusion().and_then(|d| d.to_spec()).expect("fitted")
 }
 
 fn tenant_spec(id: &str, path: &Path, seed: u64, channels: usize) -> TenantSpec {
@@ -177,7 +187,7 @@ fn divergent_candidate_rejected_by_label_free_guard_rail() {
 
     // A different training run scores the holdout differently — far
     // beyond the (deliberately tiny) tolerance.
-    let mut other = ImDiffusionDetector::new(tiny_cfg(), 99);
+    let mut other = imdiffusion(99);
     other.fit(&ds.train).unwrap();
     other.save(&path).unwrap();
     let outcome = client.reload("t").unwrap();
@@ -213,7 +223,7 @@ fn regression_rolls_back_to_bit_identical_incumbent() {
     let path = dir.join("t.imdf");
     let (ds, incumbent) = train_and_save(&path, 4);
     let channels = ds.train.dim();
-    let incumbent_spec = incumbent.to_spec().expect("fitted");
+    let incumbent_spec = mirror_spec(&incumbent);
 
     let cfg = ServeConfig {
         regression_watch: WATCH,
@@ -235,9 +245,9 @@ fn regression_rolls_back_to_bit_identical_incumbent() {
         ds.train.len(),
         ds.train.dim(),
     );
-    let mut junk = ImDiffusionDetector::new(tiny_cfg(), 4);
+    let mut junk = imdiffusion(4);
     junk.fit(&shifted).unwrap();
-    let junk_spec = junk.to_spec().expect("fitted");
+    let junk_spec = mirror_spec(&junk);
 
     // Local mirror fed the identical rows with the identical swap
     // schedule; the synchronous client makes every chunk its own batch.

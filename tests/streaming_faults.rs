@@ -7,10 +7,11 @@
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use imdiffusion_repro::core::{ImDiffusionConfig, ImDiffusionDetector, StreamingMonitor};
+use imdiffusion_repro::core::{ImDiffusionConfig, StreamingMonitor};
 use imdiffusion_repro::data::faults::{Fault, FaultInjector};
 use imdiffusion_repro::data::synthetic::{generate, Benchmark, SizeProfile};
 use imdiffusion_repro::data::{Detector, DetectorError, Mts};
+use imdiffusion_repro::registry::{AnyDetector, DetectorKind};
 use proptest::prelude::*;
 
 const SEED: u64 = 97;
@@ -45,10 +46,10 @@ fn shared_checkpoint() -> &'static (PathBuf, usize, Mts) {
             },
             SEED,
         );
-        let mut det = ImDiffusionDetector::new(tiny_cfg(), SEED);
+        let mut det = AnyDetector::new(DetectorKind::ImDiffusion, tiny_cfg(), SEED);
         det.fit(&ds.train).expect("fit tiny detector");
         let path = std::env::temp_dir().join(format!(
-            "imdiff-streaming-faults-{}.imdf",
+            "imdiff-streaming-faults-{}.imde",
             std::process::id()
         ));
         det.save(&path).expect("write shared checkpoint");
@@ -56,9 +57,9 @@ fn shared_checkpoint() -> &'static (PathBuf, usize, Mts) {
     })
 }
 
-fn fresh_monitor() -> StreamingMonitor {
+fn fresh_monitor() -> StreamingMonitor<AnyDetector> {
     let (path, channels, _) = shared_checkpoint();
-    let det = ImDiffusionDetector::load(tiny_cfg(), SEED, *channels, path)
+    let det = AnyDetector::load(&tiny_cfg(), SEED, *channels, path)
         .expect("restore shared checkpoint");
     StreamingMonitor::new(det, *channels, HOP).expect("monitor from fitted detector")
 }

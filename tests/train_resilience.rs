@@ -2,20 +2,21 @@
 //! bit-identical to an uninterrupted run (at any thread count), divergence
 //! sentinels must recover from poisoned batches without letting a NaN
 //! reach the optimizer, and any corruption of a persisted checkpoint —
-//! IMDF v2 weights, IMSM v2 stream sidecar, or IMTS training state — must
-//! surface as a typed error, never as silently altered state.
+//! IMDE detector envelope, IMSM stream sidecar, or IMTS training state —
+//! must surface as a typed error, never as silently altered state.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use imdiffusion_repro::core::{
-    train, train_resume, ImDiffusionConfig, ImDiffusionDetector, ImTransformer,
+    stream_path, train, train_resume, ImDiffusionConfig, ImDiffusionDetector, ImTransformer,
     StreamingMonitor, Trainer, TrainerOptions,
 };
 use imdiffusion_repro::data::{Detector, DetectorError, Mts};
 use imdiffusion_repro::diffusion::NoiseSchedule;
 use imdiffusion_repro::nn::layers::Module;
 use imdiffusion_repro::nn::{pool, Tensor};
+use imdiffusion_repro::registry::{AnyDetector, DetectorKind};
 use proptest::prelude::*;
 
 const MODEL_SEED: u64 = 3;
@@ -292,10 +293,10 @@ fn observability_does_not_perturb_training() {
 // Corruption properties: no damaged checkpoint ever loads
 // ---------------------------------------------------------------------------
 
-/// Pristine bytes of each persisted artifact: IMDF v2 detector weights,
-/// IMSM v2 stream sidecar, IMTS training state — plus the channel count.
+/// Pristine bytes of each persisted artifact: IMDE detector envelope,
+/// IMSM stream sidecar, IMTS training state — plus the channel count.
 struct Artifacts {
-    imdf: Vec<u8>,
+    imde: Vec<u8>,
     imsm: Vec<u8>,
     imts: Vec<u8>,
     channels: usize,
@@ -308,26 +309,21 @@ fn artifacts() -> &'static Artifacts {
         let train = train_series();
         let test = wave(32, 4, 23);
         let k = train.dim();
-        let mut det = ImDiffusionDetector::new(cfg.clone(), MODEL_SEED);
+        let mut det = AnyDetector::new(DetectorKind::ImDiffusion, cfg.clone(), MODEL_SEED);
         det.fit(train).unwrap();
 
-        let imdf_path = tmp("pristine.imdf");
-        det.save(&imdf_path).unwrap();
-        let imdf = std::fs::read(&imdf_path).unwrap();
+        let imde_path = tmp("pristine.imde");
+        det.save(&imde_path).unwrap();
+        let imde = std::fs::read(&imde_path).unwrap();
 
         let mut monitor = StreamingMonitor::new(det, k, 8).unwrap();
         for l in 0..24 {
             monitor.push(test.row(l)).unwrap();
         }
-        monitor.checkpoint(&imdf_path).unwrap();
-        let stream_path = {
-            let mut os = imdf_path.as_os_str().to_owned();
-            os.push(".stream");
-            PathBuf::from(os)
-        };
-        let imsm = std::fs::read(&stream_path).unwrap();
-        std::fs::remove_file(&imdf_path).ok();
-        std::fs::remove_file(&stream_path).ok();
+        monitor.checkpoint_stream(&imde_path).unwrap();
+        let imsm = std::fs::read(stream_path(&imde_path)).unwrap();
+        std::fs::remove_file(&imde_path).ok();
+        std::fs::remove_file(stream_path(&imde_path)).ok();
 
         let imts_path = tmp("pristine.imts");
         let schedule = NoiseSchedule::new(cfg.schedule, cfg.diffusion_steps);
@@ -344,7 +340,7 @@ fn artifacts() -> &'static Artifacts {
         std::fs::remove_file(&imts_path).ok();
 
         Artifacts {
-            imdf,
+            imde,
             imsm,
             imts,
             channels: k,
@@ -366,21 +362,83 @@ fn flip(bytes: &[u8], idx: usize, bit: u8) -> Vec<u8> {
     out
 }
 
+/// Loads an IMDE envelope the way a serving host does.
+fn load_imde(path: &std::path::Path) -> Result<AnyDetector, DetectorError> {
+    AnyDetector::load(&corrupt_cfg(), MODEL_SEED, artifacts().channels, path)
+}
+
+/// Restores a monitor from the pristine envelope plus `imsm` as its
+/// sidecar, the way failover adoption does.
+fn restore_imsm(name: &str, imsm: &[u8]) -> Result<StreamingMonitor<AnyDetector>, DetectorError> {
+    let path = tmp(name);
+    std::fs::write(&path, &artifacts().imde).unwrap();
+    std::fs::write(stream_path(&path), imsm).unwrap();
+    let res = load_imde(&path).and_then(|det| StreamingMonitor::restore_with(det, &path));
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(stream_path(&path)).ok();
+    res
+}
+
+/// Resumes training from `imts` as the IMTS checkpoint.
+fn resume_imts(name: &str, imts: &[u8]) -> Result<(), DetectorError> {
+    let cfg = corrupt_cfg();
+    let path = tmp(name);
+    std::fs::write(&path, imts).unwrap();
+    let schedule = NoiseSchedule::new(cfg.schedule, cfg.diffusion_steps);
+    let model = ImTransformer::new(&cfg, artifacts().channels, MODEL_SEED);
+    let res = train_resume(&model, &cfg, &schedule, train_series(), TRAIN_SEED, &path);
+    std::fs::remove_file(&path).ok();
+    res.map(drop)
+}
+
+/// Every single-bit flip in the 12-byte record header (magic, version,
+/// CRC) of each file format is a typed error. The version field sits
+/// under the CRC and each reader accepts exactly one version, so no flip
+/// can hand the body to another version's parser.
+#[test]
+fn header_bit_flips_never_load() {
+    let a = artifacts();
+    for idx in 0..12 {
+        for bit in 0..8 {
+            let path = tmp("header-flip.imde");
+            std::fs::write(&path, flip(&a.imde, idx, bit)).unwrap();
+            let res = load_imde(&path);
+            std::fs::remove_file(&path).ok();
+            assert!(
+                matches!(res, Err(DetectorError::CorruptCheckpoint(_))),
+                "IMDE header byte {idx} bit {bit} was not refused as corrupt"
+            );
+
+            let res = restore_imsm("header-flip-stream.imde", &flip(&a.imsm, idx, bit));
+            assert!(
+                matches!(res, Err(DetectorError::CorruptCheckpoint(_))),
+                "IMSM header byte {idx} bit {bit} was not refused as corrupt"
+            );
+
+            let res = resume_imts("header-flip.imts", &flip(&a.imts, idx, bit));
+            assert!(
+                matches!(res, Err(DetectorError::CorruptCheckpoint(_))),
+                "IMTS header byte {idx} bit {bit} was not refused as corrupt"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any single bit flip anywhere in an IMDF v2 weight file makes the
-    /// load fail with a typed error — never `Ok` with altered weights.
+    /// Any single bit flip anywhere in an IMDE detector envelope makes
+    /// the load fail with a typed error — never `Ok` with altered weights.
     #[test]
-    fn flipped_byte_never_loads_imdf(idx in 0usize..1 << 20, bit in 0u8..8) {
+    fn flipped_byte_never_loads_imde(idx in 0usize..1 << 20, bit in 0u8..8) {
         let a = artifacts();
-        let path = tmp("flip.imdf");
-        std::fs::write(&path, flip(&a.imdf, idx, bit)).unwrap();
-        let res = ImDiffusionDetector::load(corrupt_cfg(), MODEL_SEED, a.channels, &path);
+        let path = tmp("flip.imde");
+        std::fs::write(&path, flip(&a.imde, idx, bit)).unwrap();
+        let res = load_imde(&path);
         let err = match res {
             Ok(_) => {
                 std::fs::remove_file(&path).ok();
-                return Err(TestCaseError::fail("corrupted IMDF loaded"));
+                return Err(TestCaseError::fail("corrupted IMDE loaded"));
             }
             Err(e) => e,
         };
@@ -394,19 +452,11 @@ proptest! {
         );
     }
 
-    /// The same property for the IMSM v2 stream sidecar.
+    /// The same property for the IMSM stream sidecar.
     #[test]
     fn flipped_byte_never_restores_imsm(idx in 0usize..1 << 20, bit in 0u8..8) {
         let a = artifacts();
-        let path = tmp("flip-stream.imdf");
-        let mut os = path.as_os_str().to_owned();
-        os.push(".stream");
-        let stream = PathBuf::from(os);
-        std::fs::write(&path, &a.imdf).unwrap();
-        std::fs::write(&stream, flip(&a.imsm, idx, bit)).unwrap();
-        let res = StreamingMonitor::restore(corrupt_cfg(), MODEL_SEED, &path);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&stream).ok();
+        let res = restore_imsm("flip-stream.imde", &flip(&a.imsm, idx, bit));
         match res {
             Ok(_) => return Err(TestCaseError::fail("corrupted IMSM restored")),
             Err(e) => prop_assert!(
@@ -421,14 +471,7 @@ proptest! {
     #[test]
     fn flipped_byte_never_resumes_imts(idx in 0usize..1 << 20, bit in 0u8..8) {
         let a = artifacts();
-        let cfg = corrupt_cfg();
-        let path = tmp("flip.imts");
-        std::fs::write(&path, flip(&a.imts, idx, bit)).unwrap();
-        let schedule = NoiseSchedule::new(cfg.schedule, cfg.diffusion_steps);
-        let model = ImTransformer::new(&cfg, a.channels, MODEL_SEED);
-        let res =
-            train_resume(&model, &cfg, &schedule, train_series(), TRAIN_SEED, &path);
-        std::fs::remove_file(&path).ok();
+        let res = resume_imts("flip.imts", &flip(&a.imts, idx, bit));
         match res {
             Ok(_) => return Err(TestCaseError::fail("corrupted IMTS resumed")),
             Err(e) => prop_assert!(
@@ -443,37 +486,23 @@ proptest! {
     #[test]
     fn truncated_checkpoints_never_load(cut in 0usize..1 << 20) {
         let a = artifacts();
-        let cfg = corrupt_cfg();
-        let schedule = NoiseSchedule::new(cfg.schedule, cfg.diffusion_steps);
 
-        let path = tmp("trunc.imdf");
-        std::fs::write(&path, &a.imdf[..cut % a.imdf.len()]).unwrap();
-        let r = ImDiffusionDetector::load(cfg.clone(), MODEL_SEED, a.channels, &path);
+        let path = tmp("trunc.imde");
+        std::fs::write(&path, &a.imde[..cut % a.imde.len()]).unwrap();
+        let r = load_imde(&path);
         std::fs::remove_file(&path).ok();
         prop_assert!(
             matches!(r, Err(DetectorError::CorruptCheckpoint(_))),
-            "truncated IMDF must be corrupt"
+            "truncated IMDE must be corrupt"
         );
 
-        let base = tmp("trunc-stream.imdf");
-        let mut os = base.as_os_str().to_owned();
-        os.push(".stream");
-        let stream = PathBuf::from(os);
-        std::fs::write(&base, &a.imdf).unwrap();
-        std::fs::write(&stream, &a.imsm[..cut % a.imsm.len()]).unwrap();
-        let r = StreamingMonitor::restore(cfg.clone(), MODEL_SEED, &base);
-        std::fs::remove_file(&base).ok();
-        std::fs::remove_file(&stream).ok();
+        let r = restore_imsm("trunc-stream.imde", &a.imsm[..cut % a.imsm.len()]);
         prop_assert!(
             matches!(r, Err(DetectorError::CorruptCheckpoint(_))),
             "truncated IMSM must be corrupt"
         );
 
-        let tpath = tmp("trunc.imts");
-        std::fs::write(&tpath, &a.imts[..cut % a.imts.len()]).unwrap();
-        let model = ImTransformer::new(&cfg, a.channels, MODEL_SEED);
-        let r = train_resume(&model, &cfg, &schedule, train_series(), TRAIN_SEED, &tpath);
-        std::fs::remove_file(&tpath).ok();
+        let r = resume_imts("trunc.imts", &a.imts[..cut % a.imts.len()]);
         prop_assert!(
             matches!(r, Err(DetectorError::CorruptCheckpoint(_))),
             "truncated IMTS must be corrupt"
