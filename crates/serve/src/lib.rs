@@ -33,13 +33,20 @@
 //!   corruption driven through the real wire protocol, asserting typed
 //!   errors (never hangs) and bit-identical post-failover verdicts.
 //!
+//! Both listeners — the server's and the router's — run the same
+//! private connection event loop (`mux::serve`): one thread multiplexing
+//! the listener and every connection over `poll(2)`, with frame
+//! reassembly, slot-ordered replies, write backpressure and the idle /
+//! frame-progress deadlines. Each listener plugs in as a small `Tier`
+//! that decides what an accepted stream and a complete frame mean.
+//!
 //! See DESIGN.md §"Serving layer" for the wire format tables and the
 //! batching / backpressure state machine, and §"Failure model" for the
 //! replication and failover contract.
 
 pub mod chaos;
 pub mod client;
-pub mod mux;
+mod mux;
 pub mod router;
 pub mod server;
 pub mod supervisor;

@@ -11,8 +11,10 @@
 //!
 //! # Data plane
 //!
-//! All client connections are served by **one readiness event loop**
-//! (see [`crate::mux`]); forwarding is **zero-copy** — a frame is
+//! All client connections are served by **one readiness event loop** —
+//! the same `mux::serve` loop the server runs, with the router as its
+//! `Tier`, and the same `idle_timeout`/`frame_deadline` taken from
+//! [`RouterConfig::replica`]; forwarding is **zero-copy** — a frame is
 //! validated in place ([`wire::peek_tenant`] structurally checks the
 //! whole payload while borrowing the tenant id out of the read buffer)
 //! and its raw bytes are written to the owner replica verbatim, never
@@ -50,7 +52,7 @@
 //! pass matters because raw FNV-1a clusters short sequential keys (see
 //! [`place_hash`]).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -59,7 +61,7 @@ use std::time::Duration;
 
 use imdiff_nn::obs;
 
-use crate::mux::{self, sys, Completions, Conn, ReplyTx};
+use crate::mux::{self, Completions, Deadlines, Mode, ReplyTx, Tier};
 use crate::server::{ServeConfig, ServeError};
 use crate::wire::{self, kind, ErrorCode, Response, TenantHealth, WireError};
 use crate::ServeClient;
@@ -87,9 +89,6 @@ pub struct RouterConfig {
     /// Consecutive missed heartbeats before a replica is declared dead
     /// and failed over.
     pub heartbeat_misses: u32,
-    /// Idle-connection budget for the router's client connections
-    /// (`None` = never close a silent client).
-    pub idle_timeout: Option<Duration>,
     /// Ahead-of-failure checkpoint replication: `Some` makes the
     /// supervisor copy every tenant's IMDE checkpoint + IMSM sidecar
     /// into a standby directory on a cadence, and restore from that
@@ -98,7 +97,8 @@ pub struct RouterConfig {
     /// shared-disk-only behavior.
     pub replication: Option<ReplicationCfg>,
     /// Template for each replica's [`ServeConfig`]; `addr` is overridden
-    /// with an ephemeral port per replica.
+    /// with an ephemeral port per replica. Its `idle_timeout` and
+    /// `frame_deadline` also apply to the router's client connections.
     pub replica: ServeConfig,
 }
 
@@ -121,7 +121,6 @@ impl Default for RouterConfig {
             heartbeat_every: Duration::from_millis(500),
             heartbeat_timeout: Duration::from_millis(250),
             heartbeat_misses: 3,
-            idle_timeout: None,
             replication: None,
             replica: ServeConfig::default(),
         }
@@ -376,189 +375,42 @@ impl Drop for Upstream {
 // Client-facing connections
 // ---------------------------------------------------------------------------
 
-/// Poll tick for the router loop, mirroring the server's.
-const POLL_TICK_MS: i32 = 25;
-
-/// The router's data plane: one thread multiplexing the client-facing
-/// listener and every client connection, with one shared [`Upstream`]
-/// per replica. Frames are validated in place and forwarded verbatim;
-/// replies fan back in through the completion queue and flush to each
-/// client in strict request order.
-fn router_loop_main(
+/// The router's side of the client-facing event loop ([`mux::serve`]):
+/// frames are validated in place and forwarded verbatim over one shared
+/// [`Upstream`] per replica; replies fan back in through the completion
+/// queue and flush to each client in strict request order. Dropping it
+/// (when the loop returns) shuts the upstreams down and joins their
+/// readers, which fail any still-pending replies.
+struct RouterTier {
     shared: Arc<RouterShared>,
-    completions: Arc<Completions>,
-    listener: TcpListener,
-) {
-    let _ = listener.set_nonblocking(true);
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_id: u64 = 1;
-    let mut upstreams: Vec<Option<Upstream>> = Vec::new();
-    upstreams.resize_with(shared.replica_addrs.len(), || None);
-    let mut fds: Vec<sys::PollFd> = Vec::new();
-    let mut fd_ids: Vec<u64> = Vec::new();
+    upstreams: Vec<Option<Upstream>>,
+}
 
-    loop {
-        let draining = shared.draining.load(Ordering::SeqCst);
-        if draining {
-            for c in conns.values_mut() {
-                c.closing = true;
-            }
-        }
-
-        fds.clear();
-        fd_ids.clear();
-        fds.push(sys::PollFd::new(completions.poll_fd(), sys::POLLIN));
-        let accepting = !draining;
-        if accepting {
-            fds.push(sys::PollFd::new(mux::raw_fd(&listener), sys::POLLIN));
-        }
-        let base = fds.len();
-        for c in conns.values() {
-            let mut ev = 0i16;
-            if c.wants_read() {
-                ev |= sys::POLLIN;
-            }
-            if c.wants_write() {
-                ev |= sys::POLLOUT;
-            }
-            fds.push(sys::PollFd::new(mux::raw_fd(&c.stream), ev));
-            fd_ids.push(c.id);
-        }
-        if sys::poll_fds(&mut fds, POLL_TICK_MS).is_err() {
-            continue;
-        }
-
-        for comp in completions.drain() {
-            if let Some(c) = conns.get_mut(&comp.conn) {
-                c.push_response(comp.slot, comp.resp);
-            }
-        }
-
-        if accepting && fds[base - 1].readable() {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        obs::counter("serve.router.connections", 1);
-                        if let Ok(conn) = Conn::new(stream, next_id) {
-                            conns.insert(next_id, conn);
-                            next_id += 1;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
-            }
-        }
-
-        for (i, fd) in fds[base..].iter().enumerate() {
-            if !fd.readable() {
-                continue;
-            }
-            let Some(c) = conns.get_mut(&fd_ids[i]) else {
-                continue;
-            };
-            let _ = c.fill();
-            route_conn_frames(&shared, &completions, &mut upstreams, c);
-        }
-
-        for comp in completions.drain() {
-            if let Some(c) = conns.get_mut(&comp.conn) {
-                c.push_response(comp.slot, comp.resp);
-            }
-        }
-
-        for c in conns.values_mut() {
-            if c.wants_write() && c.flush().is_err() {
-                c.dead = true;
-            }
-        }
-
-        for c in conns.values_mut() {
-            if c.dead || c.closing || c.eof {
-                continue;
-            }
-            match c.frame_started {
-                None => {
-                    if let Some(budget) = shared.cfg.idle_timeout {
-                        if c.last_frame.elapsed() >= budget {
-                            obs::counter("serve.idle_closed", 1);
-                            c.closing = true;
-                        }
-                    }
-                }
-                Some(started) => {
-                    if let Some(budget) = shared.cfg.replica.frame_deadline {
-                        if started.elapsed() >= budget {
-                            obs::counter("serve.frame_stalled_closed", 1);
-                            c.eof = true;
-                            c.closing = true;
-                        }
-                    }
-                }
-            }
-        }
-
-        let done: Vec<u64> = conns
-            .values()
-            .filter(|c| c.dead || ((c.eof || c.closing) && c.fully_flushed()))
-            .map(|c| c.id)
-            .collect();
-        for id in done {
-            if let Some(c) = conns.remove(&id) {
-                let _ = c.stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-
-        if draining && conns.is_empty() {
-            // Dropping the upstreams shuts them down and joins their
-            // readers, which fail any still-pending replies.
-            return;
-        }
+impl RouterTier {
+    fn new(shared: Arc<RouterShared>) -> RouterTier {
+        let mut upstreams = Vec::new();
+        upstreams.resize_with(shared.replica_addrs.len(), || None);
+        RouterTier { shared, upstreams }
     }
 }
 
-/// Routes every complete frame at the head of `c`'s read buffer.
-fn route_conn_frames(
-    shared: &Arc<RouterShared>,
-    completions: &Arc<Completions>,
-    upstreams: &mut [Option<Upstream>],
-    c: &mut Conn,
-) {
-    loop {
-        if c.closing {
-            return;
+impl Tier for RouterTier {
+    fn mode(&self) -> Mode {
+        if self.shared.draining.load(Ordering::SeqCst) {
+            Mode::Drain
+        } else {
+            Mode::Run
         }
-        match c.scan() {
-            Ok(None) => return,
-            Ok(Some(frame)) => {
-                obs::counter("serve.router.requests", 1);
-                let slot = c.assign_slot();
-                let tx = ReplyTx::slot(completions, c.id, slot);
-                let raw = c.frame_bytes(&frame);
-                let payload = &raw[wire::HEADER_LEN..];
-                match route_frame(shared, upstreams, frame.kind, payload, raw, tx) {
-                    Ok(()) => c.consume(frame.total),
-                    Err(err) => {
-                        // The slot was already assigned; its ReplyTx
-                        // answers it (send or drop), so only mark the
-                        // stream unreliable here.
-                        let _ = err;
-                        c.eof = true;
-                        c.closing = true;
-                        return;
-                    }
-                }
-            }
-            Err(err) => {
-                c.push_inline(Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: err.to_string(),
-                });
-                c.eof = true;
-                c.closing = true;
-                return;
-            }
-        }
+    }
+
+    fn admit(&mut self, _stream: &TcpStream) -> bool {
+        obs::counter("serve.router.connections", 1);
+        true
+    }
+
+    fn frame(&mut self, kind: u8, payload: &[u8], raw: &[u8], reply: ReplyTx) -> Result<(), ()> {
+        obs::counter("serve.router.requests", 1);
+        route_frame(&self.shared, &mut self.upstreams, kind, payload, raw, reply).map_err(drop)
     }
 }
 
@@ -727,9 +579,10 @@ impl RouterHandle {
         let completions =
             Completions::new().map_err(|e| ServeError::Io(e.to_string()))?;
         let loop_thread = {
-            let shared = Arc::clone(&shared);
+            let mut tier = RouterTier::new(Arc::clone(&shared));
             let completions = Arc::clone(&completions);
-            std::thread::spawn(move || router_loop_main(shared, completions, listener))
+            let deadlines = Deadlines::from(&shared.cfg.replica);
+            std::thread::spawn(move || mux::serve(listener, &completions, deadlines, &mut tier))
         };
         Ok(RouterHandle {
             shared,
@@ -813,26 +666,24 @@ mod tests {
             assignment: RwLock::new(vec![usize::MAX]),
             draining: AtomicBool::new(false),
         });
-        let mut upstreams: Vec<Option<Upstream>> = Vec::new();
-        let send = |req: &crate::wire::Request,
-                    upstreams: &mut [Option<Upstream>]|
-         -> Response {
+        let mut tier = RouterTier::new(Arc::clone(&shared));
+        let completions = Completions::new().expect("completions");
+        let mut send = |req: &crate::wire::Request| -> Response {
             let frame = req.to_bytes();
-            let (tx, rx) = std::sync::mpsc::channel();
-            route_frame(
-                &shared,
-                upstreams,
+            tier.frame(
                 frame[3],
                 &frame[wire::HEADER_LEN..],
                 &frame,
-                ReplyTx::chan(tx),
+                ReplyTx::slot(&completions, 1, 0),
             )
             .expect("well-formed frame");
-            rx.recv().expect("answered inline")
+            let mut answered = completions.drain();
+            assert_eq!(answered.len(), 1, "answered inline, exactly once");
+            answered.remove(0).resp
         };
         use crate::wire::Request;
         for req in [Request::Drain, Request::Adopt { tenant: "t0".into() }] {
-            match send(&req, &mut upstreams) {
+            match send(&req) {
                 Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
                 other => panic!("privileged request was honored: {other:?}"),
             }
@@ -842,7 +693,7 @@ mod tests {
             "a client Drain flipped the tier-wide draining flag"
         );
         // Harmless control requests still answer.
-        assert_eq!(send(&Request::Ping, &mut upstreams), Response::Ok);
+        assert_eq!(send(&Request::Ping), Response::Ok);
     }
 
     #[test]

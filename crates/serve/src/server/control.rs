@@ -152,6 +152,15 @@ pub(super) fn install(
 /// the rate.
 const REGRESSION_BASELINE_WINDOW: usize = 256;
 
+/// A promotion rolls back when the post-swap anomaly rate exceeds this
+/// many times the pre-swap baseline rate (and [`REGRESSION_MIN_RATE`]).
+const REGRESSION_FACTOR: f64 = 4.0;
+
+/// Anomaly-rate floor for the sentinel: the post-swap rate must also
+/// exceed this absolute rate to roll back, so a near-zero baseline does
+/// not turn a single anomalous verdict into a rollback.
+const REGRESSION_MIN_RATE: f64 = 0.25;
+
 /// Shard-local post-promotion regression sentinel for one tenant. Fed
 /// the tenant's verdict stream in order, so its decisions depend only on
 /// that stream and the config — deterministic at any thread count or
@@ -215,7 +224,7 @@ pub(super) fn observe_promotion(
         }
         let w = live.promo.watch.take().expect("watch is active");
         let rate = w.anomalous as f64 / w.seen as f64;
-        let tripwire = (cfg.regression_factor * w.baseline).max(cfg.regression_min_rate);
+        let tripwire = (REGRESSION_FACTOR * w.baseline).max(REGRESSION_MIN_RATE);
         if rate <= tripwire {
             // Promotion confirmed: the archive is dropped and the
             // post-swap verdicts seed the next baseline.

@@ -12,8 +12,9 @@
 //!             └─────────────────────┘        checkpoint watcher
 //! ```
 //!
-//! The data plane is a single readiness-multiplexed event loop (see
-//! [`crate::mux`]): non-blocking accept/read/write driven by `poll(2)`,
+//! The data plane is a single readiness-multiplexed event loop — the
+//! same `mux::serve` loop the router runs, with the server as its
+//! `Tier`: non-blocking accept/read/write driven by `poll(2)`,
 //! per-connection frame state machines with zero-copy payload decode,
 //! and bounded write buffering with watermark backpressure. Thread count
 //! is `1 (loop) + shards + watcher` regardless of connection count.
@@ -21,7 +22,7 @@
 //! [`imdiffusion::StreamingMonitor`] holds `Rc`-based tensors and is not
 //! `Send`, so every monitor is **created and mutated on exactly one shard
 //! thread**. Everything that crosses threads is plain data: score jobs
-//! (rows + a single-use [`ReplyTx`]), [`AnySpec`] envelope snapshots
+//! (rows + a single-use `ReplyTx`), [`AnySpec`] envelope snapshots
 //! for hot reloads, and atomically-updated health/generation counters.
 //! Shards answer by posting `(connection, slot, response)` completions
 //! that wake the loop; the loop flushes each connection's replies in
@@ -68,7 +69,9 @@
 //! # Layout
 //!
 //! * this file — configuration, cross-thread state, the [`Server`] API;
-//! * `data_plane` — the event loop and request `dispatch`;
+//! * `data_plane` — the server's `Tier` hooks for the shared event loop
+//!   (admission, frame decode, connection bookkeeping) and request
+//!   `dispatch`;
 //! * `shard` — shard workers: queue scheduling, `run_batch`, sequence
 //!   dedup;
 //! * `control` — `install`, reload and the validation gate, the
@@ -89,7 +92,7 @@ use imdiff_data::DetectorError;
 use imdiff_registry::{AnyDetector, AnySpec, DetectorKind};
 use imdiffusion::{BatchItem, HealthState, ImDiffusionConfig, MonitorHealth, StreamingMonitor};
 
-use crate::mux::{Completions, ReplyTx};
+use crate::mux::{self, Completions, Deadlines, ReplyTx};
 use crate::wire::{ErrorCode, PromotionVerdict, Response, TenantHealth, WireHealthState};
 
 // ---------------------------------------------------------------------------
@@ -249,24 +252,12 @@ pub struct ServeConfig {
     /// work). Snapshots bound how much stream progress a failover can
     /// lose.
     pub snapshot_every: Option<u64>,
-    /// Per-tenant reply-cache capacity for sequence-id deduplication: a
-    /// replayed request whose reply was already evicted is answered with
-    /// a typed [`ErrorCode::Interrupted`] (resync, do not re-submit
-    /// fresh) instead of being re-ingested.
-    pub replay_cache: usize,
     /// Post-promotion regression sentinel: verdicts observed after a hot
     /// swap before the promotion is confirmed or rolled back. The
     /// decision fires on exactly this many post-swap verdicts regardless
     /// of batch boundaries, so it is deterministic at any thread count.
     /// `0` disables the sentinel (swaps are final).
     pub regression_watch: usize,
-    /// Rollback triggers when the post-swap anomaly rate exceeds
-    /// `regression_factor ×` the pre-swap baseline rate.
-    pub regression_factor: f64,
-    /// Anomaly-rate floor for the sentinel: the post-swap rate must also
-    /// exceed this absolute rate to trigger, so a near-zero baseline does
-    /// not turn a single anomalous verdict into a rollback.
-    pub regression_min_rate: f64,
 }
 
 impl Default for ServeConfig {
@@ -283,10 +274,7 @@ impl Default for ServeConfig {
             idle_timeout: None,
             frame_deadline: Some(Duration::from_secs(30)),
             snapshot_every: None,
-            replay_cache: 32,
             regression_watch: 64,
-            regression_factor: 4.0,
-            regression_min_rate: 0.25,
         }
     }
 }
@@ -670,8 +658,10 @@ impl Server {
         }
 
         let loop_thread = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || data_plane::event_loop_main(inner, listener))
+            let mut tier = Arc::clone(&inner);
+            let completions = Arc::clone(&inner.completions);
+            let deadlines = Deadlines::from(&inner.cfg);
+            std::thread::spawn(move || mux::serve(listener, &completions, deadlines, &mut tier))
         };
         let watcher = inner.cfg.reload_poll.map(|poll| {
             let inner = Arc::clone(&inner);

@@ -50,6 +50,12 @@ impl Live {
 /// still readmittable when its prompt retry arrives.
 const SEQ_TRACK_WINDOW: usize = 1024;
 
+/// Per-tenant reply-cache capacity for sequence-id deduplication: a
+/// replayed request whose reply was already evicted is answered with a
+/// typed [`ErrorCode::Interrupted`] (resync, do not re-submit fresh)
+/// instead of being re-ingested.
+const REPLAY_CACHE: usize = 32;
+
 /// Per-tenant sequence-id bookkeeping for idempotent replay. Lives on the
 /// owning shard — the serialization point for the tenant's stream — so
 /// dedup decisions and ingestion are atomic with respect to each other.
@@ -403,7 +409,7 @@ fn run_batch(inner: &ServerInner, shared: &TenantShared, live: &mut Live, jobs: 
             let st = &mut live.seq;
             st.note_applied(seq);
             st.cache.push_back((seq, resp.clone()));
-            while st.cache.len() > inner.cfg.replay_cache {
+            while st.cache.len() > REPLAY_CACHE {
                 st.cache.pop_front();
             }
         }

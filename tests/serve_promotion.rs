@@ -227,8 +227,6 @@ fn regression_rolls_back_to_bit_identical_incumbent() {
 
     let cfg = ServeConfig {
         regression_watch: WATCH,
-        regression_factor: 4.0,
-        regression_min_rate: 0.2,
         ..base_config()
     };
     let server =
