@@ -4,7 +4,7 @@
 //! adversarial regularization so reconstructions stay on the data manifold.
 //! The anomaly score is the per-timestamp reconstruction error.
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_data::{coverage_starts, Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Linear, Module};
 use imdiff_nn::ops::{bce_with_logits, mse};
 use imdiff_nn::optim::{Adam, Optimizer};
@@ -12,7 +12,7 @@ use imdiff_nn::{backward, no_grad, Tensor};
 use imdiff_nn::serialize::{ByteReader, ByteWriter};
 
 use crate::common::{
-    batch_windows, coverage_starts, require_len, rng_for, sample_starts, NormState, PointScores,
+    batch_windows, require_len, rng_for, sample_starts, NormState, PointScores,
 };
 
 const WINDOW: usize = 24;

@@ -1,7 +1,7 @@
 //! Shared plumbing for the neural baselines: normalization state, window
 //! batching, a generic training loop, and window-to-point score merging.
 
-use imdiff_data::{DetectorError, Mts, NormMethod, Normalizer};
+use imdiff_data::{check_finite, DetectorError, Mts, NormMethod, Normalizer};
 use imdiff_nn::optim::Optimizer;
 use imdiff_nn::rng::seeded;
 use imdiff_nn::serialize::{ByteReader, ByteWriter};
@@ -26,16 +26,7 @@ impl NormState {
         // statistics here and then every distance, split threshold and
         // gradient downstream — several families (IForest's `gen_range`
         // on NaN bounds, GDN's correlation sort) would outright panic.
-        for l in 0..train.len() {
-            for c in 0..train.dim() {
-                if !train.get(l, c).is_finite() {
-                    return Err(DetectorError::NonFiniteInput {
-                        index: l,
-                        channel: c,
-                    });
-                }
-            }
-        }
+        check_finite(train, None)?;
         let normalizer = Normalizer::fit(train, NormMethod::MinMax);
         let train_n = normalizer.transform(train);
         Ok((
@@ -67,31 +58,12 @@ impl NormState {
                 actual: test.dim(),
             });
         }
+        check_finite(test, missing)?;
+        let missing = match missing {
+            Some(m) if m.contains(&true) => m,
+            _ => return Ok(self.normalizer.transform(test)),
+        };
         let (len, k) = (test.len(), test.dim());
-        if let Some(m) = missing {
-            if m.len() != len * k {
-                return Err(DetectorError::InvalidTrainingData(format!(
-                    "missing mask has {} cells, series has {}",
-                    m.len(),
-                    len * k
-                )));
-            }
-        }
-        let declared = |l: usize, c: usize| missing.is_some_and(|m| m[l * k + c]);
-        for l in 0..len {
-            for c in 0..k {
-                if !test.get(l, c).is_finite() && !declared(l, c) {
-                    return Err(DetectorError::NonFiniteInput {
-                        index: l,
-                        channel: c,
-                    });
-                }
-            }
-        }
-        if missing.is_none_or(|m| m.iter().all(|&b| !b)) {
-            return Ok(self.normalizer.transform(test));
-        }
-        let missing = missing.expect("checked above");
         let (offset, scale) = self.normalizer.stats();
         let mut filled = test.clone();
         for c in 0..k {
@@ -239,22 +211,6 @@ pub(crate) fn rng_for(seed: u64, tag: u64) -> StdRng {
     seeded(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ tag)
 }
 
-/// Non-overlapping coverage starts with an end-aligned tail window.
-pub(crate) fn coverage_starts(len: usize, w: usize, stride: usize) -> Vec<usize> {
-    let mut starts = Vec::new();
-    let mut s = 0;
-    while s + w <= len {
-        starts.push(s);
-        s += stride;
-    }
-    if let Some(&last) = starts.last() {
-        if last + w < len {
-            starts.push(len - w);
-        }
-    }
-    starts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,12 +237,6 @@ mod tests {
         let d = t.to_vec();
         assert_eq!(&d[..4], &[0.0, 1.0, 2.0, 3.0]); // window at 0
         assert_eq!(&d[4..], &[6.0, 7.0, 8.0, 9.0]); // window at 3
-    }
-
-    #[test]
-    fn coverage_tail_alignment() {
-        assert_eq!(coverage_starts(10, 4, 4), vec![0, 4, 6]);
-        assert_eq!(coverage_starts(8, 4, 4), vec![0, 4]);
     }
 
     #[test]

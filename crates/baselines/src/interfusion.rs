@@ -6,7 +6,7 @@
 //! anomaly score is the reconstruction error. Simplified from the original
 //! two-stage training to a single joint objective (DESIGN.md).
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_data::{coverage_starts, Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Gru, Linear, Module};
 use imdiff_nn::ops::{kl_standard_normal, mse};
 use imdiff_nn::optim::Adam;
@@ -15,7 +15,7 @@ use imdiff_nn::{no_grad, Tensor};
 use imdiff_nn::serialize::{ByteReader, ByteWriter};
 
 use crate::common::{
-    batch_windows, coverage_starts, require_len, rng_for, run_training, sample_starts, NormState,
+    batch_windows, require_len, rng_for, run_training, sample_starts, NormState,
     PointScores,
 };
 

@@ -6,7 +6,7 @@
 //! gradient-searching the latent space for the best-matching generation,
 //! combined with the discriminator's suspicion of the window.
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_data::{coverage_starts, Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Gru, Linear, Module};
 use imdiff_nn::ops::{bce_with_logits, mse};
 use imdiff_nn::optim::{Adam, Optimizer};
@@ -15,7 +15,7 @@ use imdiff_nn::{backward, no_grad, Tensor};
 use imdiff_nn::serialize::{ByteReader, ByteWriter};
 
 use crate::common::{
-    batch_windows, coverage_starts, require_len, rng_for, sample_starts, NormState, PointScores,
+    batch_windows, require_len, rng_for, sample_starts, NormState, PointScores,
 };
 
 const WINDOW: usize = 16;

@@ -5,7 +5,7 @@
 //! error under the sampled latent (a Monte-Carlo estimate of the negative
 //! reconstruction probability the original paper thresholds with POT).
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_data::{coverage_starts, Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Gru, Linear, Module};
 use imdiff_nn::ops::{kl_standard_normal, mse};
 use imdiff_nn::optim::Adam;
@@ -14,7 +14,7 @@ use imdiff_nn::{no_grad, Tensor};
 use imdiff_nn::serialize::{ByteReader, ByteWriter};
 
 use crate::common::{
-    batch_windows, coverage_starts, require_len, rng_for, run_training, sample_starts, NormState,
+    batch_windows, require_len, rng_for, run_training, sample_starts, NormState,
     PointScores,
 };
 

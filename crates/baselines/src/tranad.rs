@@ -6,7 +6,7 @@
 //! the two decoders play an adversarial game on the phase-2 output. The
 //! anomaly score is `½‖O1 − W‖² + ½‖Ô2 − W‖²`, as in the original.
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_data::{coverage_starts, Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Linear, Module, TransformerEncoderLayer};
 use imdiff_nn::ops::mse;
 use imdiff_nn::optim::{Adam, Optimizer};
@@ -14,7 +14,7 @@ use imdiff_nn::{backward, no_grad, Tensor};
 use imdiff_nn::serialize::{ByteReader, ByteWriter};
 
 use crate::common::{
-    batch_windows, coverage_starts, require_len, rng_for, sample_starts, NormState, PointScores,
+    batch_windows, require_len, rng_for, sample_starts, NormState, PointScores,
 };
 
 const WINDOW: usize = 16;

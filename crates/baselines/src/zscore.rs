@@ -5,7 +5,7 @@
 //! cheaper than any neural family, which makes it the default first rung
 //! for tenants whose regime a linear profile explains well.
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_data::{check_finite, Detection, Detector, DetectorError, Mts};
 use imdiff_nn::serialize::{ByteReader, ByteWriter};
 
 use crate::common::corrupt;
@@ -47,15 +47,7 @@ impl ZScoreDetector {
                 actual: test.dim(),
             });
         }
-        if let Some(m) = missing {
-            if m.len() != test.len() * k {
-                return Err(DetectorError::InvalidTrainingData(format!(
-                    "missing mask has {} cells, series has {}",
-                    m.len(),
-                    test.len() * k
-                )));
-            }
-        }
+        check_finite(test, missing)?;
         let declared = |l: usize, c: usize| missing.is_some_and(|m| m[l * k + c]);
         let mut scores = Vec::with_capacity(test.len());
         for l in 0..test.len() {
@@ -64,14 +56,7 @@ impl ZScoreDetector {
                 if declared(l, c) {
                     continue;
                 }
-                let v = test.get(l, c);
-                if !v.is_finite() {
-                    return Err(DetectorError::NonFiniteInput {
-                        index: l,
-                        channel: c,
-                    });
-                }
-                let z = (v as f64 - st.mean[c]) / st.std[c];
+                let z = (test.get(l, c) as f64 - st.mean[c]) / st.std[c];
                 acc += z * z;
             }
             scores.push(acc / k as f64);
@@ -121,18 +106,12 @@ impl Detector for ZScoreDetector {
                 "empty training series".into(),
             ));
         }
+        check_finite(train, None)?;
         let (len, k) = (train.len(), train.dim());
         let mut mean = vec![0.0f64; k];
         for l in 0..len {
             for (c, m) in mean.iter_mut().enumerate() {
-                let v = train.get(l, c);
-                if !v.is_finite() {
-                    return Err(DetectorError::NonFiniteInput {
-                        index: l,
-                        channel: c,
-                    });
-                }
-                *m += v as f64;
+                *m += train.get(l, c) as f64;
             }
         }
         for m in &mut mean {

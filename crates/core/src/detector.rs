@@ -1,6 +1,6 @@
 //! The end-to-end ImDiffusion detector.
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts, NormMethod, Normalizer};
+use imdiff_data::{check_finite, Detection, Detector, DetectorError, Mts, NormMethod, Normalizer};
 use imdiff_diffusion::NoiseSchedule;
 use imdiff_nn::layers::Module;
 
@@ -158,16 +158,7 @@ impl ImDiffusionDetector {
         }
         // Finiteness boundary: a NaN/∞ in training data would silently
         // corrupt the normalizer statistics and every gradient after it.
-        for l in 0..train_data.len() {
-            for c in 0..train_data.dim() {
-                if !train_data.get(l, c).is_finite() {
-                    return Err(DetectorError::NonFiniteInput {
-                        index: l,
-                        channel: c,
-                    });
-                }
-            }
-        }
+        check_finite(train_data, None)?;
         let normalizer = Normalizer::fit(train_data, NormMethod::MinMax);
         let train_n = normalizer.transform(train_data);
         let model = ImTransformer::new(&self.cfg, train_n.dim(), self.seed);
@@ -208,48 +199,17 @@ impl ImDiffusionDetector {
         test: &Mts,
         missing: Option<&[bool]>,
     ) -> Result<Detection, DetectorError> {
-        let fitted = self.fitted.as_ref().ok_or(DetectorError::NotFitted)?;
-        if test.dim() != fitted.channels {
-            return Err(DetectorError::DimensionMismatch {
-                expected: fitted.channels,
-                actual: test.dim(),
-            });
-        }
-        if test.len() < self.cfg.window {
-            return Err(DetectorError::InvalidTrainingData(format!(
-                "test series shorter than window {}",
-                self.cfg.window
-            )));
-        }
-        if let Some(m) = missing {
-            if m.len() != test.len() * test.dim() {
-                return Err(DetectorError::InvalidTrainingData(format!(
-                    "missing mask has {} cells, series has {}",
-                    m.len(),
-                    test.len() * test.dim()
-                )));
-            }
-        }
-        let declared = |l: usize, c: usize| missing.is_some_and(|m| m[l * test.dim() + c]);
-        for l in 0..test.len() {
-            for c in 0..test.dim() {
-                if !test.get(l, c).is_finite() && !declared(l, c) {
-                    return Err(DetectorError::NonFiniteInput {
-                        index: l,
-                        channel: c,
-                    });
+        let w = self.cfg.window;
+        let out = self
+            .score(&[(test, missing)], |len| {
+                if len < w {
+                    return Err(DetectorError::InvalidTrainingData(format!(
+                        "test series shorter than window {w}"
+                    )));
                 }
-            }
-        }
-        let test_n = fitted.normalizer.transform(test);
-        let out = ensemble_infer(
-            &fitted.model,
-            &self.cfg,
-            &fitted.schedule,
-            &[(&test_n, missing)],
-            self.seed ^ 0x5A5A,
-        )
-        .remove(0);
+                Ok(())
+            })?
+            .remove(0);
         let detection = Detection {
             scores: out.scores.clone(),
             labels: Some(out.labels.clone()),
@@ -273,52 +233,45 @@ impl ImDiffusionDetector {
         &self,
         windows: &[(&Mts, Option<&[bool]>)],
     ) -> Result<Vec<EnsembleOutput>, DetectorError> {
-        let fitted = self.fitted.as_ref().ok_or(DetectorError::NotFitted)?;
         let w = self.cfg.window;
-        for (series, missing) in windows {
+        self.score(windows, |len| {
+            if len != w {
+                return Err(DetectorError::InvalidTrainingData(format!(
+                    "batched request must be exactly one window ({w} rows), got {len}"
+                )));
+            }
+            Ok(())
+        })
+    }
+
+    /// The one ImDiffusion scoring path: validates each series in turn
+    /// (channel count, the caller's row-count rule, [`check_finite`]),
+    /// normalises with the training statistics and runs
+    /// [`ensemble_infer`] over the whole batch.
+    fn score(
+        &self,
+        batch: &[(&Mts, Option<&[bool]>)],
+        check_len: impl Fn(usize) -> Result<(), DetectorError>,
+    ) -> Result<Vec<EnsembleOutput>, DetectorError> {
+        let fitted = self.fitted.as_ref().ok_or(DetectorError::NotFitted)?;
+        for &(series, missing) in batch {
             if series.dim() != fitted.channels {
                 return Err(DetectorError::DimensionMismatch {
                     expected: fitted.channels,
                     actual: series.dim(),
                 });
             }
-            if series.len() != w {
-                return Err(DetectorError::InvalidTrainingData(format!(
-                    "batched request must be exactly one window ({} rows), got {}",
-                    w,
-                    series.len()
-                )));
-            }
-            if let Some(m) = missing {
-                if m.len() != w * series.dim() {
-                    return Err(DetectorError::InvalidTrainingData(format!(
-                        "missing mask has {} cells, window has {}",
-                        m.len(),
-                        w * series.dim()
-                    )));
-                }
-            }
-            let declared =
-                |l: usize, c: usize| missing.is_some_and(|m| m[l * series.dim() + c]);
-            for l in 0..series.len() {
-                for c in 0..series.dim() {
-                    if !series.get(l, c).is_finite() && !declared(l, c) {
-                        return Err(DetectorError::NonFiniteInput {
-                            index: l,
-                            channel: c,
-                        });
-                    }
-                }
-            }
+            check_len(series.len())?;
+            check_finite(series, missing)?;
         }
-        let normed: Vec<Mts> = windows
+        let normed: Vec<Mts> = batch
             .iter()
             .map(|(series, _)| fitted.normalizer.transform(series))
             .collect();
         let reqs: Vec<(&Mts, Option<&[bool]>)> = normed
             .iter()
-            .zip(windows)
-            .map(|(n, (_, missing))| (n, *missing))
+            .zip(batch)
+            .map(|(n, &(_, missing))| (n, missing))
             .collect();
         Ok(ensemble_infer(
             &fitted.model,

@@ -25,7 +25,7 @@
 
 use std::time::{Duration, Instant};
 
-use imdiff_data::{DetectorError, Mts};
+use imdiff_data::{check_finite, DetectorError, Mts};
 use imdiff_diffusion::NoiseSchedule;
 use imdiff_nn::layers::Module;
 use imdiff_nn::obs;
@@ -155,15 +155,8 @@ impl FineTuner {
                 Duration::ZERO,
             ));
         }
-        for l in 0..recent.len() {
-            for c in 0..channels {
-                if !recent.get(l, c).is_finite() {
-                    return Ok(self.vetoed(
-                        format!("non-finite corpus value at row {l}, channel {c}"),
-                        Duration::ZERO,
-                    ));
-                }
-            }
+        if let Err(e) = check_finite(recent, None) {
+            return Ok(self.vetoed(format!("retrain corpus rejected: {e}"), Duration::ZERO));
         }
 
         let started = Instant::now();

@@ -1,6 +1,6 @@
 //! Ensemble anomaly inference (§4.5, Algorithm 1, Eq. 12).
 
-use imdiff_data::Mts;
+use imdiff_data::{coverage_starts, Mts};
 use imdiff_diffusion::NoiseSchedule;
 use imdiff_nn::layers::Module;
 use imdiff_nn::obs;
@@ -442,24 +442,6 @@ fn sanitize_missing(test: &Mts, missing: Option<&[bool]>) -> (Mts, Vec<bool>, us
     (t, missing_bits, missing_cells)
 }
 
-/// Window start offsets covering the whole series: stride `stride`, plus a
-/// tail window aligned to the end when the last stride leaves a remainder.
-fn coverage_starts(len: usize, window: usize, stride: usize) -> Vec<usize> {
-    assert!(len >= window, "series shorter than one window");
-    let mut starts = Vec::new();
-    let mut s = 0;
-    while s + window <= len {
-        starts.push(s);
-        s += stride;
-    }
-    if let Some(&last) = starts.last() {
-        if last + window < len {
-            starts.push(len - window);
-        }
-    }
-    starts
-}
-
 /// Runs Algorithm 1 over a batch of (normalized) test series — the one
 /// inference entry, for whole-series detection and for the serving
 /// layer's micro-batches of single-window requests alike.
@@ -515,6 +497,7 @@ pub fn ensemble_infer(
         .iter()
         .map(|&(test, missing)| {
             assert_eq!(test.dim(), k, "test data channel mismatch");
+            assert!(test.len() >= w, "series shorter than one window");
             sanitize_missing(test, missing)
         })
         .collect();
@@ -811,13 +794,6 @@ mod tests {
         seed: u64,
     ) -> EnsembleOutput {
         ensemble_infer(model, cfg, schedule, &[(test, missing)], seed).remove(0)
-    }
-
-    #[test]
-    fn coverage_starts_tile_and_tail() {
-        assert_eq!(coverage_starts(48, 16, 16), vec![0, 16, 32]);
-        assert_eq!(coverage_starts(50, 16, 16), vec![0, 16, 32, 34]);
-        assert_eq!(coverage_starts(16, 16, 16), vec![0]);
     }
 
     #[test]

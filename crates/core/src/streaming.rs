@@ -38,7 +38,6 @@ use std::collections::VecDeque;
 use imdiff_data::{DetectorError, Mts};
 use imdiff_metrics::{pot_threshold, threshold_at_percentile};
 use imdiff_nn::obs;
-use imdiff_nn::pool;
 
 use crate::detector::ImDiffusionDetector;
 use crate::infer::EnsembleOutput;
@@ -832,24 +831,25 @@ impl<D: WindowScorer> StreamingMonitor<D> {
         self.pending_gap += missed;
     }
 
-    /// Feeds one observation. Returns verdicts for the `hop` newest points
-    /// whenever an evaluation triggers (the window must fill first, so the
-    /// earliest `window - hop` points are only judged once enough context
-    /// exists).
+    /// Feeds one observation — a one-row, one-item [`Self::push_batch`].
+    /// Returns verdicts for the `hop` newest points whenever an evaluation
+    /// triggers (the window must fill first, so the earliest
+    /// `window - hop` points are only judged once enough context exists).
     ///
     /// NaN entries mean "value missing — impute it". Any other non-finite
     /// entry rejects the whole row with [`DetectorError::NonFiniteInput`]
     /// (the row is not buffered; the stream position does not advance).
     pub fn push(&mut self, row: &[f32]) -> Result<Vec<PointVerdict>, DetectorError> {
-        let mut due = Vec::new();
-        self.absorb(row, 0, false, &mut due)?;
-        let mut verdicts = Vec::new();
-        for req in due {
-            let _eval = obs::span("stream.evaluate");
-            let out = self.run_eval_inference(&req);
-            verdicts.extend(self.complete_eval(req, out));
+        let item = BatchItem {
+            gap_before: 0,
+            rows: vec![row.to_vec()],
+            shed: false,
+        };
+        let reply = self.push_batch(std::slice::from_ref(&item)).remove(0);
+        match reply.error {
+            Some(e) => Err(e),
+            None => Ok(reply.verdicts),
         }
-        Ok(verdicts)
     }
 
     /// Feeds a pre-assembled batch of score requests, coalescing every
@@ -915,6 +915,7 @@ impl<D: WindowScorer> StreamingMonitor<D> {
         if due.is_empty() {
             return;
         }
+        let _eval = obs::span("stream.evaluate");
         let reqs: Vec<(&Mts, Option<&[bool]>)> = due
             .iter()
             .filter(|r| r.skip_reason.is_none())
@@ -1133,35 +1134,6 @@ impl<D: WindowScorer> StreamingMonitor<D> {
             skip_reason,
             drift_score: self.drift.as_ref().and_then(|t| t.score()),
             item,
-        }
-    }
-
-    /// Scores one prepared evaluation through the ensemble. `&self`: the
-    /// detector is only read, so the serving layer can run this while
-    /// sharing the monitor for health inspection. Returns the degrade
-    /// reason instead of an output when inference must not be trusted.
-    fn run_eval_inference(&self, req: &EvalRequest) -> Result<EnsembleOutput, String> {
-        if let Some(reason) = &req.skip_reason {
-            return Err(reason.clone());
-        }
-        // Production-path pool width: one worker per inference window
-        // (threads = min(cores, windows)), so a monitor sharing its host
-        // with the ingestion pipeline never fans out wider than the work
-        // it actually has. The rolling buffer is one detector window deep
-        // today, which pins evaluation to a single core — deliberately
-        // conservative; the serial kernel speedups still apply, and the
-        // batched serving path widens with its own batch size instead.
-        let inference_windows = self
-            .window
-            .div_ceil(self.detector.window().max(1))
-            .max(1);
-        let pool_width = pool::max_threads().min(inference_windows);
-        match pool::with_threads(pool_width, || {
-            self.detector
-                .score_windows(&[(&req.window_data, Some(req.miss_flat.as_slice()))])
-        }) {
-            Ok(mut outs) => Ok(outs.remove(0)),
-            Err(e) => Err(format!("inference error: {e}")),
         }
     }
 

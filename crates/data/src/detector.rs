@@ -135,6 +135,37 @@ impl From<NnError> for DetectorError {
     }
 }
 
+/// The input rule every detector enforces before scoring or fitting: the
+/// missing mask, when given, is row-major `[L, K]` (`true` = value
+/// absent), and every cell is finite unless the mask declares it missing.
+/// Fit paths pass `None`. A mask of the wrong length is
+/// [`DetectorError::InvalidTrainingData`]; the first undeclared
+/// non-finite cell, in row-major order, is
+/// [`DetectorError::NonFiniteInput`] with its series-local position.
+pub fn check_finite(series: &Mts, missing: Option<&[bool]>) -> Result<(), DetectorError> {
+    let cells = series.len() * series.dim();
+    if let Some(m) = missing {
+        if m.len() != cells {
+            return Err(DetectorError::InvalidTrainingData(format!(
+                "missing mask has {} cells, series has {cells}",
+                m.len()
+            )));
+        }
+    }
+    let bad = series
+        .values()
+        .iter()
+        .enumerate()
+        .position(|(i, v)| !v.is_finite() && !missing.is_some_and(|m| m[i]));
+    match bad {
+        Some(i) => Err(DetectorError::NonFiniteInput {
+            index: i / series.dim(),
+            channel: i % series.dim(),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// The output of a detector on a test series.
 #[derive(Debug, Clone)]
 pub struct Detection {
@@ -253,6 +284,36 @@ mod tests {
                 expected: 2,
                 actual: 3
             })
+        ));
+    }
+
+    #[test]
+    fn check_finite_honours_the_mask_and_names_the_first_cell() {
+        let mut s = Mts::new(vec![1.0; 6], 3, 2);
+        assert_eq!(check_finite(&s, None), Ok(()));
+        s.set(1, 1, f32::NAN);
+        s.set(2, 0, f32::INFINITY);
+        assert_eq!(
+            check_finite(&s, None),
+            Err(DetectorError::NonFiniteInput {
+                index: 1,
+                channel: 1
+            })
+        );
+        let mut mask = vec![false; 6];
+        mask[3] = true;
+        assert_eq!(
+            check_finite(&s, Some(&mask)),
+            Err(DetectorError::NonFiniteInput {
+                index: 2,
+                channel: 0
+            })
+        );
+        mask[4] = true;
+        assert_eq!(check_finite(&s, Some(&mask)), Ok(()));
+        assert!(matches!(
+            check_finite(&s, Some(&mask[1..])),
+            Err(DetectorError::InvalidTrainingData(_))
         ));
     }
 

@@ -30,5 +30,5 @@ pub mod replay;
 pub mod scenario;
 pub mod synthetic;
 
-pub use detector::{Detection, Detector, DetectorError};
-pub use mts::{Downsample, Mts, NormMethod, Normalizer};
+pub use detector::{check_finite, Detection, Detector, DetectorError};
+pub use mts::{coverage_starts, Downsample, Mts, NormMethod, Normalizer};

@@ -188,6 +188,20 @@ impl Mts {
     }
 }
 
+/// Window start offsets covering all `len` rows: every `stride` rows,
+/// plus one window aligned to the end when the last stride leaves a
+/// remainder. Empty when `len < window`.
+pub fn coverage_starts(len: usize, window: usize, stride: usize) -> Vec<usize> {
+    let mut starts: Vec<usize> = (0..)
+        .step_by(stride)
+        .take_while(|s| s + window <= len)
+        .collect();
+    if starts.last().is_some_and(|&last| last + window < len) {
+        starts.push(len - window);
+    }
+    starts
+}
+
 impl fmt::Debug for Mts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Mts(L={}, K={})", self.len, self.dim)
@@ -308,6 +322,25 @@ mod tests {
     fn ramp(len: usize, dim: usize) -> Mts {
         let data: Vec<f32> = (0..len * dim).map(|i| i as f32).collect();
         Mts::new(data, len, dim)
+    }
+
+    #[test]
+    fn coverage_starts_tile_and_align_the_tail() {
+        let cases: [(usize, usize, usize, &[usize]); 6] = [
+            (48, 16, 16, &[0, 16, 32]),
+            (50, 16, 16, &[0, 16, 32, 34]),
+            (16, 16, 16, &[0]),
+            (10, 4, 4, &[0, 4, 6]),
+            (8, 4, 4, &[0, 4]),
+            (3, 4, 4, &[]),
+        ];
+        for (len, window, stride, want) in cases {
+            assert_eq!(
+                coverage_starts(len, window, stride),
+                want,
+                "len {len}, window {window}, stride {stride}"
+            );
+        }
     }
 
     #[test]

@@ -111,32 +111,7 @@ where
     let budget = max_threads();
     let ranges = split_ranges(n, grain, budget);
     record_dispatch(&ranges);
-    if ranges.len() == 1 {
-        let _busy = crate::obs::span("pool.worker");
-        f(0..n);
-        return;
-    }
-    // Each worker inherits an equal share of the remaining thread budget,
-    // so nested primitives (e.g. matmul inside a window-parallel chain)
-    // can still fan out when workers outnumber work, but the total never
-    // exceeds the budget.
-    let inner = (budget / ranges.len()).max(1);
-    std::thread::scope(|s| {
-        let f = &f;
-        for r in &ranges[1..] {
-            let r = r.clone();
-            s.spawn(move || {
-                with_threads(inner, || {
-                    let _busy = crate::obs::span("pool.worker");
-                    f(r)
-                })
-            });
-        }
-        with_threads(inner, || {
-            let _busy = crate::obs::span("pool.worker");
-            f(ranges[0].clone())
-        });
-    });
+    run_tasks(budget, ranges.len(), ranges.iter().cloned(), f);
 }
 
 /// Parallel map over `0..n`: like [`parallel_for`] but each index produces
@@ -185,42 +160,44 @@ where
     let budget = max_threads();
     let ranges = split_ranges(units, grain, budget);
     record_dispatch(&ranges);
-    if ranges.len() == 1 {
+    let runs = ranges.iter().scan(data, |rest, r| {
+        let (run, tail) = std::mem::take(rest).split_at_mut(r.len() * unit);
+        *rest = tail;
+        Some((r.start, run))
+    });
+    run_tasks(budget, ranges.len(), runs, |(start, run)| f(start, run));
+}
+
+/// The one dispatch core under every parallel primitive: runs `task` once
+/// per item of `tasks` (`count` items, at least one). A single item runs
+/// inline on the caller. Otherwise items 1.. each get a scoped thread and
+/// the caller runs item 0, every worker with an equal share of the
+/// thread budget — so nested primitives (e.g. matmul inside a
+/// window-parallel chain) can still fan out when workers outnumber work,
+/// but the total never exceeds the budget. Every run is one
+/// `pool.worker` span.
+fn run_tasks<W: Send>(
+    budget: usize,
+    count: usize,
+    mut tasks: impl Iterator<Item = W>,
+    task: impl Fn(W) + Sync,
+) {
+    let worker = |w: W| {
         let _busy = crate::obs::span("pool.worker");
-        f(0, data);
+        task(w)
+    };
+    let head = tasks.next().expect("at least one task");
+    if count == 1 {
+        worker(head);
         return;
     }
-    let inner = (budget / ranges.len()).max(1);
+    let inner = (budget / count).max(1);
     std::thread::scope(|s| {
-        let f = &f;
-        let mut rest = data;
-        let mut consumed = 0usize;
-        let mut first = true;
-        let mut head: Option<&mut [T]> = None;
-        for r in &ranges {
-            let len = (r.end - r.start) * unit;
-            let (run, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let start = consumed;
-            consumed += r.end - r.start;
-            if first {
-                head = Some(run);
-                first = false;
-            } else {
-                s.spawn(move || {
-                    with_threads(inner, || {
-                        let _busy = crate::obs::span("pool.worker");
-                        f(start, run)
-                    })
-                });
-            }
+        let worker = &worker;
+        for w in tasks {
+            s.spawn(move || with_threads(inner, || worker(w)));
         }
-        if let Some(run) = head {
-            with_threads(inner, || {
-                let _busy = crate::obs::span("pool.worker");
-                f(0, run)
-            });
-        }
+        with_threads(inner, || worker(head));
     });
 }
 

@@ -18,7 +18,7 @@ use imdiff_baselines::{
     BeatGan, Gdn, InterFusion, IsolationForest, LstmAd, MadGan, Mscred, MtadGat, OmniAnomaly,
     TranAd, ZScoreDetector,
 };
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_data::{check_finite, coverage_starts, Detection, Detector, DetectorError, Mts};
 use imdiff_metrics::threshold_at_percentile;
 use imdiffusion::{
     DriftReference, EnsembleOutput, ImDiffusionConfig, ImDiffusionDetector, StepTrace,
@@ -216,19 +216,8 @@ impl AnyDetector {
                     "series has {n} rows, need at least the serving window {w}"
                 )));
             }
-            if let Some(m) = missing {
-                if m.len() != n * k {
-                    return Err(DetectorError::InvalidTrainingData(format!(
-                        "missing mask has {} cells, series has {}",
-                        m.len(),
-                        n * k
-                    )));
-                }
-            }
-            let mut starts: Vec<usize> = (0..n.saturating_sub(w - 1)).step_by(w).collect();
-            if starts.last().copied() != Some(n - w) {
-                starts.push(n - w);
-            }
+            check_finite(test, missing)?;
+            let starts = coverage_starts(n, w, w);
             let slices: Vec<Mts> = starts.iter().map(|&s| test.slice_time(s, w)).collect();
             let masks: Vec<Option<Vec<bool>>> = starts
                 .iter()

@@ -1,28 +1,30 @@
 //! Contract tests: every detector in the workspace (the ten baselines and
 //! ImDiffusion) must honour the `Detector` trait's lifecycle semantics.
 
-use imdiffusion_repro::baselines::all_baselines;
+use imdiffusion_repro::baselines::{all_baselines, ZScoreDetector};
 use imdiffusion_repro::core::{ImDiffusionConfig, ImDiffusionDetector};
 use imdiffusion_repro::data::synthetic::{generate, Benchmark, SizeProfile};
 use imdiffusion_repro::data::{Detector, DetectorError, Mts};
+use imdiffusion_repro::registry::{AnyDetector, DetectorKind};
+
+fn tiny_config() -> ImDiffusionConfig {
+    ImDiffusionConfig {
+        window: 16,
+        train_stride: 8,
+        hidden: 8,
+        heads: 2,
+        residual_blocks: 1,
+        diffusion_steps: 5,
+        train_steps: 8,
+        batch_size: 2,
+        vote_span: 5,
+        vote_every: 2,
+        ..ImDiffusionConfig::quick()
+    }
+}
 
 fn tiny_imdiffusion(seed: u64) -> ImDiffusionDetector {
-    ImDiffusionDetector::new(
-        ImDiffusionConfig {
-            window: 16,
-            train_stride: 8,
-            hidden: 8,
-            heads: 2,
-            residual_blocks: 1,
-            diffusion_steps: 5,
-            train_steps: 8,
-            batch_size: 2,
-            vote_span: 5,
-            vote_every: 2,
-            ..ImDiffusionConfig::quick()
-        },
-        seed,
-    )
+    ImDiffusionDetector::new(tiny_config(), seed)
 }
 
 fn all_detectors(seed: u64) -> Vec<Box<dyn Detector>> {
@@ -112,6 +114,76 @@ fn empty_training_data_is_rejected() {
             matches!(err, DetectorError::InvalidTrainingData(_)),
             "{} returned {err:?}",
             det.name()
+        );
+    }
+}
+
+/// A copy of `series` with one cell overwritten.
+fn with_cell(series: &Mts, index: usize, channel: usize, v: f32) -> Mts {
+    let mut s = series.clone();
+    s.set(index, channel, v);
+    s
+}
+
+#[test]
+fn undeclared_non_finite_cell_is_rejected_at_its_position() {
+    let ds = small_dataset();
+    let channel = ds.train.dim() - 1;
+    let mut dets = all_detectors(6);
+    dets.push(Box::new(ZScoreDetector::new(6)));
+    for mut det in dets {
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let err = det
+                .fit(&with_cell(&ds.train, 37, channel, bad))
+                .expect_err(det.name());
+            assert_eq!(
+                err,
+                DetectorError::NonFiniteInput { index: 37, channel },
+                "{} fit with {bad}",
+                det.name()
+            );
+        }
+        det.fit(&ds.train)
+            .unwrap_or_else(|e| panic!("{} fit: {e}", det.name()));
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let err = det
+                .detect(&with_cell(&ds.test, 23, channel, bad))
+                .expect_err(det.name());
+            assert_eq!(
+                err,
+                DetectorError::NonFiniteInput { index: 23, channel },
+                "{} detect with {bad}",
+                det.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn every_family_scores_declared_missing_cells_and_checks_the_mask() {
+    let ds = small_dataset();
+    let (n, k) = (ds.test.len(), ds.test.dim());
+    let test = with_cell(&ds.test, 23, k - 1, f32::NAN);
+    let mut mask = vec![false; n * k];
+    mask[23 * k + k - 1] = true;
+    for kind in DetectorKind::ALL {
+        let mut det = AnyDetector::new(kind, tiny_config(), 7);
+        det.fit(&ds.train)
+            .unwrap_or_else(|e| panic!("{kind} fit: {e}"));
+        let scores = det
+            .score_series(&test, Some(&mask))
+            .unwrap_or_else(|e| panic!("{kind} score: {e}"));
+        assert_eq!(scores.len(), n, "{kind}");
+        assert!(
+            scores.iter().all(|s| s.is_finite()),
+            "{kind}: non-finite score"
+        );
+        let err = det
+            .score_series(&test, Some(&mask[1..]))
+            .expect_err(kind.name());
+        assert!(
+            matches!(err, DetectorError::InvalidTrainingData(_)),
+            "{kind} returned {err:?}"
         );
     }
 }
