@@ -1,9 +1,11 @@
 //! Criterion bench for the serving layer: p50/p99 request latency as a
-//! function of the pipelined batch size. Each iteration sends B score
-//! requests back-to-back on one connection and waits for all B replies,
-//! so with `max_batch = B` the shard coalesces them into one ensemble
-//! call — `elements_per_sec` (requests/s) rising with B is micro-batching
-//! paying for itself versus the batch=1 baseline.
+//! function of pipelining depth. Each `serve_score/batchB` iteration
+//! sends B score requests back-to-back on one connection (with
+//! `max_batch = B`) and waits for all B replies. Batching is continuous,
+//! so the first request may be scored alone while the rest queue behind
+//! it and coalesce into the next ensemble call; `elements_per_sec`
+//! (requests/s) rising with B is that coalescing paying for itself
+//! versus the batch=1 baseline.
 //!
 //! ```sh
 //! cargo bench -p imdiff-bench --bench bench_serve -- --save-json BENCH_serve.json
@@ -61,9 +63,6 @@ fn bench_request_latency(c: &mut Criterion) {
             ServeConfig {
                 shards: 1,
                 max_batch: batch,
-                // Flush on count, not deadline: each iteration pipelines
-                // exactly `batch` requests, so the coalesced size is B.
-                max_wait: Duration::from_millis(50),
                 max_queue: 256,
                 shed_after: Duration::from_secs(3600),
                 deadline: Duration::from_secs(3600),
@@ -180,7 +179,6 @@ fn bench_soak(_c: &mut Criterion) {
         ServeConfig {
             shards: 1,
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
             // Below the connection count on purpose: the opening burst
             // of 256 simultaneous requests must overflow the queue so
             // the soak exercises (and reports) the shed path.

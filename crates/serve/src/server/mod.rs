@@ -30,11 +30,13 @@
 //!
 //! # Batching and fidelity
 //!
-//! A shard coalesces up to `max_batch` queued requests **for one tenant**
-//! into a single [`StreamingMonitor::push_batch`] call, waiting at most
-//! `max_wait` for the batch to fill. `push_batch` is bit-identical to the
-//! equivalent sequence of sequential pushes (enforced by the core test
-//! suite), so batching changes throughput, never verdicts.
+//! Batching is continuous: an idle shard takes the tenant of the oldest
+//! queued request and folds up to `max_batch` of its queued requests, in
+//! arrival order, into one [`StreamingMonitor::push_batch`] call, with no
+//! window to fill; requests that arrive meanwhile coalesce into the next
+//! batch. `push_batch` is bit-identical to the equivalent sequence of
+//! sequential pushes (enforced by the core test suite), so batching
+//! changes latency and throughput, never verdicts.
 //!
 //! # Admission control
 //!
@@ -220,10 +222,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Shard worker threads; tenants are partitioned round-robin.
     pub shards: usize,
-    /// Most queued requests coalesced into one `push_batch` call.
+    /// Most queued requests of one tenant coalesced into one `push_batch`
+    /// call; an idle shard flushes up to this many at once, never waiting.
     pub max_batch: usize,
-    /// Longest a shard waits for a batch to fill before flushing.
-    pub max_wait: Duration,
     /// Global queued-request cap; beyond it requests are refused with
     /// [`ErrorCode::Overloaded`].
     pub max_queue: usize,
@@ -266,7 +267,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             shards: 2,
             max_batch: 8,
-            max_wait: Duration::from_millis(4),
             max_queue: 64,
             shed_after: Duration::from_millis(250),
             deadline: Duration::from_secs(2),
@@ -494,13 +494,17 @@ impl ServerInner {
     }
 
     /// Edits the queue of `tenant`'s shard under its lock, then wakes
-    /// the shard.
+    /// the shard (its worker is the condvar's only waiter).
     fn enqueue(&self, tenant: usize, edit: impl FnOnce(&mut ShardQueue)) {
         let shard = &self.shards[self.tenants[tenant].shard];
         edit(&mut lock(&shard.q));
-        shard.cv.notify_all();
+        shard.cv.notify_one();
     }
 
+    /// Raises the drain flag and wakes every shard and the event loop.
+    /// Shards are notified under their queue lock, so one between its
+    /// flag check and its wait cannot miss the wake-up; that is why
+    /// shards wait with no timeout.
     fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
         for shard in &self.shards {
@@ -707,15 +711,12 @@ impl Server {
     /// reset, never a reply. The event loop, shards and the watcher are
     /// joined so the process owns no background work afterwards.
     pub fn kill(mut self) {
+        // The kill flag goes up before drain's wake-ups, so the shards
+        // drop their queues and the event loop, which checks the kill
+        // flag first thing, severs whatever connections remain.
         self.inner.killed.store(true, Ordering::SeqCst);
-        self.inner.draining.store(true, Ordering::SeqCst);
-        for shard in &self.inner.shards {
-            shard.cv.notify_all();
-        }
+        self.inner.begin_drain();
         self.inner.sever_connections();
-        // Wake the event loop; it checks the kill flag first thing and
-        // severs whatever connections remain.
-        self.inner.completions.wake();
         self.join();
     }
 

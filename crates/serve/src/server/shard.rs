@@ -2,10 +2,10 @@
 //! their queued score jobs into batches, and applies control commands
 //! between batches.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use imdiff_data::DetectorError;
 use imdiff_nn::obs;
@@ -179,17 +179,16 @@ enum Work {
     Batch { tenant: usize, jobs: Vec<ScoreJob> },
 }
 
-/// Blocks until the shard has commands, a flushable batch, or is fully
-/// drained. A batch flushes when `max_batch` jobs for **some** tenant
-/// are queued, the oldest job of some tenant has waited `max_wait`, or
-/// the server is draining.
+/// Blocks until the shard has commands or queued jobs, or is fully
+/// drained. Batching is work-conserving: an idle shard never holds a job
+/// back to let a batch fill. It flushes the tenant of the oldest queued
+/// job at once ([`take_batch`]), and jobs that arrive while that batch
+/// runs coalesce into the next one, so batches grow with load and a
+/// lone request pays no batching delay.
 ///
-/// Every queued tenant is considered, not just the head of the FIFO:
-/// the old head-only heuristic head-of-line blocked a full batch for
-/// tenant B behind tenant A's still-filling batching window, which is
-/// how the micro-batching throughput curve went non-monotonic. Per
-/// tenant, jobs still flush strictly in arrival order, so verdict
-/// streams are unchanged — only cross-tenant scheduling differs.
+/// Enqueues edit the queue under its lock, and drain and kill notify
+/// while holding it, so no wake-up can fall between a check here and the
+/// wait: the idle wait needs no timeout.
 fn next_work(inner: &ServerInner, shard: &Shard) -> Work {
     let mut q = lock(&shard.q);
     loop {
@@ -202,63 +201,36 @@ fn next_work(inner: &ServerInner, shard: &Shard) -> Work {
         if !q.cmds.is_empty() {
             return Work::Cmds(std::mem::take(&mut q.cmds));
         }
-        let draining = inner.draining.load(Ordering::SeqCst);
-        if q.jobs.is_empty() {
-            if draining {
-                return Work::Exit;
-            }
-            let (guard, _) = shard
-                .cv
-                .wait_timeout(q, Duration::from_millis(100))
-                .unwrap_or_else(|e| e.into_inner());
-            q = guard;
-            continue;
+        if let Some((tenant, jobs)) = take_batch(&mut q.jobs, inner.cfg.max_batch) {
+            return Work::Batch { tenant, jobs };
         }
-        // Per-tenant (count, head arrival). BTreeMap keyed by tenant
-        // index + strict comparisons make tie-breaks deterministic.
-        let mut per_tenant: BTreeMap<usize, (usize, Instant)> = BTreeMap::new();
-        for job in &q.jobs {
-            per_tenant
-                .entry(job.tenant)
-                .and_modify(|e| e.0 += 1)
-                .or_insert((1, job.enqueued));
+        if inner.draining.load(Ordering::SeqCst) {
+            return Work::Exit;
         }
-        let mut full: Option<(usize, Instant)> = None;
-        let mut oldest: Option<(usize, Instant)> = None;
-        for (&tenant, &(count, head)) in &per_tenant {
-            if count >= inner.cfg.max_batch && full.is_none_or(|(_, h)| head < h) {
-                full = Some((tenant, head));
-            }
-            if oldest.is_none_or(|(_, h)| head < h) {
-                oldest = Some((tenant, head));
-            }
-        }
-        // A full batch is ready now; otherwise the tenant whose head has
-        // waited longest decides whether to flush or sleep the residue
-        // of its batching window.
-        let (tenant, head) = full.or(oldest).expect("jobs is non-empty");
-        let age = head.elapsed();
-        if full.is_none() && !draining && age < inner.cfg.max_wait {
-            let (guard, _) = shard
-                .cv
-                .wait_timeout(q, inner.cfg.max_wait - age)
-                .unwrap_or_else(|e| e.into_inner());
-            q = guard;
-            continue;
-        }
-        let pending = per_tenant[&tenant].0;
-        let mut jobs = Vec::with_capacity(pending.min(inner.cfg.max_batch));
-        let mut kept = VecDeque::with_capacity(q.jobs.len());
-        for job in q.jobs.drain(..) {
-            if job.tenant == tenant && jobs.len() < inner.cfg.max_batch {
-                jobs.push(job);
-            } else {
-                kept.push_back(job);
-            }
-        }
-        q.jobs = kept;
-        return Work::Batch { tenant, jobs };
+        q = shard.cv.wait(q).unwrap_or_else(|e| e.into_inner());
     }
+}
+
+/// Removes the next batch from a shard queue: the tenant of the front
+/// (oldest) job and up to `max_batch` of its jobs (at least one), in
+/// arrival order. Every job left behind keeps its relative order, so
+/// per-tenant streams stay FIFO and the verdicts never depend on how
+/// jobs were grouped. `None` when the queue is empty.
+fn take_batch(jobs: &mut VecDeque<ScoreJob>, max_batch: usize) -> Option<(usize, Vec<ScoreJob>)> {
+    let tenant = jobs.front()?.tenant;
+    let max_batch = max_batch.max(1);
+    let mut batch = Vec::with_capacity(max_batch.min(jobs.len()));
+    // One rotation through the queue: taken jobs leave, the rest go back
+    // to the end in the order they came off the front.
+    for _ in 0..jobs.len() {
+        let job = jobs.pop_front().expect("counted");
+        if job.tenant == tenant && batch.len() < max_batch {
+            batch.push(job);
+        } else {
+            jobs.push_back(job);
+        }
+    }
+    Some((tenant, batch))
 }
 
 /// Applies dequeue-time admission control and sequence-id deduplication,
@@ -543,5 +515,76 @@ fn apply_cmd(inner: &ServerInner, lives: &mut [Option<Live>], cmd: ShardCmd) {
                 },
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mux::Completions;
+    use imdiffusion::BatchItem;
+
+    /// A queue of jobs for `tenants`, in that arrival order; each job's
+    /// `seq` is its arrival index.
+    fn queue(tenants: &[usize]) -> VecDeque<ScoreJob> {
+        let completions = Completions::new().expect("completions");
+        tenants
+            .iter()
+            .enumerate()
+            .map(|(i, &tenant)| ScoreJob {
+                tenant,
+                seq: i as u64,
+                start_row: u64::MAX,
+                item: BatchItem {
+                    gap_before: 0,
+                    rows: Vec::new(),
+                    shed: false,
+                },
+                enqueued: Instant::now(),
+                reply: ReplyTx::slot(&completions, 0, i as u64),
+            })
+            .collect()
+    }
+
+    fn seqs<'a>(jobs: impl IntoIterator<Item = &'a ScoreJob>) -> Vec<u64> {
+        jobs.into_iter().map(|j| j.seq).collect()
+    }
+
+    /// Takes one batch and returns `(tenant, arrival ids)`.
+    fn take(q: &mut VecDeque<ScoreJob>, max_batch: usize) -> Option<(usize, Vec<u64>)> {
+        take_batch(q, max_batch).map(|(tenant, jobs)| (tenant, seqs(&jobs)))
+    }
+
+    #[test]
+    fn oldest_tenant_goes_first_even_past_a_full_batch() {
+        // Tenant 0 has a full batch queued, but tenant 1 holds the
+        // oldest job: no tenant's work waits on another's batch filling.
+        let mut q = queue(&[1, 0, 0, 0]);
+        assert_eq!(take(&mut q, 3), Some((1, vec![0])));
+        assert_eq!(take(&mut q, 3), Some((0, vec![1, 2, 3])));
+        assert_eq!(take(&mut q, 3), None);
+    }
+
+    #[test]
+    fn batches_are_capped_fifo_and_leave_the_rest_in_order() {
+        let mut q = queue(&[2, 0, 2, 1, 2, 0, 2, 2]);
+        // At most `max_batch` of the front tenant's jobs, in arrival order.
+        assert_eq!(take(&mut q, 3), Some((2, vec![0, 2, 4])));
+        // Other tenants' jobs and tenant 2's remainder keep their order.
+        assert_eq!(seqs(&q), vec![1, 3, 5, 6, 7]);
+        assert_eq!(take(&mut q, 3), Some((0, vec![1, 5])));
+        assert_eq!(seqs(&q), vec![3, 6, 7]);
+        assert_eq!(take(&mut q, 3), Some((1, vec![3])));
+        assert_eq!(take(&mut q, 3), Some((2, vec![6, 7])));
+        assert!(q.is_empty());
+        assert_eq!(take(&mut q, 3), None);
+    }
+
+    #[test]
+    fn a_batch_always_makes_progress() {
+        // A zero cap still flushes one job rather than spinning.
+        let mut q = queue(&[0, 0]);
+        assert_eq!(take(&mut q, 0), Some((0, vec![0])));
+        assert_eq!(take(&mut q, 0), Some((0, vec![1])));
     }
 }

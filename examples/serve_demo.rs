@@ -76,7 +76,6 @@ fn main() {
         ServeConfig {
             shards: 2,
             max_batch: 4,
-            max_wait: Duration::from_millis(10),
             max_queue: 8,
             shed_after: Duration::from_secs(30),
             deadline: Duration::from_secs(60),

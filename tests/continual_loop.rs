@@ -91,7 +91,6 @@ fn drifting_stream_degrades_retrains_and_recovers_bit_identically() {
     let cfg = ServeConfig {
         shards: 1,
         max_batch: 4,
-        max_wait: Duration::from_millis(5),
         max_queue: 1024,
         shed_after: Duration::from_secs(60),
         deadline: Duration::from_secs(120),

@@ -76,7 +76,6 @@ fn lenient_config(shards: usize, max_batch: usize) -> ServeConfig {
     ServeConfig {
         shards,
         max_batch,
-        max_wait: Duration::from_millis(20),
         max_queue: 1024,
         shed_after: Duration::from_secs(60),
         deadline: Duration::from_secs(120),
@@ -249,7 +248,6 @@ fn overload_burst_yields_explicit_backpressure() {
     let cfg = ServeConfig {
         max_queue: 2,
         max_batch: 1,
-        max_wait: Duration::ZERO,
         ..lenient_config(1, 1)
     };
     let server =

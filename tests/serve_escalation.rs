@@ -187,7 +187,6 @@ fn ladder_escalates_on_drift_and_restores_pin_across_restart() {
     let serve_cfg = || ServeConfig {
         shards: 1,
         max_batch: 4,
-        max_wait: Duration::from_millis(5),
         max_queue: 1024,
         shed_after: Duration::from_secs(60),
         deadline: Duration::from_secs(120),

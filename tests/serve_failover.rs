@@ -87,7 +87,6 @@ fn lenient_config() -> ServeConfig {
     ServeConfig {
         shards: 1,
         max_batch: 4,
-        max_wait: Duration::from_millis(10),
         max_queue: 256,
         shed_after: Duration::from_secs(60),
         deadline: Duration::from_secs(120),

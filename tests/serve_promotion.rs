@@ -85,7 +85,6 @@ fn base_config() -> ServeConfig {
     ServeConfig {
         shards: 1,
         max_batch: 4,
-        max_wait: Duration::from_millis(5),
         max_queue: 1024,
         shed_after: Duration::from_secs(60),
         deadline: Duration::from_secs(120),
