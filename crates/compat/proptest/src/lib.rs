@@ -134,7 +134,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Sizes accepted by [`vec`]: a fixed length or a range of lengths.
+    /// Sizes accepted by [`vec()`]: a fixed length or a range of lengths.
     pub trait SizeRange {
         /// Picks a concrete length.
         fn pick(&self, rng: &mut TestRng) -> usize;

@@ -4,10 +4,10 @@
 //! [`crate::streaming::StreamingMonitor::set_drift_policy`]), the model's
 //! training distribution no longer matches the live stream. [`FineTuner`]
 //! closes the loop: it resumes training **from the live weights** on a
-//! buffer of recent healthy rows (the monitor's verdict-negative retrain
-//! corpus), under a bounded step/wall-clock budget, and produces a
-//! *candidate* detector — the base detector is never mutated, so a failed
-//! or rejected fine-tune cannot corrupt serving.
+//! corpus of recent healthy rows that the caller picks (e.g. the
+//! post-change rows it judged normal), under a bounded step/wall-clock
+//! budget, and produces a *candidate* detector — the base detector is
+//! never mutated, so a failed or rejected fine-tune cannot corrupt serving.
 //!
 //! Safety properties:
 //!
@@ -115,7 +115,7 @@ impl FineTuner {
     }
 
     /// Runs one fine-tuning round of `base` on `recent` (raw, un-normalized
-    /// rows — typically [`crate::streaming::StreamingMonitor::retrain_series`]).
+    /// rows of the post-change distribution, chosen by the caller).
     ///
     /// Errors only on caller mistakes (unfitted base, channel mismatch,
     /// zero-step budget). Operational failures — corpus too small or
@@ -389,12 +389,11 @@ mod tests {
         base.fit(&sc.train).unwrap();
         let mut monitor = StreamingMonitor::new(base, sc.train.dim(), 8).unwrap();
         assert!(monitor.set_drift_policy(3.0, 2));
-        monitor.set_retrain_capacity(120);
         for l in 0..sc.stream.len() {
             monitor.push(sc.stream.row(l)).unwrap();
         }
         assert!(monitor.drift_status().drifted, "scenario must trip drift");
-        let corpus = monitor.retrain_series().expect("buffer non-empty");
+        let corpus = slice_rows(&sc.stream, sc.stream.len() - 120, sc.stream.len());
 
         let out = FineTuner::new(FineTuneOptions {
             steps: 6,

@@ -220,11 +220,9 @@ impl ChainCtx<'_> {
 /// never its result.
 ///
 /// Every chain runs in tape-free forward-only mode (no autodiff graph,
-/// arena-recycled buffers) unless disabled via `IMDIFF_FWD=0` or
-/// `imdiff_nn::with_forward_only(false, ..)`. The mode is resolved once
-/// here, on the calling thread, and passed into the workers as a value —
-/// thread-local overrides do not reach pool worker threads. Forward-only
-/// results are bit-identical to the graph path on the same dispatch tier.
+/// arena-recycled buffers), entered on whichever thread runs it.
+/// Forward-only results are bit-identical to `no_grad` on the same
+/// dispatch tier.
 fn run_groups<F>(
     model: &ImTransformer,
     cfg: &ImDiffusionConfig,
@@ -235,13 +233,12 @@ fn run_groups<F>(
 where
     F: Fn(&ImTransformer, usize) -> GroupAccum + Sync,
 {
-    let fwd = imdiff_nn::forward_only_enabled();
     let width = pool::max_threads().min(n_groups);
     if width > 1 {
         let snapshot: Vec<Vec<f32>> = model.params().iter().map(|p| p.to_vec()).collect();
         let chunk = n_groups.div_ceil(width);
         let per_chunk = pool::parallel_map(width, 1, |ci| {
-            imdiff_nn::forward_only_if(fwd, || {
+            imdiff_nn::forward_only(|| {
                 let local = model_from_snapshot(cfg, k, &snapshot);
                 (ci * chunk..((ci + 1) * chunk).min(n_groups))
                     .map(|g| run_group(&local, g))
@@ -250,7 +247,7 @@ where
         });
         per_chunk.into_iter().flatten().collect()
     } else {
-        imdiff_nn::forward_only_if(fwd, || {
+        imdiff_nn::forward_only(|| {
             (0..n_groups).map(|g| run_group(model, g)).collect()
         })
     }

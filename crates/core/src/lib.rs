@@ -58,7 +58,7 @@ pub use persist::stream_path;
 pub use scorer::WindowScorer;
 pub use streaming::{
     BatchItem, BatchReply, DriftReference, DriftStatus, HealthState, MonitorHealth,
-    PointVerdict, StreamingMonitor, ThresholdMode,
+    PointVerdict, StreamingMonitor,
 };
 pub use trainer::{
     train, train_resume, IncidentKind, TrainIncident, TrainReport, Trainer,

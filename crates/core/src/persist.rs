@@ -11,7 +11,7 @@
 //! checks.
 //!
 //! A monitor's stream state ([`StreamingMonitor::checkpoint_stream`]) —
-//! window buffer, missing flags, error/fallback histories, health state,
+//! window buffer, missing flags, fallback history, health state,
 //! fault counters and drift tracker — goes to an `IMSM` sidecar next to
 //! the detector checkpoint, so a restarted serving process resumes
 //! mid-stream and produces byte-identical subsequent verdicts (inference
@@ -31,7 +31,7 @@ use imdiff_nn::{NnError, Tensor};
 
 use crate::detector::ImDiffusionDetector;
 use crate::scorer::WindowScorer;
-use crate::streaming::{HealthState, StreamingMonitor, ThresholdMode};
+use crate::streaming::{HealthState, StreamingMonitor};
 
 impl ImDiffusionDetector {
     /// The detector's checkpoint payload: model parameters followed by
@@ -89,7 +89,7 @@ impl ImDiffusionDetector {
 
 const STREAM_MAGIC: &[u8; 4] = b"IMSM";
 /// The one `IMSM` sidecar version this build reads and writes.
-const STREAM_VERSION: u32 = 4;
+const STREAM_VERSION: u32 = 5;
 
 /// The sidecar path holding streaming state for a detector checkpoint at
 /// `path` (`<path>.stream`). Public so supervisors and fault-injection
@@ -129,16 +129,6 @@ impl<D: WindowScorer> StreamingMonitor<D> {
         w.u32(self.window as u32);
         w.u32(self.hop as u32);
         w.u32(self.channels as u32);
-        match self.threshold_mode {
-            ThresholdMode::Native => {
-                w.u8(0);
-                w.f64(0.0);
-            }
-            ThresholdMode::PotDynamic { risk } => {
-                w.u8(1);
-                w.f64(risk);
-            }
-        }
         w.u64(self.seen);
         w.u32(self.since_eval as u32);
         w.u8(match self.health {
@@ -147,7 +137,6 @@ impl<D: WindowScorer> StreamingMonitor<D> {
             HealthState::Warming => 2,
         });
         w.u32(self.pending_gap as u32);
-        w.u32(self.max_bridge as u32);
         for counter in [
             self.rows_rejected,
             self.cells_imputed,
@@ -169,11 +158,9 @@ impl<D: WindowScorer> StreamingMonitor<D> {
         for (row, miss) in self.buffer.iter().zip(&self.missing) {
             write_row(&mut w, row, miss);
         }
-        for history in [&self.error_history, &self.fallback_history] {
-            w.u32(history.len() as u32);
-            for &v in history {
-                w.f64(v);
-            }
+        w.u32(self.fallback_history.len() as u32);
+        for &v in &self.fallback_history {
+            w.f64(v);
         }
         for st in &self.fallback_stats {
             w.u64(st.count);
@@ -221,7 +208,7 @@ impl<D: WindowScorer> StreamingMonitor<D> {
     /// `IMSM` sidecar at `<path>.stream` — the one restore path, used by
     /// the detector registry and the serving layer's failover adoption.
     /// The detector must be fitted and match the sidecar's window;
-    /// everything else — channel count, hop, buffer, histories, health,
+    /// everything else — channel count, hop, buffer, fallback history, health,
     /// counters, drift tracker — comes from the sidecar, and subsequent
     /// verdicts are identical to the ones the saved monitor would have
     /// produced.
@@ -253,11 +240,6 @@ impl<D: WindowScorer> StreamingMonitor<D> {
             return Err(corrupt("zero channels".into()));
         }
         let mut m = StreamingMonitor::new(detector, channels, hop)?;
-        m.threshold_mode = match (r.u8()?, r.f64()?) {
-            (0, _) => ThresholdMode::Native,
-            (1, risk) => ThresholdMode::PotDynamic { risk },
-            (t, _) => return Err(corrupt(format!("unknown threshold mode tag {t}"))),
-        };
         m.seen = r.u64()?;
         m.since_eval = r.u32()? as usize;
         m.health = match r.u8()? {
@@ -267,7 +249,6 @@ impl<D: WindowScorer> StreamingMonitor<D> {
             t => return Err(corrupt(format!("unknown health state tag {t}"))),
         };
         m.pending_gap = r.u32()? as usize;
-        m.max_bridge = r.u32()? as usize;
         for counter in [
             &mut m.rows_rejected,
             &mut m.cells_imputed,
@@ -297,11 +278,8 @@ impl<D: WindowScorer> StreamingMonitor<D> {
             m.buffer.push_back(row);
             m.missing.push_back(miss);
         }
-        for history in [&mut m.error_history, &mut m.fallback_history] {
-            let n = r.u32()? as usize;
-            for _ in 0..n {
-                history.push_back(r.f64()?);
-            }
+        for _ in 0..r.u32()? {
+            m.fallback_history.push_back(r.f64()?);
         }
         for st in &mut m.fallback_stats {
             st.count = r.u64()?;
@@ -648,6 +626,41 @@ mod tests {
         };
         assert!(matches!(err, DetectorError::CorruptCheckpoint(_)));
         assert!(err.to_string().contains("stream checkpoint"));
+        std::fs::remove_file(&stream).ok();
+    }
+
+    /// A v4 sidecar (it carried the threshold mode, the gap-bridge limit
+    /// and an error history) is refused by version, even with a valid CRC.
+    #[test]
+    fn version_4_sidecar_is_refused() {
+        let ds = generate(
+            Benchmark::Gcp,
+            &SizeProfile {
+                train_len: 64,
+                test_len: 24,
+            },
+            7,
+        );
+        let mut det = ImDiffusionDetector::new(tiny_cfg(), 7);
+        det.fit(&ds.train).unwrap();
+        let restored_det = reload(&det);
+        let mut monitor = StreamingMonitor::new(det, ds.train.dim(), 8).unwrap();
+        for l in 0..ds.test.len() {
+            monitor.push(ds.test.row(l)).unwrap();
+        }
+        let path = tmp("v4-monitor.ckpt");
+        monitor.checkpoint_stream(&path).unwrap();
+        let stream = stream_path(&path);
+        let current = std::fs::read(&stream).unwrap();
+        let mut w = ByteWriter::record(STREAM_MAGIC, 4);
+        w.bytes(&current[12..]);
+        std::fs::write(&stream, w.finish()).unwrap();
+        let err = match StreamingMonitor::restore_with(restored_det, &path) {
+            Ok(_) => panic!("a v4 sidecar must not restore"),
+            Err(e) => e,
+        };
+        assert!(matches!(err, DetectorError::CorruptCheckpoint(_)));
+        assert!(err.to_string().contains("version 4"), "{err}");
         std::fs::remove_file(&stream).ok();
     }
 

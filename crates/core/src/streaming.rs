@@ -5,6 +5,8 @@
 //! with a rolling window: each arriving observation is buffered, and every
 //! `hop` arrivals the ensemble inference re-runs on the most recent window,
 //! emitting verdicts for the points that just became old enough to judge.
+//! Verdicts follow the paper's own decision rule, the Eq. (12) τ and
+//! Algorithm 1's vote; the monitor has no other thresholding policy.
 //!
 //! # Fault tolerance
 //!
@@ -17,10 +19,11 @@
 //!   to genuinely lost data). Any other non-finite value is rejected with
 //!   a typed error at the ingestion boundary.
 //! * **Gaps** — the transport tells the monitor about dropped rows via
-//!   [`StreamingMonitor::notify_gap`]. Short gaps are bridged on the next
-//!   arrival by linear interpolation, with every bridged cell marked
-//!   missing so the model treats the interpolation as a placeholder, not
-//!   an observation. Long gaps flush the buffer and re-warm.
+//!   [`StreamingMonitor::notify_gap`]. Short gaps (up to a quarter
+//!   window) are bridged on the next arrival by linear interpolation,
+//!   with every bridged cell marked missing so the model treats the
+//!   interpolation as a placeholder, not an observation. Long gaps flush
+//!   the buffer and re-warm.
 //! * **Degraded mode** — when ensemble inference fails or produces
 //!   non-finite scores, the monitor falls back to a cheap per-channel
 //!   z-score detector (running Welford statistics) thresholded at the
@@ -31,22 +34,20 @@
 //! The `Healthy → Degraded → Warming` state machine and all fault
 //! counters are exposed via [`StreamingMonitor::health`], and the entire
 //! mutable state checkpoints/restores across process restarts (see
-//! `StreamingMonitor::checkpoint` in the persistence module).
+//! [`StreamingMonitor::checkpoint_stream`] in the persistence module).
 
 use std::collections::VecDeque;
 
 use imdiff_data::{DetectorError, Mts};
-use imdiff_metrics::{pot_threshold, threshold_at_percentile};
+use imdiff_metrics::threshold_at_percentile;
 use imdiff_nn::obs;
 
 use crate::detector::ImDiffusionDetector;
 use crate::infer::EnsembleOutput;
 use crate::scorer::WindowScorer;
 
-/// Maximum error-history length kept for dynamic thresholding. Shared
-/// with the checkpoint reader in `persist.rs` so the restore pre-sizing
-/// can never drift from the live rolling cap.
-pub(crate) const HISTORY_CAP: usize = 4096;
+/// Maximum fallback-score history length (threshold calibration).
+const HISTORY_CAP: usize = 4096;
 
 /// Minimum healthy-score history before the z-score fallback trusts its
 /// own calibrated threshold.
@@ -67,23 +68,6 @@ const DRIFT_DEFAULT_THRESHOLD: f64 = 3.0;
 /// Default number of consecutive over-threshold evaluations before the
 /// Drifted signal latches (and of under-threshold ones before it clears).
 const DRIFT_DEFAULT_DEBOUNCE: u32 = 3;
-
-/// How the streaming monitor picks the Eq. (12) baseline threshold τ.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ThresholdMode {
-    /// The detector's native per-window percentile rule (the paper's
-    /// offline behaviour).
-    Native,
-    /// Dynamic thresholding: τ is re-fitted over the *history* of
-    /// final-step errors with Peaks-Over-Threshold (Siffer et al.), the
-    /// "dynamic thresholding" future-work direction of §5.2.1. `risk` is
-    /// the target per-point false-alarm probability. Falls back to a high
-    /// percentile until enough history accumulates.
-    PotDynamic {
-        /// Target false-alarm probability per point (e.g. `1e-3`).
-        risk: f64,
-    },
-}
 
 /// Training-time per-channel reference statistics for distribution-drift
 /// detection. Captured by [`crate::ImDiffusionDetector`] at fit time from
@@ -113,7 +97,7 @@ pub struct DriftReference {
 impl DriftReference {
     /// Computes the block-quartile envelope over a series. `window` is the
     /// detector window; blocks match the tracker ring length
-    /// ([`DriftTracker::ring_capacity`]) and slide by a quarter-block so
+    /// (`DriftTracker::ring_capacity`) and slide by a quarter-block so
     /// every seasonal phase contributes. Quartiles are nearest-rank.
     pub fn from_series(series: &Mts, window: usize) -> Self {
         let (n, k) = (series.len(), series.dim());
@@ -514,14 +498,9 @@ pub struct StreamingMonitor<D = ImDiffusionDetector> {
     pub(crate) channels: usize,
     pub(crate) seen: u64,
     pub(crate) since_eval: usize,
-    pub(crate) threshold_mode: ThresholdMode,
-    /// Rolling history of final-step errors for dynamic thresholding.
-    pub(crate) error_history: VecDeque<f64>,
     pub(crate) health: HealthState,
     /// Gap length reported by `notify_gap`, applied on the next push.
     pub(crate) pending_gap: usize,
-    /// Largest gap bridged by interpolation; longer gaps re-warm.
-    pub(crate) max_bridge: usize,
     /// Per-channel running statistics for the z-score fallback.
     pub(crate) fallback_stats: Vec<ChannelStats>,
     /// Rolling history of fallback scores (threshold calibration).
@@ -546,12 +525,6 @@ pub struct StreamingMonitor<D = ImDiffusionDetector> {
     /// Distribution-drift detector; armed by [`Self::set_drift_policy`]
     /// (requires the wrapped detector to carry a [`DriftReference`]).
     pub(crate) drift: Option<DriftTracker>,
-    /// Capacity (rows) of the healthy-row retrain buffer; 0 = disabled.
-    /// Retrain policy, not stream state: never persisted.
-    pub(crate) retrain_cap: usize,
-    /// Recent verdict-negative, fully-observed rows — the fine-tuning
-    /// corpus. Bounded by `retrain_cap`; never persisted.
-    pub(crate) retrain_rows: VecDeque<Vec<f32>>,
 }
 
 impl<D: WindowScorer> StreamingMonitor<D> {
@@ -582,11 +555,8 @@ impl<D: WindowScorer> StreamingMonitor<D> {
             channels,
             seen: 0,
             since_eval: 0,
-            threshold_mode: ThresholdMode::Native,
-            error_history: VecDeque::with_capacity(HISTORY_CAP),
             health: HealthState::Warming,
             pending_gap: 0,
-            max_bridge: (window / 4).max(1),
             fallback_stats: vec![ChannelStats::new(); channels],
             fallback_history: VecDeque::with_capacity(HISTORY_CAP),
             fallback_tau: None,
@@ -601,22 +571,7 @@ impl<D: WindowScorer> StreamingMonitor<D> {
             snapshot_every: None,
             rows_at_snapshot: 0,
             drift: None,
-            retrain_cap: 0,
-            retrain_rows: VecDeque::new(),
         })
-    }
-
-    /// Switches the thresholding rule (see [`ThresholdMode`]).
-    pub fn with_threshold_mode(mut self, mode: ThresholdMode) -> Self {
-        self.threshold_mode = mode;
-        self
-    }
-
-    /// Sets the longest gap (in rows) bridged by interpolation; longer
-    /// gaps flush the buffer and re-warm. Defaults to a quarter window.
-    pub fn with_max_bridge(mut self, rows: usize) -> Self {
-        self.max_bridge = rows;
-        self
     }
 
     /// Arms the snapshot cadence: after every `rows` consumed
@@ -662,11 +617,6 @@ impl<D: WindowScorer> StreamingMonitor<D> {
     /// Channel count of the monitored stream.
     pub fn channels(&self) -> usize {
         self.channels
-    }
-
-    /// The active thresholding rule.
-    pub fn threshold_mode(&self) -> ThresholdMode {
-        self.threshold_mode
     }
 
     /// Read-only access to the wrapped detector (spec extraction, health
@@ -724,7 +674,7 @@ impl<D: WindowScorer> StreamingMonitor<D> {
 
     /// Arms distribution-drift detection with the given trip policy:
     /// `threshold` is the score (in robust training-time spread units —
-    /// see [`DriftTracker::score`]) above which an evaluation counts
+    /// see `DriftTracker::score`) above which an evaluation counts
     /// toward a trip; `debounce` is the consecutive-evaluation count
     /// required to latch (and to clear) the signal. Returns `false` — and
     /// stays unarmed — when the wrapped detector carries no
@@ -771,33 +721,6 @@ impl<D: WindowScorer> StreamingMonitor<D> {
         }
     }
 
-    /// Arms the healthy-row retrain buffer: the most recent `rows`
-    /// verdict-negative, fully-observed rows are retained as the
-    /// fine-tuning corpus (0 disables and drops the buffer). Retrain
-    /// policy, not stream state — never persisted.
-    pub fn set_retrain_capacity(&mut self, rows: usize) {
-        self.retrain_cap = rows;
-        while self.retrain_rows.len() > rows {
-            self.retrain_rows.pop_front();
-        }
-    }
-
-    /// Rows currently held in the retrain buffer.
-    pub fn retrain_len(&self) -> usize {
-        self.retrain_rows.len()
-    }
-
-    /// The retrain buffer as a series (`None` while empty) — recent rows
-    /// the ensemble judged non-anomalous, in stream order, for
-    /// [`crate::finetune::FineTuner`].
-    pub fn retrain_series(&self) -> Option<Mts> {
-        if self.retrain_rows.is_empty() {
-            return None;
-        }
-        let flat: Vec<f32> = self.retrain_rows.iter().flatten().copied().collect();
-        Some(Mts::new(flat, self.retrain_rows.len(), self.channels))
-    }
-
     /// The current health report (state machine position + counters).
     pub fn health(&self) -> MonitorHealth {
         MonitorHealth {
@@ -823,7 +746,7 @@ impl<D: WindowScorer> StreamingMonitor<D> {
 
     /// Tells the monitor that `missed` consecutive rows were lost by the
     /// transport *before* the next pushed row. Short gaps
-    /// (≤ `max_bridge`) are bridged on the next arrival by linear
+    /// (≤ a quarter window) are bridged on the next arrival by linear
     /// interpolation, with every bridged cell marked missing so inference
     /// treats it as absent data; longer gaps flush the buffer and re-warm
     /// (stale context must not be stitched to post-gap data).
@@ -905,7 +828,14 @@ impl<D: WindowScorer> StreamingMonitor<D> {
     /// Whether applying the pending gap on the next arrival would flush
     /// the buffer and re-warm (mirrors the branch in [`Self::absorb`]).
     fn gap_would_rewarm(&self) -> bool {
-        self.pending_gap > 0 && (self.pending_gap > self.max_bridge || self.buffer.is_empty())
+        self.pending_gap > 0
+            && (self.pending_gap > self.max_bridge() || self.buffer.is_empty())
+    }
+
+    /// The longest gap (in rows) bridged by interpolation: a quarter
+    /// window. Longer gaps flush the buffer and re-warm.
+    fn max_bridge(&self) -> usize {
+        (self.window / 4).max(1)
     }
 
     /// Scores and completes every prepared evaluation, in order. All
@@ -975,7 +905,7 @@ impl<D: WindowScorer> StreamingMonitor<D> {
         if self.pending_gap > 0 {
             let gap = self.pending_gap;
             self.pending_gap = 0;
-            if gap <= self.max_bridge && !self.buffer.is_empty() {
+            if gap <= self.max_bridge() && !self.buffer.is_empty() {
                 // Bridge: straight line from the last buffered row to the
                 // arriving one, every cell marked missing (the model must
                 // treat the interpolation as a placeholder, not data).
@@ -1095,7 +1025,7 @@ impl<D: WindowScorer> StreamingMonitor<D> {
     /// and rolling histories. So the window contents, the newest-hop
     /// fallback scores, and the fallback-threshold percentile are all
     /// captured here; only the state written by evaluation *completions*
-    /// (`fallback_tau`, `error_history`, the health machine) is resolved
+    /// (`fallback_tau`, the drift tracker, the health machine) is resolved
     /// later, in completion order — matching the sequential interleaving.
     fn prepare_eval(&mut self, item: usize, shed: bool) -> EvalRequest {
         let flat: Vec<f32> = self.buffer.iter().flatten().copied().collect();
@@ -1159,30 +1089,6 @@ impl<D: WindowScorer> StreamingMonitor<D> {
             }
         };
 
-        // Dynamic thresholding: re-vote against a τ fitted over the error
-        // history instead of the current window's own percentile, which is
-        // noisy at streaming window sizes.
-        let labels: Vec<bool> = match self.threshold_mode {
-            ThresholdMode::Native => out.labels.clone(),
-            ThresholdMode::PotDynamic { risk } => {
-                for &e in out.final_step_error() {
-                    if self.error_history.len() == HISTORY_CAP {
-                        self.error_history.pop_front();
-                    }
-                    self.error_history.push_back(e);
-                }
-                let history: Vec<f64> = self.error_history.iter().copied().collect();
-                let tau = if history.len() >= 100 {
-                    pot_threshold(&history, 95.0, risk)
-                        .map(|p| p.threshold)
-                        .unwrap_or_else(|| threshold_at_percentile(&history, 99.0))
-                } else {
-                    threshold_at_percentile(&history, 98.0)
-                };
-                out.revote(tau, out.vote_threshold)
-            }
-        };
-
         // Drift bookkeeping resolves now, in completion order, on the
         // score captured at trigger time — exactly the state a sequential
         // push-per-row interleaving would have seen (bit-fidelity).
@@ -1224,32 +1130,14 @@ impl<D: WindowScorer> StreamingMonitor<D> {
             self.fallback_tau = Some(tau);
         }
 
-        // Harvest verdict-negative, fully-observed rows for the
-        // fine-tuning corpus (drifted rows included deliberately — the
-        // retrain must learn the new distribution; anomalies excluded so
-        // the model never normalizes attack data).
-        if self.retrain_cap > 0 {
-            for i in 0..self.hop {
-                let pos = self.window - self.hop + i;
-                let cells = &req.miss_flat[pos * self.channels..(pos + 1) * self.channels];
-                if labels[pos] || cells.iter().any(|&m| m) {
-                    continue;
-                }
-                if self.retrain_rows.len() == self.retrain_cap {
-                    self.retrain_rows.pop_front();
-                }
-                self.retrain_rows
-                    .push_back(req.window_data.row(pos).to_vec());
-            }
-        }
-
-        // Emit the newest `hop` positions of the window.
+        // Emit the newest `hop` positions of the window, labelled by the
+        // paper's own rule: the Eq. (12) τ and Algorithm 1's vote.
         (0..self.hop)
             .map(|i| {
                 let pos = self.window - self.hop + i;
                 PointVerdict {
                     index: req.first_global + i as u64,
-                    anomalous: labels[pos],
+                    anomalous: out.labels[pos],
                     score: out.scores[pos],
                     votes: out.votes[pos],
                     degraded: false,
@@ -1413,26 +1301,6 @@ mod tests {
     }
 
     #[test]
-    fn retrain_buffer_collects_verdict_negative_rows() {
-        let (mut monitor, ds) = fitted_monitor(8);
-        monitor.set_retrain_capacity(24);
-        for l in 0..ds.test.len() {
-            monitor.push(ds.test.row(l)).unwrap();
-        }
-        let n = monitor.retrain_len();
-        assert!(n > 0 && n <= 24, "retrain buffer holds {n} rows");
-        let series = monitor.retrain_series().expect("non-empty buffer");
-        assert_eq!(series.dim(), ds.test.dim());
-        assert_eq!(series.len(), n);
-        // Shrinking the capacity drops the oldest rows; 0 disables.
-        monitor.set_retrain_capacity(4);
-        assert!(monitor.retrain_len() <= 4);
-        monitor.set_retrain_capacity(0);
-        assert_eq!(monitor.retrain_len(), 0);
-        assert!(monitor.retrain_series().is_none());
-    }
-
-    #[test]
     fn drift_policy_requires_reference() {
         let ds = generate(
             Benchmark::Gcp,
@@ -1482,39 +1350,6 @@ mod tests {
         assert!(judged.iter().all(|v| v.score.is_finite()));
         assert!(judged.iter().all(|v| !v.degraded));
         assert_eq!(monitor.health().state, HealthState::Healthy);
-    }
-
-    #[test]
-    fn pot_dynamic_mode_emits_verdicts() {
-        let (monitor, ds) = fitted_monitor(8);
-        let mut monitor =
-            monitor.with_threshold_mode(ThresholdMode::PotDynamic { risk: 1e-3 });
-        let mut judged = 0usize;
-        for l in 0..ds.test.len() {
-            judged += monitor.push(ds.test.row(l)).unwrap().len();
-        }
-        assert!(judged > 0);
-    }
-
-    #[test]
-    fn lower_risk_flags_no_more_points() {
-        let run = |risk: f64| {
-            let (monitor, ds) = fitted_monitor(8);
-            let mut monitor =
-                monitor.with_threshold_mode(ThresholdMode::PotDynamic { risk });
-            let mut alarms = 0usize;
-            for l in 0..ds.test.len() {
-                alarms += monitor
-                    .push(ds.test.row(l))
-                    .unwrap()
-                    .iter()
-                    .filter(|v| v.anomalous)
-                    .count();
-            }
-            alarms
-        };
-        // A stricter risk level cannot produce more alarms.
-        assert!(run(1e-5) <= run(1e-1));
     }
 
     #[test]
@@ -1579,7 +1414,7 @@ mod tests {
         for l in 0..20 {
             monitor.push(ds.test.row(l)).unwrap();
         }
-        monitor.notify_gap(2); // ≤ max_bridge (window/4 = 4)
+        monitor.notify_gap(2); // ≤ max_bridge() (window/4 = 4)
         monitor.push(ds.test.row(22)).unwrap();
         let health = monitor.health();
         assert_eq!(health.gaps_bridged, 1);
@@ -1595,7 +1430,7 @@ mod tests {
         for l in 0..20 {
             monitor.push(ds.test.row(l)).unwrap();
         }
-        monitor.notify_gap(10); // > max_bridge
+        monitor.notify_gap(10); // > max_bridge()
         let vs = monitor.push(ds.test.row(30)).unwrap();
         assert!(vs.is_empty()); // buffer flushed, must re-warm
         let health = monitor.health();

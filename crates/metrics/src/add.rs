@@ -25,7 +25,7 @@ pub fn events(labels: &[bool]) -> Vec<(usize, usize)> {
 /// the first detection.
 ///
 /// Conventions (reward-once / penalize-once, following the paper's
-/// citation [17]):
+/// citation \[17\]):
 /// * the detection window for event `i` extends past its end up to the
 ///   next event's start (a late alarm still counts, with its full delay);
 /// * an event with no detection at all is penalized with the length of

@@ -16,7 +16,6 @@
 pub mod add;
 pub mod agg;
 pub mod point;
-pub mod pot;
 pub mod range_auc;
 pub mod roc;
 pub mod threshold;
@@ -24,7 +23,6 @@ pub mod threshold;
 pub use add::average_detection_delay;
 pub use agg::{mean_std, RunAggregate};
 pub use point::{confusion, point_adjust, PrF1};
-pub use pot::{pot_threshold, PotThreshold};
 pub use range_auc::range_auc_pr;
 pub use roc::roc_auc;
 pub use threshold::{best_f1_threshold, threshold_at_percentile};

@@ -67,48 +67,5 @@ pub fn forward_only<T>(f: impl FnOnce() -> T) -> T {
     no_grad(|| arena::scope(f))
 }
 
-/// [`forward_only`] when `on`, plain [`no_grad`] otherwise. Callers resolve
-/// the mode once (e.g. via [`forward_only_enabled`]) on the coordinating
-/// thread and pass the decision into worker closures, since thread-local
-/// overrides do not propagate into pool workers.
-pub fn forward_only_if<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    if on {
-        forward_only(f)
-    } else {
-        no_grad(f)
-    }
-}
-
-thread_local! {
-    static FWD_OVERRIDE: std::cell::Cell<Option<bool>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// Whether inference entry points should use [`forward_only`]. On by
-/// default; `IMDIFF_FWD=0` disables it process-wide (kill switch for
-/// A/B comparison), and [`with_forward_only`] overrides it per scope.
-pub fn forward_only_enabled() -> bool {
-    if let Some(on) = FWD_OVERRIDE.with(|c| c.get()) {
-        return on;
-    }
-    static ENV: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("IMDIFF_FWD").map_or(true, |v| v.trim() != "0")
-    })
-}
-
-/// Scoped thread-local override of [`forward_only_enabled`] (tests, A/B).
-pub fn with_forward_only<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    struct Guard(Option<bool>);
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            FWD_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let prev = FWD_OVERRIDE.with(|c| c.replace(Some(on)));
-    let _guard = Guard(prev);
-    f()
-}
-
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, NnError>;

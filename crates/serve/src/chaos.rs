@@ -3,7 +3,7 @@
 //! A [`ChaosPlan`] is a seeded fault schedule — kill or partition a
 //! replica at chunk *k*, corrupt a sidecar, duplicate a frame, truncate
 //! a frame mid-header — driven through the **real wire protocol**
-//! against an in-process [`Replicated`](crate::Replicated) tier. The
+//! against an in-process [`Replicated`] tier. The
 //! harness then proves the failure contract:
 //!
 //! * every request caught by a fault surfaces as a **typed error** —

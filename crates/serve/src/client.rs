@@ -410,6 +410,18 @@ impl Backoff {
         let unit = (splitmix64(&mut self.rng) >> 11) as f64 / (1u64 << 53) as f64;
         Some(raw.mul_f64(0.5 + unit * 0.5))
     }
+
+    /// Records a failure and sleeps out its delay. Returns `false`, without
+    /// sleeping, once the attempt budget is spent.
+    fn wait(&mut self) -> bool {
+        let Some(d) = self.next_delay() else {
+            return false;
+        };
+        if !d.is_zero() {
+            std::thread::sleep(d);
+        }
+        true
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -560,16 +572,9 @@ impl ResilientClient {
                 Ok(()) => return Ok(seq),
                 Err(e) if e.is_retryable() => {
                     self.conn = None;
-                    match backoff.next_delay() {
-                        Some(d) => {
-                            if !d.is_zero() {
-                                std::thread::sleep(d);
-                            }
-                        }
-                        None => {
-                            self.unacked.pop_back();
-                            return Err(e);
-                        }
+                    if !backoff.wait() {
+                        self.unacked.pop_back();
+                        return Err(e);
                     }
                 }
                 Err(e) => {
@@ -622,16 +627,9 @@ impl ResilientClient {
                     // connection's replies die with it — their requests
                     // are replayed too, keeping FIFO order intact.
                     self.conn = None;
-                    match backoff.next_delay() {
-                        Some(d) => {
-                            if !d.is_zero() {
-                                std::thread::sleep(d);
-                            }
-                        }
-                        None => {
-                            self.unacked.pop_front();
-                            return Err(ClientError::Server { code, message });
-                        }
+                    if !backoff.wait() {
+                        self.unacked.pop_front();
+                        return Err(ClientError::Server { code, message });
                     }
                 }
                 Ok(resp) => {
@@ -655,16 +653,9 @@ impl ResilientClient {
                 }
                 Err(e) if e.is_retryable() => {
                     self.conn = None;
-                    match backoff.next_delay() {
-                        Some(d) => {
-                            if !d.is_zero() {
-                                std::thread::sleep(d);
-                            }
-                        }
-                        None => {
-                            self.unacked.pop_front();
-                            return Err(e);
-                        }
+                    if !backoff.wait() {
+                        self.unacked.pop_front();
+                        return Err(e);
                     }
                 }
                 Err(e) => {
@@ -720,13 +711,8 @@ impl ResilientClient {
                 Err(ClientError::Server { code, message })
                     if code.is_retryable() && !code.may_be_applied() =>
                 {
-                    match backoff.next_delay() {
-                        Some(d) => {
-                            if !d.is_zero() {
-                                std::thread::sleep(d);
-                            }
-                        }
-                        None => return Err(ClientError::Server { code, message }),
+                    if !backoff.wait() {
+                        return Err(ClientError::Server { code, message });
                     }
                 }
                 Err(e) => return Err(e),
@@ -752,13 +738,8 @@ impl ResilientClient {
                 Ok(h) => return Ok(h),
                 Err(e) if e.is_retryable() => {
                     self.conn = None;
-                    match backoff.next_delay() {
-                        Some(d) => {
-                            if !d.is_zero() {
-                                std::thread::sleep(d);
-                            }
-                        }
-                        None => return Err(e),
+                    if !backoff.wait() {
+                        return Err(e);
                     }
                 }
                 Err(e) => return Err(e),

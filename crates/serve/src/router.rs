@@ -50,7 +50,7 @@
 //! `RandomState` is banned here: a randomized hash would re-place every
 //! tenant on restart and defeat sidecar-based resumption. The avalanche
 //! pass matters because raw FNV-1a clusters short sequential keys (see
-//! [`place_hash`]).
+//! `place_hash`).
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -52,7 +52,7 @@
 //! # Detector installs
 //!
 //! A tenant's serving detector changes in exactly one place,
-//! [`control::install`], for one of four causes: activation (startup or
+//! `control::install`, for one of four causes: activation (startup or
 //! failover adoption), promotion of a reloaded checkpoint, regression
 //! rollback, and escalation repin. Installs run on the owning shard
 //! **between batches**, so a batch never observes two generations; the
