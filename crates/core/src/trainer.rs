@@ -21,7 +21,31 @@
 //!    pinned at NaN through the whole budget aborts with a typed error.
 //! 3. **Determinism** — every recovery action is a pure function of the
 //!    snapshot state and the retry index, so the sentinel machinery never
-//!    breaks run-to-run or interrupt-resume reproducibility.
+//!    breaks run-to-run or interrupt-resume reproducibility; and every step
+//!    is one tape per sample, so the result never depends on the thread
+//!    count (below).
+//!
+//! # The sharded step
+//!
+//! Each optimizer step is `batch_size` independent one-sample shards:
+//!
+//! * The caller thread draws every sample (window, mask policy, diffusion
+//!   step `t`, noise ε) from the run's one RNG stream, in sample order.
+//! * One pool dispatch runs the shards. Each pool run builds one model
+//!   replica from a weight snapshot (tensors are thread-local) and runs
+//!   its shards in order: `forward` on `[1, K, L]`, the loss
+//!   Σ(mask·(ε̂−ε)²) / `active` with `active` the **whole batch's** mask
+//!   count, and `backward` on the shard's own tape.
+//! * The caller adds the shard gradients into the master parameters and
+//!   sums the shard losses, both in shard order 0..b, which yields the
+//!   batch's masked MSE and its gradient. The sentinels, clipping, Adam
+//!   and EMA then run on the caller.
+//!
+//! The shard count is the batch size, never the thread count, and the
+//! reduction order is fixed, so weights and loss curves are bit-identical
+//! at any width and across interrupt and resume. A step fans out only
+//! when each worker gets at least `MIN_PAR_SHARD_COST` cells × hidden
+//! units of samples; smaller fits run their shards inline on the caller.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -31,8 +55,8 @@ use imdiff_data::{DetectorError, Mts};
 use imdiff_diffusion::NoiseSchedule;
 use imdiff_nn::layers::Module;
 use imdiff_nn::obs;
-use imdiff_nn::ops::masked_mse;
 use imdiff_nn::optim::{Adam, AdamState, Optimizer};
+use imdiff_nn::pool;
 use imdiff_nn::rng::{normal_vec, seeded};
 use imdiff_nn::serialize::{atomic_write, open_record, ByteReader, ByteWriter};
 use imdiff_nn::{backward, Tensor};
@@ -40,6 +64,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::config::{ImDiffusionConfig, SentinelConfig, TaskMode};
+use crate::infer::model_from_snapshot;
 use crate::model::ImTransformer;
 
 const TRAIN_MAGIC: &[u8; 4] = b"IMTS";
@@ -229,6 +254,94 @@ fn retry_rng(state: [u64; 4], trip: u64) -> StdRng {
     seeded(h ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(trip))
 }
 
+/// Work, in cells × hidden units, that one pool worker must get before a
+/// step fans its shards out; one sample costs `K · L · hidden` units. A
+/// sample's forward and backward pass takes about 1 µs per unit on an
+/// x86-64 core, so 2^13 units (~8 ms) dwarf a worker's spawn, model
+/// replica and malloc arena. Serving-size fits (window 16, hidden 8)
+/// fall below it and stay inline on the caller.
+const MIN_PAR_SHARD_COST: usize = 1 << 13;
+
+/// One training sample of a step, drawn on the caller thread: the model
+/// inputs, the imputation-target mask, the forward noise ε (the
+/// regression target) and the sample's diffusion step and mask policy.
+/// All buffers are channel-major `[K * L]`.
+struct Sample {
+    x_val: Vec<f32>,
+    x_ref: Vec<f32>,
+    tgt: Vec<f32>,
+    eps: Vec<f32>,
+    t: usize,
+    policy: usize,
+}
+
+/// One shard's share of a step: its loss term and the gradient of that
+/// term for every parameter (`None` where the graph did not reach it).
+struct ShardOut {
+    loss: f32,
+    grads: Vec<Option<Vec<f32>>>,
+}
+
+/// Runs one shard per sample — forward and backward on its own autodiff
+/// tape — in one pool dispatch, and returns the shards in sample order.
+/// Tensors are thread-local, so every pool run builds one model replica
+/// from a plain-`f32` snapshot of the weights and runs its shards on it
+/// in order. A shard's result depends only on its sample and the
+/// weights, never on the run that computed it or on the thread count.
+fn run_shards(
+    model: &ImTransformer,
+    cfg: &ImDiffusionConfig,
+    samples: &[Sample],
+    active: f32,
+) -> Vec<ShardOut> {
+    let k = model.channels();
+    let grain = MIN_PAR_SHARD_COST
+        .div_ceil(k * cfg.window * cfg.hidden)
+        .max(1);
+    let snapshot: Vec<Vec<f32>> = model.params().iter().map(|p| p.to_vec()).collect();
+    let mut shards: Vec<Option<ShardOut>> = samples.iter().map(|_| None).collect();
+    pool::parallel_slices_mut(&mut shards, 1, grain, |start, run| {
+        let replica = model_from_snapshot(cfg, k, &snapshot);
+        let params = replica.params();
+        for (slot, sample) in run.iter_mut().zip(&samples[start..]) {
+            *slot = Some(shard_step(&replica, &params, sample, active));
+        }
+    });
+    shards
+        .into_iter()
+        .map(|s| s.expect("every shard ran"))
+        .collect()
+}
+
+/// One sample's term of the Eq. (11) objective, Σ(mask·(ε̂−ε)²) / `active`
+/// with `active` the whole batch's mask count, and its gradients. Leaves
+/// `params` (the replica's) with no gradient, ready for the next shard.
+fn shard_step(model: &ImTransformer, params: &[Tensor], s: &Sample, active: f32) -> ShardOut {
+    let _span = obs::span("trainer.shard");
+    let dims = [1, model.channels(), s.x_val.len() / model.channels()];
+    let tensor = |v: &[f32]| Tensor::from_vec(v.to_vec(), &dims).expect("sample shape");
+    let eps_hat = model.forward(&tensor(&s.x_val), &tensor(&s.x_ref), &[s.t], &[s.policy]);
+    let loss = eps_hat
+        .sub(&tensor(&s.eps))
+        .mul(&tensor(&s.tgt))
+        .square()
+        .sum_all()
+        .scale(1.0 / active);
+    backward(&loss);
+    let grads = params
+        .iter()
+        .map(|p| {
+            let g = p.grad();
+            p.zero_grad();
+            g
+        })
+        .collect();
+    ShardOut {
+        loss: loss.item(),
+        grads,
+    }
+}
+
 impl Trainer {
     /// Creates a trainer with the given options.
     pub fn new(opts: TrainerOptions) -> Self {
@@ -364,14 +477,8 @@ impl Trainer {
                 * (0.55 + 0.45 * (std::f32::consts::PI * progress).cos())
                 * st.lr_scale;
             opt.set_lr(lr_now);
-            let mut x_val = vec![0.0f32; b * cell];
-            let mut x_ref = vec![0.0f32; b * cell];
-            let mut tgt_mask = vec![0.0f32; b * cell];
-            let mut eps_all = vec![0.0f32; b * cell];
-            let mut steps = Vec::with_capacity(b);
-            let mut policies = Vec::with_capacity(b);
-
-            for i in 0..b {
+            let mut samples = Vec::with_capacity(b);
+            for _ in 0..b {
                 let w = &windows[st.rng.gen_range(0..windows.len())];
                 let fresh;
                 let masks: &Vec<Mask> = match &static_masks {
@@ -381,43 +488,55 @@ impl Trainer {
                         &fresh
                     }
                 };
-                let p = st.rng.gen_range(0..masks.len());
-                let (obs, tgt) = mask_channel_major(&masks[p]);
+                let policy = st.rng.gen_range(0..masks.len());
+                let (obs, tgt) = mask_channel_major(&masks[policy]);
                 let t = st.rng.gen_range(1..=cfg.diffusion_steps);
                 let eps = normal_vec(&mut st.rng, cell);
-                let mut xt = vec![0.0f32; cell];
-                schedule.q_sample_into(w, &eps, t, &mut xt);
-                let base = i * cell;
-                for j in 0..cell {
-                    // Unconditional (§4.1): the whole window is corrupted;
-                    // the observed region is visible only in noised form,
-                    // with its ground-truth forward noise ε_t^{M1} as the
-                    // reference that lets the model "subtract the noise" —
-                    // an indirect hint that never reveals raw values.
-                    // Conditional: the observed region is fed clean and
-                    // the masked region noised.
-                    if cfg.unconditional {
-                        x_val[base + j] = xt[j];
-                        x_ref[base + j] = eps[j] * obs[j];
-                    } else {
-                        x_val[base + j] = xt[j] * tgt[j];
-                        x_ref[base + j] = w[j] * obs[j];
+                let mut x_val = vec![0.0f32; cell];
+                schedule.q_sample_into(w, &eps, t, &mut x_val);
+                // Unconditional (§4.1): the whole window is corrupted; the
+                // observed region is visible only in noised form, with its
+                // ground-truth forward noise ε_t^{M1} as the reference that
+                // lets the model "subtract the noise" — an indirect hint
+                // that never reveals raw values. Conditional: the observed
+                // region is fed clean and the masked region noised.
+                let x_ref: Vec<f32> = if cfg.unconditional {
+                    eps.iter().zip(&obs).map(|(e, o)| e * o).collect()
+                } else {
+                    for (x, m) in x_val.iter_mut().zip(&tgt) {
+                        *x *= m;
                     }
-                    tgt_mask[base + j] = tgt[j];
-                    eps_all[base + j] = eps[j];
-                }
-                steps.push(t);
-                policies.push(p);
+                    w.iter().zip(&obs).map(|(v, o)| v * o).collect()
+                };
+                samples.push(Sample {
+                    x_val,
+                    x_ref,
+                    tgt,
+                    eps,
+                    t,
+                    policy,
+                });
             }
 
-            let x_val_t = Tensor::from_vec(x_val, &[b, k, l]).expect("x_val shape");
-            let x_ref_t = Tensor::from_vec(x_ref, &[b, k, l]).expect("x_ref shape");
-            let tgt_t = Tensor::from_vec(tgt_mask, &[b, k, l]).expect("mask shape");
-            let eps_t = Tensor::from_vec(eps_all, &[b, k, l]).expect("eps shape");
-
-            let eps_hat = model.forward(&x_val_t, &x_ref_t, &steps, &policies);
-            let loss = masked_mse(&eps_hat, &eps_t, &tgt_t);
-            let loss_val = loss.item();
+            // Every shard divides by the whole batch's mask count, so the
+            // shard losses (and gradients) add up to the batch objective.
+            let active: f32 = samples.iter().flat_map(|s| &s.tgt).sum();
+            let shards = if active > 0.0 {
+                run_shards(model, cfg, &samples, active)
+            } else {
+                Vec::new()
+            };
+            let loss_val = {
+                let _reduce = obs::span("trainer.reduce");
+                for shard in &shards {
+                    for (p, g) in params.iter().zip(&shard.grads) {
+                        if let Some(g) = g {
+                            p.accumulate_grad(g);
+                        }
+                    }
+                }
+                shards.iter().map(|s| s.loss).sum::<f32>()
+            };
             obs::histogram("trainer.loss", loss_val as f64);
             if !loss_val.is_finite() {
                 trip(
@@ -432,7 +551,7 @@ impl Trainer {
                 step = snap.step;
                 continue;
             }
-            backward(&loss);
+            let optim = obs::span("trainer.optim");
             let pre_clip = opt.clip_grad_norm(cfg.grad_clip);
             obs::histogram("trainer.grad_norm", pre_clip as f64);
             let armed = st.grad_norms.len() >= sentinel.grad_warmup.max(1);
@@ -475,6 +594,7 @@ impl Trainer {
                     }
                 }
             }
+            drop(optim);
             obs::counter("trainer.steps", 1);
             step += 1;
 
@@ -1132,6 +1252,73 @@ mod tests {
         .unwrap();
         assert_eq!(weights_of(&model), uninterrupted);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The sharded step computes the batch objective of Eq. (11): three
+    /// one-sample tapes, each divided by the whole batch's mask count,
+    /// sum to one batched `masked_mse` tape in loss and in every gradient.
+    /// A shard that divided by its own mask count would be off by the
+    /// batch's mask share, which no thread-invariance test can see.
+    #[test]
+    fn shard_sum_matches_one_batched_tape() {
+        use imdiff_nn::ops::masked_mse;
+
+        let cfg = tiny_cfg();
+        let (k, l, b) = (3, cfg.window, 3);
+        let cell = k * l;
+        let model = ImTransformer::new(&cfg, k, 5);
+        let mut rng = seeded(17);
+        // Mask densities differ per sample, so per-sample divisors differ.
+        let samples: Vec<Sample> = (0..b)
+            .map(|i| Sample {
+                x_val: normal_vec(&mut rng, cell),
+                x_ref: normal_vec(&mut rng, cell),
+                tgt: (0..cell)
+                    .map(|_| f32::from(rng.gen_range(0..i + 2) == 0))
+                    .collect(),
+                eps: normal_vec(&mut rng, cell),
+                t: 1 + i,
+                policy: i % 2,
+            })
+            .collect();
+        let active: f32 = samples.iter().flat_map(|s| &s.tgt).sum();
+        let shards = run_shards(&model, &cfg, &samples, active);
+        let shard_loss: f32 = shards.iter().map(|s| s.loss).sum();
+
+        let batch = |f: fn(&Sample) -> &Vec<f32>| {
+            let data = samples.iter().flat_map(|s| f(s).iter().copied()).collect();
+            Tensor::from_vec(data, &[b, k, l]).unwrap()
+        };
+        let steps: Vec<usize> = samples.iter().map(|s| s.t).collect();
+        let policies: Vec<usize> = samples.iter().map(|s| s.policy).collect();
+        let eps_hat = model.forward(&batch(|s| &s.x_val), &batch(|s| &s.x_ref), &steps, &policies);
+        let loss = masked_mse(&eps_hat, &batch(|s| &s.eps), &batch(|s| &s.tgt));
+        backward(&loss);
+
+        assert!(
+            (shard_loss - loss.item()).abs() <= 1e-6 * loss.item().abs().max(1.0),
+            "shard losses sum to {shard_loss}, batched tape reads {}",
+            loss.item()
+        );
+        for (i, p) in model.params().iter().enumerate() {
+            let want = p.grad().expect("batched tape reaches every parameter");
+            let mut got = vec![0.0f32; want.len()];
+            for shard in &shards {
+                let g = shard.grads[i].as_ref().expect("shard reaches every parameter");
+                for (acc, v) in got.iter_mut().zip(g) {
+                    *acc += v;
+                }
+            }
+            let scale = want.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            let err = got
+                .iter()
+                .zip(&want)
+                .fold(0.0f32, |m, (a, w)| m.max((a - w).abs()));
+            assert!(
+                err <= 1e-5 * scale,
+                "parameter {i}: summed shard grads differ by {err} (scale {scale})"
+            );
+        }
     }
 
     #[test]

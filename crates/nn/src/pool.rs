@@ -174,23 +174,24 @@ where
 /// the caller runs item 0, every worker with an equal share of the
 /// thread budget — so nested primitives (e.g. matmul inside a
 /// window-parallel chain) can still fan out when workers outnumber work,
-/// but the total never exceeds the budget. Every run is one
-/// `pool.worker` span.
+/// but the total never exceeds the budget. Every run of a fanned-out
+/// dispatch is one `pool.worker` span; an inline run opens none, so its
+/// time stays charged to the op that dispatched it.
 fn run_tasks<W: Send>(
     budget: usize,
     count: usize,
     mut tasks: impl Iterator<Item = W>,
     task: impl Fn(W) + Sync,
 ) {
+    let head = tasks.next().expect("at least one task");
+    if count == 1 {
+        task(head);
+        return;
+    }
     let worker = |w: W| {
         let _busy = crate::obs::span("pool.worker");
         task(w)
     };
-    let head = tasks.next().expect("at least one task");
-    if count == 1 {
-        worker(head);
-        return;
-    }
     let inner = (budget / count).max(1);
     std::thread::scope(|s| {
         let worker = &worker;

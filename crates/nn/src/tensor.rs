@@ -316,8 +316,13 @@ impl Tensor {
         Self::leaf(self.to_vec(), self.node.shape.clone(), false)
     }
 
-    /// Adds `g` into the tensor's gradient buffer.
-    pub(crate) fn accumulate_grad(&self, g: &[f32]) {
+    /// Adds `g` into the tensor's gradient buffer (a no-op on tensors that
+    /// do not require gradients). Backward closures call this once per
+    /// contribution; a data-parallel trainer calls it to fold per-replica
+    /// gradients into the master parameters, in a fixed order.
+    ///
+    /// Panics (in debug builds) if `g` does not have one value per element.
+    pub fn accumulate_grad(&self, g: &[f32]) {
         if !self.node.requires_grad {
             return;
         }

@@ -113,6 +113,7 @@ fn main() {
     for name in [
         "trainer.run",
         "trainer.step",
+        "trainer.shard",
         "infer.ensemble",
         "infer.denoise_step",
         "pool.worker",
