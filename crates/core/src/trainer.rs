@@ -288,6 +288,8 @@ struct ShardOut {
 /// from a plain-`f32` snapshot of the weights and runs its shards on it
 /// in order. A shard's result depends only on its sample and the
 /// weights, never on the run that computed it or on the thread count.
+/// Inside the trainer's recycling scope every tape buffer is parked and
+/// reused across shards and steps, on the caller and on the pool worker.
 fn run_shards(
     model: &ImTransformer,
     cfg: &ImDiffusionConfig,
@@ -363,7 +365,7 @@ impl Trainer {
         train_data: &Mts,
         seed: u64,
     ) -> Result<TrainReport, DetectorError> {
-        self.execute(model, cfg, schedule, train_data, seed, None)
+        imdiff_nn::recycling(|| self.execute(model, cfg, schedule, train_data, seed, None))
     }
 
     /// Continues an interrupted run from the `IMTS` checkpoint at
@@ -382,7 +384,7 @@ impl Trainer {
             DetectorError::Io("resume requires TrainerOptions::checkpoint_path".into())
         })?;
         let snap = read_train_state(path, cfg, train_data.dim())?;
-        self.execute(model, cfg, schedule, train_data, seed, Some(snap))
+        imdiff_nn::recycling(|| self.execute(model, cfg, schedule, train_data, seed, Some(snap)))
     }
 
     fn execute(

@@ -1,41 +1,88 @@
-//! Thread-local buffer arena backing tape-free forward-only execution.
+//! Thread-local buffer arena: recycled `Vec<f32>` storage for op outputs,
+//! autodiff tape buffers and gradients.
 //!
-//! Inference spends a large share of its time allocating and freeing the
-//! `Vec<f32>` storage behind short-lived op outputs: every op allocates a
-//! fresh buffer, and under [`crate::no_grad`] the result is dropped one
-//! step later. Inside a [`crate::forward_only`] scope those buffers are
-//! *recycled* instead: when a detached, history-free tensor is dropped,
-//! its storage returns to a per-thread free list, and the next op output
-//! of compatible capacity reuses it (zero-filled, so values are identical
-//! to a fresh allocation bit for bit).
+//! Every op output and every backward-closure gradient is a short-lived
+//! buffer. Inside a recycling scope ([`crate::recycling`], which
+//! [`crate::forward_only`] and the trainer open) those buffers are
+//! *recycled* instead of freed: when a tape node or a detached op output
+//! is dropped, when a gradient is cleared, and when `backward` has run a
+//! node's closure, the storage returns to a per-thread free list. The
+//! next request of the same capacity reuses it, zero-filled, so values
+//! are identical to a fresh allocation bit for bit.
 //!
-//! The arena is purely an allocation cache — it never changes what any op
-//! computes, only where the bytes live. It is thread-local by
-//! construction (tensors are `Rc`-based and never cross threads), and the
-//! free list is dropped when the outermost scope exits so no memory is
-//! held between inference calls.
+//! A buffer is reused only for a request of exactly its capacity, so a
+//! large buffer never serves a small request, and the list parks at most
+//! `MAX_PARKED_ELEMS` elements per thread; past that a buffer is freed.
+//! Only storage the arena handed out comes back to it (caller-built
+//! leaves and parameters never do), so a thread parks no more buffers of
+//! a size than it once had in use at the same time.
+//!
+//! The arena never changes what any op computes, only where the bytes
+//! live. It is thread-local because tensors are `Rc`-based and never
+//! cross threads. A pool worker is a new thread on every dispatch, so
+//! while the dispatching thread has the arena active, each worker slot is
+//! lent the list its previous worker returned (see `crate::pool`). The
+//! thread's own list and every list it holds for its workers are dropped
+//! when its outermost scope exits, so no memory is held between calls.
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 
-/// Maximum number of buffers parked on one thread's free list.
-const MAX_BUFFERS: usize = 64;
+/// Most elements (64 MiB of `f32`) one thread keeps parked, counting
+/// capacity; a buffer that would pass it is freed instead.
+const MAX_PARKED_ELEMS: usize = 1 << 24;
 /// Largest buffer (in elements) worth recycling; bigger ones are freed.
 const MAX_BUFFER_ELEMS: usize = 1 << 22;
 
-thread_local! {
-    /// Nesting depth of active forward-only scopes; 0 = inactive.
-    static DEPTH: Cell<usize> = const { Cell::new(0) };
-    static FREE: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+/// One thread's parked buffers, keyed by exact capacity.
+#[derive(Default)]
+pub(crate) struct Parked {
+    by_capacity: HashMap<usize, Vec<Vec<f32>>>,
+    elems: usize,
 }
 
-/// Whether a forward-only scope is active on this thread.
+impl Parked {
+    fn take(&mut self, n: usize) -> Option<Vec<f32>> {
+        let buf = self.by_capacity.get_mut(&n)?.pop()?;
+        self.elems -= n;
+        Some(buf)
+    }
+
+    fn park(&mut self, buf: Vec<f32>) {
+        let cap = buf.capacity();
+        if self.elems + cap <= MAX_PARKED_ELEMS {
+            self.elems += cap;
+            self.by_capacity.entry(cap).or_default().push(buf);
+        }
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.elems == 0
+    }
+
+    fn clear(&mut self) {
+        self.by_capacity.clear();
+        self.elems = 0;
+    }
+}
+
+thread_local! {
+    /// Nesting depth of active recycling scopes; 0 = inactive.
+    static DEPTH: Cell<usize> = const { Cell::new(0) };
+    static FREE: RefCell<Parked> = RefCell::new(Parked::default());
+    /// The lists this thread's pool workers returned, by worker slot.
+    static LENT: RefCell<Vec<Parked>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Whether a recycling scope is active on this thread.
 pub(crate) fn active() -> bool {
     DEPTH.with(|d| d.get()) > 0
 }
 
 /// Runs `f` with buffer recycling active on this thread. Nesting composes;
-/// the free list is released when the outermost scope exits (including on
-/// panic), so arenas never pin memory across inference calls.
+/// the free list and the lent lists are released when the outermost scope
+/// exits (including on panic), so arenas never pin memory across calls.
 pub(crate) fn scope<T>(f: impl FnOnce() -> T) -> T {
     struct Guard;
     impl Drop for Guard {
@@ -47,6 +94,7 @@ pub(crate) fn scope<T>(f: impl FnOnce() -> T) -> T {
             });
             if depth == 0 {
                 FREE.with(|p| p.borrow_mut().clear());
+                LENT.with(|l| l.borrow_mut().clear());
             }
         }
     }
@@ -56,16 +104,11 @@ pub(crate) fn scope<T>(f: impl FnOnce() -> T) -> T {
 }
 
 /// A zero-filled buffer of exactly `n` elements: recycled when the arena
-/// is active and a parked buffer has the capacity, freshly allocated
+/// is active and a parked buffer has capacity `n`, freshly allocated
 /// otherwise. Identical to `vec![0.0; n]` in every observable way.
 pub(crate) fn zeroed(n: usize) -> Vec<f32> {
     if active() && n <= MAX_BUFFER_ELEMS {
-        let hit = FREE.with(|p| {
-            let mut free = p.borrow_mut();
-            let slot = free.iter().position(|b| b.capacity() >= n);
-            slot.map(|i| free.swap_remove(i))
-        });
-        if let Some(mut buf) = hit {
+        if let Some(mut buf) = FREE.with(|p| p.borrow_mut().take(n)) {
             buf.clear();
             buf.resize(n, 0.0);
             return buf;
@@ -75,16 +118,55 @@ pub(crate) fn zeroed(n: usize) -> Vec<f32> {
 }
 
 /// Parks a no-longer-needed buffer for reuse. No-op when the arena is
-/// inactive or full — the buffer is then freed normally.
+/// inactive or full, or the buffer is empty or oversized — the buffer is
+/// then freed normally.
 pub(crate) fn recycle(buf: Vec<f32>) {
     if !active() || buf.capacity() == 0 || buf.capacity() > MAX_BUFFER_ELEMS {
         return;
     }
-    FREE.with(|p| {
-        let mut free = p.borrow_mut();
-        if free.len() < MAX_BUFFERS {
-            free.push(buf);
+    FREE.with(|p| p.borrow_mut().park(buf));
+}
+
+/// The list to lend a new worker thread for pool slot `slot`: what that
+/// slot's previous worker returned, empty the first time. `None` when the
+/// arena is inactive here, so the worker runs without one.
+pub(crate) fn lend(slot: usize) -> Option<Parked> {
+    if !active() {
+        return None;
+    }
+    Some(LENT.with(|l| {
+        l.borrow_mut()
+            .get_mut(slot)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }))
+}
+
+/// Runs `f` on a fresh worker thread. With a `lent` list, `f` runs with
+/// it as this thread's parked buffers and the arena active, and the list
+/// is returned as `f` left it.
+pub(crate) fn run_lent(lent: Option<Parked>, f: impl FnOnce()) -> Option<Parked> {
+    let Some(list) = lent else {
+        f();
+        return None;
+    };
+    debug_assert!(!active(), "a lent list goes to a fresh thread");
+    FREE.with(|p| *p.borrow_mut() = list);
+    scope(|| {
+        f();
+        Some(FREE.with(|p| std::mem::take(&mut *p.borrow_mut())))
+    })
+}
+
+/// Keeps the list a worker returned for the next worker in `slot`.
+pub(crate) fn store_lent(slot: usize, returned: Option<Parked>) {
+    let Some(list) = returned else { return };
+    LENT.with(|l| {
+        let mut lent = l.borrow_mut();
+        if lent.len() <= slot {
+            lent.resize_with(slot + 1, Parked::default);
         }
+        lent[slot] = list;
     });
 }
 
@@ -131,6 +213,63 @@ mod tests {
             FREE.with(|p| assert!(!p.borrow().is_empty()));
         });
         FREE.with(|p| assert!(p.borrow().is_empty()));
+    }
+
+    #[test]
+    fn reuse_needs_exact_capacity() {
+        scope(|| {
+            recycle(zeroed(64));
+            // A smaller request allocates rather than take the larger
+            // buffer, which stays parked for a request of its own size.
+            let small = zeroed(16);
+            assert_eq!(small.capacity(), 16);
+            FREE.with(|p| assert_eq!(p.borrow().elems, 64));
+            let large = zeroed(64);
+            assert_eq!(large.capacity(), 64);
+            FREE.with(|p| assert!(p.borrow().is_empty()));
+        });
+    }
+
+    #[test]
+    fn parking_stops_at_the_element_cap() {
+        scope(|| {
+            // Fresh `vec![0.0; n]` buffers of this size are lazily mapped,
+            // so holding several costs address space, not memory.
+            let fit = MAX_PARKED_ELEMS / MAX_BUFFER_ELEMS;
+            let bufs: Vec<Vec<f32>> = (0..=fit).map(|_| zeroed(MAX_BUFFER_ELEMS)).collect();
+            for b in bufs {
+                recycle(b);
+            }
+            FREE.with(|p| {
+                let free = p.borrow();
+                assert_eq!(free.elems, MAX_PARKED_ELEMS);
+                assert_eq!(free.by_capacity[&MAX_BUFFER_ELEMS].len(), fit);
+            });
+        });
+    }
+
+    #[test]
+    fn lent_lists_survive_dispatches_until_outermost_exit() {
+        use crate::pool::{parallel_for, with_threads};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // What the spawned worker found parked when it started, per round.
+        let found = [AtomicUsize::new(usize::MAX), AtomicUsize::new(usize::MAX)];
+        scope(|| {
+            with_threads(2, || {
+                for seen in &found {
+                    parallel_for(2, 1, |r| {
+                        if r.start == 1 {
+                            seen.store(FREE.with(|p| p.borrow().elems), Ordering::Relaxed);
+                            recycle(zeroed(32));
+                        }
+                    });
+                }
+            });
+            LENT.with(|l| assert_eq!(l.borrow()[0].elems, 32));
+        });
+        // The second worker thread started with the first one's buffer.
+        assert_eq!(found.map(|f| f.into_inner()), [0, 32]);
+        LENT.with(|l| assert!(l.borrow().is_empty()));
     }
 
     #[test]

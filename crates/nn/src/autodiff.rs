@@ -33,10 +33,11 @@ pub fn no_grad<T>(f: impl FnOnce() -> T) -> T {
 
 /// Backpropagates from a scalar loss through the recorded graph.
 ///
-/// Gradients accumulate into every reachable tensor with
-/// `requires_grad = true`; call [`Tensor::zero_grad`] (or an optimizer's
-/// `zero_grad`) between steps. Panics if `loss` is not a single-element
-/// tensor.
+/// Gradients accumulate into every reachable leaf with
+/// `requires_grad = true` (the parameters); an intermediate node's
+/// gradient is released once propagated, so only leaves hold one
+/// afterwards. Call [`Tensor::zero_grad`] (or an optimizer's `zero_grad`)
+/// between steps. Panics if `loss` is not a single-element tensor.
 pub fn backward(loss: &Tensor) {
     assert_eq!(
         loss.numel(),
@@ -47,6 +48,7 @@ pub fn backward(loss: &Tensor) {
     if !loss.requires_grad() {
         return; // Nothing reachable requires gradients.
     }
+    let _span = crate::obs::span("autodiff.backward");
 
     // Iterative post-order DFS to topologically sort the graph.
     let mut topo: Vec<Tensor> = Vec::new();
@@ -66,11 +68,17 @@ pub fn backward(loss: &Tensor) {
         }
     }
 
+    // A node's gradient is complete once every consumer's closure has run
+    // (reverse topological order), and only its own closure reads it; so
+    // it is moved out, not cloned, and released right after. Leaves
+    // (no closure) keep theirs.
     loss.node().seed_grad_ones();
     for t in topo.iter().rev() {
-        if let Some(backward_fn) = &t.node().backward {
-            let grad = t.node().grad_clone_or_zeros();
-            backward_fn(&grad, &t.node().parents);
+        let node = t.node();
+        if let Some(backward_fn) = &node.backward {
+            let grad = node.take_grad_or_zeros();
+            backward_fn(&grad, &node.parents);
+            crate::arena::recycle(grad);
         }
     }
 }
@@ -114,6 +122,16 @@ mod tests {
         backward(&y);
         // dy/dx = 4x = 12.
         assert_eq!(x.grad().unwrap(), vec![12.0]);
+    }
+
+    #[test]
+    fn backward_releases_intermediate_grads_and_keeps_leaf_grads() {
+        let x = Tensor::param_from_vec(vec![3.0, -1.0], &[2]).unwrap();
+        let sq = x.mul(&x);
+        let y = sq.sum_all();
+        backward(&y);
+        assert!(sq.grad().is_none() && y.grad().is_none());
+        assert_eq!(x.grad().unwrap(), vec![6.0, -2.0]);
     }
 
     #[test]

@@ -54,17 +54,28 @@ pub use error::NnError;
 pub use shape::Shape;
 pub use tensor::Tensor;
 
-/// Runs `f` in tape-free forward-only mode: gradient tracking off (as in
-/// [`no_grad`]) **plus** thread-local buffer recycling, so op outputs reuse
-/// a small arena of buffers instead of hitting the allocator per op.
+/// Runs `f` with thread-local buffer recycling: op outputs, autodiff tape
+/// buffers and gradients dropped inside `f` are parked and reused by later
+/// ops of the same size instead of going back to the allocator. Pool
+/// workers spawned inside `f` are lent the buffers their predecessors
+/// parked. Everything parked is freed when the outermost scope on this
+/// thread exits.
 ///
-/// Results are bit-identical to `no_grad(f)` on the same dispatch tier —
-/// the arena only changes where buffers live, never what ops compute.
+/// Results are bit-identical to running `f` directly — the arena only
+/// changes where buffers live, never what ops compute.
+pub fn recycling<T>(f: impl FnOnce() -> T) -> T {
+    arena::scope(f)
+}
+
+/// Runs `f` in tape-free forward-only mode: gradient tracking off (as in
+/// [`no_grad`]) inside a [`recycling`] scope.
+///
+/// Results are bit-identical to `no_grad(f)` on the same dispatch tier.
 pub fn forward_only<T>(f: impl FnOnce() -> T) -> T {
     if obs::enabled() {
         obs::counter("nn.forward_only", 1);
     }
-    no_grad(|| arena::scope(f))
+    no_grad(|| recycling(f))
 }
 
 /// Crate-wide result alias.

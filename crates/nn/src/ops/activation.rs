@@ -18,14 +18,11 @@ fn unary_with(a: &Tensor, fwd: impl Fn(f32) -> f32, dfdx: impl Fn(f32) -> f32 + 
         vec![a.clone()],
         move || Box::new(move |gout, parents| {
             let p = &parents[0];
-            let g: Vec<f32> = {
-                let din = p.data();
-                gout.iter()
-                    .enumerate()
-                    .map(|(i, &go)| dfdx(din[i]) * go)
-                    .collect()
-            };
-            p.accumulate_grad(&g);
+            let mut g = crate::arena::zeroed(gout.len());
+            for ((o, &go), &x) in g.iter_mut().zip(gout).zip(p.data().iter()) {
+                *o = dfdx(x) * go;
+            }
+            p.accumulate_grad_owned(g);
         }),
     )
 }
@@ -63,14 +60,11 @@ fn unary_tiered(
         vec![a.clone()],
         move || Box::new(move |gout, parents| {
             let p = &parents[0];
-            let g: Vec<f32> = {
-                let din = p.data();
-                gout.iter()
-                    .enumerate()
-                    .map(|(i, &go)| dfdx(din[i]) * go)
-                    .collect()
-            };
-            p.accumulate_grad(&g);
+            let mut g = crate::arena::zeroed(gout.len());
+            for ((o, &go), &x) in g.iter_mut().zip(gout).zip(p.data().iter()) {
+                *o = dfdx(x) * go;
+            }
+            p.accumulate_grad_owned(g);
         }),
     )
 }

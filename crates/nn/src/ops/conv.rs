@@ -82,9 +82,9 @@ impl Tensor {
             vec![self.clone(), weight.clone(), bias.clone()],
             move || Box::new(move |gout, parents| {
                 let (px, pw, pb) = (&parents[0], &parents[1], &parents[2]);
-                let mut gx = vec![0.0f32; px.numel()];
-                let mut gw = vec![0.0f32; pw.numel()];
-                let mut gb = vec![0.0f32; cout];
+                let mut gx = crate::arena::zeroed(px.numel());
+                let mut gw = crate::arena::zeroed(pw.numel());
+                let mut gb = crate::arena::zeroed(cout);
                 {
                     let x = px.data();
                     let w = pw.data();
@@ -113,9 +113,9 @@ impl Tensor {
                         }
                     }
                 }
-                px.accumulate_grad(&gx);
-                pw.accumulate_grad(&gw);
-                pb.accumulate_grad(&gb);
+                px.accumulate_grad_owned(gx);
+                pw.accumulate_grad_owned(gw);
+                pb.accumulate_grad_owned(gb);
             }),
         )
     }

@@ -143,8 +143,8 @@ fn binary_broadcast(
         vec![a.clone(), b.clone()],
         move || Box::new(move |gout, parents| {
             let (pa, pb) = (&parents[0], &parents[1]);
-            let mut ga = vec![0.0f32; sa.numel()];
-            let mut gb = vec![0.0f32; sb.numel()];
+            let mut ga = crate::arena::zeroed(sa.numel());
+            let mut gb = crate::arena::zeroed(sb.numel());
             {
                 let da = pa.data();
                 let db = pb.data();
@@ -154,8 +154,8 @@ fn binary_broadcast(
                     gb[ib] += ddb * gout[o];
                 });
             }
-            pa.accumulate_grad(&ga);
-            pb.accumulate_grad(&gb);
+            pa.accumulate_grad_owned(ga);
+            pb.accumulate_grad_owned(gb);
         }),
     )
 }
@@ -183,14 +183,11 @@ fn unary(
         // would never use.
         move || Box::new(move |gout, parents| {
             let p = &parents[0];
-            let din = p.data();
-            let g: Vec<f32> = gout
-                .iter()
-                .enumerate()
-                .map(|(i, &go)| dfdx(din[i], fwd(din[i])) * go)
-                .collect();
-            drop(din);
-            p.accumulate_grad(&g);
+            let mut g = crate::arena::zeroed(gout.len());
+            for ((o, &go), &x) in g.iter_mut().zip(gout).zip(p.data().iter()) {
+                *o = dfdx(x, fwd(x)) * go;
+            }
+            p.accumulate_grad_owned(g);
         }),
     )
 }
@@ -236,8 +233,11 @@ impl Tensor {
             self.shape().clone(),
             vec![self.clone()],
             move || Box::new(move |gout, parents| {
-                let g: Vec<f32> = gout.iter().map(|&go| go * c).collect();
-                parents[0].accumulate_grad(&g);
+                let mut g = crate::arena::zeroed(gout.len());
+                for (o, &go) in g.iter_mut().zip(gout) {
+                    *o = go * c;
+                }
+                parents[0].accumulate_grad_owned(g);
             }),
         )
     }

@@ -28,13 +28,13 @@ impl Tensor {
             vec![self.clone()],
             move || Box::new(move |gout, parents| {
                 let p = &parents[0];
-                let mut g = vec![0.0f32; p.numel()];
+                let mut g = crate::arena::zeroed(p.numel());
                 for (row, &ix) in idx.iter().enumerate() {
                     for c in 0..d {
                         g[ix * d + c] += gout[row * d + c];
                     }
                 }
-                p.accumulate_grad(&g);
+                p.accumulate_grad_owned(g);
             }),
         )
     }

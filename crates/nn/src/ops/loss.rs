@@ -48,22 +48,20 @@ pub fn bce_with_logits(logits: &Tensor, target: &Tensor) -> Tensor {
         .zip(&t)
         .map(|(&x, &tt)| x.max(0.0) - x * tt + (1.0 + (-x.abs()).exp()).ln())
         .collect();
-    let total: f32 = data.iter().sum::<f32>() / n;
+    let mut total = crate::arena::zeroed(1);
+    total[0] = data.iter().sum::<f32>() / n;
     let t_saved = t;
     Tensor::from_op(
-        vec![total],
+        total,
         crate::Shape::scalar(),
         vec![logits.clone()],
         move || Box::new(move |gout, parents| {
             let p = &parents[0];
-            let g: Vec<f32> = {
-                let x = p.data();
-                x.iter()
-                    .zip(&t_saved)
-                    .map(|(&xv, &tt)| (1.0 / (1.0 + (-xv).exp()) - tt) * gout[0] / n)
-                    .collect()
-            };
-            p.accumulate_grad(&g);
+            let mut g = crate::arena::zeroed(t_saved.len());
+            for ((o, &xv), &tt) in g.iter_mut().zip(p.data().iter()).zip(&t_saved) {
+                *o = (1.0 / (1.0 + (-xv).exp()) - tt) * gout[0] / n;
+            }
+            p.accumulate_grad_owned(g);
         }),
     )
 }

@@ -355,8 +355,8 @@ impl Tensor {
             vec![self.clone(), other.clone()],
             move || Box::new(move |gout, parents| {
                 let (pa, pb) = (&parents[0], &parents[1]);
-                let mut ga = vec![0.0f32; pa.numel()];
-                let mut gb = vec![0.0f32; pb.numel()];
+                let mut ga = crate::arena::zeroed(pa.numel());
+                let mut gb = crate::arena::zeroed(pb.numel());
                 {
                     let da_ref = pa.data();
                     let db_ref = pb.data();
@@ -406,8 +406,8 @@ impl Tensor {
                         });
                     }
                 }
-                pa.accumulate_grad(&ga);
-                pb.accumulate_grad(&gb);
+                pa.accumulate_grad_owned(ga);
+                pb.accumulate_grad_owned(gb);
             }),
         )
     }

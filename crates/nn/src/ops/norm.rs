@@ -159,9 +159,9 @@ impl Tensor {
             // same input gives bit-identical gradients, and forward-only
             // execution never pays for a save it would not use.
             move || Box::new(move |gout, parents| {
-                let mut y = vec![0.0f32; gout.len()];
+                let mut y = crate::arena::zeroed(gout.len());
                 softmax_rows(&parents[0].data(), &mut y, rows, d, simd_on);
-                let mut g = vec![0.0f32; y.len()];
+                let mut g = crate::arena::zeroed(y.len());
                 for r in 0..rows {
                     let yr = &y[r * d..(r + 1) * d];
                     let go = &gout[r * d..(r + 1) * d];
@@ -170,7 +170,8 @@ impl Tensor {
                         *gi = yv * (gv - dot);
                     }
                 }
-                parents[0].accumulate_grad(&g);
+                crate::arena::recycle(y);
+                parents[0].accumulate_grad_owned(g);
             }),
         )
     }
@@ -227,9 +228,9 @@ impl Tensor {
             // gradients) instead of saving them eagerly in the forward.
             move || Box::new(move |gout, parents| {
                 let (px, pg, pb) = (&parents[0], &parents[1], &parents[2]);
-                let mut gx = vec![0.0f32; px.numel()];
-                let mut gg = vec![0.0f32; d];
-                let mut gb = vec![0.0f32; d];
+                let mut gx = crate::arena::zeroed(px.numel());
+                let mut gg = crate::arena::zeroed(d);
+                let mut gb = crate::arena::zeroed(d);
                 {
                     let x = px.data();
                     let gamma_d = pg.data();
@@ -263,9 +264,9 @@ impl Tensor {
                         }
                     }
                 }
-                px.accumulate_grad(&gx);
-                pg.accumulate_grad(&gg);
-                pb.accumulate_grad(&gb);
+                px.accumulate_grad_owned(gx);
+                pg.accumulate_grad_owned(gg);
+                pb.accumulate_grad_owned(gb);
             }),
         )
     }

@@ -6,14 +6,17 @@ use crate::tensor::Tensor;
 impl Tensor {
     /// Sum of all elements, as a scalar tensor.
     pub fn sum_all(&self) -> Tensor {
-        let total: f32 = self.data().iter().sum();
+        let mut total = crate::arena::zeroed(1);
+        total[0] = self.data().iter().sum();
         let n = self.numel();
         Tensor::from_op(
-            vec![total],
+            total,
             Shape::scalar(),
             vec![self.clone()],
             move || Box::new(move |gout, parents| {
-                parents[0].accumulate_grad(&vec![gout[0]; n]);
+                let mut g = crate::arena::zeroed(n);
+                g.fill(gout[0]);
+                parents[0].accumulate_grad_owned(g);
             }),
         )
     }
@@ -62,7 +65,7 @@ impl Tensor {
             vec![self.clone()],
             move || Box::new(move |gout, parents| {
                 let p = &parents[0];
-                let mut g = vec![0.0f32; p.numel()];
+                let mut g = crate::arena::zeroed(p.numel());
                 for o in 0..outer {
                     for m in 0..mid {
                         let base = (o * mid + m) * inner;
@@ -71,7 +74,7 @@ impl Tensor {
                             .copy_from_slice(&gout[gout_base..gout_base + inner]);
                     }
                 }
-                p.accumulate_grad(&g);
+                p.accumulate_grad_owned(g);
             }),
         )
     }

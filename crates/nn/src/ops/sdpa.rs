@@ -256,7 +256,7 @@ impl Tensor {
                 }
             });
         }
-        Tensor::leaf(out, Shape::new(&[bh, l, dh]), false)
+        Tensor::op_output(out, Shape::new(&[bh, l, dh]))
     }
 }
 

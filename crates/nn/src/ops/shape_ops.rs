@@ -157,7 +157,7 @@ impl Tensor {
             vec![self.clone()],
             move || Box::new(move |gout, parents| {
                 let g = permute_copy(gout, &out_dims_clone, &inv);
-                parents[0].accumulate_grad(&g);
+                parents[0].accumulate_grad_owned(g);
             }),
         )
     }
@@ -215,13 +215,13 @@ impl Tensor {
             move || Box::new(move |gout, parents| {
                 let mut offset = 0usize;
                 for (p, &sz) in parents.iter().zip(&axis_sizes) {
-                    let mut g = vec![0.0f32; p.numel()];
+                    let mut g = crate::arena::zeroed(p.numel());
                     for o in 0..outer {
                         let src_base = (o * axis_total + offset) * inner;
                         g[o * sz * inner..(o + 1) * sz * inner]
                             .copy_from_slice(&gout[src_base..src_base + sz * inner]);
                     }
-                    p.accumulate_grad(&g);
+                    p.accumulate_grad_owned(g);
                     offset += sz;
                 }
             }),
@@ -259,13 +259,13 @@ impl Tensor {
             vec![self.clone()],
             move || Box::new(move |gout, parents| {
                 let p = &parents[0];
-                let mut g = vec![0.0f32; p.numel()];
+                let mut g = crate::arena::zeroed(p.numel());
                 for o in 0..outer {
                     let dst_base = (o * mid + start) * inner;
                     g[dst_base..dst_base + len * inner]
                         .copy_from_slice(&gout[o * len * inner..(o + 1) * len * inner]);
                 }
-                p.accumulate_grad(&g);
+                p.accumulate_grad_owned(g);
             }),
         )
     }

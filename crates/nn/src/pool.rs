@@ -177,6 +177,11 @@ where
 /// but the total never exceeds the budget. Every run of a fanned-out
 /// dispatch is one `pool.worker` span; an inline run opens none, so its
 /// time stays charged to the op that dispatched it.
+///
+/// When the caller has buffer recycling active, worker `i` is lent the
+/// arena list worker `i` of the caller's previous dispatch returned, so
+/// a thread spawned per dispatch starts with warm buffers; the caller
+/// keeps the lists until its outermost recycling scope exits.
 fn run_tasks<W: Send>(
     budget: usize,
     count: usize,
@@ -195,10 +200,20 @@ fn run_tasks<W: Send>(
     let inner = (budget / count).max(1);
     std::thread::scope(|s| {
         let worker = &worker;
-        for w in tasks {
-            s.spawn(move || with_threads(inner, || worker(w)));
-        }
+        let handles: Vec<_> = tasks
+            .enumerate()
+            .map(|(slot, w)| {
+                let lent = crate::arena::lend(slot);
+                s.spawn(move || with_threads(inner, || crate::arena::run_lent(lent, || worker(w))))
+            })
+            .collect();
         with_threads(inner, || worker(head));
+        for (slot, handle) in handles.into_iter().enumerate() {
+            match handle.join() {
+                Ok(returned) => crate::arena::store_lent(slot, returned),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
     });
 }
 

@@ -26,8 +26,8 @@ fn next_id() -> u64 {
 /// The gradient function of a non-leaf node.
 ///
 /// Receives the gradient flowing into the node and the node's parents, and
-/// is responsible for accumulating into each parent via
-/// [`Tensor::accumulate_grad`].
+/// is responsible for accumulating into each parent, handing over buffers
+/// taken from the arena (`Tensor::accumulate_grad_owned`).
 pub(crate) type BackwardFn = Box<dyn Fn(&[f32], &[Tensor])>;
 
 pub(crate) struct Node {
@@ -40,6 +40,11 @@ pub(crate) struct Node {
     data: Rc<RefCell<Vec<f32>>>,
     grad: RefCell<Option<Vec<f32>>>,
     requires_grad: bool,
+    /// Whether `data` is an op output, allocated by `arena::zeroed`. Only
+    /// such storage goes back to the arena on drop: caller-built leaves
+    /// and parameters were never taken from it, so parking them would
+    /// grow the free list by every input a scope creates.
+    op_output: bool,
     /// Bumped on every in-place data mutation (`set_data`/`update_data`).
     /// `(id, generation)` identifies a value snapshot, which the packed-panel
     /// cache in `ops::matmul` uses for invalidation across optimizer steps.
@@ -50,14 +55,16 @@ pub(crate) struct Node {
 
 impl Drop for Node {
     fn drop(&mut self) {
-        // Detached history-free leaves are the op outputs of forward-only
-        // execution; hand their storage back to the arena for reuse. Params
-        // and graph nodes keep normal ownership. Storage aliased by a live
-        // view stays alive (`try_unwrap` fails) and is recycled when the
-        // last handle drops.
-        if !self.requires_grad && self.parents.is_empty() && self.backward.is_none() {
-            if let Ok(cell) = Rc::try_unwrap(std::mem::take(&mut self.data)) {
-                crate::arena::recycle(cell.into_inner());
+        // Inside a recycling scope, a dropped tape node hands its gradient
+        // and its op-output storage back to the arena (a no-op outside
+        // one). Storage aliased by a live view stays alive (`get_mut`
+        // fails) and is recycled when the last handle drops.
+        if let Some(g) = self.grad.get_mut().take() {
+            crate::arena::recycle(g);
+        }
+        if self.op_output {
+            if let Some(cell) = Rc::get_mut(&mut self.data) {
+                crate::arena::recycle(std::mem::take(cell.get_mut()));
             }
         }
     }
@@ -145,21 +152,28 @@ impl Tensor {
             self.node.parents.is_empty(),
             "into_param must be called on leaf tensors"
         );
-        Tensor {
-            node: Rc::new(Node {
-                id: next_id(),
-                shape: self.node.shape.clone(),
-                data: Rc::new(RefCell::new(self.node.data.borrow().clone())),
-                grad: RefCell::new(None),
-                requires_grad: true,
-                generation: Cell::new(0),
-                parents: Vec::new(),
-                backward: None,
-            }),
-        }
+        Self::leaf(self.to_vec(), self.node.shape.clone(), true)
     }
 
+    /// A leaf over caller-owned storage: a parameter (`requires_grad`) or
+    /// a plain input. Its storage never goes back to the arena.
     pub(crate) fn leaf(data: Vec<f32>, shape: Shape, requires_grad: bool) -> Self {
+        Self::node_of(data, shape, requires_grad, false, Vec::new(), None)
+    }
+
+    /// A detached op output whose storage came from `arena::zeroed`.
+    pub(crate) fn op_output(data: Vec<f32>, shape: Shape) -> Self {
+        Self::node_of(data, shape, false, true, Vec::new(), None)
+    }
+
+    fn node_of(
+        data: Vec<f32>,
+        shape: Shape,
+        requires_grad: bool,
+        op_output: bool,
+        parents: Vec<Tensor>,
+        backward: Option<BackwardFn>,
+    ) -> Self {
         debug_assert_eq!(data.len(), shape.numel());
         Tensor {
             node: Rc::new(Node {
@@ -168,9 +182,10 @@ impl Tensor {
                 data: Rc::new(RefCell::new(data)),
                 grad: RefCell::new(None),
                 requires_grad,
+                op_output,
                 generation: Cell::new(0),
-                parents: Vec::new(),
-                backward: None,
+                parents,
+                backward,
             }),
         }
     }
@@ -192,6 +207,7 @@ impl Tensor {
                 data: Rc::clone(&self.node.data),
                 grad: RefCell::new(None),
                 requires_grad: false,
+                op_output: self.node.op_output,
                 generation: Cell::new(0),
                 parents: Vec::new(),
                 backward: None,
@@ -211,21 +227,9 @@ impl Tensor {
     ) -> Self {
         let track = is_grad_enabled() && parents.iter().any(|p| p.requires_grad());
         if !track {
-            return Self::leaf(data, shape, false);
+            return Self::op_output(data, shape);
         }
-        debug_assert_eq!(data.len(), shape.numel());
-        Tensor {
-            node: Rc::new(Node {
-                id: next_id(),
-                shape,
-                data: Rc::new(RefCell::new(data)),
-                grad: RefCell::new(None),
-                requires_grad: true,
-                generation: Cell::new(0),
-                parents,
-                backward: Some(backward()),
-            }),
-        }
+        Self::node_of(data, shape, true, true, parents, Some(backward()))
     }
 
     // ------------------------------------------------------------------
@@ -291,7 +295,9 @@ impl Tensor {
 
     /// Clears the accumulated gradient.
     pub fn zero_grad(&self) {
-        *self.node.grad.borrow_mut() = None;
+        if let Some(g) = self.node.grad.borrow_mut().take() {
+            crate::arena::recycle(g);
+        }
     }
 
     /// Overwrites the data buffer in place (used by optimizers).
@@ -317,9 +323,9 @@ impl Tensor {
     }
 
     /// Adds `g` into the tensor's gradient buffer (a no-op on tensors that
-    /// do not require gradients). Backward closures call this once per
-    /// contribution; a data-parallel trainer calls it to fold per-replica
-    /// gradients into the master parameters, in a fixed order.
+    /// do not require gradients). A data-parallel trainer calls this to
+    /// fold per-replica gradients into the master parameters, in a fixed
+    /// order.
     ///
     /// Panics (in debug builds) if `g` does not have one value per element.
     pub fn accumulate_grad(&self, g: &[f32]) {
@@ -329,12 +335,32 @@ impl Tensor {
         debug_assert_eq!(g.len(), self.numel(), "gradient length mismatch");
         let mut slot = self.node.grad.borrow_mut();
         match slot.as_mut() {
-            Some(acc) => {
-                for (a, b) in acc.iter_mut().zip(g) {
-                    *a += b;
-                }
+            Some(acc) => add_assign(acc, g),
+            None => {
+                let mut owned = crate::arena::zeroed(g.len());
+                owned.copy_from_slice(g);
+                *slot = Some(owned);
             }
-            None => *slot = Some(g.to_vec()),
+        }
+    }
+
+    /// [`accumulate_grad`](Self::accumulate_grad) for a buffer the caller
+    /// hands over, as every backward closure does: the first contribution
+    /// becomes the gradient without a copy, and a later one is added in
+    /// and its buffer recycled.
+    pub(crate) fn accumulate_grad_owned(&self, g: Vec<f32>) {
+        if !self.node.requires_grad {
+            crate::arena::recycle(g);
+            return;
+        }
+        debug_assert_eq!(g.len(), self.numel(), "gradient length mismatch");
+        let mut slot = self.node.grad.borrow_mut();
+        match slot.as_mut() {
+            Some(acc) => {
+                add_assign(acc, &g);
+                crate::arena::recycle(g);
+            }
+            None => *slot = Some(g),
         }
     }
 
@@ -343,16 +369,26 @@ impl Tensor {
     }
 }
 
+fn add_assign(acc: &mut [f32], g: &[f32]) {
+    for (a, b) in acc.iter_mut().zip(g) {
+        *a += b;
+    }
+}
+
 impl Node {
-    pub(crate) fn grad_clone_or_zeros(&self) -> Vec<f32> {
+    /// Moves the accumulated gradient out (zeros if nothing reached the
+    /// node), leaving the node without one.
+    pub(crate) fn take_grad_or_zeros(&self) -> Vec<f32> {
         self.grad
-            .borrow()
-            .clone()
-            .unwrap_or_else(|| vec![0.0; self.shape.numel()])
+            .borrow_mut()
+            .take()
+            .unwrap_or_else(|| crate::arena::zeroed(self.shape.numel()))
     }
 
     pub(crate) fn seed_grad_ones(&self) {
-        *self.grad.borrow_mut() = Some(vec![1.0; self.shape.numel()]);
+        let mut g = crate::arena::zeroed(self.shape.numel());
+        g.fill(1.0);
+        *self.grad.borrow_mut() = Some(g);
     }
 }
 

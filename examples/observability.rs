@@ -114,6 +114,7 @@ fn main() {
         "trainer.run",
         "trainer.step",
         "trainer.shard",
+        "autodiff.backward",
         "infer.ensemble",
         "infer.denoise_step",
         "pool.worker",

@@ -3,8 +3,9 @@
 //!
 //! The determinism contract has two halves:
 //! - **within a tier**: results are bit-identical run-to-run and at any
-//!   thread count, and the tape-free forward path reproduces the graph
-//!   path bit-for-bit;
+//!   thread count, the tape-free forward path reproduces the graph
+//!   path bit-for-bit, and so does a training tape whose buffers are
+//!   recycled through the arena;
 //! - **across tiers**: AVX2+FMA contracts intermediate roundings, so the
 //!   SIMD and scalar kernels agree only to an elementwise tolerance.
 
@@ -207,5 +208,63 @@ mod forward_only_inference {
         let b: Vec<u64> = two.scores.iter().map(|s| s.to_bits()).collect();
         assert_eq!(a, b);
         assert_eq!(one.labels, two.labels);
+    }
+}
+
+mod tape_recycling {
+    use imdiffusion_repro::core::{ImDiffusionConfig, ImTransformer};
+    use imdiffusion_repro::nn::layers::Module;
+    use imdiffusion_repro::nn::ops::masked_mse;
+    use imdiffusion_repro::nn::{backward, pool, recycling, Tensor};
+
+    /// One training pass on a freshly built model: forward, the masked
+    /// Eq. (11) loss and backward. Returns the loss bits and every
+    /// parameter's gradient bits (empty where no gradient reached it).
+    fn pass(i: usize) -> Vec<Vec<u32>> {
+        let cfg = ImDiffusionConfig::quick();
+        let (k, l) = (4usize, cfg.window);
+        let model = ImTransformer::new(&cfg, k, 11);
+        let wave = |phase: f32| {
+            let data = (0..k * l).map(|j| (j as f32 * 0.29 + phase).sin()).collect();
+            Tensor::from_vec(data, &[1, k, l]).expect("input")
+        };
+        let mask = (0..k * l)
+            .map(|j| if (j + i).is_multiple_of(3) { 0.0 } else { 1.0 })
+            .collect();
+        let mask = Tensor::from_vec(mask, &[1, k, l]).expect("mask");
+        let eps_hat = model.forward(&wave(i as f32), &wave(0.5 - i as f32), &[i + 1], &[i % 2]);
+        let loss = masked_mse(&eps_hat, &wave(1.5 + i as f32), &mask);
+        backward(&loss);
+        let mut out = vec![vec![loss.item().to_bits()]];
+        out.extend(model.params().iter().map(|p| {
+            p.grad()
+                .map_or_else(Vec::new, |g| g.iter().map(|v| v.to_bits()).collect())
+        }));
+        out
+    }
+
+    /// The autodiff tape parks and reuses its buffers inside `recycling`
+    /// without changing a bit: loss and gradients match a run with
+    /// recycling off. Passes share one scope, so later ones run on dirty
+    /// buffers parked by earlier ones; at width 2 the second dispatch's
+    /// worker thread starts from the list the first dispatch's worker
+    /// parked.
+    #[test]
+    fn recycled_tape_bit_identical_to_fresh_tape() {
+        for t in [1usize, 2] {
+            pool::with_threads(t, || {
+                let fresh: Vec<_> = (0..2).map(pass).collect();
+                let recycled: Vec<_> = recycling(|| (0..2).map(pass).collect());
+                assert_eq!(recycled, fresh, "recycled tape differs at {t} threads");
+                let dispatched = recycling(|| {
+                    (0..2)
+                        .map(|_| pool::parallel_map(2, 1, pass))
+                        .collect::<Vec<_>>()
+                });
+                for (round, got) in dispatched.iter().enumerate() {
+                    assert_eq!(got, &fresh, "dispatch {round} differs at {t} threads");
+                }
+            });
+        }
     }
 }
