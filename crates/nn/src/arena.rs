@@ -26,7 +26,7 @@
 //! when its outermost scope exits, so no memory is held between calls.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Most elements (64 MiB of `f32`) one thread keeps parked, counting
 /// capacity; a buffer that would pass it is freed instead.
@@ -34,10 +34,13 @@ const MAX_PARKED_ELEMS: usize = 1 << 24;
 /// Largest buffer (in elements) worth recycling; bigger ones are freed.
 const MAX_BUFFER_ELEMS: usize = 1 << 22;
 
-/// One thread's parked buffers, keyed by exact capacity.
+/// One thread's parked buffers, keyed by exact capacity. The map is
+/// ordered, not hashed, so the buffers are freed in the same order in
+/// every process and the heap a fit leaves behind does not depend on a
+/// random hash seed.
 #[derive(Default)]
 pub(crate) struct Parked {
-    by_capacity: HashMap<usize, Vec<Vec<f32>>>,
+    by_capacity: BTreeMap<usize, Vec<Vec<f32>>>,
     elems: usize,
 }
 
