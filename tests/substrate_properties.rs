@@ -333,3 +333,302 @@ mod thread_determinism {
         assert_eq!(pinned, unset);
     }
 }
+
+/// Finite-difference gradient checks for every op that records a
+/// backward. Each case builds the op on random shapes and values, takes
+/// the analytic gradient of `Σ f(x)·w` (a fixed random weight `w` of the
+/// output's shape) and compares every input element against a central
+/// difference evaluated in `f64`. Every case runs under the scalar tier
+/// and, on hosts that have it, under the AVX2/FMA tier, whose activation
+/// derivatives and reductions take their own kernels.
+mod gradient_check {
+    use imdiffusion_repro::nn::ops::bce_with_logits;
+    use imdiffusion_repro::nn::simd::{self, with_tier, Tier};
+    use imdiffusion_repro::nn::{backward, rng::seeded, Tensor};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+
+    /// Central-difference step.
+    const EPS: f32 = 1e-2;
+
+    /// One differentiable input: values and dims.
+    #[derive(Clone)]
+    struct Input {
+        vals: Vec<f32>,
+        dims: Vec<usize>,
+    }
+
+    fn uniform(rng: &mut StdRng, dims: &[usize], lo: f32, hi: f32) -> Input {
+        let n = dims.iter().product();
+        Input {
+            vals: (0..n).map(|_| rng.gen_range(lo..hi)).collect(),
+            dims: dims.to_vec(),
+        }
+    }
+
+    /// Values of magnitude in `[lo, hi)` with a random sign: keeps every
+    /// element at least `lo` away from a kink or pole at zero.
+    fn signed(rng: &mut StdRng, dims: &[usize], lo: f32, hi: f32) -> Input {
+        let mut x = uniform(rng, dims, lo, hi);
+        for v in &mut x.vals {
+            if rng.gen_bool(0.5) {
+                *v = -*v;
+            }
+        }
+        x
+    }
+
+    fn rand_dims(rng: &mut StdRng, rank: usize, hi: usize) -> Vec<usize> {
+        (0..rank).map(|_| rng.gen_range(1..=hi)).collect()
+    }
+
+    fn tiers() -> Vec<Tier> {
+        let mut t = vec![Tier::Scalar];
+        if simd::avx2_available() {
+            t.push(Tier::Avx2Fma);
+        }
+        t
+    }
+
+    /// Checks the gradient of `Σ f(inputs)·w` against central differences
+    /// for every element of every input, on each available tier.
+    fn check(
+        label: &str,
+        rng: &mut StdRng,
+        inputs: &[Input],
+        f: impl Fn(&[Tensor]) -> Tensor,
+    ) -> Result<(), TestCaseError> {
+        let w_seed: u64 = rng.gen_range(0..u64::MAX);
+        for tier in tiers() {
+            with_tier(tier, || check_on_tier(label, tier, w_seed, inputs, &f))?;
+        }
+        Ok(())
+    }
+
+    fn check_on_tier(
+        label: &str,
+        tier: Tier,
+        w_seed: u64,
+        inputs: &[Input],
+        f: &dyn Fn(&[Tensor]) -> Tensor,
+    ) -> Result<(), TestCaseError> {
+        let params: Vec<Tensor> = inputs
+            .iter()
+            .map(|i| Tensor::param_from_vec(i.vals.clone(), &i.dims).unwrap())
+            .collect();
+        let y = f(&params);
+        let mut wr = seeded(w_seed);
+        let w: Vec<f32> = (0..y.numel()).map(|_| wr.gen_range(-1.0f32..1.0)).collect();
+        let wt = Tensor::from_vec(w.clone(), y.dims()).unwrap();
+        backward(&y.mul(&wt).sum_all());
+        let loss_at = |vals: &[Vec<f32>]| -> f64 {
+            let xs: Vec<Tensor> = vals
+                .iter()
+                .zip(inputs)
+                .map(|(v, i)| Tensor::from_vec(v.clone(), &i.dims).unwrap())
+                .collect();
+            let out = f(&xs);
+            let d = out.data();
+            d.iter().zip(&w).map(|(&a, &b)| a as f64 * b as f64).sum()
+        };
+        let base: Vec<Vec<f32>> = inputs.iter().map(|i| i.vals.clone()).collect();
+        for (k, p) in params.iter().enumerate() {
+            let g = p.grad().unwrap_or_else(|| vec![0.0; p.numel()]);
+            for j in 0..g.len() {
+                let mut plus = base.clone();
+                plus[k][j] += EPS;
+                let mut minus = base.clone();
+                minus[k][j] -= EPS;
+                let num = (loss_at(&plus) - loss_at(&minus)) / (2.0 * EPS as f64);
+                let tol = 2e-3 * num.abs().max(1.0);
+                prop_assert!(
+                    (g[j] as f64 - num).abs() <= tol,
+                    "{label} ({}): input {k} element {j}: analytic {} vs numeric {num}",
+                    tier.name(),
+                    g[j]
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// A random output shape of rank 0..=4 and two operands that broadcast
+    /// to it: each operand may drop leading dims and turn any dim into a
+    /// size-1 (stride-0) dim.
+    fn broadcast_pair(rng: &mut StdRng) -> (Vec<usize>, Vec<usize>) {
+        let rank = rng.gen_range(0..=4);
+        let out = rand_dims(rng, rank, 4);
+        let operand = |rng: &mut StdRng| -> Vec<usize> {
+            let drop = rng.gen_range(0..=rank);
+            out[drop..]
+                .iter()
+                .map(|&d| if rng.gen_bool(0.4) { 1 } else { d })
+                .collect()
+        };
+        let a = operand(rng);
+        let b = operand(rng);
+        (a, b)
+    }
+
+    fn permutation(rng: &mut StdRng, n: usize) -> Vec<usize> {
+        let mut p: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            p.swap(i, rng.gen_range(0..=i));
+        }
+        p
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn broadcast_binary_gradients_match_numeric(seed in 0u64..1_000_000) {
+            let mut rng = seeded(seed);
+            let (da, db) = broadcast_pair(&mut rng);
+            let a = uniform(&mut rng, &da, -2.0, 2.0);
+            let b = uniform(&mut rng, &db, -2.0, 2.0);
+            let ins = [a, b];
+            check("add", &mut rng, &ins, |x| x[0].add(&x[1]))?;
+            check("sub", &mut rng, &ins, |x| x[0].sub(&x[1]))?;
+            check("mul", &mut rng, &ins, |x| x[0].mul(&x[1]))?;
+            let ins = [ins[0].clone(), signed(&mut rng, &db, 0.5, 2.0)];
+            check("div", &mut rng, &ins, |x| x[0].div(&x[1]))?;
+        }
+
+        #[test]
+        fn elementwise_unary_gradients_match_numeric(seed in 0u64..1_000_000) {
+            let mut rng = seeded(seed);
+            let rank = rng.gen_range(1..=3);
+            let dims = rand_dims(&mut rng, rank, 5);
+            let x = [uniform(&mut rng, &dims, -2.0, 2.0)];
+            let pos = [uniform(&mut rng, &dims, 0.5, 2.0)];
+            // Away from the kink at zero for relu, leaky_relu and abs.
+            let kinked = [signed(&mut rng, &dims, 0.1, 2.0)];
+            let c: f32 = rng.gen_range(-2.0..2.0);
+            check("neg", &mut rng, &x, |t| t[0].neg())?;
+            check("scale", &mut rng, &x, |t| t[0].scale(c))?;
+            check("add_scalar", &mut rng, &x, |t| t[0].add_scalar(c))?;
+            check("exp", &mut rng, &x, |t| t[0].exp())?;
+            check("square", &mut rng, &x, |t| t[0].square())?;
+            check("ln", &mut rng, &pos, |t| t[0].ln())?;
+            check("sqrt", &mut rng, &pos, |t| t[0].sqrt())?;
+            check("abs", &mut rng, &kinked, |t| t[0].abs())?;
+            check("relu", &mut rng, &kinked, |t| t[0].relu())?;
+            check("leaky_relu", &mut rng, &kinked, |t| t[0].leaky_relu(0.1))?;
+            check("sigmoid", &mut rng, &x, |t| t[0].sigmoid())?;
+            check("tanh", &mut rng, &x, |t| t[0].tanh())?;
+            check("silu", &mut rng, &x, |t| t[0].silu())?;
+            check("gelu", &mut rng, &x, |t| t[0].gelu())?;
+        }
+
+        #[test]
+        fn softmax_and_layer_norm_gradients_match_numeric(seed in 0u64..1_000_000) {
+            let mut rng = seeded(seed);
+            let rank = rng.gen_range(1..=3);
+            let mut dims = rand_dims(&mut rng, rank, 4);
+            let x = [uniform(&mut rng, &dims, -2.0, 2.0)];
+            check("softmax_last", &mut rng, &x, |t| t[0].softmax_last())?;
+            let d = rng.gen_range(3..=8);
+            *dims.last_mut().unwrap() = d;
+            let x = uniform(&mut rng, &dims, -2.0, 2.0);
+            // A row of near-equal values has a huge 1/std: the derivative
+            // then changes faster than a finite step can follow.
+            let spread = x.vals.chunks(d).all(|r| {
+                let mean = r.iter().sum::<f32>() / d as f32;
+                r.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32 > 0.25
+            });
+            prop_assume!(spread);
+            let gamma = uniform(&mut rng, &[d], 0.5, 1.5);
+            let beta = uniform(&mut rng, &[d], -0.5, 0.5);
+            check("layer_norm", &mut rng, &[x, gamma, beta], |t| {
+                t[0].layer_norm(&t[1], &t[2], 1e-5)
+            })?;
+        }
+
+        #[test]
+        fn matmul_gradients_match_numeric(seed in 0u64..1_000_000) {
+            let mut rng = seeded(seed);
+            let (m, k, n) = (rng.gen_range(1..=5), rng.gen_range(1..=5), rng.gen_range(1..=5));
+            let batch = rng.gen_range(1..=3);
+            // Shared rhs: a [batch, m, k] (or [m, k]) against b [k, n].
+            let a_dims = if rng.gen_bool(0.5) { vec![batch, m, k] } else { vec![m, k] };
+            let ins = [uniform(&mut rng, &a_dims, -1.0, 1.0), uniform(&mut rng, &[k, n], -1.0, 1.0)];
+            check("matmul shared-rhs", &mut rng, &ins, |t| t[0].matmul(&t[1]))?;
+            // Batched: a [batch, m, k] against b [batch, k, n].
+            let ins = [
+                uniform(&mut rng, &[batch, m, k], -1.0, 1.0),
+                uniform(&mut rng, &[batch, k, n], -1.0, 1.0),
+            ];
+            check("matmul batched", &mut rng, &ins, |t| t[0].matmul(&t[1]))?;
+        }
+
+        #[test]
+        fn shape_op_gradients_match_numeric(seed in 0u64..1_000_000) {
+            let mut rng = seeded(seed);
+            let rank = rng.gen_range(2..=4);
+            let dims = rand_dims(&mut rng, rank, 4);
+            let x = [uniform(&mut rng, &dims, -1.0, 1.0)];
+            let perm = permutation(&mut rng, rank);
+            check("permute", &mut rng, &x, |t| t[0].permute(&perm))?;
+            check("transpose_last2", &mut rng, &x, |t| t[0].transpose_last2())?;
+            let split = rng.gen_range(1..rank);
+            let to = [dims[..split].iter().product::<usize>(), dims[split..].iter().product()];
+            // Reshape feeding an op, so the gradient reaches it through a
+            // consumer rather than straight from the loss.
+            check("reshape", &mut rng, &x, |t| t[0].reshape(&to).square())?;
+            let axis = rng.gen_range(0..rank);
+            let start = rng.gen_range(0..dims[axis]);
+            let len = rng.gen_range(1..=dims[axis] - start);
+            check("slice_axis", &mut rng, &x, |t| t[0].slice_axis(axis, start, len))?;
+            let parts: Vec<Input> = (0..rng.gen_range(1..=3))
+                .map(|_| {
+                    let mut d = dims.clone();
+                    d[axis] = rng.gen_range(1..=3);
+                    uniform(&mut rng, &d, -1.0, 1.0)
+                })
+                .collect();
+            check("concat", &mut rng, &parts, |t| {
+                Tensor::concat(&t.iter().collect::<Vec<_>>(), axis)
+            })?;
+        }
+
+        #[test]
+        fn reduction_gradients_match_numeric(seed in 0u64..1_000_000) {
+            let mut rng = seeded(seed);
+            let rank = rng.gen_range(1..=4);
+            let dims = rand_dims(&mut rng, rank, 4);
+            let x = [uniform(&mut rng, &dims, -1.0, 1.0)];
+            let axis = rng.gen_range(0..rank);
+            let keep = rng.gen_bool(0.5);
+            check("sum_all", &mut rng, &x, |t| t[0].sum_all())?;
+            check("mean_all", &mut rng, &x, |t| t[0].mean_all())?;
+            check("sum_axis", &mut rng, &x, |t| t[0].sum_axis(axis, keep))?;
+            check("mean_axis", &mut rng, &x, |t| t[0].mean_axis(axis, keep))?;
+        }
+
+        #[test]
+        fn conv_embedding_and_loss_gradients_match_numeric(seed in 0u64..1_000_000) {
+            let mut rng = seeded(seed);
+            let (b, cin, cout) = (rng.gen_range(1..=2), rng.gen_range(1..=3), rng.gen_range(1..=3));
+            let k = rng.gen_range(1..=3);
+            let pad = rng.gen_range(0..=k / 2);
+            let l = rng.gen_range(k.max(2)..=6);
+            let ins = [
+                uniform(&mut rng, &[b, cin, l], -1.0, 1.0),
+                uniform(&mut rng, &[cout, cin, k], -1.0, 1.0),
+                uniform(&mut rng, &[cout], -1.0, 1.0),
+            ];
+            check("conv1d", &mut rng, &ins, |t| t[0].conv1d(&t[1], &t[2], pad))?;
+            let (v, d) = (rng.gen_range(1..=4), rng.gen_range(1..=4));
+            let idx: Vec<usize> = (0..rng.gen_range(1..=6)).map(|_| rng.gen_range(0..v)).collect();
+            let table = [uniform(&mut rng, &[v, d], -1.0, 1.0)];
+            check("embedding", &mut rng, &table, |t| t[0].embedding(&idx))?;
+            let n = rng.gen_range(1..=6);
+            let target = uniform(&mut rng, &[n], 0.0, 1.0);
+            let target = Tensor::from_vec(target.vals, &[n]).unwrap();
+            let logits = [uniform(&mut rng, &[n], -2.0, 2.0)];
+            check("bce_with_logits", &mut rng, &logits, |t| bce_with_logits(&t[0], &target))?;
+        }
+    }
+}
