@@ -77,7 +77,7 @@ pub fn backward(loss: &Tensor) {
         let node = t.node();
         if let Some(backward_fn) = &node.backward {
             let grad = node.take_grad_or_zeros();
-            backward_fn(&grad, &node.parents);
+            backward_fn(&grad, &t.data(), &node.parents);
             crate::arena::recycle(grad);
         }
     }

@@ -39,12 +39,14 @@ impl MultiHeadAttention {
 
     /// Self-attention forward pass over `[B, L, D]`.
     ///
-    /// Training takes the unfused matmul → scale → softmax → matmul graph
-    /// (each op records its backward closure). With gradient tracking off,
-    /// the fused [`Tensor::sdpa`] kernel runs instead — no score matrix,
-    /// softmax intermediate, or transposed K is materialized. Both tape
-    /// and tape-free inference hit the same fused kernel, so they remain
-    /// bit-identical to each other on a given dispatch tier.
+    /// With gradient tracking on — training — this takes the unfused
+    /// matmul → scale → softmax → matmul graph, whose ops record their
+    /// backward closures. With tracking off, the fused [`Tensor::sdpa`]
+    /// kernel runs instead: no score matrix, softmax intermediate, or
+    /// transposed K is materialized. The two paths reduce in different
+    /// orders, so a training-mode forward is not bit-identical to an
+    /// inference forward; every inference forward, in the buffer arena or
+    /// not, takes the fused kernel.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         let dims = x.dims();
         assert_eq!(dims.len(), 3, "attention expects [B, L, D]");

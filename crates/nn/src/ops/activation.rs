@@ -1,5 +1,6 @@
 //! Non-linear activation functions.
 
+use crate::simd;
 use crate::tensor::Tensor;
 
 fn unary_with(a: &Tensor, fwd: impl Fn(f32) -> f32, dfdx: impl Fn(f32) -> f32 + 'static) -> Tensor {
@@ -16,7 +17,8 @@ fn unary_with(a: &Tensor, fwd: impl Fn(f32) -> f32, dfdx: impl Fn(f32) -> f32 + 
         data,
         a.shape().clone(),
         vec![a.clone()],
-        move || Box::new(move |gout, parents| {
+        move || Box::new(move |gout, _, parents| {
+            let _sp = crate::obs::span("nn.unary.bwd");
             let p = &parents[0];
             let mut g = crate::arena::zeroed(gout.len());
             for ((o, &go), &x) in g.iter_mut().zip(gout).zip(p.data().iter()) {
@@ -27,24 +29,27 @@ fn unary_with(a: &Tensor, fwd: impl Fn(f32) -> f32, dfdx: impl Fn(f32) -> f32 + 
     )
 }
 
-/// Unary op with a vectorized forward on the Avx2Fma tier. `batch`
-/// computes the same function as `fwd` within the documented across-tier
-/// tolerance (the polynomial exp vs libm); the backward always recomputes
-/// through the scalar `dfdx`, and on the scalar tier the forward is
-/// exactly the libm `fwd` as before.
+/// Unary op with vectorized kernels on the Avx2Fma tier: `batch` computes
+/// the same function as `fwd` and `dbatch` the same derivative as `dfdx`,
+/// each within the documented across-tier tolerance (the polynomial exp
+/// vs libm). On the scalar tier both directions are exactly the libm
+/// `fwd` and `dfdx`. The tier is resolved once, in the forward, and the
+/// backward follows it.
 fn unary_tiered(
     a: &Tensor,
     batch: unsafe fn(&mut [f32]),
+    dbatch: simd::DerivKernel,
     fwd: impl Fn(f32) -> f32 + Copy + 'static,
     dfdx: impl Fn(f32) -> f32 + 'static,
 ) -> Tensor {
     let _sp = crate::obs::span("nn.unary");
+    let simd_on = crate::simd::tier() == crate::simd::Tier::Avx2Fma;
     let data = {
         let src = a.data();
         let mut data = crate::arena::zeroed(src.len());
-        if crate::simd::tier() == crate::simd::Tier::Avx2Fma {
+        if simd_on {
             data.copy_from_slice(&src);
-            // Safety: tier() returns Avx2Fma only when AVX2+FMA are
+            // Safety: simd_on is set only when AVX2+FMA are
             // runtime-detected.
             unsafe { batch(&mut data) }
         } else {
@@ -58,11 +63,20 @@ fn unary_tiered(
         data,
         a.shape().clone(),
         vec![a.clone()],
-        move || Box::new(move |gout, parents| {
+        move || Box::new(move |gout, y, parents| {
+            let _sp = crate::obs::span("nn.unary.bwd");
             let p = &parents[0];
             let mut g = crate::arena::zeroed(gout.len());
-            for ((o, &go), &x) in g.iter_mut().zip(gout).zip(p.data().iter()) {
-                *o = dfdx(x) * go;
+            {
+                let x = p.data();
+                if simd_on {
+                    // Safety: as in the forward.
+                    unsafe { dbatch(&x, y, gout, &mut g) }
+                } else {
+                    for ((o, &go), &xv) in g.iter_mut().zip(gout).zip(x.iter()) {
+                        *o = dfdx(xv) * go;
+                    }
+                }
             }
             p.accumulate_grad_owned(g);
         }),
@@ -90,7 +104,7 @@ impl Tensor {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Tensor {
-        unary_tiered(self, crate::simd::vsigmoid_avx2, sigmoid_f, |x| {
+        unary_tiered(self, simd::vsigmoid_avx2, simd::dsigmoid_avx2, sigmoid_f, |x| {
             let s = sigmoid_f(x);
             s * (1.0 - s)
         })
@@ -98,7 +112,7 @@ impl Tensor {
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Tensor {
-        unary_tiered(self, crate::simd::vtanh_avx2, |x| x.tanh(), |x| {
+        unary_tiered(self, simd::vtanh_avx2, simd::dtanh_avx2, |x| x.tanh(), |x| {
             1.0 - x.tanh() * x.tanh()
         })
     }
@@ -108,7 +122,8 @@ impl Tensor {
     pub fn silu(&self) -> Tensor {
         unary_tiered(
             self,
-            crate::simd::vsilu_avx2,
+            simd::vsilu_avx2,
+            simd::dsilu_avx2,
             |x| x * sigmoid_f(x),
             |x| {
                 let s = sigmoid_f(x);
@@ -122,7 +137,8 @@ impl Tensor {
         const C: f32 = 0.797_884_6; // sqrt(2/pi)
         unary_tiered(
             self,
-            crate::simd::vgelu_avx2,
+            simd::vgelu_avx2,
+            simd::dgelu_avx2,
             |x| 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh()),
             |x| {
                 let inner = C * (x + 0.044715 * x * x * x);

@@ -80,7 +80,8 @@ impl Tensor {
             out,
             Shape::new(&[b, cout, lout]),
             vec![self.clone(), weight.clone(), bias.clone()],
-            move || Box::new(move |gout, parents| {
+            move || Box::new(move |gout, _, parents| {
+                let _sp = crate::obs::span("nn.conv1d.bwd");
                 let (px, pw, pb) = (&parents[0], &parents[1], &parents[2]);
                 let mut gx = crate::arena::zeroed(px.numel());
                 let mut gw = crate::arena::zeroed(pw.numel());

@@ -1,7 +1,120 @@
 //! Element-wise unary and (broadcasting) binary operations.
 
-use crate::shape::{for_each_broadcast3, Shape};
+use crate::shape::Shape;
 use crate::tensor::Tensor;
+
+/// How a broadcast binary op walks its output, in both directions: `rows`
+/// rows of `reps` runs of `inner` elements, in ascending output order.
+///
+/// Over one run both operands are contiguous: `inner` coalesces the
+/// maximal suffix of dims over which both are (a stride equal to the
+/// product of the out dims below it; size-1 dims are trivially
+/// compatible), so a leading-dim broadcast like `[8,19,16,8]+[1,19,16,8]`
+/// degenerates to a handful of dense runs and a same-shape op to one.
+/// Across the runs of a row one operand may keep advancing while the
+/// other repeats its run (stride 0) — the `[rows, l, d] + [rows, 1, d]`
+/// embedding-bias pattern, or a `[d]` bias over `[rows, d]` — which
+/// amortizes the outer odometer over `reps` runs.
+struct BroadcastPlan {
+    inner: usize,
+    reps: usize,
+    /// Offset step per run within a row: `inner` for the operand that
+    /// advances, 0 for the one that repeats.
+    rep_step: (usize, usize),
+    /// The outer dims, walked once per row, and each operand's strides
+    /// over them.
+    row_dims: Vec<usize>,
+    row_strides: (Vec<usize>, Vec<usize>),
+}
+
+impl BroadcastPlan {
+    fn new(out: &Shape, a: &Shape, b: &Shape) -> Self {
+        if out.numel() == 0 {
+            return BroadcastPlan {
+                inner: 0,
+                reps: 0,
+                rep_step: (0, 0),
+                row_dims: vec![0],
+                row_strides: (vec![0], vec![0]),
+            };
+        }
+        let dims = out.dims();
+        let sa = a.broadcast_strides_to(out);
+        let sb = b.broadcast_strides_to(out);
+        let mut inner = 1usize;
+        let mut nd = dims.len();
+        while nd > 0 {
+            let d = nd - 1;
+            let ok = |s: usize| s == inner || dims[d] == 1;
+            if !(ok(sa[d]) && ok(sb[d])) {
+                break;
+            }
+            inner *= dims[d];
+            nd -= 1;
+        }
+        // One-sided extension of the coalesced suffix: `s_run` stays
+        // contiguous while `s_zero` repeats (stride 0).
+        let extend = |s_run: &[usize], s_zero: &[usize]| {
+            let (mut run, mut ndr) = (inner, nd);
+            while ndr > 0 {
+                let d = ndr - 1;
+                let run_ok = s_run[d] == run || dims[d] == 1;
+                let zero_ok = s_zero[d] == 0 || dims[d] == 1;
+                if !(run_ok && zero_ok) {
+                    break;
+                }
+                run *= dims[d];
+                ndr -= 1;
+            }
+            (run, ndr)
+        };
+        let (run_a, nd_a) = extend(&sa, &sb);
+        let (run_b, nd_b) = extend(&sb, &sa);
+        let (run, nd, rep_step) = if run_a.max(run_b) == inner {
+            (inner, nd, (0, 0))
+        } else if run_a >= run_b {
+            (run_a, nd_a, (inner, 0))
+        } else {
+            (run_b, nd_b, (0, inner))
+        };
+        BroadcastPlan {
+            inner,
+            reps: run / inner,
+            rep_step,
+            row_dims: dims[..nd].to_vec(),
+            row_strides: (sa[..nd].to_vec(), sb[..nd].to_vec()),
+        }
+    }
+
+    /// Calls `f(o, ia, ib)` once per run, ascending in `o`: the offsets
+    /// of the run's `inner` contiguous elements in the output and in each
+    /// operand.
+    #[inline]
+    fn for_each_run(&self, mut f: impl FnMut(usize, usize, usize)) {
+        let rows: usize = self.row_dims.iter().product();
+        let run = self.reps * self.inner;
+        let (ra, rb) = (&self.row_strides.0, &self.row_strides.1);
+        let mut idx = vec![0usize; self.row_dims.len()];
+        let (mut ia, mut ib) = (0usize, 0usize);
+        for r in 0..rows {
+            for rep in 0..self.reps {
+                let (o, a, b) = (r * run + rep * self.inner, rep * self.rep_step.0, rep * self.rep_step.1);
+                f(o, ia + a, ib + b);
+            }
+            for d in (0..idx.len()).rev() {
+                idx[d] += 1;
+                ia += ra[d];
+                ib += rb[d];
+                if idx[d] < self.row_dims[d] {
+                    break;
+                }
+                ia -= ra[d] * self.row_dims[d];
+                ib -= rb[d] * self.row_dims[d];
+                idx[d] = 0;
+            }
+        }
+    }
+}
 
 /// `binary_broadcast` is generic (not `fn` pointers) so the per-element
 /// body monomorphizes and inlines — an indirect call per element defeats
@@ -15,149 +128,64 @@ fn binary_broadcast(
 ) -> Tensor {
     let _sp = crate::obs::span("nn.binary");
     let out_shape = Shape::broadcast(a.shape(), b.shape());
+    let plan = BroadcastPlan::new(&out_shape, a.shape(), b.shape());
     let mut out = crate::arena::zeroed(out_shape.numel());
     {
-        let da = a.data();
-        let db = b.data();
-        if a.shape() == &out_shape && b.shape() == &out_shape {
-            // Dense same-shape case: straight zip, no index arithmetic.
-            for ((o, &x), &y) in out.iter_mut().zip(da.iter()).zip(db.iter()) {
-                *o = fwd(x, y);
+        let (da, db) = (a.data(), b.data());
+        let n = plan.inner;
+        plan.for_each_run(|o, ia, ib| {
+            let runs = out[o..o + n].iter_mut().zip(&da[ia..ia + n]).zip(&db[ib..ib + n]);
+            for ((y, &x), &z) in runs {
+                *y = fwd(x, z);
             }
-        } else {
-            let dims = out_shape.dims();
-            let ndim = dims.len();
-            let sa = a.shape().broadcast_strides_to(&out_shape);
-            let sb = b.shape().broadcast_strides_to(&out_shape);
-            // Coalesce the maximal suffix of dims over which both operands
-            // are contiguous (stride equals the product of the out dims
-            // below; size-1 dims are trivially compatible). A leading-dim
-            // broadcast like [8,19,16,8]+[1,19,16,8] then degenerates to a
-            // handful of dense zips instead of a per-row multi-index walk.
-            let mut inner = 1usize;
-            let mut nd = ndim;
-            while nd > 0 {
-                let d = nd - 1;
-                let ok = |s: usize| s == inner || dims[d] == 1;
-                if !(ok(sa[d]) && ok(sb[d])) {
-                    break;
-                }
-                inner *= dims[d];
-                nd -= 1;
-            }
-            // One-sided extension of the coalesced suffix: one operand
-            // stays contiguous while the other repeats its row (stride 0)
-            // — the `[rows, l, d] + [rows, 1, d]` embedding-bias pattern.
-            // The repeated row then amortizes the outer odometer over
-            // `reps` dense zips instead of paying it per `inner` elements.
-            let extend = |s_run: &[usize], s_zero: &[usize]| {
-                let (mut run, mut ndr) = (inner, nd);
-                while ndr > 0 {
-                    let d = ndr - 1;
-                    let run_ok = s_run[d] == run || dims[d] == 1;
-                    let zero_ok = s_zero[d] == 0 || dims[d] == 1;
-                    if !(run_ok && zero_ok) {
-                        break;
-                    }
-                    run *= dims[d];
-                    ndr -= 1;
-                }
-                (run, ndr)
-            };
-            let (run_a, nd_a) = extend(&sa, &sb);
-            let (run_b, nd_b) = extend(&sb, &sa);
-            if inner > 1 && run_a.max(run_b) > inner {
-                let a_rep = run_a >= run_b;
-                let (run, ndr) = if a_rep { (run_a, nd_a) } else { (run_b, nd_b) };
-                let reps = run / inner;
-                let rows = out_shape.numel() / run;
-                let (ra, rb): (Vec<usize>, Vec<usize>) =
-                    (sa[..ndr].to_vec(), sb[..ndr].to_vec());
-                let mut idx = vec![0usize; ndr];
-                let (mut ia, mut ib) = (0usize, 0usize);
-                let row_dims = dims[..ndr].to_vec();
-                for r in 0..rows {
-                    for rep in 0..reps {
-                        let orow = &mut out[r * run + rep * inner..][..inner];
-                        let (arow, brow) = if a_rep {
-                            (&da[ia + rep * inner..][..inner], &db[ib..ib + inner])
-                        } else {
-                            (&da[ia..ia + inner], &db[ib + rep * inner..][..inner])
-                        };
-                        for ((o, &x), &y) in orow.iter_mut().zip(arow).zip(brow) {
-                            *o = fwd(x, y);
-                        }
-                    }
-                    for d in (0..row_dims.len()).rev() {
-                        idx[d] += 1;
-                        ia += ra[d];
-                        ib += rb[d];
-                        if idx[d] < row_dims[d] {
-                            break;
-                        }
-                        ia -= ra[d] * row_dims[d];
-                        ib -= rb[d] * row_dims[d];
-                        idx[d] = 0;
-                    }
-                }
-            } else if inner > 1 {
-                // Whole coalesced rows move as dense zips, leaving only the
-                // outer dims to the generic multi-index walk.
-                let rows = out_shape.numel() / inner;
-                let (ra, rb): (Vec<usize>, Vec<usize>) =
-                    (sa[..nd].to_vec(), sb[..nd].to_vec());
-                let mut idx = vec![0usize; nd];
-                let (mut ia, mut ib) = (0usize, 0usize);
-                let row_dims = dims[..nd].to_vec();
-                for r in 0..rows {
-                    let orow = &mut out[r * inner..(r + 1) * inner];
-                    let arow = &da[ia..ia + inner];
-                    let brow = &db[ib..ib + inner];
-                    for ((o, &x), &y) in orow.iter_mut().zip(arow).zip(brow) {
-                        *o = fwd(x, y);
-                    }
-                    for d in (0..row_dims.len()).rev() {
-                        idx[d] += 1;
-                        ia += ra[d];
-                        ib += rb[d];
-                        if idx[d] < row_dims[d] {
-                            break;
-                        }
-                        ia -= ra[d] * row_dims[d];
-                        ib -= rb[d] * row_dims[d];
-                        idx[d] = 0;
-                    }
-                }
-            } else {
-                for_each_broadcast3(&out_shape, a.shape(), b.shape(), |o, ia, ib| {
-                    out[o] = fwd(da[ia], db[ib]);
-                });
-            }
-        }
+        });
     }
-    let (sa, sb) = (a.shape().clone(), b.shape().clone());
-    let so = out_shape.clone();
     Tensor::from_op(
         out,
         out_shape,
         vec![a.clone(), b.clone()],
-        move || Box::new(move |gout, parents| {
+        move || Box::new(move |gout, _, parents| {
+            let _sp = crate::obs::span("nn.binary.bwd");
             let (pa, pb) = (&parents[0], &parents[1]);
-            let mut ga = crate::arena::zeroed(sa.numel());
-            let mut gb = crate::arena::zeroed(sb.numel());
-            {
-                let da = pa.data();
-                let db = pb.data();
-                for_each_broadcast3(&so, &sa, &sb, |o, ia, ib| {
-                    let (dda, ddb) = partials(da[ia], db[ib]);
-                    ga[ia] += dda * gout[o];
-                    gb[ib] += ddb * gout[o];
-                });
+            let (da, db) = (pa.data(), pb.data());
+            if pa.requires_grad() {
+                pa.accumulate_grad_owned(operand_grad::<true>(&plan, &da, &db, gout, partials));
             }
-            pa.accumulate_grad_owned(ga);
-            pb.accumulate_grad_owned(gb);
+            if pb.requires_grad() {
+                pb.accumulate_grad_owned(operand_grad::<false>(&plan, &da, &db, gout, partials));
+            }
         }),
     )
+}
+
+/// The gradient of the left (`LEFT`) or right operand of a broadcast
+/// binary op, walked by the forward's plan. Each element receives its
+/// contributions in ascending output order, `+=` into a zeroed buffer
+/// even for a dense operand: a copy would keep a `-0.0` partial that the
+/// sum turns into `+0.0`.
+fn operand_grad<const LEFT: bool>(
+    plan: &BroadcastPlan,
+    da: &[f32],
+    db: &[f32],
+    gout: &[f32],
+    partials: impl Fn(f32, f32) -> (f32, f32),
+) -> Vec<f32> {
+    let n = plan.inner;
+    let mut g = crate::arena::zeroed(if LEFT { da.len() } else { db.len() });
+    plan.for_each_run(|o, ia, ib| {
+        let dst = if LEFT { ia } else { ib };
+        let runs = g[dst..dst + n]
+            .iter_mut()
+            .zip(&da[ia..ia + n])
+            .zip(&db[ib..ib + n])
+            .zip(&gout[o..o + n]);
+        for (((gv, &x), &z), &go) in runs {
+            let (pa, pb) = partials(x, z);
+            let p = if LEFT { pa } else { pb };
+            *gv += p * go;
+        }
+    });
+    g
 }
 
 fn unary(
@@ -177,15 +205,13 @@ fn unary(
         data,
         a.shape().clone(),
         vec![a.clone()],
-        // The backward recomputes `y = fwd(x)` instead of cloning the
-        // forward output: bit-identical gradients (same pure function on
-        // the same input) without an eager save that forward-only mode
-        // would never use.
-        move || Box::new(move |gout, parents| {
+        // `dfdx(x, y)` reads `y = fwd(x)` from the node's own output.
+        move || Box::new(move |gout, y, parents| {
+            let _sp = crate::obs::span("nn.unary.bwd");
             let p = &parents[0];
             let mut g = crate::arena::zeroed(gout.len());
-            for ((o, &go), &x) in g.iter_mut().zip(gout).zip(p.data().iter()) {
-                *o = dfdx(x, fwd(x)) * go;
+            for (((o, &go), &x), &y) in g.iter_mut().zip(gout).zip(p.data().iter()).zip(y) {
+                *o = dfdx(x, y) * go;
             }
             p.accumulate_grad_owned(g);
         }),
@@ -232,7 +258,8 @@ impl Tensor {
             data,
             self.shape().clone(),
             vec![self.clone()],
-            move || Box::new(move |gout, parents| {
+            move || Box::new(move |gout, _, parents| {
+                let _sp = crate::obs::span("nn.unary.bwd");
                 let mut g = crate::arena::zeroed(gout.len());
                 for (o, &go) in g.iter_mut().zip(gout) {
                     *o = go * c;
@@ -256,7 +283,10 @@ impl Tensor {
             data,
             self.shape().clone(),
             vec![self.clone()],
-            move || Box::new(move |gout, parents| parents[0].accumulate_grad(gout)),
+            move || Box::new(move |gout, _, parents| {
+                let _sp = crate::obs::span("nn.unary.bwd");
+                parents[0].accumulate_grad(gout)
+            }),
         )
     }
 
@@ -395,5 +425,77 @@ mod tests {
         let x = param(&[2.0], &[1]);
         backward(&x.ln().sum_all());
         assert!((x.grad().unwrap()[0] - 0.5).abs() < 1e-6);
+    }
+
+    /// The plan-walked backward gives the bits of the per-element walk it
+    /// replaced: every gradient element accumulates `partial · g` in
+    /// ascending output order, over random broadcast shapes with size-1
+    /// and stride-0 dims.
+    #[test]
+    fn coalesced_backward_matches_naive_bits() {
+        use rand::Rng;
+        type Op = fn(&Tensor, &Tensor) -> Tensor;
+        type Partials = fn(f32, f32) -> (f32, f32);
+        let ops: [(&str, Op, Partials); 4] = [
+            ("add", |a, b| a.add(b), |_, _| (1.0, 1.0)),
+            ("sub", |a, b| a.sub(b), |_, _| (1.0, -1.0)),
+            ("mul", |a, b| a.mul(b), |a, b| (b, a)),
+            ("div", |a, b| a.div(b), |a, b| (1.0 / b, -a / (b * b))),
+        ];
+        let mut rng = crate::rng::seeded(7);
+        for case in 0..200 {
+            let rank = rng.gen_range(0..=4);
+            let out: Vec<usize> = (0..rank).map(|_| rng.gen_range(1..=4)).collect();
+            let mut operand = || -> Vec<usize> {
+                let drop = rng.gen_range(0..=rank);
+                out[drop..]
+                    .iter()
+                    .map(|&d| if rng.gen_bool(0.4) { 1 } else { d })
+                    .collect()
+            };
+            let (da, db) = (operand(), operand());
+            let a = Tensor::randn(&mut rng, &da).into_param();
+            let b = Tensor::randn(&mut rng, &db).add_scalar(3.0).into_param();
+            for (name, op, partials) in ops {
+                a.zero_grad();
+                b.zero_grad();
+                let y = op(&a, &b);
+                let w = Tensor::randn(&mut rng, y.dims());
+                backward(&y.mul(&w).sum_all());
+
+                // Naive reference: one output element at a time, ascending.
+                let so = y.shape().clone();
+                let sa = a.shape().broadcast_strides_to(&so);
+                let sb = b.shape().broadcast_strides_to(&so);
+                let (xa, xb, g) = (a.to_vec(), b.to_vec(), w.to_vec());
+                let mut ga = vec![0.0f32; xa.len()];
+                let mut gb = vec![0.0f32; xb.len()];
+                for (o, &go) in g.iter().enumerate() {
+                    let (mut ia, mut ib, mut rem) = (0, 0, o);
+                    for d in (0..so.ndim()).rev() {
+                        let i = rem % so.dims()[d];
+                        rem /= so.dims()[d];
+                        ia += i * sa[d];
+                        ib += i * sb[d];
+                    }
+                    let (pa, pb) = partials(xa[ia], xb[ib]);
+                    ga[ia] += pa * go;
+                    gb[ib] += pb * go;
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let ctx = format!("case {case} {name} {da:?} {db:?}");
+                assert_eq!(bits(&a.grad().unwrap()), bits(&ga), "{ctx}: left");
+                assert_eq!(bits(&b.grad().unwrap()), bits(&gb), "{ctx}: right");
+            }
+        }
+    }
+
+    #[test]
+    fn backward_skips_operands_without_grad() {
+        let x = param(&[1.0, -2.0, 3.0], &[3]);
+        let c = Tensor::from_vec(vec![2.0], &[1]).unwrap();
+        backward(&x.mul(&c).sum_all());
+        assert_eq!(x.grad().unwrap(), vec![2.0; 3]);
+        assert!(c.grad().is_none());
     }
 }

@@ -9,7 +9,7 @@ impl Tensor {
     /// `self` is the table `[V, D]`; `indices` selects rows; the result is
     /// `[indices.len(), D]`. Panics on out-of-range indices.
     pub fn embedding(&self, indices: &[usize]) -> Tensor {
-    let _sp = crate::obs::span("nn.embedding");
+        let _sp = crate::obs::span("nn.embedding");
         let dims = self.dims();
         assert_eq!(dims.len(), 2, "embedding table must be [V, D]");
         let (v, d) = (dims[0], dims[1]);
@@ -26,7 +26,8 @@ impl Tensor {
             out,
             Shape::new(&[indices.len(), d]),
             vec![self.clone()],
-            move || Box::new(move |gout, parents| {
+            move || Box::new(move |gout, _, parents| {
+                let _sp = crate::obs::span("nn.embedding.bwd");
                 let p = &parents[0];
                 let mut g = crate::arena::zeroed(p.numel());
                 for (row, &ix) in idx.iter().enumerate() {

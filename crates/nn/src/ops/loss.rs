@@ -55,7 +55,8 @@ pub fn bce_with_logits(logits: &Tensor, target: &Tensor) -> Tensor {
         total,
         crate::Shape::scalar(),
         vec![logits.clone()],
-        move || Box::new(move |gout, parents| {
+        move || Box::new(move |gout, _, parents| {
+            let _sp = crate::obs::span("nn.loss.bwd");
             let p = &parents[0];
             let mut g = crate::arena::zeroed(t_saved.len());
             for ((o, &xv), &tt) in g.iter_mut().zip(p.data().iter()).zip(&t_saved) {

@@ -353,7 +353,8 @@ impl Tensor {
             out,
             out_shape,
             vec![self.clone(), other.clone()],
-            move || Box::new(move |gout, parents| {
+            move || Box::new(move |gout, _, parents| {
+                let _sp = crate::obs::span("nn.matmul.bwd");
                 let (pa, pb) = (&parents[0], &parents[1]);
                 let mut ga = crate::arena::zeroed(pa.numel());
                 let mut gb = crate::arena::zeroed(pb.numel());

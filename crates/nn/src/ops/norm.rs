@@ -111,7 +111,7 @@ unsafe fn layer_norm_rows8_avx2(
 impl Tensor {
     /// Numerically stable softmax over the last dimension.
     pub fn softmax_last(&self) -> Tensor {
-    let _sp = crate::obs::span("nn.softmax");
+        let _sp = crate::obs::span("nn.softmax");
         let dims = self.dims();
         assert!(!dims.is_empty(), "softmax requires >=1-D");
         let d = dims[dims.len() - 1];
@@ -154,23 +154,18 @@ impl Tensor {
             out,
             self.shape().clone(),
             vec![self.clone()],
-            // Recomputes y = softmax(x) from the parent instead of saving a
-            // clone of the forward output: the same pure function on the
-            // same input gives bit-identical gradients, and forward-only
-            // execution never pays for a save it would not use.
-            move || Box::new(move |gout, parents| {
-                let mut y = crate::arena::zeroed(gout.len());
-                softmax_rows(&parents[0].data(), &mut y, rows, d, simd_on);
+            // dx = y ⊙ (g − ⟨y, g⟩) per row, read from the node's own
+            // output: no recompute, no scratch buffer.
+            move || Box::new(move |gout, y, parents| {
+                let _sp = crate::obs::span("nn.softmax.bwd");
                 let mut g = crate::arena::zeroed(y.len());
-                for r in 0..rows {
-                    let yr = &y[r * d..(r + 1) * d];
-                    let go = &gout[r * d..(r + 1) * d];
+                let rows = g.chunks_exact_mut(d).zip(y.chunks_exact(d)).zip(gout.chunks_exact(d));
+                for ((gr, yr), go) in rows {
                     let dot: f32 = yr.iter().zip(go).map(|(&yv, &gv)| yv * gv).sum();
-                    for ((gi, &yv), &gv) in g[r * d..(r + 1) * d].iter_mut().zip(yr).zip(go) {
+                    for ((gi, &yv), &gv) in gr.iter_mut().zip(yr).zip(go) {
                         *gi = yv * (gv - dot);
                     }
                 }
-                crate::arena::recycle(y);
                 parents[0].accumulate_grad_owned(g);
             }),
         )
@@ -180,7 +175,7 @@ impl Tensor {
     ///
     /// `gamma` and `beta` must be 1-D of the last-dim size.
     pub fn layer_norm(&self, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
-    let _sp = crate::obs::span("nn.layer_norm");
+        let _sp = crate::obs::span("nn.layer_norm");
         let dims = self.dims();
         let d = dims[dims.len() - 1];
         assert_eq!(gamma.dims(), &[d], "layer_norm gamma shape");
@@ -226,7 +221,8 @@ impl Tensor {
             // Recomputes the per-row statistics and normalized values from
             // the parent input (identical arithmetic → bit-identical
             // gradients) instead of saving them eagerly in the forward.
-            move || Box::new(move |gout, parents| {
+            move || Box::new(move |gout, _, parents| {
+                let _sp = crate::obs::span("nn.layer_norm.bwd");
                 let (px, pg, pb) = (&parents[0], &parents[1], &parents[2]);
                 let mut gx = crate::arena::zeroed(px.numel());
                 let mut gg = crate::arena::zeroed(d);

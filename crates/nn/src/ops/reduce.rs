@@ -13,7 +13,8 @@ impl Tensor {
             total,
             Shape::scalar(),
             vec![self.clone()],
-            move || Box::new(move |gout, parents| {
+            move || Box::new(move |gout, _, parents| {
+                let _sp = crate::obs::span("nn.reduce.bwd");
                 let mut g = crate::arena::zeroed(n);
                 g.fill(gout[0]);
                 parents[0].accumulate_grad_owned(g);
@@ -63,7 +64,8 @@ impl Tensor {
             out,
             out_shape,
             vec![self.clone()],
-            move || Box::new(move |gout, parents| {
+            move || Box::new(move |gout, _, parents| {
+                let _sp = crate::obs::span("nn.reduce.bwd");
                 let p = &parents[0];
                 let mut g = crate::arena::zeroed(p.numel());
                 for o in 0..outer {

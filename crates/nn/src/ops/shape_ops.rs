@@ -103,7 +103,7 @@ fn permute_copy(src: &[f32], dims: &[usize], perm: &[usize]) -> Vec<f32> {
 impl Tensor {
     /// Reinterprets the tensor with a new shape of identical element count.
     pub fn reshape(&self, dims: &[usize]) -> Tensor {
-    let _sp = crate::obs::span("nn.reshape");
+        let _sp = crate::obs::span("nn.reshape");
         let new_shape = Shape::new(dims);
         assert_eq!(
             new_shape.numel(),
@@ -112,12 +112,18 @@ impl Tensor {
             self.shape(),
             new_shape
         );
-        // Row-major reshape never moves data, so outside gradient tracking
-        // it is a metadata-only view on the same storage. Params are
-        // excluded (they are the only tensors mutated in place, by
-        // optimizer steps between forwards).
-        if !crate::is_grad_enabled() && !self.requires_grad() {
-            return self.view_with_shape(new_shape);
+        let backward = move || -> crate::tensor::BackwardFn {
+            Box::new(move |gout, _, parents| {
+                let _sp = crate::obs::span("nn.reshape.bwd");
+                parents[0].accumulate_grad(gout)
+            })
+        };
+        // Row-major reshape never moves data, so it is a view on the same
+        // storage, on the tape or off it. Params are copied: they are the
+        // only tensors mutated in place, by optimizer steps between
+        // forwards.
+        if !self.is_param() {
+            return self.view(new_shape, backward);
         }
         let data = {
             let src = self.data();
@@ -125,17 +131,12 @@ impl Tensor {
             data.copy_from_slice(&src);
             data
         };
-        Tensor::from_op(
-            data,
-            new_shape,
-            vec![self.clone()],
-            move || Box::new(move |gout, parents| parents[0].accumulate_grad(gout)),
-        )
+        Tensor::from_op(data, new_shape, vec![self.clone()], backward)
     }
 
     /// Permutes dimensions: output dim `j` is input dim `perm[j]`.
     pub fn permute(&self, perm: &[usize]) -> Tensor {
-    let _sp = crate::obs::span("nn.permute");
+        let _sp = crate::obs::span("nn.permute");
         let dims = self.dims().to_vec();
         assert_eq!(perm.len(), dims.len(), "permute rank mismatch");
         let mut seen = vec![false; dims.len()];
@@ -155,7 +156,8 @@ impl Tensor {
             data,
             Shape::new(&out_dims),
             vec![self.clone()],
-            move || Box::new(move |gout, parents| {
+            move || Box::new(move |gout, _, parents| {
+                let _sp = crate::obs::span("nn.permute.bwd");
                 let g = permute_copy(gout, &out_dims_clone, &inv);
                 parents[0].accumulate_grad_owned(g);
             }),
@@ -174,7 +176,7 @@ impl Tensor {
     /// Concatenates tensors along `axis`. All inputs must agree on every
     /// other dimension.
     pub fn concat(tensors: &[&Tensor], axis: usize) -> Tensor {
-    let _sp = crate::obs::span("nn.concat");
+        let _sp = crate::obs::span("nn.concat");
         assert!(!tensors.is_empty(), "concat of zero tensors");
         let first_dims = tensors[0].dims().to_vec();
         assert!(axis < first_dims.len(), "concat axis out of range");
@@ -212,7 +214,8 @@ impl Tensor {
             out,
             out_shape,
             parents,
-            move || Box::new(move |gout, parents| {
+            move || Box::new(move |gout, _, parents| {
+                let _sp = crate::obs::span("nn.concat.bwd");
                 let mut offset = 0usize;
                 for (p, &sz) in parents.iter().zip(&axis_sizes) {
                     let mut g = crate::arena::zeroed(p.numel());
@@ -230,7 +233,7 @@ impl Tensor {
 
     /// Slices `len` elements starting at `start` along `axis`.
     pub fn slice_axis(&self, axis: usize, start: usize, len: usize) -> Tensor {
-    let _sp = crate::obs::span("nn.slice");
+        let _sp = crate::obs::span("nn.slice");
         let dims = self.dims().to_vec();
         assert!(axis < dims.len(), "slice axis out of range");
         assert!(
@@ -257,7 +260,8 @@ impl Tensor {
             out,
             out_shape,
             vec![self.clone()],
-            move || Box::new(move |gout, parents| {
+            move || Box::new(move |gout, _, parents| {
+                let _sp = crate::obs::span("nn.slice.bwd");
                 let p = &parents[0];
                 let mut g = crate::arena::zeroed(p.numel());
                 for o in 0..outer {

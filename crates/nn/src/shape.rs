@@ -129,48 +129,6 @@ impl From<&[usize]> for Shape {
     }
 }
 
-/// Iterates over every output index of a broadcast binary operation,
-/// yielding `(out_idx, a_idx, b_idx)` linear offsets.
-pub(crate) fn for_each_broadcast3(
-    out: &Shape,
-    a: &Shape,
-    b: &Shape,
-    mut f: impl FnMut(usize, usize, usize),
-) {
-    let n = out.numel();
-    if n == 0 {
-        return;
-    }
-    // Fast path: identical shapes.
-    if a == out && b == out {
-        for i in 0..n {
-            f(i, i, i);
-        }
-        return;
-    }
-    let sa = a.broadcast_strides_to(out);
-    let sb = b.broadcast_strides_to(out);
-    let dims = out.dims();
-    let ndim = dims.len();
-    let mut idx = vec![0usize; ndim];
-    let (mut ia, mut ib) = (0usize, 0usize);
-    for i in 0..n {
-        f(i, ia, ib);
-        // Increment the multi-index, updating ia/ib incrementally.
-        for d in (0..ndim).rev() {
-            idx[d] += 1;
-            ia += sa[d];
-            ib += sb[d];
-            if idx[d] < dims[d] {
-                break;
-            }
-            ia -= sa[d] * dims[d];
-            ib -= sb[d] * dims[d];
-            idx[d] = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,25 +173,5 @@ mod tests {
         let s = Shape::new(&[3]);
         let out = Shape::new(&[2, 3]);
         assert_eq!(s.broadcast_strides_to(&out), vec![0, 1]);
-    }
-
-    #[test]
-    fn for_each_broadcast_row_plus_col() {
-        let out = Shape::new(&[2, 3]);
-        let a = Shape::new(&[2, 1]);
-        let b = Shape::new(&[3]);
-        let mut triples = Vec::new();
-        for_each_broadcast3(&out, &a, &b, |o, ia, ib| triples.push((o, ia, ib)));
-        assert_eq!(
-            triples,
-            vec![
-                (0, 0, 0),
-                (1, 0, 1),
-                (2, 0, 2),
-                (3, 1, 0),
-                (4, 1, 1),
-                (5, 1, 2)
-            ]
-        );
     }
 }

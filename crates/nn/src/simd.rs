@@ -422,6 +422,114 @@ pub(crate) unsafe fn vgelu_avx2(v: &mut [f32]) {
     map_ps(v, k);
 }
 
+/// `g[i] = f(s[i], gout[i])` for the 8-lane kernel `f`. As in [`map_ps`],
+/// the tail runs through the same kernel on a zero-padded block, so every
+/// element sees identical arithmetic regardless of its position.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn map2_ps(
+    s: &[f32],
+    gout: &[f32],
+    g: &mut [f32],
+    f: unsafe fn(std::arch::x86_64::__m256, std::arch::x86_64::__m256) -> std::arch::x86_64::__m256,
+) {
+    use std::arch::x86_64::*;
+    let n = g.len();
+    // The vector loop reads `s` and `gout` up to `n` through raw pointers.
+    assert!(s.len() == n && gout.len() == n, "map2_ps length mismatch");
+    let chunks = n / 8;
+    for c in 0..chunks {
+        let o = c * 8;
+        let v = f(_mm256_loadu_ps(s.as_ptr().add(o)), _mm256_loadu_ps(gout.as_ptr().add(o)));
+        _mm256_storeu_ps(g.as_mut_ptr().add(o), v);
+    }
+    let rem = n - chunks * 8;
+    if rem > 0 {
+        let (mut ts, mut tg) = ([0.0f32; 8], [0.0f32; 8]);
+        ts[..rem].copy_from_slice(&s[chunks * 8..]);
+        tg[..rem].copy_from_slice(&gout[chunks * 8..]);
+        let v = f(_mm256_loadu_ps(ts.as_ptr()), _mm256_loadu_ps(tg.as_ptr()));
+        _mm256_storeu_ps(ts.as_mut_ptr(), v);
+        g[chunks * 8..].copy_from_slice(&ts[..rem]);
+    }
+}
+
+/// The signature of the derivative kernels below: `g = f'(x) ⊙ gout`,
+/// given the input `x` and the forward's output `y`, all of one length.
+/// tanh and sigmoid read their derivative off `y`; GELU and SiLU
+/// recompute it from `x`.
+///
+/// # Safety
+///
+/// The caller must have seen [`tier`] return [`Tier::Avx2Fma`], i.e.
+/// AVX2 and FMA were detected at runtime.
+pub(crate) type DerivKernel = unsafe fn(x: &[f32], y: &[f32], gout: &[f32], g: &mut [f32]);
+
+/// `g = (1 − y²) ⊙ gout`, the tanh derivative.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(crate) unsafe fn dtanh_avx2(_x: &[f32], y: &[f32], gout: &[f32], g: &mut [f32]) {
+    use std::arch::x86_64::*;
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn k(y: __m256, go: __m256) -> __m256 {
+        _mm256_mul_ps(_mm256_fnmadd_ps(y, y, _mm256_set1_ps(1.0)), go)
+    }
+    map2_ps(y, gout, g, k);
+}
+
+/// `g = s·(1 − s) ⊙ gout` with `s = y`, the sigmoid derivative.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(crate) unsafe fn dsigmoid_avx2(_x: &[f32], y: &[f32], gout: &[f32], g: &mut [f32]) {
+    use std::arch::x86_64::*;
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn k(s: __m256, go: __m256) -> __m256 {
+        let one_minus = _mm256_sub_ps(_mm256_set1_ps(1.0), s);
+        _mm256_mul_ps(_mm256_mul_ps(s, one_minus), go)
+    }
+    map2_ps(y, gout, g, k);
+}
+
+/// `g = s·(1 + x·(1 − s)) ⊙ gout` with `s = sigmoid(x)`, the SiLU
+/// derivative.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(crate) unsafe fn dsilu_avx2(x: &[f32], _y: &[f32], gout: &[f32], g: &mut [f32]) {
+    use std::arch::x86_64::*;
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn k(x: __m256, go: __m256) -> __m256 {
+        let one = _mm256_set1_ps(1.0);
+        let e = exp_ps(_mm256_sub_ps(_mm256_setzero_ps(), x));
+        let s = _mm256_div_ps(one, _mm256_add_ps(one, e));
+        let d = _mm256_mul_ps(s, _mm256_fmadd_ps(x, _mm256_sub_ps(one, s), one));
+        _mm256_mul_ps(d, go)
+    }
+    map2_ps(x, gout, g, k);
+}
+
+/// The GELU (tanh approximation) derivative
+/// `½(1 + t) + ½x·(1 − t²)·√(2/π)(1 + 3·0.044715x²)`, with
+/// `t = tanh(√(2/π)(x + 0.044715x³))`, times `gout`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(crate) unsafe fn dgelu_avx2(x: &[f32], _y: &[f32], gout: &[f32], g: &mut [f32]) {
+    use std::arch::x86_64::*;
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn k(x: __m256, go: __m256) -> __m256 {
+        let one = _mm256_set1_ps(1.0);
+        let c = _mm256_set1_ps(0.797_884_6);
+        let a = _mm256_set1_ps(0.044715);
+        let x2 = _mm256_mul_ps(x, x);
+        let inner = _mm256_mul_ps(c, _mm256_fmadd_ps(a, _mm256_mul_ps(x2, x), x));
+        let t = tanh_ps(inner);
+        let dinner = _mm256_mul_ps(c, _mm256_fmadd_ps(_mm256_set1_ps(3.0 * 0.044715), x2, one));
+        let slope = _mm256_mul_ps(_mm256_mul_ps(x, _mm256_fnmadd_ps(t, t, one)), dinner);
+        let d = _mm256_mul_ps(_mm256_set1_ps(0.5), _mm256_add_ps(_mm256_add_ps(one, t), slope));
+        _mm256_mul_ps(d, go)
+    }
+    map2_ps(x, gout, g, k);
+}
+
 #[cfg(not(target_arch = "x86_64"))]
 pub(crate) unsafe fn vexp_avx2(_v: &mut [f32]) {
     unreachable!("avx2 kernel dispatched on non-x86_64");
@@ -444,6 +552,26 @@ pub(crate) unsafe fn vsilu_avx2(_v: &mut [f32]) {
 
 #[cfg(not(target_arch = "x86_64"))]
 pub(crate) unsafe fn vgelu_avx2(_v: &mut [f32]) {
+    unreachable!("avx2 kernel dispatched on non-x86_64");
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) unsafe fn dtanh_avx2(_x: &[f32], _y: &[f32], _gout: &[f32], _g: &mut [f32]) {
+    unreachable!("avx2 kernel dispatched on non-x86_64");
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) unsafe fn dsigmoid_avx2(_x: &[f32], _y: &[f32], _gout: &[f32], _g: &mut [f32]) {
+    unreachable!("avx2 kernel dispatched on non-x86_64");
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) unsafe fn dsilu_avx2(_x: &[f32], _y: &[f32], _gout: &[f32], _g: &mut [f32]) {
+    unreachable!("avx2 kernel dispatched on non-x86_64");
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) unsafe fn dgelu_avx2(_x: &[f32], _y: &[f32], _gout: &[f32], _g: &mut [f32]) {
     unreachable!("avx2 kernel dispatched on non-x86_64");
 }
 
@@ -610,6 +738,45 @@ mod tests {
             let gelu = 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh());
             let rel = (vg[i] - gelu).abs() / gelu.abs().max(1.0);
             assert!(rel <= 2e-6, "gelu({x}): {} vs {gelu}", vg[i]);
+        }
+    }
+
+    #[test]
+    fn vectorized_derivatives_match_libm() {
+        if !avx2_available() {
+            return;
+        }
+        // 87 inputs: ten full blocks and a padded tail.
+        let xs: Vec<f32> = (-43..=43).map(|i| i as f32 * 0.11).collect();
+        let gout: Vec<f32> = (0..xs.len()).map(|i| 1.0 - (i % 5) as f32 * 0.4).collect();
+        let run = |k: DerivKernel, y: &[f32]| {
+            let mut g = vec![0.0f32; xs.len()];
+            unsafe { k(&xs, y, &gout, &mut g) };
+            g
+        };
+        let sig = |x: f32| 1.0 / (1.0 + (-x).exp());
+        let ys: Vec<f32> = xs.iter().map(|&x| sig(x)).collect();
+        let yt: Vec<f32> = xs.iter().map(|&x| x.tanh()).collect();
+        let (gs, gt) = (run(dsigmoid_avx2, &ys), run(dtanh_avx2, &yt));
+        let (gw, gg) = (run(dsilu_avx2, &xs), run(dgelu_avx2, &xs));
+        const C: f32 = 0.797_884_6;
+        for (i, &x) in xs.iter().enumerate() {
+            let s = sig(x);
+            let t = (C * (x + 0.044715 * x * x * x)).tanh();
+            let want = [
+                ("sigmoid", gs[i], s * (1.0 - s)),
+                ("tanh", gt[i], 1.0 - x.tanh() * x.tanh()),
+                ("silu", gw[i], s + x * s * (1.0 - s)),
+                (
+                    "gelu",
+                    gg[i],
+                    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * C * (1.0 + 3.0 * 0.044715 * x * x),
+                ),
+            ];
+            for (name, got, d) in want {
+                let d = d * gout[i];
+                assert!((got - d).abs() <= 4e-6 * d.abs().max(1.0), "d{name}({x}): {got} vs {d}");
+            }
         }
     }
 

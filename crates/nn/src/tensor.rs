@@ -25,16 +25,19 @@ fn next_id() -> u64 {
 
 /// The gradient function of a non-leaf node.
 ///
-/// Receives the gradient flowing into the node and the node's parents, and
-/// is responsible for accumulating into each parent, handing over buffers
-/// taken from the arena (`Tensor::accumulate_grad_owned`).
-pub(crate) type BackwardFn = Box<dyn Fn(&[f32], &[Tensor])>;
+/// Receives the gradient flowing into the node, the node's own output and
+/// the node's parents, and is responsible for accumulating into each
+/// parent, handing over buffers taken from the arena
+/// (`Tensor::accumulate_grad_owned`). An op whose derivative is a function
+/// of its result (softmax, `exp`, the AVX2 tanh and sigmoid) reads the
+/// output instead of recomputing it; most ignore it.
+pub(crate) type BackwardFn = Box<dyn Fn(&[f32], &[f32], &[Tensor])>;
 
 pub(crate) struct Node {
     id: u64,
     shape: Shape,
-    /// Reference-counted so that metadata-only ops (reshape in forward-only
-    /// mode) can alias the buffer instead of copying it. Aliased storage is
+    /// Reference-counted so that a metadata-only op (reshape, on the tape
+    /// or off it) can alias the buffer instead of copying it. Aliased storage is
     /// never mutated: `set_data`/`update_data` are only applied to params,
     /// and params are never created by (or eligible for) storage sharing.
     data: Rc<RefCell<Vec<f32>>>,
@@ -190,27 +193,30 @@ impl Tensor {
         }
     }
 
-    /// A detached leaf that *aliases* this tensor's storage under a new
-    /// shape — a metadata-only view, no copy.
+    /// A node that *aliases* this tensor's storage under a new shape — a
+    /// metadata-only view, no copy. When gradient tracking is on and this
+    /// tensor requires gradients, the view is a tape node with `backward`;
+    /// otherwise it is a detached leaf.
     ///
     /// Only sound when the storage cannot be mutated while both handles
-    /// are alive: callers must restrict this to non-param tensors outside
-    /// gradient tracking (op outputs are immutable once produced, and
-    /// `set_data`/`update_data` only ever target params).
-    pub(crate) fn view_with_shape(&self, shape: Shape) -> Self {
+    /// are alive, so parameters are excluded: they are the only tensors
+    /// `set_data`/`update_data` target (optimizer steps between
+    /// forwards), while op outputs are immutable once produced.
+    pub(crate) fn view(&self, shape: Shape, backward: impl FnOnce() -> BackwardFn) -> Self {
         debug_assert_eq!(self.numel(), shape.numel());
-        debug_assert!(!self.requires_grad());
+        debug_assert!(!self.is_param());
+        let track = is_grad_enabled() && self.requires_grad();
         Tensor {
             node: Rc::new(Node {
                 id: next_id(),
                 shape,
                 data: Rc::clone(&self.node.data),
                 grad: RefCell::new(None),
-                requires_grad: false,
+                requires_grad: track,
                 op_output: self.node.op_output,
                 generation: Cell::new(0),
-                parents: Vec::new(),
-                backward: None,
+                parents: if track { vec![self.clone()] } else { Vec::new() },
+                backward: track.then(backward),
             }),
         }
     }
@@ -278,6 +284,11 @@ impl Tensor {
     /// Whether gradients are accumulated into this tensor.
     pub fn requires_grad(&self) -> bool {
         self.node.requires_grad
+    }
+
+    /// Whether this is a parameter: a leaf that requires gradients.
+    pub(crate) fn is_param(&self) -> bool {
+        self.node.requires_grad && self.node.backward.is_none()
     }
 
     /// Mutation counter for the data buffer: 0 at construction, bumped by

@@ -115,6 +115,8 @@ fn main() {
         "trainer.step",
         "trainer.shard",
         "autodiff.backward",
+        "nn.unary.bwd",
+        "nn.binary.bwd",
         "infer.ensemble",
         "infer.denoise_step",
         "pool.worker",

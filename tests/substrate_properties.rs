@@ -553,7 +553,10 @@ mod gradient_check {
             let batch = rng.gen_range(1..=3);
             // Shared rhs: a [batch, m, k] (or [m, k]) against b [k, n].
             let a_dims = if rng.gen_bool(0.5) { vec![batch, m, k] } else { vec![m, k] };
-            let ins = [uniform(&mut rng, &a_dims, -1.0, 1.0), uniform(&mut rng, &[k, n], -1.0, 1.0)];
+            let ins = [
+                uniform(&mut rng, &a_dims, -1.0, 1.0),
+                uniform(&mut rng, &[k, n], -1.0, 1.0),
+            ];
             check("matmul shared-rhs", &mut rng, &ins, |t| t[0].matmul(&t[1]))?;
             // Batched: a [batch, m, k] against b [batch, k, n].
             let ins = [
