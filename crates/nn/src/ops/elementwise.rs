@@ -29,13 +29,15 @@ struct BroadcastPlan {
 
 impl BroadcastPlan {
     fn new(out: &Shape, a: &Shape, b: &Shape) -> Self {
-        if out.numel() == 0 {
+        if (a == out && b == out) || out.numel() == 0 {
+            // One dense run over everything (an empty one for no output),
+            // with no stride vectors to build.
             return BroadcastPlan {
-                inner: 0,
-                reps: 0,
+                inner: out.numel(),
+                reps: 1,
                 rep_step: (0, 0),
-                row_dims: vec![0],
-                row_strides: (vec![0], vec![0]),
+                row_dims: Vec::new(),
+                row_strides: (Vec::new(), Vec::new()),
             };
         }
         let dims = out.dims();
@@ -488,6 +490,16 @@ mod tests {
                 assert_eq!(bits(&b.grad().unwrap()), bits(&gb), "{ctx}: right");
             }
         }
+    }
+
+    #[test]
+    fn empty_broadcast_runs_both_directions() {
+        let a = param(&[], &[0, 3]);
+        let b = param(&[1.0, 2.0, 3.0], &[1, 3]);
+        let y = a.mul(&b);
+        assert_eq!(y.dims(), &[0, 3]);
+        backward(&y.sum_all());
+        assert_eq!(b.grad().unwrap(), vec![0.0; 3]);
     }
 
     #[test]
