@@ -100,8 +100,8 @@ impl BroadcastPlan {
         let (mut ia, mut ib) = (0usize, 0usize);
         for r in 0..rows {
             for rep in 0..self.reps {
-                let (o, a, b) = (r * run + rep * self.inner, rep * self.rep_step.0, rep * self.rep_step.1);
-                f(o, ia + a, ib + b);
+                let o = r * run + rep * self.inner;
+                f(o, ia + rep * self.rep_step.0, ib + rep * self.rep_step.1);
             }
             for d in (0..idx.len()).rev() {
                 idx[d] += 1;
