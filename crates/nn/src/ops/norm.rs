@@ -377,30 +377,31 @@ mod tests {
         }
     }
 
-    /// The d=8 AVX2 fast path must be bit-identical to the scalar code it
-    /// bypasses (the transposes are pure data movement and every lane runs
-    /// the scalar chain in the same order — this pins that claim).
+    /// The Avx2Fma layer norm must give the Scalar tier's bits at every
+    /// width: the transposes are pure data movement and every lane runs
+    /// the scalar chain in the same order. Row counts that are not
+    /// multiples of 8 exercise the scalar tail, and one row holds a NaN.
     #[test]
-    fn layer_norm_d8_fast_path_matches_scalar_bits() {
+    fn layer_norm_avx2_matches_scalar_bits() {
         use crate::simd::{self, with_tier, Tier};
         if !simd::avx2_available() {
             return;
         }
         let mut rng = crate::rng::seeded(41);
-        // 19 rows: two full 8-row passes plus a 3-row scalar tail.
-        let x = Tensor::randn(&mut rng, &[19, 8]);
-        let gamma = Tensor::randn(&mut rng, &[8]);
-        let beta = Tensor::randn(&mut rng, &[8]);
-        let fast = with_tier(Tier::Avx2Fma, || {
-            x.layer_norm(&gamma, &beta, 1e-5).to_vec()
-        });
-        let scalar = with_tier(Tier::Scalar, || {
-            x.layer_norm(&gamma, &beta, 1e-5).to_vec()
-        });
-        assert_eq!(
-            fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        for (d, rows) in [(8usize, 19usize), (16, 13), (24, 21), (128, 11)] {
+            let mut xv = Tensor::randn(&mut rng, &[rows, d]).to_vec();
+            xv[3 * d + 5] = f32::NAN;
+            let x = Tensor::from_vec(xv, &[rows, d]).unwrap();
+            let gamma = Tensor::randn(&mut rng, &[d]);
+            let beta = Tensor::randn(&mut rng, &[d]);
+            let run = |tier| {
+                with_tier(tier, || x.layer_norm(&gamma, &beta, 1e-5).to_vec())
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(run(Tier::Avx2Fma), run(Tier::Scalar), "d={d} rows={rows}");
+        }
     }
 
     #[test]

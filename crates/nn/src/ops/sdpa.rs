@@ -300,82 +300,109 @@ mod tests {
     #[test]
     fn bit_identical_across_thread_counts_per_tier() {
         let mut rng = seeded(12);
-        let q = Tensor::randn(&mut rng, &[6, 24, 8]);
-        let k = Tensor::randn(&mut rng, &[6, 24, 8]);
-        let v = Tensor::randn(&mut rng, &[6, 24, 8]);
         let mut tiers = vec![Tier::Scalar];
         if simd::avx2_available() {
             tiers.push(Tier::Avx2Fma);
         }
-        for tier in tiers {
-            let reference = with_tier(tier, || {
-                with_threads(1, || Tensor::sdpa(&q, &k, &v, 0.35).to_vec())
-            });
-            for t in [2usize, 4, 8] {
-                let got = with_tier(tier, || {
-                    with_threads(t, || Tensor::sdpa(&q, &k, &v, 0.35).to_vec())
+        for dh in [4usize, 8, 16] {
+            let q = Tensor::randn(&mut rng, &[6, 24, dh]);
+            let k = Tensor::randn(&mut rng, &[6, 24, dh]);
+            let v = Tensor::randn(&mut rng, &[6, 24, dh]);
+            for &tier in &tiers {
+                let reference = with_tier(tier, || {
+                    with_threads(1, || Tensor::sdpa(&q, &k, &v, 0.35).to_vec())
                 });
-                assert_eq!(got, reference, "tier={tier:?} threads={t}");
+                for t in [2usize, 4, 8] {
+                    let got = with_tier(tier, || {
+                        with_threads(t, || Tensor::sdpa(&q, &k, &v, 0.35).to_vec())
+                    });
+                    assert_eq!(got, reference, "dh={dh} tier={tier:?} threads={t}");
+                }
             }
         }
     }
 
-    /// The Dh<8 fast path must be bit-identical to the generic Avx2Fma
-    /// path it replaces. The generic arithmetic for a short dot is the
-    /// scalar `mul_add` tail (the vector loop contributes +0.0), softmax
-    /// goes through `vexp_avx2`, and the V-sum is an ascending-`j`
-    /// `mul_add` chain per output element — emulated here exactly.
+    /// The Avx2Fma block kernel must be bit-identical to the per-row
+    /// arithmetic it replaced: one `dot_avx2` per score (times `scale`),
+    /// the stable softmax through `vexp_avx2` with an ascending sum, and
+    /// one `axpy_avx2` of `p · inv` per key into a zeroed output row. The
+    /// reference below calls those kernels directly. Rows holding a NaN,
+    /// all-equal scores, ±0 scores and a −inf score are included, since
+    /// the kernel folds each row's max with vector instructions.
     #[test]
-    fn smalldh_fast_path_matches_generic_arithmetic() {
+    fn avx2_kernel_matches_dot_axpy_arithmetic() {
         if !simd::avx2_available() {
             return;
         }
-        let mut rng = seeded(13);
-        for &(bh, l, dh) in &[(3usize, 16usize, 4usize), (2, 19, 4), (1, 5, 2), (4, 24, 6)] {
-            let q = Tensor::randn(&mut rng, &[bh, l, dh]);
-            let k = Tensor::randn(&mut rng, &[bh, l, dh]);
-            let v = Tensor::randn(&mut rng, &[bh, l, dh]);
-            let scale = 1.0 / (dh as f32).sqrt();
-            let got = with_tier(Tier::Avx2Fma, || Tensor::sdpa(&q, &k, &v, scale).to_vec());
-            let (qd, kd, vd) = (q.to_vec(), k.to_vec(), v.to_vec());
+        fn reference(q: &[f32], k: &[f32], v: &[f32], l: usize, dh: usize, scale: f32) -> Vec<f32> {
             let block = l * dh;
-            let mut want = vec![0.0f32; bh * block];
-            for b in 0..bh {
+            let mut out = vec![0.0f32; q.len()];
+            let mut srow = vec![0.0f32; l];
+            for (b, ob) in out.chunks_mut(block).enumerate() {
                 let (qb, kb, vb) = (
-                    &qd[b * block..(b + 1) * block],
-                    &kd[b * block..(b + 1) * block],
-                    &vd[b * block..(b + 1) * block],
+                    &q[b * block..(b + 1) * block],
+                    &k[b * block..(b + 1) * block],
+                    &v[b * block..(b + 1) * block],
                 );
-                let ob = &mut want[b * block..(b + 1) * block];
-                let mut srow = vec![0.0f32; l];
-                for i in 0..l {
-                    for (j, s) in srow.iter_mut().enumerate() {
-                        let mut acc = 0.0f32;
-                        for d in 0..dh {
-                            acc = qb[i * dh + d].mul_add(kb[j * dh + d], acc);
-                        }
-                        *s = scale * acc;
+                for (qrow, orow) in qb.chunks(dh).zip(ob.chunks_mut(dh)) {
+                    for (s, krow) in srow.iter_mut().zip(kb.chunks(dh)) {
+                        // Safety: guarded by avx2_available above.
+                        *s = scale * unsafe { simd::dot_avx2(qrow, krow) };
                     }
                     let max = srow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
                     for s in srow.iter_mut() {
                         *s -= max;
                     }
-                    // Safety: guarded by avx2_available above.
+                    // Safety: as above.
                     unsafe { simd::vexp_avx2(&mut srow) };
                     let mut sum = 0.0f32;
                     for &e in srow.iter() {
                         sum += e;
                     }
                     let inv = 1.0 / sum;
-                    for (j, &p) in srow.iter().enumerate() {
-                        for d in 0..dh {
-                            ob[i * dh + d] =
-                                (p * inv).mul_add(vb[j * dh + d], ob[i * dh + d]);
-                        }
+                    for (&p, vrow) in srow.iter().zip(vb.chunks(dh)) {
+                        // Safety: as above.
+                        unsafe { simd::axpy_avx2(p * inv, vrow, orow) };
                     }
                 }
             }
-            assert_eq!(got, want, "bh={bh} l={l} dh={dh}");
+            out
+        }
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = seeded(13);
+        let dhs = [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 20, 32, 35];
+        for &dh in &dhs {
+            for &l in &[1usize, 5, 8, 19, 48, 65] {
+                let bh = 3;
+                let block = l * dh;
+                let mut q = Tensor::randn(&mut rng, &[bh, l, dh]).to_vec();
+                let mut k = Tensor::randn(&mut rng, &[bh, l, dh]).to_vec();
+                let v = Tensor::randn(&mut rng, &[bh, l, dh]).to_vec();
+                // Block 1: a NaN in query row 0, an all-zero query row 1
+                // (every score ±0, all equal), and in query row 2 a key
+                // whose score overflows to −inf.
+                q[block] = f32::NAN;
+                if l > 1 {
+                    q[block + dh..block + 2 * dh].fill(0.0);
+                }
+                if l > 2 {
+                    q[block + 2 * dh..block + 3 * dh].fill(1e20);
+                    k[block..block + dh].fill(-1e20);
+                }
+                // Block 2: an all-zero key, so one score per row is ±0.
+                k[2 * block + (l - 1) * dh..2 * block + l * dh].fill(0.0);
+                let (qt, kt, vt) = (
+                    Tensor::from_vec(q.clone(), &[bh, l, dh]).unwrap(),
+                    Tensor::from_vec(k.clone(), &[bh, l, dh]).unwrap(),
+                    Tensor::from_vec(v.clone(), &[bh, l, dh]).unwrap(),
+                );
+                // A negative scale turns the +0 scores into −0.
+                for scale in [1.0 / (dh as f32).sqrt(), -0.5] {
+                    let got = with_tier(Tier::Avx2Fma, || Tensor::sdpa(&qt, &kt, &vt, scale).to_vec());
+                    let want = reference(&q, &k, &v, l, dh, scale);
+                    assert_eq!(bits(&got), bits(&want), "l={l} dh={dh} scale={scale}");
+                }
+            }
         }
     }
 
