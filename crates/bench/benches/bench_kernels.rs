@@ -168,6 +168,25 @@ fn bench_attention(c: &mut Criterion) {
             })
         });
     }
+    // The model's own shapes, inference forward at one worker: the quick
+    // profile's temporal attention (8 windows × 19 channels, window 48,
+    // hidden 16, Dh 8) and the serving config's (19 channels, window 16,
+    // hidden 8, Dh 4).
+    for (batch, seq, d_model, heads) in [(152usize, 48usize, 16usize, 2usize), (19, 16, 8, 2)] {
+        let attn = MultiHeadAttention::new(&mut rng, d_model, heads);
+        let x = Tensor::from_vec(filled(batch * seq * d_model, &mut rng), &[batch, seq, d_model])
+            .unwrap();
+        let flops = (8 * batch * seq * d_model * d_model + 4 * batch * seq * seq * d_model) as u64;
+        group.throughput(Throughput::Flops(flops));
+        group.record_threads(1);
+        group.bench_function(format!("fwd/{batch}x{seq}x{d_model}/h{heads}/t1"), |bch| {
+            bch.iter(|| {
+                pool::with_threads(1, || {
+                    imdiff_nn::forward_only(|| black_box(attn.forward(&x).to_vec()[0]))
+                })
+            })
+        });
+    }
     group.finish();
 }
 

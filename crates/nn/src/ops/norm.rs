@@ -1,5 +1,7 @@
 //! Softmax and fused layer normalization.
 
+#[cfg(target_arch = "x86_64")]
+use crate::simd::Tier;
 use crate::tensor::Tensor;
 
 /// In-register 8×8 transpose (an involution — applying it twice restores
@@ -34,78 +36,104 @@ unsafe fn transpose8(t: &mut [std::arch::x86_64::__m256; 8]) {
     t[7] = _mm256_permute2f128_ps(b3, b7, 0x31);
 }
 
-/// Layer norm for the `d == 8` rows the model actually normalizes
-/// ([rows, hidden] with hidden 8): eight rows per pass, transposed so each
-/// lane holds one row and the per-row serial chains run as vertical vector
-/// ops across eight independent rows.
+/// Mean and `1/std` of one row, as the scalar path computes them
+/// (`iter().sum()` in ascending order, no fma).
+fn row_stats(row: &[f32], eps: f32) -> (f32, f32) {
+    let d = row.len() as f32;
+    let mean: f32 = row.iter().sum::<f32>() / d;
+    let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d;
+    (mean, 1.0 / (var + eps).sqrt())
+}
+
+/// Layer norm for rows of `d = 8m` elements: eight rows per pass, each
+/// 8-column slab put through an 8×8 transpose so each lane holds one row
+/// and the per-row serial chains run as vertical vector ops across eight
+/// independent rows. Each pass transposes every slab afresh for the mean,
+/// the variance and the output, so nothing is staged in memory. Returns
+/// how many leading rows it wrote (a multiple of 8); the caller runs the
+/// scalar rows over the rest.
 ///
 /// Bit-identical to the scalar path by construction: per lane, the mean
-/// and variance sums add elements 0..8 in the same ascending order (mul
+/// and variance sums add elements `0..d` in the same ascending order (mul
 /// then add, no fma — the scalar path does not fuse), the divisions by
 /// `d`, the `sqrt`, and the final `h * g[i] + b[i]` are the same IEEE
 /// operations, and the transposes are pure data movement.
+///
+/// `D` is the width when it is fixed at compile time (0 reads `d`): at
+/// `D = 8` the three slab transposes of a pass fold into one and the
+/// pass compiles to straight-line register code.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA. The lengths are checked on entry.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn layer_norm_rows8_avx2(
+unsafe fn layer_norm_rows_avx2<const D: usize>(
     x: &[f32],
     g: &[f32],
     b: &[f32],
     out: &mut [f32],
-    rows: usize,
+    d: usize,
     eps: f32,
-) {
+) -> usize {
     use std::arch::x86_64::*;
-    debug_assert!(g.len() == 8 && b.len() == 8);
-    let eightth = _mm256_set1_ps(8.0);
+    let d = if D == 0 { d } else { D };
+    assert!(
+        d > 0 && d.is_multiple_of(8) && g.len() == d && b.len() == d && out.len() == x.len(),
+        "layer norm kernel: lengths do not match width {d}"
+    );
+    let rows = x.len() / d;
+    let vd = _mm256_set1_ps(d as f32);
     let veps = _mm256_set1_ps(eps);
     let one = _mm256_set1_ps(1.0);
-    let mut r = 0;
-    while r + 8 <= rows {
-        let base = r * 8;
+    // Slab `c` of the eight rows from `base`, one row per lane.
+    let slab = |base: usize, c: usize| {
         let mut t = [_mm256_setzero_ps(); 8];
         for (i, slot) in t.iter_mut().enumerate() {
-            *slot = _mm256_loadu_ps(x.as_ptr().add(base + i * 8));
+            *slot = _mm256_loadu_ps(x.as_ptr().add(base + i * d + c));
         }
         transpose8(&mut t);
-        // mean = ((e0 + e1) + ... + e7) / 8, ascending like `iter().sum()`.
-        let mut s = t[0];
-        for v in &t[1..] {
-            s = _mm256_add_ps(s, *v);
+        t
+    };
+    let mut r = 0;
+    while r + 8 <= rows {
+        let base = r * d;
+        // mean = ((e0 + e1) + ... + e_{d-1}) / d, ascending like `iter().sum()`,
+        // which also starts from −0.0 (−0.0 + e0 is e0 exactly).
+        let mut s = _mm256_set1_ps(-0.0);
+        for c in (0..d).step_by(8) {
+            for e in slab(base, c) {
+                s = _mm256_add_ps(s, e);
+            }
         }
-        let mean = _mm256_div_ps(s, eightth);
-        // var = sum((e - mean)^2) / 8, same ascending order, mul-then-add.
-        let d0 = _mm256_sub_ps(t[0], mean);
-        let mut v = _mm256_mul_ps(d0, d0);
-        for e in &t[1..] {
-            let d = _mm256_sub_ps(*e, mean);
-            v = _mm256_add_ps(v, _mm256_mul_ps(d, d));
+        let mean = _mm256_div_ps(s, vd);
+        // var = sum((e - mean)^2) / d, same ascending order, mul-then-add.
+        let mut v = _mm256_set1_ps(-0.0);
+        for c in (0..d).step_by(8) {
+            for e in slab(base, c) {
+                let de = _mm256_sub_ps(e, mean);
+                v = _mm256_add_ps(v, _mm256_mul_ps(de, de));
+            }
         }
-        let var = _mm256_div_ps(v, eightth);
+        let var = _mm256_div_ps(v, vd);
         let istd = _mm256_div_ps(one, _mm256_sqrt_ps(_mm256_add_ps(var, veps)));
-        for (i, e) in t.iter_mut().enumerate() {
-            let h = _mm256_mul_ps(_mm256_sub_ps(*e, mean), istd);
-            *e = _mm256_add_ps(
-                _mm256_mul_ps(h, _mm256_set1_ps(*g.get_unchecked(i))),
-                _mm256_set1_ps(*b.get_unchecked(i)),
-            );
-        }
-        transpose8(&mut t);
-        for (i, slot) in t.iter().enumerate() {
-            _mm256_storeu_ps(out.as_mut_ptr().add(base + i * 8), *slot);
+        for c in (0..d).step_by(8) {
+            let mut t = slab(base, c);
+            for (k, e) in (c..).zip(t.iter_mut()) {
+                let h = _mm256_mul_ps(_mm256_sub_ps(*e, mean), istd);
+                *e = _mm256_add_ps(
+                    _mm256_mul_ps(h, _mm256_set1_ps(*g.get_unchecked(k))),
+                    _mm256_set1_ps(*b.get_unchecked(k)),
+                );
+            }
+            transpose8(&mut t);
+            for (i, row) in t.iter().enumerate() {
+                _mm256_storeu_ps(out.as_mut_ptr().add(base + i * d + c), *row);
+            }
         }
         r += 8;
     }
-    // Scalar tail, identical to the generic path.
-    for row in r..rows {
-        let xr = &x[row * 8..(row + 1) * 8];
-        let mean: f32 = xr.iter().sum::<f32>() / 8.0;
-        let var: f32 = xr.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / 8.0;
-        let istd = 1.0 / (var + eps).sqrt();
-        for i in 0..8 {
-            let h = (xr[i] - mean) * istd;
-            out[row * 8 + i] = h * g[i] + b[i];
-        }
-    }
+    r
 }
 
 impl Tensor {
@@ -182,35 +210,27 @@ impl Tensor {
         assert_eq!(beta.dims(), &[d], "layer_norm beta shape");
         let rows = self.numel() / d;
 
-        fn row_stats(row: &[f32], d: usize, eps: f32) -> (f32, f32) {
-            let mean: f32 = row.iter().sum::<f32>() / d as f32;
-            let var: f32 =
-                row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            (mean, 1.0 / (var + eps).sqrt())
-        }
         let mut out = crate::arena::zeroed(self.numel());
         {
-            let x = self.data();
-            let g = gamma.data();
-            let b = beta.data();
+            let (x, g, b) = (self.data(), gamma.data(), beta.data());
+            // Rows the Avx2Fma kernel wrote; the scalar path takes the rest.
             #[cfg(target_arch = "x86_64")]
-            let fast = d == 8 && crate::simd::tier() == crate::simd::Tier::Avx2Fma;
+            let done = match (d, crate::simd::tier()) {
+                // Safety (both arms): gated on the Avx2Fma tier.
+                (8, Tier::Avx2Fma) => unsafe { layer_norm_rows_avx2::<8>(&x, &g, &b, &mut out, d, eps) },
+                (_, Tier::Avx2Fma) if d.is_multiple_of(8) => unsafe {
+                    layer_norm_rows_avx2::<0>(&x, &g, &b, &mut out, d, eps)
+                },
+                _ => 0,
+            };
             #[cfg(not(target_arch = "x86_64"))]
-            let fast = false;
-            if fast {
-                #[cfg(target_arch = "x86_64")]
-                // Safety: gated on the Avx2Fma tier.
-                unsafe {
-                    layer_norm_rows8_avx2(&x, &g, &b, &mut out, rows, eps)
-                };
-            } else {
-                for r in 0..rows {
-                    let row = &x[r * d..(r + 1) * d];
-                    let (mean, istd) = row_stats(row, d, eps);
-                    for i in 0..d {
-                        let h = (row[i] - mean) * istd;
-                        out[r * d + i] = h * g[i] + b[i];
-                    }
+            let done = 0;
+            let rest = x[done * d..].chunks_exact(d).zip(out[done * d..].chunks_exact_mut(d));
+            for (row, orow) in rest {
+                let (mean, istd) = row_stats(row, eps);
+                for i in 0..d {
+                    let h = (row[i] - mean) * istd;
+                    orow[i] = h * g[i] + b[i];
                 }
             }
         }
@@ -234,7 +254,7 @@ impl Tensor {
                     for r in 0..rows {
                         let go = &gout[r * d..(r + 1) * d];
                         let row = &x[r * d..(r + 1) * d];
-                        let (mean, istd) = row_stats(row, d, eps);
+                        let (mean, istd) = row_stats(row, eps);
                         for (h, &v) in xh.iter_mut().zip(row) {
                             *h = (v - mean) * istd;
                         }

@@ -1,10 +1,12 @@
 //! Fused scaled-dot-product attention (inference only).
 //!
 //! `softmax(scale · Q Kᵀ) V` computed row by row without materializing the
-//! `[L, L]` score matrix, its softmax, or the transposed K — the three
+//! `[L, L]` score matrix, its softmax, or a transposed-K tensor — the three
 //! intermediates the unfused `layers::attention` path allocates per head.
-//! One query row's scores live in a single reused `L`-vector; the weighted
-//! V-sum accumulates straight into the output row.
+//! A query row's scores live in a reused `L`-vector (eight of them per
+//! pass on the Avx2Fma tier, which also keeps a per-worker K transpose of
+//! the current block); the weighted V-sum accumulates straight into the
+//! output row.
 //!
 //! The op is forward-only by design: training keeps the unfused graph path
 //! (which records per-op backward closures), inference — tape or tape-free,
@@ -20,44 +22,45 @@ use crate::tensor::Tensor;
 /// FLOPs below which one `[L, Dh]` block is not worth a worker.
 const MIN_PAR_FLOPS: usize = 1 << 19;
 
-#[inline]
-fn dot(simd_on: bool, x: &[f32], y: &[f32]) -> f32 {
-    if simd_on {
-        // Safety: callers set `simd_on` only under the Avx2Fma tier.
-        unsafe { simd::dot_avx2(x, y) }
-    } else {
-        let mut s = 0.0f32;
-        for (a, b) in x.iter().zip(y) {
-            s += a * b;
-        }
-        s
-    }
-}
+/// Query rows per pass of the Avx2Fma block kernel: eight independent
+/// rows, so the serial per-row sum chains overlap in the pipeline.
+const ROWS: usize = 8;
 
-/// Fused attention for one `[L, Dh]` block with `Dh < 8` — the shape the
-/// ImTransformer actually runs at (hidden 8, 2 heads → Dh 4), where the
-/// generic path drowns in per-call overhead: 2·L² calls into length-4
-/// `dot_avx2`/`axpy_avx2` across the `#[target_feature]` boundary, each
-/// doing a wasted horizontal reduction before its scalar tail.
+/// Fused attention for one `[L, Dh]` block on the Avx2Fma tier, at any
+/// head width.
 ///
-/// Bit-identical to the generic Avx2Fma path by construction:
-/// * scores — each lane `j` runs the same ascending-`d` scalar `mul_add`
-///   chain (`s = fma(q_d, k_jd, s)`) that `dot_avx2`'s tail loop runs for
-///   a length-<8 dot (the vector loop contributes exactly +0.0 there),
-///   then multiplies by `scale`;
-/// * softmax — the caller's code, untouched (same `vexp_avx2` slice);
-/// * V-sum — each lane `d` runs the same ascending-`j` `fma(alpha, v_jd,
-///   acc)` chain as `axpy_avx2`'s tail into a zeroed output row.
+/// Bit-identical, element for element, to the per-row arithmetic of one
+/// `dot_avx2` per score and one `axpy_avx2` per key:
+/// * scores — lanes run over keys `j` through `kt`, a `dh × lp` transpose
+///   of K (lp = L padded to 8; padded lanes hold zeros). Per lane, eight
+///   accumulators `A[d']` each run `dot_avx2`'s fma chain over the 8-wide
+///   chunks from zero, fold in its fixed tree
+///   `((A0+A4)+(A2+A6)) + ((A1+A5)+(A3+A7))`, and then its scalar-tail
+///   `mul_add`s for `d ≥ 8·chunks`; the score is `scale · s`. For
+///   `Dh < 8` there are no chunks and the tree sums zeros, so only the
+///   tail chain runs;
+/// * softmax — each row's max is folded with `max_ps` (NaN skipped, as
+///   `f32::max` does; the sign of a zero max cannot change `s − max`),
+///   the exp is `vexp_avx2`'s lane kernel, the sum runs over `j` in
+///   ascending order from `0.0`, and `p · inv` is formed once per key;
+/// * V-sum — each output element runs the ascending-`j`
+///   `fma(p·inv, v_jd, acc)` chain from a zero accumulator, which is what
+///   `axpy_avx2` does into a zeroed output row.
 ///
-/// `kt` is a `dh × lp` scratch transpose of K (lp = L padded to 8) so the
-/// score lanes can stream keys column-major; padded lanes hold zeros and
-/// their scores are never read (`srow[..l]` slicing, as before).
+/// `srow` holds `ROWS` padded score rows.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA. Slice lengths are checked on entry
+/// (`qb`, `vb`, `ob` hold `l·dh`, `kt` at least `dh·lp`, `srow` at least
+/// `ROWS·lp`, with `lp = l` rounded up to 8), and the helpers below index
+/// only within them.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn sdpa_block_smalldh(
+unsafe fn sdpa_block_avx2(
     qb: &[f32],
-    kt: &mut [f32],
+    kt: &[f32],
     vb: &[f32],
     ob: &mut [f32],
     srow: &mut [f32],
@@ -67,95 +70,235 @@ unsafe fn sdpa_block_smalldh(
     scale: f32,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(dh < 8 && lp.is_multiple_of(8) && srow.len() >= 4 * lp && kt.len() >= dh * lp);
+    let block = l * dh;
+    assert!(
+        lp == l.next_multiple_of(8)
+            && qb.len() == block
+            && vb.len() == block
+            && ob.len() == block
+            && kt.len() >= dh * lp
+            && srow.len() >= ROWS * lp,
+        "sdpa block kernel: operand lengths do not match [{l}, {dh}]"
+    );
     let nv = lp / 8;
-    // Lane mask for the Dh-wide masked loads/stores on the V side.
-    let mask = {
-        let mut m = [0i32; 8];
-        for slot in m.iter_mut().take(dh) {
-            *slot = -1;
-        }
-        _mm256_loadu_si256(m.as_ptr() as *const __m256i)
-    };
-    // Four query rows per pass: each row's fma chains are serial by
-    // construction (the arithmetic order is the contract), so the only
-    // way to fill the FMA pipes is independent chains from independent
-    // rows — which also lets one K/V load feed four rows.
+    let vscale = _mm256_set1_ps(scale);
+    let ninf = _mm256_set1_ps(f32::NEG_INFINITY);
     let mut i = 0;
     while i < l {
-        let nr = 4.min(l - i);
-        // scores: lanes over j, ascending-d fma chain per lane and row.
-        for v in 0..nv {
-            let mut acc = [_mm256_setzero_ps(); 4];
-            for d in 0..dh {
-                let kv = _mm256_loadu_ps(kt.as_ptr().add(d * lp + v * 8));
-                for (r, a) in acc.iter_mut().enumerate().take(nr) {
-                    let qd = _mm256_set1_ps(*qb.get_unchecked((i + r) * dh + d));
-                    *a = _mm256_fmadd_ps(qd, kv, *a);
-                }
+        let nr = ROWS.min(l - i);
+        if dh < 8 {
+            // Four query rows share each K load; each row's chain is
+            // serial, so independent rows are what fill the FMA pipes.
+            for r0 in (0..nr).step_by(4) {
+                scores_short(qb, kt, &mut srow[r0 * lp..], i + r0, (nr - r0).min(4), dh, lp, vscale);
             }
-            let vscale = _mm256_set1_ps(scale);
-            for (r, a) in acc.iter().enumerate().take(nr) {
-                _mm256_storeu_ps(
-                    srow.as_mut_ptr().add(r * lp + v * 8),
-                    _mm256_mul_ps(vscale, *a),
-                );
+        } else {
+            for r in 0..nr {
+                scores_long(qb, kt, &mut srow[r * lp..(r + 1) * lp], i + r, dh, lp, vscale);
             }
         }
-        // Softmax per row: identical per-element arithmetic to the generic
-        // path, but the four rows' (serial) max/sum fold chains run
-        // interleaved, and the exp runs as one call over all four padded
-        // rows — `exp_ps` is lane-independent, so padding lanes change
-        // nothing for the real elements. Each row's fold still walks its
-        // elements in ascending order.
-        let mut maxs = [f32::NEG_INFINITY; 4];
-        for j in 0..l {
-            for (r, m) in maxs.iter_mut().enumerate().take(nr) {
-                *m = m.max(*srow.get_unchecked(r * lp + j));
-            }
-        }
-        for (r, &m) in maxs.iter().enumerate().take(nr) {
-            let vm = _mm256_set1_ps(m);
+        // Padded lanes become −inf so the vector max can read whole rows;
+        // they are never summed or read by the V-sum.
+        for r in 0..nr {
+            srow[r * lp + l..(r + 1) * lp].fill(f32::NEG_INFINITY);
+            let row = srow.as_mut_ptr().add(r * lp);
+            let mut m = ninf;
             for v in 0..nv {
-                let p = srow.as_mut_ptr().add(r * lp + v * 8);
+                // The running max sits in the operand `max_ps` keeps on NaN.
+                m = _mm256_max_ps(_mm256_loadu_ps(row.add(v * 8)), m);
+            }
+            let h = _mm_max_ps(_mm256_castps256_ps128(m), _mm256_extractf128_ps(m, 1));
+            let h = _mm_max_ps(h, _mm_movehl_ps(h, h));
+            let h = _mm_max_ss(h, _mm_shuffle_ps(h, h, 1));
+            let vm = _mm256_set1_ps(_mm_cvtss_f32(h));
+            for v in 0..nv {
+                let p = row.add(v * 8);
                 _mm256_storeu_ps(p, _mm256_sub_ps(_mm256_loadu_ps(p), vm));
             }
         }
         simd::vexp_avx2(&mut srow[..nr * lp]);
-        let mut inv = [0.0f32; 4];
+        // The ROWS sum chains run interleaved; rows past `nr` fold stale
+        // values that are never read.
+        let mut sums = [0.0f32; ROWS];
         for j in 0..l {
-            for (r, acc) in inv.iter_mut().enumerate().take(nr) {
-                *acc += *srow.get_unchecked(r * lp + j);
+            for (r, s) in sums.iter_mut().enumerate() {
+                *s += *srow.get_unchecked(r * lp + j);
             }
         }
-        for acc in inv.iter_mut().take(nr) {
-            *acc = 1.0 / *acc;
-        }
-        // V-sum: one masked accumulator register per row, shared V loads.
-        let mut out = [_mm256_setzero_ps(); 4];
-        for j in 0..l {
-            let vj = _mm256_maskload_ps(vb.as_ptr().add(j * dh), mask);
-            for (r, o) in out.iter_mut().enumerate().take(nr) {
-                let alpha = *srow.get_unchecked(r * lp + j) * inv[r];
-                *o = _mm256_fmadd_ps(_mm256_set1_ps(alpha), vj, *o);
+        for (r, &sum) in sums.iter().enumerate().take(nr) {
+            let vinv = _mm256_set1_ps(1.0 / sum);
+            let row = srow.as_mut_ptr().add(r * lp);
+            for v in 0..nv {
+                let p = row.add(v * 8);
+                _mm256_storeu_ps(p, _mm256_mul_ps(_mm256_loadu_ps(p), vinv));
             }
         }
-        for (r, o) in out.iter().enumerate().take(nr) {
-            _mm256_maskstore_ps(ob.as_mut_ptr().add((i + r) * dh), mask, *o);
+        // V-sum over column blocks of at most 16: eight accumulator
+        // registers either way (eight rows × one vector, or four × two).
+        let mut d0 = 0;
+        while d0 < dh {
+            let w = (dh - d0).min(16);
+            if w <= 8 {
+                vsum::<8, 1>(srow, vb, ob, i, nr, l, dh, lp, d0, w);
+            } else {
+                vsum::<4, 2>(srow, vb, ob, i, nr, l, dh, lp, d0, w);
+            }
+            d0 += w;
         }
         i += nr;
     }
 }
 
-#[inline]
-fn axpy(simd_on: bool, alpha: f32, x: &[f32], y: &mut [f32]) {
-    if simd_on {
-        // Safety: callers set `simd_on` only under the Avx2Fma tier.
-        unsafe { simd::axpy_avx2(alpha, x, y) }
-    } else {
-        for (yv, &xv) in y.iter_mut().zip(x) {
-            *yv += alpha * xv;
+/// Scores of `nr ≤ 4` query rows from row `i` for `Dh < 8`: per lane,
+/// `dot_avx2`'s scalar-tail chain `s = fma(q_d, k_jd, s)` from zero.
+///
+/// # Safety
+///
+/// AVX2 and FMA; `i + nr ≤ l`, and the slices sized as
+/// `sdpa_block_avx2` checks them, `srow` holding `nr·lp` from its start.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn scores_short(
+    qb: &[f32],
+    kt: &[f32],
+    srow: &mut [f32],
+    i: usize,
+    nr: usize,
+    dh: usize,
+    lp: usize,
+    vscale: std::arch::x86_64::__m256,
+) {
+    use std::arch::x86_64::*;
+    for v in 0..lp / 8 {
+        let mut acc = [_mm256_setzero_ps(); 4];
+        for d in 0..dh {
+            let kv = _mm256_loadu_ps(kt.as_ptr().add(d * lp + v * 8));
+            for (r, a) in acc.iter_mut().enumerate().take(nr) {
+                let qd = _mm256_set1_ps(*qb.get_unchecked((i + r) * dh + d));
+                *a = _mm256_fmadd_ps(qd, kv, *a);
+            }
         }
+        for (r, a) in acc.iter().enumerate().take(nr) {
+            _mm256_storeu_ps(srow.as_mut_ptr().add(r * lp + v * 8), _mm256_mul_ps(vscale, *a));
+        }
+    }
+}
+
+/// Scores of query row `i` for `Dh ≥ 8`: per lane, `dot_avx2`'s eight
+/// chunk accumulators, its reduction tree and its scalar tail.
+///
+/// # Safety
+///
+/// AVX2 and FMA; `i < l`, and the slices sized as `sdpa_block_avx2`
+/// checks them, `srow` holding `lp`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn scores_long(
+    qb: &[f32],
+    kt: &[f32],
+    srow: &mut [f32],
+    i: usize,
+    dh: usize,
+    lp: usize,
+    vscale: std::arch::x86_64::__m256,
+) {
+    use std::arch::x86_64::*;
+    let chunks = dh / 8;
+    let q = qb.as_ptr().add(i * dh);
+    for v in 0..lp / 8 {
+        let k = kt.as_ptr().add(v * 8);
+        let mut a = [_mm256_setzero_ps(); 8];
+        for c in 0..chunks {
+            for (e, acc) in a.iter_mut().enumerate() {
+                let d = c * 8 + e;
+                let kv = _mm256_loadu_ps(k.add(d * lp));
+                *acc = _mm256_fmadd_ps(_mm256_set1_ps(*q.add(d)), kv, *acc);
+            }
+        }
+        let mut s = _mm256_add_ps(
+            _mm256_add_ps(_mm256_add_ps(a[0], a[4]), _mm256_add_ps(a[2], a[6])),
+            _mm256_add_ps(_mm256_add_ps(a[1], a[5]), _mm256_add_ps(a[3], a[7])),
+        );
+        for d in chunks * 8..dh {
+            s = _mm256_fmadd_ps(_mm256_set1_ps(*q.add(d)), _mm256_loadu_ps(k.add(d * lp)), s);
+        }
+        _mm256_storeu_ps(srow.as_mut_ptr().add(v * 8), _mm256_mul_ps(vscale, s));
+    }
+}
+
+/// V-sum of output columns `d0..d0 + w` (`w ≤ 8·NV`) for `nr` query rows
+/// from row `i`, `R` rows at a time with `R × NV` accumulators held in
+/// registers. `srow` rows hold `p · inv`. Rows of a short last group
+/// repeat the group's last real row and are not stored.
+///
+/// # Safety
+///
+/// AVX2 and FMA; `i + nr ≤ l`, `0 < w ≤ 8·NV`, `d0 + w ≤ dh`, and the
+/// slices sized as `sdpa_block_avx2` checks them. A vector with fewer
+/// than eight live lanes is read and written masked, so no lane past
+/// `d0 + w` of a row is touched.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn vsum<const R: usize, const NV: usize>(
+    srow: &[f32],
+    vb: &[f32],
+    ob: &mut [f32],
+    i: usize,
+    nr: usize,
+    l: usize,
+    dh: usize,
+    lp: usize,
+    d0: usize,
+    w: usize,
+) {
+    use std::arch::x86_64::*;
+    let mut masks = [_mm256_setzero_si256(); NV];
+    let mut full = [false; NV];
+    for (n, (m, f)) in masks.iter_mut().zip(full.iter_mut()).enumerate() {
+        let lanes = w.saturating_sub(8 * n).min(8);
+        let mut bits = [0i32; 8];
+        bits[..lanes].fill(-1);
+        *m = _mm256_loadu_si256(bits.as_ptr() as *const __m256i);
+        *f = lanes == 8;
+    }
+    let mut g = 0;
+    while g < nr {
+        let rows = R.min(nr - g);
+        let mut alpha = [srow.as_ptr(); R];
+        for (r, a) in alpha.iter_mut().enumerate() {
+            *a = srow.as_ptr().add((g + r.min(rows - 1)) * lp);
+        }
+        let mut acc = [[_mm256_setzero_ps(); NV]; R];
+        for j in 0..l {
+            let vp = vb.as_ptr().add(j * dh + d0);
+            let mut vj = [_mm256_setzero_ps(); NV];
+            for n in 0..NV {
+                vj[n] = if full[n] {
+                    _mm256_loadu_ps(vp.add(8 * n))
+                } else {
+                    _mm256_maskload_ps(vp.add(8 * n), masks[n])
+                };
+            }
+            for r in 0..R {
+                let a = _mm256_set1_ps(*alpha[r].add(j));
+                for n in 0..NV {
+                    acc[r][n] = _mm256_fmadd_ps(a, vj[n], acc[r][n]);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate().take(rows) {
+            let op = ob.as_mut_ptr().add((i + g + r) * dh + d0);
+            for n in 0..NV {
+                if full[n] {
+                    _mm256_storeu_ps(op.add(8 * n), row[n]);
+                } else {
+                    _mm256_maskstore_ps(op.add(8 * n), masks[n], row[n]);
+                }
+            }
+        }
+        g += rows;
     }
 }
 
@@ -185,22 +328,20 @@ impl Tensor {
         let (bh, l, dh) = (qd[0], qd[1], qd[2]);
 
         let _kernel = crate::obs::span("nn.sdpa");
-        let simd_on = simd::tier() == Tier::Avx2Fma;
+        let simd_on = simd::tier() == Tier::Avx2Fma && cfg!(target_arch = "x86_64");
         let mut out = crate::arena::zeroed(bh * l * dh);
         {
             let (qr, kr, vr) = (q.data(), k.data(), v.data());
             let (qs, ks, vs): (&[f32], &[f32], &[f32]) = (&qr, &kr, &vr);
             let block = l * dh;
             let grain = MIN_PAR_FLOPS.div_ceil((4 * l * block).max(1)).max(1);
-            // The Dh<8 fast path needs L padded to full vectors plus a
-            // K-transpose scratch; both are reused across the chunk.
-            let lp = l.next_multiple_of(8);
-            let small_dh = simd_on && dh < 8 && cfg!(target_arch = "x86_64");
             pool::parallel_slices_mut(&mut out, block, grain, |b0, blocks| {
-                // One score row, reused across every query in the chunk
-                // (padded so the fast path can store whole vectors).
-                let mut srow = vec![0.0f32; if small_dh { 4 * lp } else { lp }];
-                let mut kt = vec![0.0f32; if small_dh { dh * lp } else { 0 }];
+                // Score rows and the K transpose, reused across the chunk.
+                // The Avx2Fma kernel pads L to whole vectors.
+                let lp = l.next_multiple_of(8);
+                let (srow_len, kt_len) = if simd_on { (ROWS * lp, dh * lp) } else { (l, 0) };
+                let mut srow = crate::arena::zeroed(srow_len);
+                let mut kt = crate::arena::zeroed(kt_len);
                 for (off, ob) in blocks.chunks_mut(block).enumerate() {
                     let base = (b0 + off) * block;
                     let (qb, kb, vb) = (
@@ -208,52 +349,49 @@ impl Tensor {
                         &ks[base..base + block],
                         &vs[base..base + block],
                     );
-                    #[cfg(target_arch = "x86_64")]
-                    if small_dh {
+                    if simd_on {
                         for (j, krow) in kb.chunks_exact(dh).enumerate() {
                             for (d, &kv) in krow.iter().enumerate() {
                                 kt[d * lp + j] = kv;
                             }
                         }
-                        // Safety: small_dh holds only under the Avx2Fma tier.
+                        #[cfg(target_arch = "x86_64")]
+                        // Safety: simd_on holds only under the Avx2Fma tier.
                         unsafe {
-                            sdpa_block_smalldh(qb, &mut kt, vb, ob, &mut srow, l, dh, lp, scale);
+                            sdpa_block_avx2(qb, &kt, vb, ob, &mut srow, l, dh, lp, scale);
                         }
                         continue;
                     }
                     for i in 0..l {
                         let qrow = &qb[i * dh..(i + 1) * dh];
-                        for (j, s) in srow[..l].iter_mut().enumerate() {
-                            *s = scale * dot(simd_on, qrow, &kb[j * dh..(j + 1) * dh]);
+                        for (j, s) in srow.iter_mut().enumerate() {
+                            let mut dot = 0.0f32;
+                            for (a, b) in qrow.iter().zip(&kb[j * dh..(j + 1) * dh]) {
+                                dot += a * b;
+                            }
+                            *s = scale * dot;
                         }
                         // Same stable-softmax arithmetic as `softmax_last`
-                        // on the matching tier (vectorized exp on Avx2Fma,
-                        // libm on Scalar; sum order is identical in both).
-                        let max = srow[..l].iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                        // on the Scalar tier.
+                        let max = srow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
                         let mut sum = 0.0f32;
-                        if simd_on {
-                            for s in srow[..l].iter_mut() {
-                                *s -= max;
-                            }
-                            // Safety: simd_on holds only under Avx2Fma.
-                            unsafe { simd::vexp_avx2(&mut srow[..l]) };
-                            for &e in srow[..l].iter() {
-                                sum += e;
-                            }
-                        } else {
-                            for s in srow[..l].iter_mut() {
-                                let e = (*s - max).exp();
-                                *s = e;
-                                sum += e;
-                            }
+                        for s in srow.iter_mut() {
+                            let e = (*s - max).exp();
+                            *s = e;
+                            sum += e;
                         }
                         let inv = 1.0 / sum;
                         let orow = &mut ob[i * dh..(i + 1) * dh];
-                        for (j, &p) in srow[..l].iter().enumerate() {
-                            axpy(simd_on, p * inv, &vb[j * dh..(j + 1) * dh], orow);
+                        for (j, &p) in srow.iter().enumerate() {
+                            let alpha = p * inv;
+                            for (o, &x) in orow.iter_mut().zip(&vb[j * dh..(j + 1) * dh]) {
+                                *o += alpha * x;
+                            }
                         }
                     }
                 }
+                crate::arena::recycle(srow);
+                crate::arena::recycle(kt);
             });
         }
         Tensor::op_output(out, Shape::new(&[bh, l, dh]))

@@ -231,7 +231,10 @@ pub(crate) unsafe fn mm_rows_avx2(
 
 /// Fixed-order dot product `Σ x[i]·y[i]` (vector lanes reduced in a fixed
 /// tree, scalar tail folded in last). Deterministic for a given input.
-#[cfg(target_arch = "x86_64")]
+///
+/// Test-only: with `axpy_avx2` it is the per-row reference arithmetic
+/// that the `sdpa` block kernel reproduces bit for bit.
+#[cfg(all(test, target_arch = "x86_64"))]
 #[target_feature(enable = "avx2", enable = "fma")]
 pub(crate) unsafe fn dot_avx2(x: &[f32], y: &[f32]) -> f32 {
     use std::arch::x86_64::*;
@@ -258,8 +261,9 @@ pub(crate) unsafe fn dot_avx2(x: &[f32], y: &[f32]) -> f32 {
     sum
 }
 
-/// `y[i] += alpha · x[i]`, vectorized with a scalar tail.
-#[cfg(target_arch = "x86_64")]
+/// `y[i] += alpha · x[i]`, vectorized with a scalar tail (test-only, as
+/// `dot_avx2`).
+#[cfg(all(test, target_arch = "x86_64"))]
 #[target_feature(enable = "avx2", enable = "fma")]
 pub(crate) unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
     use std::arch::x86_64::*;
@@ -589,12 +593,12 @@ pub(crate) unsafe fn mm_rows_avx2(
     unreachable!("avx2 kernel dispatched on non-x86_64");
 }
 
-#[cfg(not(target_arch = "x86_64"))]
+#[cfg(all(test, not(target_arch = "x86_64")))]
 pub(crate) unsafe fn dot_avx2(_x: &[f32], _y: &[f32]) -> f32 {
     unreachable!("avx2 kernel dispatched on non-x86_64");
 }
 
-#[cfg(not(target_arch = "x86_64"))]
+#[cfg(all(test, not(target_arch = "x86_64")))]
 pub(crate) unsafe fn axpy_avx2(_alpha: f32, _x: &[f32], _y: &mut [f32]) {
     unreachable!("avx2 kernel dispatched on non-x86_64");
 }
