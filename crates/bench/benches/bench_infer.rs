@@ -1,9 +1,10 @@
 //! End-to-end ensemble-inference benchmark at fixed thread counts.
 //!
 //! Runs the full `detect` pipeline (windowing, masked imputation through
-//! the diffusion ensemble, voting) once pinned to a single worker and
-//! once at the host's full width, so the JSON report captures the
-//! window-parallel speedup on multi-core hosts:
+//! the diffusion ensemble, voting) pinned to 1, 2, 4 and 8 workers. The
+//! test series is 768 rows, 16 windows of 48: two window groups, so from
+//! two workers up the groups run in parallel and the rows measure the
+//! window-parallel speedup (judge it only up to the host's core count):
 //!
 //!     cargo bench --bench bench_infer -- --save-json BENCH_infer.json
 
@@ -23,7 +24,7 @@ fn bench_infer(c: &mut Criterion) {
     criterion::set_span_summary(obs_summary);
     let size = SizeProfile {
         train_len: 300,
-        test_len: 192,
+        test_len: 768,
     };
     let mut group = c.benchmark_group("ensemble_infer");
     group.sample_size(10);
@@ -49,9 +50,9 @@ fn bench_infer(c: &mut Criterion) {
             },
         );
 
-        // Pinned multi-worker rows: on a single-core host these measure
-        // the window-partitioning overhead, on multi-core hosts the
-        // group-parallel scaling curve.
+        // Pinned multi-worker rows: past the host's core count these
+        // measure the partitioning overhead, below it the group-parallel
+        // scaling curve.
         for t in [2usize, 4, 8] {
             group.record_threads(t);
             group.bench_with_input(

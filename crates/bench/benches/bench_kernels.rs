@@ -2,14 +2,15 @@
 //!
 //! Compares the cache-blocked `mm_nn` against a naive reference kernel
 //! (a transcription of the pre-blocking implementation, including its
-//! zero-skip branch) at matched shapes, and times the conv1d and
-//! multi-head-attention forward paths. Every record carries a FLOP count
+//! zero-skip branch) at matched shapes, and times conv1d, the
+//! multi-head-attention forward, and one attention forward plus backward
+//! under the tape. Every record carries a FLOP count
 //! so `--save-json BENCH_nn.json` yields GFLOP/s trajectories.
 //!
 //!     cargo bench --bench bench_kernels -- --save-json BENCH_nn.json
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use imdiff_nn::layers::MultiHeadAttention;
+use imdiff_nn::layers::{Module, MultiHeadAttention};
 use imdiff_nn::ops::mm_nn;
 use imdiff_nn::pool;
 use imdiff_nn::rng::seeded;
@@ -168,10 +169,11 @@ fn bench_attention(c: &mut Criterion) {
             })
         });
     }
-    // The model's own shapes, inference forward at one worker: the quick
-    // profile's temporal attention (8 windows × 19 channels, window 48,
-    // hidden 16, Dh 8) and the serving config's (19 channels, window 16,
-    // hidden 8, Dh 4).
+    // The model's own shapes at one worker: the quick profile's temporal
+    // attention (8 windows × 19 channels, window 48, hidden 16, Dh 8) and
+    // the serving config's (19 channels, window 16, hidden 8, Dh 4). "fwd"
+    // is the inference forward; "train" the forward and backward under the
+    // tape, its FLOPs nominally three times the forward's.
     for (batch, seq, d_model, heads) in [(152usize, 48usize, 16usize, 2usize), (19, 16, 8, 2)] {
         let attn = MultiHeadAttention::new(&mut rng, d_model, heads);
         let x = Tensor::from_vec(filled(batch * seq * d_model, &mut rng), &[batch, seq, d_model])
@@ -184,6 +186,15 @@ fn bench_attention(c: &mut Criterion) {
                 pool::with_threads(1, || {
                     imdiff_nn::forward_only(|| black_box(attn.forward(&x).to_vec()[0]))
                 })
+            })
+        });
+        group.throughput(Throughput::Flops(3 * flops));
+        group.bench_function(format!("train/{batch}x{seq}x{d_model}/h{heads}/t1"), |bch| {
+            bch.iter(|| {
+                pool::with_threads(1, || imdiff_nn::backward(&attn.forward(&x).sum_all()));
+                for p in attn.params() {
+                    p.zero_grad();
+                }
             })
         });
     }

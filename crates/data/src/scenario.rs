@@ -1,19 +1,12 @@
-//! Continual-learning scenario generators.
+//! Continual-learning scenario generator.
 //!
 //! The synthetic benchmarks ([`crate::synthetic`]) evaluate detection on a
 //! *stationary* distribution: train and test are drawn from the same
-//! process. The continual-learning loop needs the opposite — streams whose
-//! distribution departs from the training split in a controlled, labelled
-//! way — so this module generates three scenario families with ground
-//! truth:
-//!
-//! * [`drift`] — the process parameters *ramp* gradually from the training
-//!   distribution to a shifted/rescaled one (sensor aging, load growth);
-//! * [`regime_change`] — the dynamics *switch abruptly* at a known row
-//!   (deployment change, failover to a differently-tuned upstream);
-//! * [`variable_rate_chunks`] — a deterministic request-rate profile that
-//!   cuts any series into trickle/burst chunk traffic with transport gaps,
-//!   for driving the serving layer at realistic, non-uniform rates.
+//! process. The continual-learning loop needs the opposite — a stream
+//! whose distribution departs from the training split in a controlled,
+//! labelled way — so [`drift`] generates one with ground truth: the
+//! process parameters *ramp* gradually from the training distribution to
+//! a shifted/rescaled one (sensor aging, load growth).
 //!
 //! All randomness flows from the caller's seed; the same `(profile, seed)`
 //! always yields the same scenario, which is what lets the end-to-end
@@ -23,7 +16,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::replay::ReplayChunk;
 use crate::Mts;
 
 /// Shape of a generated scenario.
@@ -37,8 +29,7 @@ pub struct ScenarioProfile {
     pub stream_len: usize,
     /// Stream row at which the distribution starts departing.
     pub change_start: usize,
-    /// Rows over which a gradual drift reaches full strength (ignored by
-    /// the abrupt regime change).
+    /// Rows over which the drift reaches full strength.
     pub ramp_len: usize,
 }
 
@@ -165,34 +156,6 @@ fn inject_spikes(
 /// *distribution* moves, which is exactly what a point-anomaly detector
 /// trained on the old process mis-scores.
 pub fn drift(profile: &ScenarioProfile, seed: u64) -> Scenario {
-    generate(profile, seed, "drift", |t, p| {
-        if t < p.change_start {
-            0.0
-        } else {
-            (((t - p.change_start) as f32) / p.ramp_len.max(1) as f32).min(1.0)
-        }
-    })
-}
-
-/// Abrupt regime change: the stream jumps to the fully changed process at
-/// `change_start` with no ramp (the hardest case for debounced drift
-/// detection — one eval window straddles the boundary).
-pub fn regime_change(profile: &ScenarioProfile, seed: u64) -> Scenario {
-    generate(profile, seed, "regime-change", |t, p| {
-        if t < p.change_start {
-            0.0
-        } else {
-            1.0
-        }
-    })
-}
-
-fn generate(
-    profile: &ScenarioProfile,
-    seed: u64,
-    name: &str,
-    ramp_at: impl Fn(usize, &ScenarioProfile) -> f32,
-) -> Scenario {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xC0_4713_05A5u64.wrapping_mul(7));
     let mut procs = base_procs(profile, &mut rng);
     let dim = profile.channels;
@@ -203,7 +166,11 @@ fn generate(
     }
     let mut stream_raw = Vec::with_capacity(profile.stream_len * dim);
     for t in 0..profile.stream_len {
-        let ramp = ramp_at(t, profile);
+        let ramp = if t < profile.change_start {
+            0.0
+        } else {
+            (((t - profile.change_start) as f32) / profile.ramp_len.max(1) as f32).min(1.0)
+        };
         stream_raw.extend(sample_row(&mut procs, profile.train_len + t, ramp, &mut rng));
     }
 
@@ -216,56 +183,12 @@ fn generate(
     inject_spikes(&mut stream, &mut labels, spare, &mut rng);
 
     Scenario {
-        name: name.to_string(),
+        name: "drift".to_string(),
         train,
         stream,
         labels,
         change_start: profile.change_start,
     }
-}
-
-/// Deterministic variable-rate chunking: cuts `series` into score-request
-/// chunks whose sizes follow a trickle→burst→trickle rate cycle, with a
-/// transport gap at each burst boundary when `gap_rate` fires. Unlike
-/// [`crate::replay::replay_chunks`]'s uniform jitter, the rate here is
-/// *auto-correlated* — sustained slow and fast phases — which is what
-/// exercises batching and shed behaviour under realistic load swings.
-pub fn variable_rate_chunks(series: &Mts, gap_rate: f64, seed: u64) -> Vec<ReplayChunk> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7A11_AB1E);
-    let mut chunks = Vec::new();
-    let mut l = 0usize;
-    let mut burst = false;
-    let mut phase_left = 0usize;
-    while l < series.len() {
-        if phase_left == 0 {
-            burst = !burst;
-            phase_left = if burst {
-                rng.gen_range(3..7)
-            } else {
-                rng.gen_range(6..14)
-            };
-        }
-        phase_left -= 1;
-        let gap = if l > 0 && burst && rng.gen::<f64>() < gap_rate {
-            rng.gen_range(1..=3usize).min(series.len() - l - 1)
-        } else {
-            0
-        };
-        l += gap;
-        let take = if burst {
-            rng.gen_range(6..=12usize)
-        } else {
-            rng.gen_range(1..=3usize)
-        }
-        .min(series.len() - l);
-        let rows = (0..take).map(|r| series.row(l + r).to_vec()).collect();
-        l += take;
-        chunks.push(ReplayChunk {
-            gap_before: gap,
-            rows,
-        });
-    }
-    chunks
 }
 
 #[cfg(test)]
@@ -316,23 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn regime_change_is_abrupt() {
-        let p = ScenarioProfile::quick();
-        let s = regime_change(&p, 3);
-        assert_eq!(s.change_start, p.change_start);
-        // Right after the boundary the distribution is already fully
-        // moved (no ramp): a short post-change slice differs as much as
-        // the settled tail does.
-        let moved = (0..p.channels).any(|k| {
-            let (m0, s0) = col_stats(&s.stream, k, 0, p.change_start);
-            let (m1, _) =
-                col_stats(&s.stream, k, p.change_start, p.change_start + 60);
-            (m1 - m0).abs() > 2.0 * s0
-        });
-        assert!(moved, "regime change not abrupt");
-    }
-
-    #[test]
     fn spikes_are_labelled_and_after_settling() {
         let p = ScenarioProfile::quick();
         for seed in [1, 9, 42] {
@@ -342,28 +248,5 @@ mod tests {
             let first = s.labels.iter().position(|&b| b).unwrap();
             assert!(first >= p.change_start + p.ramp_len);
         }
-    }
-
-    #[test]
-    fn variable_rate_covers_stream_in_order() {
-        let p = ScenarioProfile::quick();
-        let s = drift(&p, 2);
-        let chunks = variable_rate_chunks(&s.stream, 0.3, 7);
-        let again = variable_rate_chunks(&s.stream, 0.3, 7);
-        assert_eq!(chunks.len(), again.len());
-        let mut pos = 0usize;
-        for c in &chunks {
-            assert!(!c.rows.is_empty());
-            pos += c.gap_before;
-            for row in &c.rows {
-                assert_eq!(row, s.stream.row(pos));
-                pos += 1;
-            }
-        }
-        assert_eq!(pos, s.stream.len());
-        // The rate profile actually varies: both trickle and burst sizes
-        // appear.
-        assert!(chunks.iter().any(|c| c.rows.len() <= 3));
-        assert!(chunks.iter().any(|c| c.rows.len() >= 6));
     }
 }

@@ -39,14 +39,11 @@ impl MultiHeadAttention {
 
     /// Self-attention forward pass over `[B, L, D]`.
     ///
-    /// With gradient tracking on — training — this takes the unfused
-    /// matmul → scale → softmax → matmul graph, whose ops record their
-    /// backward closures. With tracking off, the fused [`Tensor::sdpa`]
-    /// kernel runs instead: no score matrix, softmax intermediate, or
-    /// transposed K is materialized. The two paths reduce in different
-    /// orders, so a training-mode forward is not bit-identical to an
-    /// inference forward; every inference forward, in the buffer arena or
-    /// not, takes the fused kernel.
+    /// Heads run through the fused [`Tensor::sdpa`], in training and
+    /// inference alike: no score-matrix, softmax or transposed-K tensor
+    /// is built, and its backward recomputes the probabilities. So a
+    /// forward with gradient tracking on gives the same bits as one
+    /// without, on a given dispatch tier.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         let dims = x.dims();
         assert_eq!(dims.len(), 3, "attention expects [B, L, D]");
@@ -58,13 +55,7 @@ impl MultiHeadAttention {
         let k = self.split_heads(&self.wk.forward(x), b, l);
         let v = self.split_heads(&self.wv.forward(x), b, l);
 
-        let scale = 1.0 / (dh as f32).sqrt();
-        let ctx = if crate::is_grad_enabled() {
-            let scores = q.matmul(&k.transpose_last2()).scale(scale);
-            scores.softmax_last().matmul(&v)
-        } else {
-            Tensor::sdpa(&q, &k, &v, scale)
-        }; // [B*H, L, Dh]
+        let ctx = Tensor::sdpa(&q, &k, &v, 1.0 / (dh as f32).sqrt()); // [B*H, L, Dh]
         let merged = ctx
             .reshape(&[b, self.heads, l, dh])
             .permute(&[0, 2, 1, 3])
@@ -157,7 +148,8 @@ impl Module for TransformerEncoderLayer {
 mod tests {
     use super::*;
     use crate::rng::seeded;
-    use crate::{backward, ops, Tensor};
+    use crate::simd::{self, with_tier, Tier};
+    use crate::{backward, no_grad, ops, Tensor};
 
     #[test]
     fn attention_preserves_shape() {
@@ -215,6 +207,28 @@ mod tests {
             .zip(&y1[..8])
             .any(|(a, b)| (a - b).abs() > 1e-6);
         assert!(pos0_changed, "attention failed to propagate across positions");
+    }
+
+    /// Training and serving run one attention path: a forward over
+    /// parameters with gradients tracked gives the bits of a `no_grad`
+    /// forward, on each tier.
+    #[test]
+    fn tracked_forward_matches_no_grad_bits_per_tier() {
+        let mut tiers = vec![Tier::Scalar];
+        if simd::avx2_available() {
+            tiers.push(Tier::Avx2Fma);
+        }
+        for (d_model, heads, l) in [(8usize, 2usize, 19usize), (16, 2, 12)] {
+            let mha = MultiHeadAttention::new(&mut seeded(7), d_model, heads);
+            let x = Tensor::randn(&mut seeded(8), &[3, l, d_model]);
+            for &tier in &tiers {
+                let bits = |t: Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let tracked = with_tier(tier, || mha.forward(&x));
+                assert!(tracked.requires_grad());
+                let served = with_tier(tier, || no_grad(|| mha.forward(&x)));
+                assert_eq!(bits(tracked), bits(served), "d_model={d_model} tier={tier:?}");
+            }
+        }
     }
 
     #[test]

@@ -71,7 +71,13 @@ impl Tensor {
                     for (co, orow) in ob.chunks_mut(lout).enumerate() {
                         orow.fill(bv[co]);
                     }
-                    super::matmul::mm_block_with(simd_on, w, &col, cout, kcols, lout, ob);
+                    if simd_on {
+                        let bp = simd::pack_b_panels(&col, kcols, lout);
+                        // Safety: simd_on holds only under the Avx2Fma tier.
+                        unsafe { simd::mm_rows_avx2(w, &bp, cout, kcols, lout, ob) };
+                    } else {
+                        super::matmul::mm_nn_block(w, &col, cout, kcols, lout, ob);
+                    }
                 }
             });
         }

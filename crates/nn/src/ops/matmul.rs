@@ -1,5 +1,4 @@
-//! (Batched) matrix multiplication on cache-blocked, register-tiled
-//! kernels.
+//! Matrix multiplication on cache-blocked, register-tiled kernels.
 //!
 //! All three kernel shapes (`NN`, `NT`, `TN`) reduce to one blocked
 //! `C += A @ B` kernel: the transposed operand is *packed* — transposed
@@ -9,10 +8,9 @@
 //! load of a `B` row across `MR` output rows; there is **no** zero-skip
 //! branch, so IEEE special values propagate exactly (`0.0 * NaN = NaN`).
 //!
-//! Large calls are split across the worker pool by output rows (or by
-//! batch for batched operands). Every output element is always computed
-//! by exactly one worker with the same loop order, so results are
-//! bit-identical at any thread count.
+//! Large calls are split across the worker pool by output rows. Every
+//! output element is always computed by exactly one worker with the same
+//! loop order, so results are bit-identical at any thread count.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -43,7 +41,7 @@ fn row_grain(k: usize, n: usize) -> usize {
 /// Loop order is fixed (`k`-panel → row tile → panel row → column), so a
 /// given output element sees the same addition order no matter how the
 /// caller shards rows across workers.
-fn mm_nn_block(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+pub(crate) fn mm_nn_block(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
@@ -173,28 +171,6 @@ fn mm_nn_dispatch(
     }
 }
 
-/// Serial `out += a @ b` on the given tier — the building block for
-/// per-batch and per-unit call sites (batched matmul, conv im2col) that
-/// shard work at a coarser granularity. `simd_on` is resolved by the
-/// caller on the coordinating thread.
-pub(crate) fn mm_block_with(
-    simd_on: bool,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    if simd_on {
-        let bp = simd::pack_b_panels(b, k, n);
-        // Safety: callers set `simd_on` only when the Avx2Fma tier is active.
-        unsafe { simd::mm_rows_avx2(a, &bp, m, k, n, out) };
-    } else {
-        mm_nn_block(a, b, m, k, n, out);
-    }
-}
-
 /// Entries in the thread-local packed-panel cache.
 struct PackEntry {
     id: u64,
@@ -268,44 +244,34 @@ pub fn mm_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]
 }
 
 impl Tensor {
-    /// Matrix multiplication with limited batching.
+    /// Matrix multiplication against a 2-D right operand.
     ///
     /// Supported shapes (leading `B..` may be any number of batch dims):
     /// * `[m, k] @ [k, n] -> [m, n]`
     /// * `[B.., m, k] @ [k, n] -> [B.., m, n]` (shared right operand)
-    /// * `[B.., m, k] @ [B.., k, n] -> [B.., m, n]` (matching batches)
     ///
-    /// A shared right operand folds the batch into the row dimension (one
-    /// big row-parallel GEMM); matching batches are split across the
-    /// worker pool per batch (this is how attention heads parallelise —
-    /// the head axis lives in the batch dimension).
+    /// The batch folds into the row dimension: one row-parallel GEMM.
+    /// Attention, which multiplies per head, runs the fused
+    /// [`Tensor::sdpa`] instead.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         let (ad, bd) = (self.dims(), other.dims());
         assert!(
-            ad.len() >= 2 && bd.len() >= 2,
-            "matmul requires >=2-D operands, got {} and {}",
+            ad.len() >= 2 && bd.len() == 2,
+            "matmul requires a >=2-D lhs and a 2-D rhs, got {} and {}",
             self.shape(),
             other.shape()
         );
-        let (m, k) = (ad[ad.len() - 2], ad[ad.len() - 1]);
-        let (k2, n) = (bd[bd.len() - 2], bd[bd.len() - 1]);
+        let k = ad[ad.len() - 1];
+        let (k2, n) = (bd[0], bd[1]);
         assert_eq!(
             k, k2,
             "matmul inner dimension mismatch: {} vs {}",
             self.shape(),
             other.shape()
         );
-        let a_batch: usize = ad[..ad.len() - 2].iter().product();
-        let shared_rhs = bd.len() == 2;
-        assert!(
-            shared_rhs || ad[..ad.len() - 2] == bd[..bd.len() - 2],
-            "matmul batch dimensions mismatch: {} vs {}",
-            self.shape(),
-            other.shape()
-        );
+        let rows: usize = ad[..ad.len() - 1].iter().product();
 
-        let mut out_dims: Vec<usize> = ad[..ad.len() - 2].to_vec();
-        out_dims.push(m);
+        let mut out_dims: Vec<usize> = ad[..ad.len() - 1].to_vec();
         out_dims.push(n);
         let out_shape = Shape::new(&out_dims);
         let mut out = crate::arena::zeroed(out_shape.numel());
@@ -315,37 +281,13 @@ impl Tensor {
             // Plain slices: the RefCell guards are not Sync, but the
             // borrowed data is, and the guards outlive the scoped workers.
             let (da, db): (&[f32], &[f32]) = (&da_ref, &db_ref);
-            let simd_on = simd::tier() == Tier::Avx2Fma;
-            if shared_rhs {
-                // The batch folds into the row dimension: one GEMM,
-                // row-parallel. A parameter RHS (layer weight) hits the
-                // packed-panel cache — packed once per optimizer step, not
-                // per call.
-                if simd_on && other.requires_grad() {
-                    let bp = cached_panels(other, db, k, n);
-                    mm_nn_dispatch(da, db, Some(&bp), a_batch * m, k, n, &mut out);
-                } else {
-                    mm_nn(da, db, a_batch * m, k, n, &mut out);
-                }
+            // A parameter RHS (layer weight) hits the packed-panel cache —
+            // packed once per optimizer step, not per call.
+            if simd::tier() == Tier::Avx2Fma && other.requires_grad() {
+                let bp = cached_panels(other, db, k, n);
+                mm_nn_dispatch(da, db, Some(&bp), rows, k, n, &mut out);
             } else {
-                // Matching batches: shard per batch; each batch runs the
-                // serial kernel (on the pre-resolved tier) on its own
-                // output block.
-                let grain = MIN_PAR_FLOPS.div_ceil((2 * m * k * n).max(1)).max(1);
-                pool::parallel_slices_mut(&mut out, m * n, grain, |b0, blocks| {
-                    for (off, ob) in blocks.chunks_mut(m * n).enumerate() {
-                        let bi = b0 + off;
-                        mm_block_with(
-                            simd_on,
-                            &da[bi * m * k..(bi + 1) * m * k],
-                            &db[bi * k * n..(bi + 1) * k * n],
-                            m,
-                            k,
-                            n,
-                            ob,
-                        );
-                    }
-                });
+                mm_nn(da, db, rows, k, n, &mut out);
             }
         }
 
@@ -361,51 +303,12 @@ impl Tensor {
                 {
                     let da_ref = pa.data();
                     let db_ref = pb.data();
-                    let (da, db): (&[f32], &[f32]) = (&da_ref, &db_ref);
-                    if shared_rhs {
-                        // dA = dC @ B^T over the folded batch·m rows: pack
-                        // the shared panel B^T once for the whole call.
-                        mm_nt(gout, db, a_batch * m, n, k, &mut ga);
-                        // dB = A^T @ dC accumulated over every batch; the
-                        // fold makes it one [k, batch·m] @ [batch·m, n].
-                        mm_tn(da, gout, a_batch * m, k, n, &mut gb);
-                    } else {
-                        let simd_on = simd::tier() == Tier::Avx2Fma;
-                        let grain =
-                            MIN_PAR_FLOPS.div_ceil((2 * m * k * n).max(1)).max(1);
-                        pool::parallel_slices_mut(&mut ga, m * k, grain, |b0, blocks| {
-                            for (off, gab) in blocks.chunks_mut(m * k).enumerate() {
-                                let bi = b0 + off;
-                                let bt =
-                                    pack_transpose(&db[bi * k * n..(bi + 1) * k * n], k, n);
-                                mm_block_with(
-                                    simd_on,
-                                    &gout[bi * m * n..(bi + 1) * m * n],
-                                    &bt,
-                                    m,
-                                    n,
-                                    k,
-                                    gab,
-                                );
-                            }
-                        });
-                        pool::parallel_slices_mut(&mut gb, k * n, grain, |b0, blocks| {
-                            for (off, gbb) in blocks.chunks_mut(k * n).enumerate() {
-                                let bi = b0 + off;
-                                let at =
-                                    pack_transpose(&da[bi * m * k..(bi + 1) * m * k], m, k);
-                                mm_block_with(
-                                    simd_on,
-                                    &at,
-                                    &gout[bi * m * n..(bi + 1) * m * n],
-                                    k,
-                                    m,
-                                    n,
-                                    gbb,
-                                );
-                            }
-                        });
-                    }
+                    // dA = dC @ B^T over the folded rows: pack the shared
+                    // panel B^T once for the whole call.
+                    mm_nt(gout, &db_ref, rows, n, k, &mut ga);
+                    // dB = A^T @ dC accumulated over every batch; the fold
+                    // makes it one [k, rows] @ [rows, n].
+                    mm_tn(&da_ref, gout, rows, k, n, &mut gb);
                 }
                 pa.accumulate_grad_owned(ga);
                 pb.accumulate_grad_owned(gb);
@@ -462,12 +365,11 @@ mod tests {
     }
 
     #[test]
-    fn matmul_batched_matching() {
+    #[should_panic(expected = "2-D rhs")]
+    fn matmul_rejects_batched_rhs() {
         let a = param(&[1.0, 2.0, 3.0, 4.0], &[2, 1, 2]);
         let b = param(&[1.0, 1.0, 2.0, 2.0], &[2, 2, 1]);
-        let c = a.matmul(&b);
-        assert_eq!(c.dims(), &[2, 1, 1]);
-        assert_eq!(c.to_vec(), vec![3.0, 14.0]);
+        let _ = a.matmul(&b);
     }
 
     #[test]

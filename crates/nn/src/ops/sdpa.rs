@@ -1,18 +1,22 @@
-//! Fused scaled-dot-product attention (inference only).
+//! Fused scaled-dot-product attention, forward and backward.
 //!
-//! `softmax(scale · Q Kᵀ) V` computed row by row without materializing the
-//! `[L, L]` score matrix, its softmax, or a transposed-K tensor — the three
-//! intermediates the unfused `layers::attention` path allocates per head.
-//! A query row's scores live in a reused `L`-vector (eight of them per
-//! pass on the Avx2Fma tier, which also keeps a per-worker K transpose of
-//! the current block); the weighted V-sum accumulates straight into the
+//! Forward: `O = softmax(scale · Q Kᵀ) V`, computed row by row without
+//! materializing the `[L, L]` score matrix or its softmax. A query row's
+//! probabilities live in a reused `L`-vector (eight of them per pass on
+//! the Avx2Fma tier, which also keeps a per-worker K transpose of the
+//! current block); the weighted V-sum accumulates straight into the
 //! output row.
 //!
-//! The op is forward-only by design: training keeps the unfused graph path
-//! (which records per-op backward closures), inference — tape or tape-free,
-//! it is gated on gradient *tracking* being off, not on the arena — always
-//! takes this kernel, so both inference modes see identical arithmetic and
-//! stay bit-identical to each other on a given dispatch tier.
+//! Backward, in the FlashAttention-2 manner (Dao 2023): the tape keeps
+//! only Q, K, V and O. Each block recomputes P with the forward's own
+//! arithmetic, then forms
+//! `dV = Pᵀ·dO`, `dS = scale · P ∘ (dO·Vᵀ − rowsum(dO ∘ O))`,
+//! `dQ = dS·K` and `dK = dSᵀ·Q`.
+//!
+//! Training and inference, tape or tape-free, run this one op. Both
+//! directions shard by `(batch · head)` block, each block computed by
+//! one worker in a fixed order, so every result is bit-identical at any
+//! thread count on a given dispatch tier.
 
 use crate::pool;
 use crate::shape::Shape;
@@ -22,15 +26,15 @@ use crate::tensor::Tensor;
 /// FLOPs below which one `[L, Dh]` block is not worth a worker.
 const MIN_PAR_FLOPS: usize = 1 << 19;
 
-/// Query rows per pass of the Avx2Fma block kernel: eight independent
+/// Query rows per pass of the Avx2Fma block kernels: eight independent
 /// rows, so the serial per-row sum chains overlap in the pipeline.
 const ROWS: usize = 8;
 
-/// Fused attention for one `[L, Dh]` block on the Avx2Fma tier, at any
-/// head width.
+/// Probabilities of `nr ≤ ROWS` query rows from row `i` on the Avx2Fma
+/// tier, into `srow` (row `r` at `r·lp`, padded lanes zero).
 ///
 /// Bit-identical, element for element, to the per-row arithmetic of one
-/// `dot_avx2` per score and one `axpy_avx2` per key:
+/// `dot_avx2` per score:
 /// * scores — lanes run over keys `j` through `kt`, a `dh × lp` transpose
 ///   of K (lp = L padded to 8; padded lanes hold zeros). Per lane, eight
 ///   accumulators `A[d']` each run `dot_avx2`'s fma chain over the 8-wide
@@ -42,19 +46,80 @@ const ROWS: usize = 8;
 /// * softmax — each row's max is folded with `max_ps` (NaN skipped, as
 ///   `f32::max` does; the sign of a zero max cannot change `s − max`),
 ///   the exp is `vexp_avx2`'s lane kernel, the sum runs over `j` in
-///   ascending order from `0.0`, and `p · inv` is formed once per key;
-/// * V-sum — each output element runs the ascending-`j`
-///   `fma(p·inv, v_jd, acc)` chain from a zero accumulator, which is what
-///   `axpy_avx2` does into a zeroed output row.
+///   ascending order from `0.0`, and `p · inv` is formed once per key.
 ///
-/// `srow` holds `ROWS` padded score rows.
+/// # Safety
+///
+/// AVX2 and FMA; `i + nr ≤ l`, `qb` holds `l·dh`, `kt` at least `dh·lp`
+/// and `srow` at least `ROWS·lp`, with `lp = l` rounded up to 8, as the
+/// block kernels check on entry.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn probs_avx2(
+    qb: &[f32],
+    kt: &[f32],
+    srow: &mut [f32],
+    i: usize,
+    nr: usize,
+    l: usize,
+    dh: usize,
+    lp: usize,
+    scale: f32,
+) {
+    use std::arch::x86_64::*;
+    let nv = lp / 8;
+    scores(qb, kt, srow, i, nr, dh, lp, scale);
+    // Padded lanes become −inf so the vector max can read whole rows;
+    // exp then makes them zero.
+    for r in 0..nr {
+        srow[r * lp + l..(r + 1) * lp].fill(f32::NEG_INFINITY);
+        let row = srow.as_mut_ptr().add(r * lp);
+        let mut m = _mm256_set1_ps(f32::NEG_INFINITY);
+        for v in 0..nv {
+            // The running max sits in the operand `max_ps` keeps on NaN.
+            m = _mm256_max_ps(_mm256_loadu_ps(row.add(v * 8)), m);
+        }
+        let h = _mm_max_ps(_mm256_castps256_ps128(m), _mm256_extractf128_ps(m, 1));
+        let h = _mm_max_ps(h, _mm_movehl_ps(h, h));
+        let h = _mm_max_ss(h, _mm_shuffle_ps(h, h, 1));
+        let vm = _mm256_set1_ps(_mm_cvtss_f32(h));
+        for v in 0..nv {
+            let p = row.add(v * 8);
+            _mm256_storeu_ps(p, _mm256_sub_ps(_mm256_loadu_ps(p), vm));
+        }
+    }
+    simd::vexp_avx2(&mut srow[..nr * lp]);
+    // The ROWS sum chains run interleaved; rows past `nr` fold stale
+    // values that are never read.
+    let mut sums = [0.0f32; ROWS];
+    for j in 0..l {
+        for (r, s) in sums.iter_mut().enumerate() {
+            *s += *srow.get_unchecked(r * lp + j);
+        }
+    }
+    for (r, &sum) in sums.iter().enumerate().take(nr) {
+        let vinv = _mm256_set1_ps(1.0 / sum);
+        let row = srow.as_mut_ptr().add(r * lp);
+        for v in 0..nv {
+            let p = row.add(v * 8);
+            _mm256_storeu_ps(p, _mm256_mul_ps(_mm256_loadu_ps(p), vinv));
+        }
+    }
+}
+
+/// Fused attention forward for one `[L, Dh]` block on the Avx2Fma tier,
+/// at any head width: `probs_avx2` per eight query rows, then the V-sum,
+/// in which each output element runs the ascending-`j`
+/// `fma(p·inv, v_jd, acc)` chain from a zero accumulator — what
+/// `axpy_avx2` does into a zeroed output row.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2 and FMA. Slice lengths are checked on entry
 /// (`qb`, `vb`, `ob` hold `l·dh`, `kt` at least `dh·lp`, `srow` at least
-/// `ROWS·lp`, with `lp = l` rounded up to 8), and the helpers below index
-/// only within them.
+/// `ROWS·lp`, with `lp = l` rounded up to 8), and the helpers index only
+/// within them.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
@@ -69,7 +134,6 @@ unsafe fn sdpa_block_avx2(
     lp: usize,
     scale: f32,
 ) {
-    use std::arch::x86_64::*;
     let block = l * dh;
     assert!(
         lp == l.next_multiple_of(8)
@@ -80,162 +144,156 @@ unsafe fn sdpa_block_avx2(
             && srow.len() >= ROWS * lp,
         "sdpa block kernel: operand lengths do not match [{l}, {dh}]"
     );
-    let nv = lp / 8;
-    let vscale = _mm256_set1_ps(scale);
-    let ninf = _mm256_set1_ps(f32::NEG_INFINITY);
     let mut i = 0;
     while i < l {
         let nr = ROWS.min(l - i);
-        if dh < 8 {
-            // Four query rows share each K load; each row's chain is
-            // serial, so independent rows are what fill the FMA pipes.
-            for r0 in (0..nr).step_by(4) {
-                scores_short(qb, kt, &mut srow[r0 * lp..], i + r0, (nr - r0).min(4), dh, lp, vscale);
-            }
-        } else {
-            for r in 0..nr {
-                scores_long(qb, kt, &mut srow[r * lp..(r + 1) * lp], i + r, dh, lp, vscale);
-            }
-        }
-        // Padded lanes become −inf so the vector max can read whole rows;
-        // they are never summed or read by the V-sum.
-        for r in 0..nr {
-            srow[r * lp + l..(r + 1) * lp].fill(f32::NEG_INFINITY);
-            let row = srow.as_mut_ptr().add(r * lp);
-            let mut m = ninf;
-            for v in 0..nv {
-                // The running max sits in the operand `max_ps` keeps on NaN.
-                m = _mm256_max_ps(_mm256_loadu_ps(row.add(v * 8)), m);
-            }
-            let h = _mm_max_ps(_mm256_castps256_ps128(m), _mm256_extractf128_ps(m, 1));
-            let h = _mm_max_ps(h, _mm_movehl_ps(h, h));
-            let h = _mm_max_ss(h, _mm_shuffle_ps(h, h, 1));
-            let vm = _mm256_set1_ps(_mm_cvtss_f32(h));
-            for v in 0..nv {
-                let p = row.add(v * 8);
-                _mm256_storeu_ps(p, _mm256_sub_ps(_mm256_loadu_ps(p), vm));
-            }
-        }
-        simd::vexp_avx2(&mut srow[..nr * lp]);
-        // The ROWS sum chains run interleaved; rows past `nr` fold stale
-        // values that are never read.
-        let mut sums = [0.0f32; ROWS];
-        for j in 0..l {
-            for (r, s) in sums.iter_mut().enumerate() {
-                *s += *srow.get_unchecked(r * lp + j);
-            }
-        }
-        for (r, &sum) in sums.iter().enumerate().take(nr) {
-            let vinv = _mm256_set1_ps(1.0 / sum);
-            let row = srow.as_mut_ptr().add(r * lp);
-            for v in 0..nv {
-                let p = row.add(v * 8);
-                _mm256_storeu_ps(p, _mm256_mul_ps(_mm256_loadu_ps(p), vinv));
-            }
-        }
-        // V-sum over column blocks of at most 16: eight accumulator
-        // registers either way (eight rows × one vector, or four × two).
-        let mut d0 = 0;
-        while d0 < dh {
-            let w = (dh - d0).min(16);
-            if w <= 8 {
-                vsum::<8, 1>(srow, vb, ob, i, nr, l, dh, lp, d0, w);
-            } else {
-                vsum::<4, 2>(srow, vb, ob, i, nr, l, dh, lp, d0, w);
-            }
-            d0 += w;
-        }
+        probs_avx2(qb, kt, srow, i, nr, l, dh, lp, scale);
+        vsum_cols(srow, vb, ob, i, nr, l, dh, lp);
         i += nr;
     }
 }
 
-/// Scores of `nr ≤ 4` query rows from row `i` for `Dh < 8`: per lane,
-/// `dot_avx2`'s scalar-tail chain `s = fma(q_d, k_jd, s)` from zero.
+/// Backward of one `[L, Dh]` block on the Avx2Fma tier, from the
+/// forward's stages: `probs_avx2` recomputes P, `scores` of dO against
+/// `vt` (V transposed) at scale 1 gives dO·Vᵀ, and `vsum_cols` fed dS,
+/// dSᵀ and Pᵀ gives dQ, dK and dV. `ws` holds two `ROWS·lp` row buffers
+/// and the `l·lp` transposes of P and dS.
 ///
 /// # Safety
 ///
-/// AVX2 and FMA; `i + nr ≤ l`, and the slices sized as
-/// `sdpa_block_avx2` checks them, `srow` holding `nr·lp` from its start.
+/// The CPU must support AVX2 and FMA. Slice lengths are checked on entry
+/// (every `[L, Dh]` operand and output holds `l·dh`, `kt` and `vt` at
+/// least `dh·lp`, `ws` at least `2·(ROWS + l)·lp`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn scores_short(
-    qb: &[f32],
+unsafe fn sdpa_block_bwd_avx2(
+    [qb, kb, ob, gob]: [&[f32]; 4],
     kt: &[f32],
+    vt: &[f32],
+    ws: &mut [f32],
+    [dq, dk, dv]: [&mut [f32]; 3],
+    l: usize,
+    dh: usize,
+    lp: usize,
+    scale: f32,
+) {
+    let block = l * dh;
+    assert!(
+        lp == l.next_multiple_of(8)
+            && [qb, kb, ob, gob].iter().all(|s| s.len() == block)
+            && [&*dq, &*dk, &*dv].iter().all(|s| s.len() == block)
+            && kt.len() >= dh * lp
+            && vt.len() >= dh * lp
+            && ws.len() >= 2 * (ROWS + l) * lp,
+        "sdpa backward block kernel: operand lengths do not match [{l}, {dh}]"
+    );
+    let (srow, rest) = ws.split_at_mut(ROWS * lp);
+    let (dsrow, rest) = rest.split_at_mut(ROWS * lp);
+    let (pt, dst) = rest.split_at_mut(l * lp);
+    let mut i = 0;
+    while i < l {
+        let nr = ROWS.min(l - i);
+        probs_avx2(qb, kt, srow, i, nr, l, dh, lp, scale);
+        scores(gob, vt, dsrow, i, nr, dh, lp, 1.0);
+        for r in 0..nr {
+            let delta = row_dot(&gob[(i + r) * dh..][..dh], &ob[(i + r) * dh..][..dh]);
+            for j in 0..l {
+                let p = srow[r * lp + j];
+                let ds = scale * p * (dsrow[r * lp + j] - delta);
+                dsrow[r * lp + j] = ds;
+                pt[j * lp + i + r] = p;
+                dst[j * lp + i + r] = ds;
+            }
+        }
+        vsum_cols(dsrow, kb, dq, i, nr, l, dh, lp);
+        i += nr;
+    }
+    vsum_cols(dst, qb, dk, 0, l, l, dh, lp);
+    vsum_cols(pt, gob, dv, 0, l, l, dh, lp);
+}
+
+/// `scale ·` the dot products of `nr ≤ ROWS` rows of `ab` from row `i`
+/// with the columns of `bt` (a `dh × lp` transpose), into `srow` (row
+/// `r` at `r·lp`), per lane in `dot_avx2`'s arithmetic (see
+/// `probs_avx2`). For `Dh < 8` four rows share each column load: each
+/// row's chain is serial, so independent rows are what fill the FMA
+/// pipes.
+///
+/// # Safety
+///
+/// AVX2 and FMA; `i + nr ≤ l`, `ab` holds `l·dh`, `bt` at least `dh·lp`
+/// and `srow` at least `nr·lp`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn scores(
+    ab: &[f32],
+    bt: &[f32],
     srow: &mut [f32],
     i: usize,
     nr: usize,
     dh: usize,
     lp: usize,
-    vscale: std::arch::x86_64::__m256,
+    scale: f32,
 ) {
     use std::arch::x86_64::*;
-    for v in 0..lp / 8 {
-        let mut acc = [_mm256_setzero_ps(); 4];
-        for d in 0..dh {
-            let kv = _mm256_loadu_ps(kt.as_ptr().add(d * lp + v * 8));
-            for (r, a) in acc.iter_mut().enumerate().take(nr) {
-                let qd = _mm256_set1_ps(*qb.get_unchecked((i + r) * dh + d));
-                *a = _mm256_fmadd_ps(qd, kv, *a);
+    let vscale = _mm256_set1_ps(scale);
+    if dh < 8 {
+        for r0 in (0..nr).step_by(4) {
+            let rows = (nr - r0).min(4);
+            for v in 0..lp / 8 {
+                let mut acc = [_mm256_setzero_ps(); 4];
+                for d in 0..dh {
+                    let kv = _mm256_loadu_ps(bt.as_ptr().add(d * lp + v * 8));
+                    for (r, a) in acc.iter_mut().enumerate().take(rows) {
+                        let qd = _mm256_set1_ps(*ab.get_unchecked((i + r0 + r) * dh + d));
+                        *a = _mm256_fmadd_ps(qd, kv, *a);
+                    }
+                }
+                for (r, a) in acc.iter().enumerate().take(rows) {
+                    let out = srow.as_mut_ptr().add((r0 + r) * lp + v * 8);
+                    _mm256_storeu_ps(out, _mm256_mul_ps(vscale, *a));
+                }
             }
         }
-        for (r, a) in acc.iter().enumerate().take(nr) {
-            _mm256_storeu_ps(srow.as_mut_ptr().add(r * lp + v * 8), _mm256_mul_ps(vscale, *a));
-        }
+        return;
     }
-}
-
-/// Scores of query row `i` for `Dh ≥ 8`: per lane, `dot_avx2`'s eight
-/// chunk accumulators, its reduction tree and its scalar tail.
-///
-/// # Safety
-///
-/// AVX2 and FMA; `i < l`, and the slices sized as `sdpa_block_avx2`
-/// checks them, `srow` holding `lp`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn scores_long(
-    qb: &[f32],
-    kt: &[f32],
-    srow: &mut [f32],
-    i: usize,
-    dh: usize,
-    lp: usize,
-    vscale: std::arch::x86_64::__m256,
-) {
-    use std::arch::x86_64::*;
     let chunks = dh / 8;
-    let q = qb.as_ptr().add(i * dh);
-    for v in 0..lp / 8 {
-        let k = kt.as_ptr().add(v * 8);
-        let mut a = [_mm256_setzero_ps(); 8];
-        for c in 0..chunks {
-            for (e, acc) in a.iter_mut().enumerate() {
-                let d = c * 8 + e;
-                let kv = _mm256_loadu_ps(k.add(d * lp));
-                *acc = _mm256_fmadd_ps(_mm256_set1_ps(*q.add(d)), kv, *acc);
+    for r in 0..nr {
+        let q = ab.as_ptr().add((i + r) * dh);
+        for v in 0..lp / 8 {
+            let k = bt.as_ptr().add(v * 8);
+            let mut a = [_mm256_setzero_ps(); 8];
+            for c in 0..chunks {
+                for (e, acc) in a.iter_mut().enumerate() {
+                    let d = c * 8 + e;
+                    let kv = _mm256_loadu_ps(k.add(d * lp));
+                    *acc = _mm256_fmadd_ps(_mm256_set1_ps(*q.add(d)), kv, *acc);
+                }
             }
+            let mut s = _mm256_add_ps(
+                _mm256_add_ps(_mm256_add_ps(a[0], a[4]), _mm256_add_ps(a[2], a[6])),
+                _mm256_add_ps(_mm256_add_ps(a[1], a[5]), _mm256_add_ps(a[3], a[7])),
+            );
+            for d in chunks * 8..dh {
+                s = _mm256_fmadd_ps(_mm256_set1_ps(*q.add(d)), _mm256_loadu_ps(k.add(d * lp)), s);
+            }
+            _mm256_storeu_ps(srow.as_mut_ptr().add(r * lp + v * 8), _mm256_mul_ps(vscale, s));
         }
-        let mut s = _mm256_add_ps(
-            _mm256_add_ps(_mm256_add_ps(a[0], a[4]), _mm256_add_ps(a[2], a[6])),
-            _mm256_add_ps(_mm256_add_ps(a[1], a[5]), _mm256_add_ps(a[3], a[7])),
-        );
-        for d in chunks * 8..dh {
-            s = _mm256_fmadd_ps(_mm256_set1_ps(*q.add(d)), _mm256_loadu_ps(k.add(d * lp)), s);
-        }
-        _mm256_storeu_ps(srow.as_mut_ptr().add(v * 8), _mm256_mul_ps(vscale, s));
     }
 }
 
-/// V-sum of output columns `d0..d0 + w` (`w ≤ 8·NV`) for `nr` query rows
-/// from row `i`, `R` rows at a time with `R × NV` accumulators held in
-/// registers. `srow` rows hold `p · inv`. Rows of a short last group
-/// repeat the group's last real row and are not stored.
+/// V-sum of output columns `d0..d0 + w` (`w ≤ 8·NV`) for `nr` rows from
+/// row `i`, `R` rows at a time with `R × NV` accumulators held in
+/// registers. `srow` rows hold the weights (`p · inv` in the forward).
+/// Rows of a short last group repeat the group's last real row and are
+/// not stored.
 ///
 /// # Safety
 ///
 /// AVX2 and FMA; `i + nr ≤ l`, `0 < w ≤ 8·NV`, `d0 + w ≤ dh`, and the
-/// slices sized as `sdpa_block_avx2` checks them. A vector with fewer
+/// slices sized as the block kernels check them. A vector with fewer
 /// than eight live lanes is read and written masked, so no lane past
 /// `d0 + w` of a row is touched.
 #[cfg(target_arch = "x86_64")]
@@ -302,21 +360,157 @@ unsafe fn vsum<const R: usize, const NV: usize>(
     }
 }
 
+/// `ob[i + r] = Σ_j srow[r][j] · vb[j]` for `nr` rows from row `i`
+/// (`srow` rows at stride `lp`), over column blocks of at most 16: eight
+/// accumulator registers either way (eight rows × one vector, or four ×
+/// two).
+///
+/// # Safety
+///
+/// As `vsum`, for every column of `0..dh`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn vsum_cols(
+    srow: &[f32],
+    vb: &[f32],
+    ob: &mut [f32],
+    i: usize,
+    nr: usize,
+    l: usize,
+    dh: usize,
+    lp: usize,
+) {
+    let mut d0 = 0;
+    while d0 < dh {
+        let w = (dh - d0).min(16);
+        if w <= 8 {
+            vsum::<8, 1>(srow, vb, ob, i, nr, l, dh, lp, d0, w);
+        } else {
+            vsum::<4, 2>(srow, vb, ob, i, nr, l, dh, lp, d0, w);
+        }
+        d0 += w;
+    }
+}
+
+/// `Σ_d a_d · b_d` in ascending order from `0.0`.
+fn row_dot(a: &[f32], b: &[f32]) -> f32 {
+    let mut dot = 0.0f32;
+    for (x, y) in a.iter().zip(b) {
+        dot += x * y;
+    }
+    dot
+}
+
+/// One query row's probabilities on the Scalar tier, `srow[j] = p_j ·
+/// inv`, with the same stable-softmax arithmetic as `softmax_last` there.
+/// Forward and backward both call it.
+fn probs_row(qrow: &[f32], kb: &[f32], srow: &mut [f32], scale: f32) {
+    let dh = qrow.len();
+    for (j, s) in srow.iter_mut().enumerate() {
+        *s = scale * row_dot(qrow, &kb[j * dh..(j + 1) * dh]);
+    }
+    let max = srow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for s in srow.iter_mut() {
+        let e = (*s - max).exp();
+        *s = e;
+        sum += e;
+    }
+    let inv = 1.0 / sum;
+    for s in srow.iter_mut() {
+        *s *= inv;
+    }
+}
+
+/// Writes the `dh × lp` transpose of the `[L, Dh]` block `rows` into
+/// `out`; lanes past `L` are left as they are (zero).
+fn transpose_into(rows: &[f32], dh: usize, lp: usize, out: &mut [f32]) {
+    for (j, row) in rows.chunks_exact(dh).enumerate() {
+        for (d, &x) in row.iter().enumerate() {
+            out[d * lp + j] = x;
+        }
+    }
+}
+
+/// The tape backward of `sdpa`: accumulates dQ, dK and dV into the
+/// `parents` `[q, k, v]`, given the forward's output `o`, its gradient
+/// `go`, and the tier the forward ran on. Sharded as the forward is; each
+/// worker writes its blocks' three gradients side by side, and they are
+/// split into one buffer per operand after.
+fn sdpa_backward(parents: &[Tensor], o: &[f32], go: &[f32], scale: f32, simd_on: bool) {
+    let _sp = crate::obs::span("nn.sdpa.bwd");
+    let (bh, l, dh) = (parents[0].dims()[0], parents[0].dims()[1], parents[0].dims()[2]);
+    let block = l * dh;
+    let mut g = crate::arena::zeroed(3 * bh * block);
+    {
+        let (qr, kr, vr) = (parents[0].data(), parents[1].data(), parents[2].data());
+        let (q, k, v): (&[f32], &[f32], &[f32]) = (&qr, &kr, &vr);
+        let grain = MIN_PAR_FLOPS.div_ceil((4 * l * block).max(1)).max(1);
+        pool::parallel_slices_mut(&mut g, 3 * block, grain, |b0, blocks| {
+            let lp = l.next_multiple_of(8);
+            let (ws_len, t_len) = if simd_on { (2 * (ROWS + l) * lp, dh * lp) } else { (l, 0) };
+            let mut ws = crate::arena::zeroed(ws_len);
+            let mut kt = crate::arena::zeroed(t_len);
+            let mut vt = crate::arena::zeroed(t_len);
+            for (off, gb) in blocks.chunks_mut(3 * block).enumerate() {
+                let r = (b0 + off) * block..(b0 + off + 1) * block;
+                let [qb, kb, vb, ob, gob] = [q, k, v, o, go].map(|s| &s[r.clone()]);
+                let (dq, rest) = gb.split_at_mut(block);
+                let (dk, dv) = rest.split_at_mut(block);
+                if simd_on {
+                    transpose_into(kb, dh, lp, &mut kt);
+                    transpose_into(vb, dh, lp, &mut vt);
+                    #[cfg(target_arch = "x86_64")]
+                    // Safety: simd_on holds only under the Avx2Fma tier.
+                    unsafe {
+                        let (ins, grads) = ([qb, kb, ob, gob], [dq, dk, dv]);
+                        sdpa_block_bwd_avx2(ins, &kt, &vt, &mut ws, grads, l, dh, lp, scale);
+                    }
+                    continue;
+                }
+                for i in 0..l {
+                    let ir = i * dh..(i + 1) * dh;
+                    let (qrow, gorow) = (&qb[ir.clone()], &gob[ir.clone()]);
+                    probs_row(qrow, kb, &mut ws, scale);
+                    let delta = row_dot(gorow, &ob[ir.clone()]);
+                    for (j, &p) in ws.iter().enumerate() {
+                        let jr = j * dh..(j + 1) * dh;
+                        let ds = scale * p * (row_dot(gorow, &vb[jr.clone()]) - delta);
+                        for (dqd, &kd) in dq[ir.clone()].iter_mut().zip(&kb[jr.clone()]) {
+                            *dqd += ds * kd;
+                        }
+                        let (dkj, dvj) = (&mut dk[jr.clone()], &mut dv[jr]);
+                        for (((dkd, dvd), &qd), &gd) in dkj.iter_mut().zip(dvj).zip(qrow).zip(gorow) {
+                            *dkd += ds * qd;
+                            *dvd += p * gd;
+                        }
+                    }
+                }
+            }
+            for buf in [ws, kt, vt] {
+                crate::arena::recycle(buf);
+            }
+        });
+    }
+    for (n, p) in parents.iter().enumerate() {
+        let mut grad = crate::arena::zeroed(bh * block);
+        for (dst, gb) in grad.chunks_exact_mut(block).zip(g.chunks_exact(3 * block)) {
+            dst.copy_from_slice(&gb[n * block..(n + 1) * block]);
+        }
+        p.accumulate_grad_owned(grad);
+    }
+    crate::arena::recycle(g);
+}
+
 impl Tensor {
     /// Fused attention over head-major `[BH, L, Dh]` operands:
     /// `softmax(scale · q kᵀ) v`, sharded across the worker pool by
-    /// `(batch · head)` block. Per-tier bit-deterministic at any thread
-    /// count (each output block is computed by exactly one worker in a
-    /// fixed order).
-    ///
-    /// Panics if gradient tracking is enabled and an operand requires
-    /// gradients — use the unfused matmul/softmax path for training.
+    /// `(batch · head)` block. Records a backward when gradients are
+    /// tracked; it recomputes the probabilities from `q` and `k` rather
+    /// than keeping them on the tape. Per-tier bit-deterministic at any
+    /// thread count, forward and backward.
     pub fn sdpa(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32) -> Tensor {
-        assert!(
-            !crate::is_grad_enabled()
-                || !(q.requires_grad() || k.requires_grad() || v.requires_grad()),
-            "sdpa is forward-only; use the unfused attention path for training"
-        );
         let (qd, kd, vd) = (q.dims(), k.dims(), v.dims());
         assert!(
             qd.len() == 3 && qd == kd && kd == vd,
@@ -329,32 +523,24 @@ impl Tensor {
 
         let _kernel = crate::obs::span("nn.sdpa");
         let simd_on = simd::tier() == Tier::Avx2Fma && cfg!(target_arch = "x86_64");
-        let mut out = crate::arena::zeroed(bh * l * dh);
+        let block = l * dh;
+        let grain = MIN_PAR_FLOPS.div_ceil((4 * l * block).max(1)).max(1);
+        let mut out = crate::arena::zeroed(bh * block);
         {
             let (qr, kr, vr) = (q.data(), k.data(), v.data());
             let (qs, ks, vs): (&[f32], &[f32], &[f32]) = (&qr, &kr, &vr);
-            let block = l * dh;
-            let grain = MIN_PAR_FLOPS.div_ceil((4 * l * block).max(1)).max(1);
             pool::parallel_slices_mut(&mut out, block, grain, |b0, blocks| {
-                // Score rows and the K transpose, reused across the chunk.
-                // The Avx2Fma kernel pads L to whole vectors.
+                // Probability rows and the K transpose, reused across the
+                // chunk. The Avx2Fma kernel pads L to whole vectors.
                 let lp = l.next_multiple_of(8);
                 let (srow_len, kt_len) = if simd_on { (ROWS * lp, dh * lp) } else { (l, 0) };
                 let mut srow = crate::arena::zeroed(srow_len);
                 let mut kt = crate::arena::zeroed(kt_len);
                 for (off, ob) in blocks.chunks_mut(block).enumerate() {
-                    let base = (b0 + off) * block;
-                    let (qb, kb, vb) = (
-                        &qs[base..base + block],
-                        &ks[base..base + block],
-                        &vs[base..base + block],
-                    );
+                    let r = (b0 + off) * block..(b0 + off + 1) * block;
+                    let (qb, kb, vb) = (&qs[r.clone()], &ks[r.clone()], &vs[r]);
                     if simd_on {
-                        for (j, krow) in kb.chunks_exact(dh).enumerate() {
-                            for (d, &kv) in krow.iter().enumerate() {
-                                kt[d * lp + j] = kv;
-                            }
-                        }
+                        transpose_into(kb, dh, lp, &mut kt);
                         #[cfg(target_arch = "x86_64")]
                         // Safety: simd_on holds only under the Avx2Fma tier.
                         unsafe {
@@ -362,29 +548,10 @@ impl Tensor {
                         }
                         continue;
                     }
-                    for i in 0..l {
-                        let qrow = &qb[i * dh..(i + 1) * dh];
-                        for (j, s) in srow.iter_mut().enumerate() {
-                            let mut dot = 0.0f32;
-                            for (a, b) in qrow.iter().zip(&kb[j * dh..(j + 1) * dh]) {
-                                dot += a * b;
-                            }
-                            *s = scale * dot;
-                        }
-                        // Same stable-softmax arithmetic as `softmax_last`
-                        // on the Scalar tier.
-                        let max = srow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                        let mut sum = 0.0f32;
-                        for s in srow.iter_mut() {
-                            let e = (*s - max).exp();
-                            *s = e;
-                            sum += e;
-                        }
-                        let inv = 1.0 / sum;
-                        let orow = &mut ob[i * dh..(i + 1) * dh];
-                        for (j, &p) in srow.iter().enumerate() {
-                            let alpha = p * inv;
-                            for (o, &x) in orow.iter_mut().zip(&vb[j * dh..(j + 1) * dh]) {
+                    for (qrow, orow) in qb.chunks_exact(dh).zip(ob.chunks_exact_mut(dh)) {
+                        probs_row(qrow, kb, &mut srow, scale);
+                        for (&alpha, vrow) in srow.iter().zip(vb.chunks_exact(dh)) {
+                            for (o, &x) in orow.iter_mut().zip(vrow) {
                                 *o += alpha * x;
                             }
                         }
@@ -394,7 +561,14 @@ impl Tensor {
                 crate::arena::recycle(kt);
             });
         }
-        Tensor::op_output(out, Shape::new(&[bh, l, dh]))
+        Tensor::from_op(
+            out,
+            Shape::new(&[bh, l, dh]),
+            vec![q.clone(), k.clone(), v.clone()],
+            move || {
+                Box::new(move |gout, out, parents| sdpa_backward(parents, out, gout, scale, simd_on))
+            },
+        )
     }
 }
 
@@ -403,57 +577,116 @@ mod tests {
     use super::*;
     use crate::pool::with_threads;
     use crate::rng::seeded;
-    use crate::{no_grad, simd::with_tier};
+    use crate::{backward, no_grad, simd::with_tier};
 
-    /// Unfused reference: explicit matmul → scale → softmax → matmul.
-    fn reference(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32) -> Vec<f32> {
-        no_grad(|| {
-            q.matmul(&k.transpose_last2())
-                .scale(scale)
-                .softmax_last()
-                .matmul(v)
-                .to_vec()
-        })
+    fn tiers() -> Vec<Tier> {
+        let mut tiers = vec![Tier::Scalar];
+        if simd::avx2_available() {
+            tiers.push(Tier::Avx2Fma);
+        }
+        tiers
+    }
+
+    /// Unfused reference, one block at a time: `softmax_last(scale · q kᵀ)
+    /// v` as 2-D matmuls. Built from ops with their own backward, so it is
+    /// also the gradient reference.
+    fn reference(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32) -> Tensor {
+        let (bh, l, dh) = (q.dims()[0], q.dims()[1], q.dims()[2]);
+        let block = |t: &Tensor, b: usize| t.slice_axis(0, b, 1).reshape(&[l, dh]);
+        let outs: Vec<Tensor> = (0..bh)
+            .map(|b| {
+                block(q, b)
+                    .matmul(&block(k, b).permute(&[1, 0]))
+                    .scale(scale)
+                    .softmax_last()
+                    .matmul(&block(v, b))
+            })
+            .collect();
+        Tensor::concat(&outs.iter().collect::<Vec<_>>(), 0).reshape(&[bh, l, dh])
+    }
+
+    /// Output and dQ, dK, dV of `Σ f(q, k, v) · w` for a fixed random `w`.
+    fn forward_backward(
+        f: impl Fn(&Tensor, &Tensor, &Tensor) -> Tensor,
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+    ) -> Vec<Vec<f32>> {
+        let params = [q, k, v].map(|t| Tensor::param_from_vec(t.to_vec(), t.dims()).unwrap());
+        let y = f(&params[0], &params[1], &params[2]);
+        let w = Tensor::randn(&mut seeded(99), y.dims());
+        backward(&y.mul(&w).sum_all());
+        let mut all = vec![y.to_vec()];
+        all.extend(params.iter().map(|p| p.grad().unwrap()));
+        all
     }
 
     #[test]
     fn matches_unfused_path_within_tolerance() {
         let mut rng = seeded(11);
-        for &(bh, l, dh) in &[(1usize, 3usize, 4usize), (8, 16, 8), (4, 31, 16)] {
+        for &(bh, l, dh) in &[(1usize, 3usize, 4usize), (8, 16, 8), (4, 31, 16), (3, 19, 4)] {
             let q = Tensor::randn(&mut rng, &[bh, l, dh]);
             let k = Tensor::randn(&mut rng, &[bh, l, dh]);
             let v = Tensor::randn(&mut rng, &[bh, l, dh]);
             let scale = 1.0 / (dh as f32).sqrt();
-            let want = reference(&q, &k, &v, scale);
-            let got = Tensor::sdpa(&q, &k, &v, scale).to_vec();
-            for (g, w) in got.iter().zip(&want) {
-                assert!(
-                    (g - w).abs() <= 1e-4 * w.abs().max(1.0),
-                    "bh={bh} l={l} dh={dh}: {g} vs {w}"
-                );
+            for tier in tiers() {
+                let want = with_tier(tier, || no_grad(|| reference(&q, &k, &v, scale).to_vec()));
+                let got = with_tier(tier, || Tensor::sdpa(&q, &k, &v, scale).to_vec());
+                for (g, w) in got.iter().zip(&want) {
+                    assert!(
+                        (g - w).abs() <= 1e-4 * w.abs().max(1.0),
+                        "bh={bh} l={l} dh={dh} tier={tier:?}: {g} vs {w}"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn bit_identical_across_thread_counts_per_tier() {
-        let mut rng = seeded(12);
-        let mut tiers = vec![Tier::Scalar];
-        if simd::avx2_available() {
-            tiers.push(Tier::Avx2Fma);
+    fn gradients_match_reference_graph() {
+        let mut rng = seeded(14);
+        let shapes = [(1usize, 3usize, 4usize), (8, 16, 8), (4, 31, 16), (3, 19, 4), (2, 11, 8)];
+        for &(bh, l, dh) in &shapes {
+            let q = Tensor::randn(&mut rng, &[bh, l, dh]);
+            let k = Tensor::randn(&mut rng, &[bh, l, dh]);
+            let v = Tensor::randn(&mut rng, &[bh, l, dh]);
+            let scale = 1.0 / (dh as f32).sqrt();
+            for tier in tiers() {
+                let want = with_tier(tier, || {
+                    forward_backward(|q, k, v| reference(q, k, v, scale), &q, &k, &v)
+                });
+                let got = with_tier(tier, || {
+                    forward_backward(|q, k, v| Tensor::sdpa(q, k, v, scale), &q, &k, &v)
+                });
+                for (n, (gs, ws)) in got.iter().zip(&want).enumerate() {
+                    for (g, w) in gs.iter().zip(ws) {
+                        assert!(
+                            (g - w).abs() <= 1e-4 * w.abs().max(1.0),
+                            "bh={bh} l={l} dh={dh} tier={tier:?} output {n}: {g} vs {w}"
+                        );
+                    }
+                }
+            }
         }
+    }
+
+    /// Output, dQ, dK and dV at 2, 4 and 8 threads equal those at one,
+    /// bit for bit, on each tier.
+    #[test]
+    fn bit_identical_across_thread_counts_per_tier() {
+        let bits = |all: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
+            all.iter().map(|x| x.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        let mut rng = seeded(12);
         for dh in [4usize, 8, 16] {
             let q = Tensor::randn(&mut rng, &[6, 24, dh]);
             let k = Tensor::randn(&mut rng, &[6, 24, dh]);
             let v = Tensor::randn(&mut rng, &[6, 24, dh]);
-            for &tier in &tiers {
-                let reference = with_tier(tier, || {
-                    with_threads(1, || Tensor::sdpa(&q, &k, &v, 0.35).to_vec())
-                });
+            let run = || forward_backward(|q, k, v| Tensor::sdpa(q, k, v, 0.35), &q, &k, &v);
+            for tier in tiers() {
+                let reference = bits(with_tier(tier, || with_threads(1, run)));
                 for t in [2usize, 4, 8] {
-                    let got = with_tier(tier, || {
-                        with_threads(t, || Tensor::sdpa(&q, &k, &v, 0.35).to_vec())
-                    });
+                    let got = bits(with_tier(tier, || with_threads(t, run)));
                     assert_eq!(got, reference, "dh={dh} tier={tier:?} threads={t}");
                 }
             }
@@ -542,14 +775,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "forward-only")]
-    fn rejects_training_operands() {
-        let q = Tensor::param_from_vec(vec![0.0; 8], &[1, 2, 4]).unwrap();
-        let k = q.clone();
-        let v = q.clone();
-        let _ = Tensor::sdpa(&q, &k, &v, 0.5);
     }
 }

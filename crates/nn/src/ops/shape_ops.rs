@@ -60,8 +60,8 @@ fn permute_copy(src: &[f32], dims: &[usize], perm: &[usize]) -> Vec<f32> {
         }
         return out;
     }
-    // Fast path: last two dims swapped (`transpose_last2`) — a strided 2-D
-    // transpose per matrix instead of a generic multi-index gather.
+    // Fast path: only the last two dims swapped — a strided 2-D transpose
+    // per matrix instead of a generic multi-index gather.
     if ndim >= 2
         && perm[ndim - 1] == ndim - 2
         && perm[ndim - 2] == ndim - 1
@@ -162,15 +162,6 @@ impl Tensor {
                 parents[0].accumulate_grad_owned(g);
             }),
         )
-    }
-
-    /// Swaps the last two dimensions.
-    pub fn transpose_last2(&self) -> Tensor {
-        let ndim = self.dims().len();
-        assert!(ndim >= 2, "transpose_last2 requires >=2-D");
-        let mut perm: Vec<usize> = (0..ndim).collect();
-        perm.swap(ndim - 2, ndim - 1);
-        self.permute(&perm)
     }
 
     /// Concatenates tensors along `axis`. All inputs must agree on every
@@ -297,7 +288,7 @@ mod tests {
     #[test]
     fn transpose_2d() {
         let x = param(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let y = x.transpose_last2();
+        let y = x.permute(&[1, 0]);
         assert_eq!(y.dims(), &[3, 2]);
         assert_eq!(y.to_vec(), vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
     }

@@ -142,8 +142,8 @@ where
 /// the minimum number of units per worker.
 ///
 /// This is the mutation-side primitive: matmul shards output rows
-/// (`unit = n`), batched ops shard per-batch blocks (`unit = m * n`),
-/// convolution shards output channels (`unit = l_out`). The runs are
+/// (`unit = n`), attention shards `[L, Dh]` blocks (`unit = L * Dh`),
+/// convolution shards batch items (`unit = c_out * l_out`). The runs are
 /// disjoint `&mut` slices, so no synchronisation is needed and the
 /// arithmetic inside each unit is identical at any thread count.
 pub fn parallel_slices_mut<T, F>(data: &mut [T], unit: usize, grain: usize, f: F)

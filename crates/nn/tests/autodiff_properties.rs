@@ -90,8 +90,8 @@ proptest! {
         let mut rng = seeded(seed);
         let a = Tensor::randn(&mut rng, &[m, k]);
         let b = Tensor::randn(&mut rng, &[k, n]);
-        let lhs = a.matmul(&b).transpose_last2();
-        let rhs = b.transpose_last2().matmul(&a.transpose_last2());
+        let lhs = a.matmul(&b).permute(&[1, 0]);
+        let rhs = b.permute(&[1, 0]).matmul(&a.permute(&[1, 0]));
         for (x, y) in lhs.data().iter().zip(rhs.data().iter()) {
             prop_assert!((x - y).abs() < 1e-4);
         }

@@ -558,12 +558,21 @@ mod gradient_check {
                 uniform(&mut rng, &[k, n], -1.0, 1.0),
             ];
             check("matmul shared-rhs", &mut rng, &ins, |t| t[0].matmul(&t[1]))?;
-            // Batched: a [batch, m, k] against b [batch, k, n].
-            let ins = [
-                uniform(&mut rng, &[batch, m, k], -1.0, 1.0),
-                uniform(&mut rng, &[batch, k, n], -1.0, 1.0),
-            ];
-            check("matmul batched", &mut rng, &ins, |t| t[0].matmul(&t[1]))?;
+        }
+
+        #[test]
+        fn sdpa_gradients_match_numeric(seed in 0u64..1_000_000) {
+            let mut rng = seeded(seed);
+            // Head widths below and at one 8-wide chunk; L never a
+            // multiple of 8, so the Avx2Fma kernels see padded lanes.
+            for dh in [4usize, 8] {
+                let bh = rng.gen_range(1..=2);
+                let l = [3usize, 5, 9, 11, 13][rng.gen_range(0..5)];
+                let ins: Vec<Input> =
+                    (0..3).map(|_| uniform(&mut rng, &[bh, l, dh], -1.0, 1.0)).collect();
+                let scale = 1.0 / (dh as f32).sqrt();
+                check("sdpa", &mut rng, &ins, |t| Tensor::sdpa(&t[0], &t[1], &t[2], scale))?;
+            }
         }
 
         #[test]
@@ -574,7 +583,10 @@ mod gradient_check {
             let x = [uniform(&mut rng, &dims, -1.0, 1.0)];
             let perm = permutation(&mut rng, rank);
             check("permute", &mut rng, &x, |t| t[0].permute(&perm))?;
-            check("transpose_last2", &mut rng, &x, |t| t[0].transpose_last2())?;
+            // Only the last two dims swapped: `permute`'s 2-D transpose path.
+            let mut swap: Vec<usize> = (0..rank).collect();
+            swap.swap(rank - 2, rank - 1);
+            check("permute last two", &mut rng, &x, |t| t[0].permute(&swap))?;
             let split = rng.gen_range(1..rank);
             let to = [dims[..split].iter().product::<usize>(), dims[split..].iter().product()];
             // Reshape feeding an op, so the gradient reaches it through a
