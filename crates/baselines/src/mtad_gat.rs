@@ -63,7 +63,7 @@ impl Model {
         let (b, w, k) = (dims[0], dims[1], dims[2]);
         let h = self.in_proj.forward(x); // [B, W, H] (proj over channels)
         // Temporal attention over the W axis.
-        let ht = self.temporal_attn.forward(&h);
+        let ht = self.temporal_attn.forward(&h, 1);
         // Feature attention: attend over channels. Operate on the raw
         // series transposed to [B, K, W], projected to H.
         let xt = x.permute(&[0, 2, 1]); // [B, K, W]
@@ -76,7 +76,7 @@ impl Model {
         } else {
             hf_in
         };
-        let hf = self.feature_attn.forward(&hf_in); // [B, K, H]
+        let hf = self.feature_attn.forward(&hf_in, 1); // [B, K, H]
         // Pool the feature view back per timestep (mean over channels).
         let hf_pooled = hf.mean_axis(1, true); // [B, 1, H]
         let fused = ht.add(&hf_pooled); // broadcast over W

@@ -49,7 +49,7 @@ impl Model {
     /// Encodes `[B, W, 2K]` (window ++ focus) and decodes with both heads.
     fn forward(&self, x: &Tensor, focus: &Tensor) -> (Tensor, Tensor) {
         let joint = Tensor::concat(&[x, focus], 2);
-        let h = self.encoder.forward(&self.in_proj.forward(&joint));
+        let h = self.encoder.forward(&self.in_proj.forward(&joint), 1);
         (self.dec1.forward(&h), self.dec2.forward(&h))
     }
 

@@ -146,8 +146,8 @@ fn bench_attention(c: &mut Criterion) {
     let attn = MultiHeadAttention::new(&mut rng, d_model, heads);
     let x = Tensor::from_vec(filled(batch * seq * d_model, &mut rng), &[batch, seq, d_model])
         .unwrap();
-    // Dominant cost: QKV/out projections (4 * 2*B*S*D^2) plus the two
-    // batched head matmuls (2 * 2*B*S^2*D).
+    // Dominant cost: QKV/out projections (4 * 2*B*S*D^2) plus the fused
+    // attention's scores and V-sum (2 * 2*B*S^2*D).
     let flops = (8 * batch * seq * d_model * d_model + 4 * batch * seq * seq * d_model) as u64;
     group.throughput(Throughput::Flops(flops));
     group.record_threads(1);
@@ -155,7 +155,7 @@ fn bench_attention(c: &mut Criterion) {
     group.bench_function(format!("fwd/{batch}x{seq}x{d_model}/h{heads}/t1"), |bch| {
         bch.iter(|| {
             pool::with_threads(1, || {
-                imdiff_nn::forward_only(|| black_box(attn.forward(&x).to_vec()[0]))
+                imdiff_nn::forward_only(|| black_box(attn.forward(&x, 1).to_vec()[0]))
             })
         })
     });
@@ -164,34 +164,40 @@ fn bench_attention(c: &mut Criterion) {
         group.bench_function(format!("fwd/{batch}x{seq}x{d_model}/h{heads}/t{t}"), |bch| {
             bch.iter(|| {
                 pool::with_threads(t, || {
-                    imdiff_nn::forward_only(|| black_box(attn.forward(&x).to_vec()[0]))
+                    imdiff_nn::forward_only(|| black_box(attn.forward(&x, 1).to_vec()[0]))
                 })
             })
         });
     }
     // The model's own shapes at one worker: the quick profile's temporal
-    // attention (8 windows × 19 channels, window 48, hidden 16, Dh 8) and
-    // the serving config's (19 channels, window 16, hidden 8, Dh 4). "fwd"
-    // is the inference forward; "train" the forward and backward under the
-    // tape, its FLOPs nominally three times the forward's.
-    for (batch, seq, d_model, heads) in [(152usize, 48usize, 16usize, 2usize), (19, 16, 8, 2)] {
+    // attention (8 windows × 19 channels, window 48, hidden 16, Dh 8), the
+    // serving config's (19 channels, window 16, hidden 8, Dh 4), and the
+    // quick profile's spatial attention (along the 19 channels of
+    // [8, 19, 48, 16], in place). "fwd" is the inference forward; "train"
+    // the forward and backward under the tape, its FLOPs nominally three
+    // times the forward's.
+    let shapes = [(vec![152usize, 48, 16], ""), (vec![19, 16, 8], ""), (vec![8, 19, 48, 16], "/axis1")];
+    for (dims, tag) in shapes {
+        let heads = 2;
+        let d_model = dims[dims.len() - 1];
+        let rows = dims.iter().product::<usize>() / d_model;
         let attn = MultiHeadAttention::new(&mut rng, d_model, heads);
-        let x = Tensor::from_vec(filled(batch * seq * d_model, &mut rng), &[batch, seq, d_model])
-            .unwrap();
-        let flops = (8 * batch * seq * d_model * d_model + 4 * batch * seq * seq * d_model) as u64;
+        let x = Tensor::from_vec(filled(rows * d_model, &mut rng), &dims).unwrap();
+        let flops = (8 * rows * d_model * d_model + 4 * rows * dims[1] * d_model) as u64;
+        let shape = dims.iter().map(|n| n.to_string()).collect::<Vec<_>>().join("x");
         group.throughput(Throughput::Flops(flops));
         group.record_threads(1);
-        group.bench_function(format!("fwd/{batch}x{seq}x{d_model}/h{heads}/t1"), |bch| {
+        group.bench_function(format!("fwd/{shape}{tag}/h{heads}/t1"), |bch| {
             bch.iter(|| {
                 pool::with_threads(1, || {
-                    imdiff_nn::forward_only(|| black_box(attn.forward(&x).to_vec()[0]))
+                    imdiff_nn::forward_only(|| black_box(attn.forward(&x, 1).to_vec()[0]))
                 })
             })
         });
         group.throughput(Throughput::Flops(3 * flops));
-        group.bench_function(format!("train/{batch}x{seq}x{d_model}/h{heads}/t1"), |bch| {
+        group.bench_function(format!("train/{shape}{tag}/h{heads}/t1"), |bch| {
             bch.iter(|| {
-                pool::with_threads(1, || imdiff_nn::backward(&attn.forward(&x).sum_all()));
+                pool::with_threads(1, || imdiff_nn::backward(&attn.forward(&x, 1).sum_all()));
                 for p in attn.params() {
                     p.zero_grad();
                 }

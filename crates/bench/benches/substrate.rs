@@ -27,7 +27,7 @@ fn bench_attention(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("L{l}xD{d}")),
             &x,
             |bench, x| {
-                bench.iter(|| no_grad(|| mha.forward(x)));
+                bench.iter(|| no_grad(|| mha.forward(x, 1)));
             },
         );
     }

@@ -59,19 +59,13 @@ impl ResidualBlock {
 
     /// One block: returns `(next_h, skip)`, both `[B, K, L, d]`.
     fn forward(&self, h: &Tensor, demb: &Tensor, d: usize) -> (Tensor, Tensor) {
-        let dims = h.dims().to_vec(); // [B, K, L, d]
-        let (b, k, l) = (dims[0], dims[1], dims[2]);
         let mut y = h.add(&self.diff_proj.forward(demb)); // broadcast [B,1,1,d]
+        // Both layers attend in place on [B, K, L, d]: along L, then K.
         if let Some(temporal) = &self.temporal {
-            let t_in = y.reshape(&[b * k, l, d]);
-            y = temporal.forward(&t_in).reshape(&[b, k, l, d]);
+            y = temporal.forward(&y, 2);
         }
         if let Some(spatial) = &self.spatial {
-            let s_in = y.permute(&[0, 2, 1, 3]).reshape(&[b * l, k, d]);
-            y = spatial
-                .forward(&s_in)
-                .reshape(&[b, l, k, d])
-                .permute(&[0, 2, 1, 3]);
+            y = spatial.forward(&y, 1);
         }
         let g = self.mid.forward(&y); // [B,K,L,2d]
         let filter = g.slice_axis(3, 0, d).tanh();

@@ -5,7 +5,8 @@ use rand::rngs::StdRng;
 use super::{LayerNorm, Linear, Module};
 use crate::Tensor;
 
-/// Multi-head scaled-dot-product self-attention over `[B, L, D]` input.
+/// Multi-head scaled-dot-product self-attention along one axis of
+/// `[.., D]` input.
 pub struct MultiHeadAttention {
     wq: Linear,
     wk: Linear,
@@ -29,38 +30,22 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Splits `[B, L, D]` into `[B*H, L, Dh]` head-major layout.
-    fn split_heads(&self, x: &Tensor, b: usize, l: usize) -> Tensor {
-        let dh = self.d_model / self.heads;
-        x.reshape(&[b, l, self.heads, dh])
-            .permute(&[0, 2, 1, 3])
-            .reshape(&[b * self.heads, l, dh])
-    }
-
-    /// Self-attention forward pass over `[B, L, D]`.
+    /// Self-attention forward pass along `axis` of `[.., D]` input.
     ///
-    /// Heads run through the fused [`Tensor::sdpa`], in training and
-    /// inference alike: no score-matrix, softmax or transposed-K tensor
-    /// is built, and its backward recomputes the probabilities. So a
-    /// forward with gradient tracking on gives the same bits as one
-    /// without, on a given dispatch tier.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let dims = x.dims();
-        assert_eq!(dims.len(), 3, "attention expects [B, L, D]");
-        let (b, l, d) = (dims[0], dims[1], dims[2]);
-        assert_eq!(d, self.d_model, "attention d_model mismatch");
-        let dh = self.d_model / self.heads;
-
-        let q = self.split_heads(&self.wq.forward(x), b, l);
-        let k = self.split_heads(&self.wk.forward(x), b, l);
-        let v = self.split_heads(&self.wv.forward(x), b, l);
-
-        let ctx = Tensor::sdpa(&q, &k, &v, 1.0 / (dh as f32).sqrt()); // [B*H, L, Dh]
-        let merged = ctx
-            .reshape(&[b, self.heads, l, dh])
-            .permute(&[0, 2, 1, 3])
-            .reshape(&[b, l, self.d_model]);
-        self.wo.forward(&merged)
+    /// The Q, K and V projections feed [`Tensor::sdpa`] as they are: it
+    /// attends along `axis` (below the last), reads head `h` from columns
+    /// `h·Dh..(h + 1)·Dh` of the last axis, and treats every other axis as
+    /// batch, so `[B, L, D]` takes `axis = 1` and the model's `[B, K, L, D]`
+    /// takes 2 for time and 1 for channels, with no permute or reshape.
+    /// Training and inference run this one kernel: no score-matrix,
+    /// softmax or transposed-K tensor is built, and its backward
+    /// recomputes the probabilities. So a forward with gradient tracking
+    /// on gives the same bits as one without, on a given dispatch tier.
+    pub fn forward(&self, x: &Tensor, axis: usize) -> Tensor {
+        assert_eq!(x.dims().last(), Some(&self.d_model), "attention d_model mismatch");
+        let scale = 1.0 / ((self.d_model / self.heads) as f32).sqrt();
+        let [q, k, v] = [&self.wq, &self.wk, &self.wv].map(|w| w.forward(x));
+        self.wo.forward(&Tensor::sdpa(&q, &k, &v, axis, self.heads, scale))
     }
 }
 
@@ -127,9 +112,10 @@ impl TransformerEncoderLayer {
         }
     }
 
-    /// Encoder forward pass over `[B, L, D]`.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let h = x.add(&self.attn.forward(&self.ln1.forward(x)));
+    /// Encoder forward pass over `[.., D]`, attending along `axis` (see
+    /// [`MultiHeadAttention::forward`]).
+    pub fn forward(&self, x: &Tensor, axis: usize) -> Tensor {
+        let h = x.add(&self.attn.forward(&self.ln1.forward(x), axis));
         h.add(&self.ffn.forward(&self.ln2.forward(&h)))
     }
 }
@@ -155,7 +141,7 @@ mod tests {
     fn attention_preserves_shape() {
         let mha = MultiHeadAttention::new(&mut seeded(1), 16, 4);
         let x = Tensor::randn(&mut seeded(2), &[2, 5, 16]);
-        assert_eq!(mha.forward(&x).dims(), &[2, 5, 16]);
+        assert_eq!(mha.forward(&x, 1).dims(), &[2, 5, 16]);
     }
 
     #[test]
@@ -170,7 +156,7 @@ mod tests {
         let layer = TransformerEncoderLayer::new(&mut rng, 8, 2, 16);
         let x = Tensor::randn(&mut rng, &[1, 4, 8]);
         let target = Tensor::zeros(&[1, 4, 8]);
-        let y = layer.forward(&x);
+        let y = layer.forward(&x, 1);
         assert_eq!(y.dims(), &[1, 4, 8]);
         let loss0 = ops::mse(&y, &target);
         backward(&loss0);
@@ -188,7 +174,7 @@ mod tests {
             });
             p.zero_grad();
         }
-        let loss1 = ops::mse(&layer.forward(&x), &target);
+        let loss1 = ops::mse(&layer.forward(&x, 1), &target);
         assert!(loss1.item() < loss0.item());
     }
 
@@ -197,11 +183,11 @@ mod tests {
         // Output at position 0 must depend on input at position 1.
         let mha = MultiHeadAttention::new(&mut seeded(5), 8, 2);
         let base = Tensor::randn(&mut seeded(6), &[1, 3, 8]);
-        let y0 = mha.forward(&base).to_vec();
+        let y0 = mha.forward(&base, 1).to_vec();
         let mut perturbed = base.to_vec();
         perturbed[8] += 1.0; // position 1, feature 0
         let xp = Tensor::from_vec(perturbed, &[1, 3, 8]).unwrap();
-        let y1 = mha.forward(&xp).to_vec();
+        let y1 = mha.forward(&xp, 1).to_vec();
         let pos0_changed = y0[..8]
             .iter()
             .zip(&y1[..8])
@@ -209,24 +195,78 @@ mod tests {
         assert!(pos0_changed, "attention failed to propagate across positions");
     }
 
-    /// Training and serving run one attention path: a forward over
-    /// parameters with gradients tracked gives the bits of a `no_grad`
-    /// forward, on each tier.
-    #[test]
-    fn tracked_forward_matches_no_grad_bits_per_tier() {
+    fn tiers() -> Vec<Tier> {
         let mut tiers = vec![Tier::Scalar];
         if simd::avx2_available() {
             tiers.push(Tier::Avx2Fma);
         }
-        for (d_model, heads, l) in [(8usize, 2usize, 19usize), (16, 2, 12)] {
+        tiers
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.to_vec().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Training and serving run one attention path: a forward over
+    /// parameters with gradients tracked gives the bits of a `no_grad`
+    /// forward, on each tier, for `[B, L, D]` and for channel attention
+    /// (axis 1) on `[B, K, L, D]`.
+    #[test]
+    fn tracked_forward_matches_no_grad_bits_per_tier() {
+        for (d_model, heads, dims) in [
+            (8usize, 2usize, vec![3usize, 19, 8]),
+            (16, 2, vec![3, 12, 16]),
+            (8, 2, vec![2, 5, 7, 8]),
+        ] {
             let mha = MultiHeadAttention::new(&mut seeded(7), d_model, heads);
-            let x = Tensor::randn(&mut seeded(8), &[3, l, d_model]);
-            for &tier in &tiers {
-                let bits = |t: Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                let tracked = with_tier(tier, || mha.forward(&x));
+            let x = Tensor::randn(&mut seeded(8), &dims);
+            for tier in tiers() {
+                let tracked = with_tier(tier, || mha.forward(&x, 1));
                 assert!(tracked.requires_grad());
-                let served = with_tier(tier, || no_grad(|| mha.forward(&x)));
-                assert_eq!(bits(tracked), bits(served), "d_model={d_model} tier={tier:?}");
+                let served = with_tier(tier, || no_grad(|| mha.forward(&x, 1)));
+                assert_eq!(bits(&tracked), bits(&served), "{dims:?} tier={tier:?}");
+            }
+        }
+    }
+
+    /// Attending along axis 1 of `[B, K, L, d]` in place gives, on each
+    /// tier, the bits of the permuted composition: `[B, L, K, d]` folded
+    /// to `[B·L, K, d]`, attended along axis 1, and unfolded back. Each
+    /// row's `Linear` and `layer_norm` arithmetic does not depend on the
+    /// row's position, and each attention block sees the same rows.
+    /// Parameter gradients sum the same rows in another order, so they
+    /// agree to rounding.
+    #[test]
+    fn axis_attention_matches_permuted_composition_per_tier() {
+        let (b, k, l) = (2usize, 5usize, 7usize);
+        for (d, heads) in [(8usize, 2usize), (16, 2)] {
+            let layer = TransformerEncoderLayer::new(&mut seeded(9), d, heads, 2 * d);
+            let x = Tensor::randn(&mut seeded(10), &[b, k, l, d]);
+            let w = Tensor::randn(&mut seeded(11), &[b, k, l, d]);
+            let direct = |x: &Tensor| layer.forward(x, 1);
+            let composed = |x: &Tensor| {
+                let folded = x.permute(&[0, 2, 1, 3]).reshape(&[b * l, k, d]);
+                layer.forward(&folded, 1).reshape(&[b, l, k, d]).permute(&[0, 2, 1, 3])
+            };
+            let grads = |f: &dyn Fn(&Tensor) -> Tensor| {
+                backward(&f(&x).mul(&w).sum_all());
+                let g: Vec<Vec<f32>> = layer.params().iter().map(|p| p.grad().unwrap()).collect();
+                layer.params().iter().for_each(|p| p.zero_grad());
+                g
+            };
+            for tier in tiers() {
+                let got = with_tier(tier, || no_grad(|| direct(&x)));
+                let want = with_tier(tier, || no_grad(|| composed(&x)));
+                assert_eq!(bits(&got), bits(&want), "d={d} tier={tier:?}");
+                let got = with_tier(tier, || grads(&direct));
+                let want = with_tier(tier, || grads(&composed));
+                for (n, (gs, ws)) in got.iter().zip(&want).enumerate() {
+                    let norm = ws.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                    for (g, w) in gs.iter().zip(ws) {
+                        let msg = format!("d={d} tier={tier:?} param {n}: {g} vs {w}");
+                        assert!((g - w).abs() <= 1e-5 * norm, "{msg}");
+                    }
+                }
             }
         }
     }

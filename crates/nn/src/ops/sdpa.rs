@@ -1,8 +1,8 @@
 //! Fused scaled-dot-product attention, forward and backward.
 //!
 //! Forward: `O = softmax(scale · Q Kᵀ) V`, computed row by row without
-//! materializing the `[L, L]` score matrix or its softmax. A query row's
-//! probabilities live in a reused `L`-vector (eight of them per pass on
+//! materializing the `[S, S]` score matrix or its softmax. A query row's
+//! probabilities live in a reused `S`-vector (eight of them per pass on
 //! the Avx2Fma tier, which also keeps a per-worker K transpose of the
 //! current block); the weighted V-sum accumulates straight into the
 //! output row.
@@ -13,22 +13,52 @@
 //! `dV = Pᵀ·dO`, `dS = scale · P ∘ (dO·Vᵀ − rowsum(dO ∘ O))`,
 //! `dQ = dS·K` and `dK = dSᵀ·Q`.
 //!
-//! Training and inference, tape or tape-free, run this one op. Both
-//! directions shard by `(batch · head)` block, each block computed by
+//! Attention runs along one axis of the operands as they are laid out,
+//! so no caller permutes into a head-major layout. Viewed as
+//! `[A, S, C, D]` (see `Layout`), block `(a, c, h)` is `S` rows of `Dh`
+//! values, `ld = C·D` apart. Training and inference, tape or tape-free,
+//! run this one op. Both directions shard by `a`, each block computed by
 //! one worker in a fixed order, so every result is bit-identical at any
 //! thread count on a given dispatch tier.
 
 use crate::pool;
-use crate::shape::Shape;
 use crate::simd::{self, Tier};
 use crate::tensor::Tensor;
 
-/// FLOPs below which one `[L, Dh]` block is not worth a worker.
+/// FLOPs below which one `a` slab is not worth a worker.
 const MIN_PAR_FLOPS: usize = 1 << 19;
 
 /// Query rows per pass of the Avx2Fma block kernels: eight independent
 /// rows, so the serial per-row sum chains overlap in the pipeline.
 const ROWS: usize = 8;
+
+/// The blocks of `sdpa` operands viewed as `[A, S, C, D]` (see
+/// `Tensor::sdpa`): each block is `l = S` rows of `dh` values, `ld = C·D`
+/// apart. Each `a` owns one slab of `l·ld` values, and its `C·heads`
+/// blocks start at every multiple of `dh` below `ld`.
+#[derive(Clone, Copy)]
+struct Layout {
+    l: usize,
+    dh: usize,
+    ld: usize,
+}
+
+impl Layout {
+    /// `l` rounded up to whole 8-lane vectors.
+    fn lp(self) -> usize {
+        self.l.next_multiple_of(8)
+    }
+
+    /// Values from a block's first row to the end of its last.
+    fn extent(self) -> usize {
+        (self.l - 1) * self.ld + self.dh
+    }
+
+    /// Minimum slabs per worker: a slab is `ld / dh` blocks of `4·l²·dh` FLOPs.
+    fn grain(self) -> usize {
+        MIN_PAR_FLOPS.div_ceil((4 * self.l * self.l * self.ld).max(1)).max(1)
+    }
+}
 
 /// Probabilities of `nr ≤ ROWS` query rows from row `i` on the Avx2Fma
 /// tier, into `srow` (row `r` at `r·lp`, padded lanes zero).
@@ -50,26 +80,24 @@ const ROWS: usize = 8;
 ///
 /// # Safety
 ///
-/// AVX2 and FMA; `i + nr ≤ l`, `qb` holds `l·dh`, `kt` at least `dh·lp`
-/// and `srow` at least `ROWS·lp`, with `lp = l` rounded up to 8, as the
-/// block kernels check on entry.
+/// AVX2 and FMA; `i + nr ≤ l`, `qb` holds the block's strided extent
+/// `(l − 1)·ld + dh`, `kt` at least `dh·lp` and `srow` at least
+/// `ROWS·lp`, as the block kernels check on entry.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn probs_avx2(
     qb: &[f32],
     kt: &[f32],
     srow: &mut [f32],
     i: usize,
     nr: usize,
-    l: usize,
-    dh: usize,
-    lp: usize,
+    lay: Layout,
     scale: f32,
 ) {
     use std::arch::x86_64::*;
+    let (l, lp) = (lay.l, lay.lp());
     let nv = lp / 8;
-    scores(qb, kt, srow, i, nr, dh, lp, scale);
+    scores(qb, kt, srow, i, nr, lay, scale);
     // Padded lanes become −inf so the vector max can read whole rows;
     // exp then makes them zero.
     for r in 0..nr {
@@ -108,85 +136,77 @@ unsafe fn probs_avx2(
     }
 }
 
-/// Fused attention forward for one `[L, Dh]` block on the Avx2Fma tier,
-/// at any head width: `probs_avx2` per eight query rows, then the V-sum,
-/// in which each output element runs the ascending-`j`
+/// Fused attention forward for one block on the Avx2Fma tier, at any
+/// head width: `probs_avx2` per eight query rows, then the V-sum, in
+/// which each output element runs the ascending-`j`
 /// `fma(p·inv, v_jd, acc)` chain from a zero accumulator — what
 /// `axpy_avx2` does into a zeroed output row.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2 and FMA. Slice lengths are checked on entry
-/// (`qb`, `vb`, `ob` hold `l·dh`, `kt` at least `dh·lp`, `srow` at least
-/// `ROWS·lp`, with `lp = l` rounded up to 8), and the helpers index only
-/// within them.
+/// (`qb`, `vb`, `ob` hold the block's strided extent `(l − 1)·ld + dh`,
+/// `kt` at least `dh·lp`, `srow` at least `ROWS·lp`), and the helpers
+/// index only within them.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn sdpa_block_avx2(
     qb: &[f32],
     kt: &[f32],
     vb: &[f32],
     ob: &mut [f32],
     srow: &mut [f32],
-    l: usize,
-    dh: usize,
-    lp: usize,
+    lay: Layout,
     scale: f32,
 ) {
-    let block = l * dh;
+    let (l, dh, lp, extent) = (lay.l, lay.dh, lay.lp(), lay.extent());
     assert!(
-        lp == l.next_multiple_of(8)
-            && qb.len() == block
-            && vb.len() == block
-            && ob.len() == block
+        dh <= lay.ld
+            && [qb, vb, &*ob].iter().all(|s| s.len() == extent)
             && kt.len() >= dh * lp
             && srow.len() >= ROWS * lp,
-        "sdpa block kernel: operand lengths do not match [{l}, {dh}]"
+        "sdpa block kernel: operand lengths do not match [{l}, {dh}] at stride {}",
+        lay.ld
     );
     let mut i = 0;
     while i < l {
         let nr = ROWS.min(l - i);
-        probs_avx2(qb, kt, srow, i, nr, l, dh, lp, scale);
-        vsum_cols(srow, vb, ob, i, nr, l, dh, lp);
+        probs_avx2(qb, kt, srow, i, nr, lay, scale);
+        vsum_cols(srow, vb, ob, i, nr, lay);
         i += nr;
     }
 }
 
-/// Backward of one `[L, Dh]` block on the Avx2Fma tier, from the
-/// forward's stages: `probs_avx2` recomputes P, `scores` of dO against
-/// `vt` (V transposed) at scale 1 gives dO·Vᵀ, and `vsum_cols` fed dS,
-/// dSᵀ and Pᵀ gives dQ, dK and dV. `ws` holds two `ROWS·lp` row buffers
-/// and the `l·lp` transposes of P and dS.
+/// Backward of one block on the Avx2Fma tier, from the forward's stages:
+/// `probs_avx2` recomputes P, `scores` of dO against `vt` (V transposed)
+/// at scale 1 gives dO·Vᵀ, and `vsum_cols` fed dS, dSᵀ and Pᵀ gives dQ,
+/// dK and dV. `ws` holds two `ROWS·lp` row buffers and the `l·lp`
+/// transposes of P and dS.
 ///
 /// # Safety
 ///
 /// The CPU must support AVX2 and FMA. Slice lengths are checked on entry
-/// (every `[L, Dh]` operand and output holds `l·dh`, `kt` and `vt` at
-/// least `dh·lp`, `ws` at least `2·(ROWS + l)·lp`).
+/// (every operand and output holds the block's strided extent
+/// `(l − 1)·ld + dh`, `kt` and `vt` at least `dh·lp`, `ws` at least
+/// `2·(ROWS + l)·lp`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn sdpa_block_bwd_avx2(
     [qb, kb, ob, gob]: [&[f32]; 4],
-    kt: &[f32],
-    vt: &[f32],
+    [kt, vt]: [&[f32]; 2],
     ws: &mut [f32],
     [dq, dk, dv]: [&mut [f32]; 3],
-    l: usize,
-    dh: usize,
-    lp: usize,
+    lay: Layout,
     scale: f32,
 ) {
-    let block = l * dh;
+    let (l, dh, ld, lp, extent) = (lay.l, lay.dh, lay.ld, lay.lp(), lay.extent());
     assert!(
-        lp == l.next_multiple_of(8)
-            && [qb, kb, ob, gob].iter().all(|s| s.len() == block)
-            && [&*dq, &*dk, &*dv].iter().all(|s| s.len() == block)
+        dh <= ld
+            && [qb, kb, ob, gob, &*dq, &*dk, &*dv].iter().all(|s| s.len() == extent)
             && kt.len() >= dh * lp
             && vt.len() >= dh * lp
             && ws.len() >= 2 * (ROWS + l) * lp,
-        "sdpa backward block kernel: operand lengths do not match [{l}, {dh}]"
+        "sdpa backward block kernel: operand lengths do not match [{l}, {dh}] at stride {ld}"
     );
     let (srow, rest) = ws.split_at_mut(ROWS * lp);
     let (dsrow, rest) = rest.split_at_mut(ROWS * lp);
@@ -194,10 +214,10 @@ unsafe fn sdpa_block_bwd_avx2(
     let mut i = 0;
     while i < l {
         let nr = ROWS.min(l - i);
-        probs_avx2(qb, kt, srow, i, nr, l, dh, lp, scale);
-        scores(gob, vt, dsrow, i, nr, dh, lp, 1.0);
+        probs_avx2(qb, kt, srow, i, nr, lay, scale);
+        scores(gob, vt, dsrow, i, nr, lay, 1.0);
         for r in 0..nr {
-            let delta = row_dot(&gob[(i + r) * dh..][..dh], &ob[(i + r) * dh..][..dh]);
+            let delta = row_dot(&gob[(i + r) * ld..][..dh], &ob[(i + r) * ld..][..dh]);
             for j in 0..l {
                 let p = srow[r * lp + j];
                 let ds = scale * p * (dsrow[r * lp + j] - delta);
@@ -206,38 +226,37 @@ unsafe fn sdpa_block_bwd_avx2(
                 dst[j * lp + i + r] = ds;
             }
         }
-        vsum_cols(dsrow, kb, dq, i, nr, l, dh, lp);
+        vsum_cols(dsrow, kb, dq, i, nr, lay);
         i += nr;
     }
-    vsum_cols(dst, qb, dk, 0, l, l, dh, lp);
-    vsum_cols(pt, gob, dv, 0, l, l, dh, lp);
+    vsum_cols(dst, qb, dk, 0, l, lay);
+    vsum_cols(pt, gob, dv, 0, l, lay);
 }
 
-/// `scale ·` the dot products of `nr ≤ ROWS` rows of `ab` from row `i`
-/// with the columns of `bt` (a `dh × lp` transpose), into `srow` (row
-/// `r` at `r·lp`), per lane in `dot_avx2`'s arithmetic (see
-/// `probs_avx2`). For `Dh < 8` four rows share each column load: each
-/// row's chain is serial, so independent rows are what fill the FMA
-/// pipes.
+/// `scale ·` the dot products of `nr ≤ ROWS` rows of `ab` (`dh` values,
+/// `ld` apart) from row `i` with the columns of `bt` (a `dh × lp`
+/// transpose), into `srow` (row `r` at `r·lp`), per lane in `dot_avx2`'s
+/// arithmetic (see `probs_avx2`). For `Dh < 8` four rows share each
+/// column load: each row's chain is serial, so independent rows are what
+/// fill the FMA pipes.
 ///
 /// # Safety
 ///
-/// AVX2 and FMA; `i + nr ≤ l`, `ab` holds `l·dh`, `bt` at least `dh·lp`
-/// and `srow` at least `nr·lp`.
+/// AVX2 and FMA; `i + nr ≤ l`, `ab` holds `(l − 1)·ld + dh`, `bt` at
+/// least `dh·lp` and `srow` at least `nr·lp`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn scores(
     ab: &[f32],
     bt: &[f32],
     srow: &mut [f32],
     i: usize,
     nr: usize,
-    dh: usize,
-    lp: usize,
+    lay: Layout,
     scale: f32,
 ) {
     use std::arch::x86_64::*;
+    let (dh, ld, lp) = (lay.dh, lay.ld, lay.lp());
     let vscale = _mm256_set1_ps(scale);
     if dh < 8 {
         for r0 in (0..nr).step_by(4) {
@@ -247,7 +266,7 @@ unsafe fn scores(
                 for d in 0..dh {
                     let kv = _mm256_loadu_ps(bt.as_ptr().add(d * lp + v * 8));
                     for (r, a) in acc.iter_mut().enumerate().take(rows) {
-                        let qd = _mm256_set1_ps(*ab.get_unchecked((i + r0 + r) * dh + d));
+                        let qd = _mm256_set1_ps(*ab.get_unchecked((i + r0 + r) * ld + d));
                         *a = _mm256_fmadd_ps(qd, kv, *a);
                     }
                 }
@@ -261,7 +280,7 @@ unsafe fn scores(
     }
     let chunks = dh / 8;
     for r in 0..nr {
-        let q = ab.as_ptr().add((i + r) * dh);
+        let q = ab.as_ptr().add((i + r) * ld);
         for v in 0..lp / 8 {
             let k = bt.as_ptr().add(v * 8);
             let mut a = [_mm256_setzero_ps(); 8];
@@ -286,16 +305,16 @@ unsafe fn scores(
 
 /// V-sum of output columns `d0..d0 + w` (`w ≤ 8·NV`) for `nr` rows from
 /// row `i`, `R` rows at a time with `R × NV` accumulators held in
-/// registers. `srow` rows hold the weights (`p · inv` in the forward).
-/// Rows of a short last group repeat the group's last real row and are
-/// not stored.
+/// registers. `srow` rows hold the weights (`p · inv` in the forward);
+/// `vb` and `ob` rows are `ld` apart. Rows of a short last group repeat
+/// the group's last real row and are not stored.
 ///
 /// # Safety
 ///
 /// AVX2 and FMA; `i + nr ≤ l`, `0 < w ≤ 8·NV`, `d0 + w ≤ dh`, and the
 /// slices sized as the block kernels check them. A vector with fewer
 /// than eight live lanes is read and written masked, so no lane past
-/// `d0 + w` of a row is touched.
+/// `d0 + w` of a row is touched: the next head's columns sit there.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
@@ -305,13 +324,12 @@ unsafe fn vsum<const R: usize, const NV: usize>(
     ob: &mut [f32],
     i: usize,
     nr: usize,
-    l: usize,
-    dh: usize,
-    lp: usize,
+    lay: Layout,
     d0: usize,
     w: usize,
 ) {
     use std::arch::x86_64::*;
+    let (ld, lp) = (lay.ld, lay.lp());
     let mut masks = [_mm256_setzero_si256(); NV];
     let mut full = [false; NV];
     for (n, (m, f)) in masks.iter_mut().zip(full.iter_mut()).enumerate() {
@@ -329,8 +347,8 @@ unsafe fn vsum<const R: usize, const NV: usize>(
             *a = srow.as_ptr().add((g + r.min(rows - 1)) * lp);
         }
         let mut acc = [[_mm256_setzero_ps(); NV]; R];
-        for j in 0..l {
-            let vp = vb.as_ptr().add(j * dh + d0);
+        for j in 0..lay.l {
+            let vp = vb.as_ptr().add(j * ld + d0);
             let mut vj = [_mm256_setzero_ps(); NV];
             for n in 0..NV {
                 vj[n] = if full[n] {
@@ -347,7 +365,7 @@ unsafe fn vsum<const R: usize, const NV: usize>(
             }
         }
         for (r, row) in acc.iter().enumerate().take(rows) {
-            let op = ob.as_mut_ptr().add((i + g + r) * dh + d0);
+            let op = ob.as_mut_ptr().add((i + g + r) * ld + d0);
             for n in 0..NV {
                 if full[n] {
                     _mm256_storeu_ps(op.add(8 * n), row[n]);
@@ -361,33 +379,23 @@ unsafe fn vsum<const R: usize, const NV: usize>(
 }
 
 /// `ob[i + r] = Σ_j srow[r][j] · vb[j]` for `nr` rows from row `i`
-/// (`srow` rows at stride `lp`), over column blocks of at most 16: eight
-/// accumulator registers either way (eight rows × one vector, or four ×
-/// two).
+/// (`srow` rows at stride `lp`, `vb` and `ob` rows at stride `ld`), over
+/// column blocks of at most 16: eight accumulator registers either way
+/// (eight rows × one vector, or four × two).
 ///
 /// # Safety
 ///
 /// As `vsum`, for every column of `0..dh`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn vsum_cols(
-    srow: &[f32],
-    vb: &[f32],
-    ob: &mut [f32],
-    i: usize,
-    nr: usize,
-    l: usize,
-    dh: usize,
-    lp: usize,
-) {
+unsafe fn vsum_cols(srow: &[f32], vb: &[f32], ob: &mut [f32], i: usize, nr: usize, lay: Layout) {
     let mut d0 = 0;
-    while d0 < dh {
-        let w = (dh - d0).min(16);
+    while d0 < lay.dh {
+        let w = (lay.dh - d0).min(16);
         if w <= 8 {
-            vsum::<8, 1>(srow, vb, ob, i, nr, l, dh, lp, d0, w);
+            vsum::<8, 1>(srow, vb, ob, i, nr, lay, d0, w);
         } else {
-            vsum::<4, 2>(srow, vb, ob, i, nr, l, dh, lp, d0, w);
+            vsum::<4, 2>(srow, vb, ob, i, nr, lay, d0, w);
         }
         d0 += w;
     }
@@ -403,12 +411,12 @@ fn row_dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// One query row's probabilities on the Scalar tier, `srow[j] = p_j ·
-/// inv`, with the same stable-softmax arithmetic as `softmax_last` there.
-/// Forward and backward both call it.
-fn probs_row(qrow: &[f32], kb: &[f32], srow: &mut [f32], scale: f32) {
-    let dh = qrow.len();
-    for (j, s) in srow.iter_mut().enumerate() {
-        *s = scale * row_dot(qrow, &kb[j * dh..(j + 1) * dh]);
+/// inv` against the key rows of `kb` (`ld` apart), with the same
+/// stable-softmax arithmetic as `softmax_last` there. Forward and
+/// backward both call it.
+fn probs_row(qrow: &[f32], kb: &[f32], ld: usize, srow: &mut [f32], scale: f32) {
+    for (s, krow) in srow.iter_mut().zip(kb.chunks(ld)) {
+        *s = scale * row_dot(qrow, krow);
     }
     let max = srow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0f32;
@@ -423,11 +431,12 @@ fn probs_row(qrow: &[f32], kb: &[f32], srow: &mut [f32], scale: f32) {
     }
 }
 
-/// Writes the `dh × lp` transpose of the `[L, Dh]` block `rows` into
-/// `out`; lanes past `L` are left as they are (zero).
-fn transpose_into(rows: &[f32], dh: usize, lp: usize, out: &mut [f32]) {
-    for (j, row) in rows.chunks_exact(dh).enumerate() {
-        for (d, &x) in row.iter().enumerate() {
+/// Writes the `dh × lp` transpose of the block `rows` into `out`; lanes
+/// past `l` are left as they are (zero).
+fn transpose_into(rows: &[f32], lay: Layout, out: &mut [f32]) {
+    let lp = lay.lp();
+    for (j, row) in rows.chunks(lay.ld).enumerate() {
+        for (d, &x) in row[..lay.dh].iter().enumerate() {
             out[d * lp + j] = x;
         }
     }
@@ -435,55 +444,60 @@ fn transpose_into(rows: &[f32], dh: usize, lp: usize, out: &mut [f32]) {
 
 /// The tape backward of `sdpa`: accumulates dQ, dK and dV into the
 /// `parents` `[q, k, v]`, given the forward's output `o`, its gradient
-/// `go`, and the tier the forward ran on. Sharded as the forward is; each
-/// worker writes its blocks' three gradients side by side, and they are
-/// split into one buffer per operand after.
-fn sdpa_backward(parents: &[Tensor], o: &[f32], go: &[f32], scale: f32, simd_on: bool) {
+/// `go`, and the tier the forward ran on. Each gradient is written in
+/// place in the operands' layout, sharded by `a` as the forward is.
+fn sdpa_backward(parents: &[Tensor], o: &[f32], go: &[f32], lay: Layout, scale: f32, simd_on: bool) {
     let _sp = crate::obs::span("nn.sdpa.bwd");
-    let (bh, l, dh) = (parents[0].dims()[0], parents[0].dims()[1], parents[0].dims()[2]);
-    let block = l * dh;
-    let mut g = crate::arena::zeroed(3 * bh * block);
+    let (l, dh, ld, lp, extent) = (lay.l, lay.dh, lay.ld, lay.lp(), lay.extent());
+    let mut grads = [(); 3].map(|_| crate::arena::zeroed(o.len()));
     {
         let (qr, kr, vr) = (parents[0].data(), parents[1].data(), parents[2].data());
         let (q, k, v): (&[f32], &[f32], &[f32]) = (&qr, &kr, &vr);
-        let grain = MIN_PAR_FLOPS.div_ceil((4 * l * block).max(1)).max(1);
-        pool::parallel_slices_mut(&mut g, 3 * block, grain, |b0, blocks| {
-            let lp = l.next_multiple_of(8);
+        let [dq, dk, dv] = &mut grads;
+        let mut slabs: Vec<[&mut [f32]; 3]> = (dq.chunks_mut(l * ld).zip(dk.chunks_mut(l * ld)))
+            .zip(dv.chunks_mut(l * ld))
+            .map(|((dq, dk), dv)| [dq, dk, dv])
+            .collect();
+        pool::parallel_slices_mut(&mut slabs, 1, lay.grain(), |a0, run| {
             let (ws_len, t_len) = if simd_on { (2 * (ROWS + l) * lp, dh * lp) } else { (l, 0) };
             let mut ws = crate::arena::zeroed(ws_len);
             let mut kt = crate::arena::zeroed(t_len);
             let mut vt = crate::arena::zeroed(t_len);
-            for (off, gb) in blocks.chunks_mut(3 * block).enumerate() {
-                let r = (b0 + off) * block..(b0 + off + 1) * block;
-                let [qb, kb, vb, ob, gob] = [q, k, v, o, go].map(|s| &s[r.clone()]);
-                let (dq, rest) = gb.split_at_mut(block);
-                let (dk, dv) = rest.split_at_mut(block);
-                if simd_on {
-                    transpose_into(kb, dh, lp, &mut kt);
-                    transpose_into(vb, dh, lp, &mut vt);
-                    #[cfg(target_arch = "x86_64")]
-                    // Safety: simd_on holds only under the Avx2Fma tier.
-                    unsafe {
-                        let (ins, grads) = ([qb, kb, ob, gob], [dq, dk, dv]);
-                        sdpa_block_bwd_avx2(ins, &kt, &vt, &mut ws, grads, l, dh, lp, scale);
-                    }
-                    continue;
-                }
-                for i in 0..l {
-                    let ir = i * dh..(i + 1) * dh;
-                    let (qrow, gorow) = (&qb[ir.clone()], &gob[ir.clone()]);
-                    probs_row(qrow, kb, &mut ws, scale);
-                    let delta = row_dot(gorow, &ob[ir.clone()]);
-                    for (j, &p) in ws.iter().enumerate() {
-                        let jr = j * dh..(j + 1) * dh;
-                        let ds = scale * p * (row_dot(gorow, &vb[jr.clone()]) - delta);
-                        for (dqd, &kd) in dq[ir.clone()].iter_mut().zip(&kb[jr.clone()]) {
-                            *dqd += ds * kd;
+            for (a, [dqa, dka, dva]) in (a0..).zip(run.iter_mut()) {
+                let r = a * l * ld..(a + 1) * l * ld;
+                let [qa, ka, va, oa, goa] = [q, k, v, o, go].map(|s| &s[r.clone()]);
+                for base in (0..ld).step_by(dh) {
+                    let br = base..base + extent;
+                    let [qb, kb, vb, ob, gob] = [qa, ka, va, oa, goa].map(|s| &s[br.clone()]);
+                    let (dq, dk, dv) = (&mut dqa[br.clone()], &mut dka[br.clone()], &mut dva[br]);
+                    if simd_on {
+                        transpose_into(kb, lay, &mut kt);
+                        transpose_into(vb, lay, &mut vt);
+                        #[cfg(target_arch = "x86_64")]
+                        // Safety: simd_on holds only under the Avx2Fma tier.
+                        unsafe {
+                            let (ins, grads) = ([qb, kb, ob, gob], [dq, dk, dv]);
+                            sdpa_block_bwd_avx2(ins, [&kt, &vt], &mut ws, grads, lay, scale);
                         }
-                        let (dkj, dvj) = (&mut dk[jr.clone()], &mut dv[jr]);
-                        for (((dkd, dvd), &qd), &gd) in dkj.iter_mut().zip(dvj).zip(qrow).zip(gorow) {
-                            *dkd += ds * qd;
-                            *dvd += p * gd;
+                        continue;
+                    }
+                    for i in 0..l {
+                        let ir = i * ld..i * ld + dh;
+                        let (qrow, gorow) = (&qb[ir.clone()], &gob[ir.clone()]);
+                        probs_row(qrow, kb, ld, &mut ws, scale);
+                        let delta = row_dot(gorow, &ob[ir.clone()]);
+                        for (j, &p) in ws.iter().enumerate() {
+                            let jr = j * ld..j * ld + dh;
+                            let ds = scale * p * (row_dot(gorow, &vb[jr.clone()]) - delta);
+                            for (dqd, &kd) in dq[ir.clone()].iter_mut().zip(&kb[jr.clone()]) {
+                                *dqd += ds * kd;
+                            }
+                            let (dkj, dvj) = (&mut dk[jr.clone()], &mut dv[jr]);
+                            let cols = dkj.iter_mut().zip(dvj).zip(qrow).zip(gorow);
+                            for (((dkd, dvd), &qd), &gd) in cols {
+                                *dkd += ds * qd;
+                                *dvd += p * gd;
+                            }
                         }
                     }
                 }
@@ -493,66 +507,78 @@ fn sdpa_backward(parents: &[Tensor], o: &[f32], go: &[f32], scale: f32, simd_on:
             }
         });
     }
-    for (n, p) in parents.iter().enumerate() {
-        let mut grad = crate::arena::zeroed(bh * block);
-        for (dst, gb) in grad.chunks_exact_mut(block).zip(g.chunks_exact(3 * block)) {
-            dst.copy_from_slice(&gb[n * block..(n + 1) * block]);
-        }
+    for (p, grad) in parents.iter().zip(grads) {
         p.accumulate_grad_owned(grad);
     }
-    crate::arena::recycle(g);
 }
 
 impl Tensor {
-    /// Fused attention over head-major `[BH, L, Dh]` operands:
-    /// `softmax(scale · q kᵀ) v`, sharded across the worker pool by
-    /// `(batch · head)` block. Records a backward when gradients are
-    /// tracked; it recomputes the probabilities from `q` and `k` rather
-    /// than keeping them on the tape. Per-tier bit-deterministic at any
-    /// thread count, forward and backward.
-    pub fn sdpa(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32) -> Tensor {
-        let (qd, kd, vd) = (q.dims(), k.dims(), v.dims());
+    /// Fused multi-head attention along `axis`: `softmax(scale · q kᵀ) v`
+    /// per head, on operands as they are laid out.
+    ///
+    /// `q`, `k` and `v` share one shape of rank ≥ 2; the output has that
+    /// shape. Attention runs along `axis`, which must lie below the last
+    /// axis. The last axis `D` holds `heads` contiguous groups of width
+    /// `Dh = D / heads`, one per head. Every other axis is batch. Viewed
+    /// as `[A, S, C, D]` (`A` the product of the axes before `axis`,
+    /// `S = dims[axis]`, `C` the product of those between it and the
+    /// last), block `(a, c, h)` is `S` rows of `Dh` values, `ld = C·D`
+    /// apart. The pool shards by `a`, one worker per block in a fixed
+    /// order, so forward and backward are per-tier bit-deterministic at
+    /// any thread count. The backward, recorded when gradients are
+    /// tracked, recomputes the probabilities from `q` and `k` rather
+    /// than keeping them on the tape.
+    pub fn sdpa(q: &Tensor, k: &Tensor, v: &Tensor, axis: usize, heads: usize, scale: f32) -> Tensor {
+        let dims = q.dims();
+        let rank = dims.len();
+        let d = dims.last().copied().unwrap_or(0);
         assert!(
-            qd.len() == 3 && qd == kd && kd == vd,
-            "sdpa expects matching [BH, L, Dh] operands, got {} {} {}",
+            dims == k.dims() && dims == v.dims() && axis + 1 < rank && dims[axis] > 0,
+            "sdpa expects matching operands with axis {axis} below the last, got {} {} {}",
             q.shape(),
             k.shape(),
             v.shape()
         );
-        let (bh, l, dh) = (qd[0], qd[1], qd[2]);
+        assert!(heads > 0 && d > 0 && d.is_multiple_of(heads), "sdpa: {heads} heads do not split {d}");
+        let ld = dims[axis + 1..].iter().product();
+        let lay = Layout { l: dims[axis], dh: d / heads, ld };
+        let (l, dh, lp, extent) = (lay.l, lay.dh, lay.lp(), lay.extent());
 
         let _kernel = crate::obs::span("nn.sdpa");
         let simd_on = simd::tier() == Tier::Avx2Fma && cfg!(target_arch = "x86_64");
-        let block = l * dh;
-        let grain = MIN_PAR_FLOPS.div_ceil((4 * l * block).max(1)).max(1);
-        let mut out = crate::arena::zeroed(bh * block);
+        let mut out = crate::arena::zeroed(q.numel());
         {
             let (qr, kr, vr) = (q.data(), k.data(), v.data());
             let (qs, ks, vs): (&[f32], &[f32], &[f32]) = (&qr, &kr, &vr);
-            pool::parallel_slices_mut(&mut out, block, grain, |b0, blocks| {
+            pool::parallel_slices_mut(&mut out, l * ld, lay.grain(), |a0, slabs| {
                 // Probability rows and the K transpose, reused across the
-                // chunk. The Avx2Fma kernel pads L to whole vectors.
-                let lp = l.next_multiple_of(8);
+                // run. The Avx2Fma kernel pads L to whole vectors.
                 let (srow_len, kt_len) = if simd_on { (ROWS * lp, dh * lp) } else { (l, 0) };
                 let mut srow = crate::arena::zeroed(srow_len);
                 let mut kt = crate::arena::zeroed(kt_len);
-                for (off, ob) in blocks.chunks_mut(block).enumerate() {
-                    let r = (b0 + off) * block..(b0 + off + 1) * block;
-                    let (qb, kb, vb) = (&qs[r.clone()], &ks[r.clone()], &vs[r]);
-                    if simd_on {
-                        transpose_into(kb, dh, lp, &mut kt);
-                        #[cfg(target_arch = "x86_64")]
-                        // Safety: simd_on holds only under the Avx2Fma tier.
-                        unsafe {
-                            sdpa_block_avx2(qb, &kt, vb, ob, &mut srow, l, dh, lp, scale);
+                for (a, oa) in (a0..).zip(slabs.chunks_mut(l * ld)) {
+                    let r = a * l * ld..(a + 1) * l * ld;
+                    let (qa, ka, va) = (&qs[r.clone()], &ks[r.clone()], &vs[r]);
+                    for base in (0..ld).step_by(dh) {
+                        let br = base..base + extent;
+                        let (qb, kb, vb) = (&qa[br.clone()], &ka[br.clone()], &va[br.clone()]);
+                        let ob = &mut oa[br];
+                        if simd_on {
+                            transpose_into(kb, lay, &mut kt);
+                            #[cfg(target_arch = "x86_64")]
+                            // Safety: simd_on holds only under the Avx2Fma tier.
+                            unsafe {
+                                sdpa_block_avx2(qb, &kt, vb, ob, &mut srow, lay, scale);
+                            }
+                            continue;
                         }
-                        continue;
-                    }
-                    for (qrow, orow) in qb.chunks_exact(dh).zip(ob.chunks_exact_mut(dh)) {
-                        probs_row(qrow, kb, &mut srow, scale);
-                        for (&alpha, vrow) in srow.iter().zip(vb.chunks_exact(dh)) {
-                            for (o, &x) in orow.iter_mut().zip(vrow) {
-                                *o += alpha * x;
+                        for i in 0..l {
+                            probs_row(&qb[i * ld..][..dh], kb, ld, &mut srow, scale);
+                            let orow = &mut ob[i * ld..][..dh];
+                            for (&alpha, vrow) in srow.iter().zip(vb.chunks(ld)) {
+                                for (o, &x) in orow.iter_mut().zip(vrow) {
+                                    *o += alpha * x;
+                                }
                             }
                         }
                     }
@@ -561,14 +587,9 @@ impl Tensor {
                 crate::arena::recycle(kt);
             });
         }
-        Tensor::from_op(
-            out,
-            Shape::new(&[bh, l, dh]),
-            vec![q.clone(), k.clone(), v.clone()],
-            move || {
-                Box::new(move |gout, out, parents| sdpa_backward(parents, out, gout, scale, simd_on))
-            },
-        )
+        Tensor::from_op(out, q.shape().clone(), vec![q.clone(), k.clone(), v.clone()], move || {
+            Box::new(move |gout, out, parents| sdpa_backward(parents, out, gout, lay, scale, simd_on))
+        })
     }
 }
 
@@ -587,22 +608,44 @@ mod tests {
         tiers
     }
 
-    /// Unfused reference, one block at a time: `softmax_last(scale · q kᵀ)
-    /// v` as 2-D matmuls. Built from ops with their own backward, so it is
-    /// also the gradient reference.
-    fn reference(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32) -> Tensor {
-        let (bh, l, dh) = (q.dims()[0], q.dims()[1], q.dims()[2]);
-        let block = |t: &Tensor, b: usize| t.slice_axis(0, b, 1).reshape(&[l, dh]);
-        let outs: Vec<Tensor> = (0..bh)
+    /// Unfused reference: the `(c, h)` blocks of each `a` gathered with
+    /// `permute` into head-major `[A·C·H, S, Dh]`, then per block
+    /// `softmax_last(scale · q kᵀ) v` as 2-D matmuls, scattered back the
+    /// same way. Built from ops with their own backward, so it is also the
+    /// gradient reference.
+    fn reference(q: &Tensor, k: &Tensor, v: &Tensor, axis: usize, heads: usize, scale: f32) -> Tensor {
+        let dims = q.dims().to_vec();
+        let rank = dims.len();
+        let (a, s) = (dims[..axis].iter().product::<usize>(), dims[axis]);
+        let c: usize = dims[axis + 1..rank - 1].iter().product();
+        let (dh, n) = (dims[rank - 1] / heads, a * c * heads);
+        let gather = |t: &Tensor| {
+            t.reshape(&[a, s, c, heads, dh]).permute(&[0, 2, 3, 1, 4]).reshape(&[n, s, dh])
+        };
+        let (q, k, v) = (gather(q), gather(k), gather(v));
+        let block = |t: &Tensor, b: usize| t.slice_axis(0, b, 1).reshape(&[s, dh]);
+        let outs: Vec<Tensor> = (0..n)
             .map(|b| {
-                block(q, b)
-                    .matmul(&block(k, b).permute(&[1, 0]))
+                block(&q, b)
+                    .matmul(&block(&k, b).permute(&[1, 0]))
                     .scale(scale)
                     .softmax_last()
-                    .matmul(&block(v, b))
+                    .matmul(&block(&v, b))
             })
             .collect();
-        Tensor::concat(&outs.iter().collect::<Vec<_>>(), 0).reshape(&[bh, l, dh])
+        Tensor::concat(&outs.iter().collect::<Vec<_>>(), 0)
+            .reshape(&[a, c, heads, s, dh])
+            .permute(&[0, 3, 1, 2, 4])
+            .reshape(&dims)
+    }
+
+    /// `(dims, axis, heads)`: `[BH, L, Dh]` blocks (axis 1, one head),
+    /// then rank-4 layouts with two heads and `C > 1` (channel attention
+    /// on `[B, K, L, d]`) and one along the third axis (time attention).
+    fn layouts(head_major: &[(usize, usize, usize)]) -> Vec<(Vec<usize>, usize, usize)> {
+        let mut all: Vec<_> = head_major.iter().map(|&(bh, l, dh)| (vec![bh, l, dh], 1, 1)).collect();
+        all.extend([(vec![2, 5, 3, 8], 1, 2), (vec![2, 9, 2, 32], 1, 2), (vec![2, 3, 11, 16], 2, 2)]);
+        all
     }
 
     /// Output and dQ, dK, dV of `Σ f(q, k, v) · w` for a fixed random `w`.
@@ -624,18 +667,19 @@ mod tests {
     #[test]
     fn matches_unfused_path_within_tolerance() {
         let mut rng = seeded(11);
-        for &(bh, l, dh) in &[(1usize, 3usize, 4usize), (8, 16, 8), (4, 31, 16), (3, 19, 4)] {
-            let q = Tensor::randn(&mut rng, &[bh, l, dh]);
-            let k = Tensor::randn(&mut rng, &[bh, l, dh]);
-            let v = Tensor::randn(&mut rng, &[bh, l, dh]);
-            let scale = 1.0 / (dh as f32).sqrt();
+        for (dims, axis, heads) in layouts(&[(1, 3, 4), (8, 16, 8), (4, 31, 16), (3, 19, 4)]) {
+            let q = Tensor::randn(&mut rng, &dims);
+            let k = Tensor::randn(&mut rng, &dims);
+            let v = Tensor::randn(&mut rng, &dims);
+            let scale = 1.0 / ((dims[dims.len() - 1] / heads) as f32).sqrt();
             for tier in tiers() {
-                let want = with_tier(tier, || no_grad(|| reference(&q, &k, &v, scale).to_vec()));
-                let got = with_tier(tier, || Tensor::sdpa(&q, &k, &v, scale).to_vec());
+                let want =
+                    with_tier(tier, || no_grad(|| reference(&q, &k, &v, axis, heads, scale).to_vec()));
+                let got = with_tier(tier, || Tensor::sdpa(&q, &k, &v, axis, heads, scale).to_vec());
                 for (g, w) in got.iter().zip(&want) {
                     assert!(
                         (g - w).abs() <= 1e-4 * w.abs().max(1.0),
-                        "bh={bh} l={l} dh={dh} tier={tier:?}: {g} vs {w}"
+                        "{dims:?} axis={axis} heads={heads} tier={tier:?}: {g} vs {w}"
                     );
                 }
             }
@@ -645,24 +689,24 @@ mod tests {
     #[test]
     fn gradients_match_reference_graph() {
         let mut rng = seeded(14);
-        let shapes = [(1usize, 3usize, 4usize), (8, 16, 8), (4, 31, 16), (3, 19, 4), (2, 11, 8)];
-        for &(bh, l, dh) in &shapes {
-            let q = Tensor::randn(&mut rng, &[bh, l, dh]);
-            let k = Tensor::randn(&mut rng, &[bh, l, dh]);
-            let v = Tensor::randn(&mut rng, &[bh, l, dh]);
-            let scale = 1.0 / (dh as f32).sqrt();
+        let shapes = [(1, 3, 4), (8, 16, 8), (4, 31, 16), (3, 19, 4), (2, 11, 8)];
+        for (dims, axis, heads) in layouts(&shapes) {
+            let q = Tensor::randn(&mut rng, &dims);
+            let k = Tensor::randn(&mut rng, &dims);
+            let v = Tensor::randn(&mut rng, &dims);
+            let scale = 1.0 / ((dims[dims.len() - 1] / heads) as f32).sqrt();
             for tier in tiers() {
                 let want = with_tier(tier, || {
-                    forward_backward(|q, k, v| reference(q, k, v, scale), &q, &k, &v)
+                    forward_backward(|q, k, v| reference(q, k, v, axis, heads, scale), &q, &k, &v)
                 });
                 let got = with_tier(tier, || {
-                    forward_backward(|q, k, v| Tensor::sdpa(q, k, v, scale), &q, &k, &v)
+                    forward_backward(|q, k, v| Tensor::sdpa(q, k, v, axis, heads, scale), &q, &k, &v)
                 });
                 for (n, (gs, ws)) in got.iter().zip(&want).enumerate() {
                     for (g, w) in gs.iter().zip(ws) {
                         assert!(
                             (g - w).abs() <= 1e-4 * w.abs().max(1.0),
-                            "bh={bh} l={l} dh={dh} tier={tier:?} output {n}: {g} vs {w}"
+                            "{dims:?} axis={axis} heads={heads} tier={tier:?} output {n}: {g} vs {w}"
                         );
                     }
                 }
@@ -678,16 +722,21 @@ mod tests {
             all.iter().map(|x| x.iter().map(|v| v.to_bits()).collect()).collect()
         };
         let mut rng = seeded(12);
+        // `[BH, L, Dh]`, and channel attention on `[B, K, L, 2·Dh]` with
+        // two heads, large enough that its four `a` slabs fan out.
         for dh in [4usize, 8, 16] {
-            let q = Tensor::randn(&mut rng, &[6, 24, dh]);
-            let k = Tensor::randn(&mut rng, &[6, 24, dh]);
-            let v = Tensor::randn(&mut rng, &[6, 24, dh]);
-            let run = || forward_backward(|q, k, v| Tensor::sdpa(q, k, v, 0.35), &q, &k, &v);
-            for tier in tiers() {
-                let reference = bits(with_tier(tier, || with_threads(1, run)));
-                for t in [2usize, 4, 8] {
-                    let got = bits(with_tier(tier, || with_threads(t, run)));
-                    assert_eq!(got, reference, "dh={dh} tier={tier:?} threads={t}");
+            for (dims, heads) in [(vec![6, 24, dh], 1), (vec![4, 32, 8, 2 * dh], 2)] {
+                let q = Tensor::randn(&mut rng, &dims);
+                let k = Tensor::randn(&mut rng, &dims);
+                let v = Tensor::randn(&mut rng, &dims);
+                let f = |q: &Tensor, k: &Tensor, v: &Tensor| Tensor::sdpa(q, k, v, 1, heads, 0.35);
+                let run = || forward_backward(f, &q, &k, &v);
+                for tier in tiers() {
+                    let reference = bits(with_tier(tier, || with_threads(1, run)));
+                    for t in [2usize, 4, 8] {
+                        let got = bits(with_tier(tier, || with_threads(t, run)));
+                        assert_eq!(got, reference, "{dims:?} tier={tier:?} threads={t}");
+                    }
                 }
             }
         }
@@ -769,7 +818,8 @@ mod tests {
                 );
                 // A negative scale turns the +0 scores into −0.
                 for scale in [1.0 / (dh as f32).sqrt(), -0.5] {
-                    let got = with_tier(Tier::Avx2Fma, || Tensor::sdpa(&qt, &kt, &vt, scale).to_vec());
+                    let got =
+                        with_tier(Tier::Avx2Fma, || Tensor::sdpa(&qt, &kt, &vt, 1, 1, scale).to_vec());
                     let want = reference(&q, &k, &v, l, dh, scale);
                     assert_eq!(bits(&got), bits(&want), "l={l} dh={dh} scale={scale}");
                 }

@@ -5,8 +5,8 @@ use crate::tensor::Tensor;
 
 /// Copies `src` (with shape `dims`) into a permuted layout given by `perm`.
 ///
-/// Pure data movement — every specialization below is bit-identical to the
-/// generic gather, it only changes the copy order.
+/// Pure data movement — the last-two-swap path below is bit-identical to
+/// the generic gather, it only changes the copy order.
 fn permute_copy(src: &[f32], dims: &[usize], perm: &[usize]) -> Vec<f32> {
     let ndim = dims.len();
     let in_strides = Shape::new(dims).strides();
@@ -14,50 +14,6 @@ fn permute_copy(src: &[f32], dims: &[usize], perm: &[usize]) -> Vec<f32> {
     let n: usize = out_dims.iter().product();
     let mut out = crate::arena::zeroed(n);
     if n == 0 {
-        return out;
-    }
-    // Fast path: [0,2,1,3] — the head-split/merge and spatial/temporal
-    // axis swap the model performs on every attention call. Tight nested
-    // loops with incremental offsets instead of the generic per-row
-    // odometer below.
-    if ndim == 4 && perm == [0, 2, 1, 3] {
-        let (d0, d1, d2, inner) = (dims[0], dims[1], dims[2], dims[3]);
-        let (s0, s1) = (in_strides[0], in_strides[1]);
-        let mut dst = 0usize;
-        for b0 in 0..d0 {
-            for j in 0..d2 {
-                // Input row (b0, i, j, :) for ascending i.
-                let mut srow = b0 * s0 + j * inner;
-                for _ in 0..d1 {
-                    out[dst..dst + inner].copy_from_slice(&src[srow..srow + inner]);
-                    dst += inner;
-                    srow += s1;
-                }
-            }
-        }
-        return out;
-    }
-    // Fast path: the innermost dim stays innermost — rows of `inner`
-    // contiguous elements move as slices (covers the model's [0,2,1,3]
-    // head-split/merge and spatial/temporal axis swaps).
-    if ndim >= 2 && perm[ndim - 1] == ndim - 1 && dims[ndim - 1] > 1 {
-        let inner = dims[ndim - 1];
-        let rows = n / inner;
-        let mut out_idx = vec![0usize; ndim - 1];
-        let mut src_row = 0usize; // input offset of the current output row
-        let row_strides: Vec<usize> = (0..ndim - 1).map(|j| in_strides[perm[j]]).collect();
-        for r in 0..rows {
-            out[r * inner..(r + 1) * inner].copy_from_slice(&src[src_row..src_row + inner]);
-            for d in (0..ndim - 1).rev() {
-                out_idx[d] += 1;
-                src_row += row_strides[d];
-                if out_idx[d] < out_dims[d] {
-                    break;
-                }
-                src_row -= row_strides[d] * out_dims[d];
-                out_idx[d] = 0;
-            }
-        }
         return out;
     }
     // Fast path: only the last two dims swapped — a strided 2-D transpose
@@ -81,14 +37,13 @@ fn permute_copy(src: &[f32], dims: &[usize], perm: &[usize]) -> Vec<f32> {
         return out;
     }
     let mut out_idx = vec![0usize; ndim];
-    for (o, slot) in out.iter_mut().enumerate() {
+    for slot in out.iter_mut() {
         // Map the output multi-index back to an input linear offset.
         let mut i_in = 0usize;
         for (j, &oi) in out_idx.iter().enumerate() {
             i_in += oi * in_strides[perm[j]];
         }
         *slot = src[i_in];
-        let _ = o;
         for d in (0..ndim).rev() {
             out_idx[d] += 1;
             if out_idx[d] < out_dims[d] {

@@ -142,7 +142,8 @@ where
 /// the minimum number of units per worker.
 ///
 /// This is the mutation-side primitive: matmul shards output rows
-/// (`unit = n`), attention shards `[L, Dh]` blocks (`unit = L * Dh`),
+/// (`unit = n`), attention shards the `S·C·D` slab of each leading index
+/// `a` (its backward shards one `[dQ, dK, dV]` triple of slabs per unit),
 /// convolution shards batch items (`unit = c_out * l_out`). The runs are
 /// disjoint `&mut` slices, so no synchronisation is needed and the
 /// arithmetic inside each unit is identical at any thread count.

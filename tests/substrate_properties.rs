@@ -185,14 +185,17 @@ mod thread_determinism {
     #[test]
     fn attention_forward_backward_thread_invariant() {
         let mut rng = seeded(47);
-        let x_data = filled(2 * 12 * 16, &mut rng);
-        assert_invariant("attention", || {
-            let attn = MultiHeadAttention::new(&mut seeded(5), 16, 4);
-            let x = Tensor::param_from_vec(x_data.clone(), &[2, 12, 16]).unwrap();
-            let y = attn.forward(&x);
-            backward(&y.square().sum_all());
-            vec![y.to_vec(), x.grad().unwrap()]
-        });
+        // `[B, L, D]`, and channel attention (axis 1) on `[B, K, L, D]`.
+        for dims in [vec![2usize, 12, 16], vec![2, 6, 5, 16]] {
+            let x_data = filled(dims.iter().product(), &mut rng);
+            assert_invariant("attention", || {
+                let attn = MultiHeadAttention::new(&mut seeded(5), 16, 4);
+                let x = Tensor::param_from_vec(x_data.clone(), &dims).unwrap();
+                let y = attn.forward(&x, 1);
+                backward(&y.square().sum_all());
+                vec![y.to_vec(), x.grad().unwrap()]
+            });
+        }
     }
 
     /// Training with a batch that is not a multiple of the width: three
@@ -565,13 +568,20 @@ mod gradient_check {
             let mut rng = seeded(seed);
             // Head widths below and at one 8-wide chunk; L never a
             // multiple of 8, so the Avx2Fma kernels see padded lanes.
+            // `[BH, L, Dh]` with one head, then `[A, L, C, 2·Dh]` with two
+            // heads along axis 1, whose rows are `C·2·Dh` apart.
             for dh in [4usize, 8] {
                 let bh = rng.gen_range(1..=2);
                 let l = [3usize, 5, 9, 11, 13][rng.gen_range(0..5)];
-                let ins: Vec<Input> =
-                    (0..3).map(|_| uniform(&mut rng, &[bh, l, dh], -1.0, 1.0)).collect();
-                let scale = 1.0 / (dh as f32).sqrt();
-                check("sdpa", &mut rng, &ins, |t| Tensor::sdpa(&t[0], &t[1], &t[2], scale))?;
+                let c = rng.gen_range(2..=3);
+                for (dims, heads) in [(vec![bh, l, dh], 1), (vec![bh, l, c, 2 * dh], 2)] {
+                    let ins: Vec<Input> =
+                        (0..3).map(|_| uniform(&mut rng, &dims, -1.0, 1.0)).collect();
+                    let scale = 1.0 / (dh as f32).sqrt();
+                    check("sdpa", &mut rng, &ins, |t| {
+                        Tensor::sdpa(&t[0], &t[1], &t[2], 1, heads, scale)
+                    })?;
+                }
             }
         }
 
