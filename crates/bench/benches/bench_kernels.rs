@@ -3,15 +3,16 @@
 //! Compares the cache-blocked `mm_nn` against a naive reference kernel
 //! (a transcription of the pre-blocking implementation, including its
 //! zero-skip branch) at matched shapes, and times conv1d, the
-//! multi-head-attention forward, and one attention forward plus backward
-//! under the tape. Every record carries a FLOP count
-//! so `--save-json BENCH_nn.json` yields GFLOP/s trajectories.
+//! multi-head-attention forward, one attention forward plus backward
+//! under the tape, and a `Linear` with its GELU fused into the matmul
+//! (forward, and forward plus backward). Every record carries a FLOP
+//! count so `--save-json BENCH_nn.json` yields GFLOP/s trajectories.
 //!
 //!     cargo bench --bench bench_kernels -- --save-json BENCH_nn.json
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use imdiff_nn::layers::{Module, MultiHeadAttention};
-use imdiff_nn::ops::mm_nn;
+use imdiff_nn::layers::{Linear, Module, MultiHeadAttention};
+use imdiff_nn::ops::{mm_nn, Act};
 use imdiff_nn::pool;
 use imdiff_nn::rng::seeded;
 use imdiff_nn::simd::{self, Tier};
@@ -207,5 +208,43 @@ fn bench_attention(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matmul, bench_conv, bench_attention);
+/// A `Linear` with its activation fused into the matmul epilogue, at the
+/// quick profile's FFN `fc1` (8 windows × 19 channels × window 48 rows,
+/// hidden 16 → 32) and the serving config's (19 channels × window 16,
+/// hidden 8 → 16). "fwd" is the inference forward; "train" the forward
+/// and backward under the tape, with the input tracked as inside the
+/// model, its FLOPs nominally three times the forward's.
+fn bench_linear(c: &mut Criterion) {
+    let mut rng = seeded(17);
+    let mut group = c.benchmark_group("linear");
+    group.sample_size(20);
+    group.record_threads(1);
+    for (rows, d_in, d_out) in [(7296usize, 16usize, 32usize), (304, 8, 16)] {
+        let lin = Linear::new(&mut rng, d_in, d_out);
+        let x = Tensor::param_from_vec(filled(rows * d_in, &mut rng), &[rows, d_in]).unwrap();
+        let flops = (2 * rows * d_in * d_out) as u64;
+        group.throughput(Throughput::Flops(flops));
+        group.bench_function(format!("fwd/{rows}x{d_in}x{d_out}/gelu/t1"), |bch| {
+            bch.iter(|| {
+                pool::with_threads(1, || {
+                    let y = imdiff_nn::forward_only(|| lin.forward_act(&x, Act::Gelu).to_vec()[0]);
+                    black_box(y)
+                })
+            })
+        });
+        group.throughput(Throughput::Flops(3 * flops));
+        group.bench_function(format!("train/{rows}x{d_in}x{d_out}/gelu/t1"), |bch| {
+            bch.iter(|| {
+                let y = pool::with_threads(1, || lin.forward_act(&x, Act::Gelu));
+                pool::with_threads(1, || imdiff_nn::backward(&y.sum_all()));
+                for p in lin.params().iter().chain([&x]) {
+                    p.zero_grad();
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_matmul, bench_conv, bench_attention, bench_linear);
 criterion_main!(benches);

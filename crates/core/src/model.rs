@@ -18,6 +18,7 @@ use imdiff_nn::layers::{
     diffusion_step_embedding, sinusoidal_positions, Embedding, Linear, Module,
     TransformerEncoderLayer,
 };
+use imdiff_nn::ops::Act;
 use imdiff_nn::rng::seeded;
 use imdiff_nn::Tensor;
 
@@ -58,7 +59,7 @@ impl ResidualBlock {
     }
 
     /// One block: returns `(next_h, skip)`, both `[B, K, L, d]`.
-    fn forward(&self, h: &Tensor, demb: &Tensor, d: usize) -> (Tensor, Tensor) {
+    fn forward(&self, h: &Tensor, demb: &Tensor) -> (Tensor, Tensor) {
         let mut y = h.add(&self.diff_proj.forward(demb)); // broadcast [B,1,1,d]
         // Both layers attend in place on [B, K, L, d]: along L, then K.
         if let Some(temporal) = &self.temporal {
@@ -67,10 +68,9 @@ impl ResidualBlock {
         if let Some(spatial) = &self.spatial {
             y = spatial.forward(&y, 1);
         }
-        let g = self.mid.forward(&y); // [B,K,L,2d]
-        let filter = g.slice_axis(3, 0, d).tanh();
-        let gate = g.slice_axis(3, d, d).sigmoid();
-        let act = filter.mul(&gate);
+        // Gated activation tanh(filter) ⊙ σ(gate) over the two halves of
+        // [B,K,L,2d].
+        let act = self.mid.forward(&y).gated_tanh();
         let res = match &self.res_proj {
             Some(proj) => h
                 .add(&proj.forward(&act))
@@ -241,8 +241,7 @@ impl ImTransformer {
         let demb_raw = diffusion_step_embedding(&zero_based, DIFF_EMB);
         let demb = self
             .diff_fc2
-            .forward(&self.diff_fc1.forward(&demb_raw).silu())
-            .silu()
+            .forward_act(&self.diff_fc1.forward_act(&demb_raw, Act::Silu), Act::Silu)
             .reshape(&[b, 1, 1, d]);
 
         // Mask-policy embedding -> [B,1,1,d].
@@ -262,19 +261,21 @@ impl ImTransformer {
         // Residual blocks with skip accumulation.
         let mut skip_sum: Option<Tensor> = None;
         for block in &self.blocks {
-            let (next, skip) = block.forward(&h, &demb, d);
+            let (next, skip) = block.forward(&h, &demb);
             h = next;
             skip_sum = Some(match skip_sum {
                 Some(acc) => acc.add(&skip),
                 None => skip,
             });
         }
-        let n_blocks = self.blocks.len().max(1) as f32;
-        let skips = skip_sum
-            .unwrap_or_else(|| h.clone())
-            .scale(1.0 / n_blocks.sqrt());
+        let mut skips = skip_sum.unwrap_or_else(|| h.clone());
+        // Scaling by 1/√1 would be a pass that multiplies by 1.0.
+        if self.blocks.len() > 1 {
+            skips = skips.scale(1.0 / (self.blocks.len() as f32).sqrt());
+        }
 
-        let out = self.out_fc2.forward(&self.out_fc1.forward(&skips.relu()).relu());
+        let hidden = self.out_fc1.forward_act(&skips.relu(), Act::Relu);
+        let out = self.out_fc2.forward(&hidden);
         out.reshape(&[b, k, l])
     }
 }

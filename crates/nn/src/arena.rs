@@ -130,6 +130,25 @@ pub(crate) fn recycle(buf: Vec<f32>) {
     FREE.with(|p| p.borrow_mut().park(buf));
 }
 
+/// An arena buffer that an op's backward keeps from its forward (a saved
+/// pre-activation): parked again when it drops with the tape node that
+/// owns the closure.
+pub(crate) struct Saved(pub(crate) Vec<f32>);
+
+impl Drop for Saved {
+    fn drop(&mut self) {
+        recycle(std::mem::take(&mut self.0));
+    }
+}
+
+impl std::ops::Deref for Saved {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.0
+    }
+}
+
 /// The list to lend a new worker thread for pool slot `slot`: what that
 /// slot's previous worker returned, empty the first time. `None` when the
 /// arena is inactive here, so the worker runs without one.

@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 
 use super::{LayerNorm, Linear, Module};
+use crate::ops::Act;
 use crate::Tensor;
 
 /// Multi-head scaled-dot-product self-attention along one axis of
@@ -74,9 +75,10 @@ impl FeedForward {
         }
     }
 
-    /// Applies the FFN to `[.., d_model]` input.
+    /// Applies the FFN to `[.., d_model]` input; the GELU runs in `fc1`'s
+    /// matmul epilogue.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.fc2.forward(&self.fc1.forward(x).gelu())
+        self.fc2.forward(&self.fc1.forward_act(x, Act::Gelu))
     }
 }
 

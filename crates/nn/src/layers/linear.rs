@@ -4,9 +4,11 @@ use rand::rngs::StdRng;
 
 use super::Module;
 use crate::init;
+use crate::ops::Act;
 use crate::Tensor;
 
-/// A dense affine map `y = x W + b` applied to the last dimension.
+/// A dense affine map `y = x W + b` applied to the last dimension,
+/// optionally followed by a pointwise activation fused into the same op.
 ///
 /// Accepts inputs of any rank `[.., in_features]`.
 pub struct Linear {
@@ -37,26 +39,24 @@ impl Linear {
         }
     }
 
-    /// Applies the layer to `[.., in_features]` input.
+    /// Applies the layer to `[.., in_features]` input: `x W + b`.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let dims = x.dims();
+        self.forward_act(x, Act::Identity)
+    }
+
+    /// `act(x W + b)` on `[.., in_features]` input, as one
+    /// [`Tensor::linear`] op: the kernel adds the bias and applies `act`
+    /// where it stores each output, with the bits of the separate
+    /// matmul, bias add and activation ops.
+    pub fn forward_act(&self, x: &Tensor, act: Act) -> Tensor {
         assert_eq!(
-            dims.last().copied(),
+            x.dims().last().copied(),
             Some(self.in_features),
             "Linear expects last dim {}, got {}",
             self.in_features,
             x.shape()
         );
-        // Flatten the leading dims so matmul sees a plain 2-D problem.
-        let rows = x.numel() / self.in_features;
-        let flat = x.reshape(&[rows, self.in_features]);
-        let mut y = flat.matmul(&self.weight);
-        if let Some(b) = &self.bias {
-            y = y.add(b);
-        }
-        let mut out_dims = dims.to_vec();
-        *out_dims.last_mut().expect("non-empty dims") = self.out_features;
-        y.reshape(&out_dims)
+        x.linear(&self.weight, self.bias.as_ref(), act)
     }
 
     /// Output feature count.

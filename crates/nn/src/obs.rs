@@ -727,12 +727,14 @@ mod json {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Serializes access to the global enable toggle + registry across
-    /// tests in this module (cargo runs them on parallel threads).
-    fn with_exclusive_obs<R>(f: impl FnOnce() -> R) -> R {
+    /// tests in this module (cargo runs them on parallel threads). Op
+    /// tests that run many kernels take it too, so that a snapshot here
+    /// holds only what the obs test itself recorded.
+    pub(crate) fn with_exclusive_obs<R>(f: impl FnOnce() -> R) -> R {
         static GATE: Mutex<()> = Mutex::new(());
         let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
         let was = enabled();

@@ -7,6 +7,7 @@
 //! weights by literal `0.0`, preserving IEEE semantics (a NaN weight
 //! poisons edge outputs exactly as `0 * NaN` requires).
 
+use super::Act;
 use crate::pool;
 use crate::shape::Shape;
 use crate::simd::{self, Tier};
@@ -74,7 +75,7 @@ impl Tensor {
                     if simd_on {
                         let bp = simd::pack_b_panels(&col, kcols, lout);
                         // Safety: simd_on holds only under the Avx2Fma tier.
-                        unsafe { simd::mm_rows_avx2(w, &bp, cout, kcols, lout, ob) };
+                        unsafe { simd::mm_rows_avx2(w, &bp, cout, kcols, lout, ob, None, Act::Identity, None) };
                     } else {
                         super::matmul::mm_nn_block(w, &col, cout, kcols, lout, ob);
                     }

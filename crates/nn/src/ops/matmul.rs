@@ -12,9 +12,10 @@
 //! output element is always computed by exactly one worker with the same
 //! loop order, so results are bit-identical at any thread count.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
+use super::Act;
+use crate::autodiff::is_grad_enabled;
 use crate::pool;
 use crate::shape::Shape;
 use crate::simd::{self, Tier};
@@ -119,12 +120,33 @@ pub fn pack_transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 /// otherwise. Row sharding across workers is identical in both tiers, so
 /// each tier is bit-deterministic at any thread count.
 pub fn mm_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    mm_nn_dispatch(a, b, None, m, k, n, out);
+    mm_nn_dispatch(a, b, None, m, k, n, out, PLAIN, None);
 }
 
-/// [`mm_nn`] with an optionally prepacked B (`pack_b_panels` layout) from
-/// the packed-panel cache; `b` must still be the raw matrix (the scalar
-/// tier and the debug asserts use it).
+/// The pointwise tail one kernel call applies to each output element as
+/// it is stored: `act(out + a·b + bias[j])`, the bias add only when there
+/// is a bias.
+#[derive(Clone, Copy)]
+struct Epilogue<'a> {
+    bias: Option<&'a [f32]>,
+    act: Act,
+}
+
+/// No epilogue: the kernel only accumulates into `out`.
+const PLAIN: Epilogue<'static> = Epilogue { bias: None, act: Act::Identity };
+
+/// [`mm_nn`] with an epilogue and an optionally prepacked B
+/// (`pack_b_panels` layout) from the parameter's panel slot; `b` must
+/// still be the raw matrix (the scalar tier and the debug asserts use
+/// it). `pre`, when given, receives each element's pre-activation in the
+/// same pass.
+///
+/// The Avx2Fma kernel applies the epilogue where it stores each output.
+/// The scalar tier runs it over each worker's row shard once
+/// `mm_nn_block` has finished the shard: `+ bias[j]`, then the scalar
+/// activation. Either way an element gets the IEEE operations of a
+/// separate matmul, broadcast add and activation op on that tier.
+#[allow(clippy::too_many_arguments)]
 fn mm_nn_dispatch(
     a: &[f32],
     b: &[f32],
@@ -133,12 +155,15 @@ fn mm_nn_dispatch(
     k: usize,
     n: usize,
     out: &mut [f32],
+    ep: Epilogue<'_>,
+    pre: Option<&mut [f32]>,
 ) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     // mm_nt / mm_tn delegate here after packing, so this one dispatch
-    // point covers every kernel invocation exactly once.
+    // point covers every kernel invocation exactly once; the span includes
+    // the epilogue.
     let _kernel = crate::obs::span("nn.matmul");
     if crate::obs::enabled() {
         crate::obs::counter("nn.matmul.calls", 1);
@@ -158,71 +183,55 @@ fn mm_nn_dispatch(
                 &packed_local
             }
         };
-        pool::parallel_slices_mut(out, n, row_grain(k, n), |r0, rows| {
+        pool::parallel_slices_mut_with(out, pre, n, row_grain(k, n), |r0, rows, pre| {
             let mrows = rows.len() / n;
+            let a = &a[r0 * k..(r0 + mrows) * k];
             // Safety: tier() == Avx2Fma implies avx2+fma were detected.
-            unsafe { simd::mm_rows_avx2(&a[r0 * k..(r0 + mrows) * k], bp, mrows, k, n, rows) };
+            unsafe { simd::mm_rows_avx2(a, bp, mrows, k, n, rows, ep.bias, ep.act, pre) };
         });
     } else {
-        pool::parallel_slices_mut(out, n, row_grain(k, n), |r0, rows| {
+        pool::parallel_slices_mut_with(out, pre, n, row_grain(k, n), |r0, rows, mut pre| {
             let mrows = rows.len() / n;
             mm_nn_block(&a[r0 * k..(r0 + mrows) * k], b, mrows, k, n, rows);
+            if ep.bias.is_none() && ep.act == Act::Identity {
+                return;
+            }
+            for (i, row) in rows.chunks_exact_mut(n).enumerate() {
+                if let Some(bias) = ep.bias {
+                    for (o, &bv) in row.iter_mut().zip(bias) {
+                        *o += bv;
+                    }
+                }
+                if let Some(p) = pre.as_deref_mut() {
+                    p[i * n..(i + 1) * n].copy_from_slice(row);
+                }
+                if ep.act != Act::Identity {
+                    for o in row.iter_mut() {
+                        *o = ep.act.scalar(*o);
+                    }
+                }
+            }
         });
     }
 }
 
-/// Entries in the thread-local packed-panel cache.
-struct PackEntry {
-    id: u64,
-    generation: u64,
-    k: usize,
-    n: usize,
-    panels: Rc<Vec<f32>>,
-}
-
-/// Packed panels are cached per *parameter*, keyed by `(id, generation)`:
-/// the generation counter bumps on every optimizer step, so a stale pack
-/// can never be served after an update. Thread-local because tensor ids
-/// are thread-local (each inference worker rebuilds its own model).
-const PACK_CACHE_CAP: usize = 16;
-
-thread_local! {
-    static PACK_CACHE: RefCell<Vec<PackEntry>> = const { RefCell::new(Vec::new()) };
-}
-
 /// The packed panels for parameter `t`, packing at most once per
-/// `(id, generation, k, n)` — i.e. once per layer until the optimizer
-/// mutates the weights.
+/// `(generation, k, n)`: once per layer until the optimizer mutates the
+/// weights. The pack lives in the parameter's own slot, as long as the
+/// parameter, so a model of any size keeps every weight packed across
+/// forwards; a generation bump makes the stored pack stale, and the next
+/// call replaces it.
 fn cached_panels(t: &Tensor, b: &[f32], k: usize, n: usize) -> Rc<Vec<f32>> {
-    let (id, generation) = (t.id(), t.generation());
-    PACK_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        if let Some(pos) = cache
-            .iter()
-            .position(|e| e.id == id && e.k == k && e.n == n)
-        {
-            if cache[pos].generation == generation {
-                let e = cache.remove(pos);
-                let panels = Rc::clone(&e.panels);
-                cache.push(e); // refresh LRU position
-                return panels;
-            }
-            // Parameter mutated since packing: invalidate.
-            cache.remove(pos);
+    let key = (t.generation(), k, n);
+    let mut slot = t.node().packed.borrow_mut();
+    match slot.as_ref() {
+        Some((stored, panels)) if *stored == key => Rc::clone(panels),
+        _ => {
+            let panels = Rc::new(simd::pack_b_panels(b, k, n));
+            *slot = Some((key, Rc::clone(&panels)));
+            panels
         }
-        let panels = Rc::new(simd::pack_b_panels(b, k, n));
-        if cache.len() >= PACK_CACHE_CAP {
-            cache.remove(0);
-        }
-        cache.push(PackEntry {
-            id,
-            generation,
-            k,
-            n,
-            panels: Rc::clone(&panels),
-        });
-        panels
-    })
+    }
 }
 
 /// `out[m,n] += a[m,k] @ b[n,k]^T`: packs `b`'s transpose once, then runs
@@ -244,22 +253,32 @@ pub fn mm_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]
 }
 
 impl Tensor {
-    /// Matrix multiplication against a 2-D right operand.
+    /// The dense layer op `y = act(x·W + b)` against a 2-D `W`.
     ///
-    /// Supported shapes (leading `B..` may be any number of batch dims):
-    /// * `[m, k] @ [k, n] -> [m, n]`
-    /// * `[B.., m, k] @ [k, n] -> [B.., m, n]` (shared right operand)
+    /// Supported shapes (leading `B..` may be any number of batch dims,
+    /// including none): `[B.., k] @ [k, n] -> [B.., n]`, with an optional
+    /// `[n]` bias. The batch folds into the row dimension: one
+    /// row-parallel GEMM whose kernel applies the bias and `act` where it
+    /// stores each output, so the layer costs one op and one pass over its
+    /// output. Each element gets exactly the IEEE operations of
+    /// [`Tensor::matmul`], a broadcast [`Tensor::add`] of the bias and the
+    /// standalone activation op on the same tier.
     ///
-    /// The batch folds into the row dimension: one row-parallel GEMM.
+    /// Under a recorded tape, GELU and SiLU also keep the pre-activation
+    /// `z` (written in the same pass, parked in the arena again when the
+    /// node drops); their derivative is computed from `z` as the
+    /// standalone op's backward does, ReLU's from the output. `dX` and `dW`
+    /// come from the blocked `NT`/`TN` kernels on that gradient, and the
+    /// bias gradient is its column sum in ascending row order from `+0.0`.
     /// Attention, which multiplies per head, runs the fused
     /// [`Tensor::sdpa`] instead.
-    pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let (ad, bd) = (self.dims(), other.dims());
+    pub fn linear(&self, w: &Tensor, bias: Option<&Tensor>, act: Act) -> Tensor {
+        let (ad, bd) = (self.dims(), w.dims());
         assert!(
-            ad.len() >= 2 && bd.len() == 2,
-            "matmul requires a >=2-D lhs and a 2-D rhs, got {} and {}",
+            !ad.is_empty() && bd.len() == 2,
+            "matmul requires a >=1-D lhs and a 2-D rhs, got {} and {}",
             self.shape(),
-            other.shape()
+            w.shape()
         );
         let k = ad[ad.len() - 1];
         let (k2, n) = (bd[0], bd[1]);
@@ -267,53 +286,85 @@ impl Tensor {
             k, k2,
             "matmul inner dimension mismatch: {} vs {}",
             self.shape(),
-            other.shape()
+            w.shape()
         );
+        if let Some(b) = bias {
+            assert_eq!(b.dims(), [n], "matmul bias must be [{n}], got {}", b.shape());
+        }
         let rows: usize = ad[..ad.len() - 1].iter().product();
 
         let mut out_dims: Vec<usize> = ad[..ad.len() - 1].to_vec();
         out_dims.push(n);
         let out_shape = Shape::new(&out_dims);
+        let parents: Vec<Tensor> = [self, w].into_iter().chain(bias).cloned().collect();
+        let track = is_grad_enabled() && parents.iter().any(Tensor::requires_grad);
+        let simd_on = simd::tier() == Tier::Avx2Fma;
         let mut out = crate::arena::zeroed(out_shape.numel());
+        let mut pre = (track && act.needs_pre()).then(|| crate::arena::zeroed(out_shape.numel()));
         {
             let da_ref = self.data();
-            let db_ref = other.data();
+            let db_ref = w.data();
+            let bias_ref = bias.map(|b| b.data());
             // Plain slices: the RefCell guards are not Sync, but the
             // borrowed data is, and the guards outlive the scoped workers.
             let (da, db): (&[f32], &[f32]) = (&da_ref, &db_ref);
-            // A parameter RHS (layer weight) hits the packed-panel cache —
-            // packed once per optimizer step, not per call.
-            if simd::tier() == Tier::Avx2Fma && other.requires_grad() {
-                let bp = cached_panels(other, db, k, n);
-                mm_nn_dispatch(da, db, Some(&bp), rows, k, n, &mut out);
-            } else {
-                mm_nn(da, db, rows, k, n, &mut out);
-            }
+            let ep = Epilogue { bias: bias_ref.as_deref().map(Vec::as_slice), act };
+            // A parameter RHS (layer weight) is packed once per optimizer
+            // step, not per call.
+            let bp = (simd_on && w.requires_grad()).then(|| cached_panels(w, db, k, n));
+            let bp = bp.as_deref().map(Vec::as_slice);
+            mm_nn_dispatch(da, db, bp, rows, k, n, &mut out, ep, pre.as_deref_mut());
         }
+        let pre = pre.map(crate::arena::Saved);
 
         Tensor::from_op(
             out,
             out_shape,
-            vec![self.clone(), other.clone()],
-            move || Box::new(move |gout, _, parents| {
+            parents,
+            move || Box::new(move |gout, y, parents| {
                 let _sp = crate::obs::span("nn.matmul.bwd");
-                let (pa, pb) = (&parents[0], &parents[1]);
-                let mut ga = crate::arena::zeroed(pa.numel());
-                let mut gb = crate::arena::zeroed(pb.numel());
-                {
-                    let da_ref = pa.data();
-                    let db_ref = pb.data();
-                    // dA = dC @ B^T over the folded rows: pack the shared
-                    // panel B^T once for the whole call.
-                    mm_nt(gout, &db_ref, rows, n, k, &mut ga);
-                    // dB = A^T @ dC accumulated over every batch; the fold
-                    // makes it one [k, rows] @ [rows, n].
-                    mm_tn(&da_ref, gout, rows, k, n, &mut gb);
+                let (pa, pw) = (&parents[0], &parents[1]);
+                // The gradient at the pre-activation.
+                let dz_owned = (act != Act::Identity).then(|| {
+                    let mut g = crate::arena::zeroed(gout.len());
+                    act.grad(simd_on, pre.as_deref().unwrap_or_default(), y, gout, &mut g);
+                    g
+                });
+                let dz: &[f32] = dz_owned.as_deref().unwrap_or(gout);
+                if pa.requires_grad() {
+                    // dX = dZ @ Wᵀ over the folded rows: pack the shared
+                    // panel Wᵀ once for the whole call.
+                    let mut ga = crate::arena::zeroed(pa.numel());
+                    mm_nt(dz, &pw.data(), rows, n, k, &mut ga);
+                    pa.accumulate_grad_owned(ga);
                 }
-                pa.accumulate_grad_owned(ga);
-                pb.accumulate_grad_owned(gb);
+                if pw.requires_grad() {
+                    // dW = Xᵀ @ dZ accumulated over every batch; the fold
+                    // makes it one [k, rows] @ [rows, n].
+                    let mut gw = crate::arena::zeroed(pw.numel());
+                    mm_tn(&pa.data(), dz, rows, k, n, &mut gw);
+                    pw.accumulate_grad_owned(gw);
+                }
+                if let Some(pb) = parents.get(2).filter(|p| p.requires_grad()) {
+                    let mut gb = crate::arena::zeroed(n);
+                    for row in dz.chunks_exact(n) {
+                        for (g, &d) in gb.iter_mut().zip(row) {
+                            *g += d;
+                        }
+                    }
+                    pb.accumulate_grad_owned(gb);
+                }
+                if let Some(g) = dz_owned {
+                    crate::arena::recycle(g);
+                }
             }),
         )
+    }
+
+    /// Matrix multiplication against a 2-D right operand: [`Tensor::linear`]
+    /// with no bias and no activation, `[B.., k] @ [k, n] -> [B.., n]`.
+    pub fn matmul(&self, other: &Tensor) -> Tensor {
+        self.linear(other, None, Act::Identity)
     }
 }
 
@@ -322,6 +373,7 @@ mod tests {
     use super::*;
     use crate::backward;
     use crate::pool::with_threads;
+    use crate::simd::with_tier;
 
     fn param(v: &[f32], dims: &[usize]) -> Tensor {
         Tensor::param_from_vec(v.to_vec(), dims).unwrap()
@@ -466,5 +518,191 @@ mod tests {
             });
             assert_eq!(got, reference, "threads={t}");
         }
+    }
+
+    fn tiers() -> Vec<Tier> {
+        let mut t = vec![Tier::Scalar];
+        if simd::avx2_available() {
+            t.push(Tier::Avx2Fma);
+        }
+        t
+    }
+
+    const ACTS: [Act; 4] = [Act::Identity, Act::Relu, Act::Gelu, Act::Silu];
+
+    /// Deterministic values in about `[-1.5, 1.5)`.
+    fn wave(len: usize, phase: f32) -> Vec<f32> {
+        (0..len).map(|i| 1.5 * (i as f32 * 0.731 + phase).sin()).collect()
+    }
+
+    /// Bit equality, except that an exactly-zero element may differ in
+    /// sign and NaNs may differ in payload.
+    fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let zeros = *g == 0.0 && *w == 0.0;
+            let same = g.to_bits() == w.to_bits() || zeros || (g.is_nan() && w.is_nan());
+            assert!(same, "{what}: element {i}: {g:e} vs {w:e}");
+        }
+    }
+
+    /// Output and the gradients of `x`, `w` and (when given) `b` of
+    /// `Σ f(x, w, b) ⊙ r` for a fixed `r`.
+    fn forward_backward(
+        x: &[f32],
+        xd: &[usize],
+        w: &[f32],
+        n: usize,
+        bias: bool,
+        f: impl Fn(&Tensor, &Tensor, Option<&Tensor>) -> Tensor,
+    ) -> Vec<Vec<f32>> {
+        let k = xd[xd.len() - 1];
+        let (xt, wt) = (param(x, xd), param(w, &[k, n]));
+        let bt = bias.then(|| param(&wave(n, 0.3), &[n]));
+        let y = f(&xt, &wt, bt.as_ref());
+        let r = Tensor::from_vec(wave(y.numel(), 2.1), y.dims()).unwrap();
+        backward(&y.mul(&r).sum_all());
+        let mut out = vec![y.to_vec(), xt.grad().unwrap(), wt.grad().unwrap()];
+        out.extend(bt.map(|b| b.grad().unwrap()));
+        out
+    }
+
+    /// The composition the fused op replaces: matmul, broadcast bias add,
+    /// then the standalone activation op.
+    fn composed(x: &Tensor, w: &Tensor, b: Option<&Tensor>, act: Act) -> Tensor {
+        let mut y = x.linear(w, None, Act::Identity);
+        if let Some(b) = b {
+            y = y.add(b);
+        }
+        match act {
+            Act::Identity => y,
+            Act::Relu => y.relu(),
+            Act::Gelu => y.gelu(),
+            Act::Silu => y.silu(),
+        }
+    }
+
+    #[test]
+    fn fused_epilogue_matches_composition_bits_per_tier() {
+        // Many spans: keep them out of the obs tests' snapshots.
+        crate::obs::tests::with_exclusive_obs(|| {
+            // m % 4 != 0 (a remainder row tile); n spans the narrow (1, 8),
+            // right-edge (13, 40) and wide (16, 32, 40) panels; k = 300 splits
+            // the scalar tier's KC panel; a 3-D input folds its batch.
+            let mut cases = Vec::new();
+            for n in [1usize, 8, 13, 16, 32, 40] {
+                for k in [5usize, 300] {
+                    cases.push((vec![7usize, k], n));
+                }
+            }
+            cases.push((vec![2, 5, 9], 16));
+            for tier in tiers() {
+                for (xd, n) in &cases {
+                    let (xd, n) = (xd.as_slice(), *n);
+                    let k = xd[xd.len() - 1];
+                    let x = wave(xd.iter().product(), 0.0);
+                    let w: Vec<f32> = wave(k * n, 1.0).iter().map(|v| v / (k as f32).sqrt()).collect();
+                    for act in ACTS {
+                        for bias in [false, true] {
+                            let what = format!("{} {xd:?}x{n} {act:?} bias={bias}", tier.name());
+                            let want = with_tier(tier, || {
+                                forward_backward(&x, xd, &w, n, bias, |x, w, b| composed(x, w, b, act))
+                            });
+                            let got = with_tier(tier, || {
+                                forward_backward(&x, xd, &w, n, bias, |x, w, b| x.linear(w, b, act))
+                            });
+                            // Forward bits exactly, zero signs included.
+                            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(&got[0]), bits(&want[0]), "{what}: forward");
+                            for (i, (g, wv)) in got.iter().zip(&want).enumerate().skip(1) {
+                                assert_bits(g, wv, &format!("{what}: gradient {i}"));
+                            }
+                            // Forward-only: the same bits without a tape.
+                            let fwd = with_tier(tier, || {
+                                crate::forward_only(|| {
+                                    let (xt, wt) = (param(&x, xd), param(&w, &[k, n]));
+                                    let bt = bias.then(|| param(&wave(n, 0.3), &[n]));
+                                    xt.linear(&wt, bt.as_ref(), act).to_vec()
+                                })
+                            });
+                            assert_eq!(bits(&fwd), bits(&want[0]), "{what}: forward-only");
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn fused_relu_maps_nan_to_zero_like_relu() {
+        // `f32::max(NaN, 0.0)` is 0.0; the vector max must agree.
+        for tier in tiers() {
+            let x = [f32::NAN, 1.0, 2.0, -3.0];
+            let w = [1.0, -1.0, 0.5, 2.0];
+            let (xt, wt) = (param(&x, &[2, 2]), param(&w, &[2, 2]));
+            let got = with_tier(tier, || xt.linear(&wt, None, Act::Relu));
+            let want = with_tier(tier, || xt.matmul(&wt).relu());
+            assert_eq!(got.to_vec(), want.to_vec(), "{}", tier.name());
+            assert_eq!(got.to_vec()[..2], [0.0, 0.0]);
+        }
+    }
+
+    #[test]
+    fn fused_op_bit_identical_across_thread_counts_per_tier() {
+        // Many spans: keep them out of the obs tests' snapshots.
+        crate::obs::tests::with_exclusive_obs(|| {
+            // 410 rows at k = 64, n = 40 shard into four row runs (row_grain
+            // is 103 rows), so t2 and t4 split the output and the saved
+            // pre-activation at the same boundaries.
+            let (m, k, n) = (410usize, 64usize, 40usize);
+            let x = wave(m * k, 0.2);
+            let w: Vec<f32> = wave(k * n, 0.9).iter().map(|v| v / 8.0).collect();
+            for tier in tiers() {
+                for act in ACTS {
+                    let fused = |x: &Tensor, w: &Tensor, b: Option<&Tensor>| x.linear(w, b, act);
+                    let run = |t: usize| {
+                        let pass = || forward_backward(&x, &[m, k], &w, n, true, fused);
+                        with_threads(t, || with_tier(tier, pass))
+                    };
+                    let reference = run(1);
+                    for t in [2usize, 4] {
+                        assert_eq!(run(t), reference, "{} {act:?} t{t}", tier.name());
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn packed_panels_live_with_their_parameter() {
+        if !simd::avx2_available() {
+            return;
+        }
+        with_tier(Tier::Avx2Fma, || {
+            // More weights than the model has (36 with two blocks): a
+            // second identical forward packs none of them.
+            let x = Tensor::from_vec(wave(6 * 8, 0.0), &[6, 8]).unwrap();
+            let weights: Vec<Tensor> =
+                (0..40).map(|i| param(&wave(64, i as f32), &[8, 8])).collect();
+            let slot =
+                |w: &Tensor| Rc::clone(&w.node().packed.borrow().as_ref().expect("packed").1);
+            let forward = || {
+                for w in &weights {
+                    let _ = crate::forward_only(|| x.matmul(w).to_vec());
+                }
+            };
+            forward();
+            let first: Vec<Rc<Vec<f32>>> = weights.iter().map(slot).collect();
+            forward();
+            for (w, p) in weights.iter().zip(&first) {
+                assert!(Rc::ptr_eq(&slot(w), p), "weight repacked on an identical forward");
+            }
+            // An update bumps the generation: the next call repacks from
+            // the new value.
+            weights[3].set_data(&wave(64, 99.0));
+            forward();
+            assert!(!Rc::ptr_eq(&slot(&weights[3]), &first[3]));
+            assert_eq!(*slot(&weights[3]), simd::pack_b_panels(&wave(64, 99.0), 8, 8));
+        });
     }
 }

@@ -152,8 +152,26 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
+    parallel_slices_mut_with(data, None, unit, grain, |start, run, _| f(start, run));
+}
+
+/// [`parallel_slices_mut`] over `data` and, when given, a `side` buffer of
+/// the same length sharded at the same unit boundaries: `f(first_unit,
+/// run, side_run)`. The matmul epilogue writes its output and, for a
+/// recorded tape, the pre-activation this way in one pass.
+pub(crate) fn parallel_slices_mut_with<T, F>(
+    data: &mut [T],
+    side: Option<&mut [T]>,
+    unit: usize,
+    grain: usize,
+    f: F,
+) where
+    T: Send,
+    F: Fn(usize, &mut [T], Option<&mut [T]>) + Sync,
+{
     assert!(unit > 0, "unit must be positive");
     debug_assert_eq!(data.len() % unit, 0, "data not a whole number of units");
+    assert!(side.as_ref().is_none_or(|s| s.len() == data.len()), "side buffer length mismatch");
     let units = data.len() / unit;
     if units == 0 {
         return;
@@ -161,12 +179,18 @@ where
     let budget = max_threads();
     let ranges = split_ranges(units, grain, budget);
     record_dispatch(&ranges);
-    let runs = ranges.iter().scan(data, |rest, r| {
-        let (run, tail) = std::mem::take(rest).split_at_mut(r.len() * unit);
+    let runs = ranges.iter().scan((data, side), |(rest, side_rest), r| {
+        let len = r.len() * unit;
+        let (run, tail) = std::mem::take(rest).split_at_mut(len);
         *rest = tail;
-        Some((r.start, run))
+        let side_run = side_rest.take().map(|s| {
+            let (head, tail) = s.split_at_mut(len);
+            *side_rest = Some(tail);
+            head
+        });
+        Some((r.start, run, side_run))
     });
-    run_tasks(budget, ranges.len(), runs, |(start, run)| f(start, run));
+    run_tasks(budget, ranges.len(), runs, |(start, run, side_run)| f(start, run, side_run));
 }
 
 /// The one dispatch core under every parallel primitive: runs `task` once

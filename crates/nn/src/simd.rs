@@ -25,6 +25,8 @@
 use std::cell::Cell;
 use std::sync::OnceLock;
 
+use crate::ops::Act;
+
 /// A dispatch tier for the dense kernels.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Tier {
@@ -127,15 +129,62 @@ pub(crate) fn pack_b_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
     out
 }
 
-/// `out[m×n] += a[m×k] · B` where `B` was packed by [`pack_b_panels`].
+/// Stores up to 8 lanes of one output row: `z = (out + acc) + bias`
+/// (the bias add only when there is a bias), `out = act(z)`, and `z`
+/// into `pre` when the caller keeps the pre-activation. With `w < 8`
+/// lanes the rest are zero-padded, so each lane sees the arithmetic of a
+/// full-width store.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn store_epilogue<const ACT: u8>(
+    acc: std::arch::x86_64::__m256,
+    out: *mut f32,
+    bias: Option<*const f32>,
+    pre: Option<*mut f32>,
+    w: usize,
+) {
+    use std::arch::x86_64::*;
+    let mut z = _mm256_add_ps(load_lanes(out, w), acc);
+    if let Some(b) = bias {
+        z = _mm256_add_ps(z, load_lanes(b, w));
+    }
+    if let Some(p) = pre {
+        store_lanes(p, z, w);
+    }
+    let y = if ACT == Act::Relu as u8 {
+        // The second operand wins on NaN, as in `f32::max(z, 0.0)`; the
+        // sign of a zero cannot matter, as the op's `out` starts at `+0.0`
+        // and `+0.0 + -0.0` is `+0.0`.
+        _mm256_max_ps(z, _mm256_setzero_ps())
+    } else if ACT == Act::Gelu as u8 {
+        gelu_ps(z)
+    } else if ACT == Act::Silu as u8 {
+        silu_ps(z)
+    } else {
+        z
+    };
+    store_lanes(out, y, w);
+}
+
+/// `out[m×n] = act(out + a[m×k] · B + bias)` where `B` was packed by
+/// [`pack_b_panels`]; `bias` has `n` entries and `pre`, when given, gets
+/// the pre-activation `out + a·B + bias`.
 ///
 /// Register-tiled 4×16 micro-kernel: for each tile the full reduction runs
 /// in eight ymm accumulators (one FMA chain per output element, `p`
-/// ascending), then lands in `out` with a single add per element. The
+/// ascending), then lands in `out` through `store_epilogue`: one add of
+/// the old value, one of the bias, then the activation, per element. The
 /// accumulation order is fixed per element regardless of how rows are
 /// sharded across threads.
+///
+/// # Safety
+///
+/// AVX2 and FMA must have been detected at runtime, and `a` must hold
+/// `m·k` values (the output, bias and `pre` lengths are asserted).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn mm_rows_avx2(
     a: &[f32],
     bp: &[f32],
@@ -143,14 +192,47 @@ pub(crate) unsafe fn mm_rows_avx2(
     k: usize,
     n: usize,
     out: &mut [f32],
+    bias: Option<&[f32]>,
+    act: Act,
+    pre: Option<&mut [f32]>,
+) {
+    // One instance per activation: an inlined activation the kernel does
+    // not run still costs the others registers and code size.
+    let kernel = match act {
+        Act::Identity => mm_rows::<{ Act::Identity as u8 }>,
+        Act::Relu => mm_rows::<{ Act::Relu as u8 }>,
+        Act::Gelu => mm_rows::<{ Act::Gelu as u8 }>,
+        Act::Silu => mm_rows::<{ Act::Silu as u8 }>,
+    };
+    kernel(a, bp, m, k, n, out, bias, pre)
+}
+
+/// [`mm_rows_avx2`] with the activation fixed at compile time.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn mm_rows<const ACT: u8>(
+    a: &[f32],
+    bp: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+    bias: Option<&[f32]>,
+    mut pre: Option<&mut [f32]>,
 ) {
     use std::arch::x86_64::*;
 
     const MR: usize = 4;
     debug_assert!(a.len() >= m * k);
-    debug_assert!(out.len() >= m * n);
+    assert!(out.len() >= m * n);
+    assert!(bias.is_none_or(|b| b.len() == n) && pre.as_ref().is_none_or(|p| p.len() >= m * n));
     let panels = n.div_ceil(NR);
     debug_assert_eq!(bp.len(), panels * k * NR);
+    // Output element (i, j) is stored at `out[i·n + j]`, its bias read from
+    // `bias[j]` and its pre-activation written to `pre[i·n + j]`.
+    let (optr, bias) = (out.as_mut_ptr(), bias.map(|b| b.as_ptr()));
+    let pre = pre.as_mut().map(|p| p.as_mut_ptr());
 
     let mut i = 0;
     while i < m {
@@ -176,18 +258,10 @@ pub(crate) unsafe fn mm_rows_avx2(
                     }
                     bptr = bptr.add(NR);
                 }
-                for (r, accr) in acc.iter().enumerate().take(mr) {
-                    let orow = out.as_mut_ptr().add((i + r) * n + j0);
-                    if nj == 8 {
-                        let o0 = _mm256_loadu_ps(orow);
-                        _mm256_storeu_ps(orow, _mm256_add_ps(o0, *accr));
-                    } else {
-                        let mut tmp = [0.0f32; 8];
-                        _mm256_storeu_ps(tmp.as_mut_ptr(), *accr);
-                        for (j, &t) in tmp.iter().enumerate().take(nj) {
-                            *orow.add(j) += t;
-                        }
-                    }
+                for (r, &accr) in acc.iter().enumerate().take(mr) {
+                    let o = (i + r) * n + j0;
+                    let (b, p) = (bias.map(|b| b.add(j0)), pre.map(|p| p.add(o)));
+                    store_epilogue::<ACT>(accr, optr.add(o), b, p, nj);
                 }
                 continue;
             }
@@ -206,23 +280,13 @@ pub(crate) unsafe fn mm_rows_avx2(
                 bptr = bptr.add(NR);
             }
 
+            // A right-edge panel stores only its valid upper lanes.
             for (r, accr) in acc.iter().enumerate().take(mr) {
-                let orow = out.as_mut_ptr().add((i + r) * n + j0);
-                if nj == NR {
-                    let o0 = _mm256_loadu_ps(orow);
-                    let o1 = _mm256_loadu_ps(orow.add(8));
-                    _mm256_storeu_ps(orow, _mm256_add_ps(o0, accr[0]));
-                    _mm256_storeu_ps(orow.add(8), _mm256_add_ps(o1, accr[1]));
-                } else {
-                    // Right-edge panel: spill the accumulators and add only
-                    // the valid lanes.
-                    let mut tmp = [0.0f32; NR];
-                    _mm256_storeu_ps(tmp.as_mut_ptr(), accr[0]);
-                    _mm256_storeu_ps(tmp.as_mut_ptr().add(8), accr[1]);
-                    for (j, &t) in tmp.iter().enumerate().take(nj) {
-                        *orow.add(j) += t;
-                    }
-                }
+                let o = (i + r) * n + j0;
+                let (b, p) = (bias.map(|b| b.add(j0)), pre.map(|p| p.add(o)));
+                store_epilogue::<ACT>(accr[0], optr.add(o), b, p, 8);
+                let (b, p) = (b.map(|b| b.add(8)), p.map(|p| p.add(8)));
+                store_epilogue::<ACT>(accr[1], optr.add(o + 8), b, p, nj - 8);
             }
         }
         i += mr;
@@ -333,28 +397,56 @@ unsafe fn tanh_ps(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
     _mm256_div_ps(_mm256_sub_ps(e, one), _mm256_add_ps(e, one))
 }
 
+/// The lane mask selecting the first `w ≤ 8` lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn lane_mask(w: usize) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    _mm256_cmpgt_epi32(_mm256_set1_epi32(w as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+}
+
+/// Loads `w ≤ 8` floats from `p` into a vector, zero in the rest (the
+/// masked load reads nothing past `p + w`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn load_lanes(p: *const f32, w: usize) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    if w == 8 {
+        _mm256_loadu_ps(p)
+    } else {
+        _mm256_maskload_ps(p, lane_mask(w))
+    }
+}
+
+/// Stores the first `w ≤ 8` lanes of `v` to `p`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn store_lanes(p: *mut f32, v: std::arch::x86_64::__m256, w: usize) {
+    use std::arch::x86_64::*;
+    if w == 8 {
+        _mm256_storeu_ps(p, v)
+    } else {
+        _mm256_maskstore_ps(p, lane_mask(w), v)
+    }
+}
+
 /// Applies the 8-lane kernel `f` to every element of `v` in place. The
-/// tail runs through the same kernel on a zero-padded block, so every
-/// element sees identical arithmetic regardless of its position.
+/// tail runs through the same kernel on a zero-padded block (masked
+/// lanes), so every element sees identical arithmetic regardless of its
+/// position.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn map_ps(
     v: &mut [f32],
     f: unsafe fn(std::arch::x86_64::__m256) -> std::arch::x86_64::__m256,
 ) {
-    use std::arch::x86_64::*;
     let n = v.len();
-    let chunks = n / 8;
-    for c in 0..chunks {
-        let p = v.as_mut_ptr().add(c * 8);
-        _mm256_storeu_ps(p, f(_mm256_loadu_ps(p)));
-    }
-    let rem = n - chunks * 8;
-    if rem > 0 {
-        let mut tmp = [0.0f32; 8];
-        tmp[..rem].copy_from_slice(&v[chunks * 8..]);
-        _mm256_storeu_ps(tmp.as_mut_ptr(), f(_mm256_loadu_ps(tmp.as_ptr())));
-        v[chunks * 8..].copy_from_slice(&tmp[..rem]);
+    for o in (0..n).step_by(8) {
+        let (p, w) = (v.as_mut_ptr().add(o), 8.min(n - o));
+        store_lanes(p, f(load_lanes(p, w)), w);
     }
 }
 
@@ -365,18 +457,55 @@ pub(crate) unsafe fn vexp_avx2(v: &mut [f32]) {
     map_ps(v, exp_ps);
 }
 
+/// 8-lane sigmoid `1/(1+exp(−x))`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn sigmoid_ps(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let one = _mm256_set1_ps(1.0);
+    let e = exp_ps(_mm256_sub_ps(_mm256_setzero_ps(), x));
+    _mm256_div_ps(one, _mm256_add_ps(one, e))
+}
+
+/// 8-lane SiLU `x·sigmoid(x)`, as `x/(1+exp(−x))`. The matmul epilogue
+/// and [`vsilu_avx2`] both run it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn silu_ps(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let one = _mm256_set1_ps(1.0);
+    let e = exp_ps(_mm256_sub_ps(_mm256_setzero_ps(), x));
+    _mm256_div_ps(x, _mm256_add_ps(one, e))
+}
+
+/// 8-lane GELU (tanh approximation, same formula as the scalar path:
+/// `½x·(1 + tanh(√(2/π)(x + 0.044715x³)))`). The matmul epilogue and
+/// [`vgelu_avx2`] both run it.
+///
+/// The feature attribute matters on every lane kernel: without it a
+/// kernel is compiled for the baseline target, and its direct
+/// `_mm256_fmadd_ps` lowers to per-lane `fmaf` libcalls behind the
+/// `map_ps` function-pointer boundary — a >10x slowdown.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn gelu_ps(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let c = _mm256_set1_ps(0.797_884_6);
+    let a = _mm256_set1_ps(0.044715);
+    let x3 = _mm256_mul_ps(_mm256_mul_ps(x, x), x);
+    let inner = _mm256_mul_ps(c, _mm256_fmadd_ps(a, x3, x));
+    let t = tanh_ps(inner);
+    _mm256_mul_ps(
+        _mm256_mul_ps(_mm256_set1_ps(0.5), x),
+        _mm256_add_ps(_mm256_set1_ps(1.0), t),
+    )
+}
+
 /// In-place elementwise sigmoid `1/(1+exp(−x))`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 pub(crate) unsafe fn vsigmoid_avx2(v: &mut [f32]) {
-    use std::arch::x86_64::*;
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn k(x: __m256) -> __m256 {
-        let one = _mm256_set1_ps(1.0);
-        let e = exp_ps(_mm256_sub_ps(_mm256_setzero_ps(), x));
-        _mm256_div_ps(one, _mm256_add_ps(one, e))
-    }
-    map_ps(v, k);
+    map_ps(v, sigmoid_ps);
 }
 
 /// In-place elementwise tanh.
@@ -390,40 +519,14 @@ pub(crate) unsafe fn vtanh_avx2(v: &mut [f32]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 pub(crate) unsafe fn vsilu_avx2(v: &mut [f32]) {
-    use std::arch::x86_64::*;
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn k(x: __m256) -> __m256 {
-        let one = _mm256_set1_ps(1.0);
-        let e = exp_ps(_mm256_sub_ps(_mm256_setzero_ps(), x));
-        _mm256_div_ps(x, _mm256_add_ps(one, e))
-    }
-    map_ps(v, k);
+    map_ps(v, silu_ps);
 }
 
-/// In-place elementwise GELU (tanh approximation, same formula as the
-/// scalar path: `½x·(1 + tanh(√(2/π)(x + 0.044715x³)))`).
+/// In-place elementwise GELU (tanh approximation).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 pub(crate) unsafe fn vgelu_avx2(v: &mut [f32]) {
-    use std::arch::x86_64::*;
-    // Without the feature attribute this kernel would be compiled for the
-    // baseline target: its direct `_mm256_fmadd_ps` lowers to per-lane
-    // `fmaf` libcalls behind the `map_ps` function-pointer boundary (the
-    // exp-based kernels dodge that only because their heavy lifting sits
-    // inside the annotated `exp_ps`/`tanh_ps`) — a >10x slowdown.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn k(x: __m256) -> __m256 {
-        let c = _mm256_set1_ps(0.797_884_6);
-        let a = _mm256_set1_ps(0.044715);
-        let x3 = _mm256_mul_ps(_mm256_mul_ps(x, x), x);
-        let inner = _mm256_mul_ps(c, _mm256_fmadd_ps(a, x3, x));
-        let t = tanh_ps(inner);
-        _mm256_mul_ps(
-            _mm256_mul_ps(_mm256_set1_ps(0.5), x),
-            _mm256_add_ps(_mm256_set1_ps(1.0), t),
-        )
-    }
-    map_ps(v, k);
+    map_ps(v, gelu_ps);
 }
 
 /// `g[i] = f(s[i], gout[i])` for the 8-lane kernel `f`. As in [`map_ps`],
@@ -437,24 +540,13 @@ unsafe fn map2_ps(
     g: &mut [f32],
     f: unsafe fn(std::arch::x86_64::__m256, std::arch::x86_64::__m256) -> std::arch::x86_64::__m256,
 ) {
-    use std::arch::x86_64::*;
     let n = g.len();
-    // The vector loop reads `s` and `gout` up to `n` through raw pointers.
+    // The loop reads `s` and `gout` up to `n` through raw pointers.
     assert!(s.len() == n && gout.len() == n, "map2_ps length mismatch");
-    let chunks = n / 8;
-    for c in 0..chunks {
-        let o = c * 8;
-        let v = f(_mm256_loadu_ps(s.as_ptr().add(o)), _mm256_loadu_ps(gout.as_ptr().add(o)));
-        _mm256_storeu_ps(g.as_mut_ptr().add(o), v);
-    }
-    let rem = n - chunks * 8;
-    if rem > 0 {
-        let (mut ts, mut tg) = ([0.0f32; 8], [0.0f32; 8]);
-        ts[..rem].copy_from_slice(&s[chunks * 8..]);
-        tg[..rem].copy_from_slice(&gout[chunks * 8..]);
-        let v = f(_mm256_loadu_ps(ts.as_ptr()), _mm256_loadu_ps(tg.as_ptr()));
-        _mm256_storeu_ps(ts.as_mut_ptr(), v);
-        g[chunks * 8..].copy_from_slice(&ts[..rem]);
+    for o in (0..n).step_by(8) {
+        let w = 8.min(n - o);
+        let v = f(load_lanes(s.as_ptr().add(o), w), load_lanes(gout.as_ptr().add(o), w));
+        store_lanes(g.as_mut_ptr().add(o), v, w);
     }
 }
 
@@ -469,29 +561,94 @@ unsafe fn map2_ps(
 /// AVX2 and FMA were detected at runtime.
 pub(crate) type DerivKernel = unsafe fn(x: &[f32], y: &[f32], gout: &[f32], g: &mut [f32]);
 
+/// 8-lane `(1 − y²)·go`, the tanh derivative read off the output `y`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn dtanh_ps(
+    y: std::arch::x86_64::__m256,
+    go: std::arch::x86_64::__m256,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    _mm256_mul_ps(_mm256_fnmadd_ps(y, y, _mm256_set1_ps(1.0)), go)
+}
+
+/// 8-lane `s·(1 − s)·go`, the sigmoid derivative read off the output `s`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn dsigmoid_ps(
+    s: std::arch::x86_64::__m256,
+    go: std::arch::x86_64::__m256,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let one_minus = _mm256_sub_ps(_mm256_set1_ps(1.0), s);
+    _mm256_mul_ps(_mm256_mul_ps(s, one_minus), go)
+}
+
 /// `g = (1 − y²) ⊙ gout`, the tanh derivative.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 pub(crate) unsafe fn dtanh_avx2(_x: &[f32], y: &[f32], gout: &[f32], g: &mut [f32]) {
-    use std::arch::x86_64::*;
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn k(y: __m256, go: __m256) -> __m256 {
-        _mm256_mul_ps(_mm256_fnmadd_ps(y, y, _mm256_set1_ps(1.0)), go)
-    }
-    map2_ps(y, gout, g, k);
+    map2_ps(y, gout, g, dtanh_ps);
 }
 
 /// `g = s·(1 − s) ⊙ gout` with `s = y`, the sigmoid derivative.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 pub(crate) unsafe fn dsigmoid_avx2(_x: &[f32], y: &[f32], gout: &[f32], g: &mut [f32]) {
+    map2_ps(y, gout, g, dsigmoid_ps);
+}
+
+/// The gated activation `y = tanh(f)·σ(g)` over rows of `[f ‖ g]`, `d`
+/// wide each: `src` holds rows of `2d`, `out` rows of `d`. Per element
+/// this is `vtanh_avx2`'s and `vsigmoid_avx2`'s lane arithmetic and one
+/// multiply; a row's tail goes through zero-padded lanes.
+///
+/// # Safety
+///
+/// AVX2 and FMA must have been detected at runtime (lengths are
+/// asserted).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(crate) unsafe fn gated_tanh_avx2(src: &[f32], out: &mut [f32], d: usize) {
     use std::arch::x86_64::*;
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn k(s: __m256, go: __m256) -> __m256 {
-        let one_minus = _mm256_sub_ps(_mm256_set1_ps(1.0), s);
-        _mm256_mul_ps(_mm256_mul_ps(s, one_minus), go)
+    assert!(d > 0 && src.len() == 2 * out.len() && out.len().is_multiple_of(d));
+    for (row, orow) in src.chunks_exact(2 * d).zip(out.chunks_exact_mut(d)) {
+        for j in (0..d).step_by(8) {
+            let w = 8.min(d - j);
+            let t = tanh_ps(load_lanes(row.as_ptr().add(j), w));
+            let s = sigmoid_ps(load_lanes(row.as_ptr().add(d + j), w));
+            store_lanes(orow.as_mut_ptr().add(j), _mm256_mul_ps(t, s), w);
+        }
     }
-    map2_ps(y, gout, g, k);
+}
+
+/// The backward of [`gated_tanh_avx2`]: from `src` and the output
+/// gradient `gout` (rows of `d`), writes `g` (rows of `2d`) with the
+/// filter half `(1 − t²)·(σ·go)` and the gate half `σ(1 − σ)·(t·go)`,
+/// `t` and `σ` recomputed with the forward's arithmetic. Each half is
+/// `dtanh_avx2`'s or `dsigmoid_avx2`'s lane arithmetic on the product
+/// the multiply's backward forms.
+///
+/// # Safety
+///
+/// As for [`gated_tanh_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(crate) unsafe fn dgated_tanh_avx2(src: &[f32], gout: &[f32], g: &mut [f32], d: usize) {
+    use std::arch::x86_64::*;
+    assert!(d > 0 && src.len() == 2 * gout.len() && g.len() == src.len());
+    assert!(gout.len().is_multiple_of(d));
+    let rows = src.chunks_exact(2 * d).zip(gout.chunks_exact(d)).zip(g.chunks_exact_mut(2 * d));
+    for ((row, grow), drow) in rows {
+        for j in (0..d).step_by(8) {
+            let w = 8.min(d - j);
+            let t = tanh_ps(load_lanes(row.as_ptr().add(j), w));
+            let s = sigmoid_ps(load_lanes(row.as_ptr().add(d + j), w));
+            let go = load_lanes(grow.as_ptr().add(j), w);
+            store_lanes(drow.as_mut_ptr().add(j), dtanh_ps(t, _mm256_mul_ps(s, go)), w);
+            store_lanes(drow.as_mut_ptr().add(d + j), dsigmoid_ps(s, _mm256_mul_ps(t, go)), w);
+        }
+    }
 }
 
 /// `g = s·(1 + x·(1 − s)) ⊙ gout` with `s = sigmoid(x)`, the SiLU
@@ -582,6 +739,7 @@ pub(crate) unsafe fn dgelu_avx2(_x: &[f32], _y: &[f32], _gout: &[f32], _g: &mut 
 // Non-x86_64 stubs keep the crate compiling everywhere; `tier()` never
 // returns Avx2Fma off x86_64, so these are unreachable at runtime.
 #[cfg(not(target_arch = "x86_64"))]
+#[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn mm_rows_avx2(
     _a: &[f32],
     _bp: &[f32],
@@ -589,7 +747,20 @@ pub(crate) unsafe fn mm_rows_avx2(
     _k: usize,
     _n: usize,
     _out: &mut [f32],
+    _bias: Option<&[f32]>,
+    _act: Act,
+    _pre: Option<&mut [f32]>,
 ) {
+    unreachable!("avx2 kernel dispatched on non-x86_64");
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) unsafe fn gated_tanh_avx2(_src: &[f32], _out: &mut [f32], _d: usize) {
+    unreachable!("avx2 kernel dispatched on non-x86_64");
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) unsafe fn dgated_tanh_avx2(_src: &[f32], _gout: &[f32], _g: &mut [f32], _d: usize) {
     unreachable!("avx2 kernel dispatched on non-x86_64");
 }
 
@@ -654,7 +825,7 @@ mod tests {
             let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
             let bp = pack_b_panels(&b, k, n);
             let mut out = vec![0.0f32; m * n];
-            unsafe { mm_rows_avx2(&a, &bp, m, k, n, &mut out) };
+            unsafe { mm_rows_avx2(&a, &bp, m, k, n, &mut out, None, Act::Identity, None) };
             let want = mm_ref(&a, &b, m, k, n);
             for (got, want) in out.iter().zip(&want) {
                 let tol = 1e-4 * want.abs().max(1.0);
@@ -808,7 +979,7 @@ mod tests {
         b[3] = f32::NAN; // row p=0, column 3
         let bp = pack_b_panels(&b, 2, NR);
         let mut out = vec![0.0f32; NR];
-        unsafe { mm_rows_avx2(&a, &bp, 1, 2, NR, &mut out) };
+        unsafe { mm_rows_avx2(&a, &bp, 1, 2, NR, &mut out, None, Act::Identity, None) };
         assert!(out[3].is_nan());
         assert_eq!(out[0], 1.0);
     }

@@ -33,6 +33,9 @@ fn next_id() -> u64 {
 /// output instead of recomputing it; most ignore it.
 pub(crate) type BackwardFn = Box<dyn Fn(&[f32], &[f32], &[Tensor])>;
 
+/// Packed matmul panels and the `(generation, k, n)` they were packed at.
+pub(crate) type PackedPanels = ((u64, usize, usize), Rc<Vec<f32>>);
+
 pub(crate) struct Node {
     id: u64,
     shape: Shape,
@@ -49,9 +52,12 @@ pub(crate) struct Node {
     /// grow the free list by every input a scope creates.
     op_output: bool,
     /// Bumped on every in-place data mutation (`set_data`/`update_data`).
-    /// `(id, generation)` identifies a value snapshot, which the packed-panel
-    /// cache in `ops::matmul` uses for invalidation across optimizer steps.
+    /// `(id, generation)` identifies a value snapshot; the generation keys
+    /// `packed`, so an optimizer step invalidates the packed panels.
     generation: Cell<u64>,
+    /// A parameter's matmul panels, packed from its value at the keyed
+    /// `(generation, k, n)` (see `ops::matmul`); empty on other tensors.
+    pub(crate) packed: RefCell<Option<PackedPanels>>,
     pub(crate) parents: Vec<Tensor>,
     pub(crate) backward: Option<BackwardFn>,
 }
@@ -187,6 +193,7 @@ impl Tensor {
                 requires_grad,
                 op_output,
                 generation: Cell::new(0),
+                packed: RefCell::new(None),
                 parents,
                 backward,
             }),
@@ -215,6 +222,7 @@ impl Tensor {
                 requires_grad: track,
                 op_output: self.node.op_output,
                 generation: Cell::new(0),
+                packed: RefCell::new(None),
                 parents: if track { vec![self.clone()] } else { Vec::new() },
                 backward: track.then(backward),
             }),

@@ -196,6 +196,32 @@ mod forward_only_inference {
         }
     }
 
+    /// The fused dense op keeps the pre-activation only under a recorded
+    /// tape; with or without it, and with or without the arena, each
+    /// activation's output bits are the same, at 1 and N threads.
+    #[test]
+    fn fused_linear_forward_only_bit_identical_to_tape_path() {
+        use imdiffusion_repro::nn::ops::Act;
+        let (m, k, n) = (300usize, 24usize, 40usize);
+        let wave = |len: usize, phase: f32| -> Vec<f32> {
+            (0..len).map(|i| (i as f32 * 0.37 + phase).sin()).collect()
+        };
+        let x = Tensor::from_vec(wave(m * k, 0.0), &[m, k]).expect("x");
+        let w = Tensor::param_from_vec(wave(k * n, 1.0), &[k, n]).expect("w");
+        let b = Tensor::param_from_vec(wave(n, 2.0), &[n]).expect("b");
+        for act in [Act::Identity, Act::Relu, Act::Gelu, Act::Silu] {
+            let run = || -> Vec<u32> {
+                let y = x.linear(&w, Some(&b), act);
+                y.to_vec().iter().map(|v| v.to_bits()).collect()
+            };
+            for t in [1usize, 4] {
+                let tape = pool::with_threads(t, run);
+                assert_eq!(pool::with_threads(t, || forward_only(run)), tape, "{act:?} t{t}");
+                assert_eq!(pool::with_threads(t, || no_grad(run)), tape, "{act:?} t{t}");
+            }
+        }
+    }
+
     /// Arena buffer recycling is invisible: two consecutive detections
     /// (both forward-only) produce identical bits (recycled buffers are
     /// re-zeroed, never reused dirty).

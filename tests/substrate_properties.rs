@@ -345,7 +345,7 @@ mod thread_determinism {
 /// and, on hosts that have it, under the AVX2/FMA tier, whose activation
 /// derivatives and reductions take their own kernels.
 mod gradient_check {
-    use imdiffusion_repro::nn::ops::bce_with_logits;
+    use imdiffusion_repro::nn::ops::{bce_with_logits, Act};
     use imdiffusion_repro::nn::simd::{self, with_tier, Tier};
     use imdiffusion_repro::nn::{backward, rng::seeded, Tensor};
     use proptest::prelude::*;
@@ -523,6 +523,10 @@ mod gradient_check {
             check("tanh", &mut rng, &x, |t| t[0].tanh())?;
             check("silu", &mut rng, &x, |t| t[0].silu())?;
             check("gelu", &mut rng, &x, |t| t[0].gelu())?;
+            let mut halves = dims.clone();
+            *halves.last_mut().unwrap() = 2 * rng.gen_range(1..=5);
+            let x = [uniform(&mut rng, &halves, -2.0, 2.0)];
+            check("gated_tanh", &mut rng, &x, |t| t[0].gated_tanh())?;
         }
 
         #[test]
@@ -561,6 +565,25 @@ mod gradient_check {
                 uniform(&mut rng, &[k, n], -1.0, 1.0),
             ];
             check("matmul shared-rhs", &mut rng, &ins, |t| t[0].matmul(&t[1]))?;
+            // The fused op: bias and each activation in the epilogue.
+            let bias = uniform(&mut rng, &[n], -1.0, 1.0);
+            let ins = [ins[0].clone(), ins[1].clone(), bias];
+            let pre = {
+                let t: Vec<Tensor> = ins
+                    .iter()
+                    .map(|i| Tensor::from_vec(i.vals.clone(), &i.dims).unwrap())
+                    .collect();
+                t[0].linear(&t[1], Some(&t[2]), Act::Identity).to_vec()
+            };
+            for act in [Act::Identity, Act::Relu, Act::Gelu, Act::Silu] {
+                // A finite step across ReLU's kink at zero is no derivative.
+                if act == Act::Relu && pre.iter().any(|z| z.abs() < 0.1) {
+                    continue;
+                }
+                let label = format!("linear {act:?}");
+                check(&label, &mut rng, &ins, |t| t[0].linear(&t[1], Some(&t[2]), act))?;
+            }
+            check("linear no bias", &mut rng, &ins[..2], |t| t[0].linear(&t[1], None, Act::Gelu))?;
         }
 
         #[test]
