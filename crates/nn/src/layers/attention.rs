@@ -141,60 +141,68 @@ mod tests {
 
     #[test]
     fn attention_preserves_shape() {
-        let mha = MultiHeadAttention::new(&mut seeded(1), 16, 4);
-        let x = Tensor::randn(&mut seeded(2), &[2, 5, 16]);
-        assert_eq!(mha.forward(&x, 1).dims(), &[2, 5, 16]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let mha = MultiHeadAttention::new(&mut seeded(1), 16, 4);
+            let x = Tensor::randn(&mut seeded(2), &[2, 5, 16]);
+            assert_eq!(mha.forward(&x, 1).dims(), &[2, 5, 16]);
+        });
     }
 
     #[test]
     #[should_panic(expected = "not divisible")]
     fn attention_rejects_bad_heads() {
-        let _ = MultiHeadAttention::new(&mut seeded(1), 10, 3);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let _ = MultiHeadAttention::new(&mut seeded(1), 10, 3);
+        });
     }
 
     #[test]
     fn encoder_layer_preserves_shape_and_trains() {
-        let mut rng = seeded(3);
-        let layer = TransformerEncoderLayer::new(&mut rng, 8, 2, 16);
-        let x = Tensor::randn(&mut rng, &[1, 4, 8]);
-        let target = Tensor::zeros(&[1, 4, 8]);
-        let y = layer.forward(&x, 1);
-        assert_eq!(y.dims(), &[1, 4, 8]);
-        let loss0 = ops::mse(&y, &target);
-        backward(&loss0);
-        // All parameters should receive gradients.
-        for p in layer.params() {
-            assert!(p.grad().is_some(), "missing grad");
-        }
-        // One SGD step reduces loss.
-        for p in layer.params() {
-            let g = p.grad().unwrap();
-            p.update_data(|d| {
-                for (dv, gv) in d.iter_mut().zip(&g) {
-                    *dv -= 0.05 * gv;
-                }
-            });
-            p.zero_grad();
-        }
-        let loss1 = ops::mse(&layer.forward(&x, 1), &target);
-        assert!(loss1.item() < loss0.item());
+        crate::obs::tests::with_exclusive_obs(|| {
+            let mut rng = seeded(3);
+            let layer = TransformerEncoderLayer::new(&mut rng, 8, 2, 16);
+            let x = Tensor::randn(&mut rng, &[1, 4, 8]);
+            let target = Tensor::zeros(&[1, 4, 8]);
+            let y = layer.forward(&x, 1);
+            assert_eq!(y.dims(), &[1, 4, 8]);
+            let loss0 = ops::mse(&y, &target);
+            backward(&loss0);
+            // All parameters should receive gradients.
+            for p in layer.params() {
+                assert!(p.grad().is_some(), "missing grad");
+            }
+            // One SGD step reduces loss.
+            for p in layer.params() {
+                let g = p.grad().unwrap();
+                p.update_data(|d| {
+                    for (dv, gv) in d.iter_mut().zip(&g) {
+                        *dv -= 0.05 * gv;
+                    }
+                });
+                p.zero_grad();
+            }
+            let loss1 = ops::mse(&layer.forward(&x, 1), &target);
+            assert!(loss1.item() < loss0.item());
+        });
     }
 
     #[test]
     fn attention_mixes_positions() {
-        // Output at position 0 must depend on input at position 1.
-        let mha = MultiHeadAttention::new(&mut seeded(5), 8, 2);
-        let base = Tensor::randn(&mut seeded(6), &[1, 3, 8]);
-        let y0 = mha.forward(&base, 1).to_vec();
-        let mut perturbed = base.to_vec();
-        perturbed[8] += 1.0; // position 1, feature 0
-        let xp = Tensor::from_vec(perturbed, &[1, 3, 8]).unwrap();
-        let y1 = mha.forward(&xp, 1).to_vec();
-        let pos0_changed = y0[..8]
-            .iter()
-            .zip(&y1[..8])
-            .any(|(a, b)| (a - b).abs() > 1e-6);
-        assert!(pos0_changed, "attention failed to propagate across positions");
+        crate::obs::tests::with_exclusive_obs(|| {
+            // Output at position 0 must depend on input at position 1.
+            let mha = MultiHeadAttention::new(&mut seeded(5), 8, 2);
+            let base = Tensor::randn(&mut seeded(6), &[1, 3, 8]);
+            let y0 = mha.forward(&base, 1).to_vec();
+            let mut perturbed = base.to_vec();
+            perturbed[8] += 1.0; // position 1, feature 0
+            let xp = Tensor::from_vec(perturbed, &[1, 3, 8]).unwrap();
+            let y1 = mha.forward(&xp, 1).to_vec();
+            let pos0_changed = y0[..8]
+                .iter()
+                .zip(&y1[..8])
+                .any(|(a, b)| (a - b).abs() > 1e-6);
+            assert!(pos0_changed, "attention failed to propagate across positions");
+        });
     }
 
     fn tiers() -> Vec<Tier> {
@@ -215,20 +223,22 @@ mod tests {
     /// (axis 1) on `[B, K, L, D]`.
     #[test]
     fn tracked_forward_matches_no_grad_bits_per_tier() {
-        for (d_model, heads, dims) in [
-            (8usize, 2usize, vec![3usize, 19, 8]),
-            (16, 2, vec![3, 12, 16]),
-            (8, 2, vec![2, 5, 7, 8]),
-        ] {
-            let mha = MultiHeadAttention::new(&mut seeded(7), d_model, heads);
-            let x = Tensor::randn(&mut seeded(8), &dims);
-            for tier in tiers() {
-                let tracked = with_tier(tier, || mha.forward(&x, 1));
-                assert!(tracked.requires_grad());
-                let served = with_tier(tier, || no_grad(|| mha.forward(&x, 1)));
-                assert_eq!(bits(&tracked), bits(&served), "{dims:?} tier={tier:?}");
+        crate::obs::tests::with_exclusive_obs(|| {
+            for (d_model, heads, dims) in [
+                (8usize, 2usize, vec![3usize, 19, 8]),
+                (16, 2, vec![3, 12, 16]),
+                (8, 2, vec![2, 5, 7, 8]),
+            ] {
+                let mha = MultiHeadAttention::new(&mut seeded(7), d_model, heads);
+                let x = Tensor::randn(&mut seeded(8), &dims);
+                for tier in tiers() {
+                    let tracked = with_tier(tier, || mha.forward(&x, 1));
+                    assert!(tracked.requires_grad());
+                    let served = with_tier(tier, || no_grad(|| mha.forward(&x, 1)));
+                    assert_eq!(bits(&tracked), bits(&served), "{dims:?} tier={tier:?}");
+                }
             }
-        }
+        });
     }
 
     /// Attending along axis 1 of `[B, K, L, d]` in place gives, on each
@@ -240,42 +250,46 @@ mod tests {
     /// agree to rounding.
     #[test]
     fn axis_attention_matches_permuted_composition_per_tier() {
-        let (b, k, l) = (2usize, 5usize, 7usize);
-        for (d, heads) in [(8usize, 2usize), (16, 2)] {
-            let layer = TransformerEncoderLayer::new(&mut seeded(9), d, heads, 2 * d);
-            let x = Tensor::randn(&mut seeded(10), &[b, k, l, d]);
-            let w = Tensor::randn(&mut seeded(11), &[b, k, l, d]);
-            let direct = |x: &Tensor| layer.forward(x, 1);
-            let composed = |x: &Tensor| {
-                let folded = x.permute(&[0, 2, 1, 3]).reshape(&[b * l, k, d]);
-                layer.forward(&folded, 1).reshape(&[b, l, k, d]).permute(&[0, 2, 1, 3])
-            };
-            let grads = |f: &dyn Fn(&Tensor) -> Tensor| {
-                backward(&f(&x).mul(&w).sum_all());
-                let g: Vec<Vec<f32>> = layer.params().iter().map(|p| p.grad().unwrap()).collect();
-                layer.params().iter().for_each(|p| p.zero_grad());
-                g
-            };
-            for tier in tiers() {
-                let got = with_tier(tier, || no_grad(|| direct(&x)));
-                let want = with_tier(tier, || no_grad(|| composed(&x)));
-                assert_eq!(bits(&got), bits(&want), "d={d} tier={tier:?}");
-                let got = with_tier(tier, || grads(&direct));
-                let want = with_tier(tier, || grads(&composed));
-                for (n, (gs, ws)) in got.iter().zip(&want).enumerate() {
-                    let norm = ws.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-                    for (g, w) in gs.iter().zip(ws) {
-                        let msg = format!("d={d} tier={tier:?} param {n}: {g} vs {w}");
-                        assert!((g - w).abs() <= 1e-5 * norm, "{msg}");
+        crate::obs::tests::with_exclusive_obs(|| {
+            let (b, k, l) = (2usize, 5usize, 7usize);
+            for (d, heads) in [(8usize, 2usize), (16, 2)] {
+                let layer = TransformerEncoderLayer::new(&mut seeded(9), d, heads, 2 * d);
+                let x = Tensor::randn(&mut seeded(10), &[b, k, l, d]);
+                let w = Tensor::randn(&mut seeded(11), &[b, k, l, d]);
+                let direct = |x: &Tensor| layer.forward(x, 1);
+                let composed = |x: &Tensor| {
+                    let folded = x.permute(&[0, 2, 1, 3]).reshape(&[b * l, k, d]);
+                    layer.forward(&folded, 1).reshape(&[b, l, k, d]).permute(&[0, 2, 1, 3])
+                };
+                let grads = |f: &dyn Fn(&Tensor) -> Tensor| {
+                    backward(&f(&x).mul(&w).sum_all());
+                    let g: Vec<Vec<f32>> = layer.params().iter().map(|p| p.grad().unwrap()).collect();
+                    layer.params().iter().for_each(|p| p.zero_grad());
+                    g
+                };
+                for tier in tiers() {
+                    let got = with_tier(tier, || no_grad(|| direct(&x)));
+                    let want = with_tier(tier, || no_grad(|| composed(&x)));
+                    assert_eq!(bits(&got), bits(&want), "d={d} tier={tier:?}");
+                    let got = with_tier(tier, || grads(&direct));
+                    let want = with_tier(tier, || grads(&composed));
+                    for (n, (gs, ws)) in got.iter().zip(&want).enumerate() {
+                        let norm = ws.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                        for (g, w) in gs.iter().zip(ws) {
+                            let msg = format!("d={d} tier={tier:?} param {n}: {g} vs {w}");
+                            assert!((g - w).abs() <= 1e-5 * norm, "{msg}");
+                        }
                     }
                 }
             }
-        }
+        });
     }
 
     #[test]
     fn feed_forward_param_count() {
-        let ff = FeedForward::new(&mut seeded(1), 4, 8);
-        assert_eq!(ff.num_params(), 4 * 8 + 8 + 8 * 4 + 4);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let ff = FeedForward::new(&mut seeded(1), 4, 8);
+            assert_eq!(ff.num_params(), 4 * 8 + 8 + 8 * 4 + 4);
+        });
     }
 }

@@ -666,164 +666,277 @@ mod tests {
 
     #[test]
     fn matches_unfused_path_within_tolerance() {
-        let mut rng = seeded(11);
-        for (dims, axis, heads) in layouts(&[(1, 3, 4), (8, 16, 8), (4, 31, 16), (3, 19, 4)]) {
-            let q = Tensor::randn(&mut rng, &dims);
-            let k = Tensor::randn(&mut rng, &dims);
-            let v = Tensor::randn(&mut rng, &dims);
-            let scale = 1.0 / ((dims[dims.len() - 1] / heads) as f32).sqrt();
-            for tier in tiers() {
-                let want =
-                    with_tier(tier, || no_grad(|| reference(&q, &k, &v, axis, heads, scale).to_vec()));
-                let got = with_tier(tier, || Tensor::sdpa(&q, &k, &v, axis, heads, scale).to_vec());
-                for (g, w) in got.iter().zip(&want) {
-                    assert!(
-                        (g - w).abs() <= 1e-4 * w.abs().max(1.0),
-                        "{dims:?} axis={axis} heads={heads} tier={tier:?}: {g} vs {w}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gradients_match_reference_graph() {
-        let mut rng = seeded(14);
-        let shapes = [(1, 3, 4), (8, 16, 8), (4, 31, 16), (3, 19, 4), (2, 11, 8)];
-        for (dims, axis, heads) in layouts(&shapes) {
-            let q = Tensor::randn(&mut rng, &dims);
-            let k = Tensor::randn(&mut rng, &dims);
-            let v = Tensor::randn(&mut rng, &dims);
-            let scale = 1.0 / ((dims[dims.len() - 1] / heads) as f32).sqrt();
-            for tier in tiers() {
-                let want = with_tier(tier, || {
-                    forward_backward(|q, k, v| reference(q, k, v, axis, heads, scale), &q, &k, &v)
-                });
-                let got = with_tier(tier, || {
-                    forward_backward(|q, k, v| Tensor::sdpa(q, k, v, axis, heads, scale), &q, &k, &v)
-                });
-                for (n, (gs, ws)) in got.iter().zip(&want).enumerate() {
-                    for (g, w) in gs.iter().zip(ws) {
+        crate::obs::tests::with_exclusive_obs(|| {
+            let mut rng = seeded(11);
+            for (dims, axis, heads) in layouts(&[(1, 3, 4), (8, 16, 8), (4, 31, 16), (3, 19, 4)]) {
+                let q = Tensor::randn(&mut rng, &dims);
+                let k = Tensor::randn(&mut rng, &dims);
+                let v = Tensor::randn(&mut rng, &dims);
+                let scale = 1.0 / ((dims[dims.len() - 1] / heads) as f32).sqrt();
+                for tier in tiers() {
+                    let want =
+                        with_tier(tier, || no_grad(|| reference(&q, &k, &v, axis, heads, scale).to_vec()));
+                    let got = with_tier(tier, || Tensor::sdpa(&q, &k, &v, axis, heads, scale).to_vec());
+                    for (g, w) in got.iter().zip(&want) {
                         assert!(
                             (g - w).abs() <= 1e-4 * w.abs().max(1.0),
-                            "{dims:?} axis={axis} heads={heads} tier={tier:?} output {n}: {g} vs {w}"
+                            "{dims:?} axis={axis} heads={heads} tier={tier:?}: {g} vs {w}"
                         );
                     }
                 }
             }
-        }
+        });
+    }
+
+    #[test]
+    fn gradients_match_reference_graph() {
+        crate::obs::tests::with_exclusive_obs(|| {
+            let mut rng = seeded(14);
+            let shapes = [(1, 3, 4), (8, 16, 8), (4, 31, 16), (3, 19, 4), (2, 11, 8)];
+            for (dims, axis, heads) in layouts(&shapes) {
+                let q = Tensor::randn(&mut rng, &dims);
+                let k = Tensor::randn(&mut rng, &dims);
+                let v = Tensor::randn(&mut rng, &dims);
+                let scale = 1.0 / ((dims[dims.len() - 1] / heads) as f32).sqrt();
+                for tier in tiers() {
+                    let want = with_tier(tier, || {
+                        forward_backward(|q, k, v| reference(q, k, v, axis, heads, scale), &q, &k, &v)
+                    });
+                    let got = with_tier(tier, || {
+                        forward_backward(|q, k, v| Tensor::sdpa(q, k, v, axis, heads, scale), &q, &k, &v)
+                    });
+                    for (n, (gs, ws)) in got.iter().zip(&want).enumerate() {
+                        for (g, w) in gs.iter().zip(ws) {
+                            assert!(
+                                (g - w).abs() <= 1e-4 * w.abs().max(1.0),
+                                "{dims:?} axis={axis} heads={heads} tier={tier:?} output {n}: {g} vs {w}"
+                            );
+                        }
+                    }
+                }
+            }
+        });
     }
 
     /// Output, dQ, dK and dV at 2, 4 and 8 threads equal those at one,
     /// bit for bit, on each tier.
     #[test]
     fn bit_identical_across_thread_counts_per_tier() {
-        let bits = |all: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
-            all.iter().map(|x| x.iter().map(|v| v.to_bits()).collect()).collect()
-        };
-        let mut rng = seeded(12);
-        // `[BH, L, Dh]`, and channel attention on `[B, K, L, 2·Dh]` with
-        // two heads, large enough that its four `a` slabs fan out.
-        for dh in [4usize, 8, 16] {
-            for (dims, heads) in [(vec![6, 24, dh], 1), (vec![4, 32, 8, 2 * dh], 2)] {
+        crate::obs::tests::with_exclusive_obs(|| {
+            let bits = |all: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
+                all.iter().map(|x| x.iter().map(|v| v.to_bits()).collect()).collect()
+            };
+            let mut rng = seeded(12);
+            // `[BH, L, Dh]`, and channel attention on `[B, K, L, 2·Dh]` with
+            // two heads, large enough that its four `a` slabs fan out.
+            let mut cases = Vec::new();
+            for dh in [4usize, 8, 16] {
+                cases.extend([(vec![6, 24, dh], 1, 1), (vec![4, 32, 8, 2 * dh], 1, 2)]);
+            }
+            // Time attention at the serving width (Dh 4, two heads), whose
+            // 8-block tiles cross `a` boundaries: the serving layer itself
+            // (38 blocks, inline), and 513 slabs that fan out at every count
+            // here, so each worker's run ends in a short tile of its own.
+            cases.extend([(vec![1, 19, 16, 8], 2, 2), (vec![27, 19, 16, 8], 2, 2)]);
+            for (dims, axis, heads) in cases {
                 let q = Tensor::randn(&mut rng, &dims);
                 let k = Tensor::randn(&mut rng, &dims);
                 let v = Tensor::randn(&mut rng, &dims);
-                let f = |q: &Tensor, k: &Tensor, v: &Tensor| Tensor::sdpa(q, k, v, 1, heads, 0.35);
+                let f = |q: &Tensor, k: &Tensor, v: &Tensor| Tensor::sdpa(q, k, v, axis, heads, 0.35);
                 let run = || forward_backward(f, &q, &k, &v);
                 for tier in tiers() {
                     let reference = bits(with_tier(tier, || with_threads(1, run)));
                     for t in [2usize, 4, 8] {
                         let got = bits(with_tier(tier, || with_threads(t, run)));
-                        assert_eq!(got, reference, "{dims:?} tier={tier:?} threads={t}");
+                        assert_eq!(got, reference, "{dims:?} axis={axis} tier={tier:?} threads={t}");
                     }
                 }
             }
-        }
+        });
     }
 
-    /// The Avx2Fma block kernel must be bit-identical to the per-row
-    /// arithmetic it replaced: one `dot_avx2` per score (times `scale`),
-    /// the stable softmax through `vexp_avx2` with an ascending sum, and
-    /// one `axpy_avx2` of `p · inv` per key into a zeroed output row. The
-    /// reference below calls those kernels directly. Rows holding a NaN,
-    /// all-equal scores, ±0 scores and a −inf score are included, since
-    /// the kernel folds each row's max with vector instructions.
-    #[test]
-    fn avx2_kernel_matches_dot_axpy_arithmetic() {
-        if !simd::avx2_available() {
-            return;
+    /// `(dims, axis, heads)` of the arithmetic tests: `[3, L, Dh]` blocks
+    /// at many head widths and lengths, then rank-4 `[B, K, L, 2·Dh]`
+    /// layouts with two heads along axes 1 and 2, strided in place, with
+    /// block counts (28, 20, 32 and 38) of which most are not multiples
+    /// of 8.
+    fn arithmetic_layouts() -> Vec<(Vec<usize>, usize, usize)> {
+        let mut all = Vec::new();
+        for dh in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 20, 32, 35] {
+            for l in [1usize, 5, 8, 19, 48, 65] {
+                all.push((vec![3, l, dh], 1, 1));
+            }
         }
-        fn reference(q: &[f32], k: &[f32], v: &[f32], l: usize, dh: usize, scale: f32) -> Vec<f32> {
-            let block = l * dh;
-            let mut out = vec![0.0f32; q.len()];
-            let mut srow = vec![0.0f32; l];
-            for (b, ob) in out.chunks_mut(block).enumerate() {
-                let (qb, kb, vb) = (
-                    &q[b * block..(b + 1) * block],
-                    &k[b * block..(b + 1) * block],
-                    &v[b * block..(b + 1) * block],
-                );
-                for (qrow, orow) in qb.chunks(dh).zip(ob.chunks_mut(dh)) {
-                    for (s, krow) in srow.iter_mut().zip(kb.chunks(dh)) {
-                        // Safety: guarded by avx2_available above.
-                        *s = scale * unsafe { simd::dot_avx2(qrow, krow) };
-                    }
-                    let max = srow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                    for s in srow.iter_mut() {
-                        *s -= max;
-                    }
-                    // Safety: as above.
-                    unsafe { simd::vexp_avx2(&mut srow) };
-                    let mut sum = 0.0f32;
-                    for &e in srow.iter() {
-                        sum += e;
-                    }
-                    let inv = 1.0 / sum;
-                    for (&p, vrow) in srow.iter().zip(vb.chunks(dh)) {
-                        // Safety: as above.
-                        unsafe { simd::axpy_avx2(p * inv, vrow, orow) };
-                    }
+        for dh in [4usize, 8] {
+            for dims in [vec![2, 5, 7, 2 * dh], vec![1, 19, 16, 2 * dh]] {
+                for axis in [1, 2] {
+                    all.push((dims.clone(), axis, 2));
                 }
             }
-            out
         }
-        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let mut rng = seeded(13);
-        let dhs = [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 20, 32, 35];
-        for &dh in &dhs {
-            for &l in &[1usize, 5, 8, 19, 48, 65] {
-                let bh = 3;
-                let block = l * dh;
-                let mut q = Tensor::randn(&mut rng, &[bh, l, dh]).to_vec();
-                let mut k = Tensor::randn(&mut rng, &[bh, l, dh]).to_vec();
-                let v = Tensor::randn(&mut rng, &[bh, l, dh]).to_vec();
-                // Block 1: a NaN in query row 0, an all-zero query row 1
-                // (every score ±0, all equal), and in query row 2 a key
-                // whose score overflows to −inf.
-                q[block] = f32::NAN;
-                if l > 1 {
-                    q[block + dh..block + 2 * dh].fill(0.0);
-                }
-                if l > 2 {
-                    q[block + 2 * dh..block + 3 * dh].fill(1e20);
-                    k[block..block + dh].fill(-1e20);
-                }
-                // Block 2: an all-zero key, so one score per row is ±0.
-                k[2 * block + (l - 1) * dh..2 * block + l * dh].fill(0.0);
-                let (qt, kt, vt) = (
-                    Tensor::from_vec(q.clone(), &[bh, l, dh]).unwrap(),
-                    Tensor::from_vec(k.clone(), &[bh, l, dh]).unwrap(),
-                    Tensor::from_vec(v.clone(), &[bh, l, dh]).unwrap(),
-                );
+        all
+    }
+
+    /// The layout, and the offset of row 0 of every block `(a, c, h)` in
+    /// order (row `i` at `offset + i·ld`).
+    fn blocks(dims: &[usize], axis: usize, heads: usize) -> (Layout, Vec<usize>) {
+        let (l, d) = (dims[axis], dims[dims.len() - 1]);
+        let ld: usize = dims[axis + 1..].iter().product();
+        let a: usize = dims[..axis].iter().product();
+        let dh = d / heads;
+        let offs = (0..a).flat_map(|a| (0..ld).step_by(dh).map(move |c| a * l * ld + c)).collect();
+        (Layout { l, dh, ld }, offs)
+    }
+
+    /// Random Q, K, V for a layout, with the edge rows: in block 1 a NaN
+    /// in query row 0, an all-zero query row 1 (every score ±0, all
+    /// equal), and in query row 2 a key whose score overflows to −inf; in
+    /// block 2 an all-zero key, so one score per row is ±0.
+    fn edge_operands(
+        rng: &mut rand::rngs::StdRng,
+        dims: &[usize],
+        axis: usize,
+        heads: usize,
+    ) -> [Vec<f32>; 3] {
+        let (Layout { l, dh, ld }, offs) = blocks(dims, axis, heads);
+        let [mut q, mut k, v] = [(); 3].map(|_| Tensor::randn(rng, dims).to_vec());
+        let (b1, b2) = (offs[1], offs[2]);
+        q[b1] = f32::NAN;
+        if l > 1 {
+            q[b1 + ld..b1 + ld + dh].fill(0.0);
+        }
+        if l > 2 {
+            q[b1 + 2 * ld..b1 + 2 * ld + dh].fill(1e20);
+            k[b1..b1 + dh].fill(-1e20);
+        }
+        k[b2 + (l - 1) * ld..b2 + (l - 1) * ld + dh].fill(0.0);
+        [q, k, v]
+    }
+
+    /// Query row `i`'s probabilities `p_j · inv` in the per-row reference
+    /// arithmetic: one `dot_avx2` per score times `scale`, the stable
+    /// softmax through `vexp_avx2` with an ascending sum from `0.0`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 and FMA.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn reference_probs(q: &[f32], k: &[f32], b: usize, i: usize, lay: Layout, scale: f32) -> Vec<f32> {
+        let Layout { l, dh, ld } = lay;
+        let qrow = &q[b + i * ld..][..dh];
+        let mut srow: Vec<f32> =
+            (0..l).map(|j| scale * simd::dot_avx2(qrow, &k[b + j * ld..][..dh])).collect();
+        let max = srow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        for s in srow.iter_mut() {
+            *s -= max;
+        }
+        simd::vexp_avx2(&mut srow);
+        let mut sum = 0.0f32;
+        for &e in srow.iter() {
+            sum += e;
+        }
+        let inv = 1.0 / sum;
+        srow.iter().map(|&e| e * inv).collect()
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The Avx2Fma forward must be bit-identical to the per-row arithmetic
+    /// it replaced: `reference_probs`, then one `axpy_avx2` of `p · inv`
+    /// per key into a zeroed output row. The reference below calls those
+    /// kernels directly. The edge rows of `edge_operands` are included,
+    /// since the kernel folds each row's max with vector instructions.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_kernel_matches_dot_axpy_arithmetic() {
+        crate::obs::tests::with_exclusive_obs(|| {
+            if !simd::avx2_available() {
+                return;
+            }
+            let mut rng = seeded(13);
+            for (dims, axis, heads) in arithmetic_layouts() {
+                let (lay, offs) = blocks(&dims, axis, heads);
+            let Layout { l, dh, ld } = lay;
+                let [q, k, v] = edge_operands(&mut rng, &dims, axis, heads);
+                let [qt, kt, vt] = [&q, &k, &v].map(|x| Tensor::from_vec(x.clone(), &dims).unwrap());
                 // A negative scale turns the +0 scores into −0.
                 for scale in [1.0 / (dh as f32).sqrt(), -0.5] {
                     let got =
-                        with_tier(Tier::Avx2Fma, || Tensor::sdpa(&qt, &kt, &vt, 1, 1, scale).to_vec());
-                    let want = reference(&q, &k, &v, l, dh, scale);
-                    assert_eq!(bits(&got), bits(&want), "l={l} dh={dh} scale={scale}");
+                    with_tier(Tier::Avx2Fma, || Tensor::sdpa(&qt, &kt, &vt, axis, heads, scale).to_vec());
+                    let mut want = vec![0.0f32; q.len()];
+                    for &b in &offs {
+                        for i in 0..l {
+                            // Safety: guarded by avx2_available above.
+                            let p = unsafe { reference_probs(&q, &k, b, i, lay, scale) };
+                            let mut orow = vec![0.0f32; dh];
+                            for (j, &pj) in p.iter().enumerate() {
+                                // Safety: as above.
+                                unsafe { simd::axpy_avx2(pj, &v[b + j * ld..][..dh], &mut orow) };
+                            }
+                            want[b + i * ld..][..dh].copy_from_slice(&orow);
+                        }
+                    }
+                    assert_eq!(bits(&got), bits(&want), "{dims:?} axis={axis} heads={heads} scale={scale}");
                 }
             }
-        }
+        });
+    }
+
+    /// The Avx2Fma backward must be bit-identical to the per-row
+    /// arithmetic: P from `reference_probs`, `dO·Vᵀ` from one `dot_avx2`
+    /// per key, `delta = rowsum(dO ∘ O)` as the ascending scalar
+    /// `row_dot`, `dS = (scale · p) · (x − delta)`, and dQ, dK and dV as
+    /// `axpy_avx2` chains into zeroed rows over ascending keys (dQ) and
+    /// ascending queries (dK, dV). O is the forward's output; dO the fixed
+    /// weights `forward_backward` draws.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_backward_matches_dot_axpy_arithmetic() {
+        crate::obs::tests::with_exclusive_obs(|| {
+            if !simd::avx2_available() {
+                return;
+            }
+            let mut rng = seeded(15);
+            for (dims, axis, heads) in arithmetic_layouts() {
+                let (lay, offs) = blocks(&dims, axis, heads);
+            let Layout { l, dh, ld } = lay;
+                let [q, k, v] = edge_operands(&mut rng, &dims, axis, heads);
+                let [qt, kt, vt] = [&q, &k, &v].map(|x| Tensor::from_vec(x.clone(), &dims).unwrap());
+                let go = Tensor::randn(&mut seeded(99), &dims).to_vec();
+                for scale in [1.0 / (dh as f32).sqrt(), -0.5] {
+                    let f = |q: &Tensor, k: &Tensor, v: &Tensor| Tensor::sdpa(q, k, v, axis, heads, scale);
+                    let got = with_tier(Tier::Avx2Fma, || forward_backward(f, &qt, &kt, &vt));
+                    let o = &got[0];
+                    let mut want = [(); 3].map(|_| vec![0.0f32; q.len()]);
+                    let [dq, dk, dv] = &mut want;
+                    for &b in &offs {
+                        for i in 0..l {
+                            let ir = b + i * ld..b + i * ld + dh;
+                            // Safety: guarded by avx2_available above.
+                            let p = unsafe { reference_probs(&q, &k, b, i, lay, scale) };
+                            let delta = row_dot(&go[ir.clone()], &o[ir.clone()]);
+                            for (j, &pj) in p.iter().enumerate() {
+                                let jr = b + j * ld..b + j * ld + dh;
+                                // Safety: as above.
+                                let x = unsafe { simd::dot_avx2(&go[ir.clone()], &v[jr.clone()]) };
+                                let ds = (scale * pj) * (x - delta);
+                                // Safety: as above.
+                                unsafe {
+                                    simd::axpy_avx2(ds, &k[jr.clone()], &mut dq[ir.clone()]);
+                                    simd::axpy_avx2(ds, &q[ir.clone()], &mut dk[jr.clone()]);
+                                    simd::axpy_avx2(pj, &go[ir.clone()], &mut dv[jr]);
+                                }
+                            }
+                        }
+                    }
+                    for (n, w) in want.iter().enumerate() {
+                        let msg = format!("{dims:?} axis={axis} heads={heads} scale={scale} gradient {n}");
+                        assert_eq!(bits(&got[n + 1]), bits(w), "{msg}");
+                    }
+                }
+            }
+        });
     }
 }
