@@ -2,10 +2,8 @@
 //!
 //! Forward: `O = softmax(scale · Q Kᵀ) V`, computed row by row without
 //! materializing the `[S, S]` score matrix or its softmax. A query row's
-//! probabilities live in a reused `S`-vector (eight of them per pass on
-//! the Avx2Fma tier, which also keeps a per-worker K transpose of the
-//! current block); the weighted V-sum accumulates straight into the
-//! output row.
+//! probabilities live in a reused `S`-vector; the weighted V-sum
+//! accumulates straight into the output row.
 //!
 //! Backward, in the FlashAttention-2 manner (Dao 2023): the tape keeps
 //! only Q, K, V and O. Each block recomputes P with the forward's own
@@ -20,6 +18,17 @@
 //! run this one op. Both directions shard by `a`, each block computed by
 //! one worker in a fixed order, so every result is bit-identical at any
 //! thread count on a given dispatch tier.
+//!
+//! On the Avx2Fma tier the eight lanes of a vector hold eight blocks, not
+//! eight keys. A worker cuts its run of `a` slabs into tiles of eight
+//! consecutive blocks (`Tile`; one may span several `a`, and a short last
+//! tile repeats a block in lanes it never stores). It gathers a tile's K
+//! and V into `[S][Dh][8]` scratch with 4×4 vector transposes, and the
+//! rows of Q (and, backward, of O and dO) one at a time. Every
+//! per-element step then runs lane-wise with no horizontal op, mask or
+//! padding, and the results are scattered back to the operands' layout
+//! by the same transposes. Each lane does exactly the per-row arithmetic
+//! stated at `sdpa_tile_avx2`, so the tiling never changes a bit.
 
 use crate::pool;
 use crate::simd::{self, Tier};
@@ -28,9 +37,8 @@ use crate::tensor::Tensor;
 /// FLOPs below which one `a` slab is not worth a worker.
 const MIN_PAR_FLOPS: usize = 1 << 19;
 
-/// Query rows per pass of the Avx2Fma block kernels: eight independent
-/// rows, so the serial per-row sum chains overlap in the pipeline.
-const ROWS: usize = 8;
+/// Blocks per Avx2Fma tile: one per lane of an 8-wide vector.
+const LANES: usize = 8;
 
 /// The blocks of `sdpa` operands viewed as `[A, S, C, D]` (see
 /// `Tensor::sdpa`): each block is `l = S` rows of `dh` values, `ld = C·D`
@@ -44,11 +52,6 @@ struct Layout {
 }
 
 impl Layout {
-    /// `l` rounded up to whole 8-lane vectors.
-    fn lp(self) -> usize {
-        self.l.next_multiple_of(8)
-    }
-
     /// Values from a block's first row to the end of its last.
     fn extent(self) -> usize {
         (self.l - 1) * self.ld + self.dh
@@ -58,347 +61,362 @@ impl Layout {
     fn grain(self) -> usize {
         MIN_PAR_FLOPS.div_ceil((4 * self.l * self.l * self.ld).max(1)).max(1)
     }
+
+    /// Floats in one row of a tile: `dh` vectors of eight lanes.
+    fn row(self) -> usize {
+        self.dh * LANES
+    }
 }
 
-/// Probabilities of `nr ≤ ROWS` query rows from row `i` on the Avx2Fma
-/// tier, into `srow` (row `r` at `r·lp`, padded lanes zero).
-///
-/// Bit-identical, element for element, to the per-row arithmetic of one
-/// `dot_avx2` per score:
-/// * scores — lanes run over keys `j` through `kt`, a `dh × lp` transpose
-///   of K (lp = L padded to 8; padded lanes hold zeros). Per lane, eight
-///   accumulators `A[d']` each run `dot_avx2`'s fma chain over the 8-wide
-///   chunks from zero, fold in its fixed tree
-///   `((A0+A4)+(A2+A6)) + ((A1+A5)+(A3+A7))`, and then its scalar-tail
-///   `mul_add`s for `d ≥ 8·chunks`; the score is `scale · s`. For
-///   `Dh < 8` there are no chunks and the tree sums zeros, so only the
-///   tail chain runs;
-/// * softmax — each row's max is folded with `max_ps` (NaN skipped, as
-///   `f32::max` does; the sign of a zero max cannot change `s − max`),
-///   the exp is `vexp_avx2`'s lane kernel, the sum runs over `j` in
-///   ascending order from `0.0`, and `p · inv` is formed once per key.
+/// Eight consecutive blocks of a worker's run, one per lane: lane `b`
+/// holds the block `(a, base)` of `blocks[b]`, slab `a` counted from the
+/// run's first and row 0 at `base` within it. Lanes from `live` on repeat
+/// the last live block: they are computed and never stored.
+struct Tile {
+    blocks: [(usize, usize); LANES],
+    live: usize,
+}
+
+impl Tile {
+    /// The tiles of a run of `slabs` slabs, in block order `(a, c, h)`.
+    fn run(slabs: usize, lay: Layout) -> impl Iterator<Item = Tile> {
+        let per = lay.ld / lay.dh;
+        let n = slabs * per;
+        (0..n).step_by(LANES).map(move |t0| {
+            let live = LANES.min(n - t0);
+            let blocks = std::array::from_fn(|b| {
+                let t = t0 + b.min(live - 1);
+                (t / per, t % per * lay.dh)
+            });
+            Tile { blocks, live }
+        })
+    }
+
+    /// Each lane's row-0 offset from the start of the run.
+    fn offsets(&self, lay: Layout) -> [usize; LANES] {
+        self.blocks.map(|(a, base)| a * lay.l * lay.ld + base)
+    }
+}
+
+/// Row `i` of each lane's block of `src`, into `dst` as `dh` vectors of
+/// eight lanes (element `d` of lane `b` at `8·d + b`): four columns at a
+/// time through a 4×4 transpose in each 128-bit half, then a scalar tail.
 ///
 /// # Safety
 ///
-/// AVX2 and FMA; `i + nr ≤ l`, `qb` holds the block's strided extent
-/// `(l − 1)·ld + dh`, `kt` at least `dh·lp` and `srow` at least
-/// `ROWS·lp`, as the block kernels check on entry.
+/// AVX2; each pointer addresses a block's strided extent, `i < l`, and
+/// `dst` holds `lay.row()` floats.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn probs_avx2(
-    qb: &[f32],
-    kt: &[f32],
-    srow: &mut [f32],
-    i: usize,
-    nr: usize,
-    lay: Layout,
-    scale: f32,
-) {
+#[inline]
+unsafe fn gather_row(src: &[*const f32; LANES], i: usize, lay: Layout, dst: &mut [f32]) {
     use std::arch::x86_64::*;
-    let (l, lp) = (lay.l, lay.lp());
-    let nv = lp / 8;
-    scores(qb, kt, srow, i, nr, lay, scale);
-    // Padded lanes become −inf so the vector max can read whole rows;
-    // exp then makes them zero.
-    for r in 0..nr {
-        srow[r * lp + l..(r + 1) * lp].fill(f32::NEG_INFINITY);
-        let row = srow.as_mut_ptr().add(r * lp);
-        let mut m = _mm256_set1_ps(f32::NEG_INFINITY);
-        for v in 0..nv {
-            // The running max sits in the operand `max_ps` keeps on NaN.
-            m = _mm256_max_ps(_mm256_loadu_ps(row.add(v * 8)), m);
+    let p = src.map(|s| s.add(i * lay.ld));
+    let out = dst.as_mut_ptr();
+    let mut d = 0;
+    while d + 4 <= lay.dh {
+        let x = [0, 1, 2, 3].map(|r| _mm256_set_m128(_mm_loadu_ps(p[r + 4].add(d)), _mm_loadu_ps(p[r].add(d))));
+        for (c, col) in transpose4(x).into_iter().enumerate() {
+            _mm256_storeu_ps(out.add((d + c) * LANES), col);
         }
-        let h = _mm_max_ps(_mm256_castps256_ps128(m), _mm256_extractf128_ps(m, 1));
-        let h = _mm_max_ps(h, _mm_movehl_ps(h, h));
-        let h = _mm_max_ss(h, _mm_shuffle_ps(h, h, 1));
-        let vm = _mm256_set1_ps(_mm_cvtss_f32(h));
-        for v in 0..nv {
-            let p = row.add(v * 8);
-            _mm256_storeu_ps(p, _mm256_sub_ps(_mm256_loadu_ps(p), vm));
-        }
+        d += 4;
     }
-    simd::vexp_avx2(&mut srow[..nr * lp]);
-    // The ROWS sum chains run interleaved; rows past `nr` fold stale
-    // values that are never read.
-    let mut sums = [0.0f32; ROWS];
-    for j in 0..l {
-        for (r, s) in sums.iter_mut().enumerate() {
-            *s += *srow.get_unchecked(r * lp + j);
-        }
-    }
-    for (r, &sum) in sums.iter().enumerate().take(nr) {
-        let vinv = _mm256_set1_ps(1.0 / sum);
-        let row = srow.as_mut_ptr().add(r * lp);
-        for v in 0..nv {
-            let p = row.add(v * 8);
-            _mm256_storeu_ps(p, _mm256_mul_ps(_mm256_loadu_ps(p), vinv));
+    for d in d..lay.dh {
+        for (b, lane) in p.iter().enumerate() {
+            *out.add(d * LANES + b) = *lane.add(d);
         }
     }
 }
 
-/// Fused attention forward for one block on the Avx2Fma tier, at any
-/// head width: `probs_avx2` per eight query rows, then the V-sum, in
-/// which each output element runs the ascending-`j`
-/// `fma(p·inv, v_jd, acc)` chain from a zero accumulator — what
-/// `axpy_avx2` does into a zeroed output row.
+/// The inverse of `gather_row` for the first `live` lanes: `src` (`dh`
+/// vectors of eight lanes) becomes row `i` of each lane's block of `dst`.
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2 and FMA. Slice lengths are checked on entry
-/// (`qb`, `vb`, `ob` hold the block's strided extent `(l − 1)·ld + dh`,
-/// `kt` at least `dh·lp`, `srow` at least `ROWS·lp`), and the helpers
-/// index only within them.
+/// AVX2; each of the first `live` pointers addresses a block's strided
+/// extent, `i < l`, and `src` holds `lay.row()` floats.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn sdpa_block_avx2(
-    qb: &[f32],
-    kt: &[f32],
-    vb: &[f32],
-    ob: &mut [f32],
-    srow: &mut [f32],
-    lay: Layout,
-    scale: f32,
-) {
-    let (l, dh, lp, extent) = (lay.l, lay.dh, lay.lp(), lay.extent());
-    assert!(
-        dh <= lay.ld
-            && [qb, vb, &*ob].iter().all(|s| s.len() == extent)
-            && kt.len() >= dh * lp
-            && srow.len() >= ROWS * lp,
-        "sdpa block kernel: operand lengths do not match [{l}, {dh}] at stride {}",
-        lay.ld
-    );
-    let mut i = 0;
-    while i < l {
-        let nr = ROWS.min(l - i);
-        probs_avx2(qb, kt, srow, i, nr, lay, scale);
-        vsum_cols(srow, vb, ob, i, nr, lay);
-        i += nr;
-    }
-}
-
-/// Backward of one block on the Avx2Fma tier, from the forward's stages:
-/// `probs_avx2` recomputes P, `scores` of dO against `vt` (V transposed)
-/// at scale 1 gives dO·Vᵀ, and `vsum_cols` fed dS, dSᵀ and Pᵀ gives dQ,
-/// dK and dV. `ws` holds two `ROWS·lp` row buffers and the `l·lp`
-/// transposes of P and dS.
-///
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA. Slice lengths are checked on entry
-/// (every operand and output holds the block's strided extent
-/// `(l − 1)·ld + dh`, `kt` and `vt` at least `dh·lp`, `ws` at least
-/// `2·(ROWS + l)·lp`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn sdpa_block_bwd_avx2(
-    [qb, kb, ob, gob]: [&[f32]; 4],
-    [kt, vt]: [&[f32]; 2],
-    ws: &mut [f32],
-    [dq, dk, dv]: [&mut [f32]; 3],
-    lay: Layout,
-    scale: f32,
-) {
-    let (l, dh, ld, lp, extent) = (lay.l, lay.dh, lay.ld, lay.lp(), lay.extent());
-    assert!(
-        dh <= ld
-            && [qb, kb, ob, gob, &*dq, &*dk, &*dv].iter().all(|s| s.len() == extent)
-            && kt.len() >= dh * lp
-            && vt.len() >= dh * lp
-            && ws.len() >= 2 * (ROWS + l) * lp,
-        "sdpa backward block kernel: operand lengths do not match [{l}, {dh}] at stride {ld}"
-    );
-    let (srow, rest) = ws.split_at_mut(ROWS * lp);
-    let (dsrow, rest) = rest.split_at_mut(ROWS * lp);
-    let (pt, dst) = rest.split_at_mut(l * lp);
-    let mut i = 0;
-    while i < l {
-        let nr = ROWS.min(l - i);
-        probs_avx2(qb, kt, srow, i, nr, lay, scale);
-        scores(gob, vt, dsrow, i, nr, lay, 1.0);
-        for r in 0..nr {
-            let delta = row_dot(&gob[(i + r) * ld..][..dh], &ob[(i + r) * ld..][..dh]);
-            for j in 0..l {
-                let p = srow[r * lp + j];
-                let ds = scale * p * (dsrow[r * lp + j] - delta);
-                dsrow[r * lp + j] = ds;
-                pt[j * lp + i + r] = p;
-                dst[j * lp + i + r] = ds;
+#[inline]
+unsafe fn scatter_row(src: &[f32], dst: &[*mut f32; LANES], live: usize, i: usize, lay: Layout) {
+    use std::arch::x86_64::*;
+    let p = dst.map(|s| s.wrapping_add(i * lay.ld));
+    let cols = src.as_ptr();
+    let mut d = 0;
+    while d + 4 <= lay.dh {
+        let x = transpose4([0, 1, 2, 3].map(|c| _mm256_loadu_ps(cols.add((d + c) * LANES))));
+        for (r, rows) in x.into_iter().enumerate() {
+            if r < live {
+                _mm_storeu_ps(p[r].add(d), _mm256_castps256_ps128(rows));
+            }
+            if r + 4 < live {
+                _mm_storeu_ps(p[r + 4].add(d), _mm256_extractf128_ps(rows, 1));
             }
         }
-        vsum_cols(dsrow, kb, dq, i, nr, lay);
-        i += nr;
+        d += 4;
     }
-    vsum_cols(dst, qb, dk, 0, l, lay);
-    vsum_cols(pt, gob, dv, 0, l, lay);
+    for d in d..lay.dh {
+        for (b, lane) in p.iter().enumerate().take(live) {
+            *lane.add(d) = *cols.add(d * LANES + b);
+        }
+    }
 }
 
-/// `scale ·` the dot products of `nr ≤ ROWS` rows of `ab` (`dh` values,
-/// `ld` apart) from row `i` with the columns of `bt` (a `dh × lp`
-/// transpose), into `srow` (row `r` at `r·lp`), per lane in `dot_avx2`'s
-/// arithmetic (see `probs_avx2`). For `Dh < 8` four rows share each
-/// column load: each row's chain is serial, so independent rows are what
-/// fill the FMA pipes.
+/// The 4×4 transpose within each 128-bit half of four vectors: element
+/// `c` of `x[r]` goes to element `r` of output `c`, per half. Pure data
+/// movement, and its own inverse.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn transpose4(x: [std::arch::x86_64::__m256; 4]) -> [std::arch::x86_64::__m256; 4] {
+    use std::arch::x86_64::*;
+    let (t0, t1) = (_mm256_unpacklo_ps(x[0], x[1]), _mm256_unpacklo_ps(x[2], x[3]));
+    let (t2, t3) = (_mm256_unpackhi_ps(x[0], x[1]), _mm256_unpackhi_ps(x[2], x[3]));
+    [
+        _mm256_shuffle_ps(t0, t1, 0x44),
+        _mm256_shuffle_ps(t0, t1, 0xEE),
+        _mm256_shuffle_ps(t2, t3, 0x44),
+        _mm256_shuffle_ps(t2, t3, 0xEE),
+    ]
+}
+
+/// Lane-wise `Σ_d a_d · b_d` over `dh` vectors of eight lanes, in
+/// `dot_avx2`'s arithmetic: eight accumulators `A[e]`, each an fma chain
+/// over the 8-wide chunks from zero, folded as `((A0+A4)+(A2+A6)) +
+/// ((A1+A5)+(A3+A7))`, then the fma chain of the last `dh mod 8`
+/// elements. With no whole chunk the tree sums zeros, so only that chain
+/// runs.
 ///
 /// # Safety
 ///
-/// AVX2 and FMA; `i + nr ≤ l`, `ab` holds `(l − 1)·ld + dh`, `bt` at
-/// least `dh·lp` and `srow` at least `nr·lp`.
+/// AVX2 and FMA; `a` and `b` hold `8·dh` floats.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn scores(
-    ab: &[f32],
-    bt: &[f32],
-    srow: &mut [f32],
-    i: usize,
-    nr: usize,
-    lay: Layout,
-    scale: f32,
-) {
+#[inline]
+unsafe fn dot_lanes(a: *const f32, b: *const f32, dh: usize) -> std::arch::x86_64::__m256 {
     use std::arch::x86_64::*;
-    let (dh, ld, lp) = (lay.dh, lay.ld, lay.lp());
-    let vscale = _mm256_set1_ps(scale);
-    if dh < 8 {
-        for r0 in (0..nr).step_by(4) {
-            let rows = (nr - r0).min(4);
-            for v in 0..lp / 8 {
-                let mut acc = [_mm256_setzero_ps(); 4];
-                for d in 0..dh {
-                    let kv = _mm256_loadu_ps(bt.as_ptr().add(d * lp + v * 8));
-                    for (r, a) in acc.iter_mut().enumerate().take(rows) {
-                        let qd = _mm256_set1_ps(*ab.get_unchecked((i + r0 + r) * ld + d));
-                        *a = _mm256_fmadd_ps(qd, kv, *a);
-                    }
-                }
-                for (r, a) in acc.iter().enumerate().take(rows) {
-                    let out = srow.as_mut_ptr().add((r0 + r) * lp + v * 8);
-                    _mm256_storeu_ps(out, _mm256_mul_ps(vscale, *a));
-                }
-            }
-        }
-        return;
-    }
     let chunks = dh / 8;
-    for r in 0..nr {
-        let q = ab.as_ptr().add((i + r) * ld);
-        for v in 0..lp / 8 {
-            let k = bt.as_ptr().add(v * 8);
-            let mut a = [_mm256_setzero_ps(); 8];
-            for c in 0..chunks {
-                for (e, acc) in a.iter_mut().enumerate() {
-                    let d = c * 8 + e;
-                    let kv = _mm256_loadu_ps(k.add(d * lp));
-                    *acc = _mm256_fmadd_ps(_mm256_set1_ps(*q.add(d)), kv, *acc);
-                }
+    let mut s = _mm256_setzero_ps();
+    if chunks > 0 {
+        let mut acc = [_mm256_setzero_ps(); 8];
+        for c in 0..chunks {
+            for (e, x) in acc.iter_mut().enumerate() {
+                let d = (c * 8 + e) * LANES;
+                *x = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(d)), _mm256_loadu_ps(b.add(d)), *x);
             }
-            let mut s = _mm256_add_ps(
-                _mm256_add_ps(_mm256_add_ps(a[0], a[4]), _mm256_add_ps(a[2], a[6])),
-                _mm256_add_ps(_mm256_add_ps(a[1], a[5]), _mm256_add_ps(a[3], a[7])),
-            );
-            for d in chunks * 8..dh {
-                s = _mm256_fmadd_ps(_mm256_set1_ps(*q.add(d)), _mm256_loadu_ps(k.add(d * lp)), s);
-            }
-            _mm256_storeu_ps(srow.as_mut_ptr().add(r * lp + v * 8), _mm256_mul_ps(vscale, s));
         }
+        s = _mm256_add_ps(
+            _mm256_add_ps(_mm256_add_ps(acc[0], acc[4]), _mm256_add_ps(acc[2], acc[6])),
+            _mm256_add_ps(_mm256_add_ps(acc[1], acc[5]), _mm256_add_ps(acc[3], acc[7])),
+        );
     }
+    for d in chunks * 8..dh {
+        s = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(d * LANES)), _mm256_loadu_ps(b.add(d * LANES)), s);
+    }
+    s
 }
 
-/// V-sum of output columns `d0..d0 + w` (`w ≤ 8·NV`) for `nr` rows from
-/// row `i`, `R` rows at a time with `R × NV` accumulators held in
-/// registers. `srow` rows hold the weights (`p · inv` in the forward);
-/// `vb` and `ob` rows are `ld` apart. Rows of a short last group repeat
-/// the group's last real row and are not stored.
+/// One query row's probabilities for the eight lanes: `p[j] = p_j · inv`
+/// against the rows of the K tile `kt`, from the row `qi`. Per lane: the
+/// score `scale · dot_lanes(q_i, k_j)`, the max over the keys folded with
+/// `max_ps` (NaN skipped, as `f32::max` does; the sign of a zero max
+/// cannot change `exp(s − max)`), `exp_ps(s − max)`, the sum in
+/// ascending key order from `0.0`, `inv = 1/sum`, and `p · inv`.
 ///
 /// # Safety
 ///
-/// AVX2 and FMA; `i + nr ≤ l`, `0 < w ≤ 8·NV`, `d0 + w ≤ dh`, and the
-/// slices sized as the block kernels check them. A vector with fewer
-/// than eight live lanes is read and written masked, so no lane past
-/// `d0 + w` of a row is touched: the next head's columns sit there.
+/// AVX2 and FMA; `qi` holds `lay.row()` floats, `kt` `l` rows of them and
+/// `p` at least `8·l`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn vsum<const R: usize, const NV: usize>(
-    srow: &[f32],
-    vb: &[f32],
-    ob: &mut [f32],
-    i: usize,
-    nr: usize,
-    lay: Layout,
-    d0: usize,
-    w: usize,
-) {
+#[inline]
+unsafe fn probs_lanes(qi: &[f32], kt: &[f32], p: &mut [f32], lay: Layout, scale: f32) {
     use std::arch::x86_64::*;
-    let (ld, lp) = (lay.ld, lay.lp());
-    let mut masks = [_mm256_setzero_si256(); NV];
-    let mut full = [false; NV];
-    for (n, (m, f)) in masks.iter_mut().zip(full.iter_mut()).enumerate() {
-        let lanes = w.saturating_sub(8 * n).min(8);
-        let mut bits = [0i32; 8];
-        bits[..lanes].fill(-1);
-        *m = _mm256_loadu_si256(bits.as_ptr() as *const __m256i);
-        *f = lanes == 8;
+    let (l, row, pp) = (lay.l, lay.row(), p.as_mut_ptr());
+    let vscale = _mm256_set1_ps(scale);
+    let mut m = _mm256_set1_ps(f32::NEG_INFINITY);
+    for j in 0..l {
+        let s = _mm256_mul_ps(vscale, dot_lanes(qi.as_ptr(), kt.as_ptr().add(j * row), lay.dh));
+        _mm256_storeu_ps(pp.add(j * LANES), s);
+        // The running max sits in the operand `max_ps` keeps on NaN.
+        m = _mm256_max_ps(s, m);
     }
-    let mut g = 0;
-    while g < nr {
-        let rows = R.min(nr - g);
-        let mut alpha = [srow.as_ptr(); R];
-        for (r, a) in alpha.iter_mut().enumerate() {
-            *a = srow.as_ptr().add((g + r.min(rows - 1)) * lp);
-        }
-        let mut acc = [[_mm256_setzero_ps(); NV]; R];
-        for j in 0..lay.l {
-            let vp = vb.as_ptr().add(j * ld + d0);
-            let mut vj = [_mm256_setzero_ps(); NV];
-            for n in 0..NV {
-                vj[n] = if full[n] {
-                    _mm256_loadu_ps(vp.add(8 * n))
-                } else {
-                    _mm256_maskload_ps(vp.add(8 * n), masks[n])
-                };
-            }
-            for r in 0..R {
-                let a = _mm256_set1_ps(*alpha[r].add(j));
-                for n in 0..NV {
-                    acc[r][n] = _mm256_fmadd_ps(a, vj[n], acc[r][n]);
-                }
-            }
-        }
-        for (r, row) in acc.iter().enumerate().take(rows) {
-            let op = ob.as_mut_ptr().add((i + g + r) * ld + d0);
-            for n in 0..NV {
-                if full[n] {
-                    _mm256_storeu_ps(op.add(8 * n), row[n]);
-                } else {
-                    _mm256_maskstore_ps(op.add(8 * n), masks[n], row[n]);
-                }
-            }
-        }
-        g += rows;
+    let mut sum = _mm256_setzero_ps();
+    for j in 0..l {
+        let e = simd::exp_ps(_mm256_sub_ps(_mm256_loadu_ps(pp.add(j * LANES)), m));
+        _mm256_storeu_ps(pp.add(j * LANES), e);
+        sum = _mm256_add_ps(sum, e);
+    }
+    let inv = _mm256_div_ps(_mm256_set1_ps(1.0), sum);
+    for j in 0..l {
+        let e = pp.add(j * LANES);
+        _mm256_storeu_ps(e, _mm256_mul_ps(_mm256_loadu_ps(e), inv));
     }
 }
 
-/// `ob[i + r] = Σ_j srow[r][j] · vb[j]` for `nr` rows from row `i`
-/// (`srow` rows at stride `lp`, `vb` and `ob` rows at stride `ld`), over
-/// column blocks of at most 16: eight accumulator registers either way
-/// (eight rows × one vector, or four × two).
+/// Lane-wise `out[d] = Σ_j w_j · x_j[d]` over the `l` rows of the tile
+/// `xt`, each element the ascending-`j` chain `acc = fma(w_j, x_jd, acc)`
+/// from zero (what `axpy_avx2` does into a zeroed row), `W` columns at a
+/// time with their accumulators in registers.
 ///
 /// # Safety
 ///
-/// As `vsum`, for every column of `0..dh`.
+/// AVX2 and FMA; `w` holds at least `8·l` floats, `xt` `l` rows of
+/// `lay.row()` and `out` one.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn vsum_cols(srow: &[f32], vb: &[f32], ob: &mut [f32], i: usize, nr: usize, lay: Layout) {
+#[inline]
+unsafe fn vsum_lanes(w: &[f32], xt: &[f32], out: &mut [f32], lay: Layout) {
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline]
+    unsafe fn cols<const W: usize>(w: *const f32, xt: *const f32, out: *mut f32, lay: Layout, d0: usize) {
+        use std::arch::x86_64::*;
+        let mut acc = [_mm256_setzero_ps(); W];
+        for j in 0..lay.l {
+            let (wj, xj) = (_mm256_loadu_ps(w.add(j * LANES)), xt.add(j * lay.row() + d0 * LANES));
+            for (e, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_fmadd_ps(wj, _mm256_loadu_ps(xj.add(e * LANES)), *a);
+            }
+        }
+        for (e, a) in acc.into_iter().enumerate() {
+            _mm256_storeu_ps(out.add((d0 + e) * LANES), a);
+        }
+    }
+    let (w, xt, out) = (w.as_ptr(), xt.as_ptr(), out.as_mut_ptr());
     let mut d0 = 0;
     while d0 < lay.dh {
-        let w = (lay.dh - d0).min(16);
-        if w <= 8 {
-            vsum::<8, 1>(srow, vb, ob, i, nr, lay, d0, w);
-        } else {
-            vsum::<4, 2>(srow, vb, ob, i, nr, lay, d0, w);
+        let left = lay.dh - d0;
+        let width = if left >= 8 { 8 } else if left >= 4 { 4 } else { 1 };
+        match width {
+            8 => cols::<8>(w, xt, out, lay, d0),
+            4 => cols::<4>(w, xt, out, lay, d0),
+            _ => cols::<1>(w, xt, out, lay, d0),
         }
-        d0 += w;
+        d0 += width;
     }
+}
+
+/// Fused attention forward for one tile on the Avx2Fma tier, each lane's
+/// block in the per-row arithmetic of one `dot_avx2` per score and one
+/// `axpy_avx2` per key: `probs_lanes` per query row, then the V-sum
+/// `vsum_lanes` of `p · inv` from zero, scattered to the output. `ws`
+/// holds the K and V tiles, a Q row, an output row and a probability row.
+///
+/// # Safety
+///
+/// AVX2 and FMA; every pointer of `q`, `k` and `v` and the first `live`
+/// of `o` address a block's strided extent `(l − 1)·ld + dh`, and the `o`
+/// blocks overlap no other. `ws` is sized as `tile_scratch` (checked).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn sdpa_tile_avx2<const DH: usize>(
+    [q, k, v]: &[[*const f32; LANES]; 3],
+    o: &[*mut f32; LANES],
+    live: usize,
+    ws: &mut [f32],
+    lay: Layout,
+    scale: f32,
+) {
+    let lay = if DH > 0 { Layout { dh: DH, ..lay } } else { lay };
+    let (l, row) = (lay.l, lay.row());
+    assert!(ws.len() >= tile_scratch(lay, false), "sdpa tile kernel: scratch too small");
+    let (kt, rest) = ws.split_at_mut(l * row);
+    let (vt, rest) = rest.split_at_mut(l * row);
+    let (qi, rest) = rest.split_at_mut(row);
+    let (oi, p) = rest.split_at_mut(row);
+    for j in 0..l {
+        gather_row(k, j, lay, &mut kt[j * row..][..row]);
+        gather_row(v, j, lay, &mut vt[j * row..][..row]);
+    }
+    for i in 0..l {
+        gather_row(q, i, lay, qi);
+        probs_lanes(qi, kt, p, lay, scale);
+        vsum_lanes(p, vt, oi, lay);
+        scatter_row(oi, o, live, i, lay);
+    }
+}
+
+/// Backward of one tile on the Avx2Fma tier. Per query row `i`, each lane
+/// recomputes P with `probs_lanes`, takes `delta = Σ_d dO_id · O_id` in
+/// ascending `d` from zero, and per key `j` forms `x = dot_lanes(dO_i,
+/// V_j)` and `dS_ij = (scale · p_j) · (x − delta)`. dQ row `i` is
+/// `vsum_lanes` of dS against the K tile; dK and dV accumulate in tiles,
+/// `fma(dS_ij, Q_id, ·)` and `fma(p_ij, dO_id, ·)` chains over ascending
+/// `i` from zero, scattered once every row is in.
+///
+/// # Safety
+///
+/// As `sdpa_tile_avx2`, for the inputs `q`, `k`, `v`, `o`, `go` and the
+/// three disjoint gradients.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn sdpa_tile_bwd_avx2<const DH: usize>(
+    [q, k, v, o, go]: &[[*const f32; LANES]; 5],
+    [dq, dk, dv]: &[[*mut f32; LANES]; 3],
+    live: usize,
+    ws: &mut [f32],
+    lay: Layout,
+    scale: f32,
+) {
+    let lay = if DH > 0 { Layout { dh: DH, ..lay } } else { lay };
+    use std::arch::x86_64::*;
+    let (l, dh, row) = (lay.l, lay.dh, lay.row());
+    assert!(ws.len() >= tile_scratch(lay, true), "sdpa backward tile kernel: scratch too small");
+    let (kt, rest) = ws.split_at_mut(l * row);
+    let (vt, rest) = rest.split_at_mut(l * row);
+    let (dkt, rest) = rest.split_at_mut(l * row);
+    let (dvt, rest) = rest.split_at_mut(l * row);
+    let (qi, rest) = rest.split_at_mut(row);
+    let (oi, rest) = rest.split_at_mut(row);
+    let (goi, rest) = rest.split_at_mut(row);
+    let (dqi, rest) = rest.split_at_mut(row);
+    let (p, ds) = rest.split_at_mut(l * LANES);
+    dkt.fill(0.0);
+    dvt.fill(0.0);
+    for j in 0..l {
+        gather_row(k, j, lay, &mut kt[j * row..][..row]);
+        gather_row(v, j, lay, &mut vt[j * row..][..row]);
+    }
+    let vscale = _mm256_set1_ps(scale);
+    let (qp, gop, dsp) = (qi.as_ptr(), goi.as_ptr(), ds.as_mut_ptr());
+    for i in 0..l {
+        gather_row(q, i, lay, qi);
+        gather_row(o, i, lay, oi);
+        gather_row(go, i, lay, goi);
+        probs_lanes(qi, kt, p, lay, scale);
+        let mut delta = _mm256_setzero_ps();
+        for d in 0..dh {
+            let (g, x) = (_mm256_loadu_ps(gop.add(d * LANES)), _mm256_loadu_ps(oi.as_ptr().add(d * LANES)));
+            delta = _mm256_add_ps(delta, _mm256_mul_ps(g, x));
+        }
+        for j in 0..l {
+            let pj = _mm256_loadu_ps(p.as_ptr().add(j * LANES));
+            let x = dot_lanes(gop, vt.as_ptr().add(j * row), dh);
+            let dsj = _mm256_mul_ps(_mm256_mul_ps(vscale, pj), _mm256_sub_ps(x, delta));
+            _mm256_storeu_ps(dsp.add(j * LANES), dsj);
+            let (dkj, dvj) = (dkt.as_mut_ptr().add(j * row), dvt.as_mut_ptr().add(j * row));
+            for d in 0..dh {
+                let e = d * LANES;
+                let (qd, gd) = (_mm256_loadu_ps(qp.add(e)), _mm256_loadu_ps(gop.add(e)));
+                _mm256_storeu_ps(dkj.add(e), _mm256_fmadd_ps(dsj, qd, _mm256_loadu_ps(dkj.add(e))));
+                _mm256_storeu_ps(dvj.add(e), _mm256_fmadd_ps(pj, gd, _mm256_loadu_ps(dvj.add(e))));
+            }
+        }
+        vsum_lanes(ds, kt, dqi, lay);
+        scatter_row(dqi, dq, live, i, lay);
+    }
+    for j in 0..l {
+        scatter_row(&dkt[j * row..][..row], dk, live, j, lay);
+        scatter_row(&dvt[j * row..][..row], dv, live, j, lay);
+    }
+}
+
+/// Floats of per-worker scratch for the Avx2Fma tile kernels: the K and V
+/// tiles (and, backward, the dK and dV tiles), the one-row buffers, and
+/// the probability (and dS) rows.
+fn tile_scratch(lay: Layout, backward: bool) -> usize {
+    let (tiles, rows, prob_rows) = if backward { (4, 4, 2) } else { (2, 2, 1) };
+    (tiles * lay.l + rows) * lay.row() + prob_rows * lay.l * LANES
 }
 
 /// `Σ_d a_d · b_d` in ascending order from `0.0`.
@@ -431,24 +449,13 @@ fn probs_row(qrow: &[f32], kb: &[f32], ld: usize, srow: &mut [f32], scale: f32) 
     }
 }
 
-/// Writes the `dh × lp` transpose of the block `rows` into `out`; lanes
-/// past `l` are left as they are (zero).
-fn transpose_into(rows: &[f32], lay: Layout, out: &mut [f32]) {
-    let lp = lay.lp();
-    for (j, row) in rows.chunks(lay.ld).enumerate() {
-        for (d, &x) in row[..lay.dh].iter().enumerate() {
-            out[d * lp + j] = x;
-        }
-    }
-}
-
 /// The tape backward of `sdpa`: accumulates dQ, dK and dV into the
 /// `parents` `[q, k, v]`, given the forward's output `o`, its gradient
 /// `go`, and the tier the forward ran on. Each gradient is written in
 /// place in the operands' layout, sharded by `a` as the forward is.
 fn sdpa_backward(parents: &[Tensor], o: &[f32], go: &[f32], lay: Layout, scale: f32, simd_on: bool) {
     let _sp = crate::obs::span("nn.sdpa.bwd");
-    let (l, dh, ld, lp, extent) = (lay.l, lay.dh, lay.ld, lay.lp(), lay.extent());
+    let (l, dh, ld, extent) = (lay.l, lay.dh, lay.ld, lay.extent());
     let mut grads = [(); 3].map(|_| crate::arena::zeroed(o.len()));
     {
         let (qr, kr, vr) = (parents[0].data(), parents[1].data(), parents[2].data());
@@ -459,10 +466,34 @@ fn sdpa_backward(parents: &[Tensor], o: &[f32], go: &[f32], lay: Layout, scale: 
             .map(|((dq, dk), dv)| [dq, dk, dv])
             .collect();
         pool::parallel_slices_mut(&mut slabs, 1, lay.grain(), |a0, run| {
-            let (ws_len, t_len) = if simd_on { (2 * (ROWS + l) * lp, dh * lp) } else { (l, 0) };
-            let mut ws = crate::arena::zeroed(ws_len);
-            let mut kt = crate::arena::zeroed(t_len);
-            let mut vt = crate::arena::zeroed(t_len);
+            if simd_on {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    let inputs = [q, k, v, o, go].map(|s| &s[a0 * l * ld..][..run.len() * l * ld]);
+                    // One base pointer per gradient slab; every lane's
+                    // block lies within its slab, as `Tile::run` builds it.
+                    let outs: Vec<[*mut f32; 3]> =
+                        run.iter_mut().map(|t| t.each_mut().map(|s| s.as_mut_ptr())).collect();
+                    let mut ws = crate::arena::zeroed(tile_scratch(lay, true));
+                    let kernel = match dh {
+                        4 => sdpa_tile_bwd_avx2::<4>,
+                        8 => sdpa_tile_bwd_avx2::<8>,
+                        16 => sdpa_tile_bwd_avx2::<16>,
+                        _ => sdpa_tile_bwd_avx2::<0>,
+                    };
+                    for tile in Tile::run(run.len(), lay) {
+                        let offs = tile.offsets(lay);
+                        let ins = inputs.map(|s| offs.map(|r| s[r..][..extent].as_ptr()));
+                        let grads = [0, 1, 2].map(|g| tile.blocks.map(|(a, base)| outs[a][g].wrapping_add(base)));
+                        // Safety: simd_on holds only under the Avx2Fma
+                        // tier; each pointer is a block of its slab.
+                        unsafe { kernel(&ins, &grads, tile.live, &mut ws, lay, scale) };
+                    }
+                    crate::arena::recycle(ws);
+                }
+                return;
+            }
+            let mut ws = crate::arena::zeroed(l);
             for (a, [dqa, dka, dva]) in (a0..).zip(run.iter_mut()) {
                 let r = a * l * ld..(a + 1) * l * ld;
                 let [qa, ka, va, oa, goa] = [q, k, v, o, go].map(|s| &s[r.clone()]);
@@ -470,17 +501,6 @@ fn sdpa_backward(parents: &[Tensor], o: &[f32], go: &[f32], lay: Layout, scale: 
                     let br = base..base + extent;
                     let [qb, kb, vb, ob, gob] = [qa, ka, va, oa, goa].map(|s| &s[br.clone()]);
                     let (dq, dk, dv) = (&mut dqa[br.clone()], &mut dka[br.clone()], &mut dva[br]);
-                    if simd_on {
-                        transpose_into(kb, lay, &mut kt);
-                        transpose_into(vb, lay, &mut vt);
-                        #[cfg(target_arch = "x86_64")]
-                        // Safety: simd_on holds only under the Avx2Fma tier.
-                        unsafe {
-                            let (ins, grads) = ([qb, kb, ob, gob], [dq, dk, dv]);
-                            sdpa_block_bwd_avx2(ins, [&kt, &vt], &mut ws, grads, lay, scale);
-                        }
-                        continue;
-                    }
                     for i in 0..l {
                         let ir = i * ld..i * ld + dh;
                         let (qrow, gorow) = (&qb[ir.clone()], &gob[ir.clone()]);
@@ -502,9 +522,7 @@ fn sdpa_backward(parents: &[Tensor], o: &[f32], go: &[f32], lay: Layout, scale: 
                     }
                 }
             }
-            for buf in [ws, kt, vt] {
-                crate::arena::recycle(buf);
-            }
+            crate::arena::recycle(ws);
         });
     }
     for (p, grad) in parents.iter().zip(grads) {
@@ -542,7 +560,7 @@ impl Tensor {
         assert!(heads > 0 && d > 0 && d.is_multiple_of(heads), "sdpa: {heads} heads do not split {d}");
         let ld = dims[axis + 1..].iter().product();
         let lay = Layout { l: dims[axis], dh: d / heads, ld };
-        let (l, dh, lp, extent) = (lay.l, lay.dh, lay.lp(), lay.extent());
+        let (l, dh, extent) = (lay.l, lay.dh, lay.extent());
 
         let _kernel = crate::obs::span("nn.sdpa");
         let simd_on = simd::tier() == Tier::Avx2Fma && cfg!(target_arch = "x86_64");
@@ -550,28 +568,41 @@ impl Tensor {
         {
             let (qr, kr, vr) = (q.data(), k.data(), v.data());
             let (qs, ks, vs): (&[f32], &[f32], &[f32]) = (&qr, &kr, &vr);
-            pool::parallel_slices_mut(&mut out, l * ld, lay.grain(), |a0, slabs| {
-                // Probability rows and the K transpose, reused across the
-                // run. The Avx2Fma kernel pads L to whole vectors.
-                let (srow_len, kt_len) = if simd_on { (ROWS * lp, dh * lp) } else { (l, 0) };
-                let mut srow = crate::arena::zeroed(srow_len);
-                let mut kt = crate::arena::zeroed(kt_len);
-                for (a, oa) in (a0..).zip(slabs.chunks_mut(l * ld)) {
-                    let r = a * l * ld..(a + 1) * l * ld;
-                    let (qa, ka, va) = (&qs[r.clone()], &ks[r.clone()], &vs[r]);
-                    for base in (0..ld).step_by(dh) {
-                        let br = base..base + extent;
-                        let (qb, kb, vb) = (&qa[br.clone()], &ka[br.clone()], &va[br.clone()]);
-                        let ob = &mut oa[br];
-                        if simd_on {
-                            transpose_into(kb, lay, &mut kt);
-                            #[cfg(target_arch = "x86_64")]
-                            // Safety: simd_on holds only under the Avx2Fma tier.
-                            unsafe {
-                                sdpa_block_avx2(qb, &kt, vb, ob, &mut srow, lay, scale);
-                            }
-                            continue;
+            pool::parallel_slices_mut(&mut out, l * ld, lay.grain(), |a0, run| {
+                let inputs = [qs, ks, vs].map(|s| &s[a0 * l * ld..][..run.len()]);
+                if simd_on {
+                    #[cfg(target_arch = "x86_64")]
+                    {
+                        let out = run.as_mut_ptr();
+                        let mut ws = crate::arena::zeroed(tile_scratch(lay, false));
+                        let kernel = match dh {
+                            4 => sdpa_tile_avx2::<4>,
+                            8 => sdpa_tile_avx2::<8>,
+                            16 => sdpa_tile_avx2::<16>,
+                            _ => sdpa_tile_avx2::<0>,
+                        };
+                        for tile in Tile::run(run.len() / (l * ld), lay) {
+                            let offs = tile.offsets(lay);
+                            let ins = inputs.map(|s| offs.map(|r| s[r..][..extent].as_ptr()));
+                            let o = offs.map(|r| out.wrapping_add(r));
+                            // Safety: simd_on holds only under the Avx2Fma
+                            // tier; `run` is as long as each input, so the
+                            // extents checked above fit it too.
+                            unsafe { kernel(&ins, &o, tile.live, &mut ws, lay, scale) };
                         }
+                        crate::arena::recycle(ws);
+                    }
+                    return;
+                }
+                // One probability row, reused across the run.
+                let mut srow = crate::arena::zeroed(l);
+                let [qa, ka, va] = inputs;
+                for (slab, oa) in run.chunks_mut(l * ld).enumerate() {
+                    let r = slab * l * ld..(slab + 1) * l * ld;
+                    for base in (0..ld).step_by(dh) {
+                        let br = r.start + base..r.start + base + extent;
+                        let (qb, kb, vb) = (&qa[br.clone()], &ka[br.clone()], &va[br]);
+                        let ob = &mut oa[base..base + extent];
                         for i in 0..l {
                             probs_row(&qb[i * ld..][..dh], kb, ld, &mut srow, scale);
                             let orow = &mut ob[i * ld..][..dh];
@@ -584,7 +615,6 @@ impl Tensor {
                     }
                 }
                 crate::arena::recycle(srow);
-                crate::arena::recycle(kt);
             });
         }
         Tensor::from_op(out, q.shape().clone(), vec![q.clone(), k.clone(), v.clone()], move || {

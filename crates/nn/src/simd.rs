@@ -354,7 +354,8 @@ pub(crate) unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
 /// part of the documented across-tier tolerance, like FMA contraction.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn exp_ps(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+#[inline]
+pub(crate) unsafe fn exp_ps(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
     use std::arch::x86_64::*;
 
     let hi = _mm256_set1_ps(88.376_26);
