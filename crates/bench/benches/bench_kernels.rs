@@ -152,21 +152,20 @@ fn bench_attention(c: &mut Criterion) {
     let flops = (8 * batch * seq * d_model * d_model + 4 * batch * seq * seq * d_model) as u64;
     group.throughput(Throughput::Flops(flops));
     group.record_threads(1);
-    // "fwd" rows measure the inference forward: tape-free, fused sdpa.
+    // "fwd" rows measure the inference forward: tape-free, fused sdpa,
+    // inside one `forward_only` scope around the timing loop, as inference
+    // opens one per ensemble. A scope per iteration would hand every op
+    // output back to the allocator each time and time page faults.
     group.bench_function(format!("fwd/{batch}x{seq}x{d_model}/h{heads}/t1"), |bch| {
-        bch.iter(|| {
-            pool::with_threads(1, || {
-                imdiff_nn::forward_only(|| black_box(attn.forward(&x, 1).to_vec()[0]))
-            })
+        imdiff_nn::forward_only(|| {
+            bch.iter(|| pool::with_threads(1, || black_box(attn.forward(&x, 1).to_vec()[0])))
         })
     });
     for t in [2usize, 4, 8] {
         group.record_threads(t);
         group.bench_function(format!("fwd/{batch}x{seq}x{d_model}/h{heads}/t{t}"), |bch| {
-            bch.iter(|| {
-                pool::with_threads(t, || {
-                    imdiff_nn::forward_only(|| black_box(attn.forward(&x, 1).to_vec()[0]))
-                })
+            imdiff_nn::forward_only(|| {
+                bch.iter(|| pool::with_threads(t, || black_box(attn.forward(&x, 1).to_vec()[0])))
             })
         });
     }
@@ -174,10 +173,18 @@ fn bench_attention(c: &mut Criterion) {
     // attention (8 windows × 19 channels, window 48, hidden 16, Dh 8), the
     // serving config's (19 channels, window 16, hidden 8, Dh 4), and the
     // quick profile's spatial attention (along the 19 channels of
-    // [8, 19, 48, 16], in place). "fwd" is the inference forward; "train"
-    // the forward and backward under the tape, its FLOPs nominally three
-    // times the forward's.
-    let shapes = [(vec![152usize, 48, 16], ""), (vec![19, 16, 8], ""), (vec![8, 19, 48, 16], "/axis1")];
+    // [8, 19, 48, 16], in place), and last, so the rows before it draw
+    // their weights as they always have, the serving config's spatial
+    // attention (along the 19 channels of [1, 19, 16, 8]). "fwd" is the
+    // inference forward; "train" the forward and backward under the tape,
+    // its FLOPs nominally three times the forward's, inside one
+    // `recycling` scope as a training fit runs.
+    let shapes = [
+        (vec![152usize, 48, 16], ""),
+        (vec![19, 16, 8], ""),
+        (vec![8, 19, 48, 16], "/axis1"),
+        (vec![1, 19, 16, 8], "/axis1"),
+    ];
     for (dims, tag) in shapes {
         let heads = 2;
         let d_model = dims[dims.len() - 1];
@@ -189,19 +196,19 @@ fn bench_attention(c: &mut Criterion) {
         group.throughput(Throughput::Flops(flops));
         group.record_threads(1);
         group.bench_function(format!("fwd/{shape}{tag}/h{heads}/t1"), |bch| {
-            bch.iter(|| {
-                pool::with_threads(1, || {
-                    imdiff_nn::forward_only(|| black_box(attn.forward(&x, 1).to_vec()[0]))
-                })
+            imdiff_nn::forward_only(|| {
+                bch.iter(|| pool::with_threads(1, || black_box(attn.forward(&x, 1).to_vec()[0])))
             })
         });
         group.throughput(Throughput::Flops(3 * flops));
         group.bench_function(format!("train/{shape}{tag}/h{heads}/t1"), |bch| {
-            bch.iter(|| {
-                pool::with_threads(1, || imdiff_nn::backward(&attn.forward(&x, 1).sum_all()));
-                for p in attn.params() {
-                    p.zero_grad();
-                }
+            imdiff_nn::recycling(|| {
+                bch.iter(|| {
+                    pool::with_threads(1, || imdiff_nn::backward(&attn.forward(&x, 1).sum_all()));
+                    for p in attn.params() {
+                        p.zero_grad();
+                    }
+                })
             })
         });
     }
@@ -213,7 +220,9 @@ fn bench_attention(c: &mut Criterion) {
 /// hidden 16 → 32) and the serving config's (19 channels × window 16,
 /// hidden 8 → 16). "fwd" is the inference forward; "train" the forward
 /// and backward under the tape, with the input tracked as inside the
-/// model, its FLOPs nominally three times the forward's.
+/// model, its FLOPs nominally three times the forward's. Each row's timing
+/// loop runs inside one `forward_only` or `recycling` scope, as in the
+/// attention rows.
 fn bench_linear(c: &mut Criterion) {
     let mut rng = seeded(17);
     let mut group = c.benchmark_group("linear");
@@ -225,21 +234,22 @@ fn bench_linear(c: &mut Criterion) {
         let flops = (2 * rows * d_in * d_out) as u64;
         group.throughput(Throughput::Flops(flops));
         group.bench_function(format!("fwd/{rows}x{d_in}x{d_out}/gelu/t1"), |bch| {
-            bch.iter(|| {
-                pool::with_threads(1, || {
-                    let y = imdiff_nn::forward_only(|| lin.forward_act(&x, Act::Gelu).to_vec()[0]);
-                    black_box(y)
+            imdiff_nn::forward_only(|| {
+                bch.iter(|| {
+                    pool::with_threads(1, || black_box(lin.forward_act(&x, Act::Gelu).to_vec()[0]))
                 })
             })
         });
         group.throughput(Throughput::Flops(3 * flops));
         group.bench_function(format!("train/{rows}x{d_in}x{d_out}/gelu/t1"), |bch| {
-            bch.iter(|| {
-                let y = pool::with_threads(1, || lin.forward_act(&x, Act::Gelu));
-                pool::with_threads(1, || imdiff_nn::backward(&y.sum_all()));
-                for p in lin.params().iter().chain([&x]) {
-                    p.zero_grad();
-                }
+            imdiff_nn::recycling(|| {
+                bch.iter(|| {
+                    let y = pool::with_threads(1, || lin.forward_act(&x, Act::Gelu));
+                    pool::with_threads(1, || imdiff_nn::backward(&y.sum_all()));
+                    for p in lin.params().iter().chain([&x]) {
+                        p.zero_grad();
+                    }
+                })
             })
         });
     }

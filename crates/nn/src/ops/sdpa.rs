@@ -115,7 +115,8 @@ unsafe fn gather_row(src: &[*const f32; LANES], i: usize, lay: Layout, dst: &mut
     let out = dst.as_mut_ptr();
     let mut d = 0;
     while d + 4 <= lay.dh {
-        let x = [0, 1, 2, 3].map(|r| _mm256_set_m128(_mm_loadu_ps(p[r + 4].add(d)), _mm_loadu_ps(p[r].add(d))));
+        // Lane `r` in the low half, lane `r + 4` in the high half.
+        let x = [0, 1, 2, 3].map(|r| _mm256_loadu2_m128(p[r + 4].add(d), p[r].add(d)));
         for (c, col) in transpose4(x).into_iter().enumerate() {
             _mm256_storeu_ps(out.add((d + c) * LANES), col);
         }
@@ -301,6 +302,8 @@ unsafe fn vsum_lanes(w: &[f32], xt: &[f32], out: &mut [f32], lay: Layout) {
 /// `axpy_avx2` per key: `probs_lanes` per query row, then the V-sum
 /// `vsum_lanes` of `p · inv` from zero, scattered to the output. `ws`
 /// holds the K and V tiles, a Q row, an output row and a probability row.
+/// A nonzero `DH` is the head width as a compile-time constant, so the
+/// inlined stages keep a row's vectors in registers; 0 reads `lay.dh`.
 ///
 /// # Safety
 ///
@@ -342,7 +345,8 @@ unsafe fn sdpa_tile_avx2<const DH: usize>(
 /// V_j)` and `dS_ij = (scale · p_j) · (x − delta)`. dQ row `i` is
 /// `vsum_lanes` of dS against the K tile; dK and dV accumulate in tiles,
 /// `fma(dS_ij, Q_id, ·)` and `fma(p_ij, dO_id, ·)` chains over ascending
-/// `i` from zero, scattered once every row is in.
+/// `i` from zero, scattered once every row is in. `DH` as in
+/// `sdpa_tile_avx2`.
 ///
 /// # Safety
 ///
@@ -358,8 +362,8 @@ unsafe fn sdpa_tile_bwd_avx2<const DH: usize>(
     lay: Layout,
     scale: f32,
 ) {
-    let lay = if DH > 0 { Layout { dh: DH, ..lay } } else { lay };
     use std::arch::x86_64::*;
+    let lay = if DH > 0 { Layout { dh: DH, ..lay } } else { lay };
     let (l, dh, row) = (lay.l, lay.dh, lay.row());
     assert!(ws.len() >= tile_scratch(lay, true), "sdpa backward tile kernel: scratch too small");
     let (kt, rest) = ws.split_at_mut(l * row);
@@ -378,15 +382,15 @@ unsafe fn sdpa_tile_bwd_avx2<const DH: usize>(
         gather_row(v, j, lay, &mut vt[j * row..][..row]);
     }
     let vscale = _mm256_set1_ps(scale);
-    let (qp, gop, dsp) = (qi.as_ptr(), goi.as_ptr(), ds.as_mut_ptr());
     for i in 0..l {
         gather_row(q, i, lay, qi);
         gather_row(o, i, lay, oi);
         gather_row(go, i, lay, goi);
         probs_lanes(qi, kt, p, lay, scale);
+        let (qp, op, gop, dsp) = (qi.as_ptr(), oi.as_ptr(), goi.as_ptr(), ds.as_mut_ptr());
         let mut delta = _mm256_setzero_ps();
         for d in 0..dh {
-            let (g, x) = (_mm256_loadu_ps(gop.add(d * LANES)), _mm256_loadu_ps(oi.as_ptr().add(d * LANES)));
+            let (g, x) = (_mm256_loadu_ps(gop.add(d * LANES)), _mm256_loadu_ps(op.add(d * LANES)));
             delta = _mm256_add_ps(delta, _mm256_mul_ps(g, x));
         }
         for j in 0..l {
@@ -484,7 +488,8 @@ fn sdpa_backward(parents: &[Tensor], o: &[f32], go: &[f32], lay: Layout, scale: 
                     for tile in Tile::run(run.len(), lay) {
                         let offs = tile.offsets(lay);
                         let ins = inputs.map(|s| offs.map(|r| s[r..][..extent].as_ptr()));
-                        let grads = [0, 1, 2].map(|g| tile.blocks.map(|(a, base)| outs[a][g].wrapping_add(base)));
+                        let grads =
+                            [0, 1, 2].map(|g| tile.blocks.map(|(a, base)| outs[a][g].wrapping_add(base)));
                         // Safety: simd_on holds only under the Avx2Fma
                         // tier; each pointer is a block of its slab.
                         unsafe { kernel(&ins, &grads, tile.live, &mut ws, lay, scale) };
@@ -753,9 +758,7 @@ mod tests {
     #[test]
     fn bit_identical_across_thread_counts_per_tier() {
         crate::obs::tests::with_exclusive_obs(|| {
-            let bits = |all: Vec<Vec<f32>>| -> Vec<Vec<u32>> {
-                all.iter().map(|x| x.iter().map(|v| v.to_bits()).collect()).collect()
-            };
+            let all_bits = |all: Vec<Vec<f32>>| all.iter().map(|x| bits(x)).collect::<Vec<_>>();
             let mut rng = seeded(12);
             // `[BH, L, Dh]`, and channel attention on `[B, K, L, 2·Dh]` with
             // two heads, large enough that its four `a` slabs fan out.
@@ -775,9 +778,9 @@ mod tests {
                 let f = |q: &Tensor, k: &Tensor, v: &Tensor| Tensor::sdpa(q, k, v, axis, heads, 0.35);
                 let run = || forward_backward(f, &q, &k, &v);
                 for tier in tiers() {
-                    let reference = bits(with_tier(tier, || with_threads(1, run)));
+                    let reference = all_bits(with_tier(tier, || with_threads(1, run)));
                     for t in [2usize, 4, 8] {
-                        let got = bits(with_tier(tier, || with_threads(t, run)));
+                        let got = all_bits(with_tier(tier, || with_threads(t, run)));
                         assert_eq!(got, reference, "{dims:?} axis={axis} tier={tier:?} threads={t}");
                     }
                 }
