@@ -217,8 +217,10 @@ fn bench_attention(c: &mut Criterion) {
 
 /// A `Linear` with its activation fused into the matmul epilogue, at the
 /// quick profile's FFN `fc1` (8 windows × 19 channels × window 48 rows,
-/// hidden 16 → 32) and the serving config's (19 channels × window 16,
-/// hidden 8 → 16). "fwd" is the inference forward; "train" the forward
+/// hidden 16 → 32), the serving config's (19 channels × window 16,
+/// hidden 8 → 16) and, last so the rows before it draw their weights as
+/// they always have, one training shard's (one window, 912 rows). "fwd"
+/// is the inference forward; "train" the forward
 /// and backward under the tape, with the input tracked as inside the
 /// model, its FLOPs nominally three times the forward's. Each row's timing
 /// loop runs inside one `forward_only` or `recycling` scope, as in the
@@ -228,7 +230,7 @@ fn bench_linear(c: &mut Criterion) {
     let mut group = c.benchmark_group("linear");
     group.sample_size(20);
     group.record_threads(1);
-    for (rows, d_in, d_out) in [(7296usize, 16usize, 32usize), (304, 8, 16)] {
+    for (rows, d_in, d_out) in [(7296usize, 16usize, 32usize), (304, 8, 16), (912, 16, 32)] {
         let lin = Linear::new(&mut rng, d_in, d_out);
         let x = Tensor::param_from_vec(filled(rows * d_in, &mut rng), &[rows, d_in]).unwrap();
         let flops = (2 * rows * d_in * d_out) as u64;

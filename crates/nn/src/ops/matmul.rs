@@ -1,12 +1,13 @@
 //! Matrix multiplication on cache-blocked, register-tiled kernels.
 //!
-//! All three kernel shapes (`NN`, `NT`, `TN`) reduce to one blocked
-//! `C += A @ B` kernel: the transposed operand is *packed* — transposed
-//! into a row-major panel — once per call, so the inner loops always
-//! stream both operands with unit stride. The inner kernel processes
-//! [`MR`] rows of `A` against a [`KC`]-deep panel of `B`, amortising each
-//! load of a `B` row across `MR` output rows; there is **no** zero-skip
-//! branch, so IEEE special values propagate exactly (`0.0 * NaN = NaN`).
+//! `NN` and `NT` run one blocked `C += A @ B` kernel; `NT` first *packs*
+//! its transposed operand into a row-major copy once per call, so the
+//! inner loops stream both operands with unit stride. The inner kernel
+//! processes [`MR`] rows of `A` against a [`KC`]-deep panel of `B`,
+//! amortising each load of a `B` row across `MR` output rows. `TN` (the
+//! weight gradient) has kernels of its own that read both operands in
+//! place, row by row. There is **no** zero-skip branch in any of them,
+//! so IEEE special values propagate exactly (`0.0 * NaN = NaN`).
 //!
 //! Large calls are split across the worker pool by output rows. Every
 //! output element is always computed by exactly one worker with the same
@@ -87,9 +88,26 @@ pub(crate) fn mm_nn_block(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, ou
     }
 }
 
+/// Serial `TN` kernel: `out += a[m,k]ᵀ @ b[m,n]` over the output rows
+/// `p0..p0 + out.len() / n`, as `out[p][j] += a[i][p] · b[i][j]` with `i`
+/// ascending. Each element sees the additions `mm_nn_block` gives it on a
+/// transposed copy of `a`, in the same order.
+fn mm_tn_block(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, p0: usize, out: &mut [f32]) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), m * n);
+    let prows = out.len() / n;
+    for (arow, brow) in a.chunks_exact(k).zip(b.chunks_exact(n)) {
+        for (orow, &av) in out.chunks_exact_mut(n).zip(&arow[p0..p0 + prows]) {
+            for (o, &bv) in orow.iter_mut().zip(brow) {
+                *o += av * bv;
+            }
+        }
+    }
+}
+
 /// Packs `src` (`rows × cols`, row-major) into its transpose
 /// (`cols × rows`, row-major), tiled for cache-friendly strides.
-pub fn pack_transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+fn pack_transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     debug_assert_eq!(src.len(), rows * cols);
     const TILE: usize = 32;
     let mut dst = vec![0.0f32; src.len()];
@@ -161,20 +179,12 @@ fn mm_nn_dispatch(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    // mm_nt / mm_tn delegate here after packing, so this one dispatch
-    // point covers every kernel invocation exactly once; the span includes
-    // the epilogue.
-    let _kernel = crate::obs::span("nn.matmul");
-    if crate::obs::enabled() {
-        crate::obs::counter("nn.matmul.calls", 1);
-        crate::obs::histogram("nn.matmul.flops", 2.0 * m as f64 * k as f64 * n as f64);
-    }
     // Resolve the tier once, on the calling thread (scoped overrides do
     // not reach pool workers), and branch before fanning out.
-    if simd::tier() == Tier::Avx2Fma {
-        if crate::obs::enabled() {
-            crate::obs::counter("nn.matmul.simd", 1);
-        }
+    let simd_on = simd::tier() == Tier::Avx2Fma;
+    // The span includes the epilogue.
+    let _kernel = kernel_span(m, k, n, simd_on);
+    if simd_on {
         let packed_local;
         let bp: &[f32] = match prepacked {
             Some(p) => p,
@@ -215,6 +225,21 @@ fn mm_nn_dispatch(
     }
 }
 
+/// The one `nn.matmul` span of a kernel call, with its `calls`, `simd`
+/// and `flops` counters: `mm_nn` and `mm_nt` reach it through
+/// `mm_nn_dispatch`, `mm_tn` directly, so each call counts once.
+fn kernel_span(m: usize, k: usize, n: usize, simd_on: bool) -> crate::obs::Span {
+    let span = crate::obs::span("nn.matmul");
+    if crate::obs::enabled() {
+        crate::obs::counter("nn.matmul.calls", 1);
+        crate::obs::histogram("nn.matmul.flops", 2.0 * m as f64 * k as f64 * n as f64);
+        if simd_on {
+            crate::obs::counter("nn.matmul.simd", 1);
+        }
+    }
+    span
+}
+
 /// The packed panels for parameter `t`, packing at most once per
 /// `(generation, k, n)`: once per layer until the optimizer mutates the
 /// weights. The pack lives in the parameter's own slot, as long as the
@@ -243,13 +268,26 @@ pub fn mm_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]
     mm_nn(a, &bt, m, k, n, out);
 }
 
-/// `out[k,n] += a[m,k]^T @ b[m,n]`: packs `a`'s transpose once, then runs
-/// the blocked `NN` kernel.
+/// `out[k,n] += a[m,k]^T @ b[m,n]`, split across the worker pool by output
+/// rows as [`mm_nn`] splits a `[k, m] @ [m, n]` product. Both tiers read
+/// `a` and `b` in place: each output element is one chain over `i`
+/// ascending, an FMA chain from zero added once into `out` on Avx2Fma
+/// (`simd::mm_tn_avx2`), the running sum in `out` on Scalar — bit for bit
+/// what `mm_nn` computes from `a`'s transpose on that tier.
 pub fn mm_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), m * n);
-    let at = pack_transpose(a, m, k); // [k, m]
-    mm_nn(&at, b, k, m, n, out);
+    debug_assert_eq!(out.len(), k * n);
+    let simd_on = simd::tier() == Tier::Avx2Fma;
+    let _kernel = kernel_span(k, m, n, simd_on);
+    pool::parallel_slices_mut(out, n, row_grain(m, n), |p0, rows| {
+        if simd_on {
+            // Safety: tier() == Avx2Fma implies avx2+fma were detected.
+            unsafe { simd::mm_tn_avx2(a, b, m, k, n, p0, rows) };
+        } else {
+            mm_tn_block(a, b, m, k, n, p0, rows);
+        }
+    });
 }
 
 impl Tensor {
@@ -268,7 +306,7 @@ impl Tensor {
     /// `z` (written in the same pass, parked in the arena again when the
     /// node drops); their derivative is computed from `z` as the
     /// standalone op's backward does, ReLU's from the output. `dX` and `dW`
-    /// come from the blocked `NT`/`TN` kernels on that gradient, and the
+    /// come from the `NT` and `TN` kernels on that gradient, and the
     /// bias gradient is its column sum in ascending row order from `+0.0`.
     /// Attention, which multiplies per head, runs the fused
     /// [`Tensor::sdpa`] instead.
@@ -340,7 +378,7 @@ impl Tensor {
                 }
                 if pw.requires_grad() {
                     // dW = Xᵀ @ dZ accumulated over every batch; the fold
-                    // makes it one [k, rows] @ [rows, n].
+                    // makes it one [rows, k]ᵀ @ [rows, n], read in place.
                     let mut gw = crate::arena::zeroed(pw.numel());
                     mm_tn(&pa.data(), dz, rows, k, n, &mut gw);
                     pw.accumulate_grad_owned(gw);
@@ -460,6 +498,44 @@ mod tests {
         let mut out2 = [0.0f32; 4];
         mm_tn(&[0.0, 0.0], &[f32::NAN, 1.0], 1, 2, 2, &mut out2);
         assert!(out2[0].is_nan() && out2[2].is_nan());
+    }
+
+    #[test]
+    fn mm_tn_matches_transposed_mm_nn_bits() {
+        // The old `TN` path packed `a`'s transpose and ran `mm_nn` on it;
+        // the in-place kernels must give its bits on each tier at every
+        // thread count. m = 912 (one training sample's rows) splits the
+        // output rows into several shards at k ≥ 16; k and n cover the
+        // 4-row and 16-column tiles' remainders and the masked right edge.
+        crate::obs::tests::with_exclusive_obs(|| {
+            for tier in tiers() {
+                for m in [1usize, 5, 912] {
+                    for k in [1usize, 2, 3, 16, 17] {
+                        for n in [1usize, 2, 8, 9, 16, 17, 32] {
+                            let a = wave(m * k, 0.4);
+                            let b = wave(m * n, 1.7);
+                            let want = with_tier(tier, || {
+                                let mut o = vec![0.0f32; k * n];
+                                mm_nn(&pack_transpose(&a, m, k), &b, k, m, n, &mut o);
+                                o
+                            });
+                            for t in [1usize, 2, 3] {
+                                let got = with_threads(t, || {
+                                    with_tier(tier, || {
+                                        let mut o = vec![0.0f32; k * n];
+                                        mm_tn(&a, &b, m, k, n, &mut o);
+                                        o
+                                    })
+                                });
+                                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                                let what = format!("{} {m}x{k}x{n} t{t}", tier.name());
+                                assert_eq!(bits(&got), bits(&want), "{what}");
+                            }
+                        }
+                    }
+                }
+            }
+        });
     }
 
     #[test]

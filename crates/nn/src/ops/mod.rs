@@ -17,4 +17,4 @@ mod shape_ops;
 
 pub use activation::Act;
 pub use loss::{bce_with_logits, kl_standard_normal, masked_mse, mse};
-pub use matmul::{mm_nn, mm_nt, mm_tn, pack_transpose};
+pub use matmul::{mm_nn, mm_nt, mm_tn};

@@ -45,6 +45,55 @@ fn row_stats(row: &[f32], eps: f32) -> (f32, f32) {
     (mean, 1.0 / (var + eps).sqrt())
 }
 
+/// Slab `c` (columns `c..c + 8`) of the eight `d`-wide rows of `x` from
+/// offset `base`, transposed so that lane `i` holds row `i`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn slab(x: &[f32], base: usize, d: usize, c: usize) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+    let mut t = [_mm256_setzero_ps(); 8];
+    for (i, slot) in t.iter_mut().enumerate() {
+        *slot = _mm256_loadu_ps(x.as_ptr().add(base + i * d + c));
+    }
+    transpose8(&mut t);
+    t
+}
+
+/// Mean and `1/std` of the eight `d`-wide rows of `x` from `base`, one row
+/// per lane, with [`row_stats`]' chains: the mean and variance sums add
+/// elements `0..d` in ascending order from −0.0 (as `iter().sum()`; −0.0 +
+/// e0 is e0 exactly), mul then add, no fma.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn lane_stats(
+    x: &[f32],
+    base: usize,
+    d: usize,
+    eps: f32,
+) -> (std::arch::x86_64::__m256, std::arch::x86_64::__m256) {
+    use std::arch::x86_64::*;
+    let vd = _mm256_set1_ps(d as f32);
+    let mut s = _mm256_set1_ps(-0.0);
+    for c in (0..d).step_by(8) {
+        for e in slab(x, base, d, c) {
+            s = _mm256_add_ps(s, e);
+        }
+    }
+    let mean = _mm256_div_ps(s, vd);
+    let mut v = _mm256_set1_ps(-0.0);
+    for c in (0..d).step_by(8) {
+        for e in slab(x, base, d, c) {
+            let de = _mm256_sub_ps(e, mean);
+            v = _mm256_add_ps(v, _mm256_mul_ps(de, de));
+        }
+    }
+    let var = _mm256_div_ps(v, vd);
+    let istd = _mm256_div_ps(_mm256_set1_ps(1.0), _mm256_sqrt_ps(_mm256_add_ps(var, _mm256_set1_ps(eps))));
+    (mean, istd)
+}
+
 /// Layer norm for rows of `d = 8m` elements: eight rows per pass, each
 /// 8-column slab put through an 8×8 transpose so each lane holds one row
 /// and the per-row serial chains run as vertical vector ops across eight
@@ -83,42 +132,12 @@ unsafe fn layer_norm_rows_avx2<const D: usize>(
         "layer norm kernel: lengths do not match width {d}"
     );
     let rows = x.len() / d;
-    let vd = _mm256_set1_ps(d as f32);
-    let veps = _mm256_set1_ps(eps);
-    let one = _mm256_set1_ps(1.0);
-    // Slab `c` of the eight rows from `base`, one row per lane.
-    let slab = |base: usize, c: usize| {
-        let mut t = [_mm256_setzero_ps(); 8];
-        for (i, slot) in t.iter_mut().enumerate() {
-            *slot = _mm256_loadu_ps(x.as_ptr().add(base + i * d + c));
-        }
-        transpose8(&mut t);
-        t
-    };
     let mut r = 0;
     while r + 8 <= rows {
         let base = r * d;
-        // mean = ((e0 + e1) + ... + e_{d-1}) / d, ascending like `iter().sum()`,
-        // which also starts from −0.0 (−0.0 + e0 is e0 exactly).
-        let mut s = _mm256_set1_ps(-0.0);
+        let (mean, istd) = lane_stats(x, base, d, eps);
         for c in (0..d).step_by(8) {
-            for e in slab(base, c) {
-                s = _mm256_add_ps(s, e);
-            }
-        }
-        let mean = _mm256_div_ps(s, vd);
-        // var = sum((e - mean)^2) / d, same ascending order, mul-then-add.
-        let mut v = _mm256_set1_ps(-0.0);
-        for c in (0..d).step_by(8) {
-            for e in slab(base, c) {
-                let de = _mm256_sub_ps(e, mean);
-                v = _mm256_add_ps(v, _mm256_mul_ps(de, de));
-            }
-        }
-        let var = _mm256_div_ps(v, vd);
-        let istd = _mm256_div_ps(one, _mm256_sqrt_ps(_mm256_add_ps(var, veps)));
-        for c in (0..d).step_by(8) {
-            let mut t = slab(base, c);
+            let mut t = slab(x, base, d, c);
             for (k, e) in (c..).zip(t.iter_mut()) {
                 let h = _mm256_mul_ps(_mm256_sub_ps(*e, mean), istd);
                 *e = _mm256_add_ps(
@@ -129,6 +148,96 @@ unsafe fn layer_norm_rows_avx2<const D: usize>(
             transpose8(&mut t);
             for (i, row) in t.iter().enumerate() {
                 _mm256_storeu_ps(out.as_mut_ptr().add(base + i * d + c), *row);
+            }
+        }
+        r += 8;
+    }
+    r
+}
+
+/// The layer-norm backward for rows of `d = 8m` elements, eight rows per
+/// pass as in [`layer_norm_rows_avx2`]: `gx` gets each row's input
+/// gradient, and `gg`/`gb` (zeroed or holding earlier rows' sums) get each
+/// row's `go ⊙ x̂` and `go` added. Returns how many leading rows it did (a
+/// multiple of 8); the caller runs the scalar rows over the rest.
+///
+/// Bit-identical to the scalar path by construction. Per lane it runs the
+/// scalar row's chains: [`lane_stats`], then `mean_dxhat` and
+/// `mean_dxhat_xhat` from `+0.0` over elements `0..d` ascending (mul then
+/// add), the divisions by `d`, and `istd · ((dx̂ − mean_dxhat) − x̂ ·
+/// mean_dxhat_xhat)`. `x̂` goes back to row layout for the parameter
+/// gradients, which add one row vector at a time in ascending row order,
+/// as the scalar loop adds rows. `x̂` and `dx̂` are recomputed in the
+/// output pass rather than staged, with the same operations.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA. The lengths are checked on entry.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn layer_norm_bwd_rows_avx2<const D: usize>(
+    x: &[f32],
+    gamma: &[f32],
+    gout: &[f32],
+    gx: &mut [f32],
+    gg: &mut [f32],
+    gb: &mut [f32],
+    d: usize,
+    eps: f32,
+) -> usize {
+    use std::arch::x86_64::*;
+    let d = if D == 0 { d } else { D };
+    assert!(
+        d > 0
+            && d.is_multiple_of(8)
+            && [gamma.len(), gg.len(), gb.len()] == [d; 3]
+            && gout.len() == x.len()
+            && gx.len() == x.len(),
+        "layer norm backward kernel: lengths do not match width {d}"
+    );
+    let rows = x.len() / d;
+    let vd = _mm256_set1_ps(d as f32);
+    let mut r = 0;
+    while r + 8 <= rows {
+        let base = r * d;
+        let (mean, istd) = lane_stats(x, base, d, eps);
+        let mut mdx = _mm256_setzero_ps();
+        let mut mdxx = _mm256_setzero_ps();
+        for c in (0..d).step_by(8) {
+            let (xs, gos) = (slab(x, base, d, c), slab(gout, base, d, c));
+            let mut xh = [_mm256_setzero_ps(); 8];
+            for (k, h) in (c..).zip(xh.iter_mut()) {
+                *h = _mm256_mul_ps(_mm256_sub_ps(xs[k - c], mean), istd);
+                let dxh = _mm256_mul_ps(gos[k - c], _mm256_set1_ps(*gamma.get_unchecked(k)));
+                mdx = _mm256_add_ps(mdx, dxh);
+                mdxx = _mm256_add_ps(mdxx, _mm256_mul_ps(dxh, *h));
+            }
+            // Parameter gradients: x̂ back in row layout, rows ascending.
+            transpose8(&mut xh);
+            let (pg, pb) = (gg.as_mut_ptr().add(c), gb.as_mut_ptr().add(c));
+            let (mut vg, mut vb) = (_mm256_loadu_ps(pg), _mm256_loadu_ps(pb));
+            for (i, h) in xh.iter().enumerate() {
+                let go = _mm256_loadu_ps(gout.as_ptr().add(base + i * d + c));
+                vg = _mm256_add_ps(vg, _mm256_mul_ps(go, *h));
+                vb = _mm256_add_ps(vb, go);
+            }
+            _mm256_storeu_ps(pg, vg);
+            _mm256_storeu_ps(pb, vb);
+        }
+        let mdx = _mm256_div_ps(mdx, vd);
+        let mdxx = _mm256_div_ps(mdxx, vd);
+        for c in (0..d).step_by(8) {
+            let (xs, gos) = (slab(x, base, d, c), slab(gout, base, d, c));
+            let mut t = [_mm256_setzero_ps(); 8];
+            for (k, e) in (c..).zip(t.iter_mut()) {
+                let h = _mm256_mul_ps(_mm256_sub_ps(xs[k - c], mean), istd);
+                let dxh = _mm256_mul_ps(gos[k - c], _mm256_set1_ps(*gamma.get_unchecked(k)));
+                *e = _mm256_mul_ps(istd, _mm256_sub_ps(_mm256_sub_ps(dxh, mdx), _mm256_mul_ps(h, mdxx)));
+            }
+            transpose8(&mut t);
+            for (i, row) in t.iter().enumerate() {
+                _mm256_storeu_ps(gx.as_mut_ptr().add(base + i * d + c), *row);
             }
         }
         r += 8;
@@ -209,13 +318,16 @@ impl Tensor {
         assert_eq!(gamma.dims(), &[d], "layer_norm gamma shape");
         assert_eq!(beta.dims(), &[d], "layer_norm beta shape");
         let rows = self.numel() / d;
+        // The backward follows the forward's tier.
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+        let tier = crate::simd::tier();
 
         let mut out = crate::arena::zeroed(self.numel());
         {
             let (x, g, b) = (self.data(), gamma.data(), beta.data());
             // Rows the Avx2Fma kernel wrote; the scalar path takes the rest.
             #[cfg(target_arch = "x86_64")]
-            let done = match (d, crate::simd::tier()) {
+            let done = match (d, tier) {
                 // Safety (both arms): gated on the Avx2Fma tier.
                 (8, Tier::Avx2Fma) => unsafe { layer_norm_rows_avx2::<8>(&x, &g, &b, &mut out, d, eps) },
                 (_, Tier::Avx2Fma) if d.is_multiple_of(8) => unsafe {
@@ -250,8 +362,25 @@ impl Tensor {
                 {
                     let x = px.data();
                     let gamma_d = pg.data();
+                    // Rows the Avx2Fma kernel did; the scalar loop takes
+                    // the rest, after them, so `gg`/`gb` still add rows in
+                    // ascending order.
+                    #[cfg(target_arch = "x86_64")]
+                    let done = match (d, tier) {
+                        // Safety (both arms): gated on the forward's
+                        // Avx2Fma tier.
+                        (8, Tier::Avx2Fma) => unsafe {
+                            layer_norm_bwd_rows_avx2::<8>(&x, &gamma_d, gout, &mut gx, &mut gg, &mut gb, d, eps)
+                        },
+                        (_, Tier::Avx2Fma) if d.is_multiple_of(8) => unsafe {
+                            layer_norm_bwd_rows_avx2::<0>(&x, &gamma_d, gout, &mut gx, &mut gg, &mut gb, d, eps)
+                        },
+                        _ => 0,
+                    };
+                    #[cfg(not(target_arch = "x86_64"))]
+                    let done = 0;
                     let mut xh = vec![0.0f32; d];
-                    for r in 0..rows {
+                    for r in done..rows {
                         let go = &gout[r * d..(r + 1) * d];
                         let row = &x[r * d..(r + 1) * d];
                         let (mean, istd) = row_stats(row, eps);
@@ -299,141 +428,185 @@ mod tests {
 
     #[test]
     fn softmax_rows_sum_to_one() {
-        let x = param(&[1.0, 2.0, 3.0, -1.0, 0.0, 1.0], &[2, 3]);
-        let y = x.softmax_last();
-        let d = y.to_vec();
-        let s0: f32 = d[..3].iter().sum();
-        let s1: f32 = d[3..].iter().sum();
-        assert!((s0 - 1.0).abs() < 1e-6);
-        assert!((s1 - 1.0).abs() < 1e-6);
-        assert!(d[2] > d[1] && d[1] > d[0]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[1.0, 2.0, 3.0, -1.0, 0.0, 1.0], &[2, 3]);
+            let y = x.softmax_last();
+            let d = y.to_vec();
+            let s0: f32 = d[..3].iter().sum();
+            let s1: f32 = d[3..].iter().sum();
+            assert!((s0 - 1.0).abs() < 1e-6);
+            assert!((s1 - 1.0).abs() < 1e-6);
+            assert!(d[2] > d[1] && d[1] > d[0]);
+        });
     }
 
     #[test]
     fn softmax_invariant_to_shift() {
-        let a = param(&[1.0, 2.0, 3.0], &[3]).softmax_last().to_vec();
-        let b = param(&[101.0, 102.0, 103.0], &[3]).softmax_last().to_vec();
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-6);
-        }
+        crate::obs::tests::with_exclusive_obs(|| {
+            let a = param(&[1.0, 2.0, 3.0], &[3]).softmax_last().to_vec();
+            let b = param(&[101.0, 102.0, 103.0], &[3]).softmax_last().to_vec();
+            for (x, y) in a.iter().zip(&b) {
+                assert!((x - y).abs() < 1e-6);
+            }
+        });
     }
 
     #[test]
     fn softmax_grad_sums_to_zero() {
-        // Because softmax output sums to 1, gradient of sum is 0.
-        let x = param(&[0.3, -0.7, 1.2], &[3]);
-        let y = x.softmax_last();
-        backward(&y.sum_all());
-        let g = x.grad().unwrap();
-        assert!(g.iter().all(|v| v.abs() < 1e-6), "{g:?}");
+        crate::obs::tests::with_exclusive_obs(|| {
+            // Because softmax output sums to 1, gradient of sum is 0.
+            let x = param(&[0.3, -0.7, 1.2], &[3]);
+            let y = x.softmax_last();
+            backward(&y.sum_all());
+            let g = x.grad().unwrap();
+            assert!(g.iter().all(|v| v.abs() < 1e-6), "{g:?}");
+        });
     }
 
     #[test]
     fn softmax_grad_numeric() {
-        let v = [0.5f32, -1.0, 2.0];
-        let x = param(&v, &[3]);
-        // Loss = sum(softmax * w) with fixed weights.
-        let w = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
-        let loss = x.softmax_last().mul(&w).sum_all();
-        backward(&loss);
-        let g = x.grad().unwrap();
-        let f = |vs: &[f32]| {
-            Tensor::from_vec(vs.to_vec(), &[3])
-                .unwrap()
-                .softmax_last()
-                .mul(&w)
-                .sum_all()
-                .item()
-        };
-        let eps = 1e-3;
-        for i in 0..3 {
-            let mut vp = v;
-            vp[i] += eps;
-            let mut vm = v;
-            vm[i] -= eps;
-            let num = (f(&vp) - f(&vm)) / (2.0 * eps);
-            assert!((g[i] - num).abs() < 1e-2, "i={i}: {} vs {}", g[i], num);
-        }
+        crate::obs::tests::with_exclusive_obs(|| {
+            let v = [0.5f32, -1.0, 2.0];
+            let x = param(&v, &[3]);
+            // Loss = sum(softmax * w) with fixed weights.
+            let w = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
+            let loss = x.softmax_last().mul(&w).sum_all();
+            backward(&loss);
+            let g = x.grad().unwrap();
+            let f = |vs: &[f32]| {
+                Tensor::from_vec(vs.to_vec(), &[3])
+                    .unwrap()
+                    .softmax_last()
+                    .mul(&w)
+                    .sum_all()
+                    .item()
+            };
+            let eps = 1e-3;
+            for i in 0..3 {
+                let mut vp = v;
+                vp[i] += eps;
+                let mut vm = v;
+                vm[i] -= eps;
+                let num = (f(&vp) - f(&vm)) / (2.0 * eps);
+                assert!((g[i] - num).abs() < 1e-2, "i={i}: {} vs {}", g[i], num);
+            }
+        });
     }
 
     #[test]
     fn layer_norm_zero_mean_unit_var() {
-        let x = param(&[1.0, 2.0, 3.0, 4.0], &[1, 4]);
-        let gamma = Tensor::ones(&[4]).into_param();
-        let beta = Tensor::zeros(&[4]).into_param();
-        let y = x.layer_norm(&gamma, &beta, 1e-5).to_vec();
-        let mean: f32 = y.iter().sum::<f32>() / 4.0;
-        let var: f32 = y.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
-        assert!(mean.abs() < 1e-5);
-        assert!((var - 1.0).abs() < 1e-3);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[1.0, 2.0, 3.0, 4.0], &[1, 4]);
+            let gamma = Tensor::ones(&[4]).into_param();
+            let beta = Tensor::zeros(&[4]).into_param();
+            let y = x.layer_norm(&gamma, &beta, 1e-5).to_vec();
+            let mean: f32 = y.iter().sum::<f32>() / 4.0;
+            let var: f32 = y.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
+            assert!(mean.abs() < 1e-5);
+            assert!((var - 1.0).abs() < 1e-3);
+        });
     }
 
     #[test]
     fn layer_norm_grad_numeric() {
-        let v = [0.5f32, -1.0, 2.0, 0.1];
-        let x = param(&v, &[1, 4]);
-        let gamma = Tensor::param_from_vec(vec![1.5, 0.5, 1.0, 2.0], &[4]).unwrap();
-        let beta = Tensor::param_from_vec(vec![0.1, -0.1, 0.0, 0.2], &[4]).unwrap();
-        let w = Tensor::from_vec(vec![1.0, -2.0, 0.5, 1.0], &[1, 4]).unwrap();
-        let loss = x.layer_norm(&gamma, &beta, 1e-5).mul(&w).sum_all();
-        backward(&loss);
-        let g = x.grad().unwrap();
-        let f = |vs: &[f32]| {
-            Tensor::from_vec(vs.to_vec(), &[1, 4])
-                .unwrap()
-                .layer_norm(&gamma, &beta, 1e-5)
-                .mul(&w)
-                .sum_all()
-                .item()
-        };
-        let eps = 1e-3;
-        for i in 0..4 {
-            let mut vp = v;
-            vp[i] += eps;
-            let mut vm = v;
-            vm[i] -= eps;
-            let num = (f(&vp) - f(&vm)) / (2.0 * eps);
-            assert!((g[i] - num).abs() < 2e-2, "i={i}: {} vs {}", g[i], num);
-        }
+        crate::obs::tests::with_exclusive_obs(|| {
+            let v = [0.5f32, -1.0, 2.0, 0.1];
+            let x = param(&v, &[1, 4]);
+            let gamma = Tensor::param_from_vec(vec![1.5, 0.5, 1.0, 2.0], &[4]).unwrap();
+            let beta = Tensor::param_from_vec(vec![0.1, -0.1, 0.0, 0.2], &[4]).unwrap();
+            let w = Tensor::from_vec(vec![1.0, -2.0, 0.5, 1.0], &[1, 4]).unwrap();
+            let loss = x.layer_norm(&gamma, &beta, 1e-5).mul(&w).sum_all();
+            backward(&loss);
+            let g = x.grad().unwrap();
+            let f = |vs: &[f32]| {
+                Tensor::from_vec(vs.to_vec(), &[1, 4])
+                    .unwrap()
+                    .layer_norm(&gamma, &beta, 1e-5)
+                    .mul(&w)
+                    .sum_all()
+                    .item()
+            };
+            let eps = 1e-3;
+            for i in 0..4 {
+                let mut vp = v;
+                vp[i] += eps;
+                let mut vm = v;
+                vm[i] -= eps;
+                let num = (f(&vp) - f(&vm)) / (2.0 * eps);
+                assert!((g[i] - num).abs() < 2e-2, "i={i}: {} vs {}", g[i], num);
+            }
+        });
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
     }
 
     /// The Avx2Fma layer norm must give the Scalar tier's bits at every
-    /// width: the transposes are pure data movement and every lane runs
-    /// the scalar chain in the same order. Row counts that are not
-    /// multiples of 8 exercise the scalar tail, and one row holds a NaN.
+    /// width, forward and backward: the transposes are pure data movement
+    /// and every lane runs the scalar chain in the same order. Row counts
+    /// that are not multiples of 8 exercise the scalar tail, one row holds
+    /// a NaN, and in the backward cases one row of equal values has
+    /// variance 0, so its `1/std` is `1/sqrt(eps)`.
     #[test]
     fn layer_norm_avx2_matches_scalar_bits() {
         use crate::simd::{self, with_tier, Tier};
         if !simd::avx2_available() {
             return;
         }
-        let mut rng = crate::rng::seeded(41);
-        for (d, rows) in [(8usize, 19usize), (16, 13), (24, 21), (128, 11)] {
-            let mut xv = Tensor::randn(&mut rng, &[rows, d]).to_vec();
-            xv[3 * d + 5] = f32::NAN;
-            let x = Tensor::from_vec(xv, &[rows, d]).unwrap();
-            let gamma = Tensor::randn(&mut rng, &[d]);
-            let beta = Tensor::randn(&mut rng, &[d]);
-            let run = |tier| {
-                with_tier(tier, || x.layer_norm(&gamma, &beta, 1e-5).to_vec())
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(run(Tier::Avx2Fma), run(Tier::Scalar), "d={d} rows={rows}");
-        }
+        // Many spans: keep them out of the obs tests' snapshots.
+        crate::obs::tests::with_exclusive_obs(|| {
+            let mut rng = crate::rng::seeded(41);
+            for (d, rows) in [(8usize, 19usize), (16, 13), (24, 21), (128, 11)] {
+                let mut xv = Tensor::randn(&mut rng, &[rows, d]).to_vec();
+                xv[3 * d + 5] = f32::NAN;
+                let x = Tensor::from_vec(xv, &[rows, d]).unwrap();
+                let gamma = Tensor::randn(&mut rng, &[d]);
+                let beta = Tensor::randn(&mut rng, &[d]);
+                let run = |tier| bits(&with_tier(tier, || x.layer_norm(&gamma, &beta, 1e-5).to_vec()));
+                assert_eq!(run(Tier::Avx2Fma), run(Tier::Scalar), "d={d} rows={rows}");
+            }
+            for d in [8usize, 16, 24] {
+                for rows in [1usize, 7, 9, 912] {
+                    let mut xv = Tensor::randn(&mut rng, &[rows, d]).to_vec();
+                    xv[(rows / 2) * d..(rows / 2 + 1) * d].fill(0.75);
+                    // A NaN turns every dγ it reaches into NaN: one case.
+                    if rows == 9 {
+                        xv[2 * d + 3] = f32::NAN;
+                    }
+                    let gv = Tensor::randn(&mut rng, &[d]).to_vec();
+                    let bv = Tensor::randn(&mut rng, &[d]).to_vec();
+                    let r = Tensor::randn(&mut rng, &[rows, d]);
+                    // dx, dγ and dβ of Σ layer_norm(x) ⊙ r.
+                    let run = |tier| {
+                        with_tier(tier, || {
+                            let x = param(&xv, &[rows, d]);
+                            let (gamma, beta) = (param(&gv, &[d]), param(&bv, &[d]));
+                            backward(&x.layer_norm(&gamma, &beta, 1e-5).mul(&r).sum_all());
+                            [x, gamma, beta].map(|t| bits(&t.grad().unwrap()))
+                        })
+                    };
+                    let (got, want) = (run(Tier::Avx2Fma), run(Tier::Scalar));
+                    for (name, (g, w)) in ["dx", "dgamma", "dbeta"].iter().zip(got.iter().zip(&want)) {
+                        assert_eq!(g, w, "{name}: d={d} rows={rows}");
+                    }
+                }
+            }
+        });
     }
 
     #[test]
     fn layer_norm_param_grads() {
-        let x = param(&[1.0, 3.0], &[1, 2]);
-        let gamma = Tensor::ones(&[2]).into_param();
-        let beta = Tensor::zeros(&[2]).into_param();
-        let y = x.layer_norm(&gamma, &beta, 1e-5);
-        backward(&y.sum_all());
-        // dL/dbeta = 1 per element; dL/dgamma = xhat which sums to ~0.
-        assert_eq!(beta.grad().unwrap(), vec![1.0, 1.0]);
-        let gg = gamma.grad().unwrap();
-        assert!((gg[0] + gg[1]).abs() < 1e-4);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[1.0, 3.0], &[1, 2]);
+            let gamma = Tensor::ones(&[2]).into_param();
+            let beta = Tensor::zeros(&[2]).into_param();
+            let y = x.layer_norm(&gamma, &beta, 1e-5);
+            backward(&y.sum_all());
+            // dL/dbeta = 1 per element; dL/dgamma = xhat which sums to ~0.
+            assert_eq!(beta.grad().unwrap(), vec![1.0, 1.0]);
+            let gg = gamma.grad().unwrap();
+            assert!((gg[0] + gg[1]).abs() < 1e-4);
+        });
     }
 }

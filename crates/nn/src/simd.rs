@@ -293,6 +293,115 @@ unsafe fn mm_rows<const ACT: u8>(
     }
 }
 
+/// `out[prows×n] += a[m×k]ᵀ · b[m×n]`, restricted to the output rows
+/// `p0..p0 + prows` (`prows = out.len() / n`): the weight gradient
+/// `dW = Xᵀ·dZ` read straight from the two row-major operands, with no
+/// transposed or packed copy.
+///
+/// Register-tiled 4×16 like [`mm_rows_avx2`] (1×16 for the rows past the
+/// last multiple of 4): for each tile, `i` runs
+/// ascending over all `m` rows, broadcasting `a[i, p..p+4]` against
+/// `b[i, j0..j0+16]` (masked loads at the right edge), so every output
+/// element is one FMA chain from zero, then one add into `out` through
+/// `store_epilogue`. That is the arithmetic `mm_rows_avx2` gives the same
+/// product when it runs on a transposed copy of `a` and packed panels of
+/// `b`, so the bits are the same.
+///
+/// # Safety
+///
+/// AVX2 and FMA must have been detected at runtime. The lengths are
+/// checked on entry.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(crate) unsafe fn mm_tn_avx2(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    p0: usize,
+    out: &mut [f32],
+) {
+    const MR: usize = 4;
+    let prows = out.len() / n;
+    assert!(
+        a.len() == m * k && b.len() == m * n && out.len() == prows * n && p0 + prows <= k,
+        "mm_tn kernel: lengths do not match {m}x{k}x{n}"
+    );
+    let (a, b) = (a.as_ptr().add(p0), b.as_ptr());
+    let mut p = 0;
+    while p < prows {
+        // Remainder rows go one at a time.
+        let mr = if p + MR <= prows { MR } else { 1 };
+        let mut j0 = 0;
+        while j0 < n {
+            let nj = NR.min(n - j0);
+            let out = out.as_mut_ptr().add(p * n + j0);
+            // One instance per tile shape, so the accumulators stay in
+            // registers.
+            let tile = match (mr, nj > 8) {
+                (MR, true) => tn_tile::<MR, 2>,
+                (MR, false) => tn_tile::<MR, 1>,
+                (_, true) => tn_tile::<1, 2>,
+                (_, false) => tn_tile::<1, 1>,
+            };
+            tile(a.add(p), k, b.add(j0), n, m, nj, out);
+            j0 += nj;
+        }
+        p += mr;
+    }
+}
+
+/// One `R`-row, `8·V`-column tile of [`mm_tn_avx2`]: `a` points at
+/// `a[0, p]` (row stride `lda`), `b` at `b[0, j0]` (row stride `ldb`) and
+/// `out` at the tile's first element (row stride `ldb`); `nj` columns are
+/// live, the lanes past them are loaded as zero and never stored.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn tn_tile<const R: usize, const V: usize>(
+    a: *const f32,
+    lda: usize,
+    b: *const f32,
+    ldb: usize,
+    m: usize,
+    nj: usize,
+    out: *mut f32,
+) {
+    use std::arch::x86_64::*;
+    let width = |v: usize| nj.saturating_sub(8 * v).min(8);
+    let full = nj == 8 * V;
+    let mut masks = [_mm256_setzero_si256(); V];
+    for (v, mask) in masks.iter_mut().enumerate() {
+        *mask = lane_mask(width(v));
+    }
+    let mut acc = [[_mm256_setzero_ps(); V]; R];
+    let (mut arow, mut brow) = (a, b);
+    for _ in 0..m {
+        let mut bv = [_mm256_setzero_ps(); V];
+        for (v, bv) in bv.iter_mut().enumerate() {
+            *bv = if full {
+                _mm256_loadu_ps(brow.add(8 * v))
+            } else {
+                _mm256_maskload_ps(brow.add(8 * v), masks[v])
+            };
+        }
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let av = _mm256_set1_ps(*arow.add(r));
+            for (accv, &bv) in accr.iter_mut().zip(&bv) {
+                *accv = _mm256_fmadd_ps(av, bv, *accv);
+            }
+        }
+        arow = arow.add(lda);
+        brow = brow.add(ldb);
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        for (v, &accv) in accr.iter().enumerate() {
+            let o = out.add(r * ldb + 8 * v);
+            store_epilogue::<{ Act::Identity as u8 }>(accv, o, None, None, width(v));
+        }
+    }
+}
+
 /// Fixed-order dot product `Σ x[i]·y[i]` (vector lanes reduced in a fixed
 /// tree, scalar tail folded in last). Deterministic for a given input.
 ///
@@ -751,6 +860,19 @@ pub(crate) unsafe fn mm_rows_avx2(
     _bias: Option<&[f32]>,
     _act: Act,
     _pre: Option<&mut [f32]>,
+) {
+    unreachable!("avx2 kernel dispatched on non-x86_64");
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) unsafe fn mm_tn_avx2(
+    _a: &[f32],
+    _b: &[f32],
+    _m: usize,
+    _k: usize,
+    _n: usize,
+    _p0: usize,
+    _out: &mut [f32],
 ) {
     unreachable!("avx2 kernel dispatched on non-x86_64");
 }
