@@ -5,9 +5,10 @@
 //! inner loops stream both operands with unit stride. The inner kernel
 //! processes [`MR`] rows of `A` against a [`KC`]-deep panel of `B`,
 //! amortising each load of a `B` row across `MR` output rows. `TN` (the
-//! weight gradient) has kernels of its own that read both operands in
-//! place, row by row. There is **no** zero-skip branch in any of them,
-//! so IEEE special values propagate exactly (`0.0 * NaN = NaN`).
+//! weight gradient) reads both operands in place: on Avx2Fma through the
+//! `NN` register tile at other strides, on Scalar row by row. There is
+//! **no** zero-skip branch in any of them, so IEEE special values
+//! propagate exactly (`0.0 * NaN = NaN`).
 //!
 //! Large calls are split across the worker pool by output rows. Every
 //! output element is always computed by exactly one worker with the same

@@ -176,7 +176,7 @@ unsafe fn layer_norm_rows_avx2<const D: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn layer_norm_bwd_rows_avx2<const D: usize>(
+unsafe fn layer_norm_bwd_rows_avx2(
     x: &[f32],
     gamma: &[f32],
     gout: &[f32],
@@ -187,7 +187,6 @@ unsafe fn layer_norm_bwd_rows_avx2<const D: usize>(
     eps: f32,
 ) -> usize {
     use std::arch::x86_64::*;
-    let d = if D == 0 { d } else { D };
     assert!(
         d > 0
             && d.is_multiple_of(8)
@@ -366,16 +365,11 @@ impl Tensor {
                     // the rest, after them, so `gg`/`gb` still add rows in
                     // ascending order.
                     #[cfg(target_arch = "x86_64")]
-                    let done = match (d, tier) {
-                        // Safety (both arms): gated on the forward's
-                        // Avx2Fma tier.
-                        (8, Tier::Avx2Fma) => unsafe {
-                            layer_norm_bwd_rows_avx2::<8>(&x, &gamma_d, gout, &mut gx, &mut gg, &mut gb, d, eps)
-                        },
-                        (_, Tier::Avx2Fma) if d.is_multiple_of(8) => unsafe {
-                            layer_norm_bwd_rows_avx2::<0>(&x, &gamma_d, gout, &mut gx, &mut gg, &mut gb, d, eps)
-                        },
-                        _ => 0,
+                    let done = if tier == Tier::Avx2Fma && d.is_multiple_of(8) {
+                        // Safety: gated on the forward's Avx2Fma tier.
+                        unsafe { layer_norm_bwd_rows_avx2(&x, &gamma_d, gout, &mut gx, &mut gg, &mut gb, d, eps) }
+                    } else {
+                        0
                     };
                     #[cfg(not(target_arch = "x86_64"))]
                     let done = 0;

@@ -110,6 +110,10 @@ pub fn with_tier<R>(t: Tier, f: impl FnOnce() -> R) -> R {
 /// Panel width of the packed-B layout: two f32x8 vectors.
 pub(crate) const NR: usize = 16;
 
+/// Output rows of the matmul kernels' register tile.
+#[cfg(target_arch = "x86_64")]
+const MR: usize = 4;
+
 /// Packs a row-major `k × n` B matrix into `⌈n/NR⌉` column panels, each
 /// laid out `[p][NR]` (reduction-major), zero-padded on the right edge.
 /// The AVX2 kernel streams one panel linearly per 16 output columns.
@@ -171,7 +175,8 @@ unsafe fn store_epilogue<const ACT: u8>(
 /// [`pack_b_panels`]; `bias` has `n` entries and `pre`, when given, gets
 /// the pre-activation `out + a·B + bias`.
 ///
-/// Register-tiled 4×16 micro-kernel: for each tile the full reduction runs
+/// Register-tiled 4×16 micro-kernel ([`tile`]; rows past the last
+/// multiple of 4 go one at a time): for each tile the full reduction runs
 /// in eight ymm accumulators (one FMA chain per output element, `p`
 /// ascending), then lands in `out` through `store_epilogue`: one add of
 /// the old value, one of the bias, then the activation, per element. The
@@ -207,6 +212,21 @@ pub(crate) unsafe fn mm_rows_avx2(
     kernel(a, bp, m, k, n, out, bias, pre)
 }
 
+/// Runs the [`tile`] instance for `mr` rows (`MR` or 1) and `nj` columns
+/// (one vector of accumulators per row up to 8, two past it) on `args`.
+/// Each shape is its own instance, so the accumulators stay in registers.
+#[cfg(target_arch = "x86_64")]
+macro_rules! tile_shapes {
+    ($act:expr, $mr:expr, $nj:expr, ($($arg:expr),*)) => {
+        match ($mr == MR, $nj > 8) {
+            (true, true) => tile::<{ $act }, MR, 2>($($arg),*),
+            (true, false) => tile::<{ $act }, MR, 1>($($arg),*),
+            (false, true) => tile::<{ $act }, 1, 2>($($arg),*),
+            (false, false) => tile::<{ $act }, 1, 1>($($arg),*),
+        }
+    };
+}
+
 /// [`mm_rows_avx2`] with the activation fixed at compile time.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
@@ -221,9 +241,6 @@ unsafe fn mm_rows<const ACT: u8>(
     bias: Option<&[f32]>,
     mut pre: Option<&mut [f32]>,
 ) {
-    use std::arch::x86_64::*;
-
-    const MR: usize = 4;
     debug_assert!(a.len() >= m * k);
     assert!(out.len() >= m * n);
     assert!(bias.is_none_or(|b| b.len() == n) && pre.as_ref().is_none_or(|p| p.len() >= m * n));
@@ -236,58 +253,17 @@ unsafe fn mm_rows<const ACT: u8>(
 
     let mut i = 0;
     while i < m {
-        let mr = MR.min(m - i);
+        let mr = if i + MR <= m { MR } else { 1 };
+        let arows = a.as_ptr().add(i * k);
         for jp in 0..panels {
             let j0 = jp * NR;
             let nj = NR.min(n - j0);
+            // The panel is zero-padded on the right, so its loads need no
+            // mask.
             let panel = bp.as_ptr().add(jp * k * NR);
-
-            if nj <= 8 {
-                // Narrow (right-edge or n<=8) panel: the upper half of the
-                // 4x16 tile is all padding — one accumulator per row, and
-                // a straight vector add into `out` when the 8 lanes are
-                // exactly the row. The per-element FMA chain (`p`
-                // ascending) is identical to the wide tile's.
-                let mut acc = [_mm256_setzero_ps(); MR];
-                let mut bptr = panel;
-                for p in 0..k {
-                    let b0 = _mm256_loadu_ps(bptr);
-                    for (r, accr) in acc.iter_mut().enumerate().take(mr) {
-                        let av = _mm256_set1_ps(*a.get_unchecked((i + r) * k + p));
-                        *accr = _mm256_fmadd_ps(av, b0, *accr);
-                    }
-                    bptr = bptr.add(NR);
-                }
-                for (r, &accr) in acc.iter().enumerate().take(mr) {
-                    let o = (i + r) * n + j0;
-                    let (b, p) = (bias.map(|b| b.add(j0)), pre.map(|p| p.add(o)));
-                    store_epilogue::<ACT>(accr, optr.add(o), b, p, nj);
-                }
-                continue;
-            }
-
-            // Two f32x8 accumulators per row of the micro-tile.
-            let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-            let mut bptr = panel;
-            for p in 0..k {
-                let b0 = _mm256_loadu_ps(bptr);
-                let b1 = _mm256_loadu_ps(bptr.add(8));
-                for (r, accr) in acc.iter_mut().enumerate().take(mr) {
-                    let av = _mm256_set1_ps(*a.get_unchecked((i + r) * k + p));
-                    accr[0] = _mm256_fmadd_ps(av, b0, accr[0]);
-                    accr[1] = _mm256_fmadd_ps(av, b1, accr[1]);
-                }
-                bptr = bptr.add(NR);
-            }
-
-            // A right-edge panel stores only its valid upper lanes.
-            for (r, accr) in acc.iter().enumerate().take(mr) {
-                let o = (i + r) * n + j0;
-                let (b, p) = (bias.map(|b| b.add(j0)), pre.map(|p| p.add(o)));
-                store_epilogue::<ACT>(accr[0], optr.add(o), b, p, 8);
-                let (b, p) = (b.map(|b| b.add(8)), p.map(|p| p.add(8)));
-                store_epilogue::<ACT>(accr[1], optr.add(o + 8), b, p, nj - 8);
-            }
+            let o = i * n + j0;
+            let (b, p) = (bias.map(|b| b.add(j0)), pre.map(|p| p.add(o)));
+            tile_shapes!(ACT, mr, nj, (arows, k, 1, panel, NR, false, k, nj, optr.add(o), n, b, p));
         }
         i += mr;
     }
@@ -298,14 +274,13 @@ unsafe fn mm_rows<const ACT: u8>(
 /// `dW = Xᵀ·dZ` read straight from the two row-major operands, with no
 /// transposed or packed copy.
 ///
-/// Register-tiled 4×16 like [`mm_rows_avx2`] (1×16 for the rows past the
-/// last multiple of 4): for each tile, `i` runs
-/// ascending over all `m` rows, broadcasting `a[i, p..p+4]` against
-/// `b[i, j0..j0+16]` (masked loads at the right edge), so every output
-/// element is one FMA chain from zero, then one add into `out` through
-/// `store_epilogue`. That is the arithmetic `mm_rows_avx2` gives the same
-/// product when it runs on a transposed copy of `a` and packed panels of
-/// `b`, so the bits are the same.
+/// The same 4×16 [`tile`] as [`mm_rows_avx2`], with `a` read down its
+/// columns and `b` at its own row stride (masked loads at the right
+/// edge): every output element is one FMA chain from zero over `i`
+/// ascending, then one add into `out` through `store_epilogue`. That is
+/// the arithmetic `mm_rows_avx2` gives the same product when it runs on
+/// a transposed copy of `a` and packed panels of `b`, so the bits are the
+/// same.
 ///
 /// # Safety
 ///
@@ -322,82 +297,92 @@ pub(crate) unsafe fn mm_tn_avx2(
     p0: usize,
     out: &mut [f32],
 ) {
-    const MR: usize = 4;
+    const ID: u8 = Act::Identity as u8;
     let prows = out.len() / n;
     assert!(
         a.len() == m * k && b.len() == m * n && out.len() == prows * n && p0 + prows <= k,
         "mm_tn kernel: lengths do not match {m}x{k}x{n}"
     );
-    let (a, b) = (a.as_ptr().add(p0), b.as_ptr());
     let mut p = 0;
     while p < prows {
-        // Remainder rows go one at a time.
         let mr = if p + MR <= prows { MR } else { 1 };
+        // Output row p is column p0 + p of `a`: its rows are one apart, its
+        // reduction steps k apart.
+        let acols = a.as_ptr().add(p0 + p);
         let mut j0 = 0;
         while j0 < n {
             let nj = NR.min(n - j0);
-            let out = out.as_mut_ptr().add(p * n + j0);
-            // One instance per tile shape, so the accumulators stay in
-            // registers.
-            let tile = match (mr, nj > 8) {
-                (MR, true) => tn_tile::<MR, 2>,
-                (MR, false) => tn_tile::<MR, 1>,
-                (_, true) => tn_tile::<1, 2>,
-                (_, false) => tn_tile::<1, 1>,
-            };
-            tile(a.add(p), k, b.add(j0), n, m, nj, out);
+            let (b, o) = (b.as_ptr().add(j0), out.as_mut_ptr().add(p * n + j0));
+            let masked = !nj.is_multiple_of(8);
+            tile_shapes!(ID, mr, nj, (acols, 1, k, b, n, masked, m, nj, o, n, None, None));
             j0 += nj;
         }
         p += mr;
     }
 }
 
-/// One `R`-row, `8·V`-column tile of [`mm_tn_avx2`]: `a` points at
-/// `a[0, p]` (row stride `lda`), `b` at `b[0, j0]` (row stride `ldb`) and
-/// `out` at the tile's first element (row stride `ldb`); `nj` columns are
-/// live, the lanes past them are loaded as zero and never stored.
+/// One register tile of the matmul kernels, shared by [`mm_rows_avx2`]
+/// and [`mm_tn_avx2`]: `R` output rows by `nj` columns of `out += a · b`
+/// (`8·(V−1) < nj ≤ 8·V`), stored through `store_epilogue`. The two
+/// kernels differ only in the strides they pass. Element `(r, p)` of `a`
+/// is at `a + r·a_rs + p·a_cs` and row `p` of `b`
+/// starts at `b + p·ldb`, for `p` in `0..kd`; output row `r` starts at
+/// `out + r·ldo`, as do its `pre` lanes, and `bias` holds the tile's
+/// columns. Every element is one FMA chain from zero over `p` ascending.
+/// With `masked`, the `b` lanes past `nj` are loaded as zero rather than
+/// read; without it they must be readable (a zero-padded panel). Lanes
+/// past `nj` are never stored.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn tn_tile<const R: usize, const V: usize>(
+#[inline]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile<const ACT: u8, const R: usize, const V: usize>(
     a: *const f32,
-    lda: usize,
+    a_rs: usize,
+    a_cs: usize,
     b: *const f32,
     ldb: usize,
-    m: usize,
+    masked: bool,
+    kd: usize,
     nj: usize,
     out: *mut f32,
+    ldo: usize,
+    bias: Option<*const f32>,
+    pre: Option<*mut f32>,
 ) {
     use std::arch::x86_64::*;
-    let width = |v: usize| nj.saturating_sub(8 * v).min(8);
-    let full = nj == 8 * V;
+    // Live lanes of vector v: all but the last are full.
+    let width = |v: usize| if v + 1 < V { 8 } else { nj - 8 * v };
     let mut masks = [_mm256_setzero_si256(); V];
-    for (v, mask) in masks.iter_mut().enumerate() {
-        *mask = lane_mask(width(v));
+    if masked {
+        for (v, mask) in masks.iter_mut().enumerate() {
+            *mask = lane_mask(width(v));
+        }
     }
     let mut acc = [[_mm256_setzero_ps(); V]; R];
-    let (mut arow, mut brow) = (a, b);
-    for _ in 0..m {
+    let mut brow = b;
+    for p in 0..kd {
         let mut bv = [_mm256_setzero_ps(); V];
         for (v, bv) in bv.iter_mut().enumerate() {
-            *bv = if full {
-                _mm256_loadu_ps(brow.add(8 * v))
-            } else {
+            *bv = if masked {
                 _mm256_maskload_ps(brow.add(8 * v), masks[v])
+            } else {
+                _mm256_loadu_ps(brow.add(8 * v))
             };
         }
         for (r, accr) in acc.iter_mut().enumerate() {
-            let av = _mm256_set1_ps(*arow.add(r));
+            let av = _mm256_set1_ps(*a.add(r * a_rs + p * a_cs));
             for (accv, &bv) in accr.iter_mut().zip(&bv) {
                 *accv = _mm256_fmadd_ps(av, bv, *accv);
             }
         }
-        arow = arow.add(lda);
         brow = brow.add(ldb);
     }
     for (r, accr) in acc.iter().enumerate() {
         for (v, &accv) in accr.iter().enumerate() {
-            let o = out.add(r * ldb + 8 * v);
-            store_epilogue::<{ Act::Identity as u8 }>(accv, o, None, None, width(v));
+            let o = r * ldo + 8 * v;
+            let (b, p) = (bias.map(|b| b.add(8 * v)), pre.map(|p| p.add(o)));
+            store_epilogue::<ACT>(accv, out.add(o), b, p, width(v));
         }
     }
 }
@@ -953,6 +938,42 @@ mod tests {
             for (got, want) in out.iter().zip(&want) {
                 let tol = 1e-4 * want.abs().max(1.0);
                 assert!((got - want).abs() <= tol, "{got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn tile_is_one_fma_chain_per_element() {
+        // NN (`mm_rows_avx2`) and TN (`mm_tn_avx2`) share `tile`: every
+        // element is an FMA chain from zero over the reduction, ascending,
+        // then one add into `out`. Shapes cover the 1-row and 1-vector
+        // tiles, the masked right edge and a TN shard that starts at p0 > 0.
+        if !avx2_available() {
+            return;
+        }
+        let wave = |len: usize, f: f32| (0..len).map(|i| (i as f32 * f).sin()).collect::<Vec<f32>>();
+        let chain = |len: usize, x: &dyn Fn(usize) -> f32, y: &dyn Fn(usize) -> f32, init: f32| {
+            init + (0..len).fold(0.0f32, |acc, t| x(t).mul_add(y(t), acc))
+        };
+        for &(m, k, n) in &[(1, 1, 1), (5, 7, 17), (9, 16, 32), (6, 3, 9), (4, 2, 8)] {
+            let (a, b, init) = (wave(m * k, 0.37), wave(k * n, 1.13), wave(m * n, 0.71));
+            let mut out = init.clone();
+            unsafe { mm_rows_avx2(&a, &pack_b_panels(&b, k, n), m, k, n, &mut out, None, Act::Identity, None) };
+            for (e, got) in out.iter().enumerate() {
+                let (i, j) = (e / n, e % n);
+                let want = chain(k, &|p| a[i * k + p], &|p| b[p * n + j], init[e]);
+                assert_eq!(got.to_bits(), want.to_bits(), "nn {m}x{k}x{n} ({i}, {j})");
+            }
+            // TN: out[p][j] = init + Σ_i x[i][p]·d[i][j] over output rows p0..k.
+            let (x, d, init) = (wave(m * k, 0.53), wave(m * n, 0.29), wave(k * n, 0.83));
+            for p0 in [0, k / 2] {
+                let mut out = init[p0 * n..].to_vec();
+                unsafe { mm_tn_avx2(&x, &d, m, k, n, p0, &mut out) };
+                for (e, got) in out.iter().enumerate() {
+                    let (p, j) = (p0 + e / n, e % n);
+                    let want = chain(m, &|i| x[i * k + p], &|i| d[i * n + j], init[p * n + j]);
+                    assert_eq!(got.to_bits(), want.to_bits(), "tn {m}x{k}x{n} p0={p0} ({p}, {j})");
+                }
             }
         }
     }
