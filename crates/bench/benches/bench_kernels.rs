@@ -224,7 +224,10 @@ fn bench_attention(c: &mut Criterion) {
 /// and backward under the tape, with the input tracked as inside the
 /// model, its FLOPs nominally three times the forward's. Each row's timing
 /// loop runs inside one `forward_only` or `recycling` scope, as in the
-/// attention rows.
+/// attention rows, and a forward row reads one output element in place
+/// rather than copying the output. After them come the attention q/k/v/o
+/// projections' forwards, with no bias and no activation: `serve_imdiff`'s
+/// (304 rows, 8 → 8) and `detect_offline`'s (7296 rows, 16 → 16).
 fn bench_linear(c: &mut Criterion) {
     let mut rng = seeded(17);
     let mut group = c.benchmark_group("linear");
@@ -238,7 +241,7 @@ fn bench_linear(c: &mut Criterion) {
         group.bench_function(format!("fwd/{rows}x{d_in}x{d_out}/gelu/t1"), |bch| {
             imdiff_nn::forward_only(|| {
                 bch.iter(|| {
-                    pool::with_threads(1, || black_box(lin.forward_act(&x, Act::Gelu).to_vec()[0]))
+                    pool::with_threads(1, || black_box(lin.forward_act(&x, Act::Gelu).data()[0]))
                 })
             })
         });
@@ -252,6 +255,16 @@ fn bench_linear(c: &mut Criterion) {
                         p.zero_grad();
                     }
                 })
+            })
+        });
+    }
+    for (rows, d) in [(304usize, 8usize), (7296, 16)] {
+        let proj = Linear::new_no_bias(&mut rng, d, d);
+        let x = Tensor::param_from_vec(filled(rows * d, &mut rng), &[rows, d]).unwrap();
+        group.throughput(Throughput::Flops((2 * rows * d * d) as u64));
+        group.bench_function(format!("fwd/{rows}x{d}x{d}/identity/t1"), |bch| {
+            imdiff_nn::forward_only(|| {
+                bch.iter(|| pool::with_threads(1, || black_box(proj.forward(&x).data()[0])))
             })
         });
     }

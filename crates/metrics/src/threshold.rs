@@ -11,15 +11,19 @@ use crate::point::{pa_prf1, PrF1};
 /// `q = 100` the maximum, and with two samples the upper one is selected
 /// from `q = 50` upward (half rounds away from zero). Non-finite scores
 /// are ignored; an all-non-finite (or empty) input returns 0.0.
+///
+/// The rank is selected, not sorted for: the value is the one a sort would
+/// put there. Of values that compare equal but differ in bits (`-0.0` and
+/// `+0.0`), either may come back.
 pub fn threshold_at_percentile(scores: &[f64], q: f64) -> f64 {
     assert!((0.0..=100.0).contains(&q), "percentile out of range: {q}");
     let mut finite: Vec<f64> = scores.iter().copied().filter(|s| s.is_finite()).collect();
     if finite.is_empty() {
         return 0.0;
     }
-    finite.sort_by(|a, b| a.partial_cmp(b).expect("finite scores"));
     let rank = ((q / 100.0) * (finite.len() - 1) as f64).round() as usize;
-    finite[rank.min(finite.len() - 1)]
+    let rank = rank.min(finite.len() - 1);
+    *finite.select_nth_unstable_by(rank, |a, b| a.partial_cmp(b).expect("finite scores")).1
 }
 
 /// Grid-searches the threshold maximising point-adjusted F1.
@@ -106,6 +110,45 @@ mod tests {
         let s = vec![2.0, 2.0, 2.0];
         for q in [0.0, 33.0, 66.0, 100.0] {
             assert_eq!(threshold_at_percentile(&s, q), 2.0);
+        }
+    }
+
+    #[test]
+    fn percentile_selects_what_a_sort_would() {
+        // The sort-based rule this replaced, on random inputs with ties and
+        // repeated values (non-negative, as sums of squares are) and a few
+        // non-finite ones.
+        let reference = |scores: &[f64], q: f64| {
+            let mut finite: Vec<f64> = scores.iter().copied().filter(|s| s.is_finite()).collect();
+            if finite.is_empty() {
+                return 0.0;
+            }
+            finite.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let rank = ((q / 100.0) * (finite.len() - 1) as f64).round() as usize;
+            finite[rank.min(finite.len() - 1)]
+        };
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..300 {
+            let n = (next() % 70) as usize;
+            let levels = 1 + next() % 12;
+            let scores: Vec<f64> = (0..n)
+                .map(|_| match next() % 20 {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    _ => (next() % levels) as f64 * 0.37 + (next() % 3) as f64 * 1e-9,
+                })
+                .collect();
+            for q in [0.0, 12.5, 49.9, 50.0, 98.0, 99.5, 100.0, (next() % 1001) as f64 / 10.0] {
+                let (got, want) = (threshold_at_percentile(&scores, q), reference(&scores, q));
+                assert_eq!(got, want, "case {case} q {q}");
+                assert_eq!(got.to_bits(), want.to_bits(), "case {case} q {q}");
+            }
         }
     }
 

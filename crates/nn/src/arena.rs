@@ -7,8 +7,20 @@
 //! *recycled* instead of freed: when a tape node or a detached op output
 //! is dropped, when a gradient is cleared, and when `backward` has run a
 //! node's closure, the storage returns to a per-thread free list. The
-//! next request of the same capacity reuses it, zero-filled, so values
-//! are identical to a fresh allocation bit for bit.
+//! next request of the same capacity reuses it.
+//!
+//! A request names one of two contracts:
+//!
+//! - [`zeroed`] hands back a zero-filled buffer, identical to
+//!   `vec![0.0; n]` bit for bit. Accumulators take it: gradient sums,
+//!   `+=` targets, the Scalar matmul.
+//! - [`overwrite`] hands back a buffer whose contents are whatever its
+//!   last user left, for an output the caller writes in full before
+//!   anything reads it. It skips the fill, so each element is written
+//!   once. The stale values are initialised `f32`s, so this needs no
+//!   `unsafe`. In debug builds the buffer is filled with the NaN
+//!   [`POISON`] instead, fresh or recycled, so an element an op forgets
+//!   to write shows up in any debug test run.
 //!
 //! A buffer is reused only for a request of exactly its capacity, so a
 //! large buffer never serves a small request, and the list parks at most
@@ -106,18 +118,51 @@ pub(crate) fn scope<T>(f: impl FnOnce() -> T) -> T {
     f()
 }
 
+/// What a debug build fills an [`overwrite`] buffer with: a quiet NaN
+/// with a payload no arithmetic produces, so an unwritten element
+/// propagates through every later op and is easy to spot.
+pub(crate) const POISON: f32 = f32::from_bits(0x7fc0_dead);
+
+/// A parked buffer of capacity `n`, when the arena is active and holds
+/// one.
+fn reuse(n: usize) -> Option<Vec<f32>> {
+    if active() && n <= MAX_BUFFER_ELEMS {
+        FREE.with(|p| p.borrow_mut().take(n))
+    } else {
+        None
+    }
+}
+
 /// A zero-filled buffer of exactly `n` elements: recycled when the arena
 /// is active and a parked buffer has capacity `n`, freshly allocated
 /// otherwise. Identical to `vec![0.0; n]` in every observable way.
 pub(crate) fn zeroed(n: usize) -> Vec<f32> {
-    if active() && n <= MAX_BUFFER_ELEMS {
-        if let Some(mut buf) = FREE.with(|p| p.borrow_mut().take(n)) {
+    match reuse(n) {
+        Some(mut buf) => {
             buf.clear();
             buf.resize(n, 0.0);
-            return buf;
+            buf
         }
+        None => vec![0.0f32; n],
     }
-    vec![0.0f32; n]
+}
+
+/// A buffer of exactly `n` elements for the caller to overwrite in full:
+/// a recycled one keeps its old contents (no fill), a fresh one is
+/// `vec![0.0; n]`. Debug builds fill either with [`POISON`].
+pub(crate) fn overwrite(n: usize) -> Vec<f32> {
+    let fill = if cfg!(debug_assertions) { POISON } else { 0.0 };
+    match reuse(n) {
+        Some(mut buf) => {
+            if cfg!(debug_assertions) {
+                buf.fill(fill);
+            }
+            // A no-op for the usual buffer, whose length is its capacity.
+            buf.resize(n, fill);
+            buf
+        }
+        None => vec![fill; n],
+    }
 }
 
 /// Parks a no-longer-needed buffer for reuse. No-op when the arena is
@@ -221,6 +266,49 @@ mod tests {
         });
         assert!(!active());
         FREE.with(|p| assert!(p.borrow().is_empty()));
+    }
+
+    /// The bits of every element of `v` equal those of `x`.
+    fn all_bits(v: &[f32], x: f32) -> bool {
+        v.iter().all(|e| e.to_bits() == x.to_bits())
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn debug_overwrite_buffers_hold_the_poison() {
+        assert!(POISON.is_nan());
+        // Fresh, outside a scope and inside one.
+        assert!(all_bits(&overwrite(8), POISON));
+        scope(|| {
+            assert!(all_bits(&overwrite(16), POISON));
+            let mut v = zeroed(16);
+            v.fill(7.0);
+            recycle(v);
+            // Recycled: the stale values are poisoned over.
+            let w = overwrite(16);
+            assert_eq!(w.len(), 16);
+            assert!(all_bits(&w, POISON));
+            recycle(w);
+            // A zeroed request still zero-fills what an overwrite left.
+            assert!(all_bits(&zeroed(16), 0.0));
+        });
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn release_overwrite_buffers_keep_stale_contents() {
+        assert!(all_bits(&overwrite(8), 0.0));
+        scope(|| {
+            let mut v = zeroed(16);
+            v.fill(7.0);
+            let cap = v.capacity();
+            recycle(v);
+            let w = overwrite(16);
+            assert_eq!((w.len(), w.capacity()), (16, cap));
+            assert!(all_bits(&w, 7.0), "an overwrite buffer is not filled");
+            recycle(w);
+            assert!(all_bits(&zeroed(16), 0.0));
+        });
     }
 
     #[test]

@@ -64,7 +64,7 @@ fn unary_with(a: &Tensor, fwd: impl Fn(f32) -> f32, dfdx: impl Fn(f32) -> f32 + 
     let _sp = crate::obs::span("nn.unary");
     let data = {
         let src = a.data();
-        let mut data = crate::arena::zeroed(src.len());
+        let mut data = crate::arena::overwrite(src.len());
         for (o, &x) in data.iter_mut().zip(src.iter()) {
             *o = fwd(x);
         }
@@ -77,7 +77,7 @@ fn unary_with(a: &Tensor, fwd: impl Fn(f32) -> f32, dfdx: impl Fn(f32) -> f32 + 
         move || Box::new(move |gout, _, parents| {
             let _sp = crate::obs::span("nn.unary.bwd");
             let p = &parents[0];
-            let mut g = crate::arena::zeroed(gout.len());
+            let mut g = crate::arena::overwrite(gout.len());
             for ((o, &go), &x) in g.iter_mut().zip(gout).zip(p.data().iter()) {
                 *o = dfdx(x) * go;
             }
@@ -103,7 +103,7 @@ fn unary_tiered(
     let simd_on = crate::simd::tier() == crate::simd::Tier::Avx2Fma;
     let data = {
         let src = a.data();
-        let mut data = crate::arena::zeroed(src.len());
+        let mut data = crate::arena::overwrite(src.len());
         if simd_on {
             data.copy_from_slice(&src);
             // Safety: simd_on is set only when AVX2+FMA are
@@ -123,7 +123,7 @@ fn unary_tiered(
         move || Box::new(move |gout, y, parents| {
             let _sp = crate::obs::span("nn.unary.bwd");
             let p = &parents[0];
-            let mut g = crate::arena::zeroed(gout.len());
+            let mut g = crate::arena::overwrite(gout.len());
             {
                 let x = p.data();
                 if simd_on {
@@ -247,7 +247,7 @@ impl Tensor {
         *out_dims.last_mut().expect("non-empty dims") = d;
         let out_shape = crate::Shape::new(&out_dims);
         let simd_on = simd::tier() == simd::Tier::Avx2Fma;
-        let mut out = crate::arena::zeroed(out_shape.numel());
+        let mut out = crate::arena::overwrite(out_shape.numel());
         {
             let src = self.data();
             if simd_on {
@@ -270,7 +270,7 @@ impl Tensor {
             move || Box::new(move |gout, _, parents| {
                 let _sp = crate::obs::span("nn.unary.bwd");
                 let p = &parents[0];
-                let mut g = crate::arena::zeroed(p.numel());
+                let mut g = crate::arena::overwrite(p.numel());
                 {
                     let src = p.data();
                     if simd_on {
@@ -306,71 +306,85 @@ mod tests {
 
     #[test]
     fn relu_forward_backward() {
-        let x = param(&[-1.0, 0.0, 2.0]);
-        let y = x.relu();
-        assert_eq!(y.to_vec(), vec![0.0, 0.0, 2.0]);
-        backward(&y.sum_all());
-        assert_eq!(x.grad().unwrap(), vec![0.0, 0.0, 1.0]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[-1.0, 0.0, 2.0]);
+            let y = x.relu();
+            assert_eq!(y.to_vec(), vec![0.0, 0.0, 2.0]);
+            backward(&y.sum_all());
+            assert_eq!(x.grad().unwrap(), vec![0.0, 0.0, 1.0]);
+        });
     }
 
     #[test]
     fn sigmoid_at_zero() {
-        let x = param(&[0.0]);
-        let y = x.sigmoid();
-        assert!((y.item() - 0.5).abs() < 1e-6);
-        backward(&y.sum_all());
-        assert!((x.grad().unwrap()[0] - 0.25).abs() < 1e-6);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[0.0]);
+            let y = x.sigmoid();
+            assert!((y.item() - 0.5).abs() < 1e-6);
+            backward(&y.sum_all());
+            assert!((x.grad().unwrap()[0] - 0.25).abs() < 1e-6);
+        });
     }
 
     #[test]
     fn tanh_matches_std() {
-        let x = param(&[0.7]);
-        assert!((x.tanh().item() - 0.7f32.tanh()).abs() < 1e-6);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[0.7]);
+            assert!((x.tanh().item() - 0.7f32.tanh()).abs() < 1e-6);
+        });
     }
 
     #[test]
     fn silu_values() {
-        let x = param(&[1.0]);
-        let expected = 1.0 / (1.0 + (-1.0f32).exp());
-        assert!((x.silu().item() - expected).abs() < 1e-6);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[1.0]);
+            let expected = 1.0 / (1.0 + (-1.0f32).exp());
+            assert!((x.silu().item() - expected).abs() < 1e-6);
+        });
     }
 
     #[test]
     fn gelu_close_to_reference() {
-        // Reference values for the tanh approximation.
-        let x = param(&[1.0, -1.0]);
-        let y = x.gelu().to_vec();
-        assert!((y[0] - 0.841192).abs() < 1e-3, "{}", y[0]);
-        assert!((y[1] - (-0.158808)).abs() < 1e-3, "{}", y[1]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            // Reference values for the tanh approximation.
+            let x = param(&[1.0, -1.0]);
+            let y = x.gelu().to_vec();
+            assert!((y[0] - 0.841192).abs() < 1e-3, "{}", y[0]);
+            assert!((y[1] - (-0.158808)).abs() < 1e-3, "{}", y[1]);
+        });
     }
 
     #[test]
     fn leaky_relu_negative_slope() {
-        let x = param(&[-2.0, 2.0]);
-        let y = x.leaky_relu(0.1);
-        assert_eq!(y.to_vec(), vec![-0.2, 2.0]);
-        backward(&y.sum_all());
-        assert_eq!(x.grad().unwrap(), vec![0.1, 1.0]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[-2.0, 2.0]);
+            let y = x.leaky_relu(0.1);
+            assert_eq!(y.to_vec(), vec![-0.2, 2.0]);
+            backward(&y.sum_all());
+            assert_eq!(x.grad().unwrap(), vec![0.1, 1.0]);
+        });
     }
 
     /// Numerically checks d(gelu)/dx via central differences.
     #[test]
     fn gelu_grad_numeric() {
-        let eps = 1e-3f32;
-        for &v in &[-1.5f32, -0.3, 0.0, 0.9, 2.0] {
-            let x = param(&[v]);
-            let y = x.gelu();
-            backward(&y.sum_all());
-            let analytic = x.grad().unwrap()[0];
-            let f = |t: f32| {
-                Tensor::from_vec(vec![t], &[1]).unwrap().gelu().item()
-            };
-            let numeric = (f(v + eps) - f(v - eps)) / (2.0 * eps);
-            assert!(
-                (analytic - numeric).abs() < 1e-2,
-                "at {v}: analytic {analytic} vs numeric {numeric}"
-            );
-        }
+        crate::obs::tests::with_exclusive_obs(|| {
+            let eps = 1e-3f32;
+            for &v in &[-1.5f32, -0.3, 0.0, 0.9, 2.0] {
+                let x = param(&[v]);
+                let y = x.gelu();
+                backward(&y.sum_all());
+                let analytic = x.grad().unwrap()[0];
+                let f = |t: f32| {
+                    Tensor::from_vec(vec![t], &[1]).unwrap().gelu().item()
+                };
+                let numeric = (f(v + eps) - f(v - eps)) / (2.0 * eps);
+                assert!(
+                    (analytic - numeric).abs() < 1e-2,
+                    "at {v}: analytic {analytic} vs numeric {numeric}"
+                );
+            }
+        });
     }
 
     /// `gated_tanh` gives, per tier, the forward bits of the slice → tanh,
@@ -380,46 +394,76 @@ mod tests {
     /// block.
     #[test]
     fn gated_tanh_matches_slice_chain_bits_per_tier() {
-        use crate::simd::{self, with_tier, Tier};
-        let mut tiers = vec![Tier::Scalar];
-        if simd::avx2_available() {
-            tiers.push(Tier::Avx2Fma);
-        }
-        let run = |dims: &[usize], fused: bool| {
-            let n: usize = dims.iter().product();
-            let vals: Vec<f32> = (0..n).map(|i| 2.5 * (i as f32 * 0.613).sin()).collect();
-            let x = Tensor::param_from_vec(vals, dims).unwrap();
-            let d = dims[dims.len() - 1] / 2;
-            let axis = dims.len() - 1;
-            let y = if fused {
-                x.gated_tanh()
-            } else {
-                x.slice_axis(axis, 0, d).tanh().mul(&x.slice_axis(axis, d, d).sigmoid())
+        crate::obs::tests::with_exclusive_obs(|| {
+            use crate::simd::{self, with_tier, Tier};
+            let mut tiers = vec![Tier::Scalar];
+            if simd::avx2_available() {
+                tiers.push(Tier::Avx2Fma);
+            }
+            let run = |dims: &[usize], fused: bool| {
+                let n: usize = dims.iter().product();
+                let vals: Vec<f32> = (0..n).map(|i| 2.5 * (i as f32 * 0.613).sin()).collect();
+                let x = Tensor::param_from_vec(vals, dims).unwrap();
+                let d = dims[dims.len() - 1] / 2;
+                let axis = dims.len() - 1;
+                let y = if fused {
+                    x.gated_tanh()
+                } else {
+                    x.slice_axis(axis, 0, d).tanh().mul(&x.slice_axis(axis, d, d).sigmoid())
+                };
+                let r: Vec<f32> = (0..y.numel()).map(|i| (i as f32 * 1.37).cos()).collect();
+                backward(&y.mul(&Tensor::from_vec(r, y.dims()).unwrap()).sum_all());
+                (y.to_vec(), x.grad().unwrap())
             };
-            let r: Vec<f32> = (0..y.numel()).map(|i| (i as f32 * 1.37).cos()).collect();
-            backward(&y.mul(&Tensor::from_vec(r, y.dims()).unwrap()).sum_all());
-            (y.to_vec(), x.grad().unwrap())
-        };
-        for tier in tiers {
-            for dims in [vec![3, 2], vec![5, 6], vec![2, 3, 16], vec![7, 26], vec![2, 2, 40]] {
-                let (y, g) = with_tier(tier, || run(&dims, true));
-                let (yw, gw) = with_tier(tier, || run(&dims, false));
-                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&y), bits(&yw), "{} {dims:?} forward", tier.name());
-                for (i, (a, b)) in g.iter().zip(&gw).enumerate() {
-                    assert!(
-                        a.to_bits() == b.to_bits() || (*a == 0.0 && *b == 0.0),
-                        "{} {dims:?} gradient {i}: {a:e} vs {b:e}",
-                        tier.name()
-                    );
+            for tier in tiers {
+                for dims in [vec![3, 2], vec![5, 6], vec![2, 3, 16], vec![7, 26], vec![2, 2, 40]] {
+                    let (y, g) = with_tier(tier, || run(&dims, true));
+                    let (yw, gw) = with_tier(tier, || run(&dims, false));
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&y), bits(&yw), "{} {dims:?} forward", tier.name());
+                    for (i, (a, b)) in g.iter().zip(&gw).enumerate() {
+                        assert!(
+                            a.to_bits() == b.to_bits() || (*a == 0.0 && *b == 0.0),
+                            "{} {dims:?} gradient {i}: {a:e} vs {b:e}",
+                            tier.name()
+                        );
+                    }
                 }
             }
-        }
+        });
     }
 
     #[test]
     #[should_panic(expected = "even, non-zero last axis")]
     fn gated_tanh_rejects_odd_width() {
-        let _ = Tensor::zeros(&[2, 3]).gated_tanh();
+        crate::obs::tests::with_exclusive_obs(|| {
+            let _ = Tensor::zeros(&[2, 3]).gated_tanh();
+        });
+    }
+
+    #[test]
+    fn unary_with_writes_every_element() {
+        use crate::ops::tests::{assert_writes_every_element, leaf};
+        crate::obs::tests::with_exclusive_obs(|| assert_writes_every_element(|| leaf(&[7, 9], 0.3).relu()));
+    }
+
+    #[test]
+    fn unary_tiered_writes_every_element() {
+        use crate::ops::tests::{assert_writes_every_element, leaf};
+        crate::obs::tests::with_exclusive_obs(|| {
+            // 63 elements: a padded 8-lane tail on the Avx2Fma tier.
+            assert_writes_every_element(|| leaf(&[7, 9], 0.3).tanh());
+            assert_writes_every_element(|| leaf(&[7, 9], 0.3).gelu());
+        });
+    }
+
+    #[test]
+    fn gated_tanh_writes_every_element() {
+        use crate::ops::tests::{assert_writes_every_element, leaf};
+        crate::obs::tests::with_exclusive_obs(|| {
+            for dims in [vec![5, 6], vec![3, 32], vec![2, 26]] {
+                assert_writes_every_element(|| leaf(&dims, 0.2).gated_tanh());
+            }
+        });
     }
 }

@@ -10,7 +10,7 @@
 use super::Act;
 use crate::pool;
 use crate::shape::Shape;
-use crate::simd::{self, Tier};
+use crate::simd::{self, Tier, ACCUMULATE};
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -33,7 +33,8 @@ impl Tensor {
         assert!(l + 2 * pad >= k, "conv1d kernel larger than padded input");
         let lout = l + 2 * pad - k + 1;
 
-        let mut out = crate::arena::zeroed(b * cout * lout);
+        // Every element is pre-filled with its bias below.
+        let mut out = crate::arena::overwrite(b * cout * lout);
         {
             let x_ref = self.data();
             let w_ref = weight.data();
@@ -75,7 +76,7 @@ impl Tensor {
                     if simd_on {
                         let bp = simd::pack_b_panels(&col, kcols, lout);
                         // Safety: simd_on holds only under the Avx2Fma tier.
-                        unsafe { simd::mm_rows_avx2(w, &bp, cout, kcols, lout, ob, None, Act::Identity, None) };
+                        unsafe { simd::mm_rows_avx2::<ACCUMULATE>(w, &bp, cout, kcols, lout, ob, None, Act::Identity, None) };
                     } else {
                         super::matmul::mm_nn_block(w, &col, cout, kcols, lout, ob);
                     }
@@ -207,5 +208,15 @@ mod tests {
             let num = (f(&p) - f(&m)) / (2.0 * eps);
             assert!((gx[i] - num).abs() < 2e-2, "i={i}: {} vs {num}", gx[i]);
         }
+    }
+
+    #[test]
+    fn conv1d_writes_every_element() {
+        use crate::ops::tests::{assert_writes_every_element, leaf};
+        crate::obs::tests::with_exclusive_obs(|| {
+            assert_writes_every_element(|| {
+                leaf(&[3, 4, 11], 0.1).conv1d(&leaf(&[5, 4, 3], 0.5), &leaf(&[5], 0.9), 1)
+            });
+        });
     }
 }

@@ -131,7 +131,8 @@ fn binary_broadcast(
     let _sp = crate::obs::span("nn.binary");
     let out_shape = Shape::broadcast(a.shape(), b.shape());
     let plan = BroadcastPlan::new(&out_shape, a.shape(), b.shape());
-    let mut out = crate::arena::zeroed(out_shape.numel());
+    // The plan's runs cover the output exactly once.
+    let mut out = crate::arena::overwrite(out_shape.numel());
     {
         let (da, db) = (a.data(), b.data());
         let n = plan.inner;
@@ -197,7 +198,7 @@ fn unary(
 ) -> Tensor {
     let data = {
         let src = a.data();
-        let mut data = crate::arena::zeroed(src.len());
+        let mut data = crate::arena::overwrite(src.len());
         for (o, &x) in data.iter_mut().zip(src.iter()) {
             *o = fwd(x);
         }
@@ -211,7 +212,7 @@ fn unary(
         move || Box::new(move |gout, y, parents| {
             let _sp = crate::obs::span("nn.unary.bwd");
             let p = &parents[0];
-            let mut g = crate::arena::zeroed(gout.len());
+            let mut g = crate::arena::overwrite(gout.len());
             for (((o, &go), &x), &y) in g.iter_mut().zip(gout).zip(p.data().iter()).zip(y) {
                 *o = dfdx(x, y) * go;
             }
@@ -250,7 +251,7 @@ impl Tensor {
     pub fn scale(&self, c: f32) -> Tensor {
         let data = {
             let src = self.data();
-            let mut data = crate::arena::zeroed(src.len());
+            let mut data = crate::arena::overwrite(src.len());
             for (o, &x) in data.iter_mut().zip(src.iter()) {
                 *o = x * c;
             }
@@ -262,7 +263,7 @@ impl Tensor {
             vec![self.clone()],
             move || Box::new(move |gout, _, parents| {
                 let _sp = crate::obs::span("nn.unary.bwd");
-                let mut g = crate::arena::zeroed(gout.len());
+                let mut g = crate::arena::overwrite(gout.len());
                 for (o, &go) in g.iter_mut().zip(gout) {
                     *o = go * c;
                 }
@@ -275,7 +276,7 @@ impl Tensor {
     pub fn add_scalar(&self, c: f32) -> Tensor {
         let data = {
             let src = self.data();
-            let mut data = crate::arena::zeroed(src.len());
+            let mut data = crate::arena::overwrite(src.len());
             for (o, &x) in data.iter_mut().zip(src.iter()) {
                 *o = x + c;
             }
@@ -341,92 +342,110 @@ mod tests {
 
     #[test]
     fn add_sub_mul_div_forward() {
-        let a = param(&[1.0, 2.0, 3.0], &[3]);
-        let b = param(&[4.0, 5.0, 6.0], &[3]);
-        assert_eq!(a.add(&b).to_vec(), vec![5.0, 7.0, 9.0]);
-        assert_eq!(b.sub(&a).to_vec(), vec![3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).to_vec(), vec![4.0, 10.0, 18.0]);
-        assert_eq!(b.div(&a).to_vec(), vec![4.0, 2.5, 2.0]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let a = param(&[1.0, 2.0, 3.0], &[3]);
+            let b = param(&[4.0, 5.0, 6.0], &[3]);
+            assert_eq!(a.add(&b).to_vec(), vec![5.0, 7.0, 9.0]);
+            assert_eq!(b.sub(&a).to_vec(), vec![3.0, 3.0, 3.0]);
+            assert_eq!(a.mul(&b).to_vec(), vec![4.0, 10.0, 18.0]);
+            assert_eq!(b.div(&a).to_vec(), vec![4.0, 2.5, 2.0]);
+        });
     }
 
     #[test]
     fn broadcast_row_bias() {
-        let x = param(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let b = param(&[10.0, 20.0, 30.0], &[3]);
-        let y = x.add(&b);
-        assert_eq!(y.to_vec(), vec![11.0, 22.0, 33.0, 14.0, 25.0, 36.0]);
-        let loss = y.sum_all();
-        backward(&loss);
-        // The bias gradient sums over the broadcast (row) axis.
-        assert_eq!(b.grad().unwrap(), vec![2.0, 2.0, 2.0]);
-        assert_eq!(x.grad().unwrap(), vec![1.0; 6]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
+            let b = param(&[10.0, 20.0, 30.0], &[3]);
+            let y = x.add(&b);
+            assert_eq!(y.to_vec(), vec![11.0, 22.0, 33.0, 14.0, 25.0, 36.0]);
+            let loss = y.sum_all();
+            backward(&loss);
+            // The bias gradient sums over the broadcast (row) axis.
+            assert_eq!(b.grad().unwrap(), vec![2.0, 2.0, 2.0]);
+            assert_eq!(x.grad().unwrap(), vec![1.0; 6]);
+        });
     }
 
     #[test]
     fn mul_gradients() {
-        let a = param(&[2.0, 3.0], &[2]);
-        let b = param(&[5.0, 7.0], &[2]);
-        let loss = a.mul(&b).sum_all();
-        backward(&loss);
-        assert_eq!(a.grad().unwrap(), vec![5.0, 7.0]);
-        assert_eq!(b.grad().unwrap(), vec![2.0, 3.0]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let a = param(&[2.0, 3.0], &[2]);
+            let b = param(&[5.0, 7.0], &[2]);
+            let loss = a.mul(&b).sum_all();
+            backward(&loss);
+            assert_eq!(a.grad().unwrap(), vec![5.0, 7.0]);
+            assert_eq!(b.grad().unwrap(), vec![2.0, 3.0]);
+        });
     }
 
     #[test]
     fn div_gradients() {
-        let a = param(&[6.0], &[1]);
-        let b = param(&[3.0], &[1]);
-        let loss = a.div(&b).sum_all();
-        backward(&loss);
-        assert_eq!(a.grad().unwrap(), vec![1.0 / 3.0]);
-        assert_eq!(b.grad().unwrap(), vec![-6.0 / 9.0]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let a = param(&[6.0], &[1]);
+            let b = param(&[3.0], &[1]);
+            let loss = a.div(&b).sum_all();
+            backward(&loss);
+            assert_eq!(a.grad().unwrap(), vec![1.0 / 3.0]);
+            assert_eq!(b.grad().unwrap(), vec![-6.0 / 9.0]);
+        });
     }
 
     #[test]
     fn unary_grads() {
-        let x = param(&[0.5, 1.5], &[2]);
-        let loss = x.exp().sum_all();
-        backward(&loss);
-        let g = x.grad().unwrap();
-        assert!((g[0] - 0.5f32.exp()).abs() < 1e-6);
-        assert!((g[1] - 1.5f32.exp()).abs() < 1e-6);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[0.5, 1.5], &[2]);
+            let loss = x.exp().sum_all();
+            backward(&loss);
+            let g = x.grad().unwrap();
+            assert!((g[0] - 0.5f32.exp()).abs() < 1e-6);
+            assert!((g[1] - 1.5f32.exp()).abs() < 1e-6);
+        });
     }
 
     #[test]
     fn sqrt_square_roundtrip_grad() {
-        let x = param(&[4.0], &[1]);
-        let loss = x.sqrt().sum_all();
-        backward(&loss);
-        assert!((x.grad().unwrap()[0] - 0.25).abs() < 1e-6);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[4.0], &[1]);
+            let loss = x.sqrt().sum_all();
+            backward(&loss);
+            assert!((x.grad().unwrap()[0] - 0.25).abs() < 1e-6);
 
-        let y = param(&[3.0], &[1]);
-        let loss2 = y.square().sum_all();
-        backward(&loss2);
-        assert_eq!(y.grad().unwrap(), vec![6.0]);
+            let y = param(&[3.0], &[1]);
+            let loss2 = y.square().sum_all();
+            backward(&loss2);
+            assert_eq!(y.grad().unwrap(), vec![6.0]);
+        });
     }
 
     #[test]
     fn scale_and_add_scalar() {
-        let x = param(&[1.0, -2.0], &[2]);
-        let y = x.scale(3.0).add_scalar(1.0);
-        assert_eq!(y.to_vec(), vec![4.0, -5.0]);
-        backward(&y.sum_all());
-        assert_eq!(x.grad().unwrap(), vec![3.0, 3.0]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[1.0, -2.0], &[2]);
+            let y = x.scale(3.0).add_scalar(1.0);
+            assert_eq!(y.to_vec(), vec![4.0, -5.0]);
+            backward(&y.sum_all());
+            assert_eq!(x.grad().unwrap(), vec![3.0, 3.0]);
+        });
     }
 
     #[test]
     fn abs_subgradient() {
-        let x = param(&[-2.0, 0.0, 3.0], &[3]);
-        let loss = x.abs().sum_all();
-        backward(&loss);
-        assert_eq!(x.grad().unwrap(), vec![-1.0, 0.0, 1.0]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[-2.0, 0.0, 3.0], &[3]);
+            let loss = x.abs().sum_all();
+            backward(&loss);
+            assert_eq!(x.grad().unwrap(), vec![-1.0, 0.0, 1.0]);
+        });
     }
 
     #[test]
     fn ln_grad() {
-        let x = param(&[2.0], &[1]);
-        backward(&x.ln().sum_all());
-        assert!((x.grad().unwrap()[0] - 0.5).abs() < 1e-6);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[2.0], &[1]);
+            backward(&x.ln().sum_all());
+            assert!((x.grad().unwrap()[0] - 0.5).abs() < 1e-6);
+        });
     }
 
     /// The plan-walked backward gives the bits of the per-element walk it
@@ -435,79 +454,115 @@ mod tests {
     /// and stride-0 dims.
     #[test]
     fn coalesced_backward_matches_naive_bits() {
-        use rand::Rng;
-        type Op = fn(&Tensor, &Tensor) -> Tensor;
-        type Partials = fn(f32, f32) -> (f32, f32);
-        let ops: [(&str, Op, Partials); 4] = [
-            ("add", |a, b| a.add(b), |_, _| (1.0, 1.0)),
-            ("sub", |a, b| a.sub(b), |_, _| (1.0, -1.0)),
-            ("mul", |a, b| a.mul(b), |a, b| (b, a)),
-            ("div", |a, b| a.div(b), |a, b| (1.0 / b, -a / (b * b))),
-        ];
-        let mut rng = crate::rng::seeded(7);
-        for case in 0..200 {
-            let rank = rng.gen_range(0..=4);
-            let out: Vec<usize> = (0..rank).map(|_| rng.gen_range(1..=4)).collect();
-            let mut operand = || -> Vec<usize> {
-                let drop = rng.gen_range(0..=rank);
-                out[drop..]
-                    .iter()
-                    .map(|&d| if rng.gen_bool(0.4) { 1 } else { d })
-                    .collect()
-            };
-            let (da, db) = (operand(), operand());
-            let a = Tensor::randn(&mut rng, &da).into_param();
-            let b = Tensor::randn(&mut rng, &db).add_scalar(3.0).into_param();
-            for (name, op, partials) in ops {
-                a.zero_grad();
-                b.zero_grad();
-                let y = op(&a, &b);
-                let w = Tensor::randn(&mut rng, y.dims());
-                backward(&y.mul(&w).sum_all());
+        crate::obs::tests::with_exclusive_obs(|| {
+            use rand::Rng;
+            type Op = fn(&Tensor, &Tensor) -> Tensor;
+            type Partials = fn(f32, f32) -> (f32, f32);
+            let ops: [(&str, Op, Partials); 4] = [
+                ("add", |a, b| a.add(b), |_, _| (1.0, 1.0)),
+                ("sub", |a, b| a.sub(b), |_, _| (1.0, -1.0)),
+                ("mul", |a, b| a.mul(b), |a, b| (b, a)),
+                ("div", |a, b| a.div(b), |a, b| (1.0 / b, -a / (b * b))),
+            ];
+            let mut rng = crate::rng::seeded(7);
+            for case in 0..200 {
+                let rank = rng.gen_range(0..=4);
+                let out: Vec<usize> = (0..rank).map(|_| rng.gen_range(1..=4)).collect();
+                let mut operand = || -> Vec<usize> {
+                    let drop = rng.gen_range(0..=rank);
+                    out[drop..]
+                        .iter()
+                        .map(|&d| if rng.gen_bool(0.4) { 1 } else { d })
+                        .collect()
+                };
+                let (da, db) = (operand(), operand());
+                let a = Tensor::randn(&mut rng, &da).into_param();
+                let b = Tensor::randn(&mut rng, &db).add_scalar(3.0).into_param();
+                for (name, op, partials) in ops {
+                    a.zero_grad();
+                    b.zero_grad();
+                    let y = op(&a, &b);
+                    let w = Tensor::randn(&mut rng, y.dims());
+                    backward(&y.mul(&w).sum_all());
 
-                // Naive reference: one output element at a time, ascending.
-                let so = y.shape().clone();
-                let sa = a.shape().broadcast_strides_to(&so);
-                let sb = b.shape().broadcast_strides_to(&so);
-                let (xa, xb, g) = (a.to_vec(), b.to_vec(), w.to_vec());
-                let mut ga = vec![0.0f32; xa.len()];
-                let mut gb = vec![0.0f32; xb.len()];
-                for (o, &go) in g.iter().enumerate() {
-                    let (mut ia, mut ib, mut rem) = (0, 0, o);
-                    for d in (0..so.ndim()).rev() {
-                        let i = rem % so.dims()[d];
-                        rem /= so.dims()[d];
-                        ia += i * sa[d];
-                        ib += i * sb[d];
+                    // Naive reference: one output element at a time, ascending.
+                    let so = y.shape().clone();
+                    let sa = a.shape().broadcast_strides_to(&so);
+                    let sb = b.shape().broadcast_strides_to(&so);
+                    let (xa, xb, g) = (a.to_vec(), b.to_vec(), w.to_vec());
+                    let mut ga = vec![0.0f32; xa.len()];
+                    let mut gb = vec![0.0f32; xb.len()];
+                    for (o, &go) in g.iter().enumerate() {
+                        let (mut ia, mut ib, mut rem) = (0, 0, o);
+                        for d in (0..so.ndim()).rev() {
+                            let i = rem % so.dims()[d];
+                            rem /= so.dims()[d];
+                            ia += i * sa[d];
+                            ib += i * sb[d];
+                        }
+                        let (pa, pb) = partials(xa[ia], xb[ib]);
+                        ga[ia] += pa * go;
+                        gb[ib] += pb * go;
                     }
-                    let (pa, pb) = partials(xa[ia], xb[ib]);
-                    ga[ia] += pa * go;
-                    gb[ib] += pb * go;
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let ctx = format!("case {case} {name} {da:?} {db:?}");
+                    assert_eq!(bits(&a.grad().unwrap()), bits(&ga), "{ctx}: left");
+                    assert_eq!(bits(&b.grad().unwrap()), bits(&gb), "{ctx}: right");
                 }
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                let ctx = format!("case {case} {name} {da:?} {db:?}");
-                assert_eq!(bits(&a.grad().unwrap()), bits(&ga), "{ctx}: left");
-                assert_eq!(bits(&b.grad().unwrap()), bits(&gb), "{ctx}: right");
             }
-        }
+        });
     }
 
     #[test]
     fn empty_broadcast_runs_both_directions() {
-        let a = param(&[], &[0, 3]);
-        let b = param(&[1.0, 2.0, 3.0], &[1, 3]);
-        let y = a.mul(&b);
-        assert_eq!(y.dims(), &[0, 3]);
-        backward(&y.sum_all());
-        assert_eq!(b.grad().unwrap(), vec![0.0; 3]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let a = param(&[], &[0, 3]);
+            let b = param(&[1.0, 2.0, 3.0], &[1, 3]);
+            let y = a.mul(&b);
+            assert_eq!(y.dims(), &[0, 3]);
+            backward(&y.sum_all());
+            assert_eq!(b.grad().unwrap(), vec![0.0; 3]);
+        });
     }
 
     #[test]
     fn backward_skips_operands_without_grad() {
-        let x = param(&[1.0, -2.0, 3.0], &[3]);
-        let c = Tensor::from_vec(vec![2.0], &[1]).unwrap();
-        backward(&x.mul(&c).sum_all());
-        assert_eq!(x.grad().unwrap(), vec![2.0; 3]);
-        assert!(c.grad().is_none());
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[1.0, -2.0, 3.0], &[3]);
+            let c = Tensor::from_vec(vec![2.0], &[1]).unwrap();
+            backward(&x.mul(&c).sum_all());
+            assert_eq!(x.grad().unwrap(), vec![2.0; 3]);
+            assert!(c.grad().is_none());
+        });
+    }
+
+    #[test]
+    fn binary_writes_every_element() {
+        use crate::ops::tests::{assert_writes_every_element, leaf};
+        crate::obs::tests::with_exclusive_obs(|| {
+            // One dense run, a row bias, and a repeated middle dim.
+            let shapes = [(vec![5, 13], vec![5, 13]), (vec![4, 3, 9], vec![9]), (vec![3, 4, 5], vec![3, 1, 5])];
+            for (da, db) in shapes {
+                assert_writes_every_element(|| leaf(&da, 0.1).mul(&leaf(&db, 0.7)));
+            }
+        });
+    }
+
+    #[test]
+    fn unary_writes_every_element() {
+        use crate::ops::tests::{assert_writes_every_element, leaf};
+        crate::obs::tests::with_exclusive_obs(|| assert_writes_every_element(|| leaf(&[7, 9], 0.3).exp()));
+    }
+
+    #[test]
+    fn scale_writes_every_element() {
+        use crate::ops::tests::{assert_writes_every_element, leaf};
+        crate::obs::tests::with_exclusive_obs(|| assert_writes_every_element(|| leaf(&[7, 9], 0.3).scale(1.7)));
+    }
+
+    #[test]
+    fn add_scalar_writes_every_element() {
+        use crate::ops::tests::{assert_writes_every_element, leaf};
+        crate::obs::tests::with_exclusive_obs(|| assert_writes_every_element(|| leaf(&[7, 9], 0.3).add_scalar(-0.4)));
     }
 }

@@ -13,7 +13,7 @@ impl Tensor {
         let dims = self.dims();
         assert_eq!(dims.len(), 2, "embedding table must be [V, D]");
         let (v, d) = (dims[0], dims[1]);
-        let mut out = crate::arena::zeroed(indices.len() * d);
+        let mut out = crate::arena::overwrite(indices.len() * d);
         {
             let t = self.data();
             for (row, &ix) in indices.iter().enumerate() {
@@ -69,5 +69,11 @@ mod tests {
     fn embedding_rejects_bad_index() {
         let table = Tensor::zeros(&[2, 2]);
         let _ = table.embedding(&[2]);
+    }
+
+    #[test]
+    fn embedding_writes_every_element() {
+        use crate::ops::tests::{assert_writes_every_element, leaf};
+        crate::obs::tests::with_exclusive_obs(|| assert_writes_every_element(|| leaf(&[6, 5], 0.3).embedding(&[4, 0, 5, 5, 2])));
     }
 }

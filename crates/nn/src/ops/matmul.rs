@@ -20,7 +20,7 @@ use super::Act;
 use crate::autodiff::is_grad_enabled;
 use crate::pool;
 use crate::shape::Shape;
-use crate::simd::{self, Tier};
+use crate::simd::{self, Tier, ACCUMULATE, STORE};
 use crate::tensor::Tensor;
 
 /// Depth of the `k`-panel kept hot in cache between row tiles.
@@ -139,7 +139,7 @@ fn pack_transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 /// otherwise. Row sharding across workers is identical in both tiers, so
 /// each tier is bit-deterministic at any thread count.
 pub fn mm_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    mm_nn_dispatch(a, b, None, m, k, n, out, PLAIN, None);
+    mm_nn_dispatch::<ACCUMULATE>(a, b, None, m, k, n, out, PLAIN, None);
 }
 
 /// The pointwise tail one kernel call applies to each output element as
@@ -160,13 +160,20 @@ const PLAIN: Epilogue<'static> = Epilogue { bias: None, act: Act::Identity };
 /// it). `pre`, when given, receives each element's pre-activation in the
 /// same pass.
 ///
+/// `ACC` is the output mode ([`simd::ACCUMULATE`] or [`simd::STORE`]).
+/// In store mode the old contents of `out` are never read, and the
+/// result has the bits an accumulate into a zeroed `out` gives: the
+/// Avx2Fma kernel adds `+0.0` where it would add the old value, and the
+/// scalar tier zeroes each worker's shard before `mm_nn_block`
+/// accumulates into it.
+///
 /// The Avx2Fma kernel applies the epilogue where it stores each output.
 /// The scalar tier runs it over each worker's row shard once
 /// `mm_nn_block` has finished the shard: `+ bias[j]`, then the scalar
 /// activation. Either way an element gets the IEEE operations of a
 /// separate matmul, broadcast add and activation op on that tier.
 #[allow(clippy::too_many_arguments)]
-fn mm_nn_dispatch(
+fn mm_nn_dispatch<const ACC: bool>(
     a: &[f32],
     b: &[f32],
     prepacked: Option<&[f32]>,
@@ -198,11 +205,14 @@ fn mm_nn_dispatch(
             let mrows = rows.len() / n;
             let a = &a[r0 * k..(r0 + mrows) * k];
             // Safety: tier() == Avx2Fma implies avx2+fma were detected.
-            unsafe { simd::mm_rows_avx2(a, bp, mrows, k, n, rows, ep.bias, ep.act, pre) };
+            unsafe { simd::mm_rows_avx2::<ACC>(a, bp, mrows, k, n, rows, ep.bias, ep.act, pre) };
         });
     } else {
         pool::parallel_slices_mut_with(out, pre, n, row_grain(k, n), |r0, rows, mut pre| {
             let mrows = rows.len() / n;
+            if !ACC {
+                rows.fill(0.0);
+            }
             mm_nn_block(&a[r0 * k..(r0 + mrows) * k], b, mrows, k, n, rows);
             if ep.bias.is_none() && ep.act == Act::Identity {
                 return;
@@ -263,10 +273,15 @@ fn cached_panels(t: &Tensor, b: &[f32], k: usize, n: usize) -> Rc<Vec<f32>> {
 /// `out[m,n] += a[m,k] @ b[n,k]^T`: packs `b`'s transpose once, then runs
 /// the blocked `NN` kernel.
 pub fn mm_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    mm_nt_mode::<ACCUMULATE>(a, b, m, k, n, out);
+}
+
+/// [`mm_nt`] in the output mode `ACC` (see `mm_nn_dispatch`).
+fn mm_nt_mode<const ACC: bool>(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     let bt = pack_transpose(b, n, k); // [k, n]
-    mm_nn(a, &bt, m, k, n, out);
+    mm_nn_dispatch::<ACC>(a, &bt, None, m, k, n, out, PLAIN, None);
 }
 
 /// `out[k,n] += a[m,k]^T @ b[m,n]`, split across the worker pool by output
@@ -338,8 +353,9 @@ impl Tensor {
         let parents: Vec<Tensor> = [self, w].into_iter().chain(bias).cloned().collect();
         let track = is_grad_enabled() && parents.iter().any(Tensor::requires_grad);
         let simd_on = simd::tier() == Tier::Avx2Fma;
-        let mut out = crate::arena::zeroed(out_shape.numel());
-        let mut pre = (track && act.needs_pre()).then(|| crate::arena::zeroed(out_shape.numel()));
+        // The store-mode kernel writes every element of both.
+        let mut out = crate::arena::overwrite(out_shape.numel());
+        let mut pre = (track && act.needs_pre()).then(|| crate::arena::overwrite(out_shape.numel()));
         {
             let da_ref = self.data();
             let db_ref = w.data();
@@ -352,7 +368,7 @@ impl Tensor {
             // step, not per call.
             let bp = (simd_on && w.requires_grad()).then(|| cached_panels(w, db, k, n));
             let bp = bp.as_deref().map(Vec::as_slice);
-            mm_nn_dispatch(da, db, bp, rows, k, n, &mut out, ep, pre.as_deref_mut());
+            mm_nn_dispatch::<STORE>(da, db, bp, rows, k, n, &mut out, ep, pre.as_deref_mut());
         }
         let pre = pre.map(crate::arena::Saved);
 
@@ -365,7 +381,7 @@ impl Tensor {
                 let (pa, pw) = (&parents[0], &parents[1]);
                 // The gradient at the pre-activation.
                 let dz_owned = (act != Act::Identity).then(|| {
-                    let mut g = crate::arena::zeroed(gout.len());
+                    let mut g = crate::arena::overwrite(gout.len());
                     act.grad(simd_on, pre.as_deref().unwrap_or_default(), y, gout, &mut g);
                     g
                 });
@@ -373,8 +389,8 @@ impl Tensor {
                 if pa.requires_grad() {
                     // dX = dZ @ Wᵀ over the folded rows: pack the shared
                     // panel Wᵀ once for the whole call.
-                    let mut ga = crate::arena::zeroed(pa.numel());
-                    mm_nt(dz, &pw.data(), rows, n, k, &mut ga);
+                    let mut ga = crate::arena::overwrite(pa.numel());
+                    mm_nt_mode::<STORE>(dz, &pw.data(), rows, n, k, &mut ga);
                     pa.accumulate_grad_owned(ga);
                 }
                 if pw.requires_grad() {
@@ -728,7 +744,7 @@ mod tests {
     fn fused_op_bit_identical_across_thread_counts_per_tier() {
         // Many spans: keep them out of the obs tests' snapshots.
         crate::obs::tests::with_exclusive_obs(|| {
-            // 410 rows at k = 64, n = 40 shard into four row runs (row_grain
+            // 410 rows at k = 64, n = 40 shard into three row runs (row_grain
             // is 103 rows), so t2 and t4 split the output and the saved
             // pre-activation at the same boundaries.
             let (m, k, n) = (410usize, 64usize, 40usize);
@@ -780,6 +796,25 @@ mod tests {
             forward();
             assert!(!Rc::ptr_eq(&slot(&weights[3]), &first[3]));
             assert_eq!(*slot(&weights[3]), simd::pack_b_panels(&wave(64, 99.0), 8, 8));
+        });
+    }
+
+    #[test]
+    fn linear_writes_every_element() {
+        use crate::ops::tests::{assert_writes_every_element, leaf};
+        crate::obs::tests::with_exclusive_obs(|| {
+            // Leftover rows after the 8- and 6-row tiles, several row
+            // blocks, one- and two-vector panels, a masked right edge, a
+            // second panel, and a folded 3-D batch.
+            for (xd, n) in [(vec![13, 16], 8), (vec![13, 16], 20), (vec![912, 16], 32), (vec![2, 7, 9], 16)] {
+                let k = xd[xd.len() - 1];
+                for (act, bias) in [(Act::Identity, false), (Act::Gelu, true)] {
+                    assert_writes_every_element(|| {
+                        let (x, w) = (leaf(&xd, 0.2), leaf(&[k, n], 0.8).into_param());
+                        x.linear(&w, bias.then(|| leaf(&[n], 1.4)).as_ref(), act)
+                    });
+                }
+            }
         });
     }
 }

@@ -284,7 +284,7 @@ impl Tensor {
             }
         }
         let simd_on = crate::simd::tier() == crate::simd::Tier::Avx2Fma;
-        let mut out = crate::arena::zeroed(self.numel());
+        let mut out = crate::arena::overwrite(self.numel());
         softmax_rows(&self.data(), &mut out, rows, d, simd_on);
         Tensor::from_op(
             out,
@@ -294,7 +294,7 @@ impl Tensor {
             // output: no recompute, no scratch buffer.
             move || Box::new(move |gout, y, parents| {
                 let _sp = crate::obs::span("nn.softmax.bwd");
-                let mut g = crate::arena::zeroed(y.len());
+                let mut g = crate::arena::overwrite(y.len());
                 let rows = g.chunks_exact_mut(d).zip(y.chunks_exact(d)).zip(gout.chunks_exact(d));
                 for ((gr, yr), go) in rows {
                     let dot: f32 = yr.iter().zip(go).map(|(&yv, &gv)| yv * gv).sum();
@@ -321,7 +321,7 @@ impl Tensor {
         #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
         let tier = crate::simd::tier();
 
-        let mut out = crate::arena::zeroed(self.numel());
+        let mut out = crate::arena::overwrite(self.numel());
         {
             let (x, g, b) = (self.data(), gamma.data(), beta.data());
             // Rows the Avx2Fma kernel wrote; the scalar path takes the rest.
@@ -355,7 +355,7 @@ impl Tensor {
             move || Box::new(move |gout, _, parents| {
                 let _sp = crate::obs::span("nn.layer_norm.bwd");
                 let (px, pg, pb) = (&parents[0], &parents[1], &parents[2]);
-                let mut gx = crate::arena::zeroed(px.numel());
+                let mut gx = crate::arena::overwrite(px.numel());
                 let mut gg = crate::arena::zeroed(d);
                 let mut gb = crate::arena::zeroed(d);
                 {
@@ -602,5 +602,25 @@ mod tests {
             let gg = gamma.grad().unwrap();
             assert!((gg[0] + gg[1]).abs() < 1e-4);
         });
+    }
+
+    #[test]
+    fn layer_norm_writes_every_element() {
+        use crate::ops::tests::{assert_writes_every_element, leaf};
+        crate::obs::tests::with_exclusive_obs(|| {
+            // The Avx2Fma 8-row blocks with scalar leftover rows, the D = 8
+            // instance, and a width only the scalar loop takes.
+            for (rows, d) in [(13, 16), (9, 8), (6, 5)] {
+                assert_writes_every_element(|| {
+                    leaf(&[rows, d], 0.2).layer_norm(&leaf(&[d], 1.1), &leaf(&[d], 2.3), 1e-5)
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn softmax_writes_every_element() {
+        use crate::ops::tests::{assert_writes_every_element, leaf};
+        crate::obs::tests::with_exclusive_obs(|| assert_writes_every_element(|| leaf(&[7, 9], 0.6).softmax_last()));
     }
 }

@@ -569,7 +569,13 @@ impl Tensor {
 
         let _kernel = crate::obs::span("nn.sdpa");
         let simd_on = simd::tier() == Tier::Avx2Fma && cfg!(target_arch = "x86_64");
-        let mut out = crate::arena::zeroed(q.numel());
+        // The Avx2Fma tiles store every output row; the Scalar loop adds
+        // into its output.
+        let mut out = if simd_on {
+            crate::arena::overwrite(q.numel())
+        } else {
+            crate::arena::zeroed(q.numel())
+        };
         {
             let (qr, kr, vr) = (q.data(), k.data(), v.data());
             let (qs, ks, vs): (&[f32], &[f32], &[f32]) = (&qr, &kr, &vr);
@@ -969,6 +975,20 @@ mod tests {
                         assert_eq!(bits(&got[n + 1]), bits(w), "{msg}");
                     }
                 }
+            }
+        });
+    }
+
+    #[test]
+    fn sdpa_writes_every_element() {
+        use crate::ops::tests::{assert_writes_every_element, leaf};
+        crate::obs::tests::with_exclusive_obs(|| {
+            // A tile with idle lanes (2·2 blocks) and one with full tiles.
+            for (dims, axis) in [(vec![2, 9, 8], 1), (vec![1, 19, 16, 8], 1)] {
+                assert_writes_every_element(|| {
+                    let (q, k, v) = (leaf(&dims, 0.1), leaf(&dims, 0.5), leaf(&dims, 0.9));
+                    Tensor::sdpa(&q, &k, &v, axis, 2, 0.5)
+                });
             }
         });
     }

@@ -12,7 +12,7 @@ fn permute_copy(src: &[f32], dims: &[usize], perm: &[usize]) -> Vec<f32> {
     let in_strides = Shape::new(dims).strides();
     let out_dims: Vec<usize> = perm.iter().map(|&p| dims[p]).collect();
     let n: usize = out_dims.iter().product();
-    let mut out = crate::arena::zeroed(n);
+    let mut out = crate::arena::overwrite(n);
     if n == 0 {
         return out;
     }
@@ -141,7 +141,8 @@ impl Tensor {
         let outer: usize = first_dims[..axis].iter().product();
         let inner: usize = first_dims[axis + 1..].iter().product();
 
-        let mut out = crate::arena::zeroed(out_shape.numel());
+        // The inputs' blocks tile the output.
+        let mut out = crate::arena::overwrite(out_shape.numel());
         let axis_sizes: Vec<usize> = tensors.iter().map(|t| t.dims()[axis]).collect();
         {
             let mut offset = 0usize;
@@ -164,7 +165,7 @@ impl Tensor {
                 let _sp = crate::obs::span("nn.concat.bwd");
                 let mut offset = 0usize;
                 for (p, &sz) in parents.iter().zip(&axis_sizes) {
-                    let mut g = crate::arena::zeroed(p.numel());
+                    let mut g = crate::arena::overwrite(p.numel());
                     for o in 0..outer {
                         let src_base = (o * axis_total + offset) * inner;
                         g[o * sz * inner..(o + 1) * sz * inner]
@@ -232,72 +233,108 @@ mod tests {
 
     #[test]
     fn reshape_roundtrip() {
-        let x = param(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let y = x.reshape(&[3, 2]);
-        assert_eq!(y.dims(), &[3, 2]);
-        assert_eq!(y.to_vec(), x.to_vec());
-        backward(&y.sum_all());
-        assert_eq!(x.grad().unwrap(), vec![1.0; 6]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
+            let y = x.reshape(&[3, 2]);
+            assert_eq!(y.dims(), &[3, 2]);
+            assert_eq!(y.to_vec(), x.to_vec());
+            backward(&y.sum_all());
+            assert_eq!(x.grad().unwrap(), vec![1.0; 6]);
+        });
     }
 
     #[test]
     fn transpose_2d() {
-        let x = param(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let y = x.permute(&[1, 0]);
-        assert_eq!(y.dims(), &[3, 2]);
-        assert_eq!(y.to_vec(), vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
+            let y = x.permute(&[1, 0]);
+            assert_eq!(y.dims(), &[3, 2]);
+            assert_eq!(y.to_vec(), vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+        });
     }
 
     #[test]
     fn permute_3d_and_grad() {
-        let x = param(&(0..24).map(|v| v as f32).collect::<Vec<_>>(), &[2, 3, 4]);
-        let y = x.permute(&[2, 0, 1]);
-        assert_eq!(y.dims(), &[4, 2, 3]);
-        // y[i,j,k] = x[j,k,i]
-        let yd = y.to_vec();
-        assert_eq!(yd[0], 0.0); // x[0,0,0]
-        assert_eq!(yd[8], 9.0); // y[1,0,2] = x[0,2,1] = 0*12 + 2*4 + 1
-        backward(&y.sum_all());
-        assert_eq!(x.grad().unwrap(), vec![1.0; 24]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&(0..24).map(|v| v as f32).collect::<Vec<_>>(), &[2, 3, 4]);
+            let y = x.permute(&[2, 0, 1]);
+            assert_eq!(y.dims(), &[4, 2, 3]);
+            // y[i,j,k] = x[j,k,i]
+            let yd = y.to_vec();
+            assert_eq!(yd[0], 0.0); // x[0,0,0]
+            assert_eq!(yd[8], 9.0); // y[1,0,2] = x[0,2,1] = 0*12 + 2*4 + 1
+            backward(&y.sum_all());
+            assert_eq!(x.grad().unwrap(), vec![1.0; 24]);
+        });
     }
 
     #[test]
     fn concat_axis0_and_axis1() {
-        let a = param(&[1.0, 2.0], &[1, 2]);
-        let b = param(&[3.0, 4.0], &[1, 2]);
-        let c0 = Tensor::concat(&[&a, &b], 0);
-        assert_eq!(c0.dims(), &[2, 2]);
-        assert_eq!(c0.to_vec(), vec![1.0, 2.0, 3.0, 4.0]);
-        let c1 = Tensor::concat(&[&a, &b], 1);
-        assert_eq!(c1.dims(), &[1, 4]);
-        assert_eq!(c1.to_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let a = param(&[1.0, 2.0], &[1, 2]);
+            let b = param(&[3.0, 4.0], &[1, 2]);
+            let c0 = Tensor::concat(&[&a, &b], 0);
+            assert_eq!(c0.dims(), &[2, 2]);
+            assert_eq!(c0.to_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+            let c1 = Tensor::concat(&[&a, &b], 1);
+            assert_eq!(c1.dims(), &[1, 4]);
+            assert_eq!(c1.to_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+        });
     }
 
     #[test]
     fn concat_grad_splits() {
-        let a = param(&[1.0, 2.0], &[2]);
-        let b = param(&[3.0], &[1]);
-        let c = Tensor::concat(&[&a, &b], 0);
-        backward(&c.mul(&Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap()).sum_all());
-        assert_eq!(a.grad().unwrap(), vec![1.0, 2.0]);
-        assert_eq!(b.grad().unwrap(), vec![3.0]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let a = param(&[1.0, 2.0], &[2]);
+            let b = param(&[3.0], &[1]);
+            let c = Tensor::concat(&[&a, &b], 0);
+            backward(&c.mul(&Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap()).sum_all());
+            assert_eq!(a.grad().unwrap(), vec![1.0, 2.0]);
+            assert_eq!(b.grad().unwrap(), vec![3.0]);
+        });
     }
 
     #[test]
     fn slice_middle_axis() {
-        let x = param(&(0..12).map(|v| v as f32).collect::<Vec<_>>(), &[2, 3, 2]);
-        let y = x.slice_axis(1, 1, 2);
-        assert_eq!(y.dims(), &[2, 2, 2]);
-        assert_eq!(y.to_vec(), vec![2.0, 3.0, 4.0, 5.0, 8.0, 9.0, 10.0, 11.0]);
-        backward(&y.sum_all());
-        let g = x.grad().unwrap();
-        assert_eq!(g, vec![0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&(0..12).map(|v| v as f32).collect::<Vec<_>>(), &[2, 3, 2]);
+            let y = x.slice_axis(1, 1, 2);
+            assert_eq!(y.dims(), &[2, 2, 2]);
+            assert_eq!(y.to_vec(), vec![2.0, 3.0, 4.0, 5.0, 8.0, 9.0, 10.0, 11.0]);
+            backward(&y.sum_all());
+            let g = x.grad().unwrap();
+            assert_eq!(g, vec![0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]);
+        });
     }
 
     #[test]
     #[should_panic(expected = "exceeds axis size")]
     fn slice_out_of_range_panics() {
-        let x = param(&[0.0; 6], &[2, 3]);
-        let _ = x.slice_axis(1, 2, 2);
+        crate::obs::tests::with_exclusive_obs(|| {
+            let x = param(&[0.0; 6], &[2, 3]);
+            let _ = x.slice_axis(1, 2, 2);
+        });
+    }
+
+    #[test]
+    fn concat_writes_every_element() {
+        use crate::ops::tests::{assert_writes_every_element, leaf};
+        crate::obs::tests::with_exclusive_obs(|| {
+            for axis in 0..3 {
+                let mut db = vec![2, 3, 4];
+                db[axis] = 5;
+                assert_writes_every_element(|| Tensor::concat(&[&leaf(&[2, 3, 4], 0.1), &leaf(&db, 0.9)], axis));
+            }
+        });
+    }
+
+    #[test]
+    fn permute_writes_every_element() {
+        use crate::ops::tests::{assert_writes_every_element, leaf};
+        crate::obs::tests::with_exclusive_obs(|| {
+            // The last-two swap and the generic gather.
+            assert_writes_every_element(|| leaf(&[2, 3, 5], 0.4).permute(&[0, 2, 1]));
+            assert_writes_every_element(|| leaf(&[2, 3, 5], 0.4).permute(&[2, 0, 1]));
+        });
     }
 }

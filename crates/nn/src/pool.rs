@@ -81,11 +81,12 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Splits `0..n` into at most `workers` contiguous ranges of at least
-/// `grain` items each (the last range takes the remainder).
+/// Splits `0..n` into at most `workers` contiguous ranges, every one but
+/// the last of at least `grain` items: `n / grain` of them at most, so
+/// work under two grains is one range and runs inline.
 fn split_ranges(n: usize, grain: usize, workers: usize) -> Vec<Range<usize>> {
     let grain = grain.max(1);
-    let workers = workers.max(1).min(n.div_ceil(grain)).max(1);
+    let workers = workers.max(1).min(n / grain).max(1);
     let per = n.div_ceil(workers);
     let mut out = Vec::with_capacity(workers);
     let mut s = 0;
@@ -278,7 +279,8 @@ mod tests {
 
     #[test]
     fn split_ranges_covers_exactly() {
-        for (n, grain, workers) in [(10, 1, 3), (7, 2, 8), (1, 5, 4), (100, 7, 5)] {
+        let cases = [(10, 1, 3), (7, 2, 8), (1, 5, 4), (100, 7, 5), (912, 512, 2), (1023, 512, 2)];
+        for (n, grain, workers) in cases {
             let rs = split_ranges(n, grain, workers);
             assert_eq!(rs[0].start, 0);
             assert_eq!(rs.last().unwrap().end, n);
@@ -286,9 +288,13 @@ mod tests {
                 assert_eq!(w[0].end, w[1].start);
             }
             for r in &rs[..rs.len() - 1] {
-                assert!(r.end - r.start >= grain.min(n));
+                assert!(r.end - r.start >= grain, "{n}/{grain}/{workers}: {rs:?}");
             }
         }
+        // Under two grains of work is one inline run.
+        assert_eq!(split_ranges(912, 512, 2).len(), 1);
+        assert_eq!(split_ranges(1023, 512, 2).len(), 1);
+        assert_eq!(split_ranges(1024, 512, 2), [0..512, 512..1024]);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Dispatch tiers, highest first:
 //!
 //! 1. **Avx2Fma** — explicit `std::arch` f32x8 register-tiled kernels
-//!    (4-row × 16-column micro-tiles, FMA accumulation in registers over
-//!    the full reduction dimension).
+//!    (micro-tiles of up to 16 columns and 6 or 8 rows, FMA accumulation
+//!    in registers over the full reduction dimension).
 //! 2. **Scalar** — the cache-blocked scalar kernels in `ops::matmul`,
 //!    always available.
 //!
@@ -110,9 +110,35 @@ pub fn with_tier<R>(t: Tier, f: impl FnOnce() -> R) -> R {
 /// Panel width of the packed-B layout: two f32x8 vectors.
 pub(crate) const NR: usize = 16;
 
-/// Output rows of the matmul kernels' register tile.
+/// Output rows of the matmul kernels' register tile, by the vectors of
+/// accumulators each row holds (one for up to 8 live columns, two for
+/// 9–16): 8 × 1 and 6 × 2 vectors, so 8 or 12 accumulators stay in
+/// registers beside the B vectors and the broadcast A value.
 #[cfg(target_arch = "x86_64")]
-const MR: usize = 4;
+const TILE_ROWS: [usize; 2] = [8, 6];
+
+/// [`TILE_ROWS`] for the weight gradient's `TN` kernel, whose output has
+/// only `k` rows (8–32 in the models): at k = 16, tiles of 6 leave four
+/// rows to single-row tiles, each one latency-bound FMA chain per
+/// vector, and measured slower than four tiles of 4.
+#[cfg(target_arch = "x86_64")]
+const TN_TILE_ROWS: [usize; 2] = [4, 4];
+
+/// Rows one block of the tile walk covers in every column panel before
+/// the next block starts: a multiple of both tile heights, so only a
+/// call's last block leaves rows for single-row tiles, and small enough
+/// that the block's rows of A stay in L1 across the panels.
+#[cfg(target_arch = "x86_64")]
+const ROW_BLOCK: usize = 24;
+
+/// The kernels' output modes, their `ACC` const parameter:
+/// `out += a·b` reads each output element once before storing it.
+pub(crate) const ACCUMULATE: bool = true;
+/// `out = a·b`: the old contents of `out` are never read, so the
+/// caller's buffer need not be zeroed. Each element is `z = acc + 0.0`,
+/// bit for bit what accumulating into a zeroed `out` gives (`+0.0 + acc`:
+/// a `-0.0` chain still lands as `+0.0`, a NaN passes through).
+pub(crate) const STORE: bool = false;
 
 /// Packs a row-major `k × n` B matrix into `⌈n/NR⌉` column panels, each
 /// laid out `[p][NR]` (reduction-major), zero-padded on the right edge.
@@ -134,14 +160,15 @@ pub(crate) fn pack_b_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
 }
 
 /// Stores up to 8 lanes of one output row: `z = (out + acc) + bias`
-/// (the bias add only when there is a bias), `out = act(z)`, and `z`
-/// into `pre` when the caller keeps the pre-activation. With `w < 8`
-/// lanes the rest are zero-padded, so each lane sees the arithmetic of a
-/// full-width store.
+/// ([`ACCUMULATE`]) or `z = (acc + 0.0) + bias` ([`STORE`], `out` not
+/// read), the bias add only when there is a bias; then `out = act(z)`,
+/// and `z` into `pre` when the caller keeps the pre-activation. With
+/// `w < 8` lanes the rest are zero-padded, so each lane sees the
+/// arithmetic of a full-width store.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn store_epilogue<const ACT: u8>(
+unsafe fn store_epilogue<const ACT: u8, const ACC: bool>(
     acc: std::arch::x86_64::__m256,
     out: *mut f32,
     bias: Option<*const f32>,
@@ -149,7 +176,8 @@ unsafe fn store_epilogue<const ACT: u8>(
     w: usize,
 ) {
     use std::arch::x86_64::*;
-    let mut z = _mm256_add_ps(load_lanes(out, w), acc);
+    let old = if ACC { load_lanes(out, w) } else { _mm256_setzero_ps() };
+    let mut z = _mm256_add_ps(old, acc);
     if let Some(b) = bias {
         z = _mm256_add_ps(z, load_lanes(b, w));
     }
@@ -171,16 +199,17 @@ unsafe fn store_epilogue<const ACT: u8>(
     store_lanes(out, y, w);
 }
 
-/// `out[m×n] = act(out + a[m×k] · B + bias)` where `B` was packed by
+/// `out[m×n] = act(out + a[m×k] · B + bias)` ([`ACCUMULATE`]) or
+/// `act(a·B + bias)` ([`STORE`]) where `B` was packed by
 /// [`pack_b_panels`]; `bias` has `n` entries and `pre`, when given, gets
-/// the pre-activation `out + a·B + bias`.
+/// the pre-activation.
 ///
-/// Register-tiled 4×16 micro-kernel ([`tile`]; rows past the last
-/// multiple of 4 go one at a time): for each tile the full reduction runs
-/// in eight ymm accumulators (one FMA chain per output element, `p`
-/// ascending), then lands in `out` through `store_epilogue`: one add of
-/// the old value, one of the bias, then the activation, per element. The
-/// accumulation order is fixed per element regardless of how rows are
+/// Register-tiled micro-kernel ([`tile`], walked by `for_each_tile`): for
+/// each tile the full reduction runs in ymm accumulators (one FMA chain
+/// per output element, `p` ascending), then lands in `out` through
+/// `store_epilogue`: one add of the old value (or of `+0.0`), one of the
+/// bias, then the activation, per element. The accumulation order is
+/// fixed per element regardless of the tile shape or of how rows are
 /// sharded across threads.
 ///
 /// # Safety
@@ -190,7 +219,7 @@ unsafe fn store_epilogue<const ACT: u8>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn mm_rows_avx2(
+pub(crate) unsafe fn mm_rows_avx2<const ACC: bool>(
     a: &[f32],
     bp: &[f32],
     m: usize,
@@ -204,34 +233,65 @@ pub(crate) unsafe fn mm_rows_avx2(
     // One instance per activation: an inlined activation the kernel does
     // not run still costs the others registers and code size.
     let kernel = match act {
-        Act::Identity => mm_rows::<{ Act::Identity as u8 }>,
-        Act::Relu => mm_rows::<{ Act::Relu as u8 }>,
-        Act::Gelu => mm_rows::<{ Act::Gelu as u8 }>,
-        Act::Silu => mm_rows::<{ Act::Silu as u8 }>,
+        Act::Identity => mm_rows::<{ Act::Identity as u8 }, ACC>,
+        Act::Relu => mm_rows::<{ Act::Relu as u8 }, ACC>,
+        Act::Gelu => mm_rows::<{ Act::Gelu as u8 }, ACC>,
+        Act::Silu => mm_rows::<{ Act::Silu as u8 }, ACC>,
     };
     kernel(a, bp, m, k, n, out, bias, pre)
 }
 
-/// Runs the [`tile`] instance for `mr` rows (`MR` or 1) and `nj` columns
-/// (one vector of accumulators per row up to 8, two past it) on `args`.
-/// Each shape is its own instance, so the accumulators stay in registers.
+/// Runs the [`tile`] instance for `mr` rows (`$rows[v]` or 1, as
+/// `for_each_tile` chose them) and `nj` columns (one vector of
+/// accumulators per row up to 8, two past it) on `args`. Each shape is
+/// its own instance, so the accumulators stay in registers.
 #[cfg(target_arch = "x86_64")]
 macro_rules! tile_shapes {
-    ($act:expr, $mr:expr, $nj:expr, ($($arg:expr),*)) => {
-        match ($mr == MR, $nj > 8) {
-            (true, true) => tile::<{ $act }, MR, 2>($($arg),*),
-            (true, false) => tile::<{ $act }, MR, 1>($($arg),*),
-            (false, true) => tile::<{ $act }, 1, 2>($($arg),*),
-            (false, false) => tile::<{ $act }, 1, 1>($($arg),*),
+    ($act:expr, $acc:expr, $rows:expr, $mr:expr, $nj:expr, ($($arg:expr),*)) => {
+        match ($mr > 1, $nj > 8) {
+            (true, false) => tile::<{ $act }, $acc, { $rows[0] }, 1>($($arg),*),
+            (true, true) => tile::<{ $act }, $acc, { $rows[1] }, 2>($($arg),*),
+            (false, false) => tile::<{ $act }, $acc, 1, 1>($($arg),*),
+            (false, true) => tile::<{ $act }, $acc, 1, 2>($($arg),*),
         }
     };
+}
+
+/// Walks a `rows × n` output in register tiles, calling `f(i, mr, j0,
+/// nj)` for the tile of rows `i..i + mr` and columns `j0..j0 + nj`: in
+/// blocks of [`ROW_BLOCK`] rows, and within a block each 16-column panel
+/// (the last may be narrower) in tiles of `tile_rows[v]` rows for `v + 1`
+/// vectors of columns, then its leftover rows one at a time. The walk
+/// decides only where each element is computed, never how.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[inline]
+unsafe fn for_each_tile(
+    rows: usize,
+    n: usize,
+    tile_rows: [usize; 2],
+    mut f: impl FnMut(usize, usize, usize, usize),
+) {
+    for b0 in (0..rows).step_by(ROW_BLOCK) {
+        let b1 = rows.min(b0 + ROW_BLOCK);
+        for j0 in (0..n).step_by(NR) {
+            let nj = NR.min(n - j0);
+            let tall = tile_rows[usize::from(nj > 8)];
+            let mut i = b0;
+            while i < b1 {
+                let mr = if i + tall <= b1 { tall } else { 1 };
+                f(i, mr, j0, nj);
+                i += mr;
+            }
+        }
+    }
 }
 
 /// [`mm_rows_avx2`] with the activation fixed at compile time.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn mm_rows<const ACT: u8>(
+unsafe fn mm_rows<const ACT: u8, const ACC: bool>(
     a: &[f32],
     bp: &[f32],
     m: usize,
@@ -250,23 +310,15 @@ unsafe fn mm_rows<const ACT: u8>(
     // `bias[j]` and its pre-activation written to `pre[i·n + j]`.
     let (optr, bias) = (out.as_mut_ptr(), bias.map(|b| b.as_ptr()));
     let pre = pre.as_mut().map(|p| p.as_mut_ptr());
-
-    let mut i = 0;
-    while i < m {
-        let mr = if i + MR <= m { MR } else { 1 };
+    for_each_tile(m, n, TILE_ROWS, |i, mr, j0, nj| {
         let arows = a.as_ptr().add(i * k);
-        for jp in 0..panels {
-            let j0 = jp * NR;
-            let nj = NR.min(n - j0);
-            // The panel is zero-padded on the right, so its loads need no
-            // mask.
-            let panel = bp.as_ptr().add(jp * k * NR);
-            let o = i * n + j0;
-            let (b, p) = (bias.map(|b| b.add(j0)), pre.map(|p| p.add(o)));
-            tile_shapes!(ACT, mr, nj, (arows, k, 1, panel, NR, false, k, nj, optr.add(o), n, b, p));
-        }
-        i += mr;
-    }
+        // The panel is zero-padded on the right, so its loads need no
+        // mask.
+        let panel = bp.as_ptr().add(j0 / NR * k * NR);
+        let o = i * n + j0;
+        let (b, p) = (bias.map(|b| b.add(j0)), pre.map(|p| p.add(o)));
+        tile_shapes!(ACT, ACC, TILE_ROWS, mr, nj, (arows, k, 1, panel, NR, false, k, nj, optr.add(o), n, b, p));
+    });
 }
 
 /// `out[prows×n] += a[m×k]ᵀ · b[m×n]`, restricted to the output rows
@@ -274,7 +326,7 @@ unsafe fn mm_rows<const ACT: u8>(
 /// `dW = Xᵀ·dZ` read straight from the two row-major operands, with no
 /// transposed or packed copy.
 ///
-/// The same 4×16 [`tile`] as [`mm_rows_avx2`], with `a` read down its
+/// The same [`tile`] as [`mm_rows_avx2`], with `a` read down its
 /// columns and `b` at its own row stride (masked loads at the right
 /// edge): every output element is one FMA chain from zero over `i`
 /// ascending, then one add into `out` through `store_epilogue`. That is
@@ -303,30 +355,23 @@ pub(crate) unsafe fn mm_tn_avx2(
         a.len() == m * k && b.len() == m * n && out.len() == prows * n && p0 + prows <= k,
         "mm_tn kernel: lengths do not match {m}x{k}x{n}"
     );
-    let mut p = 0;
-    while p < prows {
-        let mr = if p + MR <= prows { MR } else { 1 };
+    let optr = out.as_mut_ptr();
+    for_each_tile(prows, n, TN_TILE_ROWS, |p, mr, j0, nj| {
         // Output row p is column p0 + p of `a`: its rows are one apart, its
         // reduction steps k apart.
         let acols = a.as_ptr().add(p0 + p);
-        let mut j0 = 0;
-        while j0 < n {
-            let nj = NR.min(n - j0);
-            let (b, o) = (b.as_ptr().add(j0), out.as_mut_ptr().add(p * n + j0));
-            let masked = !nj.is_multiple_of(8);
-            tile_shapes!(ID, mr, nj, (acols, 1, k, b, n, masked, m, nj, o, n, None, None));
-            j0 += nj;
-        }
-        p += mr;
-    }
+        let (b, o) = (b.as_ptr().add(j0), optr.add(p * n + j0));
+        let masked = !nj.is_multiple_of(8);
+        tile_shapes!(ID, ACCUMULATE, TN_TILE_ROWS, mr, nj, (acols, 1, k, b, n, masked, m, nj, o, n, None, None));
+    });
 }
 
 /// One register tile of the matmul kernels, shared by [`mm_rows_avx2`]
 /// and [`mm_tn_avx2`]: `R` output rows by `nj` columns of `out += a · b`
-/// (`8·(V−1) < nj ≤ 8·V`), stored through `store_epilogue`. The two
-/// kernels differ only in the strides they pass. Element `(r, p)` of `a`
-/// is at `a + r·a_rs + p·a_cs` and row `p` of `b`
-/// starts at `b + p·ldb`, for `p` in `0..kd`; output row `r` starts at
+/// or `out = a · b` (as `ACC`; `8·(V−1) < nj ≤ 8·V`), stored through
+/// `store_epilogue`. The two kernels differ only in the strides they
+/// pass. Element `(r, p)` of `a` is at `a + r·a_rs + p·a_cs` and row `p`
+/// of `b` starts at `b + p·ldb`, for `p` in `0..kd`; output row `r` starts at
 /// `out + r·ldo`, as do its `pre` lanes, and `bias` holds the tile's
 /// columns. Every element is one FMA chain from zero over `p` ascending.
 /// With `masked`, the `b` lanes past `nj` are loaded as zero rather than
@@ -336,7 +381,7 @@ pub(crate) unsafe fn mm_tn_avx2(
 #[target_feature(enable = "avx2", enable = "fma")]
 #[inline]
 #[allow(clippy::too_many_arguments)]
-unsafe fn tile<const ACT: u8, const R: usize, const V: usize>(
+unsafe fn tile<const ACT: u8, const ACC: bool, const R: usize, const V: usize>(
     a: *const f32,
     a_rs: usize,
     a_cs: usize,
@@ -382,7 +427,7 @@ unsafe fn tile<const ACT: u8, const R: usize, const V: usize>(
         for (v, &accv) in accr.iter().enumerate() {
             let o = r * ldo + 8 * v;
             let (b, p) = (bias.map(|b| b.add(8 * v)), pre.map(|p| p.add(o)));
-            store_epilogue::<ACT>(accv, out.add(o), b, p, width(v));
+            store_epilogue::<ACT, ACC>(accv, out.add(o), b, p, width(v));
         }
     }
 }
@@ -835,7 +880,7 @@ pub(crate) unsafe fn dgelu_avx2(_x: &[f32], _y: &[f32], _gout: &[f32], _g: &mut 
 // returns Avx2Fma off x86_64, so these are unreachable at runtime.
 #[cfg(not(target_arch = "x86_64"))]
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn mm_rows_avx2(
+pub(crate) unsafe fn mm_rows_avx2<const ACC: bool>(
     _a: &[f32],
     _bp: &[f32],
     _m: usize,
@@ -933,7 +978,7 @@ mod tests {
             let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
             let bp = pack_b_panels(&b, k, n);
             let mut out = vec![0.0f32; m * n];
-            unsafe { mm_rows_avx2(&a, &bp, m, k, n, &mut out, None, Act::Identity, None) };
+            unsafe { mm_rows_avx2::<ACCUMULATE>(&a, &bp, m, k, n, &mut out, None, Act::Identity, None) };
             let want = mm_ref(&a, &b, m, k, n);
             for (got, want) in out.iter().zip(&want) {
                 let tol = 1e-4 * want.abs().max(1.0);
@@ -946,8 +991,11 @@ mod tests {
     fn tile_is_one_fma_chain_per_element() {
         // NN (`mm_rows_avx2`) and TN (`mm_tn_avx2`) share `tile`: every
         // element is an FMA chain from zero over the reduction, ascending,
-        // then one add into `out`. Shapes cover the 1-row and 1-vector
-        // tiles, the masked right edge and a TN shard that starts at p0 > 0.
+        // then one add into `out`: of its old value when accumulating, of
+        // `+0.0` when storing, with `out` then never read (it starts full
+        // of NaN here). The shapes run the 8-, 6- and 1-row tiles, one and
+        // two vectors per row, the masked right edge, several panels and
+        // row blocks, and a TN shard that starts at p0 > 0.
         if !avx2_available() {
             return;
         }
@@ -955,24 +1003,34 @@ mod tests {
         let chain = |len: usize, x: &dyn Fn(usize) -> f32, y: &dyn Fn(usize) -> f32, init: f32| {
             init + (0..len).fold(0.0f32, |acc, t| x(t).mul_add(y(t), acc))
         };
-        for &(m, k, n) in &[(1, 1, 1), (5, 7, 17), (9, 16, 32), (6, 3, 9), (4, 2, 8)] {
-            let (a, b, init) = (wave(m * k, 0.37), wave(k * n, 1.13), wave(m * n, 0.71));
-            let mut out = init.clone();
-            unsafe { mm_rows_avx2(&a, &pack_b_panels(&b, k, n), m, k, n, &mut out, None, Act::Identity, None) };
-            for (e, got) in out.iter().enumerate() {
-                let (i, j) = (e / n, e % n);
-                let want = chain(k, &|p| a[i * k + p], &|p| b[p * n + j], init[e]);
-                assert_eq!(got.to_bits(), want.to_bits(), "nn {m}x{k}x{n} ({i}, {j})");
-            }
-            // TN: out[p][j] = init + Σ_i x[i][p]·d[i][j] over output rows p0..k.
-            let (x, d, init) = (wave(m * k, 0.53), wave(m * n, 0.29), wave(k * n, 0.83));
-            for p0 in [0, k / 2] {
-                let mut out = init[p0 * n..].to_vec();
-                unsafe { mm_tn_avx2(&x, &d, m, k, n, p0, &mut out) };
-                for (e, got) in out.iter().enumerate() {
-                    let (p, j) = (p0 + e / n, e % n);
-                    let want = chain(m, &|i| x[i * k + p], &|i| d[i * n + j], init[p * n + j]);
-                    assert_eq!(got.to_bits(), want.to_bits(), "tn {m}x{k}x{n} p0={p0} ({p}, {j})");
+        let ns = (1..=17).chain([24, 32]);
+        for (m, n) in [1usize, 5, 7, 8, 9, 13, 912].into_iter().flat_map(|m| ns.clone().map(move |n| (m, n))) {
+            for k in [1usize, 7, 9, 16] {
+                let (a, b, init) = (wave(m * k, 0.37), wave(k * n, 1.13), wave(m * n, 0.71));
+                let bp = pack_b_panels(&b, k, n);
+                let mut acc = init.clone();
+                let mut stored = vec![f32::NAN; m * n];
+                unsafe {
+                    mm_rows_avx2::<ACCUMULATE>(&a, &bp, m, k, n, &mut acc, None, Act::Identity, None);
+                    mm_rows_avx2::<STORE>(&a, &bp, m, k, n, &mut stored, None, Act::Identity, None);
+                }
+                for e in 0..m * n {
+                    let (i, j) = (e / n, e % n);
+                    let dot = |init| chain(k, &|p| a[i * k + p], &|p| b[p * n + j], init);
+                    let what = format!("{m}x{k}x{n} ({i}, {j})");
+                    assert_eq!(acc[e].to_bits(), dot(init[e]).to_bits(), "nn accumulate {what}");
+                    assert_eq!(stored[e].to_bits(), dot(0.0).to_bits(), "nn store {what}");
+                }
+                // TN: out[p][j] = init + Σ_i x[i][p]·d[i][j] over output rows p0..k.
+                let (x, d, init) = (wave(m * k, 0.53), wave(m * n, 0.29), wave(k * n, 0.83));
+                for p0 in [0, k / 2] {
+                    let mut out = init[p0 * n..].to_vec();
+                    unsafe { mm_tn_avx2(&x, &d, m, k, n, p0, &mut out) };
+                    for (e, got) in out.iter().enumerate() {
+                        let (p, j) = (p0 + e / n, e % n);
+                        let want = chain(m, &|i| x[i * k + p], &|i| d[i * n + j], init[p * n + j]);
+                        assert_eq!(got.to_bits(), want.to_bits(), "tn {m}x{k}x{n} p0={p0} ({p}, {j})");
+                    }
                 }
             }
         }
@@ -1123,7 +1181,7 @@ mod tests {
         b[3] = f32::NAN; // row p=0, column 3
         let bp = pack_b_panels(&b, 2, NR);
         let mut out = vec![0.0f32; NR];
-        unsafe { mm_rows_avx2(&a, &bp, 1, 2, NR, &mut out, None, Act::Identity, None) };
+        unsafe { mm_rows_avx2::<STORE>(&a, &bp, 1, 2, NR, &mut out, None, Act::Identity, None) };
         assert!(out[3].is_nan());
         assert_eq!(out[0], 1.0);
     }

@@ -46,7 +46,7 @@ pub(crate) struct Node {
     data: Rc<RefCell<Vec<f32>>>,
     grad: RefCell<Option<Vec<f32>>>,
     requires_grad: bool,
-    /// Whether `data` is an op output, allocated by `arena::zeroed`. Only
+    /// Whether `data` is an op output, allocated by the arena. Only
     /// such storage goes back to the arena on drop: caller-built leaves
     /// and parameters were never taken from it, so parking them would
     /// grow the free list by every input a scope creates.
@@ -170,7 +170,7 @@ impl Tensor {
         Self::node_of(data, shape, requires_grad, false, Vec::new(), None)
     }
 
-    /// A detached op output whose storage came from `arena::zeroed`.
+    /// A detached op output whose storage came from the arena.
     pub(crate) fn op_output(data: Vec<f32>, shape: Shape) -> Self {
         Self::node_of(data, shape, false, true, Vec::new(), None)
     }
@@ -356,7 +356,7 @@ impl Tensor {
         match slot.as_mut() {
             Some(acc) => add_assign(acc, g),
             None => {
-                let mut owned = crate::arena::zeroed(g.len());
+                let mut owned = crate::arena::overwrite(g.len());
                 owned.copy_from_slice(g);
                 *slot = Some(owned);
             }
@@ -405,7 +405,7 @@ impl Node {
     }
 
     pub(crate) fn seed_grad_ones(&self) {
-        let mut g = crate::arena::zeroed(self.shape.numel());
+        let mut g = crate::arena::overwrite(self.shape.numel());
         g.fill(1.0);
         *self.grad.borrow_mut() = Some(g);
     }
