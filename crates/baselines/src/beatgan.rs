@@ -4,15 +4,16 @@
 //! adversarial regularization so reconstructions stay on the data manifold.
 //! The anomaly score is the per-timestamp reconstruction error.
 
-use imdiff_data::{coverage_starts, Detection, Detector, DetectorError, Mts};
+use imdiff_data::{Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Linear, Module};
-use imdiff_nn::ops::{bce_with_logits, mse};
+use imdiff_nn::ops::{bce_with_logits, mse, Act};
 use imdiff_nn::optim::{Adam, Optimizer};
 use imdiff_nn::{backward, no_grad, Tensor};
-use imdiff_nn::serialize::{ByteReader, ByteWriter};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, require_len, rng_for, sample_starts, NormState, PointScores,
+    batch_windows, channel_mse, neural_lifecycle, require_len, rng_for, sample_starts,
+    score_windows, Fitted, Network, NormState,
 };
 
 const WINDOW: usize = 24;
@@ -31,12 +32,21 @@ struct AutoEncoder {
 }
 
 impl AutoEncoder {
+    /// `[B, W*K]` flattened windows -> reconstructions of the same shape.
     fn forward(&self, flat: &Tensor) -> Tensor {
-        let z = self.enc2.forward(&self.enc1.forward(flat).relu()).tanh();
-        self.dec2.forward(&self.dec1.forward(&z).relu())
+        let z = self
+            .enc2
+            .forward(&self.enc1.forward_act(flat, Act::Relu))
+            .tanh();
+        self.dec2.forward(&self.dec1.forward_act(&z, Act::Relu))
     }
+}
 
-    fn new(rng: &mut rand::rngs::StdRng, flat_dim: usize) -> Self {
+impl Network for AutoEncoder {
+    const TAG: u64 = 0xbea7;
+
+    fn build(rng: &mut StdRng, k: usize) -> Self {
+        let flat_dim = WINDOW * k;
         AutoEncoder {
             enc1: Linear::new(rng, flat_dim, HIDDEN),
             enc2: Linear::new(rng, HIDDEN, LATENT),
@@ -57,19 +67,12 @@ impl AutoEncoder {
 /// BeatGAN: adversarially regularized window autoencoder.
 pub struct BeatGan {
     seed: u64,
-    state: Option<Fitted>,
-}
-
-struct Fitted {
-    norm: NormState,
-    ae: AutoEncoder,
+    state: Option<Fitted<AutoEncoder>>,
 }
 
 impl BeatGan {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        BeatGan { seed, state: None }
-    }
+    /// Fewest rows [`Self::score_series`] accepts: one window.
+    pub const MIN_WINDOW: usize = WINDOW;
 
     /// Read-only scoring with an optional declared-missing mask.
     pub fn score_series(
@@ -77,55 +80,15 @@ impl BeatGan {
         test: &Mts,
         missing: Option<&[bool]>,
     ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        require_len(&test_n, WINDOW)?;
-        let k = test_n.dim();
-        let starts = coverage_starts(test_n.len(), WINDOW, WINDOW / 2);
-        let mut ps = PointScores::new(test_n.len());
-        for chunk in starts.chunks(32) {
-            let x = batch_windows(&test_n, chunk, WINDOW).reshape(&[chunk.len(), WINDOW * k]);
-            let recon = no_grad(|| st.ae.forward(&x));
-            let (xd, rd) = (x.data(), recon.data());
-            for (bi, &s) in chunk.iter().enumerate() {
-                for l in 0..WINDOW {
-                    let mut err = 0.0f64;
-                    for c in 0..k {
-                        let idx = bi * WINDOW * k + l * k + c;
-                        err += ((xd[idx] - rd[idx]) as f64).powi(2);
-                    }
-                    ps.add(s + l, err / k as f64);
-                }
-            }
-        }
-        Ok(ps.finish())
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = ByteWriter::new();
-        st.norm.encode(&mut w);
-        w.tensors(&st.ae.params());
-        Ok(w.finish())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    /// The module skeleton is reconstructed from seed + channel count and
-    /// the stored weights overwrite the fresh initialization.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = ByteReader::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let mut rng = rng_for(seed, 0xbea7);
-        let ae = AutoEncoder::new(&mut rng, WINDOW * norm.channels);
-        r.tensors_into(&ae.params())?;
-        r.finish()?;
-        Ok(BeatGan {
-            seed,
-            state: Some(Fitted { norm, ae }),
+        score_windows(self.state.as_ref(), test, missing, WINDOW, |ae, x| {
+            let b = x.dims()[0];
+            let recon = no_grad(|| ae.forward(&x.reshape(&[b, x.numel() / b])));
+            channel_mse(x, &recon)
         })
     }
 }
+
+neural_lifecycle!(BeatGan);
 
 impl Detector for BeatGan {
     fn name(&self) -> &'static str {
@@ -137,9 +100,9 @@ impl Detector for BeatGan {
         require_len(&train_n, WINDOW + 1)?;
         let k = train_n.dim();
         let flat_dim = WINDOW * k;
-        let mut rng = rng_for(self.seed, 0xbea7);
+        let mut rng = rng_for(self.seed, AutoEncoder::TAG);
 
-        let ae = AutoEncoder::new(&mut rng, flat_dim);
+        let ae = AutoEncoder::build(&mut rng, k);
         // Discriminator: window -> real/fake logit.
         let d1 = Linear::new(&mut rng, flat_dim, HIDDEN / 2);
         let d2 = Linear::new(&mut rng, HIDDEN / 2, 1);
@@ -152,7 +115,7 @@ impl Detector for BeatGan {
 
         for _ in 0..TRAIN_STEPS {
             let starts = sample_starts(&mut rng, train_n.len(), WINDOW, BATCH);
-            let x = batch_windows(&train_n, &starts, WINDOW).reshape(&[BATCH, WINDOW * k]);
+            let x = batch_windows(&train_n, &starts, WINDOW).reshape(&[BATCH, flat_dim]);
 
             // Discriminator step: real vs reconstructed.
             let recon = no_grad(|| ae.forward(&x));
@@ -171,8 +134,8 @@ impl Detector for BeatGan {
             // Generator step: reconstruction + fooling the discriminator.
             let recon_g = ae.forward(&x);
             let fake_logit_g = d2.forward(&d1.forward(&recon_g).leaky_relu(0.2));
-            let g_loss = mse(&recon_g, &x)
-                .add(&bce_with_logits(&fake_logit_g, &ones).scale(ADV_WEIGHT));
+            let g_loss =
+                mse(&recon_g, &x).add(&bce_with_logits(&fake_logit_g, &ones).scale(ADV_WEIGHT));
             backward(&g_loss);
             g_opt.clip_grad_norm(1.0);
             g_opt.step();
@@ -182,7 +145,7 @@ impl Detector for BeatGan {
             d_opt.zero_grad();
         }
 
-        self.state = Some(Fitted { norm, ae });
+        self.state = Some(Fitted { norm, model: ae });
         Ok(())
     }
 

@@ -1,13 +1,22 @@
-//! Shared plumbing for the neural baselines: normalization state, window
-//! batching, a generic training loop, and window-to-point score merging.
+//! The lifecycle every neural baseline shares (see the crate doc):
+//! normalization state, window batching, a generic training loop, the
+//! window and next-row scoring drivers and the payload codec.
 
-use imdiff_data::{check_finite, DetectorError, Mts, NormMethod, Normalizer};
+use imdiff_data::{check_finite, coverage_starts, DetectorError, Mts, NormMethod, Normalizer};
 use imdiff_nn::optim::Optimizer;
 use imdiff_nn::rng::seeded;
 use imdiff_nn::serialize::{ByteReader, ByteWriter};
 use imdiff_nn::{backward, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
+
+/// Windows per batch of [`score_windows`]. MAD-GAN's latent inversion
+/// optimises `z` against the batch's mean loss, so its scores (and the
+/// train-score τ in its envelope) depend on this number.
+const WINDOW_BATCH: usize = 32;
+/// Windows per batch of [`score_next_rows`] (and of GDN's training-error
+/// pass); no family's scores depend on it.
+pub(crate) const NEXT_ROW_BATCH: usize = 64;
 
 /// Normalization fitted at `fit` time and reused at `detect` time.
 pub(crate) struct NormState {
@@ -87,7 +96,7 @@ impl NormState {
     }
 
     /// Serializes the normalization state (registry snapshot payloads).
-    pub(crate) fn encode(&self, w: &mut ByteWriter) {
+    fn encode(&self, w: &mut ByteWriter) {
         let (offset, scale) = self.normalizer.stats();
         w.u32(self.channels as u32);
         w.f32s(&offset);
@@ -95,7 +104,7 @@ impl NormState {
     }
 
     /// Inverse of [`Self::encode`].
-    pub(crate) fn decode(r: &mut ByteReader) -> Result<Self, DetectorError> {
+    fn decode(r: &mut ByteReader) -> Result<Self, DetectorError> {
         let channels = r.u32()? as usize;
         let offset = r.f32s()?;
         let scale = r.f32s()?;
@@ -107,6 +116,216 @@ impl NormState {
             channels,
         })
     }
+}
+
+/// A neural baseline's model: how to build it and what its payload holds.
+pub(crate) trait Network: Sized {
+    /// Role tag of the family's RNG stream ([`rng_for`]).
+    const TAG: u64;
+
+    /// A freshly initialised model for `k` channels: the skeleton a
+    /// payload is read into.
+    fn build(rng: &mut StdRng, k: usize) -> Self;
+
+    /// The trained tensors, in payload order.
+    fn params(&self) -> Vec<Tensor>;
+
+    /// Writes the model's part of the payload. Most families store only
+    /// their tensors; GDN and MSCRED add data-derived state.
+    fn encode(&self, w: &mut ByteWriter) {
+        w.tensors(&self.params());
+    }
+
+    /// Inverse of [`Self::encode`], into a model from [`Self::build`].
+    fn decode(&mut self, r: &mut ByteReader) -> Result<(), DetectorError> {
+        Ok(r.tensors_into(&self.params())?)
+    }
+}
+
+/// A fitted neural baseline: its normalizer and its trained model.
+pub(crate) struct Fitted<M> {
+    pub(crate) norm: NormState,
+    pub(crate) model: M,
+}
+
+/// A family's registry payload: the [`NormState`], then what `body`
+/// writes.
+pub(crate) fn write_payload(norm: &NormState, body: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    norm.encode(&mut w);
+    body(&mut w);
+    w.finish()
+}
+
+/// Inverse of [`write_payload`]: `body` reads the rest given the channel
+/// count, and must consume every byte.
+pub(crate) fn read_payload<T>(
+    bytes: &[u8],
+    body: impl FnOnce(&mut ByteReader, usize) -> Result<T, DetectorError>,
+) -> Result<(NormState, T), DetectorError> {
+    let mut r = ByteReader::new(bytes);
+    let norm = NormState::decode(&mut r)?;
+    let rest = body(&mut r, norm.channels)?;
+    r.finish()?;
+    Ok((norm, rest))
+}
+
+/// A neural family's payload: the [`NormState`], then the model's part.
+pub(crate) fn encode_payload<M: Network>(
+    state: Option<&Fitted<M>>,
+) -> Result<Vec<u8>, DetectorError> {
+    let st = state.ok_or(DetectorError::NotFitted)?;
+    Ok(write_payload(&st.norm, |w| st.model.encode(w)))
+}
+
+/// Inverse of [`encode_payload`]. The model skeleton is rebuilt from the
+/// seed and the stored channel count, and the payload overwrites it.
+pub(crate) fn decode_payload<M: Network>(
+    seed: u64,
+    bytes: &[u8],
+) -> Result<Fitted<M>, DetectorError> {
+    let (norm, model) = read_payload(bytes, |r, k| {
+        let mut model = M::build(&mut rng_for(seed, M::TAG), k);
+        model.decode(r)?;
+        Ok(model)
+    })?;
+    Ok(Fitted { norm, model })
+}
+
+/// The inherent lifecycle every neural family shares, for a
+/// `struct $family { seed: u64, state: Option<Fitted<_>> }`: `new`,
+/// `snapshot_payload` and `restore_from_payload` (the payload codec).
+macro_rules! neural_lifecycle {
+    ($family:ident) => {
+        impl $family {
+            /// Creates the detector.
+            pub fn new(seed: u64) -> Self {
+                $family { seed, state: None }
+            }
+
+            /// Serializes the fitted state as the family's registry
+            /// payload.
+            pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
+                $crate::common::encode_payload(self.state.as_ref())
+            }
+
+            /// Rebuilds a fitted detector from [`Self::snapshot_payload`]
+            /// bytes. The model skeleton is rebuilt from the seed and the
+            /// stored channel count, and the payload overwrites it.
+            pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
+                let state = Some($crate::common::decode_payload(seed, bytes)?);
+                Ok($family { seed, state })
+            }
+        }
+    };
+}
+pub(crate) use neural_lifecycle;
+
+/// The checks both scoring drivers start with: fitted, masked and
+/// normalized, and at least `min_len` rows long.
+fn ingest<'a, M>(
+    state: Option<&'a Fitted<M>>,
+    test: &Mts,
+    missing: Option<&[bool]>,
+    min_len: usize,
+) -> Result<(&'a M, Mts), DetectorError> {
+    let st = state.ok_or(DetectorError::NotFitted)?;
+    let data = st.norm.transform_masked(test, missing)?;
+    require_len(&data, min_len)?;
+    Ok((&st.model, data))
+}
+
+/// Reconstruction scoring: covers the series with windows of `w` rows at
+/// stride `w / 2`, hands `errors` each `[B, w, K]` batch and averages the
+/// returned per-(window, position) errors (`B * w` of them, window-major)
+/// where windows overlap. Any series of at least `w` rows is scored.
+pub(crate) fn score_windows<M>(
+    state: Option<&Fitted<M>>,
+    test: &Mts,
+    missing: Option<&[bool]>,
+    w: usize,
+    mut errors: impl FnMut(&M, &Tensor) -> Vec<f64>,
+) -> Result<Vec<f64>, DetectorError> {
+    let (model, data) = ingest(state, test, missing, w)?;
+    Ok(merge_windows(&data, w, WINDOW_BATCH, |x| errors(model, x)))
+}
+
+fn merge_windows(
+    data: &Mts,
+    w: usize,
+    batch: usize,
+    mut errors: impl FnMut(&Tensor) -> Vec<f64>,
+) -> Vec<f64> {
+    let mut ps = PointScores::new(data.len());
+    for chunk in coverage_starts(data.len(), w, w / 2).chunks(batch) {
+        let errs = errors(&batch_windows(data, chunk, w));
+        debug_assert_eq!(errs.len(), chunk.len() * w, "one error per window position");
+        for (&s, window) in chunk.iter().zip(errs.chunks(w)) {
+            for (l, &e) in window.iter().enumerate() {
+                ps.add(s + l, e);
+            }
+        }
+    }
+    ps.finish()
+}
+
+/// Next-row scoring: for every window start `s` (windows of `w` rows),
+/// `score` gets the normalized series and a batch of starts and returns
+/// one score per start, which lands on row `s + w`. The first `w` rows
+/// take the first score. `min_len` is at least `w + 1`, one window and
+/// the row after it.
+pub(crate) fn score_next_rows<M>(
+    state: Option<&Fitted<M>>,
+    test: &Mts,
+    missing: Option<&[bool]>,
+    w: usize,
+    min_len: usize,
+    mut score: impl FnMut(&M, &Mts, &[usize]) -> Vec<f64>,
+) -> Result<Vec<f64>, DetectorError> {
+    assert!(min_len > w, "next-row scoring needs a row after the window");
+    let (model, data) = ingest(state, test, missing, min_len)?;
+    Ok(fill_next_rows(&data, w, NEXT_ROW_BATCH, |starts| {
+        score(model, &data, starts)
+    }))
+}
+
+fn fill_next_rows(
+    data: &Mts,
+    w: usize,
+    batch: usize,
+    mut score: impl FnMut(&[usize]) -> Vec<f64>,
+) -> Vec<f64> {
+    let mut scores = vec![0.0f64; data.len()];
+    let starts: Vec<usize> = (0..data.len() - w).collect();
+    for chunk in starts.chunks(batch) {
+        let row_scores = score(chunk);
+        debug_assert_eq!(row_scores.len(), chunk.len(), "one score per start");
+        for (&s, e) in chunk.iter().zip(row_scores) {
+            scores[s + w] = e;
+        }
+    }
+    let first = scores[w];
+    scores[..w].fill(first);
+    scores
+}
+
+/// Per-row mean over the last axis of `a` of `(a - b)²`, in `f64`: one
+/// value per (window, position) of a `[B, W, K]` batch, or per window of a
+/// `[B, K]` forecast. `b` holds the same elements in any shape.
+pub(crate) fn channel_mse(a: &Tensor, b: &Tensor) -> Vec<f64> {
+    let k = *a.dims().last().expect("rank ≥ 1");
+    let (ad, bd) = (a.data(), b.data());
+    debug_assert_eq!(ad.len(), bd.len());
+    ad.chunks(k)
+        .zip(bd.chunks(k))
+        .map(|(ar, br)| {
+            ar.iter()
+                .zip(br)
+                .map(|(&x, &y)| ((x - y) as f64).powi(2))
+                .sum::<f64>()
+                / k as f64
+        })
+        .collect()
 }
 
 /// Typed corruption error for snapshot payload decoding.
@@ -137,6 +356,15 @@ pub(crate) fn batch_windows(data: &Mts, starts: &[usize], w: usize) -> Tensor {
     Tensor::from_vec(buf, &[starts.len(), w, k]).expect("batch window shape")
 }
 
+/// `[B, K]` forecast targets: the row after each window of `w` rows.
+pub(crate) fn next_rows(data: &Mts, starts: &[usize], w: usize) -> Tensor {
+    let rows: Vec<f32> = starts
+        .iter()
+        .flat_map(|&s| data.row(s + w).to_vec())
+        .collect();
+    Tensor::from_vec(rows, &[starts.len(), data.dim()]).expect("next-row shape")
+}
+
 /// Uniformly sampled window start offsets for training.
 pub(crate) fn sample_starts(rng: &mut StdRng, len: usize, w: usize, batch: usize) -> Vec<usize> {
     assert!(len >= w, "series shorter than window");
@@ -164,44 +392,36 @@ pub(crate) fn run_training<O: Optimizer>(
 }
 
 /// Accumulates per-window, per-position errors back onto the timeline,
-/// averaging where windows overlap. `cell_err[b][l]` is the error window
-/// `b` assigns to its local position `l`.
-pub(crate) struct PointScores {
+/// averaging where windows overlap.
+struct PointScores {
     sum: Vec<f64>,
     count: Vec<f64>,
 }
 
 impl PointScores {
-    pub(crate) fn new(len: usize) -> Self {
+    fn new(len: usize) -> Self {
         PointScores {
             sum: vec![0.0; len],
             count: vec![0.0; len],
         }
     }
 
-    pub(crate) fn add(&mut self, global_pos: usize, err: f64) {
+    fn add(&mut self, global_pos: usize, err: f64) {
         self.sum[global_pos] += err;
         self.count[global_pos] += 1.0;
     }
 
-    /// Final per-point scores; uncovered points receive the mean score.
-    pub(crate) fn finish(self) -> Vec<f64> {
-        let covered: f64 = self.count.iter().filter(|&&c| c > 0.0).count() as f64;
-        let mean = if covered > 0.0 {
-            self.sum
-                .iter()
-                .zip(&self.count)
-                .filter(|(_, &c)| c > 0.0)
-                .map(|(&s, &c)| s / c)
-                .sum::<f64>()
-                / covered
-        } else {
-            0.0
-        };
+    /// Final per-point scores. `coverage_starts` covers every row of a
+    /// series at least one window long, so no count is zero.
+    fn finish(self) -> Vec<f64> {
+        debug_assert!(
+            self.count.iter().all(|&c| c > 0.0),
+            "a row no window covers"
+        );
         self.sum
             .iter()
             .zip(&self.count)
-            .map(|(&s, &c)| if c > 0.0 { s / c } else { mean })
+            .map(|(&s, &c)| s / c)
             .collect()
     }
 }
@@ -215,18 +435,108 @@ pub(crate) fn rng_for(seed: u64, tag: u64) -> StdRng {
 mod tests {
     use super::*;
 
+    /// A fitted state whose normalizer is the identity on `[0, 1]`, so
+    /// the drivers hand the closures the raw series.
+    fn identity_state() -> Fitted<()> {
+        let normalizer = Normalizer::from_stats(NormMethod::MinMax, vec![0.0; 2], vec![1.0; 2]);
+        Fitted {
+            norm: NormState {
+                normalizer,
+                channels: 2,
+            },
+            model: (),
+        }
+    }
+
+    /// Row `r` holds `r / 64` in channel 0. The values are dyadic, so the
+    /// driver's overlap averages of equal values are exact.
+    fn ramp(len: usize) -> Mts {
+        Mts::new(
+            (0..len).flat_map(|r| [r as f32 / 64.0, 0.5]).collect(),
+            len,
+            2,
+        )
+    }
+
+    /// Each window position's error is its row's channel-0 value, so every
+    /// row must score its own value whatever covers it.
+    fn own_values(x: &Tensor) -> Vec<f64> {
+        x.data().chunks(2).map(|row| row[0] as f64).collect()
+    }
+
+    #[test]
+    fn window_driver_covers_and_merges_at_any_batch_size() {
+        let w = 6;
+        // One window, one window plus a row, and a length whose last
+        // window is off the stride-3 grid.
+        for len in [w, w + 1, 23] {
+            let data = ramp(len);
+            let expected: Vec<f64> = (0..len).map(|r| r as f64 / 64.0).collect();
+            for batch in [1, 3, WINDOW_BATCH] {
+                let mut windows = 0;
+                let scores = merge_windows(&data, w, batch, |x| {
+                    assert!(x.dims()[0] <= batch);
+                    windows += x.dims()[0];
+                    own_values(x)
+                });
+                assert_eq!(windows, coverage_starts(len, w, w / 2).len());
+                let bits: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
+                let want: Vec<u64> = expected.iter().map(|s| s.to_bits()).collect();
+                assert_eq!(bits, want, "len {len}, batch {batch}");
+            }
+        }
+    }
+
+    #[test]
+    fn next_row_driver_scores_the_row_after_each_window_at_any_batch_size() {
+        let w = 5;
+        for len in [w + 1, w + 2, 23] {
+            let data = ramp(len);
+            // Rows after the first window score themselves; the warm-up
+            // rows take the first score.
+            let expected: Vec<f64> = (0..len).map(|r| r.max(w) as f64 / 64.0).collect();
+            for batch in [1, 3, NEXT_ROW_BATCH] {
+                let scores = fill_next_rows(&data, w, batch, |starts| {
+                    assert!(starts.len() <= batch);
+                    own_values(&next_rows(&data, starts, w))
+                });
+                let bits: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
+                let want: Vec<u64> = expected.iter().map(|s| s.to_bits()).collect();
+                assert_eq!(bits, want, "len {len}, batch {batch}");
+            }
+        }
+    }
+
+    #[test]
+    fn drivers_own_the_fitted_and_length_checks() {
+        let st = identity_state();
+        let windows = |state, len| score_windows(state, &ramp(len), None, 6, |_, x| own_values(x));
+        let next = |state, len| {
+            score_next_rows(state, &ramp(len), None, 5, 6, |_, data, starts| {
+                own_values(&next_rows(data, starts, 5))
+            })
+        };
+        assert!(matches!(windows(None, 6), Err(DetectorError::NotFitted)));
+        assert!(matches!(next(None, 6), Err(DetectorError::NotFitted)));
+        assert_eq!(windows(Some(&st), 6).unwrap().len(), 6);
+        assert_eq!(next(Some(&st), 6).unwrap().len(), 6);
+        assert!(matches!(
+            windows(Some(&st), 5),
+            Err(DetectorError::InvalidTrainingData(_))
+        ));
+        assert!(matches!(
+            next(Some(&st), 5),
+            Err(DetectorError::InvalidTrainingData(_))
+        ));
+    }
+
     #[test]
     fn point_scores_average_overlaps() {
-        let mut ps = PointScores::new(4);
-        ps.add(1, 2.0);
-        ps.add(1, 4.0);
-        ps.add(2, 6.0);
-        let out = ps.finish();
-        assert_eq!(out[1], 3.0);
-        assert_eq!(out[2], 6.0);
-        // Uncovered points get the mean of covered ones: (3 + 6) / 2.
-        assert_eq!(out[0], 4.5);
-        assert_eq!(out[3], 4.5);
+        let mut ps = PointScores::new(2);
+        ps.add(0, 2.0);
+        ps.add(0, 4.0);
+        ps.add(1, 6.0);
+        assert_eq!(ps.finish(), vec![3.0, 6.0]);
     }
 
     #[test]

@@ -8,13 +8,15 @@
 
 use imdiff_data::{Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Linear, Module};
-use imdiff_nn::ops::mse;
+use imdiff_nn::ops::{mse, Act};
 use imdiff_nn::optim::Adam;
-use imdiff_nn::{init, no_grad, Tensor};
 use imdiff_nn::serialize::{ByteReader, ByteWriter};
+use imdiff_nn::{init, no_grad, Tensor};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, corrupt, require_len, rng_for, run_training, sample_starts, NormState,
+    batch_windows, corrupt, neural_lifecycle, next_rows, require_len, rng_for, run_training,
+    sample_starts, score_next_rows, Fitted, Network, NormState, NEXT_ROW_BATCH,
 };
 
 const WINDOW: usize = 12;
@@ -33,29 +35,12 @@ struct Model {
     out2: Linear,
     /// Adjacency: for each sensor, the indices of its top-k neighbours.
     neighbours: Vec<Vec<usize>>,
+    /// Per-sensor robust scale (median + IQR) of training errors.
+    err_scale: Vec<f64>,
     k: usize,
 }
 
 impl Model {
-    fn new(rng: &mut rand::rngs::StdRng, k: usize, neighbours: Vec<Vec<usize>>) -> Self {
-        Model {
-            embed: init::normal_init(rng, &[k, EMBED], 0.1),
-            history_proj: Linear::new(rng, WINDOW, EMBED),
-            out1: Linear::new(rng, 3 * EMBED, EMBED),
-            out2: Linear::new(rng, EMBED, 1),
-            neighbours,
-            k,
-        }
-    }
-
-    fn params(&self) -> Vec<Tensor> {
-        let mut p = vec![self.embed.clone()];
-        p.extend(self.history_proj.params());
-        p.extend(self.out1.params());
-        p.extend(self.out2.params());
-        p
-    }
-
     /// Forecast `[B, K]` next values from `[B, W, K]` windows.
     fn forward(&self, x: &Tensor) -> Tensor {
         let dims = x.dims().to_vec();
@@ -63,10 +48,10 @@ impl Model {
         debug_assert_eq!(k, self.k);
         // Per-sensor history features: [B*K, W] -> [B*K, E].
         let hist = x.permute(&[0, 2, 1]).reshape(&[b * k, w]);
-        let feat = self.history_proj.forward(&hist).relu(); // [B*K, E]
-        // Attention over the static neighbour graph, weighted by embedding
-        // similarity (the graph attention of GDN, without per-step
-        // recomputation of the graph).
+        let feat = self.history_proj.forward_act(&hist, Act::Relu); // [B*K, E]
+                                                                    // Attention over the static neighbour graph, weighted by embedding
+                                                                    // similarity (the graph attention of GDN, without per-step
+                                                                    // recomputation of the graph).
         let emb = &self.embed;
         let emb_d = emb.data();
         // Precompute attention weights per (sensor, neighbour) pair from
@@ -115,29 +100,86 @@ impl Model {
             .add(&emb.reshape(&[1, k, EMBED]))
             .reshape(&[b * k, EMBED]);
         let joint = Tensor::concat(&[&feat, &agg_t, &emb_tiled], 1);
-        let out = self.out2.forward(&self.out1.forward(&joint).relu()); // [B*K, 1]
+        let out = self.out2.forward(&self.out1.forward_act(&joint, Act::Relu)); // [B*K, 1]
         out.reshape(&[b, k])
+    }
+
+    /// `|truth - forecast|` of the row after each window, `[B * K]`.
+    fn deviations(&self, data: &Mts, starts: &[usize]) -> Vec<f64> {
+        let pred = no_grad(|| self.forward(&batch_windows(data, starts, WINDOW)));
+        let truth = next_rows(data, starts, WINDOW);
+        let (td, pd) = (truth.data(), pred.data());
+        td.iter()
+            .zip(pd.iter())
+            .map(|(&t, &p)| ((t - p) as f64).abs())
+            .collect()
+    }
+}
+
+impl Network for Model {
+    const TAG: u64 = 0x6d4;
+
+    /// The neighbour graph and the error scales are data-derived: `fit`
+    /// computes them and a payload carries them.
+    fn build(rng: &mut StdRng, k: usize) -> Self {
+        Model {
+            embed: init::normal_init(rng, &[k, EMBED], 0.1),
+            history_proj: Linear::new(rng, WINDOW, EMBED),
+            out1: Linear::new(rng, 3 * EMBED, EMBED),
+            out2: Linear::new(rng, EMBED, 1),
+            neighbours: vec![vec![0; TOP_K]; k],
+            err_scale: Vec::new(),
+            k,
+        }
+    }
+
+    fn params(&self) -> Vec<Tensor> {
+        let mut p = vec![self.embed.clone()];
+        p.extend(self.history_proj.params());
+        p.extend(self.out1.params());
+        p.extend(self.out2.params());
+        p
+    }
+
+    fn encode(&self, w: &mut ByteWriter) {
+        w.tensors(&self.params());
+        w.u32(self.neighbours.len() as u32);
+        for &n in self.neighbours.iter().flatten() {
+            w.u32(n as u32);
+        }
+        w.f64s(&self.err_scale);
+    }
+
+    fn decode(&mut self, r: &mut ByteReader) -> Result<(), DetectorError> {
+        let k = self.k;
+        r.tensors_into(&self.params())?;
+        if r.u32()? as usize != k {
+            return Err(corrupt("neighbour graph sensor count mismatch"));
+        }
+        for slot in self.neighbours.iter_mut().flatten() {
+            *slot = r.u32()? as usize;
+            if *slot >= k {
+                return Err(corrupt("neighbour index out of range"));
+            }
+        }
+        self.err_scale = r.f64s()?;
+        if self.err_scale.len() != k || self.err_scale.iter().any(|&e| !e.is_finite() || e <= 0.0) {
+            return Err(corrupt("invalid error scales"));
+        }
+        Ok(())
     }
 }
 
 /// Graph Deviation Network forecaster.
 pub struct Gdn {
     seed: u64,
-    state: Option<Fitted>,
-}
-
-struct Fitted {
-    norm: NormState,
-    model: Model,
-    /// Per-sensor robust scale (median abs deviation) of training errors.
-    err_scale: Vec<f64>,
+    state: Option<Fitted<Model>>,
 }
 
 impl Gdn {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        Gdn { seed, state: None }
-    }
+    /// Fewest rows [`Self::score_series`] accepts: one context window and
+    /// the row it forecasts.
+    pub const MIN_WINDOW: usize = WINDOW + 1;
 
     /// Read-only scoring with an optional declared-missing mask.
     pub fn score_series(
@@ -145,87 +187,30 @@ impl Gdn {
         test: &Mts,
         missing: Option<&[bool]>,
     ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        require_len(&test_n, WINDOW + 1)?;
-        let k = test_n.dim();
-        let mut scores = vec![0.0f64; test_n.len()];
-        let positions: Vec<usize> = (0..test_n.len() - WINDOW).collect();
-        for chunk in positions.chunks(64) {
-            let x = batch_windows(&test_n, chunk, WINDOW);
-            let pred = no_grad(|| st.model.forward(&x));
-            let pd = pred.data();
-            for (bi, &s) in chunk.iter().enumerate() {
-                let truth = test_n.row(s + WINDOW);
+        let state = self.state.as_ref();
+        score_next_rows(
+            state,
+            test,
+            missing,
+            WINDOW,
+            Self::MIN_WINDOW,
+            |m, data, starts| {
                 // GDN scoring: max over sensors of normalized deviation.
-                let dev = (0..k)
-                    .map(|c| ((truth[c] - pd[bi * k + c]) as f64).abs() / st.err_scale[c])
-                    .fold(0.0f64, f64::max);
-                scores[s + WINDOW] = dev;
-            }
-        }
-        let first = scores[WINDOW];
-        for s in scores.iter_mut().take(WINDOW) {
-            *s = first;
-        }
-        Ok(scores)
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    /// The neighbour graph and robust error scales are data-derived, so
-    /// both must travel with the weights.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = ByteWriter::new();
-        st.norm.encode(&mut w);
-        w.tensors(&st.model.params());
-        w.u32(st.model.neighbours.len() as u32);
-        for ns in &st.model.neighbours {
-            for &n in ns {
-                w.u32(n as u32);
-            }
-        }
-        w.f64s(&st.err_scale);
-        Ok(w.finish())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = ByteReader::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let k = norm.channels;
-        let mut rng = rng_for(seed, 0x6d4);
-        let model = Model::new(&mut rng, k, vec![vec![0; TOP_K]; k]);
-        r.tensors_into(&model.params())?;
-        let mut model = model;
-        let n_sensors = r.u32()? as usize;
-        if n_sensors != k {
-            return Err(corrupt("neighbour graph sensor count mismatch"));
-        }
-        for ns in model.neighbours.iter_mut() {
-            for slot in ns.iter_mut() {
-                let n = r.u32()? as usize;
-                if n >= k {
-                    return Err(corrupt("neighbour index out of range"));
-                }
-                *slot = n;
-            }
-        }
-        let err_scale = r.f64s()?;
-        if err_scale.len() != k || err_scale.iter().any(|&e| !e.is_finite() || e <= 0.0) {
-            return Err(corrupt("invalid error scales"));
-        }
-        r.finish()?;
-        Ok(Gdn {
-            seed,
-            state: Some(Fitted {
-                norm,
-                model,
-                err_scale,
-            }),
-        })
+                m.deviations(data, starts)
+                    .chunks(m.k)
+                    .map(|row| {
+                        row.iter()
+                            .zip(&m.err_scale)
+                            .map(|(&d, &s)| d / s)
+                            .fold(0.0f64, f64::max)
+                    })
+                    .collect()
+            },
+        )
     }
 }
+
+neural_lifecycle!(Gdn);
 
 fn build_neighbours(train: &Mts, k: usize) -> Vec<Vec<usize>> {
     // Correlation-based top-k graph (the learned graph converges to
@@ -257,7 +242,11 @@ fn build_neighbours(train: &Mts, k: usize) -> Vec<Vec<usize>> {
             let mut sims: Vec<(usize, f64)> = (0..k)
                 .filter(|&o| o != s)
                 .map(|o| {
-                    let c = if s < o { cov[s * k + o] } else { cov[o * k + s] };
+                    let c = if s < o {
+                        cov[s * k + o]
+                    } else {
+                        cov[o * k + s]
+                    };
                     let d = (var[s] * var[o]).sqrt().max(1e-9);
                     (o, (c / d).abs())
                 })
@@ -281,35 +270,25 @@ impl Detector for Gdn {
         let (norm, train_n) = NormState::fit(train)?;
         require_len(&train_n, WINDOW + 2)?;
         let k = train_n.dim();
-        let mut rng = rng_for(self.seed, 0x6d4);
-        let model = Model::new(&mut rng, k, build_neighbours(&train_n, k));
+        let mut rng = rng_for(self.seed, Model::TAG);
+        let mut model = Model::build(&mut rng, k);
+        model.neighbours = build_neighbours(&train_n, k);
         let mut opt = Adam::new(model.params(), 2e-3);
         run_training(&mut opt, TRAIN_STEPS, 1.0, |_| {
             let starts = sample_starts(&mut rng, train_n.len() - 1, WINDOW, BATCH);
             let x = batch_windows(&train_n, &starts, WINDOW);
-            let target_rows: Vec<f32> = starts
-                .iter()
-                .flat_map(|&s| train_n.row(s + WINDOW).to_vec())
-                .collect();
-            let target = Tensor::from_vec(target_rows, &[BATCH, k]).expect("target");
-            mse(&model.forward(&x), &target)
+            mse(&model.forward(&x), &next_rows(&train_n, &starts, WINDOW))
         });
 
         // Per-sensor robust error scale on the training split.
         let mut per_sensor: Vec<Vec<f64>> = vec![Vec::new(); k];
         let positions: Vec<usize> = (0..train_n.len() - WINDOW).step_by(4).collect();
-        for chunk in positions.chunks(64) {
-            let x = batch_windows(&train_n, chunk, WINDOW);
-            let pred = no_grad(|| model.forward(&x));
-            let pd = pred.data();
-            for (bi, &s) in chunk.iter().enumerate() {
-                let truth = train_n.row(s + WINDOW);
-                for c in 0..k {
-                    per_sensor[c].push(((truth[c] - pd[bi * k + c]) as f64).abs());
-                }
+        for chunk in positions.chunks(NEXT_ROW_BATCH) {
+            for (c, d) in (0..k).cycle().zip(model.deviations(&train_n, chunk)) {
+                per_sensor[c].push(d);
             }
         }
-        let err_scale = per_sensor
+        model.err_scale = per_sensor
             .into_iter()
             .map(|mut v| {
                 v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -318,11 +297,7 @@ impl Detector for Gdn {
                 (med + iqr).max(1e-4)
             })
             .collect();
-        self.state = Some(Fitted {
-            norm,
-            model,
-            err_scale,
-        });
+        self.state = Some(Fitted { norm, model });
         Ok(())
     }
 

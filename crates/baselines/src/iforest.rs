@@ -11,7 +11,7 @@ use imdiff_nn::serialize::{ByteReader, ByteWriter};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::common::{corrupt, rng_for, NormState};
+use crate::common::{corrupt, read_payload, rng_for, write_payload, NormState};
 
 /// Decode recursion guard: real trees are ≤ log2(ψ)=8 deep, so anything
 /// past this is corrupt data, not a stack to unwind.
@@ -193,37 +193,36 @@ impl IsolationForest {
     /// Serializes the fitted forest as the family's registry payload.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = ByteWriter::new();
-        st.norm.encode(&mut w);
-        w.u32(self.subsample as u32);
-        w.f64(st.c_psi);
-        w.u32(st.trees.len() as u32);
-        for t in &st.trees {
-            encode_node(t, &mut w);
-        }
-        Ok(w.finish())
+        Ok(write_payload(&st.norm, |w| {
+            w.u32(self.subsample as u32);
+            w.f64(st.c_psi);
+            w.u32(st.trees.len() as u32);
+            for t in &st.trees {
+                encode_node(t, w);
+            }
+        }))
     }
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = ByteReader::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let subsample = r.u32()? as usize;
-        let c_psi = r.f64()?;
-        if !c_psi.is_finite() || c_psi < 0.0 {
-            return Err(corrupt("invalid c(ψ) factor"));
-        }
-        let n_trees = r.u32()? as usize;
-        if n_trees == 0 || n_trees > 10_000 {
-            return Err(corrupt("implausible tree count"));
-        }
-        let trees = (0..n_trees)
-            .map(|_| decode_node(&mut r, norm.channels, 0))
-            .collect::<Result<Vec<_>, _>>()?;
-        r.finish()?;
+        let (norm, (subsample, trees, c_psi)) = read_payload(bytes, |r, k| {
+            let subsample = r.u32()? as usize;
+            let c_psi = r.f64()?;
+            if !c_psi.is_finite() || c_psi < 0.0 {
+                return Err(corrupt("invalid c(ψ) factor"));
+            }
+            let n_trees = r.u32()? as usize;
+            if n_trees == 0 || n_trees > 10_000 {
+                return Err(corrupt("implausible tree count"));
+            }
+            let trees = (0..n_trees)
+                .map(|_| decode_node(r, k, 0))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((subsample, trees, c_psi))
+        })?;
         Ok(IsolationForest {
             seed,
-            n_trees,
+            n_trees: trees.len(),
             subsample,
             state: Some(Fitted { norm, trees, c_psi }),
         })

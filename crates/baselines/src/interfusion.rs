@@ -6,17 +6,17 @@
 //! anomaly score is the reconstruction error. Simplified from the original
 //! two-stage training to a single joint objective (DESIGN.md).
 
-use imdiff_data::{coverage_starts, Detection, Detector, DetectorError, Mts};
+use imdiff_data::{Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Gru, Linear, Module};
-use imdiff_nn::ops::{kl_standard_normal, mse};
+use imdiff_nn::ops::{kl_standard_normal, mse, Act};
 use imdiff_nn::optim::Adam;
 use imdiff_nn::rng::normal_vec;
 use imdiff_nn::{no_grad, Tensor};
-use imdiff_nn::serialize::{ByteReader, ByteWriter};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, require_len, rng_for, run_training, sample_starts, NormState,
-    PointScores,
+    batch_windows, channel_mse, neural_lifecycle, require_len, rng_for, run_training,
+    sample_starts, score_windows, Fitted, Network, NormState,
 };
 
 const WINDOW: usize = 24;
@@ -42,7 +42,49 @@ struct Model {
 }
 
 impl Model {
-    fn new(rng: &mut rand::rngs::StdRng, k: usize) -> Self {
+    /// Returns `(recon [B,W,K], metric mu/logvar [B*W,Zm], temporal mu/logvar [B,Zt])`.
+    fn forward(
+        &self,
+        x: &Tensor,
+        eps_m: Option<&Tensor>,
+        eps_t: Option<&Tensor>,
+    ) -> (Tensor, Tensor, Tensor, Tensor, Tensor) {
+        let dims = x.dims().to_vec();
+        let (b, w, k) = (dims[0], dims[1], dims[2]);
+        // Inter-metric latent per timestamp.
+        let per_step = x.reshape(&[b * w, k]);
+        let h_m = self.metric_enc.forward_act(&per_step, Act::Relu);
+        let mu_m = self.metric_mu.forward(&h_m);
+        let logvar_m = self.metric_logvar.forward(&h_m);
+        let z_m = match eps_m {
+            Some(e) => mu_m.add(&logvar_m.scale(0.5).exp().mul(e)),
+            None => mu_m.clone(),
+        };
+        // Temporal latent per window.
+        let h_t = self.temporal_gru.forward_last(x);
+        let mu_t = self.temporal_mu.forward(&h_t);
+        let logvar_t = self.temporal_logvar.forward(&h_t);
+        let z_t = match eps_t {
+            Some(e) => mu_t.add(&logvar_t.scale(0.5).exp().mul(e)),
+            None => mu_t.clone(),
+        };
+        // Broadcast the temporal latent over the window and fuse.
+        let z_t_tiled = Tensor::zeros(&[b, w, Z_TEMPORAL])
+            .add(&z_t.reshape(&[b, 1, Z_TEMPORAL]))
+            .reshape(&[b * w, Z_TEMPORAL]);
+        let fused = Tensor::concat(&[&z_m, &z_t_tiled], 1);
+        let recon = self
+            .dec2
+            .forward(&self.dec1.forward_act(&fused, Act::Relu))
+            .reshape(&[b, w, k]);
+        (recon, mu_m, logvar_m, mu_t, logvar_t)
+    }
+}
+
+impl Network for Model {
+    const TAG: u64 = 0x1f05;
+
+    fn build(rng: &mut StdRng, k: usize) -> Self {
         Model {
             metric_enc: Linear::new(rng, k, HIDDEN),
             metric_mu: Linear::new(rng, HIDDEN, Z_METRIC),
@@ -66,62 +108,17 @@ impl Model {
         p.extend(self.dec2.params());
         p
     }
-
-    /// Returns `(recon [B,W,K], metric mu/logvar [B*W,Zm], temporal mu/logvar [B,Zt])`.
-    fn forward(
-        &self,
-        x: &Tensor,
-        eps_m: Option<&Tensor>,
-        eps_t: Option<&Tensor>,
-    ) -> (Tensor, Tensor, Tensor, Tensor, Tensor) {
-        let dims = x.dims().to_vec();
-        let (b, w, k) = (dims[0], dims[1], dims[2]);
-        // Inter-metric latent per timestamp.
-        let per_step = x.reshape(&[b * w, k]);
-        let h_m = self.metric_enc.forward(&per_step).relu();
-        let mu_m = self.metric_mu.forward(&h_m);
-        let logvar_m = self.metric_logvar.forward(&h_m);
-        let z_m = match eps_m {
-            Some(e) => mu_m.add(&logvar_m.scale(0.5).exp().mul(e)),
-            None => mu_m.clone(),
-        };
-        // Temporal latent per window.
-        let h_t = self.temporal_gru.forward_last(x);
-        let mu_t = self.temporal_mu.forward(&h_t);
-        let logvar_t = self.temporal_logvar.forward(&h_t);
-        let z_t = match eps_t {
-            Some(e) => mu_t.add(&logvar_t.scale(0.5).exp().mul(e)),
-            None => mu_t.clone(),
-        };
-        // Broadcast the temporal latent over the window and fuse.
-        let z_t_tiled = Tensor::zeros(&[b, w, Z_TEMPORAL])
-            .add(&z_t.reshape(&[b, 1, Z_TEMPORAL]))
-            .reshape(&[b * w, Z_TEMPORAL]);
-        let fused = Tensor::concat(&[&z_m, &z_t_tiled], 1);
-        let recon = self
-            .dec2
-            .forward(&self.dec1.forward(&fused).relu())
-            .reshape(&[b, w, k]);
-        (recon, mu_m, logvar_m, mu_t, logvar_t)
-    }
 }
 
 /// Hierarchical inter-metric + temporal VAE.
 pub struct InterFusion {
     seed: u64,
-    state: Option<Fitted>,
-}
-
-struct Fitted {
-    norm: NormState,
-    model: Model,
+    state: Option<Fitted<Model>>,
 }
 
 impl InterFusion {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        InterFusion { seed, state: None }
-    }
+    /// Fewest rows [`Self::score_series`] accepts: one window.
+    pub const MIN_WINDOW: usize = WINDOW;
 
     /// Read-only scoring with an optional declared-missing mask.
     pub fn score_series(
@@ -129,53 +126,13 @@ impl InterFusion {
         test: &Mts,
         missing: Option<&[bool]>,
     ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        require_len(&test_n, WINDOW)?;
-        let k = test_n.dim();
-        let starts = coverage_starts(test_n.len(), WINDOW, WINDOW / 2);
-        let mut ps = PointScores::new(test_n.len());
-        for chunk in starts.chunks(32) {
-            let x = batch_windows(&test_n, chunk, WINDOW);
-            let recon = no_grad(|| st.model.forward(&x, None, None).0);
-            let (xd, rd) = (x.data(), recon.data());
-            for (bi, &s) in chunk.iter().enumerate() {
-                for l in 0..WINDOW {
-                    let mut err = 0.0f64;
-                    for c in 0..k {
-                        let idx = bi * WINDOW * k + l * k + c;
-                        err += ((xd[idx] - rd[idx]) as f64).powi(2);
-                    }
-                    ps.add(s + l, err / k as f64);
-                }
-            }
-        }
-        Ok(ps.finish())
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = ByteWriter::new();
-        st.norm.encode(&mut w);
-        w.tensors(&st.model.params());
-        Ok(w.finish())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = ByteReader::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let mut rng = rng_for(seed, 0x1f05);
-        let model = Model::new(&mut rng, norm.channels);
-        r.tensors_into(&model.params())?;
-        r.finish()?;
-        Ok(InterFusion {
-            seed,
-            state: Some(Fitted { norm, model }),
+        score_windows(self.state.as_ref(), test, missing, WINDOW, |model, x| {
+            channel_mse(x, &no_grad(|| model.forward(x, None, None).0))
         })
     }
 }
+
+neural_lifecycle!(InterFusion);
 
 impl Detector for InterFusion {
     fn name(&self) -> &'static str {
@@ -186,8 +143,8 @@ impl Detector for InterFusion {
         let (norm, train_n) = NormState::fit(train)?;
         require_len(&train_n, WINDOW + 1)?;
         let k = train_n.dim();
-        let mut rng = rng_for(self.seed, 0x1f05);
-        let model = Model::new(&mut rng, k);
+        let mut rng = rng_for(self.seed, Model::TAG);
+        let model = Model::build(&mut rng, k);
         let mut opt = Adam::new(model.params(), 2e-3);
         run_training(&mut opt, TRAIN_STEPS, 1.0, |_| {
             let starts = sample_starts(&mut rng, train_n.len(), WINDOW, BATCH);
@@ -197,9 +154,11 @@ impl Detector for InterFusion {
                 &[BATCH * WINDOW, Z_METRIC],
             )
             .expect("eps_m");
-            let eps_t =
-                Tensor::from_vec(normal_vec(&mut rng, BATCH * Z_TEMPORAL), &[BATCH, Z_TEMPORAL])
-                    .expect("eps_t");
+            let eps_t = Tensor::from_vec(
+                normal_vec(&mut rng, BATCH * Z_TEMPORAL),
+                &[BATCH, Z_TEMPORAL],
+            )
+            .expect("eps_t");
             let (recon, mu_m, logvar_m, mu_t, logvar_t) =
                 model.forward(&x, Some(&eps_m), Some(&eps_t));
             mse(&recon, &x)

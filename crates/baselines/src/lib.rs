@@ -28,6 +28,25 @@
 //! Every family additionally exposes `score_series` (read-only, mask-aware
 //! scoring) and `snapshot_payload`/`restore_from_payload` (the family's
 //! native byte payload inside the registry's checkpoint envelope).
+//!
+//! The nine neural families share one lifecycle (`common.rs`); each keeps
+//! only its model, its training objective and its per-window error rule:
+//!
+//! - **Window driver** (BeatGAN, InterFusion, OmniAnomaly, TranAD,
+//!   MAD-GAN): covers the series with windows at half-window stride, in
+//!   batches of 32, takes one error per (window, position) from the family
+//!   and averages overlaps per row. A series of one window is enough.
+//! - **Next-row driver** (LSTM-AD, GDN, MTAD-GAT, MSCRED): scores the row
+//!   after every context window; the warm-up rows take the first score.
+//!   MSCRED's signature of its largest scale scores its own last row, so
+//!   its context window is that scale minus one.
+//! - **Payload codec**: the normalizer state, then the model's tensors,
+//!   plus GDN's neighbour graph and error scales and MSCRED's signature
+//!   projections. Restore rebuilds the model skeleton from the seed and
+//!   the stored channel count, and the payload overwrites it.
+//!
+//! Each windowed family's `MIN_WINDOW` (the fewest rows `score_series`
+//! accepts) follows from its context window and its driver.
 
 mod beatgan;
 mod common;

@@ -9,10 +9,11 @@ use imdiff_data::{Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Linear, Lstm, Module};
 use imdiff_nn::optim::Adam;
 use imdiff_nn::{no_grad, ops, Tensor};
-use imdiff_nn::serialize::{ByteReader, ByteWriter};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, require_len, rng_for, run_training, sample_starts, NormState,
+    batch_windows, channel_mse, neural_lifecycle, next_rows, require_len, rng_for, run_training,
+    sample_starts, score_next_rows, Fitted, Network, NormState,
 };
 
 /// Context length fed to the LSTM.
@@ -21,19 +22,28 @@ const HIDDEN: usize = 32;
 const TRAIN_STEPS: usize = 150;
 const BATCH: usize = 16;
 
-/// LSTM next-step forecaster scored by squared prediction error.
-pub struct LstmAd {
-    seed: u64,
-    state: Option<Fitted>,
-}
-
-struct Fitted {
-    norm: NormState,
+struct Forecaster {
     lstm: Lstm,
     head: Linear,
 }
 
-impl Fitted {
+impl Forecaster {
+    /// `[B, W, K]` windows -> `[B, K]` next-row forecasts.
+    fn forward(&self, x: &Tensor) -> Tensor {
+        self.head.forward(&self.lstm.forward_last(x))
+    }
+}
+
+impl Network for Forecaster {
+    const TAG: u64 = 0x15a;
+
+    fn build(rng: &mut StdRng, k: usize) -> Self {
+        Forecaster {
+            lstm: Lstm::new(rng, k, HIDDEN),
+            head: Linear::new(rng, HIDDEN, k),
+        }
+    }
+
     fn params(&self) -> Vec<Tensor> {
         let mut p = self.lstm.params();
         p.extend(self.head.params());
@@ -41,11 +51,16 @@ impl Fitted {
     }
 }
 
+/// LSTM next-step forecaster scored by squared prediction error.
+pub struct LstmAd {
+    seed: u64,
+    state: Option<Fitted<Forecaster>>,
+}
+
 impl LstmAd {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        LstmAd { seed, state: None }
-    }
+    /// Fewest rows [`Self::score_series`] accepts: one context window and
+    /// the row it forecasts.
+    pub const MIN_WINDOW: usize = WINDOW + 1;
 
     /// Read-only scoring with an optional declared-missing mask.
     pub fn score_series(
@@ -53,68 +68,22 @@ impl LstmAd {
         test: &Mts,
         missing: Option<&[bool]>,
     ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        if test_n.len() <= WINDOW {
-            return Err(DetectorError::InvalidTrainingData(
-                "test series shorter than the context window".into(),
-            ));
-        }
-        let k = test_n.dim();
-        let mut scores = vec![0.0f64; test_n.len()];
-        // Batched prediction over all forecastable positions.
-        let positions: Vec<usize> = (0..test_n.len() - WINDOW).collect();
-        for chunk in positions.chunks(64) {
-            let x = batch_windows(&test_n, chunk, WINDOW);
-            let pred = no_grad(|| st.head.forward(&st.lstm.forward_last(&x)));
-            let pd = pred.data();
-            for (bi, &s) in chunk.iter().enumerate() {
-                let truth = test_n.row(s + WINDOW);
-                let err: f64 = truth
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &t)| ((t - pd[bi * k + c]) as f64).powi(2))
-                    .sum::<f64>()
-                    / k as f64;
-                scores[s + WINDOW] = err;
-            }
-        }
-        // Warm-up positions inherit the first computed score.
-        let first = scores[WINDOW];
-        for s in scores.iter_mut().take(WINDOW) {
-            *s = first;
-        }
-        Ok(scores)
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = ByteWriter::new();
-        st.norm.encode(&mut w);
-        w.tensors(&st.params());
-        Ok(w.finish())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = ByteReader::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let k = norm.channels;
-        let mut rng = rng_for(seed, 0x15a);
-        let st = Fitted {
-            norm,
-            lstm: Lstm::new(&mut rng, k, HIDDEN),
-            head: Linear::new(&mut rng, HIDDEN, k),
-        };
-        r.tensors_into(&st.params())?;
-        r.finish()?;
-        Ok(LstmAd {
-            seed,
-            state: Some(st),
-        })
+        let state = self.state.as_ref();
+        score_next_rows(
+            state,
+            test,
+            missing,
+            WINDOW,
+            Self::MIN_WINDOW,
+            |f, data, starts| {
+                let pred = no_grad(|| f.forward(&batch_windows(data, starts, WINDOW)));
+                channel_mse(&next_rows(data, starts, WINDOW), &pred)
+            },
+        )
     }
 }
+
+neural_lifecycle!(LstmAd);
 
 impl Detector for LstmAd {
     fn name(&self) -> &'static str {
@@ -124,25 +93,15 @@ impl Detector for LstmAd {
     fn fit(&mut self, train: &Mts) -> Result<(), DetectorError> {
         let (norm, train_n) = NormState::fit(train)?;
         require_len(&train_n, WINDOW + 2)?;
-        let k = train_n.dim();
-        let mut rng = rng_for(self.seed, 0x15a);
-        let lstm = Lstm::new(&mut rng, k, HIDDEN);
-        let head = Linear::new(&mut rng, HIDDEN, k);
-        let mut params = lstm.params();
-        params.extend(head.params());
-        let mut opt = Adam::new(params, 2e-3);
+        let mut rng = rng_for(self.seed, Forecaster::TAG);
+        let model = Forecaster::build(&mut rng, train_n.dim());
+        let mut opt = Adam::new(model.params(), 2e-3);
         run_training(&mut opt, TRAIN_STEPS, 1.0, |_| {
             let starts = sample_starts(&mut rng, train_n.len() - 1, WINDOW, BATCH);
             let x = batch_windows(&train_n, &starts, WINDOW);
-            let target_rows: Vec<f32> = starts
-                .iter()
-                .flat_map(|&s| train_n.row(s + WINDOW).to_vec())
-                .collect();
-            let target = Tensor::from_vec(target_rows, &[BATCH, k]).expect("target shape");
-            let pred = head.forward(&lstm.forward_last(&x));
-            ops::mse(&pred, &target)
+            ops::mse(&model.forward(&x), &next_rows(&train_n, &starts, WINDOW))
         });
-        self.state = Some(Fitted { norm, lstm, head });
+        self.state = Some(Fitted { norm, model });
         Ok(())
     }
 

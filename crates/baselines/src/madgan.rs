@@ -6,16 +6,17 @@
 //! gradient-searching the latent space for the best-matching generation,
 //! combined with the discriminator's suspicion of the window.
 
-use imdiff_data::{coverage_starts, Detection, Detector, DetectorError, Mts};
+use imdiff_data::{Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Gru, Linear, Module};
-use imdiff_nn::ops::{bce_with_logits, mse};
+use imdiff_nn::ops::{bce_with_logits, mse, Act};
 use imdiff_nn::optim::{Adam, Optimizer};
 use imdiff_nn::rng::normal_vec;
 use imdiff_nn::{backward, no_grad, Tensor};
-use imdiff_nn::serialize::{ByteReader, ByteWriter};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, require_len, rng_for, sample_starts, NormState, PointScores,
+    batch_windows, neural_lifecycle, require_len, rng_for, sample_starts, score_windows, Fitted,
+    Network, NormState,
 };
 
 const WINDOW: usize = 16;
@@ -41,7 +42,7 @@ impl Generator {
         let b = z.dims()[0];
         // Repeat the latent across time, then unroll the GRU.
         let seq = Tensor::zeros(&[b, WINDOW, LATENT]).add(&z.reshape(&[b, 1, LATENT]));
-        let proj = self.proj.forward(&seq).relu();
+        let proj = self.proj.forward_act(&seq, Act::Relu);
         let h = self.gru.forward_seq(&proj);
         self.head.forward(&h)
     }
@@ -51,10 +52,6 @@ impl Generator {
         p.extend(self.gru.params());
         p.extend(self.head.params());
         p
-    }
-
-    fn out_dim(&self) -> usize {
-        self.k
     }
 }
 
@@ -76,37 +73,84 @@ impl Discriminator {
     }
 }
 
-/// MAD-GAN with gradient latent-inversion scoring.
-pub struct MadGan {
-    seed: u64,
-    state: Option<Fitted>,
-}
-
-struct Fitted {
-    norm: NormState,
+struct Gan {
     gen: Generator,
     disc: Discriminator,
 }
 
-fn build_models(rng: &mut rand::rngs::StdRng, k: usize) -> (Generator, Discriminator) {
-    let gen = Generator {
-        proj: Linear::new(rng, LATENT, HIDDEN),
-        gru: Gru::new(rng, HIDDEN, HIDDEN),
-        head: Linear::new(rng, HIDDEN, k),
-        k,
-    };
-    let disc = Discriminator {
-        gru: Gru::new(rng, k, HIDDEN),
-        head: Linear::new(rng, HIDDEN, 1),
-    };
-    (gen, disc)
+impl Gan {
+    /// DR-scores of a `[B, W, K]` batch, one per (window, position).
+    fn dr_scores(&self, x: &Tensor) -> Vec<f64> {
+        let (b, k) = (x.dims()[0], self.gen.k);
+        let logits = no_grad(|| self.disc.forward(x));
+
+        // MAD-GAN latent inversion: optimize z so G(z) reconstructs the
+        // windows; anomalous windows remain poorly reconstructible
+        // because the generator only models normal behaviour. This needs
+        // the tape, and mutates only the fresh per-call `z`.
+        let z = Tensor::zeros(&[b, LATENT]).into_param();
+        let mut z_opt = Adam::new(vec![z.clone()], 0.1);
+        for _ in 0..INVERSION_STEPS {
+            let recon = self.gen.forward(&z);
+            let loss = mse(&recon, x);
+            backward(&loss);
+            z_opt.step();
+            z_opt.zero_grad();
+            // The generator's own accumulated gradients are discarded.
+            for p in self.gen.params() {
+                p.zero_grad();
+            }
+        }
+        let recon = no_grad(|| self.gen.forward(&z));
+        let (ld, xd, rd) = (logits.data(), x.data(), recon.data());
+        (0..b * WINDOW)
+            .map(|row| {
+                // Discriminator suspicion: low logit = looks fake/anomalous.
+                let disc_score = 1.0 - 1.0 / (1.0 + (-ld[row / WINDOW] as f64).exp());
+                let mut err = 0.0f64;
+                for idx in row * k..(row + 1) * k {
+                    let d = (xd[idx] - rd[idx]) as f64;
+                    err += d * d;
+                }
+                (1.0 - DISC_WEIGHT) * err / k as f64 + DISC_WEIGHT * disc_score
+            })
+            .collect()
+    }
+}
+
+impl Network for Gan {
+    const TAG: u64 = 0x6a2d;
+
+    fn build(rng: &mut StdRng, k: usize) -> Self {
+        let gen = Generator {
+            proj: Linear::new(rng, LATENT, HIDDEN),
+            gru: Gru::new(rng, HIDDEN, HIDDEN),
+            head: Linear::new(rng, HIDDEN, k),
+            k,
+        };
+        let disc = Discriminator {
+            gru: Gru::new(rng, k, HIDDEN),
+            head: Linear::new(rng, HIDDEN, 1),
+        };
+        Gan { gen, disc }
+    }
+
+    fn params(&self) -> Vec<Tensor> {
+        let mut p = self.gen.params();
+        p.extend(self.disc.params());
+        p
+    }
+}
+
+/// MAD-GAN with gradient latent-inversion scoring.
+pub struct MadGan {
+    seed: u64,
+    state: Option<Fitted<Gan>>,
 }
 
 impl MadGan {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        MadGan { seed, state: None }
-    }
+    /// Fewest rows [`Self::score_series`] accepts: one window.
+    pub const MIN_WINDOW: usize = WINDOW;
 
     /// Read-only scoring with an optional declared-missing mask. The
     /// latent inversion mutates only a fresh per-call `z` tensor, so the
@@ -116,84 +160,11 @@ impl MadGan {
         test: &Mts,
         missing: Option<&[bool]>,
     ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        require_len(&test_n, WINDOW)?;
-        let k = st.gen.out_dim();
-        let starts = coverage_starts(test_n.len(), WINDOW, WINDOW / 2);
-        let mut ps = PointScores::new(test_n.len());
-
-        for chunk in starts.chunks(32) {
-            let x = batch_windows(&test_n, chunk, WINDOW);
-            let logits = no_grad(|| st.disc.forward(&x));
-
-            // MAD-GAN latent inversion: optimize z so G(z) reconstructs the
-            // windows; anomalous windows remain poorly reconstructible
-            // because the generator only models normal behaviour.
-            let z = Tensor::zeros(&[chunk.len(), LATENT]).into_param();
-            let mut z_opt = Adam::new(vec![z.clone()], 0.1);
-            for _ in 0..INVERSION_STEPS {
-                let recon = st.gen.forward(&z);
-                let loss = mse(&recon, &x);
-                backward(&loss);
-                z_opt.step();
-                z_opt.zero_grad();
-                // The generator's own accumulated gradients are discarded.
-                for p in st.gen.params() {
-                    p.zero_grad();
-                }
-            }
-            let recon = no_grad(|| st.gen.forward(&z));
-            let ld = logits.data();
-            let xd = x.data();
-            let rd = recon.data();
-            for (bi, &s) in chunk.iter().enumerate() {
-                // Discriminator suspicion: low logit = looks fake/anomalous.
-                let disc_score = 1.0 - 1.0 / (1.0 + (-ld[bi] as f64).exp());
-                for l in 0..WINDOW {
-                    let mut err = 0.0f64;
-                    for ch in 0..k {
-                        let idx = bi * WINDOW * k + l * k + ch;
-                        let d = (xd[idx] - rd[idx]) as f64;
-                        err += d * d;
-                    }
-                    ps.add(
-                        s + l,
-                        (1.0 - DISC_WEIGHT) * err / k as f64 + DISC_WEIGHT * disc_score,
-                    );
-                }
-            }
-        }
-        Ok(ps.finish())
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = ByteWriter::new();
-        st.norm.encode(&mut w);
-        let mut params = st.gen.params();
-        params.extend(st.disc.params());
-        w.tensors(&params);
-        Ok(w.finish())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = ByteReader::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let mut rng = rng_for(seed, 0x6a2d);
-        let (gen, disc) = build_models(&mut rng, norm.channels);
-        let mut params = gen.params();
-        params.extend(disc.params());
-        r.tensors_into(&params)?;
-        r.finish()?;
-        Ok(MadGan {
-            seed,
-            state: Some(Fitted { norm, gen, disc }),
-        })
+        score_windows(self.state.as_ref(), test, missing, WINDOW, Gan::dr_scores)
     }
 }
+
+neural_lifecycle!(MadGan);
 
 impl Detector for MadGan {
     fn name(&self) -> &'static str {
@@ -204,8 +175,8 @@ impl Detector for MadGan {
         let (norm, train_n) = NormState::fit(train)?;
         require_len(&train_n, WINDOW + 1)?;
         let k = train_n.dim();
-        let mut rng = rng_for(self.seed, 0x6a2d);
-        let (gen, disc) = build_models(&mut rng, k);
+        let mut rng = rng_for(self.seed, Gan::TAG);
+        let Gan { gen, disc } = Gan::build(&mut rng, k);
         let mut g_opt = Adam::new(gen.params(), 2e-3);
         let mut d_opt = Adam::new(disc.params(), 1e-3);
         let ones = Tensor::ones(&[BATCH, 1]);
@@ -237,7 +208,10 @@ impl Detector for MadGan {
             g_opt.zero_grad();
             d_opt.zero_grad();
         }
-        self.state = Some(Fitted { norm, gen, disc });
+        self.state = Some(Fitted {
+            norm,
+            model: Gan { gen, disc },
+        });
         Ok(())
     }
 

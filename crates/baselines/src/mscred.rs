@@ -11,20 +11,25 @@
 
 use imdiff_data::{Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Conv1d, Linear, Module};
-use imdiff_nn::ops::mse;
+use imdiff_nn::ops::{mse, Act};
 use imdiff_nn::optim::Adam;
 use imdiff_nn::rng::normal_vec;
-use imdiff_nn::{no_grad, Tensor};
 use imdiff_nn::serialize::{ByteReader, ByteWriter};
+use imdiff_nn::{no_grad, Tensor};
 use rand::rngs::StdRng;
+use rand::Rng;
 
 use crate::common::{
-    corrupt, require_len, rng_for, run_training, NormState,
+    channel_mse, corrupt, neural_lifecycle, require_len, rng_for, run_training, score_next_rows,
+    Fitted, Network, NormState,
 };
-use rand::Rng;
 
 /// Segment lengths of the three signature scales.
 const SCALES: [usize; 3] = [8, 16, 32];
+/// The largest scale: rows one signature reads.
+const MAX_SCALE: usize = SCALES[SCALES.len() - 1];
+/// Width of one signature feature vector.
+const FEAT_DIM: usize = SCALES.len() * PROJ;
 /// Random-projection width per scale.
 const PROJ: usize = 24;
 const HIDDEN: usize = 48;
@@ -59,7 +64,7 @@ impl SignatureExtractor {
     /// Feature vector (3 * PROJ) at end-position `t` (needs `t >= max scale`).
     fn features(&self, x: &Mts, t: usize) -> Vec<f32> {
         let k = self.k;
-        let mut out = Vec::with_capacity(SCALES.len() * PROJ);
+        let mut out = Vec::with_capacity(FEAT_DIM);
         for (si, &w) in SCALES.iter().enumerate() {
             // Signature matrix entries: s_ij = <x_i, x_j> / w over [t-w, t).
             let mut sig = Vec::with_capacity(k * (k + 1) / 2);
@@ -94,12 +99,11 @@ struct AutoEncoder {
 
 impl AutoEncoder {
     fn new(rng: &mut StdRng) -> Self {
-        let feat_dim = SCALES.len() * PROJ;
         AutoEncoder {
             conv: Conv1d::new(rng, SCALES.len(), SCALES.len(), 3, 1),
-            enc: Linear::new(rng, feat_dim, HIDDEN),
+            enc: Linear::new(rng, FEAT_DIM, HIDDEN),
             dec1: Linear::new(rng, HIDDEN, HIDDEN),
-            dec2: Linear::new(rng, HIDDEN, feat_dim),
+            dec2: Linear::new(rng, HIDDEN, FEAT_DIM),
         }
     }
 
@@ -108,9 +112,9 @@ impl AutoEncoder {
         let b = x.dims()[0];
         // Treat the three scales as channels for the conv front end.
         let conv_in = x.reshape(&[b, SCALES.len(), PROJ]);
-        let h = self.conv.forward(&conv_in).relu().reshape(&[b, SCALES.len() * PROJ]);
-        let z = self.enc.forward(&h).relu();
-        self.dec2.forward(&self.dec1.forward(&z).relu())
+        let h = self.conv.forward(&conv_in).relu().reshape(&[b, FEAT_DIM]);
+        let z = self.enc.forward_act(&h, Act::Relu);
+        self.dec2.forward(&self.dec1.forward_act(&z, Act::Relu))
     }
 
     fn params(&self) -> Vec<Tensor> {
@@ -122,109 +126,96 @@ impl AutoEncoder {
     }
 }
 
-/// Signature-matrix convolutional autoencoder.
-pub struct Mscred {
-    seed: u64,
-    state: Option<Fitted>,
-}
-
-struct Fitted {
-    norm: NormState,
+struct Model {
     extractor: SignatureExtractor,
     ae: AutoEncoder,
 }
 
-impl Mscred {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        Mscred { seed, state: None }
+impl Network for Model {
+    const TAG: u64 = 0x35c7ed;
+
+    /// The projections are left empty: `fit` draws them before the
+    /// autoencoder, and a payload stores them.
+    fn build(rng: &mut StdRng, k: usize) -> Self {
+        Model {
+            extractor: SignatureExtractor {
+                projections: Vec::new(),
+                k,
+            },
+            ae: AutoEncoder::new(rng),
+        }
     }
 
-    /// Read-only scoring with an optional declared-missing mask.
+    fn params(&self) -> Vec<Tensor> {
+        self.ae.params()
+    }
+
+    /// The random projections are stored explicitly so a restored
+    /// detector is independent of the RNG draw order at fit time.
+    fn encode(&self, w: &mut ByteWriter) {
+        w.u32(self.extractor.projections.len() as u32);
+        for p in &self.extractor.projections {
+            w.f32s(p);
+        }
+        w.tensors(&self.params());
+    }
+
+    fn decode(&mut self, r: &mut ByteReader) -> Result<(), DetectorError> {
+        if r.u32()? as usize != SCALES.len() {
+            return Err(corrupt("signature scale count mismatch"));
+        }
+        let k = self.extractor.k;
+        for _ in SCALES {
+            let p = r.f32s()?;
+            if p.len() != k * (k + 1) / 2 * PROJ {
+                return Err(corrupt("projection matrix shape mismatch"));
+            }
+            self.extractor.projections.push(p);
+        }
+        Ok(r.tensors_into(&self.params())?)
+    }
+}
+
+/// Signature-matrix convolutional autoencoder.
+pub struct Mscred {
+    seed: u64,
+    state: Option<Fitted<Model>>,
+}
+
+impl Mscred {
+    /// Fewest rows [`Self::score_series`] accepts: one row more than the
+    /// largest scale, although a series of exactly `MAX_SCALE` rows would
+    /// yield one signature.
+    pub const MIN_WINDOW: usize = MAX_SCALE + 1;
+
+    /// Read-only scoring with an optional declared-missing mask. The
+    /// signature of rows `[s, s + MAX_SCALE)` scores its last row, so the
+    /// context window of the next-row driver is `MAX_SCALE - 1` rows.
     pub fn score_series(
         &self,
         test: &Mts,
         missing: Option<&[bool]>,
     ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        let max_scale = *SCALES.iter().max().expect("scales non-empty");
-        require_len(&test_n, max_scale + 1)?;
-        let feat_dim = SCALES.len() * PROJ;
-        let positions: Vec<usize> = (max_scale..=test_n.len()).collect();
-        let mut scores = vec![0.0f64; test_n.len()];
-        for chunk in positions.chunks(64) {
-            let batch: Vec<f32> = chunk
-                .iter()
-                .flat_map(|&t| st.extractor.features(&test_n, t))
-                .collect();
-            let x = Tensor::from_vec(batch, &[chunk.len(), feat_dim]).expect("batch");
-            let recon = no_grad(|| st.ae.forward(&x));
-            let (xd, rd) = (x.data(), recon.data());
-            for (bi, &t) in chunk.iter().enumerate() {
-                let err: f64 = (0..feat_dim)
-                    .map(|j| ((xd[bi * feat_dim + j] - rd[bi * feat_dim + j]) as f64).powi(2))
-                    .sum::<f64>()
-                    / feat_dim as f64;
-                scores[t - 1] = err; // signature at end-position t covers t-1
-            }
-        }
-        // Warm-up region inherits the first computed score.
-        let first = scores[max_scale - 1];
-        for s in scores.iter_mut().take(max_scale - 1) {
-            *s = first;
-        }
-        Ok(scores)
-    }
-
-    /// Serializes the fitted state as the family's registry payload. The
-    /// random projections are stored explicitly so a restored detector is
-    /// independent of the RNG draw order at fit time.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = ByteWriter::new();
-        st.norm.encode(&mut w);
-        w.u32(st.extractor.projections.len() as u32);
-        for p in &st.extractor.projections {
-            w.f32s(p);
-        }
-        w.tensors(&st.ae.params());
-        Ok(w.finish())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = ByteReader::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let k = norm.channels;
-        let n_scales = r.u32()? as usize;
-        if n_scales != SCALES.len() {
-            return Err(corrupt("signature scale count mismatch"));
-        }
-        let n_pairs = k * (k + 1) / 2;
-        let mut projections = Vec::with_capacity(n_scales);
-        for _ in 0..n_scales {
-            let p = r.f32s()?;
-            if p.len() != n_pairs * PROJ {
-                return Err(corrupt("projection matrix shape mismatch"));
-            }
-            projections.push(p);
-        }
-        let extractor = SignatureExtractor { projections, k };
-        let mut rng = rng_for(seed, 0x35c7ed);
-        let ae = AutoEncoder::new(&mut rng);
-        r.tensors_into(&ae.params())?;
-        r.finish()?;
-        Ok(Mscred {
-            seed,
-            state: Some(Fitted {
-                norm,
-                extractor,
-                ae,
-            }),
-        })
+        let (state, w) = (self.state.as_ref(), MAX_SCALE - 1);
+        score_next_rows(
+            state,
+            test,
+            missing,
+            w,
+            Self::MIN_WINDOW,
+            |m, data, starts| {
+                let batch: Vec<f32> = starts
+                    .iter()
+                    .flat_map(|&s| m.extractor.features(data, s + MAX_SCALE))
+                    .collect();
+                let x = Tensor::from_vec(batch, &[starts.len(), FEAT_DIM]).expect("batch");
+                channel_mse(&x, &no_grad(|| m.ae.forward(&x)))
+            },
+        )
     }
 }
+
+neural_lifecycle!(Mscred);
 
 impl Detector for Mscred {
     fn name(&self) -> &'static str {
@@ -233,14 +224,12 @@ impl Detector for Mscred {
 
     fn fit(&mut self, train: &Mts) -> Result<(), DetectorError> {
         let (norm, train_n) = NormState::fit(train)?;
-        let max_scale = *SCALES.iter().max().expect("scales non-empty");
-        require_len(&train_n, max_scale + 2)?;
-        let mut rng = rng_for(self.seed, 0x35c7ed);
+        require_len(&train_n, MAX_SCALE + 2)?;
+        let mut rng = rng_for(self.seed, Model::TAG);
         let extractor = SignatureExtractor::new(train_n.dim(), &mut rng);
-        let feat_dim = SCALES.len() * PROJ;
         let ae = AutoEncoder::new(&mut rng);
         // Precompute training features on a stride-2 grid.
-        let positions: Vec<usize> = (max_scale..train_n.len()).step_by(2).collect();
+        let positions: Vec<usize> = (MAX_SCALE..train_n.len()).step_by(2).collect();
         let feats: Vec<Vec<f32>> = positions
             .iter()
             .map(|&t| extractor.features(&train_n, t))
@@ -250,13 +239,12 @@ impl Detector for Mscred {
             let batch: Vec<f32> = (0..BATCH)
                 .flat_map(|_| feats[rng.gen_range(0..feats.len())].clone())
                 .collect();
-            let x = Tensor::from_vec(batch, &[BATCH, feat_dim]).expect("batch shape");
+            let x = Tensor::from_vec(batch, &[BATCH, FEAT_DIM]).expect("batch shape");
             mse(&ae.forward(&x), &x)
         });
         self.state = Some(Fitted {
             norm,
-            extractor,
-            ae,
+            model: Model { extractor, ae },
         });
         Ok(())
     }

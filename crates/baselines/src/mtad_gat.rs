@@ -11,10 +11,11 @@ use imdiff_nn::layers::{Gru, Linear, Module, MultiHeadAttention};
 use imdiff_nn::ops::mse;
 use imdiff_nn::optim::Adam;
 use imdiff_nn::{no_grad, Tensor};
-use imdiff_nn::serialize::{ByteReader, ByteWriter};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, require_len, rng_for, run_training, sample_starts, NormState,
+    batch_windows, channel_mse, neural_lifecycle, next_rows, require_len, rng_for, run_training,
+    sample_starts, score_next_rows, Fitted, Network, NormState,
 };
 
 const WINDOW: usize = 16;
@@ -31,11 +32,41 @@ struct Model {
     gru: Gru,
     forecast_head: Linear,
     recon_head: Linear,
-    k: usize,
 }
 
 impl Model {
-    fn new(rng: &mut rand::rngs::StdRng, k: usize) -> Self {
+    /// `[B, W, K]` -> (forecast `[B, K]`, reconstruction `[B, W, K]`).
+    fn forward(&self, x: &Tensor) -> (Tensor, Tensor) {
+        let dims = x.dims().to_vec();
+        let (b, w, k) = (dims[0], dims[1], dims[2]);
+        let h = self.in_proj.forward(x); // [B, W, H] (proj over channels)
+                                         // Temporal attention over the W axis.
+        let ht = self.temporal_attn.forward(&h, 1);
+        // Feature attention: attend over channels. Operate on the raw
+        // series transposed to [B, K, W], projected to H.
+        let xt = x.permute(&[0, 2, 1]); // [B, K, W]
+        let hf_in = Tensor::concat(&[&xt, &Tensor::zeros(&[b, k, HIDDEN.saturating_sub(w)])], 2);
+        let hf_in = if w >= HIDDEN {
+            xt.slice_axis(2, 0, HIDDEN)
+        } else {
+            hf_in
+        };
+        let hf = self.feature_attn.forward(&hf_in, 1); // [B, K, H]
+                                                       // Pool the feature view back per timestep (mean over channels).
+        let hf_pooled = hf.mean_axis(1, true); // [B, 1, H]
+        let fused = ht.add(&hf_pooled); // broadcast over W
+        let g = self.gru.forward_seq(&fused); // [B, W, H]
+        let last = g.slice_axis(1, w - 1, 1).reshape(&[b, HIDDEN]);
+        let forecast = self.forecast_head.forward(&last);
+        let recon = self.recon_head.forward(&g); // [B, W, K]
+        (forecast, recon)
+    }
+}
+
+impl Network for Model {
+    const TAG: u64 = 0x3a7;
+
+    fn build(rng: &mut StdRng, k: usize) -> Self {
         Model {
             in_proj: Linear::new(rng, k, HIDDEN),
             feature_attn: MultiHeadAttention::new(rng, HIDDEN, 4),
@@ -43,7 +74,6 @@ impl Model {
             gru: Gru::new(rng, HIDDEN, HIDDEN),
             forecast_head: Linear::new(rng, HIDDEN, k),
             recon_head: Linear::new(rng, HIDDEN, k),
-            k,
         }
     }
 
@@ -56,54 +86,18 @@ impl Model {
         p.extend(self.recon_head.params());
         p
     }
-
-    /// `[B, W, K]` -> (forecast `[B, K]`, reconstruction `[B, W, K]`).
-    fn forward(&self, x: &Tensor) -> (Tensor, Tensor) {
-        let dims = x.dims().to_vec();
-        let (b, w, k) = (dims[0], dims[1], dims[2]);
-        let h = self.in_proj.forward(x); // [B, W, H] (proj over channels)
-        // Temporal attention over the W axis.
-        let ht = self.temporal_attn.forward(&h, 1);
-        // Feature attention: attend over channels. Operate on the raw
-        // series transposed to [B, K, W], projected to H.
-        let xt = x.permute(&[0, 2, 1]); // [B, K, W]
-        let hf_in = Tensor::concat(
-            &[&xt, &Tensor::zeros(&[b, k, HIDDEN.saturating_sub(w)])],
-            2,
-        );
-        let hf_in = if w >= HIDDEN {
-            xt.slice_axis(2, 0, HIDDEN)
-        } else {
-            hf_in
-        };
-        let hf = self.feature_attn.forward(&hf_in, 1); // [B, K, H]
-        // Pool the feature view back per timestep (mean over channels).
-        let hf_pooled = hf.mean_axis(1, true); // [B, 1, H]
-        let fused = ht.add(&hf_pooled); // broadcast over W
-        let g = self.gru.forward_seq(&fused); // [B, W, H]
-        let last = g.slice_axis(1, w - 1, 1).reshape(&[b, HIDDEN]);
-        let forecast = self.forecast_head.forward(&last);
-        let recon = self.recon_head.forward(&g); // [B, W, K]
-        (forecast, recon)
-    }
 }
 
 /// Feature + temporal graph-attention detector with joint objectives.
 pub struct MtadGat {
     seed: u64,
-    state: Option<Fitted>,
-}
-
-struct Fitted {
-    norm: NormState,
-    model: Model,
+    state: Option<Fitted<Model>>,
 }
 
 impl MtadGat {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        MtadGat { seed, state: None }
-    }
+    /// Fewest rows [`Self::score_series`] accepts: one context window and
+    /// the row it forecasts.
+    pub const MIN_WINDOW: usize = WINDOW + 1;
 
     /// Read-only scoring with an optional declared-missing mask.
     pub fn score_series(
@@ -111,63 +105,30 @@ impl MtadGat {
         test: &Mts,
         missing: Option<&[bool]>,
     ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        require_len(&test_n, WINDOW + 1)?;
-        let k = st.model.k;
-        let mut scores = vec![0.0f64; test_n.len()];
-        let positions: Vec<usize> = (0..test_n.len() - WINDOW).collect();
-        for chunk in positions.chunks(48) {
-            let x = batch_windows(&test_n, chunk, WINDOW);
-            let (forecast, recon) = no_grad(|| st.model.forward(&x));
-            let fd = forecast.data();
-            let rd = recon.data();
-            let xd = x.data();
-            for (bi, &s) in chunk.iter().enumerate() {
-                let truth = test_n.row(s + WINDOW);
-                let f_err: f64 = (0..k)
-                    .map(|c| ((truth[c] - fd[bi * k + c]) as f64).powi(2))
-                    .sum::<f64>()
-                    / k as f64;
-                // Reconstruction error of the window's final position.
-                let base = bi * WINDOW * k + (WINDOW - 1) * k;
-                let r_err: f64 = (0..k)
-                    .map(|c| ((xd[base + c] - rd[base + c]) as f64).powi(2))
-                    .sum::<f64>()
-                    / k as f64;
-                scores[s + WINDOW] = GAMMA * f_err + (1.0 - GAMMA) * r_err;
-            }
-        }
-        let first = scores[WINDOW];
-        for s in scores.iter_mut().take(WINDOW) {
-            *s = first;
-        }
-        Ok(scores)
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = ByteWriter::new();
-        st.norm.encode(&mut w);
-        w.tensors(&st.model.params());
-        Ok(w.finish())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = ByteReader::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let mut rng = rng_for(seed, 0x3a7);
-        let model = Model::new(&mut rng, norm.channels);
-        r.tensors_into(&model.params())?;
-        r.finish()?;
-        Ok(MtadGat {
-            seed,
-            state: Some(Fitted { norm, model }),
-        })
+        let state = self.state.as_ref();
+        score_next_rows(
+            state,
+            test,
+            missing,
+            WINDOW,
+            Self::MIN_WINDOW,
+            |m, data, starts| {
+                let x = batch_windows(data, starts, WINDOW);
+                let (forecast, recon) = no_grad(|| m.forward(&x));
+                let f_err = channel_mse(&next_rows(data, starts, WINDOW), &forecast);
+                // Reconstruction error of each window's final position.
+                let r_err = channel_mse(&x, &recon);
+                f_err
+                    .iter()
+                    .zip(r_err.chunks(WINDOW))
+                    .map(|(&f, r)| GAMMA * f + (1.0 - GAMMA) * r[WINDOW - 1])
+                    .collect()
+            },
+        )
     }
 }
+
+neural_lifecycle!(MtadGat);
 
 impl Detector for MtadGat {
     fn name(&self) -> &'static str {
@@ -178,19 +139,14 @@ impl Detector for MtadGat {
         let (norm, train_n) = NormState::fit(train)?;
         require_len(&train_n, WINDOW + 2)?;
         let k = train_n.dim();
-        let mut rng = rng_for(self.seed, 0x3a7);
-        let model = Model::new(&mut rng, k);
+        let mut rng = rng_for(self.seed, Model::TAG);
+        let model = Model::build(&mut rng, k);
         let mut opt = Adam::new(model.params(), 2e-3);
         run_training(&mut opt, TRAIN_STEPS, 1.0, |_| {
             let starts = sample_starts(&mut rng, train_n.len() - 1, WINDOW, BATCH);
             let x = batch_windows(&train_n, &starts, WINDOW);
-            let target_rows: Vec<f32> = starts
-                .iter()
-                .flat_map(|&s| train_n.row(s + WINDOW).to_vec())
-                .collect();
-            let target = Tensor::from_vec(target_rows, &[BATCH, k]).expect("target");
             let (forecast, recon) = model.forward(&x);
-            mse(&forecast, &target).add(&mse(&recon, &x))
+            mse(&forecast, &next_rows(&train_n, &starts, WINDOW)).add(&mse(&recon, &x))
         });
         self.state = Some(Fitted { norm, model });
         Ok(())

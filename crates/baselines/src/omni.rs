@@ -5,17 +5,17 @@
 //! error under the sampled latent (a Monte-Carlo estimate of the negative
 //! reconstruction probability the original paper thresholds with POT).
 
-use imdiff_data::{coverage_starts, Detection, Detector, DetectorError, Mts};
+use imdiff_data::{Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Gru, Linear, Module};
-use imdiff_nn::ops::{kl_standard_normal, mse};
+use imdiff_nn::ops::{kl_standard_normal, mse, Act};
 use imdiff_nn::optim::Adam;
 use imdiff_nn::rng::normal_vec;
 use imdiff_nn::{no_grad, Tensor};
-use imdiff_nn::serialize::{ByteReader, ByteWriter};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, require_len, rng_for, run_training, sample_starts, NormState,
-    PointScores,
+    batch_windows, channel_mse, neural_lifecycle, require_len, rng_for, run_training,
+    sample_starts, score_windows, Fitted, Network, NormState,
 };
 
 const WINDOW: usize = 24;
@@ -34,16 +34,6 @@ struct Vae {
 }
 
 impl Vae {
-    fn new(rng: &mut rand::rngs::StdRng, k: usize) -> Self {
-        Vae {
-            gru: Gru::new(rng, k, HIDDEN),
-            mu_head: Linear::new(rng, HIDDEN, LATENT),
-            logvar_head: Linear::new(rng, HIDDEN, LATENT),
-            dec1: Linear::new(rng, LATENT, HIDDEN),
-            dec2: Linear::new(rng, HIDDEN, WINDOW * k),
-        }
-    }
-
     /// Encodes a `[B, W, K]` batch; returns `(mu, logvar)` each `[B, Z]`.
     fn encode(&self, x: &Tensor) -> (Tensor, Tensor) {
         let h = self.gru.forward_last(x);
@@ -52,7 +42,21 @@ impl Vae {
 
     /// Decodes `[B, Z]` latents into `[B, W*K]` reconstructions.
     fn decode(&self, z: &Tensor) -> Tensor {
-        self.dec2.forward(&self.dec1.forward(z).relu())
+        self.dec2.forward(&self.dec1.forward_act(z, Act::Relu))
+    }
+}
+
+impl Network for Vae {
+    const TAG: u64 = 0x0a21;
+
+    fn build(rng: &mut StdRng, k: usize) -> Self {
+        Vae {
+            gru: Gru::new(rng, k, HIDDEN),
+            mu_head: Linear::new(rng, HIDDEN, LATENT),
+            logvar_head: Linear::new(rng, HIDDEN, LATENT),
+            dec1: Linear::new(rng, LATENT, HIDDEN),
+            dec2: Linear::new(rng, HIDDEN, WINDOW * k),
+        }
     }
 
     fn params(&self) -> Vec<Tensor> {
@@ -68,19 +72,12 @@ impl Vae {
 /// GRU + VAE reconstruction detector.
 pub struct OmniAnomaly {
     seed: u64,
-    state: Option<Fitted>,
-}
-
-struct Fitted {
-    norm: NormState,
-    vae: Vae,
+    state: Option<Fitted<Vae>>,
 }
 
 impl OmniAnomaly {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        OmniAnomaly { seed, state: None }
-    }
+    /// Fewest rows [`Self::score_series`] accepts: one window.
+    pub const MIN_WINDOW: usize = WINDOW;
 
     /// Read-only scoring with an optional declared-missing mask.
     pub fn score_series(
@@ -88,58 +85,15 @@ impl OmniAnomaly {
         test: &Mts,
         missing: Option<&[bool]>,
     ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        require_len(&test_n, WINDOW)?;
-        let k = test_n.dim();
-        let starts = coverage_starts(test_n.len(), WINDOW, WINDOW / 2);
-        let mut ps = PointScores::new(test_n.len());
-        for chunk in starts.chunks(32) {
+        score_windows(self.state.as_ref(), test, missing, WINDOW, |vae, x| {
             // Mean-latent reconstruction (deterministic scoring pass).
-            let x = batch_windows(&test_n, chunk, WINDOW);
-            let recon = no_grad(|| {
-                let (mu, _) = st.vae.encode(&x);
-                st.vae.decode(&mu)
-            });
-            let flat = x.reshape(&[chunk.len(), WINDOW * k]);
-            let (xd, rd) = (flat.data(), recon.data());
-            for (bi, &s) in chunk.iter().enumerate() {
-                for l in 0..WINDOW {
-                    let mut err = 0.0f64;
-                    for c in 0..k {
-                        let idx = bi * WINDOW * k + l * k + c;
-                        err += ((xd[idx] - rd[idx]) as f64).powi(2);
-                    }
-                    ps.add(s + l, err / k as f64);
-                }
-            }
-        }
-        Ok(ps.finish())
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = ByteWriter::new();
-        st.norm.encode(&mut w);
-        w.tensors(&st.vae.params());
-        Ok(w.finish())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = ByteReader::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let mut rng = rng_for(seed, 0x0a21);
-        let vae = Vae::new(&mut rng, norm.channels);
-        r.tensors_into(&vae.params())?;
-        r.finish()?;
-        Ok(OmniAnomaly {
-            seed,
-            state: Some(Fitted { norm, vae }),
+            let recon = no_grad(|| vae.decode(&vae.encode(x).0));
+            channel_mse(x, &recon)
         })
     }
 }
+
+neural_lifecycle!(OmniAnomaly);
 
 impl Detector for OmniAnomaly {
     fn name(&self) -> &'static str {
@@ -150,8 +104,8 @@ impl Detector for OmniAnomaly {
         let (norm, train_n) = NormState::fit(train)?;
         require_len(&train_n, WINDOW + 1)?;
         let k = train_n.dim();
-        let mut rng = rng_for(self.seed, 0x0a21);
-        let vae = Vae::new(&mut rng, k);
+        let mut rng = rng_for(self.seed, Vae::TAG);
+        let vae = Vae::build(&mut rng, k);
         let mut opt = Adam::new(vae.params(), 2e-3);
         run_training(&mut opt, TRAIN_STEPS, 1.0, |_| {
             let starts = sample_starts(&mut rng, train_n.len(), WINDOW, BATCH);
@@ -165,7 +119,7 @@ impl Detector for OmniAnomaly {
             let recon = vae.decode(&z);
             mse(&recon, &flat).add(&kl_standard_normal(&mu, &logvar).scale(KL_WEIGHT))
         });
-        self.state = Some(Fitted { norm, vae });
+        self.state = Some(Fitted { norm, model: vae });
         Ok(())
     }
 

@@ -6,15 +6,16 @@
 //! the two decoders play an adversarial game on the phase-2 output. The
 //! anomaly score is `½‖O1 − W‖² + ½‖Ô2 − W‖²`, as in the original.
 
-use imdiff_data::{coverage_starts, Detection, Detector, DetectorError, Mts};
+use imdiff_data::{Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Linear, Module, TransformerEncoderLayer};
 use imdiff_nn::ops::mse;
-use imdiff_nn::optim::{Adam, Optimizer};
-use imdiff_nn::{backward, no_grad, Tensor};
-use imdiff_nn::serialize::{ByteReader, ByteWriter};
+use imdiff_nn::optim::Adam;
+use imdiff_nn::{no_grad, Tensor};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, require_len, rng_for, sample_starts, NormState, PointScores,
+    batch_windows, neural_lifecycle, require_len, rng_for, run_training, sample_starts,
+    score_windows, Fitted, Network, NormState,
 };
 
 const WINDOW: usize = 16;
@@ -30,7 +31,18 @@ struct Model {
 }
 
 impl Model {
-    fn new(rng: &mut rand::rngs::StdRng, k: usize) -> Self {
+    /// Encodes `[B, W, 2K]` (window ++ focus) and decodes with both heads.
+    fn forward(&self, x: &Tensor, focus: &Tensor) -> (Tensor, Tensor) {
+        let joint = Tensor::concat(&[x, focus], 2);
+        let h = self.encoder.forward(&self.in_proj.forward(&joint), 1);
+        (self.dec1.forward(&h), self.dec2.forward(&h))
+    }
+}
+
+impl Network for Model {
+    const TAG: u64 = 0x72a4;
+
+    fn build(rng: &mut StdRng, k: usize) -> Self {
         Model {
             in_proj: Linear::new(rng, 2 * k, HIDDEN),
             encoder: TransformerEncoderLayer::new(rng, HIDDEN, 4, 2 * HIDDEN),
@@ -39,23 +51,11 @@ impl Model {
         }
     }
 
-    fn all_params(&self) -> Vec<Tensor> {
-        let mut p = self.enc_params();
-        p.extend(self.dec1.params());
-        p.extend(self.dec2.params());
-        p
-    }
-
-    /// Encodes `[B, W, 2K]` (window ++ focus) and decodes with both heads.
-    fn forward(&self, x: &Tensor, focus: &Tensor) -> (Tensor, Tensor) {
-        let joint = Tensor::concat(&[x, focus], 2);
-        let h = self.encoder.forward(&self.in_proj.forward(&joint), 1);
-        (self.dec1.forward(&h), self.dec2.forward(&h))
-    }
-
-    fn enc_params(&self) -> Vec<Tensor> {
+    fn params(&self) -> Vec<Tensor> {
         let mut p = self.in_proj.params();
         p.extend(self.encoder.params());
+        p.extend(self.dec1.params());
+        p.extend(self.dec2.params());
         p
     }
 }
@@ -63,19 +63,12 @@ impl Model {
 /// Two-phase adversarial transformer reconstructor.
 pub struct TranAd {
     seed: u64,
-    state: Option<Fitted>,
-}
-
-struct Fitted {
-    norm: NormState,
-    model: Model,
+    state: Option<Fitted<Model>>,
 }
 
 impl TranAd {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        TranAd { seed, state: None }
-    }
+    /// Fewest rows [`Self::score_series`] accepts: one window.
+    pub const MIN_WINDOW: usize = WINDOW;
 
     /// Read-only scoring with an optional declared-missing mask.
     pub fn score_series(
@@ -83,61 +76,30 @@ impl TranAd {
         test: &Mts,
         missing: Option<&[bool]>,
     ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        require_len(&test_n, WINDOW)?;
-        let k = test_n.dim();
-        let starts = coverage_starts(test_n.len(), WINDOW, WINDOW / 2);
-        let mut ps = PointScores::new(test_n.len());
-        for chunk in starts.chunks(32) {
-            let x = batch_windows(&test_n, chunk, WINDOW);
-            let zero_focus = Tensor::zeros(&[chunk.len(), WINDOW, k]);
+        score_windows(self.state.as_ref(), test, missing, WINDOW, |model, x| {
             let (o1, o2) = no_grad(|| {
-                let (o1, _) = st.model.forward(&x, &zero_focus);
-                let focus = o1.sub(&x).square();
-                let (_, o2) = st.model.forward(&x, &focus);
+                let (o1, _) = model.forward(x, &Tensor::zeros(x.dims()));
+                let (_, o2) = model.forward(x, &o1.sub(x).square());
                 (o1, o2)
             });
+            let k = x.dims()[2];
             let (xd, o1d, o2d) = (x.data(), o1.data(), o2.data());
-            for (bi, &s) in chunk.iter().enumerate() {
-                for l in 0..WINDOW {
+            (0..xd.len() / k)
+                .map(|row| {
                     let mut err = 0.0f64;
-                    for c in 0..k {
-                        let idx = bi * WINDOW * k + l * k + c;
+                    for idx in row * k..(row + 1) * k {
                         let d1 = (xd[idx] - o1d[idx]) as f64;
                         let d2 = (xd[idx] - o2d[idx]) as f64;
                         err += 0.5 * d1 * d1 + 0.5 * d2 * d2;
                     }
-                    ps.add(s + l, err / k as f64);
-                }
-            }
-        }
-        Ok(ps.finish())
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = ByteWriter::new();
-        st.norm.encode(&mut w);
-        w.tensors(&st.model.all_params());
-        Ok(w.finish())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = ByteReader::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let mut rng = rng_for(seed, 0x72a4);
-        let model = Model::new(&mut rng, norm.channels);
-        r.tensors_into(&model.all_params())?;
-        r.finish()?;
-        Ok(TranAd {
-            seed,
-            state: Some(Fitted { norm, model }),
+                    err / k as f64
+                })
+                .collect()
         })
     }
 }
+
+neural_lifecycle!(TranAd);
 
 impl Detector for TranAd {
     fn name(&self) -> &'static str {
@@ -148,11 +110,10 @@ impl Detector for TranAd {
         let (norm, train_n) = NormState::fit(train)?;
         require_len(&train_n, WINDOW + 1)?;
         let k = train_n.dim();
-        let mut rng = rng_for(self.seed, 0x72a4);
-        let model = Model::new(&mut rng, k);
-        let mut opt = Adam::new(model.all_params(), 2e-3);
-
-        for step in 0..TRAIN_STEPS {
+        let mut rng = rng_for(self.seed, Model::TAG);
+        let model = Model::build(&mut rng, k);
+        let mut opt = Adam::new(model.params(), 2e-3);
+        run_training(&mut opt, TRAIN_STEPS, 1.0, |step| {
             let starts = sample_starts(&mut rng, train_n.len(), WINDOW, BATCH);
             let x = batch_windows(&train_n, &starts, WINDOW);
             let zero_focus = Tensor::zeros(&[BATCH, WINDOW, k]);
@@ -169,12 +130,8 @@ impl Detector for TranAd {
             let eps = 1.0f32 - 1.0 / (step as f32 / 10.0 + 1.0);
             let l1 = mse(&o1, &x);
             let l2 = mse(&o2, &x);
-            let loss = l1.scale(1.0 - eps * 0.5).add(&l2.scale(0.5 + eps * 0.5));
-            backward(&loss);
-            opt.clip_grad_norm(1.0);
-            opt.step();
-            opt.zero_grad();
-        }
+            l1.scale(1.0 - eps * 0.5).add(&l2.scale(0.5 + eps * 0.5))
+        });
         self.state = Some(Fitted { norm, model });
         Ok(())
     }

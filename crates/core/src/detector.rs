@@ -282,78 +282,26 @@ impl ImDiffusionDetector {
         ))
     }
 
-    /// Extracts a [`DetectorSpec`] — a `Send`-safe, plain-data snapshot of
-    /// the fitted state — or `None` before fit/restore.
+    /// A plain-data copy of the fitted weights (equality checks and
+    /// digests), or `None` before fit/restore.
     pub fn to_spec(&self) -> Option<DetectorSpec> {
-        self.fitted.as_ref().map(|f| {
-            let (offset, scale) = f.normalizer.stats();
-            DetectorSpec {
-                cfg: self.cfg.clone(),
-                seed: self.seed,
-                channels: f.channels,
-                params: f.model.params().iter().map(|p| p.to_vec()).collect(),
-                norm_offset: offset,
-                norm_scale: scale,
-                drift_ref: self.drift_ref.clone(),
-            }
+        let params = self.fitted.as_ref()?.model.params();
+        Some(DetectorSpec {
+            params: params.iter().map(|p| p.to_vec()).collect(),
         })
     }
 }
 
-/// A `Send`-safe, plain-data snapshot of a fitted [`ImDiffusionDetector`].
-///
-/// `Tensor` is `Rc`-based (thread-local), so a fitted detector cannot
-/// cross threads. A spec can: it carries the configuration, seed,
-/// normalizer statistics and a flat `f32` parameter snapshot, and
-/// [`DetectorSpec::build`] reconstructs an identical detector on the
-/// receiving thread. This is how the serving layer ships freshly loaded
-/// checkpoints from a watcher thread into the shard that owns the
-/// monitor.
+/// The fitted weights of an [`ImDiffusionDetector`] as plain `f32` data.
+/// It cannot rebuild a detector: the `Send`-safe snapshot that does is the
+/// registry's `AnySpec`, the IMDE envelope bytes.
 #[derive(Debug, Clone)]
 pub struct DetectorSpec {
-    cfg: ImDiffusionConfig,
-    seed: u64,
-    channels: usize,
     params: Vec<Vec<f32>>,
-    norm_offset: Vec<f32>,
-    norm_scale: Vec<f32>,
-    drift_ref: Option<DriftReference>,
 }
 
 impl DetectorSpec {
-    /// Rebuilds the detector this spec was extracted from. The rebuilt
-    /// model's parameters are bit-identical to the source's, so detection
-    /// results are too.
-    pub fn build(&self) -> ImDiffusionDetector {
-        let mut det = ImDiffusionDetector::new(self.cfg.clone(), self.seed);
-        det.init_untrained(self.channels);
-        det.set_normalizer_vectors(&self.norm_offset, &self.norm_scale);
-        det.set_drift_reference(self.drift_ref.clone());
-        let fitted = det.fitted.as_mut().expect("just initialised");
-        let params = fitted.model.params();
-        assert_eq!(params.len(), self.params.len(), "spec arity mismatch");
-        for (p, s) in params.iter().zip(&self.params) {
-            p.set_data(s);
-        }
-        det
-    }
-
-    /// The configuration carried by the spec.
-    pub fn config(&self) -> &ImDiffusionConfig {
-        &self.cfg
-    }
-
-    /// Channel count of the fitted model.
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
-    /// The construction seed carried by the spec.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The flat parameter snapshot (weight-equality checks, diffing).
+    /// One flat vector per parameter tensor, in model order.
     pub fn weights(&self) -> &[Vec<f32>] {
         &self.params
     }

@@ -4,6 +4,10 @@
 //! disk), the serving wire protocol (family strings in `Health`/`Reload`
 //! responses) and tenant configuration (parsing family names from specs).
 
+use imdiff_baselines::{
+    BeatGan, Gdn, InterFusion, LstmAd, MadGan, Mscred, MtadGat, OmniAnomaly, TranAd,
+};
+
 /// Every detector family the registry can construct, persist and serve.
 ///
 /// Order matters only for documentation; the on-disk identity of a family
@@ -104,18 +108,22 @@ impl DetectorKind {
     }
 
     /// The smallest serving window (rows per evaluation) the family can
-    /// score: each neural baseline needs at least its internal context
-    /// window, MSCRED additionally its largest signature scale. For
+    /// score: each neural baseline's own `MIN_WINDOW`, which its scoring
+    /// driver derives from the family's context window. For
     /// `ImDiffusion` the serving window must equal the configured
     /// diffusion window, so the floor here is just 1.
     pub fn min_serving_window(self) -> usize {
         match self {
             DetectorKind::ZScore | DetectorKind::IForest | DetectorKind::ImDiffusion => 1,
-            DetectorKind::Gdn => 13,
-            DetectorKind::MadGan | DetectorKind::TranAd => 16,
-            DetectorKind::LstmAd | DetectorKind::MtadGat => 17,
-            DetectorKind::BeatGan | DetectorKind::InterFusion | DetectorKind::OmniAnomaly => 24,
-            DetectorKind::Mscred => 33,
+            DetectorKind::BeatGan => BeatGan::MIN_WINDOW,
+            DetectorKind::LstmAd => LstmAd::MIN_WINDOW,
+            DetectorKind::InterFusion => InterFusion::MIN_WINDOW,
+            DetectorKind::OmniAnomaly => OmniAnomaly::MIN_WINDOW,
+            DetectorKind::Gdn => Gdn::MIN_WINDOW,
+            DetectorKind::MadGan => MadGan::MIN_WINDOW,
+            DetectorKind::MtadGat => MtadGat::MIN_WINDOW,
+            DetectorKind::Mscred => Mscred::MIN_WINDOW,
+            DetectorKind::TranAd => TranAd::MIN_WINDOW,
         }
     }
 }

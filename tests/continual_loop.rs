@@ -60,8 +60,8 @@ fn drifting_stream_degrades_retrains_and_recovers_bit_identically() {
     let mut incumbent = AnyDetector::new(DetectorKind::ImDiffusion, tiny_cfg(), 4);
     incumbent.fit(&sc.train).unwrap();
     incumbent.save(&path).unwrap();
-    let incumbent = incumbent.as_imdiffusion().expect("ImDiffusion");
     let incumbent_spec = incumbent.to_spec().expect("fitted");
+    let incumbent = incumbent.as_imdiffusion().expect("ImDiffusion");
 
     // Labeled holdout from the settled post-change regime, covering the
     // first injected spikes: the gate judges candidates on ground truth
@@ -105,12 +105,13 @@ fn drifting_stream_degrades_retrains_and_recovers_bit_identically() {
     // Local mirror: identical rows, identical swap schedule. Every score
     // request is unwrapped, so a single refused healthy-path request
     // fails the test.
-    let mut mirror = StreamingMonitor::new(incumbent_spec.build(), channels, 8).unwrap();
+    let mut mirror =
+        StreamingMonitor::new(incumbent_spec.build().unwrap(), channels, 8).unwrap();
     assert!(mirror.set_drift_policy(3.0, 2));
     let mut wire: Vec<(u64, f64, u32, bool, bool)> = Vec::new();
     let mut local = Vec::new();
     let stream_span =
-        |client: &mut ServeClient, mirror: &mut StreamingMonitor, wire: &mut Vec<_>, local: &mut Vec<_>, from: usize, to: usize, generation: u64| {
+        |client: &mut ServeClient, mirror: &mut StreamingMonitor<AnyDetector>, wire: &mut Vec<_>, local: &mut Vec<_>, from: usize, to: usize, generation: u64| {
             for start in (from..to).step_by(8) {
                 let rows: Vec<Vec<f32>> =
                     (start..to.min(start + 8)).map(|l| sc.stream.row(l).to_vec()).collect();
@@ -159,8 +160,9 @@ fn drifting_stream_degrades_retrains_and_recovers_bit_identically() {
     let outcome = tuner.run(incumbent, &corpus).unwrap();
     assert!(outcome.report.applied, "fine-tune vetoed: {:?}", outcome.report.reason);
     let candidate = outcome.candidate.expect("applied implies candidate");
+    let candidate = AnyDetector::from(candidate);
     let candidate_spec = candidate.to_spec().expect("fitted");
-    AnyDetector::from(candidate).save(&path).unwrap();
+    candidate.save(&path).unwrap();
 
     // The gate replays the labeled holdout for both models off the shard
     // thread and promotes the adapted candidate; the reply arrives after
@@ -173,7 +175,7 @@ fn drifting_stream_degrades_retrains_and_recovers_bit_identically() {
         reload.detail
     );
     assert_eq!(reload.generation, 2);
-    mirror.swap_detector(candidate_spec.build()).unwrap();
+    mirror.swap_detector(candidate_spec.build().unwrap()).unwrap();
 
     // Post-promotion replay: the swap re-baselined the drift reference,
     // so the latch clears and the tenant recovers — zero serving gap.

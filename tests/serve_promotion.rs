@@ -7,10 +7,10 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use imdiffusion_repro::core::{DetectorSpec, ImDiffusionConfig, StreamingMonitor};
+use imdiffusion_repro::core::{ImDiffusionConfig, StreamingMonitor};
 use imdiffusion_repro::data::synthetic::{generate, Benchmark, LabeledDataset, SizeProfile};
 use imdiffusion_repro::data::{Detector, Mts};
-use imdiffusion_repro::registry::{AnyDetector, DetectorKind};
+use imdiffusion_repro::registry::{AnyDetector, AnySpec, DetectorKind};
 use imdiffusion_repro::serve::{
     HoldoutSpec, PromotionVerdict, ServeClient, ServeConfig, Server, TenantSpec,
 };
@@ -59,9 +59,10 @@ fn imdiffusion(seed: u64) -> AnyDetector {
     AnyDetector::new(DetectorKind::ImDiffusion, tiny_cfg(), seed)
 }
 
-/// The `Send`-safe ImDiffusion snapshot local mirrors are rebuilt from.
-fn mirror_spec(det: &AnyDetector) -> DetectorSpec {
-    det.as_imdiffusion().and_then(|d| d.to_spec()).expect("fitted")
+/// The `Send`-safe snapshot local mirrors are rebuilt from: the envelope
+/// spec the serving shard itself installs.
+fn mirror_spec(det: &AnyDetector) -> AnySpec {
+    det.to_spec().expect("fitted")
 }
 
 fn tenant_spec(id: &str, path: &Path, seed: u64, channels: usize) -> TenantSpec {
@@ -249,12 +250,12 @@ fn regression_rolls_back_to_bit_identical_incumbent() {
     // Local mirror fed the identical rows with the identical swap
     // schedule; the synchronous client makes every chunk its own batch.
     let mut mirror =
-        StreamingMonitor::new(incumbent_spec.build(), channels, 2).unwrap();
+        StreamingMonitor::new(incumbent_spec.build().unwrap(), channels, 2).unwrap();
 
     let mut wire: Vec<(u64, f64, u32, bool, bool)> = Vec::new();
     let mut local = Vec::new();
     let push_rows = |client: &mut ServeClient,
-                     mirror: &mut StreamingMonitor,
+                     mirror: &mut StreamingMonitor<AnyDetector>,
                      wire: &mut Vec<(u64, f64, u32, bool, bool)>,
                      local: &mut Vec<_>,
                      rows: Vec<Vec<f32>>| {
@@ -287,7 +288,7 @@ fn regression_rolls_back_to_bit_identical_incumbent() {
     let outcome = client.reload("t").unwrap();
     assert_eq!(outcome.verdict, PromotionVerdict::Promoted);
     assert_eq!(outcome.generation, 2);
-    mirror.swap_detector(junk_spec.build()).unwrap();
+    mirror.swap_detector(junk_spec.build().unwrap()).unwrap();
 
     // The regression episode: a sensor outage takes the feed dark — first
     // every channel (all-missing rows score 0.0 on the fallback, so the
@@ -332,7 +333,7 @@ fn regression_rolls_back_to_bit_identical_incumbent() {
         if !rolled_back {
             since_swap += local.len() - before;
             if since_swap >= WATCH {
-                mirror.swap_detector(incumbent_spec.build()).unwrap();
+                mirror.swap_detector(incumbent_spec.build().unwrap()).unwrap();
                 rolled_back = true;
             }
         }
@@ -376,7 +377,7 @@ fn regression_rolls_back_to_bit_identical_incumbent() {
         Server::start(base_config(), vec![tenant_spec("t", &path, 4, channels)]).unwrap();
     let mut client = ServeClient::connect(server.addr()).unwrap();
     client.set_timeout(Some(Duration::from_secs(120))).unwrap();
-    let mut fresh = StreamingMonitor::new(incumbent_spec.build(), channels, 2).unwrap();
+    let mut fresh = StreamingMonitor::new(incumbent_spec.build().unwrap(), channels, 2).unwrap();
     let (mut wire, mut local) = (Vec::new(), Vec::new());
     for _ in 0..16 {
         let rows: Vec<Vec<f32>> =
