@@ -72,60 +72,3 @@ pub use mtad_gat::MtadGat;
 pub use omni::OmniAnomaly;
 pub use tranad::TranAd;
 pub use zscore::ZScoreDetector;
-
-use imdiff_data::Detector;
-
-/// Instantiates all ten baselines with a common seed, in the paper's table
-/// order.
-pub fn all_baselines(seed: u64) -> Vec<Box<dyn Detector>> {
-    vec![
-        Box::new(IsolationForest::new(seed)),
-        Box::new(BeatGan::new(seed)),
-        Box::new(LstmAd::new(seed)),
-        Box::new(InterFusion::new(seed)),
-        Box::new(OmniAnomaly::new(seed)),
-        Box::new(Gdn::new(seed)),
-        Box::new(MadGan::new(seed)),
-        Box::new(MtadGat::new(seed)),
-        Box::new(Mscred::new(seed)),
-        Box::new(TranAd::new(seed)),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ten_distinct_baselines() {
-        let bs = all_baselines(1);
-        assert_eq!(bs.len(), 10);
-        let mut names: Vec<_> = bs.iter().map(|b| b.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 10);
-    }
-
-    #[test]
-    fn non_finite_training_data_is_a_typed_error_for_every_family() {
-        use imdiff_data::{DetectorError, Mts};
-        let mut data: Vec<f32> = (0..200).map(|t| (t as f32 * 0.1).sin()).collect();
-        data[41] = f32::NAN;
-        let train = Mts::new(data, 100, 2);
-        let mut families = all_baselines(1);
-        families.push(Box::new(ZScoreDetector::new(1)));
-        for mut det in families {
-            let name = det.name();
-            assert!(
-                matches!(
-                    det.fit(&train),
-                    Err(DetectorError::NonFiniteInput {
-                        index: 20,
-                        channel: 1
-                    })
-                ),
-                "{name} must reject NaN training input with NonFiniteInput"
-            );
-        }
-    }
-}

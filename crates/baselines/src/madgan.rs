@@ -8,7 +8,7 @@
 
 use imdiff_data::{Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Gru, Linear, Module};
-use imdiff_nn::ops::{bce_with_logits, mse, Act};
+use imdiff_nn::ops::{bce_with_logits, Act};
 use imdiff_nn::optim::{Adam, Optimizer};
 use imdiff_nn::rng::normal_vec;
 use imdiff_nn::{backward, no_grad, Tensor};
@@ -87,12 +87,16 @@ impl Gan {
         // MAD-GAN latent inversion: optimize z so G(z) reconstructs the
         // windows; anomalous windows remain poorly reconstructible
         // because the generator only models normal behaviour. This needs
-        // the tape, and mutates only the fresh per-call `z`.
+        // the tape, and mutates only the fresh per-call `z`. The loss is
+        // the sum over windows of each window's own mean squared error,
+        // so each window's `z` row descends its own error alone and its
+        // score does not depend on which windows share the batch.
         let z = Tensor::zeros(&[b, LATENT]).into_param();
         let mut z_opt = Adam::new(vec![z.clone()], 0.1);
+        let per_window = 1.0 / (WINDOW * k) as f32;
         for _ in 0..INVERSION_STEPS {
             let recon = self.gen.forward(&z);
-            let loss = mse(&recon, x);
+            let loss = recon.sub(x).square().sum_all().scale(per_window);
             backward(&loss);
             z_opt.step();
             z_opt.zero_grad();
@@ -260,6 +264,30 @@ mod tests {
         let bytes = det.snapshot_payload().unwrap();
         let restored = MadGan::restore_from_payload(7, &bytes).unwrap();
         assert_eq!(s1, restored.score_series(&ds.test, None).unwrap());
+    }
+
+    /// A window's score depends on that window alone: row 0 (covered by
+    /// the first window only) scores the same bits whether the series is
+    /// one window, a few or many, i.e. whichever windows share its batch.
+    #[test]
+    fn row_score_is_independent_of_the_batch() {
+        let ds = generate(
+            Benchmark::Gcp,
+            &SizeProfile {
+                train_len: 150,
+                test_len: 128,
+            },
+            4,
+        );
+        let mut det = MadGan::new(4);
+        det.fit(&ds.train).unwrap();
+        let full = det.score_series(&ds.test, None).unwrap();
+        for rows in [16, 40] {
+            let part = det
+                .score_series(&ds.test.slice_time(0, rows), None)
+                .unwrap();
+            assert_eq!(part[0].to_bits(), full[0].to_bits(), "{rows}-row slice");
+        }
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! computes every cell (minutes on one core), subsequent runs print
 //! instantly. Artifacts: `results/table2.csv`.
 
-use imdiff_bench::registry::TABLE2_DETECTORS;
-use imdiff_bench::suite::{aggregate, run_offline_suite};
+use imdiff_bench::suite::{aggregate, run_offline_suite, table2_detectors};
 use imdiff_bench::table::{f4, render, write_csv};
 use imdiff_bench::{cache, HarnessProfile};
 use imdiff_data::synthetic::Benchmark;
@@ -26,7 +25,7 @@ fn main() {
         let ds = benchmark.name();
         println!("\n=== {ds} ===");
         let mut rows = Vec::new();
-        for det in TABLE2_DETECTORS {
+        for det in table2_detectors().map(|kind| kind.name()) {
             if let Some(a) = agg.get(&(det.to_string(), ds.to_string())) {
                 rows.push(vec![
                     det.to_string(),

@@ -2,8 +2,7 @@
 //! benchmark datasets. Reuses (or populates) the Table 2 cell cache.
 //! Artifact: `results/table3.csv`.
 
-use imdiff_bench::registry::TABLE2_DETECTORS;
-use imdiff_bench::suite::{aggregate, run_offline_suite};
+use imdiff_bench::suite::{aggregate, run_offline_suite, table2_detectors};
 use imdiff_bench::table::{f4, render, write_csv};
 use imdiff_bench::{cache, HarnessProfile};
 use imdiff_data::synthetic::Benchmark;
@@ -14,7 +13,7 @@ fn main() {
     let agg = aggregate(&cells);
 
     let mut rows = Vec::new();
-    for det in TABLE2_DETECTORS {
+    for det in table2_detectors().map(|kind| kind.name()) {
         let (mut p, mut r, mut f1, mut f1s, mut auc) = (0.0, 0.0, 0.0, 0.0, 0.0);
         let mut n = 0.0;
         for benchmark in Benchmark::all() {

@@ -2,8 +2,7 @@
 //! every dataset plus the cross-dataset average. Reuses the Table 2 cell
 //! cache. Artifact: `results/table4.csv`.
 
-use imdiff_bench::registry::TABLE2_DETECTORS;
-use imdiff_bench::suite::{aggregate, run_offline_suite};
+use imdiff_bench::suite::{aggregate, run_offline_suite, table2_detectors};
 use imdiff_bench::table::{pm, render, write_csv};
 use imdiff_bench::{cache, HarnessProfile};
 use imdiff_data::synthetic::Benchmark;
@@ -19,7 +18,7 @@ fn main() {
     headers.push("Average");
 
     let mut rows = Vec::new();
-    for det in TABLE2_DETECTORS {
+    for det in table2_detectors().map(|kind| kind.name()) {
         let mut row = vec![det.to_string()];
         let (mut sum, mut n) = (0.0f64, 0.0f64);
         for benchmark in Benchmark::all() {

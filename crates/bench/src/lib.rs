@@ -23,7 +23,6 @@
 
 pub mod cache;
 pub mod eval;
-pub mod registry;
 pub mod suite;
 pub mod table;
 

@@ -5,12 +5,20 @@ use std::path::PathBuf;
 
 use imdiff_data::synthetic::{generate, Benchmark, LabeledDataset};
 use imdiff_data::Detector;
+use imdiff_registry::{AnyDetector, DetectorKind};
 use imdiffusion::{AblationVariant, ImDiffusionDetector};
 
 use crate::cache::{self, CellKey, CellMetrics};
 use crate::eval::{evaluate_ensemble, evaluate_scores};
-use crate::registry::{make_baseline, TABLE2_DETECTORS};
 use crate::HarnessProfile;
+
+/// The eleven detectors of Table 2, in the paper's row order: every
+/// registered family except the z-score rung, which is not in the paper.
+pub fn table2_detectors() -> impl Iterator<Item = DetectorKind> {
+    DetectorKind::ALL
+        .into_iter()
+        .filter(|&kind| kind != DetectorKind::ZScore)
+}
 
 /// Cache file for the Table 2/3/4 offline suite.
 pub fn offline_cache_path() -> PathBuf {
@@ -31,9 +39,9 @@ pub fn run_offline_suite(profile: &HarnessProfile) -> HashMap<CellKey, CellMetri
     for benchmark in Benchmark::all() {
         for run in 0..profile.runs {
             let mut dataset: Option<LabeledDataset> = None;
-            for detector in TABLE2_DETECTORS {
+            for detector in table2_detectors() {
                 let key = CellKey {
-                    detector: detector.to_string(),
+                    detector: detector.name().to_string(),
                     dataset: benchmark.name().to_string(),
                     run,
                 };
@@ -58,25 +66,20 @@ pub fn run_offline_suite(profile: &HarnessProfile) -> HashMap<CellKey, CellMetri
     cells
 }
 
-/// Evaluates one (detector, dataset, run) cell.
+/// Evaluates one (detector, dataset, run) cell. ImDiffusion is scored
+/// from its ensemble trace, every baseline from its score series.
 fn run_cell(
     profile: &HarnessProfile,
-    detector: &str,
+    kind: DetectorKind,
     ds: &LabeledDataset,
     run: u64,
 ) -> CellMetrics {
-    let seed = 7000 + run;
-    if detector == "ImDiffusion" {
-        let mut det = ImDiffusionDetector::new(profile.imdiffusion_config(), seed);
-        det.fit(&ds.train).expect("imdiffusion fit");
-        let _ = det.detect(&ds.test).expect("imdiffusion detect");
-        let out = det.last_output().expect("ensemble output");
-        evaluate_ensemble(out, ds)
-    } else {
-        let mut det = make_baseline(detector, seed).expect("known baseline");
-        det.fit(&ds.train).expect("baseline fit");
-        let detection = det.detect(&ds.test).expect("baseline detect");
-        evaluate_scores(&detection, ds)
+    let mut det = AnyDetector::new(kind, profile.imdiffusion_config(), 7000 + run);
+    det.fit(&ds.train).expect("fit");
+    let detection = det.detect(&ds.test).expect("detect");
+    match det.as_imdiffusion().and_then(ImDiffusionDetector::last_output) {
+        Some(out) => evaluate_ensemble(out, ds),
+        None => evaluate_scores(&detection, ds),
     }
 }
 

@@ -66,59 +66,12 @@ pub struct ImDiffusionConfig {
     pub vote_every: usize,
     /// See [`ImDiffusionConfig::vote_every`].
     pub vote_span: usize,
-    /// Upper-percentile used for the final-step threshold τ_T in Eq. (12).
-    pub tau_percentile: f64,
-    /// Minimum votes ξ for a point to be labelled anomalous. Eq. (12)'s
-    /// `y = 1(V > ξ)`; expressed as a fraction of the vote count so it
-    /// adapts when `vote_span` changes.
-    pub vote_threshold_frac: f64,
-    /// Range the per-step `x̂_0` estimate is clamped to during the reverse
-    /// chain (the standard DDPM stabilizer). Data is min-max normalized to
-    /// roughly `[0, 1]`, so a generous margin is used.
-    pub x0_clamp: (f32, f32),
     /// Accelerated DDIM sampling (extension): when `Some(n)`, the reverse
     /// chain visits only `n` evenly spaced steps deterministically instead
     /// of all `diffusion_steps`, trading a little accuracy for inference
     /// throughput (the paper's §6 production constraint). `None` = full
     /// DDPM chain, as in the paper.
     pub ddim_steps: Option<usize>,
-}
-
-/// Thresholds and policy for the training divergence sentinels — the
-/// training-side counterpart of the streaming fault model. A sentinel
-/// trip rolls the trainer back to its last good checkpoint, scales the
-/// learning rate down by [`SentinelConfig::lr_backoff`], and records a
-/// [`crate::TrainIncident`]; the poisoned update never reaches the
-/// optimizer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SentinelConfig {
-    /// Trip the explosion sentinel when the pre-clip gradient norm
-    /// exceeds this multiple of its running median.
-    pub grad_factor: f32,
-    /// Number of recent pre-clip norms the running median is taken over.
-    pub grad_median_window: usize,
-    /// Steps of norm history required before the explosion sentinel arms
-    /// (early training has volatile norms and no meaningful median).
-    pub grad_warmup: usize,
-    /// Maximum *consecutive* rollback-and-retry attempts (the counter
-    /// re-arms whenever a finite update lands). Exhausting the budget is
-    /// the loss-plateau-at-NaN condition: training aborts with a typed
-    /// error instead of looping forever.
-    pub max_retries: u32,
-    /// Multiplier applied to the learning-rate scale on every rollback.
-    pub lr_backoff: f32,
-}
-
-impl Default for SentinelConfig {
-    fn default() -> Self {
-        SentinelConfig {
-            grad_factor: 16.0,
-            grad_median_window: 64,
-            grad_warmup: 8,
-            max_retries: 4,
-            lr_backoff: 0.5,
-        }
-    }
 }
 
 impl ImDiffusionConfig {
@@ -147,9 +100,6 @@ impl ImDiffusionConfig {
             ensemble: true,
             vote_every: 3,
             vote_span: 30,
-            tau_percentile: 98.0,
-            vote_threshold_frac: 0.5,
-            x0_clamp: (-2.0, 3.0),
             ddim_steps: None,
         }
     }
@@ -181,9 +131,6 @@ impl ImDiffusionConfig {
             ensemble: true,
             vote_every: 2,
             vote_span: 10,
-            tau_percentile: 98.0,
-            vote_threshold_frac: 0.5,
-            x0_clamp: (-2.0, 3.0),
             ddim_steps: None,
         }
     }
@@ -234,7 +181,7 @@ impl ImDiffusionConfig {
         }
         // The span counts *visited* steps, not step values: a sparse DDIM
         // chain visits few steps, and filtering by value (`s <= span`)
-        // could leave one or two voters while `vote_threshold_frac` still
+        // could leave one or two voters while ξ, half the vote count, still
         // assumes a full ensemble. For a dense DDPM chain the last `span`
         // visited steps are exactly the steps with value ≤ span, so this
         // is bit-identical to the historical behavior there.
@@ -257,20 +204,6 @@ impl ImDiffusionConfig {
         self.vote_steps_among(&self.reverse_steps())
     }
 
-    /// The absolute vote threshold ξ implied by `vote_threshold_frac`
-    /// over the vote set actually drawn from `visited` — the true
-    /// ensemble size, so a sparse DDIM chain gets a proportionally
-    /// smaller ξ instead of one sized for the full DDPM chain.
-    pub fn vote_threshold_among(&self, visited: &[usize]) -> usize {
-        let n = self.vote_steps_among(visited).len();
-        ((n as f64) * self.vote_threshold_frac).floor() as usize
-    }
-
-    /// The absolute vote threshold ξ implied by `vote_threshold_frac`.
-    pub fn vote_threshold(&self) -> usize {
-        self.vote_threshold_among(&self.reverse_steps())
-    }
-
     /// Validates internal consistency, panicking with a clear message on
     /// nonsensical combinations (programmer error).
     pub fn validate(&self) {
@@ -278,8 +211,6 @@ impl ImDiffusionConfig {
         assert!(self.hidden.is_multiple_of(self.heads), "hidden must divide by heads");
         assert!(self.diffusion_steps >= 2, "need at least 2 diffusion steps");
         assert!(self.batch_size >= 1 && self.train_steps >= 1);
-        assert!((0.0..=100.0).contains(&self.tau_percentile));
-        assert!((0.0..=1.0).contains(&self.vote_threshold_frac));
         if let Some(n) = self.ddim_steps {
             assert!(
                 n >= 2 && n <= self.diffusion_steps,
@@ -339,7 +270,7 @@ mod tests {
     fn quick_config_valid() {
         let c = ImDiffusionConfig::quick();
         c.validate();
-        assert!(c.vote_threshold() >= 1);
+        assert!(crate::infer::vote_threshold(c.vote_steps().len()) >= 1);
         assert!(!c.vote_steps().is_empty());
     }
 
@@ -429,9 +360,9 @@ mod tests {
         // the value filter used to leave only those with value ≤ 30.
         assert_eq!(votes, visited);
         // ξ is sized for the true ensemble, not the 30-voter full chain.
-        let xi = c.vote_threshold_among(&visited);
+        let xi = crate::infer::vote_threshold(votes.len());
         assert!(xi < votes.len(), "threshold {xi} unreachable by {} voters", votes.len());
-        assert_eq!(xi, ((votes.len() as f64) * c.vote_threshold_frac) as usize);
+        assert_eq!(xi, votes.len() / 2);
     }
 
     /// For a full DDPM chain the visited-span semantics reduce to the

@@ -34,16 +34,17 @@ use crate::detector::ImDiffusionDetector;
 use crate::streaming::DriftReference;
 use crate::trainer::{TrainIncident, Trainer, TrainerOptions};
 
+/// Multiplier on the base configuration's learning rate. Fine-tuning
+/// starts from converged weights; a fraction of the original rate adapts
+/// without erasing what training learned.
+const LR_SCALE: f32 = 0.25;
+
 /// Budget and policy for one incremental retraining round.
 #[derive(Debug, Clone)]
 pub struct FineTuneOptions {
     /// Optimizer steps to run (the primary budget). The candidate is the
     /// state after exactly this many steps.
     pub steps: usize,
-    /// Multiplier on the base configuration's learning rate. Fine-tuning
-    /// starts from converged weights; a fraction of the original rate
-    /// adapts without erasing what training learned.
-    pub lr_scale: f32,
     /// Wall-clock veto: when the round takes longer than this, the result
     /// is discarded (`applied = false`) — never truncated, which would
     /// trade determinism for latency.
@@ -60,7 +61,6 @@ impl Default for FineTuneOptions {
     fn default() -> Self {
         FineTuneOptions {
             steps: 32,
-            lr_scale: 0.25,
             max_wall_clock: None,
             ema: None,
             seed_salt: 0,
@@ -165,7 +165,7 @@ impl FineTuner {
         // incumbent); only the budget and learning rate change.
         let mut tune_cfg = cfg.clone();
         tune_cfg.train_steps = self.opts.steps;
-        tune_cfg.lr = cfg.lr * self.opts.lr_scale;
+        tune_cfg.lr = cfg.lr * LR_SCALE;
         // The incumbent's normalizer, not a refit: candidate and incumbent
         // must score in the same units for the validation gate (and the
         // shard swap) to compare like with like.

@@ -6,7 +6,7 @@ use imdiff_nn::layers::Module;
 use imdiff_nn::obs;
 use imdiff_nn::pool;
 use imdiff_nn::rng::{normal, seeded};
-use imdiff_nn::{no_grad, Tensor};
+use imdiff_nn::Tensor;
 use rand::rngs::StdRng;
 
 use crate::config::{ImDiffusionConfig, TaskMode};
@@ -17,6 +17,27 @@ use crate::trainer::{mask_channel_major, task_masks, window_channel_major};
 /// count — so the partition of windows into denoising chains (and with it
 /// every f32/f64 accumulation order) is identical at any parallelism.
 const GROUP_WINDOWS: usize = 8;
+
+/// Range the per-step `x̂_0` estimate is clamped to during the reverse
+/// chain (the standard DDPM stabilizer). Data is min-max normalized to
+/// roughly `[0, 1]`, so a generous margin is used.
+const X0_CLAMP: (f32, f32) = (-2.0, 3.0);
+
+/// Upper percentile of the final step's errors that sets the baseline
+/// threshold τ_T of Eq. (12).
+const TAU_PERCENTILE: f64 = 98.0;
+
+/// The vote threshold ξ of Eq. (12) as a fraction of the vote count, so
+/// it adapts to the ensemble actually run.
+const VOTE_THRESHOLD_FRAC: f64 = 0.5;
+
+/// The absolute vote threshold ξ of Eq. (12), `y = 1(V > ξ)`, for an
+/// ensemble of `n_votes` vote steps: sized by the vote set actually run,
+/// so a sparse DDIM chain is judged against its own ensemble size rather
+/// than the full DDPM chain's.
+pub(crate) fn vote_threshold(n_votes: usize) -> usize {
+    ((n_votes as f64) * VOTE_THRESHOLD_FRAC).floor() as usize
+}
 
 /// Per-window RNG stream: the seed is mixed with the window index by a
 /// golden-ratio multiply, then expanded through `seed_from_u64`'s
@@ -147,15 +168,14 @@ impl ChainCtx<'_> {
                 steps_buf.iter_mut().for_each(|s| *s = t);
                 let x_val_t = Tensor::from_vec(x_val, &[gw, k, w]).expect("x_val shape");
                 let x_ref_t = Tensor::from_vec(x_ref, &[gw, k, w]).expect("x_ref shape");
-                let eps_hat =
-                    no_grad(|| model.forward(&x_val_t, &x_ref_t, &steps_buf, &policies_vec));
+                let eps_hat = model.forward(&x_val_t, &x_ref_t, &steps_buf, &policies_vec);
 
                 // Reverse transition (Algorithm 1 line 6 / Eq. 9) through
                 // the clamped-x̂0 parameterization: the x̂0 estimate is
                 // clipped to the (normalized) data range every step so
                 // imperfect noise predictions cannot compound into
                 // divergence — the standard DDPM sampling stabilizer.
-                let (clamp_lo, clamp_hi) = cfg.x0_clamp;
+                let (clamp_lo, clamp_hi) = X0_CLAMP;
                 let mut x0_hat = {
                     let eps_hat_d = eps_hat.data();
                     schedule.predict_x0(&x_cur, &eps_hat_d, t)
@@ -674,7 +694,7 @@ fn finalize(
     // imputation quality Σ E_base / Σ E_t.
     let base_idx = n_votes - 1;
     let tau_base =
-        imdiff_metrics::threshold_at_percentile(&per_step_ts_err[base_idx], cfg.tau_percentile);
+        imdiff_metrics::threshold_at_percentile(&per_step_ts_err[base_idx], TAU_PERCENTILE);
     let base_sum = step_sums[base_idx];
 
     let mut votes = vec![0u32; len];
@@ -730,14 +750,8 @@ fn finalize(
         out
     };
 
-    let xi = if cfg.ensemble {
-        // Threshold over the vote set actually run, so a sparse DDIM
-        // chain is judged against its own ensemble size rather than the
-        // full-chain count `vote_threshold()` would assume.
-        ((n_votes as f64) * cfg.vote_threshold_frac).floor() as usize
-    } else {
-        0
-    };
+    // The non-ensemble ablation runs one vote step, so ξ = 0 there.
+    let xi = vote_threshold(n_votes);
     let labels: Vec<bool> = votes.iter().map(|&v| v as usize > xi).collect();
 
     // Normalized per-cell error at the final step, for attribution.
@@ -827,6 +841,86 @@ mod tests {
         assert_eq!(out.steps.last().unwrap().t, 1);
         for w in out.steps.windows(2) {
             assert!(w[0].t > w[1].t);
+        }
+    }
+
+    /// Eq. (12) on a hand-worked trace: three vote steps over four points,
+    /// with τ_t = ratio_t · τ_base and a vote whenever E_t ≥ τ_t.
+    #[test]
+    fn revote_matches_hand_worked_eq12() {
+        let step = |t: usize, ratio: f64, error: [f64; 4]| StepTrace {
+            t,
+            error: error.to_vec(),
+            tau: 0.0,
+            ratio,
+            labels: Vec::new(),
+            imputed: Mts::zeros(4, 1),
+        };
+        let out = EnsembleOutput {
+            scores: vec![0.0; 4],
+            votes: Vec::new(),
+            labels: Vec::new(),
+            steps: vec![
+                step(5, 0.5, [0.4, 0.6, 1.0, 0.1]),
+                step(3, 0.8, [0.9, 0.7, 0.8, 0.2]),
+                step(1, 1.0, [1.0, 0.5, 1.5, 0.9]),
+            ],
+            tau_base: 1.0,
+            vote_threshold: 1,
+            cell_error: vec![0.0; 4],
+            channels: 1,
+            missing_cells: 0,
+        };
+        // V_l recovered from the labels at every ξ: V_l = #{ξ : V_l > ξ}.
+        let votes = |tau_base: f64| -> Vec<usize> {
+            (0..3).fold(vec![0; 4], |mut v, xi| {
+                for (v, l) in v.iter_mut().zip(out.revote(tau_base, xi)) {
+                    *v += usize::from(l);
+                }
+                v
+            })
+        };
+        // τ_base = 1: τ_t = 0.5, 0.8, 1.0. Step 5 flags points 1 and 2,
+        // step 3 flags 0 and 2 (0.8 ≥ 0.8), step 1 flags 0 and 2 (1.0 ≥ 1.0).
+        assert_eq!(votes(1.0), vec![2, 1, 3, 0]);
+        assert_eq!(out.revote(1.0, 1), vec![true, false, true, false]);
+        assert_eq!(out.revote(1.0, 2), vec![false, false, true, false]);
+        // τ_base = 2: τ_t = 1.0, 1.6, 2.0. Only step 5 flags point 2.
+        assert_eq!(votes(2.0), vec![0, 0, 1, 0]);
+        assert_eq!(out.revote(2.0, 0), vec![false, false, true, false]);
+    }
+
+    /// `finalize` and `revote` implement the same vote: re-voting a
+    /// `detect` output at its own τ_base and ξ reproduces its labels, for
+    /// the full DDPM chain and a 4-step DDIM chain.
+    #[test]
+    fn revote_reproduces_detect_labels() {
+        use imdiff_data::Detector;
+        let ds = generate(
+            Benchmark::Gcp,
+            &SizeProfile {
+                train_len: 120,
+                test_len: 96,
+            },
+            3,
+        );
+        for ddim_steps in [None, Some(4)] {
+            let cfg = ImDiffusionConfig {
+                train_steps: 8,
+                ddim_steps,
+                ..ImDiffusionConfig::quick()
+            };
+            let mut det = crate::ImDiffusionDetector::new(cfg, 5);
+            det.fit(&ds.train).unwrap();
+            det.detect(&ds.test).unwrap();
+            let out = det.last_output().unwrap();
+            assert_eq!(out.vote_threshold, vote_threshold(out.steps.len()));
+            assert!(out.labels.iter().any(|&l| l), "{ddim_steps:?}: no label to pin");
+            assert_eq!(
+                out.revote(out.tau_base, out.vote_threshold),
+                out.labels,
+                "{ddim_steps:?}"
+            );
         }
     }
 

@@ -49,7 +49,7 @@ mod streaming;
 mod trainer;
 
 pub use ablation::AblationVariant;
-pub use config::{ImDiffusionConfig, SentinelConfig, TaskMode};
+pub use config::{ImDiffusionConfig, TaskMode};
 pub use detector::{DetectorSpec, ImDiffusionDetector};
 pub use finetune::{FineTuneOptions, FineTuneOutcome, FineTuneReport, FineTuner};
 pub use infer::{ensemble_infer, EnsembleOutput, StepTrace};

@@ -63,20 +63,31 @@ use imdiff_nn::{backward, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::config::{ImDiffusionConfig, SentinelConfig, TaskMode};
+use crate::config::{ImDiffusionConfig, TaskMode};
 use crate::infer::model_from_snapshot;
 use crate::model::ImTransformer;
 
 const TRAIN_MAGIC: &[u8; 4] = b"IMTS";
-const TRAIN_VERSION: u32 = 3;
+const TRAIN_VERSION: u32 = 4;
+
+/// The explosion sentinel trips when the pre-clip gradient norm exceeds
+/// this multiple of its running median.
+const GRAD_FACTOR: f32 = 16.0;
+/// Number of recent pre-clip norms the running median is taken over.
+const GRAD_MEDIAN_WINDOW: usize = 64;
+/// Steps of norm history required before the explosion sentinel arms
+/// (early training has volatile norms and no meaningful median).
+const GRAD_WARMUP: usize = 8;
+/// Multiplier applied to the learning-rate scale on every rollback.
+const LR_BACKOFF: f32 = 0.5;
 
 /// Why a divergence sentinel tripped.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IncidentKind {
     /// The training loss was NaN or ±∞ before the backward pass.
     NonFiniteLoss,
-    /// The pre-clip gradient norm was non-finite or exceeded
-    /// [`SentinelConfig::grad_factor`] times its running median.
+    /// The pre-clip gradient norm was non-finite or exceeded a fixed
+    /// multiple of its running median.
     GradExplosion {
         /// Pre-clip global gradient norm at the tripping step.
         norm: f32,
@@ -139,8 +150,11 @@ pub struct TrainerOptions {
     /// the cooperative-shutdown hook, and the crash simulator in the
     /// resume-equivalence tests.
     pub stop_after: Option<usize>,
-    /// Divergence-sentinel thresholds and retry policy.
-    pub sentinel: SentinelConfig,
+    /// Maximum *consecutive* sentinel rollback-and-retry attempts (the
+    /// counter re-arms whenever a finite update lands). Exhausting the
+    /// budget is the loss-plateau-at-NaN condition: training aborts with
+    /// a typed error instead of looping forever.
+    pub max_retries: u32,
     /// Exponential-moving-average decay for a shadow copy of the weights
     /// (e.g. `0.99`). When set, the shadow updates after every optimizer
     /// step, rides the `IMTS` checkpoint (so resume stays bit-exact) and
@@ -156,7 +170,7 @@ impl Default for TrainerOptions {
             checkpoint_every: 32,
             checkpoint_path: None,
             stop_after: None,
-            sentinel: SentinelConfig::default(),
+            max_retries: 4,
             ema: None,
         }
     }
@@ -463,7 +477,6 @@ impl Trainer {
         };
         let mut snap = Snapshot::capture(start_step, &params, &opt, &st);
 
-        let sentinel = self.opts.sentinel.clone();
         let b = cfg.batch_size;
         let cell = k * l;
         let mut step = start_step;
@@ -544,7 +557,7 @@ impl Trainer {
                 trip(
                     IncidentKind::NonFiniteLoss,
                     step,
-                    &sentinel,
+                    self.opts.max_retries,
                     &mut st,
                     &snap,
                     &params,
@@ -556,20 +569,20 @@ impl Trainer {
             let optim = obs::span("trainer.optim");
             let pre_clip = opt.clip_grad_norm(cfg.grad_clip);
             obs::histogram("trainer.grad_norm", pre_clip as f64);
-            let armed = st.grad_norms.len() >= sentinel.grad_warmup.max(1);
+            let armed = st.grad_norms.len() >= GRAD_WARMUP;
             let med = if st.grad_norms.is_empty() {
                 0.0
             } else {
                 median(&st.grad_norms)
             };
-            if !pre_clip.is_finite() || (armed && pre_clip > sentinel.grad_factor * med) {
+            if !pre_clip.is_finite() || (armed && pre_clip > GRAD_FACTOR * med) {
                 trip(
                     IncidentKind::GradExplosion {
                         norm: pre_clip,
                         median: med,
                     },
                     step,
-                    &sentinel,
+                    self.opts.max_retries,
                     &mut st,
                     &snap,
                     &params,
@@ -584,7 +597,7 @@ impl Trainer {
             // A finite update landed: the divergence was transient, so the
             // consecutive-failure budget re-arms.
             st.retries = 0;
-            if st.grad_norms.len() == sentinel.grad_median_window.max(1) {
+            if st.grad_norms.len() == GRAD_MEDIAN_WINDOW {
                 st.grad_norms.pop_front();
             }
             st.grad_norms.push_back(pre_clip);
@@ -606,7 +619,7 @@ impl Trainer {
                 if let Some(path) = &self.opts.checkpoint_path {
                     let _ckpt = obs::span("trainer.checkpoint_write");
                     obs::counter("trainer.checkpoints", 1);
-                    write_train_state(path, &snap, &st.incidents, cfg, k)?;
+                    write_train_state(path, &snap, cfg, k)?;
                 }
             }
         }
@@ -633,13 +646,13 @@ impl Trainer {
 }
 
 /// Handles one sentinel trip: log the incident, enforce the retry budget,
-/// back the learning rate off, and roll model/optimizer/RNG back to the
-/// snapshot. Errors with [`DetectorError::Internal`] when the budget is
-/// exhausted (the NaN-plateau abort).
+/// back the learning rate off, and rewind model/optimizer to the snapshot
+/// with a forked RNG stream. Errors with [`DetectorError::Internal`] when
+/// the budget is exhausted (the NaN-plateau abort).
 fn trip(
     kind: IncidentKind,
     step: usize,
-    sentinel: &SentinelConfig,
+    max_retries: u32,
     st: &mut LiveState,
     snap: &Snapshot,
     params: &[Tensor],
@@ -648,14 +661,14 @@ fn trip(
     st.retries += 1;
     st.trips += 1;
     obs::counter("trainer.sentinel_trips", 1);
-    st.lr_scale *= sentinel.lr_backoff;
+    st.lr_scale *= LR_BACKOFF;
     st.incidents.push(TrainIncident {
         step,
         retry: st.retries,
         lr_scale: st.lr_scale,
         kind,
     });
-    if st.retries > sentinel.max_retries {
+    if st.retries > max_retries {
         st.incidents.push(TrainIncident {
             step,
             retry: st.retries,
@@ -663,26 +676,36 @@ fn trip(
             kind: IncidentKind::NanPlateau,
         });
         return Err(DetectorError::Internal(format!(
-            "training diverged at step {step}: {} rollbacks exhausted without a \
-             finite update",
-            sentinel.max_retries
+            "training diverged at step {step}: {max_retries} rollbacks exhausted without a \
+             finite update"
         )));
     }
-    for (p, data) in params.iter().zip(&snap.params) {
-        p.set_data(data);
-    }
-    opt.import_state(snap.adam.clone())
-        .expect("snapshot taken from these parameters");
-    opt.zero_grad();
-    st.losses.truncate(snap.losses.len());
-    st.grad_norms = snap.grad_norms.iter().copied().collect();
-    st.ema = snap.ema.clone();
+    rewind(snap, params, opt, st)?;
     st.rng = retry_rng(snap.rng_state, st.trips);
     Ok(())
 }
 
-/// Applies a restored snapshot to a freshly constructed model/optimizer.
+/// Applies a checkpoint read from disk to a freshly constructed
+/// model/optimizer: the rewind, plus the RNG position and the sentinel
+/// counters the checkpointed run had reached.
 fn restore_into(
+    snap: &Snapshot,
+    params: &[Tensor],
+    opt: &mut Adam,
+    st: &mut LiveState,
+) -> Result<(), DetectorError> {
+    rewind(snap, params, opt, st)?;
+    st.rng = StdRng::from_state(snap.rng_state);
+    st.lr_scale = snap.lr_scale;
+    st.retries = snap.retries;
+    st.trips = snap.trips;
+    Ok(())
+}
+
+/// Rewinds the parameters, Adam state, loss curve, gradient-norm window
+/// and EMA shadow to `snap` — the part shared by a sentinel rollback and
+/// a resume. Errors when `snap` was taken from another architecture.
+fn rewind(
     snap: &Snapshot,
     params: &[Tensor],
     opt: &mut Adam,
@@ -705,13 +728,10 @@ fn restore_into(
     opt.import_state(snap.adam.clone()).map_err(|e| {
         DetectorError::InvalidTrainingData(format!("optimizer state mismatch: {e}"))
     })?;
-    st.rng = StdRng::from_state(snap.rng_state);
-    st.lr_scale = snap.lr_scale;
-    st.retries = snap.retries;
-    st.trips = snap.trips;
-    st.losses = snap.losses.clone();
+    opt.zero_grad();
+    st.losses.clone_from(&snap.losses);
     st.grad_norms = snap.grad_norms.iter().copied().collect();
-    st.ema = snap.ema.clone();
+    st.ema.clone_from(&snap.ema);
     Ok(())
 }
 
@@ -722,7 +742,6 @@ fn restore_into(
 fn write_train_state(
     path: &Path,
     snap: &Snapshot,
-    incidents: &[TrainIncident],
     cfg: &ImDiffusionConfig,
     channels: usize,
 ) -> Result<(), DetectorError> {
@@ -746,20 +765,6 @@ fn write_train_state(
     }
     w.f32s(&snap.losses);
     w.f32s(&snap.grad_norms);
-    w.u32(incidents.len() as u32);
-    for inc in incidents {
-        w.u64(inc.step as u64);
-        w.u32(inc.retry);
-        w.f32(inc.lr_scale);
-        let (tag, norm, med) = match inc.kind {
-            IncidentKind::NonFiniteLoss => (0u8, 0.0, 0.0),
-            IncidentKind::GradExplosion { norm, median } => (1, norm, median),
-            IncidentKind::NanPlateau => (2, 0.0, 0.0),
-        };
-        w.u8(tag);
-        w.f32(norm);
-        w.f32(med);
-    }
     // Optional EMA shadow block; a 0 flag is "EMA off for this run".
     match &snap.ema {
         Some(ema) => {
@@ -819,11 +824,6 @@ fn read_train_state(
     }
     let losses = r.f32s()?;
     let grad_norms = r.f32s()?;
-    // Incidents are validated (they are inside the CRC boundary) but a
-    // resumed run re-accumulates only future ones; past incidents live in
-    // the checkpoint for post-mortems.
-    let n_inc = r.u32()? as usize;
-    r.take(n_inc.saturating_mul(25))?;
     let ema = if r.u8()? == 1 {
         let mut shadow = Vec::with_capacity(params.len());
         for stored in &params {

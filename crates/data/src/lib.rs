@@ -31,4 +31,4 @@ pub mod scenario;
 pub mod synthetic;
 
 pub use detector::{check_finite, Detection, Detector, DetectorError};
-pub use mts::{coverage_starts, Downsample, Mts, NormMethod, Normalizer};
+pub use mts::{coverage_starts, Mts, NormMethod, Normalizer};

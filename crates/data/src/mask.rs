@@ -61,16 +61,6 @@ impl Mask {
         }
     }
 
-    /// `1.0` where observed, `0.0` where masked — the `M` of Eq. (2).
-    pub fn observed_f32(&self) -> Vec<f32> {
-        self.bits.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect()
-    }
-
-    /// `1.0` where masked (imputation target), `0.0` where observed.
-    pub fn target_f32(&self) -> Vec<f32> {
-        self.bits.iter().map(|&b| if b { 0.0 } else { 1.0 }).collect()
-    }
-
     /// Raw bits, row-major.
     pub fn bits(&self) -> &[bool] {
         &self.bits
@@ -237,16 +227,6 @@ mod tests {
             (1..8).any(|k| m0.observed(l, k) != first)
         });
         assert!(mixed);
-    }
-
-    #[test]
-    fn f32_views_are_consistent() {
-        let [m0, _] = MaskStrategy::default_grating().masks(&mut rng(), 20, 2);
-        let obs = m0.observed_f32();
-        let tgt = m0.target_f32();
-        for i in 0..40 {
-            assert_eq!(obs[i] + tgt[i], 1.0);
-        }
     }
 
     #[test]

@@ -113,66 +113,11 @@ impl Mts {
         out
     }
 
-    /// Start offsets matching [`Mts::windows`].
-    pub fn window_offsets(&self, size: usize, stride: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut start = 0;
-        while start + size <= self.len {
-            out.push(start);
-            start += stride;
-        }
-        out
-    }
-
     /// Stacks rows of another series onto the end (channel counts must match).
     pub fn append(&mut self, other: &Mts) {
         assert_eq!(self.dim, other.dim, "append channel mismatch");
         self.data.extend_from_slice(&other.data);
         self.len += other.len;
-    }
-
-    /// Downsamples by `factor`, aggregating each block of `factor`
-    /// consecutive rows with the given method. The real benchmarks are
-    /// commonly downsampled this way (e.g. SWaT by 5 with medians); the
-    /// trailing partial block is dropped.
-    pub fn downsample(&self, factor: usize, method: Downsample) -> Mts {
-        assert!(factor >= 1, "downsample factor must be >= 1");
-        if factor == 1 {
-            return self.clone();
-        }
-        let out_len = self.len / factor;
-        let mut out = Mts::zeros(out_len, self.dim);
-        let mut block: Vec<f32> = Vec::with_capacity(factor);
-        for o in 0..out_len {
-            for k in 0..self.dim {
-                block.clear();
-                for i in 0..factor {
-                    block.push(self.get(o * factor + i, k));
-                }
-                let v = match method {
-                    Downsample::Mean => block.iter().sum::<f32>() / factor as f32,
-                    Downsample::Median => {
-                        block.sort_by(|a, b| a.total_cmp(b));
-                        block[factor / 2]
-                    }
-                };
-                out.set(o, k, v);
-            }
-        }
-        out
-    }
-
-    /// First difference along time: `y[l] = x[l+1] − x[l]`, length `L−1`.
-    /// Useful for detrending drifting channels before detection.
-    pub fn diff(&self) -> Mts {
-        assert!(self.len >= 2, "diff needs at least two timestamps");
-        let mut out = Mts::zeros(self.len - 1, self.dim);
-        for l in 0..self.len - 1 {
-            for k in 0..self.dim {
-                out.set(l, k, self.get(l + 1, k) - self.get(l, k));
-            }
-        }
-        out
     }
 
     /// Transposes to channel-major `[K, L]` flat layout (used by models that
@@ -206,15 +151,6 @@ impl fmt::Debug for Mts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Mts(L={}, K={})", self.len, self.dim)
     }
-}
-
-/// Aggregation used by [`Mts::downsample`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Downsample {
-    /// Block mean.
-    Mean,
-    /// Block median (robust to in-block spikes).
-    Median,
 }
 
 /// How to normalize channels.
@@ -302,17 +238,6 @@ impl Normalizer {
             scale,
         }
     }
-
-    /// Inverts the transform (no clamping is undone).
-    pub fn inverse(&self, x: &Mts) -> Mts {
-        let mut out = x.clone();
-        for l in 0..x.len() {
-            for k in 0..x.dim() {
-                out.set(l, k, x.get(l, k) * self.scale[k] + self.offset[k]);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -362,7 +287,6 @@ mod tests {
         let m = ramp(10, 1);
         let w = m.windows(4, 3);
         assert_eq!(w.len(), 3); // starts at 0, 3, 6
-        assert_eq!(m.window_offsets(4, 3), vec![0, 3, 6]);
         assert_eq!(w[2].row(0), &[6.0]);
     }
 
@@ -397,39 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn downsample_mean_and_median() {
-        let m = Mts::new(vec![1.0, 10.0, 3.0, 20.0, 100.0, 30.0, 5.0, 40.0], 4, 2);
-        let mean = m.downsample(2, Downsample::Mean);
-        assert_eq!(mean.len(), 2);
-        assert_eq!(mean.row(0), &[2.0, 15.0]);
-        let med = m.downsample(2, Downsample::Median);
-        // Median of a 2-block takes the upper element (index factor/2 = 1).
-        assert_eq!(med.row(1), &[100.0, 40.0]);
-    }
-
-    #[test]
-    fn downsample_median_robust_to_spike() {
-        let m = Mts::new(vec![1.0, 1.0, 99.0, 1.0, 1.0, 1.0], 6, 1);
-        let med = m.downsample(3, Downsample::Median);
-        assert_eq!(med.values(), &[1.0, 1.0]);
-    }
-
-    #[test]
-    fn downsample_factor_one_is_identity() {
-        let m = ramp(4, 2);
-        assert_eq!(m.downsample(1, Downsample::Mean), m);
-    }
-
-    #[test]
-    fn diff_computes_first_difference() {
-        let m = Mts::new(vec![1.0, 0.0, 4.0, 1.0, 9.0, 3.0], 3, 2);
-        let d = m.diff();
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.row(0), &[3.0, 1.0]);
-        assert_eq!(d.row(1), &[5.0, 2.0]);
-    }
-
-    #[test]
     fn minmax_maps_train_to_unit() {
         let train = Mts::new(vec![0.0, 10.0, 5.0, 20.0, 10.0, 30.0], 3, 2);
         let norm = Normalizer::fit(&train, NormMethod::MinMax);
@@ -447,17 +338,6 @@ mod tests {
         let col = t.column(0);
         let mean: f32 = col.iter().sum::<f32>() / 3.0;
         assert!(mean.abs() < 1e-6);
-    }
-
-    #[test]
-    fn inverse_roundtrips() {
-        let train = Mts::new(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 3, 2);
-        let norm = Normalizer::fit(&train, NormMethod::ZScore);
-        let t = norm.transform(&train);
-        let back = norm.inverse(&t);
-        for (a, b) in back.values().iter().zip(train.values()) {
-            assert!((a - b).abs() < 1e-4);
-        }
     }
 
     #[test]

@@ -17,12 +17,10 @@ pub mod add;
 pub mod agg;
 pub mod point;
 pub mod range_auc;
-pub mod roc;
 pub mod threshold;
 
 pub use add::average_detection_delay;
 pub use agg::{mean_std, RunAggregate};
 pub use point::{confusion, point_adjust, PrF1};
 pub use range_auc::range_auc_pr;
-pub use roc::roc_auc;
 pub use threshold::{best_f1_threshold, threshold_at_percentile};

@@ -63,11 +63,6 @@ pub fn best_f1_threshold(scores: &[f64], truth: &[bool]) -> (f64, PrF1) {
     best
 }
 
-/// Applies a fixed threshold, returning binary predictions.
-pub fn apply_threshold(scores: &[f64], th: f64) -> Vec<bool> {
-    scores.iter().map(|&s| s > th).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,10 +203,5 @@ mod tests {
         scores[15] = 5.0;
         let (_, m) = best_f1_threshold(&scores, &truth);
         assert_eq!(m.f1, 1.0);
-    }
-
-    #[test]
-    fn apply_threshold_is_strict() {
-        assert_eq!(apply_threshold(&[1.0, 2.0], 1.0), vec![false, true]);
     }
 }

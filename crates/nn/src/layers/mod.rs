@@ -5,7 +5,6 @@
 
 mod attention;
 mod conv;
-mod dropout;
 mod embedding;
 mod linear;
 mod norm;
@@ -14,7 +13,6 @@ mod rnn;
 
 pub use attention::{FeedForward, MultiHeadAttention, TransformerEncoderLayer};
 pub use conv::Conv1d;
-pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use linear::Linear;
 pub use norm::LayerNorm;

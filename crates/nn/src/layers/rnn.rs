@@ -50,11 +50,6 @@ impl GruCell {
         let one_minus_z = z.neg().add_scalar(1.0);
         one_minus_z.mul(&n).add(&z.mul(h))
     }
-
-    /// Hidden size of the cell.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
-    }
 }
 
 impl Module for GruCell {
@@ -141,11 +136,6 @@ impl LstmCell {
         let c_new = f.mul(c).add(&i.mul(&cand));
         let h_new = o.mul(&c_new.tanh());
         (h_new, c_new)
-    }
-
-    /// Hidden size of the cell.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
     }
 }
 

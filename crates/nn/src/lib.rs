@@ -8,7 +8,7 @@
 //! * common layers ([`layers`]: linear, layer-norm, multi-head attention,
 //!   transformer encoder blocks, GRU/LSTM cells, 1-D convolution,
 //!   embeddings),
-//! * optimizers ([`optim`]: SGD with momentum, Adam),
+//! * the Adam optimizer ([`optim`]),
 //! * deterministic, seedable random initialisation ([`rng`], [`init`]).
 //!
 //! # Design notes

@@ -1,10 +1,8 @@
-//! Optimizers: SGD with momentum and Adam.
+//! Optimizers: Adam.
 
 mod adam;
-mod sgd;
 
 pub use adam::{Adam, AdamState};
-pub use sgd::Sgd;
 
 use crate::Tensor;
 

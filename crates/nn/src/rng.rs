@@ -26,11 +26,6 @@ pub fn normal_vec(rng: &mut StdRng, n: usize) -> Vec<f32> {
     (0..n).map(|_| normal(rng)).collect()
 }
 
-/// Draws a uniform integer in `[0, n)`.
-pub fn uniform_usize(rng: &mut StdRng, n: usize) -> usize {
-    rng.gen_range(0..n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,13 +52,5 @@ mod tests {
         let a = normal_vec(&mut seeded(9), 8);
         let b = normal_vec(&mut seeded(9), 8);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn uniform_usize_in_range() {
-        let mut rng = seeded(3);
-        for _ in 0..100 {
-            assert!(uniform_usize(&mut rng, 7) < 7);
-        }
     }
 }

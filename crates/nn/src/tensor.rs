@@ -143,16 +143,6 @@ impl Tensor {
         Self::leaf(data, shape, false)
     }
 
-    /// Uniform `[lo, hi)` random tensor using the supplied seeded RNG.
-    pub fn rand_uniform(rng: &mut StdRng, dims: &[usize], lo: f32, hi: f32) -> Self {
-        use rand::Rng;
-        let shape = Shape::new(dims);
-        let data = (0..shape.numel())
-            .map(|_| rng.gen_range(lo..hi))
-            .collect();
-        Self::leaf(data, shape, false)
-    }
-
     /// Marks this leaf as requiring gradients, returning it as a parameter.
     ///
     /// Panics when called on a non-leaf (op output) tensor.
@@ -480,11 +470,5 @@ mod tests {
         assert_eq!(t.to_vec(), vec![1.0, 2.0]);
         t.update_data(|d| d.iter_mut().for_each(|v| *v *= 2.0));
         assert_eq!(t.to_vec(), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn uniform_respects_bounds() {
-        let t = Tensor::rand_uniform(&mut seeded(7), &[100], -0.5, 0.5);
-        assert!(t.data().iter().all(|v| (-0.5..0.5).contains(v)));
     }
 }

@@ -21,7 +21,7 @@
 
 use std::path::Path;
 
-use imdiff_data::{Detector, DetectorError, Mts};
+use imdiff_data::DetectorError;
 use imdiff_nn::serialize::{atomic_write, open_record, ByteReader, ByteWriter};
 use imdiffusion::{DriftReference, ImDiffusionConfig, WindowScorer};
 
@@ -193,17 +193,4 @@ fn decode(cfg: &ImDiffusionConfig, bytes: &[u8]) -> Result<AnyDetector, Detector
         channels,
         model,
     ))
-}
-
-/// Convenience for tests and examples: fit a fresh detector of `kind` on
-/// `train` and return it.
-pub fn fit_detector(
-    kind: DetectorKind,
-    cfg: &ImDiffusionConfig,
-    seed: u64,
-    train: &Mts,
-) -> Result<AnyDetector, DetectorError> {
-    let mut det = AnyDetector::new(kind, cfg.clone(), seed);
-    det.fit(train)?;
-    Ok(det)
 }

@@ -30,6 +30,6 @@ pub mod escalate;
 mod kind;
 
 pub use any::AnyDetector;
-pub use envelope::{fit_detector, sniff_family, AnySpec, ENVELOPE_MAGIC, ENVELOPE_VERSION};
+pub use envelope::{sniff_family, AnySpec, ENVELOPE_MAGIC, ENVELOPE_VERSION};
 pub use escalate::{choose_rung, evaluate_ladder, LadderDecision, RungOutcome};
 pub use kind::DetectorKind;

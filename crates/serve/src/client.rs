@@ -486,11 +486,6 @@ impl ResilientClient {
         self.replayed
     }
 
-    /// Sequence ids not yet answered (the replay tail length).
-    pub fn in_flight(&self) -> usize {
-        self.unacked.len()
-    }
-
     fn ensure_conn(&mut self) -> Result<&mut ServeClient, ClientError> {
         if self.conn.is_none() {
             let mut conn = ServeClient::connect(&self.addr)?;

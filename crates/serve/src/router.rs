@@ -78,10 +78,6 @@ pub struct RouterConfig {
     pub addr: String,
     /// Number of replica servers to spawn.
     pub replicas: usize,
-    /// Virtual nodes per replica on the placement ring. More nodes
-    /// spread tenants more evenly; 32 is plenty for single-digit
-    /// replica counts.
-    pub vnodes: usize,
     /// How often the supervisor pings each replica.
     pub heartbeat_every: Duration,
     /// Read deadline on each heartbeat exchange.
@@ -117,7 +113,6 @@ impl Default for RouterConfig {
         RouterConfig {
             addr: "127.0.0.1:0".into(),
             replicas: 2,
-            vnodes: 32,
             heartbeat_every: Duration::from_millis(500),
             heartbeat_timeout: Duration::from_millis(250),
             heartbeat_misses: 3,
@@ -159,6 +154,10 @@ fn place_hash(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Virtual nodes per replica on the placement ring. More nodes spread
+/// tenants more evenly; 32 is plenty for single-digit replica counts.
+const VNODES: usize = 32;
+
 /// A consistent-hash ring of virtual nodes over `replicas` replicas.
 #[derive(Debug, Clone)]
 pub struct Ring {
@@ -167,13 +166,12 @@ pub struct Ring {
 }
 
 impl Ring {
-    /// Builds the ring: `vnodes` points per replica at
+    /// Builds the ring: `VNODES` points per replica at
     /// `fnv1a("replica-{i}-vn{v}")`.
-    pub fn new(replicas: usize, vnodes: usize) -> Ring {
-        let vnodes = vnodes.max(1);
-        let mut points = Vec::with_capacity(replicas * vnodes);
+    pub fn new(replicas: usize) -> Ring {
+        let mut points = Vec::with_capacity(replicas * VNODES);
         for i in 0..replicas {
-            for v in 0..vnodes {
+            for v in 0..VNODES {
                 points.push((place_hash(format!("replica-{i}-vn{v}").as_bytes()), i));
             }
         }
@@ -628,7 +626,7 @@ mod tests {
 
     #[test]
     fn placement_is_stable_and_minimal() {
-        let ring = Ring::new(3, 32);
+        let ring = Ring::new(3);
         let tenants: Vec<String> = (0..50).map(|i| format!("tenant-{i}")).collect();
         let all = vec![true, true, true];
         let before: Vec<_> = tenants.iter().map(|t| ring.place(t, &all)).collect();
@@ -698,7 +696,7 @@ mod tests {
 
     #[test]
     fn ring_skips_dead_replicas_consistently() {
-        let ring = Ring::new(4, 16);
+        let ring = Ring::new(4);
         let alive = vec![false, true, false, true];
         for i in 0..100 {
             let t = format!("t{i}");

@@ -160,7 +160,7 @@ impl Replicated {
         if tenants.is_empty() {
             return Err(ServeError::Config("no tenants to serve".into()));
         }
-        let ring = Ring::new(cfg.replicas, cfg.vnodes);
+        let ring = Ring::new(cfg.replicas);
         let tenant_ids: Vec<String> = tenants.iter().map(|t| t.id.clone()).collect();
         let repl: Arc<Option<ReplState>> = Arc::new(cfg.replication.clone().map(|rc| {
             ReplState {
@@ -280,11 +280,6 @@ impl Replicated {
         let idx = self.tenant_ids.iter().position(|t| t == tenant)?;
         let owner = self.shared.assignment.read().unwrap_or_else(|e| e.into_inner())[idx];
         (owner != usize::MAX).then_some(owner)
-    }
-
-    /// Whether replica `r` is still considered live.
-    pub fn is_alive(&self, r: usize) -> bool {
-        self.shared.alive[r].load(Ordering::SeqCst)
     }
 
     /// Replicas still considered live.

@@ -8,8 +8,7 @@
 //! ```
 
 use imdiffusion_repro::core::{
-    train, train_resume, ImDiffusionConfig, ImTransformer, SentinelConfig, Trainer,
-    TrainerOptions,
+    train, train_resume, ImDiffusionConfig, ImTransformer, Trainer, TrainerOptions,
 };
 use imdiffusion_repro::data::synthetic::{generate, Benchmark, SizeProfile};
 use imdiffusion_repro::data::{NormMethod, Normalizer};
@@ -87,10 +86,7 @@ fn main() {
     let model = ImTransformer::new(&cfg, poisoned.dim(), model_seed);
     let report = Trainer::new(TrainerOptions {
         checkpoint_every: 5,
-        sentinel: SentinelConfig {
-            max_retries: 8,
-            ..SentinelConfig::default()
-        },
+        max_retries: 8,
         ..TrainerOptions::default()
     })
     .run(&model, &cfg, &schedule, &poisoned, train_seed)

@@ -1,8 +1,8 @@
-//! Contract tests: every detector in the workspace (the ten baselines and
-//! ImDiffusion) must honour the `Detector` trait's lifecycle semantics.
+//! Contract tests: every detector family in the registry (ImDiffusion,
+//! the ten baselines and the z-score rung) must honour the `Detector`
+//! trait's lifecycle semantics.
 
-use imdiffusion_repro::baselines::{all_baselines, ZScoreDetector};
-use imdiffusion_repro::core::{ImDiffusionConfig, ImDiffusionDetector};
+use imdiffusion_repro::core::ImDiffusionConfig;
 use imdiffusion_repro::data::synthetic::{generate, Benchmark, SizeProfile};
 use imdiffusion_repro::data::{Detector, DetectorError, Mts};
 use imdiffusion_repro::registry::{AnyDetector, DetectorKind};
@@ -23,14 +23,11 @@ fn tiny_config() -> ImDiffusionConfig {
     }
 }
 
-fn tiny_imdiffusion(seed: u64) -> ImDiffusionDetector {
-    ImDiffusionDetector::new(tiny_config(), seed)
-}
-
-fn all_detectors(seed: u64) -> Vec<Box<dyn Detector>> {
-    let mut v = all_baselines(seed);
-    v.push(Box::new(tiny_imdiffusion(seed)));
-    v
+fn all_detectors(seed: u64) -> Vec<AnyDetector> {
+    DetectorKind::ALL
+        .into_iter()
+        .map(|kind| AnyDetector::new(kind, tiny_config(), seed))
+        .collect()
 }
 
 fn small_dataset() -> imdiffusion_repro::data::synthetic::LabeledDataset {
@@ -129,9 +126,7 @@ fn with_cell(series: &Mts, index: usize, channel: usize, v: f32) -> Mts {
 fn undeclared_non_finite_cell_is_rejected_at_its_position() {
     let ds = small_dataset();
     let channel = ds.train.dim() - 1;
-    let mut dets = all_detectors(6);
-    dets.push(Box::new(ZScoreDetector::new(6)));
-    for mut det in dets {
+    for mut det in all_detectors(6) {
         for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
             let err = det
                 .fit(&with_cell(&ds.train, 37, channel, bad))
