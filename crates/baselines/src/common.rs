@@ -272,18 +272,16 @@ fn merge_windows(
 /// Next-row scoring: for every window start `s` (windows of `w` rows),
 /// `score` gets the normalized series and a batch of starts and returns
 /// one score per start, which lands on row `s + w`. The first `w` rows
-/// take the first score. `min_len` is at least `w + 1`, one window and
-/// the row after it.
+/// take the first score. Any series of at least `w + 1` rows, one window
+/// and the row after it, is scored.
 pub(crate) fn score_next_rows<M>(
     state: Option<&Fitted<M>>,
     test: &Mts,
     missing: Option<&[bool]>,
     w: usize,
-    min_len: usize,
     mut score: impl FnMut(&M, &Mts, &[usize]) -> Vec<f64>,
 ) -> Result<Vec<f64>, DetectorError> {
-    assert!(min_len > w, "next-row scoring needs a row after the window");
-    let (model, data) = ingest(state, test, missing, min_len)?;
+    let (model, data) = ingest(state, test, missing, w + 1)?;
     Ok(fill_next_rows(&data, w, NEXT_ROW_BATCH, |starts| {
         score(model, &data, starts)
     }))
@@ -512,7 +510,7 @@ mod tests {
         let st = identity_state();
         let windows = |state, len| score_windows(state, &ramp(len), None, 6, |_, x| own_values(x));
         let next = |state, len| {
-            score_next_rows(state, &ramp(len), None, 5, 6, |_, data, starts| {
+            score_next_rows(state, &ramp(len), None, 5, |_, data, starts| {
                 own_values(&next_rows(data, starts, 5))
             })
         };

@@ -193,7 +193,6 @@ impl Gdn {
             test,
             missing,
             WINDOW,
-            Self::MIN_WINDOW,
             |m, data, starts| {
                 // GDN scoring: max over sensors of normalized deviation.
                 m.deviations(data, starts)

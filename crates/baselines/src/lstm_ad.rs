@@ -74,7 +74,6 @@ impl LstmAd {
             test,
             missing,
             WINDOW,
-            Self::MIN_WINDOW,
             |f, data, starts| {
                 let pred = no_grad(|| f.forward(&batch_windows(data, starts, WINDOW)));
                 channel_mse(&next_rows(data, starts, WINDOW), &pred)

@@ -183,10 +183,9 @@ pub struct Mscred {
 }
 
 impl Mscred {
-    /// Fewest rows [`Self::score_series`] accepts: one row more than the
-    /// largest scale, although a series of exactly `MAX_SCALE` rows would
-    /// yield one signature.
-    pub const MIN_WINDOW: usize = MAX_SCALE + 1;
+    /// Fewest rows [`Self::score_series`] accepts: the largest scale, the
+    /// rows of one signature.
+    pub const MIN_WINDOW: usize = MAX_SCALE;
 
     /// Read-only scoring with an optional declared-missing mask. The
     /// signature of rows `[s, s + MAX_SCALE)` scores its last row, so the
@@ -202,7 +201,6 @@ impl Mscred {
             test,
             missing,
             w,
-            Self::MIN_WINDOW,
             |m, data, starts| {
                 let batch: Vec<f32> = starts
                     .iter()

@@ -111,7 +111,6 @@ impl MtadGat {
             test,
             missing,
             WINDOW,
-            Self::MIN_WINDOW,
             |m, data, starts| {
                 let x = batch_windows(data, starts, WINDOW);
                 let (forecast, recon) = no_grad(|| m.forward(&x));

@@ -38,6 +38,7 @@ mod arena;
 mod autodiff;
 mod error;
 pub mod init;
+mod lanes;
 pub mod layers;
 pub mod obs;
 pub mod ops;

@@ -1,11 +1,16 @@
 //! Non-linear activation functions.
+//!
+//! tanh, sigmoid, SiLU, GELU, the gated activation and their derivatives
+//! are lane functions (`crate::lanes`), one arithmetic on every dispatch
+//! tier; ReLU and leaky ReLU are plain scalar maps.
 
-use crate::simd;
+use crate::lanes::{self, Fun, GatedTanh, GatedTanhGrad, Map, MapGrad};
+use crate::simd::{self, Tier};
 use crate::tensor::Tensor;
 
 /// The pointwise tail of [`Tensor::linear`], applied where the matmul
 /// kernel stores each output. Each value computes exactly what the
-/// standalone op of the same name does on the same dispatch tier.
+/// standalone op of the same name does.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum Act {
@@ -26,36 +31,21 @@ impl Act {
         matches!(self, Act::Gelu | Act::Silu)
     }
 
-    /// The scalar tier's forward, the one the standalone ops run.
-    pub(crate) fn scalar(self, z: f32) -> f32 {
-        match self {
-            Act::Identity => z,
-            Act::Relu => relu_f(z),
-            Act::Gelu => gelu_f(z),
-            Act::Silu => silu_f(z),
-        }
-    }
-
-    /// `g = act'(z) ⊙ gout` as the standalone op's backward computes it on
-    /// the tier the forward ran on (`simd_on`). ReLU reads its derivative
-    /// off the output `y` (`y > 0` exactly when `z > 0`); GELU and SiLU
-    /// recompute it from `z`, which only they need. Not called for
-    /// [`Act::Identity`], whose gradient is `gout` itself.
-    pub(crate) fn grad(self, simd_on: bool, z: &[f32], y: &[f32], gout: &[f32], g: &mut [f32]) {
-        fn scalar(g: &mut [f32], gout: &[f32], v: &[f32], dfdx: impl Fn(f32) -> f32) {
-            for ((o, &go), &x) in g.iter_mut().zip(gout).zip(v) {
-                *o = dfdx(x) * go;
-            }
-        }
-        // Safety (both kernels): simd_on is set only when AVX2+FMA are
-        // runtime-detected.
+    /// `g = act'(z) ⊙ gout` as the standalone op's backward computes it,
+    /// on the lanes of the tier the forward ran on. ReLU reads its
+    /// derivative off the output `y` (`y > 0` exactly when `z > 0`); GELU
+    /// and SiLU recompute it from `z`, which only they need. Not called
+    /// for [`Act::Identity`], whose gradient is `gout` itself.
+    pub(crate) fn grad(self, tier: Tier, z: &[f32], y: &[f32], gout: &[f32], g: &mut [f32]) {
         match self {
             Act::Identity => unreachable!("identity has no derivative pass"),
-            Act::Relu => scalar(g, gout, y, relu_d),
-            Act::Gelu if simd_on => unsafe { simd::dgelu_avx2(z, y, gout, g) },
-            Act::Silu if simd_on => unsafe { simd::dsilu_avx2(z, y, gout, g) },
-            Act::Gelu => scalar(g, gout, z, gelu_d),
-            Act::Silu => scalar(g, gout, z, silu_d),
+            Act::Relu => {
+                for ((o, &go), &yv) in g.iter_mut().zip(gout).zip(y) {
+                    *o = relu_d(yv) * go;
+                }
+            }
+            Act::Gelu => lanes::run(tier, MapGrad { f: Fun::Gelu, x: z, y, gout, g }),
+            Act::Silu => lanes::run(tier, MapGrad { f: Fun::Silu, x: z, y, gout, g }),
         }
     }
 }
@@ -86,34 +76,17 @@ fn unary_with(a: &Tensor, fwd: impl Fn(f32) -> f32, dfdx: impl Fn(f32) -> f32 + 
     )
 }
 
-/// Unary op with vectorized kernels on the Avx2Fma tier: `batch` computes
-/// the same function as `fwd` and `dbatch` the same derivative as `dfdx`,
-/// each within the documented across-tier tolerance (the polynomial exp
-/// vs libm). On the scalar tier both directions are exactly the libm
-/// `fwd` and `dfdx`. The tier is resolved once, in the forward, and the
-/// backward follows it.
-fn unary_tiered(
-    a: &Tensor,
-    batch: unsafe fn(&mut [f32]),
-    dbatch: simd::DerivKernel,
-    fwd: impl Fn(f32) -> f32 + Copy + 'static,
-    dfdx: impl Fn(f32) -> f32 + 'static,
-) -> Tensor {
+/// The unary op of the lane function `f` (tanh, sigmoid, SiLU or GELU),
+/// its backward the lane derivative. The tier is resolved once, in the
+/// forward, and the backward follows it.
+fn unary_lanes(a: &Tensor, f: Fun) -> Tensor {
     let _sp = crate::obs::span("nn.unary");
-    let simd_on = crate::simd::tier() == crate::simd::Tier::Avx2Fma;
+    let tier = simd::tier();
     let data = {
         let src = a.data();
         let mut data = crate::arena::overwrite(src.len());
-        if simd_on {
-            data.copy_from_slice(&src);
-            // Safety: simd_on is set only when AVX2+FMA are
-            // runtime-detected.
-            unsafe { batch(&mut data) }
-        } else {
-            for (o, &x) in data.iter_mut().zip(src.iter()) {
-                *o = fwd(x);
-            }
-        }
+        data.copy_from_slice(&src);
+        lanes::run(tier, Map(f, &mut data));
         data
     };
     Tensor::from_op(
@@ -124,33 +97,10 @@ fn unary_tiered(
             let _sp = crate::obs::span("nn.unary.bwd");
             let p = &parents[0];
             let mut g = crate::arena::overwrite(gout.len());
-            {
-                let x = p.data();
-                if simd_on {
-                    // Safety: as in the forward.
-                    unsafe { dbatch(&x, y, gout, &mut g) }
-                } else {
-                    for ((o, &go), &xv) in g.iter_mut().zip(gout).zip(x.iter()) {
-                        *o = dfdx(xv) * go;
-                    }
-                }
-            }
+            lanes::run(tier, MapGrad { f, x: &p.data(), y, gout, g: &mut g });
             p.accumulate_grad_owned(g);
         }),
     )
-}
-
-fn sigmoid_f(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-fn sigmoid_d(x: f32) -> f32 {
-    let s = sigmoid_f(x);
-    s * (1.0 - s)
-}
-
-fn tanh_d(x: f32) -> f32 {
-    1.0 - x.tanh() * x.tanh()
 }
 
 fn relu_f(x: f32) -> f32 {
@@ -163,28 +113,6 @@ fn relu_d(x: f32) -> f32 {
     } else {
         0.0
     }
-}
-
-fn silu_f(x: f32) -> f32 {
-    x * sigmoid_f(x)
-}
-
-fn silu_d(x: f32) -> f32 {
-    let s = sigmoid_f(x);
-    s + x * s * (1.0 - s)
-}
-
-const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
-
-fn gelu_f(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh())
-}
-
-fn gelu_d(x: f32) -> f32 {
-    let inner = GELU_C * (x + 0.044715 * x * x * x);
-    let t = inner.tanh();
-    let dinner = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
 }
 
 impl Tensor {
@@ -204,23 +132,23 @@ impl Tensor {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Tensor {
-        unary_tiered(self, simd::vsigmoid_avx2, simd::dsigmoid_avx2, sigmoid_f, sigmoid_d)
+        unary_lanes(self, Fun::Sigmoid)
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Tensor {
-        unary_tiered(self, simd::vtanh_avx2, simd::dtanh_avx2, f32::tanh, tanh_d)
+        unary_lanes(self, Fun::Tanh)
     }
 
     /// SiLU / swish: `x * sigmoid(x)` (the activation used by DiffWave/CSDI
     /// denoisers, which ImTransformer follows).
     pub fn silu(&self) -> Tensor {
-        unary_tiered(self, simd::vsilu_avx2, simd::dsilu_avx2, silu_f, silu_d)
+        unary_lanes(self, Fun::Silu)
     }
 
     /// GELU with the tanh approximation.
     pub fn gelu(&self) -> Tensor {
-        unary_tiered(self, simd::vgelu_avx2, simd::dgelu_avx2, gelu_f, gelu_d)
+        unary_lanes(self, Fun::Gelu)
     }
 
     /// The DiffWave/CSDI gated activation `tanh(f) ⊙ σ(g)` over the two
@@ -228,8 +156,8 @@ impl Tensor {
     /// `f` the first `d` columns and `g` the last `d`.
     ///
     /// One op in place of `slice` → `tanh`, `slice` → `sigmoid` → `mul`,
-    /// with the bits of that chain on each tier: the tier's own tanh and
-    /// sigmoid arithmetic, then one multiply. The backward writes one
+    /// with the bits of that chain: the lane tanh and sigmoid, then one
+    /// multiply. The backward writes one
     /// `[.., 2d]` gradient, the filter half `(1 − t²)·(σ·go)` and the gate
     /// half `σ(1 − σ)·(t·go)`, with `t` and `σ` recomputed from the input.
     /// Its calls are counted under the `nn.unary` span.
@@ -246,23 +174,9 @@ impl Tensor {
         let mut out_dims = dims.to_vec();
         *out_dims.last_mut().expect("non-empty dims") = d;
         let out_shape = crate::Shape::new(&out_dims);
-        let simd_on = simd::tier() == simd::Tier::Avx2Fma;
+        let tier = simd::tier();
         let mut out = crate::arena::overwrite(out_shape.numel());
-        {
-            let src = self.data();
-            if simd_on {
-                // Safety: simd_on is set only when AVX2+FMA are
-                // runtime-detected.
-                unsafe { simd::gated_tanh_avx2(&src, &mut out, d) }
-            } else {
-                for (row, orow) in src.chunks_exact(two_d).zip(out.chunks_exact_mut(d)) {
-                    let (f, g) = row.split_at(d);
-                    for ((o, &fv), &gv) in orow.iter_mut().zip(f).zip(g) {
-                        *o = fv.tanh() * sigmoid_f(gv);
-                    }
-                }
-            }
-        }
+        lanes::run(tier, GatedTanh { src: &self.data(), out: &mut out, d });
         Tensor::from_op(
             out,
             out_shape,
@@ -271,24 +185,7 @@ impl Tensor {
                 let _sp = crate::obs::span("nn.unary.bwd");
                 let p = &parents[0];
                 let mut g = crate::arena::overwrite(p.numel());
-                {
-                    let src = p.data();
-                    if simd_on {
-                        // Safety: as in the forward.
-                        unsafe { simd::dgated_tanh_avx2(&src, gout, &mut g, d) }
-                    } else {
-                        let rows = src.chunks_exact(two_d).zip(gout.chunks_exact(d));
-                        for ((row, grow), drow) in rows.zip(g.chunks_exact_mut(two_d)) {
-                            let (f, gate) = row.split_at(d);
-                            let (df, dg) = drow.split_at_mut(d);
-                            for j in 0..d {
-                                let (t, s) = (f[j].tanh(), sigmoid_f(gate[j]));
-                                df[j] = tanh_d(f[j]) * (s * grow[j]);
-                                dg[j] = sigmoid_d(gate[j]) * (t * grow[j]);
-                            }
-                        }
-                    }
-                }
+                lanes::run(tier, GatedTanhGrad { src: &p.data(), gout, g: &mut g, d });
                 p.accumulate_grad_owned(g);
             }),
         )
@@ -387,7 +284,7 @@ mod tests {
         });
     }
 
-    /// `gated_tanh` gives, per tier, the forward bits of the slice → tanh,
+    /// `gated_tanh` gives, on each tier, the forward bits of the slice → tanh,
     /// slice → sigmoid → mul chain it replaces, and its gradient up to
     /// the sign of exact zeros (the chain's `+=` into zeroed buffers
     /// turns `-0.0` into `+0.0`). Widths below, at and past one 8-lane
@@ -448,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn unary_tiered_writes_every_element() {
+    fn unary_lanes_writes_every_element() {
         use crate::ops::tests::{assert_writes_every_element, leaf};
         crate::obs::tests::with_exclusive_obs(|| {
             // 63 elements: a padded 8-lane tail on the Avx2Fma tier.

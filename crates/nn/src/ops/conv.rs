@@ -10,7 +10,7 @@
 use super::Act;
 use crate::pool;
 use crate::shape::Shape;
-use crate::simd::{self, Tier, ACCUMULATE};
+use crate::simd::{self, ACCUMULATE};
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -43,13 +43,13 @@ impl Tensor {
             // One work unit per batch: lower `[C_in, L]` to an im2col
             // matrix `[C_in·K, L_out]`, then one GEMM against the weight
             // viewed as `[C_out, C_in·K]` — bias pre-filled because the
-            // kernels accumulate. The scalar tier reduces `p = ci·K + kk`
-            // ascending, the same (ci, kk) order as the old inner loop.
+            // kernel accumulates, adding each element's FMA chain over
+            // `p = ci·K + kk` ascending to it.
             let kcols = cin * k;
             let unit = cout * lout;
             let flops_per_unit = 2 * cout * kcols * lout;
             let grain = (1usize << 19).div_ceil(flops_per_unit.max(1)).max(1);
-            let simd_on = simd::tier() == Tier::Avx2Fma;
+            let tier = simd::tier();
             pool::parallel_slices_mut(&mut out, unit, grain, |b0, run| {
                 // The im2col buffer is reused across the batches of this
                 // worker's run; every row is fully rewritten per batch.
@@ -73,13 +73,8 @@ impl Tensor {
                     for (co, orow) in ob.chunks_mut(lout).enumerate() {
                         orow.fill(bv[co]);
                     }
-                    if simd_on {
-                        let bp = simd::pack_b_panels(&col, kcols, lout);
-                        // Safety: simd_on holds only under the Avx2Fma tier.
-                        unsafe { simd::mm_rows_avx2::<ACCUMULATE>(w, &bp, cout, kcols, lout, ob, None, Act::Identity, None) };
-                    } else {
-                        super::matmul::mm_nn_block(w, &col, cout, kcols, lout, ob);
-                    }
+                    let bp = simd::pack_b_panels(&col, kcols, lout);
+                    simd::mm_rows::<ACCUMULATE>(tier, w, &bp, cout, kcols, lout, ob, None, Act::Identity, None);
                 }
             });
         }

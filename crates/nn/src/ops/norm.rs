@@ -251,31 +251,18 @@ impl Tensor {
         let dims = self.dims();
         assert!(!dims.is_empty(), "softmax requires >=1-D");
         let d = dims[dims.len() - 1];
-        let rows = self.numel() / d;
-        fn softmax_rows(x: &[f32], out: &mut [f32], rows: usize, d: usize, simd_on: bool) {
-            for r in 0..rows {
-                let row = &x[r * d..(r + 1) * d];
-                let orow = &mut out[r * d..(r + 1) * d];
+        fn softmax_rows(x: &[f32], out: &mut [f32], d: usize, tier: crate::simd::Tier) {
+            for (row, orow) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
                 let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                for (o, &v) in orow.iter_mut().zip(row) {
+                    *o = v - max;
+                }
+                // The lane exp (elementwise, position-independent), then
+                // an ascending sum.
+                crate::lanes::run(tier, crate::lanes::Map(crate::lanes::Fun::Exp, orow));
                 let mut sum = 0.0f32;
-                if simd_on {
-                    // Vectorized exp (elementwise, position-independent);
-                    // the sum keeps the same ascending order as the scalar
-                    // path, so only the exp values differ across tiers.
-                    for (o, &v) in orow.iter_mut().zip(row) {
-                        *o = v - max;
-                    }
-                    // Safety: simd_on is set only under the Avx2Fma tier.
-                    unsafe { crate::simd::vexp_avx2(orow) };
-                    for &e in orow.iter() {
-                        sum += e;
-                    }
-                } else {
-                    for (o, &v) in orow.iter_mut().zip(row) {
-                        let e = (v - max).exp();
-                        *o = e;
-                        sum += e;
-                    }
+                for &e in orow.iter() {
+                    sum += e;
                 }
                 let inv = 1.0 / sum;
                 for o in orow.iter_mut() {
@@ -283,9 +270,8 @@ impl Tensor {
                 }
             }
         }
-        let simd_on = crate::simd::tier() == crate::simd::Tier::Avx2Fma;
         let mut out = crate::arena::overwrite(self.numel());
-        softmax_rows(&self.data(), &mut out, rows, d, simd_on);
+        softmax_rows(&self.data(), &mut out, d, crate::simd::tier());
         Tensor::from_op(
             out,
             self.shape().clone(),

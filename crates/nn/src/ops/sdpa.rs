@@ -1,9 +1,9 @@
 //! Fused scaled-dot-product attention, forward and backward.
 //!
-//! Forward: `O = softmax(scale · Q Kᵀ) V`, computed row by row without
-//! materializing the `[S, S]` score matrix or its softmax. A query row's
-//! probabilities live in a reused `S`-vector; the weighted V-sum
-//! accumulates straight into the output row.
+//! Forward: `O = softmax(scale · Q Kᵀ) V`, computed query row by query
+//! row without materializing the `[S, S]` score matrix or its softmax. A
+//! query row's probabilities live in a reused row of scratch; the
+//! weighted V-sum accumulates in registers and is stored once.
 //!
 //! Backward, in the FlashAttention-2 manner (Dao 2023): the tape keeps
 //! only Q, K, V and O. Each block recomputes P with the forward's own
@@ -17,19 +17,22 @@
 //! values, `ld = C·D` apart. Training and inference, tape or tape-free,
 //! run this one op. Both directions shard by `a`, each block computed by
 //! one worker in a fixed order, so every result is bit-identical at any
-//! thread count on a given dispatch tier.
+//! thread count.
 //!
-//! On the Avx2Fma tier the eight lanes of a vector hold eight blocks, not
-//! eight keys. A worker cuts its run of `a` slabs into tiles of eight
-//! consecutive blocks (`Tile`; one may span several `a`, and a short last
-//! tile repeats a block in lanes it never stores). It gathers a tile's K
+//! The kernels are written once over the lane type (`crate::lanes`), so
+//! every dispatch tier runs the same arithmetic and gives the same bits.
+//! The eight lanes of a vector hold eight blocks, not eight keys. A
+//! worker cuts its run of `a` slabs into tiles of eight consecutive
+//! blocks (`Tile`; one may span several `a`, and a short last tile
+//! repeats a block in lanes it never stores). It gathers a tile's K
 //! and V into `[S][Dh][8]` scratch with 4×4 vector transposes, and the
 //! rows of Q (and, backward, of O and dO) one at a time. Every
 //! per-element step then runs lane-wise with no horizontal op, mask or
 //! padding, and the results are scattered back to the operands' layout
 //! by the same transposes. Each lane does exactly the per-row arithmetic
-//! stated at `sdpa_tile_avx2`, so the tiling never changes a bit.
+//! stated at `sdpa_tile`, so the tiling never changes a bit.
 
+use crate::lanes::{self, Kernel, Lane};
 use crate::pool;
 use crate::simd::{self, Tier};
 use crate::tensor::Tensor;
@@ -37,7 +40,7 @@ use crate::tensor::Tensor;
 /// FLOPs below which one `a` slab is not worth a worker.
 const MIN_PAR_FLOPS: usize = 1 << 19;
 
-/// Blocks per Avx2Fma tile: one per lane of an 8-wide vector.
+/// Blocks per tile: one per lane of an 8-wide vector.
 const LANES: usize = 8;
 
 /// The blocks of `sdpa` operands viewed as `[A, S, C, D]` (see
@@ -100,25 +103,27 @@ impl Tile {
 
 /// Row `i` of each lane's block of `src`, into `dst` as `dh` vectors of
 /// eight lanes (element `d` of lane `b` at `8·d + b`): four columns at a
-/// time through a 4×4 transpose in each 128-bit half, then a scalar tail.
+/// time through a 4×4 transpose in each half, then a scalar tail.
 ///
 /// # Safety
 ///
-/// AVX2; each pointer addresses a block's strided extent, `i < l`, and
-/// `dst` holds `lay.row()` floats.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[inline]
-unsafe fn gather_row(src: &[*const f32; LANES], i: usize, lay: Layout, dst: &mut [f32]) {
-    use std::arch::x86_64::*;
+/// `L`'s operations are supported; each pointer addresses a block's
+/// strided extent, `i < l`, and `dst` holds `lay.row()` floats.
+#[inline(always)]
+unsafe fn gather_row<L: Lane>(src: &[*const f32; LANES], i: usize, lay: Layout, dst: &mut [f32]) {
     let p = src.map(|s| s.add(i * lay.ld));
     let out = dst.as_mut_ptr();
     let mut d = 0;
     while d + 4 <= lay.dh {
         // Lane `r` in the low half, lane `r + 4` in the high half.
-        let x = [0, 1, 2, 3].map(|r| _mm256_loadu2_m128(p[r + 4].add(d), p[r].add(d)));
-        for (c, col) in transpose4(x).into_iter().enumerate() {
-            _mm256_storeu_ps(out.add((d + c) * LANES), col);
+        let x = [
+            L::load_halves(p[0].add(d), p[4].add(d)),
+            L::load_halves(p[1].add(d), p[5].add(d)),
+            L::load_halves(p[2].add(d), p[6].add(d)),
+            L::load_halves(p[3].add(d), p[7].add(d)),
+        ];
+        for (c, col) in L::transpose4(x).into_iter().enumerate() {
+            col.store(out.add((d + c) * LANES));
         }
         d += 4;
     }
@@ -134,24 +139,27 @@ unsafe fn gather_row(src: &[*const f32; LANES], i: usize, lay: Layout, dst: &mut
 ///
 /// # Safety
 ///
-/// AVX2; each of the first `live` pointers addresses a block's strided
-/// extent, `i < l`, and `src` holds `lay.row()` floats.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[inline]
-unsafe fn scatter_row(src: &[f32], dst: &[*mut f32; LANES], live: usize, i: usize, lay: Layout) {
-    use std::arch::x86_64::*;
+/// `L`'s operations are supported; each of the first `live` pointers
+/// addresses a block's strided extent, `i < l`, and `src` holds
+/// `lay.row()` floats.
+#[inline(always)]
+unsafe fn scatter_row<L: Lane>(src: &[f32], dst: &[*mut f32; LANES], live: usize, i: usize, lay: Layout) {
     let p = dst.map(|s| s.wrapping_add(i * lay.ld));
     let cols = src.as_ptr();
     let mut d = 0;
     while d + 4 <= lay.dh {
-        let x = transpose4([0, 1, 2, 3].map(|c| _mm256_loadu_ps(cols.add((d + c) * LANES))));
-        for (r, rows) in x.into_iter().enumerate() {
+        let x = [
+            L::load(cols.add(d * LANES)),
+            L::load(cols.add((d + 1) * LANES)),
+            L::load(cols.add((d + 2) * LANES)),
+            L::load(cols.add((d + 3) * LANES)),
+        ];
+        for (r, rows) in L::transpose4(x).into_iter().enumerate() {
             if r < live {
-                _mm_storeu_ps(p[r].add(d), _mm256_castps256_ps128(rows));
+                rows.store_lo(p[r].add(d));
             }
             if r + 4 < live {
-                _mm_storeu_ps(p[r + 4].add(d), _mm256_extractf128_ps(rows, 1));
+                rows.store_hi(p[r + 4].add(d));
             }
         }
         d += 4;
@@ -163,124 +171,109 @@ unsafe fn scatter_row(src: &[f32], dst: &[*mut f32; LANES], live: usize, i: usiz
     }
 }
 
-/// The 4×4 transpose within each 128-bit half of four vectors: element
-/// `c` of `x[r]` goes to element `r` of output `c`, per half. Pure data
-/// movement, and its own inverse.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[inline]
-unsafe fn transpose4(x: [std::arch::x86_64::__m256; 4]) -> [std::arch::x86_64::__m256; 4] {
-    use std::arch::x86_64::*;
-    let (t0, t1) = (_mm256_unpacklo_ps(x[0], x[1]), _mm256_unpacklo_ps(x[2], x[3]));
-    let (t2, t3) = (_mm256_unpackhi_ps(x[0], x[1]), _mm256_unpackhi_ps(x[2], x[3]));
-    [
-        _mm256_shuffle_ps(t0, t1, 0x44),
-        _mm256_shuffle_ps(t0, t1, 0xEE),
-        _mm256_shuffle_ps(t2, t3, 0x44),
-        _mm256_shuffle_ps(t2, t3, 0xEE),
-    ]
-}
-
-/// Lane-wise `Σ_d a_d · b_d` over `dh` vectors of eight lanes, in
-/// `dot_avx2`'s arithmetic: eight accumulators `A[e]`, each an fma chain
-/// over the 8-wide chunks from zero, folded as `((A0+A4)+(A2+A6)) +
-/// ((A1+A5)+(A3+A7))`, then the fma chain of the last `dh mod 8`
-/// elements. With no whole chunk the tree sums zeros, so only that chain
-/// runs.
+/// Lane-wise `Σ_d a_d · b_d` over `dh` vectors of eight lanes: eight
+/// accumulators `A[e]`, each an fma chain over the 8-wide chunks from
+/// zero, folded as `((A0+A4)+(A2+A6)) + ((A1+A5)+(A3+A7))`, then the fma
+/// chain of the last `dh mod 8` elements. With no whole chunk the tree
+/// sums zeros, so only that chain runs.
 ///
 /// # Safety
 ///
-/// AVX2 and FMA; `a` and `b` hold `8·dh` floats.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[inline]
-unsafe fn dot_lanes(a: *const f32, b: *const f32, dh: usize) -> std::arch::x86_64::__m256 {
-    use std::arch::x86_64::*;
+/// `L`'s operations are supported; `a` and `b` hold `8·dh` floats.
+#[inline(always)]
+unsafe fn dot_lanes<L: Lane>(a: *const f32, b: *const f32, dh: usize) -> L {
     let chunks = dh / 8;
-    let mut s = _mm256_setzero_ps();
+    let mut s = L::zero();
     if chunks > 0 {
-        let mut acc = [_mm256_setzero_ps(); 8];
+        let mut acc = [L::zero(); 8];
         for c in 0..chunks {
             for (e, x) in acc.iter_mut().enumerate() {
                 let d = (c * 8 + e) * LANES;
-                *x = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(d)), _mm256_loadu_ps(b.add(d)), *x);
+                *x = L::load(a.add(d)).fmadd(L::load(b.add(d)), *x);
             }
         }
-        s = _mm256_add_ps(
-            _mm256_add_ps(_mm256_add_ps(acc[0], acc[4]), _mm256_add_ps(acc[2], acc[6])),
-            _mm256_add_ps(_mm256_add_ps(acc[1], acc[5]), _mm256_add_ps(acc[3], acc[7])),
-        );
+        let even = acc[0].add(acc[4]).add(acc[2].add(acc[6]));
+        s = even.add(acc[1].add(acc[5]).add(acc[3].add(acc[7])));
     }
     for d in chunks * 8..dh {
-        s = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(d * LANES)), _mm256_loadu_ps(b.add(d * LANES)), s);
+        s = L::load(a.add(d * LANES)).fmadd(L::load(b.add(d * LANES)), s);
     }
     s
+}
+
+/// Floats of the widest row `key_loop_row` keeps on the stack: 16
+/// vectors of eight lanes, the widest compile-time head.
+const STACK_ROW: usize = 16 * LANES;
+
+/// Where a tile kernel keeps a row it reads once per key: in `stack` when
+/// the row fits, else in its scratch row `ws_row`. A tile kernel is
+/// inlined into one function, so nothing tells the compiler that its
+/// stores into the scratch cannot reach a row kept there, and it reloads
+/// that row for every key; a row on the stack stays in registers.
+#[inline(always)]
+fn key_loop_row<'a>(ws_row: &'a mut [f32], stack: &'a mut [f32; STACK_ROW]) -> &'a mut [f32] {
+    match stack.get_mut(..ws_row.len()) {
+        Some(row) => row,
+        None => ws_row,
+    }
 }
 
 /// One query row's probabilities for the eight lanes: `p[j] = p_j · inv`
 /// against the rows of the K tile `kt`, from the row `qi`. Per lane: the
 /// score `scale · dot_lanes(q_i, k_j)`, the max over the keys folded with
-/// `max_ps` (NaN skipped, as `f32::max` does; the sign of a zero max
-/// cannot change `exp(s − max)`), `exp_ps(s − max)`, the sum in
-/// ascending key order from `0.0`, `inv = 1/sum`, and `p · inv`.
+/// `max` (NaN skipped, as `f32::max` does; the sign of a zero max cannot
+/// change `exp(s − max)`), the lane `exp(s − max)`, the sum in ascending
+/// key order from `0.0`, `inv = 1/sum`, and `p · inv`.
 ///
 /// # Safety
 ///
-/// AVX2 and FMA; `qi` holds `lay.row()` floats, `kt` `l` rows of them and
-/// `p` at least `8·l`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[inline]
-unsafe fn probs_lanes(qi: &[f32], kt: &[f32], p: &mut [f32], lay: Layout, scale: f32) {
-    use std::arch::x86_64::*;
+/// `L`'s operations are supported; `qi` holds `lay.row()` floats, `kt`
+/// `l` rows of them and `p` at least `8·l`.
+#[inline(always)]
+unsafe fn probs_lanes<L: Lane>(qi: &[f32], kt: &[f32], p: &mut [f32], lay: Layout, scale: f32) {
     let (l, row, pp) = (lay.l, lay.row(), p.as_mut_ptr());
-    let vscale = _mm256_set1_ps(scale);
-    let mut m = _mm256_set1_ps(f32::NEG_INFINITY);
+    let vscale = L::splat(scale);
+    let mut m = L::splat(f32::NEG_INFINITY);
     for j in 0..l {
-        let s = _mm256_mul_ps(vscale, dot_lanes(qi.as_ptr(), kt.as_ptr().add(j * row), lay.dh));
-        _mm256_storeu_ps(pp.add(j * LANES), s);
-        // The running max sits in the operand `max_ps` keeps on NaN.
-        m = _mm256_max_ps(s, m);
+        let s = vscale.mul(dot_lanes::<L>(qi.as_ptr(), kt.as_ptr().add(j * row), lay.dh));
+        s.store(pp.add(j * LANES));
+        // The running max sits in the operand `max` keeps on NaN.
+        m = s.max(m);
     }
-    let mut sum = _mm256_setzero_ps();
+    let mut sum = L::zero();
     for j in 0..l {
-        let e = simd::exp_ps(_mm256_sub_ps(_mm256_loadu_ps(pp.add(j * LANES)), m));
-        _mm256_storeu_ps(pp.add(j * LANES), e);
-        sum = _mm256_add_ps(sum, e);
+        let e = lanes::exp(L::load(pp.add(j * LANES)).sub(m));
+        e.store(pp.add(j * LANES));
+        sum = sum.add(e);
     }
-    let inv = _mm256_div_ps(_mm256_set1_ps(1.0), sum);
+    let inv = L::splat(1.0).div(sum);
     for j in 0..l {
         let e = pp.add(j * LANES);
-        _mm256_storeu_ps(e, _mm256_mul_ps(_mm256_loadu_ps(e), inv));
+        L::load(e).mul(inv).store(e);
     }
 }
 
 /// Lane-wise `out[d] = Σ_j w_j · x_j[d]` over the `l` rows of the tile
 /// `xt`, each element the ascending-`j` chain `acc = fma(w_j, x_jd, acc)`
-/// from zero (what `axpy_avx2` does into a zeroed row), `W` columns at a
-/// time with their accumulators in registers.
+/// from zero, `W` columns at a time with their accumulators in registers.
 ///
 /// # Safety
 ///
-/// AVX2 and FMA; `w` holds at least `8·l` floats, `xt` `l` rows of
-/// `lay.row()` and `out` one.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[inline]
-unsafe fn vsum_lanes(w: &[f32], xt: &[f32], out: &mut [f32], lay: Layout) {
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn cols<const W: usize>(w: *const f32, xt: *const f32, out: *mut f32, lay: Layout, d0: usize) {
-        use std::arch::x86_64::*;
-        let mut acc = [_mm256_setzero_ps(); W];
+/// `L`'s operations are supported; `w` holds at least `8·l` floats, `xt`
+/// `l` rows of `lay.row()` and `out` one.
+#[inline(always)]
+unsafe fn vsum_lanes<L: Lane>(w: &[f32], xt: &[f32], out: &mut [f32], lay: Layout) {
+    #[inline(always)]
+    unsafe fn cols<L: Lane, const W: usize>(w: *const f32, xt: *const f32, out: *mut f32, lay: Layout, d0: usize) {
+        let mut acc = [L::zero(); W];
         for j in 0..lay.l {
-            let (wj, xj) = (_mm256_loadu_ps(w.add(j * LANES)), xt.add(j * lay.row() + d0 * LANES));
+            let (wj, xj) = (L::load(w.add(j * LANES)), xt.add(j * lay.row() + d0 * LANES));
             for (e, a) in acc.iter_mut().enumerate() {
-                *a = _mm256_fmadd_ps(wj, _mm256_loadu_ps(xj.add(e * LANES)), *a);
+                *a = wj.fmadd(L::load(xj.add(e * LANES)), *a);
             }
         }
         for (e, a) in acc.into_iter().enumerate() {
-            _mm256_storeu_ps(out.add((d0 + e) * LANES), a);
+            a.store(out.add((d0 + e) * LANES));
         }
     }
     let (w, xt, out) = (w.as_ptr(), xt.as_ptr(), out.as_mut_ptr());
@@ -289,17 +282,17 @@ unsafe fn vsum_lanes(w: &[f32], xt: &[f32], out: &mut [f32], lay: Layout) {
         let left = lay.dh - d0;
         let width = if left >= 8 { 8 } else if left >= 4 { 4 } else { 1 };
         match width {
-            8 => cols::<8>(w, xt, out, lay, d0),
-            4 => cols::<4>(w, xt, out, lay, d0),
-            _ => cols::<1>(w, xt, out, lay, d0),
+            8 => cols::<L, 8>(w, xt, out, lay, d0),
+            4 => cols::<L, 4>(w, xt, out, lay, d0),
+            _ => cols::<L, 1>(w, xt, out, lay, d0),
         }
         d0 += width;
     }
 }
 
-/// Fused attention forward for one tile on the Avx2Fma tier, each lane's
-/// block in the per-row arithmetic of one `dot_avx2` per score and one
-/// `axpy_avx2` per key: `probs_lanes` per query row, then the V-sum
+/// Fused attention forward for one tile, each lane's block in the per-row
+/// arithmetic of one lane dot product per score and one fma chain per
+/// output element: `probs_lanes` per query row, then the V-sum
 /// `vsum_lanes` of `p · inv` from zero, scattered to the output. `ws`
 /// holds the K and V tiles, a Q row, an output row and a probability row.
 /// A nonzero `DH` is the head width as a compile-time constant, so the
@@ -307,12 +300,12 @@ unsafe fn vsum_lanes(w: &[f32], xt: &[f32], out: &mut [f32], lay: Layout) {
 ///
 /// # Safety
 ///
-/// AVX2 and FMA; every pointer of `q`, `k` and `v` and the first `live`
-/// of `o` address a block's strided extent `(l − 1)·ld + dh`, and the `o`
-/// blocks overlap no other. `ws` is sized as `tile_scratch` (checked).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn sdpa_tile_avx2<const DH: usize>(
+/// `L`'s operations are supported; every pointer of `q`, `k` and `v` and
+/// the first `live` of `o` address a block's strided extent
+/// `(l − 1)·ld + dh`, and the `o` blocks overlap no other. `ws` is sized
+/// as `tile_scratch` (checked).
+#[inline(always)]
+unsafe fn sdpa_tile<L: Lane, const DH: usize>(
     [q, k, v]: &[[*const f32; LANES]; 3],
     o: &[*mut f32; LANES],
     live: usize,
@@ -327,34 +320,34 @@ unsafe fn sdpa_tile_avx2<const DH: usize>(
     let (vt, rest) = rest.split_at_mut(l * row);
     let (qi, rest) = rest.split_at_mut(row);
     let (oi, p) = rest.split_at_mut(row);
+    let mut stack = [0.0; STACK_ROW];
+    let qi = key_loop_row(qi, &mut stack);
     for j in 0..l {
-        gather_row(k, j, lay, &mut kt[j * row..][..row]);
-        gather_row(v, j, lay, &mut vt[j * row..][..row]);
+        gather_row::<L>(k, j, lay, &mut kt[j * row..][..row]);
+        gather_row::<L>(v, j, lay, &mut vt[j * row..][..row]);
     }
     for i in 0..l {
-        gather_row(q, i, lay, qi);
-        probs_lanes(qi, kt, p, lay, scale);
-        vsum_lanes(p, vt, oi, lay);
-        scatter_row(oi, o, live, i, lay);
+        gather_row::<L>(q, i, lay, qi);
+        probs_lanes::<L>(qi, kt, p, lay, scale);
+        vsum_lanes::<L>(p, vt, oi, lay);
+        scatter_row::<L>(oi, o, live, i, lay);
     }
 }
 
-/// Backward of one tile on the Avx2Fma tier. Per query row `i`, each lane
-/// recomputes P with `probs_lanes`, takes `delta = Σ_d dO_id · O_id` in
-/// ascending `d` from zero, and per key `j` forms `x = dot_lanes(dO_i,
+/// Backward of one tile. Per query row `i`, each lane recomputes P with
+/// `probs_lanes`, takes `delta = Σ_d dO_id · O_id` in ascending `d` from
+/// zero (multiply, then add), and per key `j` forms `x = dot_lanes(dO_i,
 /// V_j)` and `dS_ij = (scale · p_j) · (x − delta)`. dQ row `i` is
 /// `vsum_lanes` of dS against the K tile; dK and dV accumulate in tiles,
 /// `fma(dS_ij, Q_id, ·)` and `fma(p_ij, dO_id, ·)` chains over ascending
-/// `i` from zero, scattered once every row is in. `DH` as in
-/// `sdpa_tile_avx2`.
+/// `i` from zero, scattered once every row is in. `DH` as in `sdpa_tile`.
 ///
 /// # Safety
 ///
-/// As `sdpa_tile_avx2`, for the inputs `q`, `k`, `v`, `o`, `go` and the
-/// three disjoint gradients.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn sdpa_tile_bwd_avx2<const DH: usize>(
+/// As `sdpa_tile`, for the inputs `q`, `k`, `v`, `o`, `go` and the three
+/// disjoint gradients.
+#[inline(always)]
+unsafe fn sdpa_tile_bwd<L: Lane, const DH: usize>(
     [q, k, v, o, go]: &[[*const f32; LANES]; 5],
     [dq, dk, dv]: &[[*mut f32; LANES]; 3],
     live: usize,
@@ -362,7 +355,6 @@ unsafe fn sdpa_tile_bwd_avx2<const DH: usize>(
     lay: Layout,
     scale: f32,
 ) {
-    use std::arch::x86_64::*;
     let lay = if DH > 0 { Layout { dh: DH, ..lay } } else { lay };
     let (l, dh, row) = (lay.l, lay.dh, lay.row());
     assert!(ws.len() >= tile_scratch(lay, true), "sdpa backward tile kernel: scratch too small");
@@ -375,81 +367,116 @@ unsafe fn sdpa_tile_bwd_avx2<const DH: usize>(
     let (goi, rest) = rest.split_at_mut(row);
     let (dqi, rest) = rest.split_at_mut(row);
     let (p, ds) = rest.split_at_mut(l * LANES);
+    let (mut qstack, mut gostack) = ([0.0; STACK_ROW], [0.0; STACK_ROW]);
+    let (qi, goi) = (key_loop_row(qi, &mut qstack), key_loop_row(goi, &mut gostack));
     dkt.fill(0.0);
     dvt.fill(0.0);
     for j in 0..l {
-        gather_row(k, j, lay, &mut kt[j * row..][..row]);
-        gather_row(v, j, lay, &mut vt[j * row..][..row]);
+        gather_row::<L>(k, j, lay, &mut kt[j * row..][..row]);
+        gather_row::<L>(v, j, lay, &mut vt[j * row..][..row]);
     }
-    let vscale = _mm256_set1_ps(scale);
+    let vscale = L::splat(scale);
     for i in 0..l {
-        gather_row(q, i, lay, qi);
-        gather_row(o, i, lay, oi);
-        gather_row(go, i, lay, goi);
-        probs_lanes(qi, kt, p, lay, scale);
+        gather_row::<L>(q, i, lay, qi);
+        gather_row::<L>(o, i, lay, oi);
+        gather_row::<L>(go, i, lay, goi);
+        probs_lanes::<L>(qi, kt, p, lay, scale);
         let (qp, op, gop, dsp) = (qi.as_ptr(), oi.as_ptr(), goi.as_ptr(), ds.as_mut_ptr());
-        let mut delta = _mm256_setzero_ps();
+        let mut delta = L::zero();
         for d in 0..dh {
-            let (g, x) = (_mm256_loadu_ps(gop.add(d * LANES)), _mm256_loadu_ps(op.add(d * LANES)));
-            delta = _mm256_add_ps(delta, _mm256_mul_ps(g, x));
+            delta = delta.add(L::load(gop.add(d * LANES)).mul(L::load(op.add(d * LANES))));
         }
         for j in 0..l {
-            let pj = _mm256_loadu_ps(p.as_ptr().add(j * LANES));
-            let x = dot_lanes(gop, vt.as_ptr().add(j * row), dh);
-            let dsj = _mm256_mul_ps(_mm256_mul_ps(vscale, pj), _mm256_sub_ps(x, delta));
-            _mm256_storeu_ps(dsp.add(j * LANES), dsj);
+            let pj = L::load(p.as_ptr().add(j * LANES));
+            let x = dot_lanes::<L>(gop, vt.as_ptr().add(j * row), dh);
+            let dsj = vscale.mul(pj).mul(x.sub(delta));
+            dsj.store(dsp.add(j * LANES));
             let (dkj, dvj) = (dkt.as_mut_ptr().add(j * row), dvt.as_mut_ptr().add(j * row));
             for d in 0..dh {
                 let e = d * LANES;
-                let (qd, gd) = (_mm256_loadu_ps(qp.add(e)), _mm256_loadu_ps(gop.add(e)));
-                _mm256_storeu_ps(dkj.add(e), _mm256_fmadd_ps(dsj, qd, _mm256_loadu_ps(dkj.add(e))));
-                _mm256_storeu_ps(dvj.add(e), _mm256_fmadd_ps(pj, gd, _mm256_loadu_ps(dvj.add(e))));
+                let (qd, gd) = (L::load(qp.add(e)), L::load(gop.add(e)));
+                dsj.fmadd(qd, L::load(dkj.add(e))).store(dkj.add(e));
+                pj.fmadd(gd, L::load(dvj.add(e))).store(dvj.add(e));
             }
         }
-        vsum_lanes(ds, kt, dqi, lay);
-        scatter_row(dqi, dq, live, i, lay);
+        vsum_lanes::<L>(ds, kt, dqi, lay);
+        scatter_row::<L>(dqi, dq, live, i, lay);
     }
     for j in 0..l {
-        scatter_row(&dkt[j * row..][..row], dk, live, j, lay);
-        scatter_row(&dvt[j * row..][..row], dv, live, j, lay);
+        scatter_row::<L>(&dkt[j * row..][..row], dk, live, j, lay);
+        scatter_row::<L>(&dvt[j * row..][..row], dv, live, j, lay);
     }
 }
 
-/// Floats of per-worker scratch for the Avx2Fma tile kernels: the K and V
-/// tiles (and, backward, the dK and dV tiles), the one-row buffers, and
-/// the probability (and dS) rows.
+/// Floats of per-worker scratch for the tile kernels: the K and V tiles
+/// (and, backward, the dK and dV tiles), the one-row buffers, and the
+/// probability (and dS) rows.
 fn tile_scratch(lay: Layout, backward: bool) -> usize {
     let (tiles, rows, prob_rows) = if backward { (4, 4, 2) } else { (2, 2, 1) };
     (tiles * lay.l + rows) * lay.row() + prob_rows * lay.l * LANES
 }
 
-/// `Σ_d a_d · b_d` in ascending order from `0.0`.
-fn row_dot(a: &[f32], b: &[f32]) -> f32 {
-    let mut dot = 0.0f32;
-    for (x, y) in a.iter().zip(b) {
-        dot += x * y;
-    }
-    dot
+/// The forward over one worker's run of `a` slabs: `ins` are the run's
+/// slabs of Q, K and V, each as long as `out`. `DH` as in `sdpa_tile`.
+struct SdpaRun<'a, const DH: usize> {
+    ins: [&'a [f32]; 3],
+    out: &'a mut [f32],
+    lay: Layout,
+    scale: f32,
 }
 
-/// One query row's probabilities on the Scalar tier, `srow[j] = p_j ·
-/// inv` against the key rows of `kb` (`ld` apart), with the same
-/// stable-softmax arithmetic as `softmax_last` there. Forward and
-/// backward both call it.
-fn probs_row(qrow: &[f32], kb: &[f32], ld: usize, srow: &mut [f32], scale: f32) {
-    for (s, krow) in srow.iter_mut().zip(kb.chunks(ld)) {
-        *s = scale * row_dot(qrow, krow);
+impl<const DH: usize> Kernel for SdpaRun<'_, DH> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<L: Lane>(self) {
+        let SdpaRun { ins, out, lay, scale } = self;
+        assert!(ins.iter().all(|s| s.len() == out.len()), "sdpa: run lengths differ");
+        let extent = lay.extent();
+        let optr = out.as_mut_ptr();
+        let mut ws = crate::arena::zeroed(tile_scratch(lay, false));
+        for tile in Tile::run(out.len() / (lay.l * lay.ld), lay) {
+            let offs = tile.offsets(lay);
+            let ins = ins.map(|s| offs.map(|r| s[r..][..extent].as_ptr()));
+            // `out` is as long as each input, so the extents just checked
+            // fit it too.
+            let o = offs.map(|r| optr.wrapping_add(r));
+            sdpa_tile::<L, DH>(&ins, &o, tile.live, &mut ws, lay, scale);
+        }
+        crate::arena::recycle(ws);
     }
-    let max = srow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for s in srow.iter_mut() {
-        let e = (*s - max).exp();
-        *s = e;
-        sum += e;
-    }
-    let inv = 1.0 / sum;
-    for s in srow.iter_mut() {
-        *s *= inv;
+}
+
+/// The backward over one worker's run: `ins` are the run's slabs of Q,
+/// K, V, O and dO, and `grads` its slabs of dQ, dK and dV, one triple
+/// per slab.
+struct SdpaBwdRun<'a, 'g, const DH: usize> {
+    ins: [&'a [f32]; 5],
+    grads: &'a mut [[&'g mut [f32]; 3]],
+    lay: Layout,
+    scale: f32,
+}
+
+impl<const DH: usize> Kernel for SdpaBwdRun<'_, '_, DH> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<L: Lane>(self) {
+        let SdpaBwdRun { ins, grads, lay, scale } = self;
+        let (slab, extent) = (lay.l * lay.ld, lay.extent());
+        let slabs_ok = grads.iter().all(|t| t.iter().all(|s| s.len() == slab));
+        assert!(slabs_ok && ins.iter().all(|s| s.len() == grads.len() * slab), "sdpa backward: run lengths differ");
+        // One base pointer per gradient slab; every lane's block lies
+        // within its slab, as `Tile::run` builds it.
+        let outs: Vec<[*mut f32; 3]> = grads.iter_mut().map(|t| t.each_mut().map(|s| s.as_mut_ptr())).collect();
+        let mut ws = crate::arena::zeroed(tile_scratch(lay, true));
+        for tile in Tile::run(grads.len(), lay) {
+            let offs = tile.offsets(lay);
+            let ins = ins.map(|s| offs.map(|r| s[r..][..extent].as_ptr()));
+            let gr = [0, 1, 2].map(|g| tile.blocks.map(|(a, base)| outs[a][g].wrapping_add(base)));
+            sdpa_tile_bwd::<L, DH>(&ins, &gr, tile.live, &mut ws, lay, scale);
+        }
+        crate::arena::recycle(ws);
     }
 }
 
@@ -457,9 +484,9 @@ fn probs_row(qrow: &[f32], kb: &[f32], ld: usize, srow: &mut [f32], scale: f32) 
 /// `parents` `[q, k, v]`, given the forward's output `o`, its gradient
 /// `go`, and the tier the forward ran on. Each gradient is written in
 /// place in the operands' layout, sharded by `a` as the forward is.
-fn sdpa_backward(parents: &[Tensor], o: &[f32], go: &[f32], lay: Layout, scale: f32, simd_on: bool) {
+fn sdpa_backward(parents: &[Tensor], o: &[f32], go: &[f32], lay: Layout, scale: f32, tier: Tier) {
     let _sp = crate::obs::span("nn.sdpa.bwd");
-    let (l, dh, ld, extent) = (lay.l, lay.dh, lay.ld, lay.extent());
+    let (l, ld) = (lay.l, lay.ld);
     let mut grads = [(); 3].map(|_| crate::arena::zeroed(o.len()));
     {
         let (qr, kr, vr) = (parents[0].data(), parents[1].data(), parents[2].data());
@@ -469,65 +496,14 @@ fn sdpa_backward(parents: &[Tensor], o: &[f32], go: &[f32], lay: Layout, scale: 
             .zip(dv.chunks_mut(l * ld))
             .map(|((dq, dk), dv)| [dq, dk, dv])
             .collect();
-        pool::parallel_slices_mut(&mut slabs, 1, lay.grain(), |a0, run| {
-            if simd_on {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    let inputs = [q, k, v, o, go].map(|s| &s[a0 * l * ld..][..run.len() * l * ld]);
-                    // One base pointer per gradient slab; every lane's
-                    // block lies within its slab, as `Tile::run` builds it.
-                    let outs: Vec<[*mut f32; 3]> =
-                        run.iter_mut().map(|t| t.each_mut().map(|s| s.as_mut_ptr())).collect();
-                    let mut ws = crate::arena::zeroed(tile_scratch(lay, true));
-                    let kernel = match dh {
-                        4 => sdpa_tile_bwd_avx2::<4>,
-                        8 => sdpa_tile_bwd_avx2::<8>,
-                        16 => sdpa_tile_bwd_avx2::<16>,
-                        _ => sdpa_tile_bwd_avx2::<0>,
-                    };
-                    for tile in Tile::run(run.len(), lay) {
-                        let offs = tile.offsets(lay);
-                        let ins = inputs.map(|s| offs.map(|r| s[r..][..extent].as_ptr()));
-                        let grads =
-                            [0, 1, 2].map(|g| tile.blocks.map(|(a, base)| outs[a][g].wrapping_add(base)));
-                        // Safety: simd_on holds only under the Avx2Fma
-                        // tier; each pointer is a block of its slab.
-                        unsafe { kernel(&ins, &grads, tile.live, &mut ws, lay, scale) };
-                    }
-                    crate::arena::recycle(ws);
-                }
-                return;
+        pool::parallel_slices_mut(&mut slabs, 1, lay.grain(), |a0, grads| {
+            let ins = [q, k, v, o, go].map(|s| &s[a0 * l * ld..][..grads.len() * l * ld]);
+            match lay.dh {
+                4 => lanes::run(tier, SdpaBwdRun::<4> { ins, grads, lay, scale }),
+                8 => lanes::run(tier, SdpaBwdRun::<8> { ins, grads, lay, scale }),
+                16 => lanes::run(tier, SdpaBwdRun::<16> { ins, grads, lay, scale }),
+                _ => lanes::run(tier, SdpaBwdRun::<0> { ins, grads, lay, scale }),
             }
-            let mut ws = crate::arena::zeroed(l);
-            for (a, [dqa, dka, dva]) in (a0..).zip(run.iter_mut()) {
-                let r = a * l * ld..(a + 1) * l * ld;
-                let [qa, ka, va, oa, goa] = [q, k, v, o, go].map(|s| &s[r.clone()]);
-                for base in (0..ld).step_by(dh) {
-                    let br = base..base + extent;
-                    let [qb, kb, vb, ob, gob] = [qa, ka, va, oa, goa].map(|s| &s[br.clone()]);
-                    let (dq, dk, dv) = (&mut dqa[br.clone()], &mut dka[br.clone()], &mut dva[br]);
-                    for i in 0..l {
-                        let ir = i * ld..i * ld + dh;
-                        let (qrow, gorow) = (&qb[ir.clone()], &gob[ir.clone()]);
-                        probs_row(qrow, kb, ld, &mut ws, scale);
-                        let delta = row_dot(gorow, &ob[ir.clone()]);
-                        for (j, &p) in ws.iter().enumerate() {
-                            let jr = j * ld..j * ld + dh;
-                            let ds = scale * p * (row_dot(gorow, &vb[jr.clone()]) - delta);
-                            for (dqd, &kd) in dq[ir.clone()].iter_mut().zip(&kb[jr.clone()]) {
-                                *dqd += ds * kd;
-                            }
-                            let (dkj, dvj) = (&mut dk[jr.clone()], &mut dv[jr]);
-                            let cols = dkj.iter_mut().zip(dvj).zip(qrow).zip(gorow);
-                            for (((dkd, dvd), &qd), &gd) in cols {
-                                *dkd += ds * qd;
-                                *dvd += p * gd;
-                            }
-                        }
-                    }
-                }
-            }
-            crate::arena::recycle(ws);
         });
     }
     for (p, grad) in parents.iter().zip(grads) {
@@ -547,10 +523,10 @@ impl Tensor {
     /// `S = dims[axis]`, `C` the product of those between it and the
     /// last), block `(a, c, h)` is `S` rows of `Dh` values, `ld = C·D`
     /// apart. The pool shards by `a`, one worker per block in a fixed
-    /// order, so forward and backward are per-tier bit-deterministic at
-    /// any thread count. The backward, recorded when gradients are
-    /// tracked, recomputes the probabilities from `q` and `k` rather
-    /// than keeping them on the tape.
+    /// order, so forward and backward are bit-deterministic at any
+    /// thread count and on every tier. The backward, recorded when
+    /// gradients are tracked, recomputes the probabilities from `q` and
+    /// `k` rather than keeping them on the tape.
     pub fn sdpa(q: &Tensor, k: &Tensor, v: &Tensor, axis: usize, heads: usize, scale: f32) -> Tensor {
         let dims = q.dims();
         let rank = dims.len();
@@ -565,71 +541,27 @@ impl Tensor {
         assert!(heads > 0 && d > 0 && d.is_multiple_of(heads), "sdpa: {heads} heads do not split {d}");
         let ld = dims[axis + 1..].iter().product();
         let lay = Layout { l: dims[axis], dh: d / heads, ld };
-        let (l, dh, extent) = (lay.l, lay.dh, lay.extent());
+        let l = lay.l;
 
         let _kernel = crate::obs::span("nn.sdpa");
-        let simd_on = simd::tier() == Tier::Avx2Fma && cfg!(target_arch = "x86_64");
-        // The Avx2Fma tiles store every output row; the Scalar loop adds
-        // into its output.
-        let mut out = if simd_on {
-            crate::arena::overwrite(q.numel())
-        } else {
-            crate::arena::zeroed(q.numel())
-        };
+        let tier = simd::tier();
+        // The tiles store every output row.
+        let mut out = crate::arena::overwrite(q.numel());
         {
             let (qr, kr, vr) = (q.data(), k.data(), v.data());
             let (qs, ks, vs): (&[f32], &[f32], &[f32]) = (&qr, &kr, &vr);
-            pool::parallel_slices_mut(&mut out, l * ld, lay.grain(), |a0, run| {
-                let inputs = [qs, ks, vs].map(|s| &s[a0 * l * ld..][..run.len()]);
-                if simd_on {
-                    #[cfg(target_arch = "x86_64")]
-                    {
-                        let out = run.as_mut_ptr();
-                        let mut ws = crate::arena::zeroed(tile_scratch(lay, false));
-                        let kernel = match dh {
-                            4 => sdpa_tile_avx2::<4>,
-                            8 => sdpa_tile_avx2::<8>,
-                            16 => sdpa_tile_avx2::<16>,
-                            _ => sdpa_tile_avx2::<0>,
-                        };
-                        for tile in Tile::run(run.len() / (l * ld), lay) {
-                            let offs = tile.offsets(lay);
-                            let ins = inputs.map(|s| offs.map(|r| s[r..][..extent].as_ptr()));
-                            let o = offs.map(|r| out.wrapping_add(r));
-                            // Safety: simd_on holds only under the Avx2Fma
-                            // tier; `run` is as long as each input, so the
-                            // extents checked above fit it too.
-                            unsafe { kernel(&ins, &o, tile.live, &mut ws, lay, scale) };
-                        }
-                        crate::arena::recycle(ws);
-                    }
-                    return;
+            pool::parallel_slices_mut(&mut out, l * ld, lay.grain(), |a0, out| {
+                let ins = [qs, ks, vs].map(|s| &s[a0 * l * ld..][..out.len()]);
+                match lay.dh {
+                    4 => lanes::run(tier, SdpaRun::<4> { ins, out, lay, scale }),
+                    8 => lanes::run(tier, SdpaRun::<8> { ins, out, lay, scale }),
+                    16 => lanes::run(tier, SdpaRun::<16> { ins, out, lay, scale }),
+                    _ => lanes::run(tier, SdpaRun::<0> { ins, out, lay, scale }),
                 }
-                // One probability row, reused across the run.
-                let mut srow = crate::arena::zeroed(l);
-                let [qa, ka, va] = inputs;
-                for (slab, oa) in run.chunks_mut(l * ld).enumerate() {
-                    let r = slab * l * ld..(slab + 1) * l * ld;
-                    for base in (0..ld).step_by(dh) {
-                        let br = r.start + base..r.start + base + extent;
-                        let (qb, kb, vb) = (&qa[br.clone()], &ka[br.clone()], &va[br]);
-                        let ob = &mut oa[base..base + extent];
-                        for i in 0..l {
-                            probs_row(&qb[i * ld..][..dh], kb, ld, &mut srow, scale);
-                            let orow = &mut ob[i * ld..][..dh];
-                            for (&alpha, vrow) in srow.iter().zip(vb.chunks(ld)) {
-                                for (o, &x) in orow.iter_mut().zip(vrow) {
-                                    *o += alpha * x;
-                                }
-                            }
-                        }
-                    }
-                }
-                crate::arena::recycle(srow);
             });
         }
         Tensor::from_op(out, q.shape().clone(), vec![q.clone(), k.clone(), v.clone()], move || {
-            Box::new(move |gout, out, parents| sdpa_backward(parents, out, gout, lay, scale, simd_on))
+            Box::new(move |gout, out, parents| sdpa_backward(parents, out, gout, lay, scale, tier))
         })
     }
 }
@@ -852,24 +784,53 @@ mod tests {
         [q, k, v]
     }
 
+    /// `Σ x[i]·y[i]` in the arithmetic `dot_lanes` gives one lane: eight
+    /// fma chains over the 8-wide chunks from zero, folded as
+    /// `((A0+A4)+(A2+A6)) + ((A1+A5)+(A3+A7))`, then the fma chain of
+    /// the tail.
+    fn dot_ref(x: &[f32], y: &[f32]) -> f32 {
+        let chunks = x.len() / 8;
+        let mut acc = [0.0f32; 8];
+        for c in 0..chunks {
+            for (e, a) in acc.iter_mut().enumerate() {
+                *a = x[c * 8 + e].mul_add(y[c * 8 + e], *a);
+            }
+        }
+        let mut sum = ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+        for j in chunks * 8..x.len() {
+            sum = x[j].mul_add(y[j], sum);
+        }
+        sum
+    }
+
+    /// `y[i] = fma(alpha, x[i], y[i])`.
+    fn axpy_ref(alpha: f32, x: &[f32], y: &mut [f32]) {
+        for (yv, &xv) in y.iter_mut().zip(x) {
+            *yv = alpha.mul_add(xv, *yv);
+        }
+    }
+
+    /// `Σ a_d · b_d` in ascending order from `0.0`, multiply then add.
+    fn row_dot(a: &[f32], b: &[f32]) -> f32 {
+        let mut dot = 0.0f32;
+        for (x, y) in a.iter().zip(b) {
+            dot += x * y;
+        }
+        dot
+    }
+
     /// Query row `i`'s probabilities `p_j · inv` in the per-row reference
-    /// arithmetic: one `dot_avx2` per score times `scale`, the stable
-    /// softmax through `vexp_avx2` with an ascending sum from `0.0`.
-    ///
-    /// # Safety
-    ///
-    /// AVX2 and FMA.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn reference_probs(q: &[f32], k: &[f32], b: usize, i: usize, lay: Layout, scale: f32) -> Vec<f32> {
+    /// arithmetic: one `dot_ref` per score times `scale`, the stable
+    /// softmax through the lane `exp` with an ascending sum from `0.0`.
+    fn reference_probs(q: &[f32], k: &[f32], b: usize, i: usize, lay: Layout, scale: f32) -> Vec<f32> {
         let Layout { l, dh, ld } = lay;
         let qrow = &q[b + i * ld..][..dh];
-        let mut srow: Vec<f32> =
-            (0..l).map(|j| scale * simd::dot_avx2(qrow, &k[b + j * ld..][..dh])).collect();
+        let mut srow: Vec<f32> = (0..l).map(|j| scale * dot_ref(qrow, &k[b + j * ld..][..dh])).collect();
         let max = srow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         for s in srow.iter_mut() {
             *s -= max;
         }
-        simd::vexp_avx2(&mut srow);
+        lanes::run(Tier::Scalar, lanes::Map(lanes::Fun::Exp, &mut srow));
         let mut sum = 0.0f32;
         for &e in srow.iter() {
             sum += e;
@@ -878,101 +839,92 @@ mod tests {
         srow.iter().map(|&e| e * inv).collect()
     }
 
+    /// The bits of `x`, every NaN as one pattern: the tiers may differ
+    /// in the sign and payload of a NaN, never in its place.
     fn bits(x: &[f32]) -> Vec<u32> {
-        x.iter().map(|v| v.to_bits()).collect()
+        x.iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
     }
 
-    /// The Avx2Fma forward must be bit-identical to the per-row arithmetic
-    /// it replaced: `reference_probs`, then one `axpy_avx2` of `p · inv`
-    /// per key into a zeroed output row. The reference below calls those
-    /// kernels directly. The edge rows of `edge_operands` are included,
-    /// since the kernel folds each row's max with vector instructions.
-    #[cfg(target_arch = "x86_64")]
+    /// The forward must be bit-identical, on every tier, to the per-row
+    /// arithmetic the tiles lay across lanes: `reference_probs`, then one
+    /// `axpy_ref` of `p · inv` per key into a zeroed output row. The edge
+    /// rows of `edge_operands` are included, since the kernel folds each
+    /// row's max with vector instructions.
     #[test]
-    fn avx2_kernel_matches_dot_axpy_arithmetic() {
+    fn kernel_matches_dot_axpy_arithmetic() {
         crate::obs::tests::with_exclusive_obs(|| {
-            if !simd::avx2_available() {
-                return;
-            }
             let mut rng = seeded(13);
             for (dims, axis, heads) in arithmetic_layouts() {
                 let (lay, offs) = blocks(&dims, axis, heads);
-            let Layout { l, dh, ld } = lay;
+                let Layout { l, dh, ld } = lay;
                 let [q, k, v] = edge_operands(&mut rng, &dims, axis, heads);
                 let [qt, kt, vt] = [&q, &k, &v].map(|x| Tensor::from_vec(x.clone(), &dims).unwrap());
                 // A negative scale turns the +0 scores into −0.
                 for scale in [1.0 / (dh as f32).sqrt(), -0.5] {
-                    let got =
-                    with_tier(Tier::Avx2Fma, || Tensor::sdpa(&qt, &kt, &vt, axis, heads, scale).to_vec());
                     let mut want = vec![0.0f32; q.len()];
                     for &b in &offs {
                         for i in 0..l {
-                            // Safety: guarded by avx2_available above.
-                            let p = unsafe { reference_probs(&q, &k, b, i, lay, scale) };
+                            let p = reference_probs(&q, &k, b, i, lay, scale);
                             let mut orow = vec![0.0f32; dh];
                             for (j, &pj) in p.iter().enumerate() {
-                                // Safety: as above.
-                                unsafe { simd::axpy_avx2(pj, &v[b + j * ld..][..dh], &mut orow) };
+                                axpy_ref(pj, &v[b + j * ld..][..dh], &mut orow);
                             }
                             want[b + i * ld..][..dh].copy_from_slice(&orow);
                         }
                     }
-                    assert_eq!(bits(&got), bits(&want), "{dims:?} axis={axis} heads={heads} scale={scale}");
+                    for tier in tiers() {
+                        let got = with_tier(tier, || Tensor::sdpa(&qt, &kt, &vt, axis, heads, scale).to_vec());
+                        let what = format!("{} {dims:?} axis={axis} heads={heads} scale={scale}", tier.name());
+                        assert_eq!(bits(&got), bits(&want), "{what}");
+                    }
                 }
             }
         });
     }
 
-    /// The Avx2Fma backward must be bit-identical to the per-row
-    /// arithmetic: P from `reference_probs`, `dO·Vᵀ` from one `dot_avx2`
-    /// per key, `delta = rowsum(dO ∘ O)` as the ascending scalar
-    /// `row_dot`, `dS = (scale · p) · (x − delta)`, and dQ, dK and dV as
-    /// `axpy_avx2` chains into zeroed rows over ascending keys (dQ) and
-    /// ascending queries (dK, dV). O is the forward's output; dO the fixed
-    /// weights `forward_backward` draws.
-    #[cfg(target_arch = "x86_64")]
+    /// The backward must be bit-identical, on every tier, to the per-row
+    /// arithmetic: P from `reference_probs`, `dO·Vᵀ` from one `dot_ref`
+    /// per key, `delta = rowsum(dO ∘ O)` as the ascending `row_dot`,
+    /// `dS = (scale · p) · (x − delta)`, and dQ, dK and dV as `axpy_ref`
+    /// chains into zeroed rows over ascending keys (dQ) and ascending
+    /// queries (dK, dV). O is the forward's output; dO the fixed weights
+    /// `forward_backward` draws.
     #[test]
-    fn avx2_backward_matches_dot_axpy_arithmetic() {
+    fn backward_matches_dot_axpy_arithmetic() {
         crate::obs::tests::with_exclusive_obs(|| {
-            if !simd::avx2_available() {
-                return;
-            }
             let mut rng = seeded(15);
             for (dims, axis, heads) in arithmetic_layouts() {
                 let (lay, offs) = blocks(&dims, axis, heads);
-            let Layout { l, dh, ld } = lay;
+                let Layout { l, dh, ld } = lay;
                 let [q, k, v] = edge_operands(&mut rng, &dims, axis, heads);
                 let [qt, kt, vt] = [&q, &k, &v].map(|x| Tensor::from_vec(x.clone(), &dims).unwrap());
                 let go = Tensor::randn(&mut seeded(99), &dims).to_vec();
                 for scale in [1.0 / (dh as f32).sqrt(), -0.5] {
                     let f = |q: &Tensor, k: &Tensor, v: &Tensor| Tensor::sdpa(q, k, v, axis, heads, scale);
-                    let got = with_tier(Tier::Avx2Fma, || forward_backward(f, &qt, &kt, &vt));
-                    let o = &got[0];
-                    let mut want = [(); 3].map(|_| vec![0.0f32; q.len()]);
-                    let [dq, dk, dv] = &mut want;
-                    for &b in &offs {
-                        for i in 0..l {
-                            let ir = b + i * ld..b + i * ld + dh;
-                            // Safety: guarded by avx2_available above.
-                            let p = unsafe { reference_probs(&q, &k, b, i, lay, scale) };
-                            let delta = row_dot(&go[ir.clone()], &o[ir.clone()]);
-                            for (j, &pj) in p.iter().enumerate() {
-                                let jr = b + j * ld..b + j * ld + dh;
-                                // Safety: as above.
-                                let x = unsafe { simd::dot_avx2(&go[ir.clone()], &v[jr.clone()]) };
-                                let ds = (scale * pj) * (x - delta);
-                                // Safety: as above.
-                                unsafe {
-                                    simd::axpy_avx2(ds, &k[jr.clone()], &mut dq[ir.clone()]);
-                                    simd::axpy_avx2(ds, &q[ir.clone()], &mut dk[jr.clone()]);
-                                    simd::axpy_avx2(pj, &go[ir.clone()], &mut dv[jr]);
+                    for tier in tiers() {
+                        let got = with_tier(tier, || forward_backward(f, &qt, &kt, &vt));
+                        let o = &got[0];
+                        let mut want = [(); 3].map(|_| vec![0.0f32; q.len()]);
+                        let [dq, dk, dv] = &mut want;
+                        for &b in &offs {
+                            for i in 0..l {
+                                let ir = b + i * ld..b + i * ld + dh;
+                                let p = reference_probs(&q, &k, b, i, lay, scale);
+                                let delta = row_dot(&go[ir.clone()], &o[ir.clone()]);
+                                for (j, &pj) in p.iter().enumerate() {
+                                    let jr = b + j * ld..b + j * ld + dh;
+                                    let x = dot_ref(&go[ir.clone()], &v[jr.clone()]);
+                                    let ds = (scale * pj) * (x - delta);
+                                    axpy_ref(ds, &k[jr.clone()], &mut dq[ir.clone()]);
+                                    axpy_ref(ds, &q[ir.clone()], &mut dk[jr.clone()]);
+                                    axpy_ref(pj, &go[ir.clone()], &mut dv[jr]);
                                 }
                             }
                         }
-                    }
-                    for (n, w) in want.iter().enumerate() {
-                        let msg = format!("{dims:?} axis={axis} heads={heads} scale={scale} gradient {n}");
-                        assert_eq!(bits(&got[n + 1]), bits(w), "{msg}");
+                        for (n, w) in want.iter().enumerate() {
+                            let what = format!("{} {dims:?} axis={axis} heads={heads} scale={scale}", tier.name());
+                            assert_eq!(bits(&got[n + 1]), bits(w), "{what} gradient {n}");
+                        }
                     }
                 }
             }

@@ -1,16 +1,16 @@
 //! Contract tests for the SIMD dispatch tiers and tape-free forward-only
 //! execution added for the inference fast path.
 //!
-//! The determinism contract has two halves:
-//! - **within a tier**: results are bit-identical run-to-run and at any
-//!   thread count, the tape-free forward path reproduces the graph
-//!   path bit-for-bit, and so does a training tape whose buffers are
-//!   recycled through the arena;
-//! - **across tiers**: AVX2+FMA contracts intermediate roundings, so the
-//!   SIMD and scalar kernels agree only to an elementwise tolerance.
+//! The determinism contract: results are bit-identical run to run, at
+//! any thread count, and **on every tier** — the Scalar tier runs the
+//! Avx2Fma kernels' own source on portable lanes, so the two are one
+//! arithmetic at two speeds. The tape-free forward path reproduces the
+//! graph path bit-for-bit, and so does a training tape whose buffers are
+//! recycled through the arena.
 
+use imdiffusion_repro::nn::ops::Act;
 use imdiffusion_repro::nn::simd::{self, Tier};
-use imdiffusion_repro::nn::{pool, rng::seeded, Tensor};
+use imdiffusion_repro::nn::{backward, pool, rng::seeded, Tensor};
 use rand::Rng;
 
 fn filled(len: usize, rng: &mut impl Rng) -> Vec<f32> {
@@ -21,41 +21,135 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// SIMD and scalar matmul agree within a relative elementwise tolerance on
-/// random shapes, including shapes that exercise the packed panel edge
-/// lanes (n not a multiple of the panel width) and the k remainder.
+/// The edge values every cross-tier case feeds its kernels.
+const EDGES: [f32; 12] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    88.4,
+    -88.4,
+    1e-40,
+    -3e-39,
+    -0.0,
+    0.0,
+    f32::MIN_POSITIVE,
+    9.5,
+    -9.5,
+];
+
+/// `len` values of a smooth wave in about `[-3, 3)`, with the edge values
+/// in turn at every `every`-th position from `first`.
+fn edged(len: usize, phase: f32, first: usize, every: usize) -> Vec<f32> {
+    (0..len)
+        .map(|i| match i.checked_sub(first) {
+            Some(e) if e % every == 0 => EDGES[e / every % EDGES.len()],
+            _ => 3.0 * (i as f32 * 0.731 + phase).sin(),
+        })
+        .collect()
+}
+
+/// Bit equality, with any NaN equal to any NaN.
+fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+        assert!(same, "{what}: element {i}: {g:e} ({:#010x}) vs {w:e} ({:#010x})", g.to_bits(), w.to_bits());
+    }
+}
+
+/// An op of the cross-tier table, on its differentiated inputs.
+type Op = Box<dyn Fn(&[Tensor]) -> Tensor>;
+
+/// One op of the cross-tier table: its inputs (values and dims, all
+/// differentiated) and the op on them.
+struct Case {
+    name: String,
+    inputs: Vec<(Vec<f32>, Vec<usize>)>,
+    op: Op,
+}
+
+impl Case {
+    fn new(name: String, inputs: Vec<(Vec<f32>, Vec<usize>)>, op: impl Fn(&[Tensor]) -> Tensor + 'static) -> Case {
+        Case { name, inputs, op: Box::new(op) }
+    }
+
+    /// The output and every input's gradient of `Σ op(inputs) ⊙ r` for a
+    /// fixed `r`, on `tier`.
+    fn run(&self, tier: Tier) -> Vec<Vec<f32>> {
+        simd::with_tier(tier, || {
+            let params: Vec<Tensor> =
+                self.inputs.iter().map(|(v, d)| Tensor::param_from_vec(v.clone(), d).unwrap()).collect();
+            let y = (self.op)(&params);
+            let r: Vec<f32> = (0..y.numel()).map(|i| (i as f32 * 1.37).cos()).collect();
+            backward(&y.mul(&Tensor::from_vec(r, y.dims()).unwrap()).sum_all());
+            let mut all = vec![y.to_vec()];
+            all.extend(params.iter().map(|p| p.grad().unwrap_or_default()));
+            all
+        })
+    }
+}
+
+/// Every kernel the tiers dispatch, forward and backward: `linear` with
+/// each activation, the standalone activations, `gated_tanh`,
+/// `softmax_last`, `conv1d`, and `sdpa` at the head widths with a
+/// compile-time instance (4, 8, 16) and one read at run time (6).
+/// Lengths are not multiples of 8, and the inputs carry NaN, ±inf,
+/// ±88.4, denormals and −0.0: the edge values sit densely in elementwise
+/// inputs and sparsely where a reduction would spread one NaN over the
+/// whole output.
+fn cross_tier_cases() -> Vec<Case> {
+    let mut cases = Vec::new();
+    for act in [Act::Identity, Act::Relu, Act::Gelu, Act::Silu] {
+        for (xd, n) in [(vec![37usize, 16], 13usize), (vec![2, 5, 9], 20)] {
+            let k = xd[xd.len() - 1];
+            let m: usize = xd.iter().product();
+            let inputs = vec![
+                (edged(m, 0.1, 3, 29), xd.clone()),
+                (edged(k * n, 0.7, 2, 41).iter().map(|v| if v.is_finite() { v / 4.0 } else { 0.5 }).collect(), vec![k, n]),
+                (edged(n, 1.3, 1, 7).iter().map(|v| if v.is_finite() { *v } else { -0.0 }).collect(), vec![n]),
+            ];
+            cases.push(Case::new(format!("linear {act:?} {xd:?}x{n}"), inputs, move |t| t[0].linear(&t[1], Some(&t[2]), act)));
+        }
+    }
+    type Unary = fn(&Tensor) -> Tensor;
+    let unary: [(&str, Unary); 4] =
+        [("tanh", Tensor::tanh), ("sigmoid", Tensor::sigmoid), ("silu", Tensor::silu), ("gelu", Tensor::gelu)];
+    for (name, f) in unary {
+        cases.push(Case::new(name.to_string(), vec![(edged(203, 0.4, 0, 3), vec![7, 29])], move |t| f(&t[0])));
+    }
+    cases.push(Case::new("gated_tanh".into(), vec![(edged(7 * 26, 0.9, 0, 3), vec![7, 26])], |t| t[0].gated_tanh()));
+    cases.push(Case::new("softmax_last".into(), vec![(edged(9 * 19, 0.2, 5, 23), vec![9, 19])], |t| t[0].softmax_last()));
+    let conv = vec![
+        (edged(2 * 3 * 29, 0.5, 4, 31), vec![2, 3, 29]),
+        (edged(5 * 3 * 3, 1.1, 40, 1), vec![5, 3, 3]),
+        (edged(5, 0.8, 40, 1), vec![5]),
+    ];
+    cases.push(Case::new("conv1d".into(), conv, |t| t[0].conv1d(&t[1], &t[2], 1)));
+    for dh in [4usize, 8, 16, 6] {
+        for (dims, axis, heads) in [(vec![3, 11, dh], 1, 1), (vec![2, 5, 3, 2 * dh], 2, 2)] {
+            let len: usize = dims.iter().product();
+            let inputs = (0..3).map(|i| (edged(len, i as f32, 7 + i, 53), dims.clone())).collect();
+            let scale = 1.0 / (dh as f32).sqrt();
+            let name = format!("sdpa {dims:?} axis {axis} heads {heads}");
+            cases.push(Case::new(name, inputs, move |t| Tensor::sdpa(&t[0], &t[1], &t[2], axis, heads, scale)));
+        }
+    }
+    cases
+}
+
+/// Each tier instantiates the same kernel source, so every op's output
+/// and gradients have the same bits on both; any NaN equals any NaN.
 #[test]
-fn simd_matmul_matches_scalar_within_tolerance() {
+fn every_op_bit_identical_across_tiers() {
     if !simd::avx2_available() {
         eprintln!("skipping: AVX2 unavailable");
         return;
     }
-    let mut rng = seeded(71);
-    for &(m, k, n) in &[
-        (1usize, 1usize, 1usize),
-        (4, 8, 16),
-        (5, 23, 19),
-        (17, 64, 33),
-        (3, 7, 47),
-        (32, 96, 96),
-    ] {
-        let a = filled(m * k, &mut rng);
-        let b = filled(k * n, &mut rng);
-        let run = |t: Tier| {
-            simd::with_tier(t, || {
-                let at = Tensor::from_vec(a.clone(), &[m, k]).unwrap();
-                let bt = Tensor::from_vec(b.clone(), &[k, n]).unwrap();
-                at.matmul(&bt).to_vec()
-            })
-        };
-        let fast = run(Tier::Avx2Fma);
-        let slow = run(Tier::Scalar);
-        for (i, (x, y)) in fast.iter().zip(&slow).enumerate() {
-            let scale = y.abs().max(1.0);
-            assert!(
-                (x - y).abs() <= 1e-4 * scale,
-                "({m}x{k}x{n}) elem {i}: simd {x} vs scalar {y}"
-            );
+    for case in cross_tier_cases() {
+        let (scalar, simd) = (case.run(Tier::Scalar), case.run(Tier::Avx2Fma));
+        for (i, (got, want)) in scalar.iter().zip(&simd).enumerate() {
+            let what = if i == 0 { "output".to_string() } else { format!("gradient {}", i - 1) };
+            assert_same_bits(got, want, &format!("{}: {what}", case.name));
         }
     }
 }
@@ -220,6 +314,44 @@ mod forward_only_inference {
                 assert_eq!(pool::with_threads(t, || no_grad(run)), tape, "{act:?} t{t}");
             }
         }
+    }
+
+    /// One set of bits on every tier, end to end: a quick-profile fit of a
+    /// few steps and a `detect` on each tier give the same weights,
+    /// losses, scores, labels and per-step errors. One thread, since a
+    /// tier override does not reach pool workers.
+    #[test]
+    fn fit_and_detect_bit_identical_across_tiers() {
+        use imdiffusion_repro::nn::simd::{self, Tier};
+        if !simd::avx2_available() {
+            eprintln!("skipping: AVX2 unavailable");
+            return;
+        }
+        let size = SizeProfile { train_len: 160, test_len: 64 };
+        let ds = generate(Benchmark::Gcp, &size, 3);
+        let run = |tier: Tier| {
+            pool::with_threads(1, || {
+                simd::with_tier(tier, || {
+                    let cfg = ImDiffusionConfig { train_steps: 3, ..ImDiffusionConfig::quick() };
+                    let mut det = ImDiffusionDetector::new(cfg, 5);
+                    det.fit(&ds.train).expect("fit");
+                    det.detect(&ds.test).expect("detect");
+                    let f32_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let f64_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let weights: Vec<Vec<u32>> = det.to_spec().expect("fitted").weights().iter().map(|w| f32_bits(w)).collect();
+                    let losses = f32_bits(&det.last_train_report().expect("fitted").losses);
+                    let out = det.last_output().expect("detected");
+                    let errors: Vec<Vec<u64>> = out.steps.iter().map(|s| f64_bits(&s.error)).collect();
+                    (weights, losses, f64_bits(&out.scores), out.labels.clone(), errors)
+                })
+            })
+        };
+        let (scalar, simd) = (run(Tier::Scalar), run(Tier::Avx2Fma));
+        assert!(scalar.0 == simd.0, "weights differ across tiers");
+        assert!(scalar.1 == simd.1, "losses differ across tiers");
+        assert!(scalar.2 == simd.2, "scores differ across tiers");
+        assert!(scalar.3 == simd.3, "labels differ across tiers");
+        assert!(scalar.4 == simd.4, "per-step errors differ across tiers");
     }
 
     /// Arena buffer recycling is invisible: two consecutive detections

@@ -342,8 +342,7 @@ mod thread_determinism {
 /// the analytic gradient of `Σ f(x)·w` (a fixed random weight `w` of the
 /// output's shape) and compares every input element against a central
 /// difference evaluated in `f64`. Every case runs under the scalar tier
-/// and, on hosts that have it, under the AVX2/FMA tier, whose activation
-/// derivatives and reductions take their own kernels.
+/// and, on hosts that have it, under the AVX2/FMA tier.
 mod gradient_check {
     use imdiffusion_repro::nn::ops::{bce_with_logits, Act};
     use imdiffusion_repro::nn::simd::{self, with_tier, Tier};
