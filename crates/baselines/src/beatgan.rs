@@ -8,7 +8,7 @@ use imdiff_data::{Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Linear, Module};
 use imdiff_nn::ops::{bce_with_logits, mse, Act};
 use imdiff_nn::optim::{Adam, Optimizer};
-use imdiff_nn::{backward, no_grad, Tensor};
+use imdiff_nn::{backward, forward_only, Tensor};
 use rand::rngs::StdRng;
 
 use crate::common::{
@@ -82,7 +82,7 @@ impl BeatGan {
     ) -> Result<Vec<f64>, DetectorError> {
         score_windows(self.state.as_ref(), test, missing, WINDOW, |ae, x| {
             let b = x.dims()[0];
-            let recon = no_grad(|| ae.forward(&x.reshape(&[b, x.numel() / b])));
+            let recon = forward_only(|| ae.forward(&x.reshape(&[b, x.numel() / b])));
             channel_mse(x, &recon)
         })
     }
@@ -118,7 +118,7 @@ impl Detector for BeatGan {
             let x = batch_windows(&train_n, &starts, WINDOW).reshape(&[BATCH, flat_dim]);
 
             // Discriminator step: real vs reconstructed.
-            let recon = no_grad(|| ae.forward(&x));
+            let recon = forward_only(|| ae.forward(&x));
             let real_logit = d2.forward(&d1.forward(&x).leaky_relu(0.2));
             let fake_logit = d2.forward(&d1.forward(&recon).leaky_relu(0.2));
             let ones = Tensor::ones(&[BATCH, 1]);

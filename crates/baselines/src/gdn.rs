@@ -11,7 +11,7 @@ use imdiff_nn::layers::{Linear, Module};
 use imdiff_nn::ops::{mse, Act};
 use imdiff_nn::optim::Adam;
 use imdiff_nn::serialize::{ByteReader, ByteWriter};
-use imdiff_nn::{init, no_grad, Tensor};
+use imdiff_nn::{forward_only, init, Tensor};
 use rand::rngs::StdRng;
 
 use crate::common::{
@@ -106,7 +106,7 @@ impl Model {
 
     /// `|truth - forecast|` of the row after each window, `[B * K]`.
     fn deviations(&self, data: &Mts, starts: &[usize]) -> Vec<f64> {
-        let pred = no_grad(|| self.forward(&batch_windows(data, starts, WINDOW)));
+        let pred = forward_only(|| self.forward(&batch_windows(data, starts, WINDOW)));
         let truth = next_rows(data, starts, WINDOW);
         let (td, pd) = (truth.data(), pred.data());
         td.iter()

@@ -11,7 +11,7 @@ use imdiff_nn::layers::{Gru, Linear, Module};
 use imdiff_nn::ops::{kl_standard_normal, mse, Act};
 use imdiff_nn::optim::Adam;
 use imdiff_nn::rng::normal_vec;
-use imdiff_nn::{no_grad, Tensor};
+use imdiff_nn::{forward_only, Tensor};
 use rand::rngs::StdRng;
 
 use crate::common::{
@@ -127,7 +127,7 @@ impl InterFusion {
         missing: Option<&[bool]>,
     ) -> Result<Vec<f64>, DetectorError> {
         score_windows(self.state.as_ref(), test, missing, WINDOW, |model, x| {
-            channel_mse(x, &no_grad(|| model.forward(x, None, None).0))
+            channel_mse(x, &forward_only(|| model.forward(x, None, None).0))
         })
     }
 }

@@ -8,7 +8,7 @@
 use imdiff_data::{Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Linear, Lstm, Module};
 use imdiff_nn::optim::Adam;
-use imdiff_nn::{no_grad, ops, Tensor};
+use imdiff_nn::{forward_only, ops, Tensor};
 use rand::rngs::StdRng;
 
 use crate::common::{
@@ -75,7 +75,7 @@ impl LstmAd {
             missing,
             WINDOW,
             |f, data, starts| {
-                let pred = no_grad(|| f.forward(&batch_windows(data, starts, WINDOW)));
+                let pred = forward_only(|| f.forward(&batch_windows(data, starts, WINDOW)));
                 channel_mse(&next_rows(data, starts, WINDOW), &pred)
             },
         )

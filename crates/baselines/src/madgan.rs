@@ -11,7 +11,7 @@ use imdiff_nn::layers::{Gru, Linear, Module};
 use imdiff_nn::ops::{bce_with_logits, Act};
 use imdiff_nn::optim::{Adam, Optimizer};
 use imdiff_nn::rng::normal_vec;
-use imdiff_nn::{backward, no_grad, Tensor};
+use imdiff_nn::{backward, forward_only, Tensor};
 use rand::rngs::StdRng;
 
 use crate::common::{
@@ -82,7 +82,7 @@ impl Gan {
     /// DR-scores of a `[B, W, K]` batch, one per (window, position).
     fn dr_scores(&self, x: &Tensor) -> Vec<f64> {
         let (b, k) = (x.dims()[0], self.gen.k);
-        let logits = no_grad(|| self.disc.forward(x));
+        let logits = forward_only(|| self.disc.forward(x));
 
         // MAD-GAN latent inversion: optimize z so G(z) reconstructs the
         // windows; anomalous windows remain poorly reconstructible
@@ -105,7 +105,7 @@ impl Gan {
                 p.zero_grad();
             }
         }
-        let recon = no_grad(|| self.gen.forward(&z));
+        let recon = forward_only(|| self.gen.forward(&z));
         let (ld, xd, rd) = (logits.data(), x.data(), recon.data());
         (0..b * WINDOW)
             .map(|row| {
@@ -192,7 +192,7 @@ impl Detector for MadGan {
             let real = batch_windows(&train_n, &starts, WINDOW);
             let z = Tensor::from_vec(normal_vec(&mut rng, BATCH * LATENT), &[BATCH, LATENT])
                 .expect("z shape");
-            let fake = no_grad(|| gen.forward(&z));
+            let fake = forward_only(|| gen.forward(&z));
             let d_loss = bce_with_logits(&disc.forward(&real), &ones)
                 .add(&bce_with_logits(&disc.forward(&fake), &zeros))
                 .scale(0.5);

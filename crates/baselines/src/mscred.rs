@@ -15,7 +15,7 @@ use imdiff_nn::ops::{mse, Act};
 use imdiff_nn::optim::Adam;
 use imdiff_nn::rng::normal_vec;
 use imdiff_nn::serialize::{ByteReader, ByteWriter};
-use imdiff_nn::{no_grad, Tensor};
+use imdiff_nn::{forward_only, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -207,7 +207,7 @@ impl Mscred {
                     .flat_map(|&s| m.extractor.features(data, s + MAX_SCALE))
                     .collect();
                 let x = Tensor::from_vec(batch, &[starts.len(), FEAT_DIM]).expect("batch");
-                channel_mse(&x, &no_grad(|| m.ae.forward(&x)))
+                channel_mse(&x, &forward_only(|| m.ae.forward(&x)))
             },
         )
     }

@@ -10,7 +10,7 @@ use imdiff_data::{Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Gru, Linear, Module, MultiHeadAttention};
 use imdiff_nn::ops::mse;
 use imdiff_nn::optim::Adam;
-use imdiff_nn::{no_grad, Tensor};
+use imdiff_nn::{forward_only, Tensor};
 use rand::rngs::StdRng;
 
 use crate::common::{
@@ -113,7 +113,7 @@ impl MtadGat {
             WINDOW,
             |m, data, starts| {
                 let x = batch_windows(data, starts, WINDOW);
-                let (forecast, recon) = no_grad(|| m.forward(&x));
+                let (forecast, recon) = forward_only(|| m.forward(&x));
                 let f_err = channel_mse(&next_rows(data, starts, WINDOW), &forecast);
                 // Reconstruction error of each window's final position.
                 let r_err = channel_mse(&x, &recon);

@@ -10,7 +10,7 @@ use imdiff_nn::layers::{Gru, Linear, Module};
 use imdiff_nn::ops::{kl_standard_normal, mse, Act};
 use imdiff_nn::optim::Adam;
 use imdiff_nn::rng::normal_vec;
-use imdiff_nn::{no_grad, Tensor};
+use imdiff_nn::{forward_only, Tensor};
 use rand::rngs::StdRng;
 
 use crate::common::{
@@ -87,7 +87,7 @@ impl OmniAnomaly {
     ) -> Result<Vec<f64>, DetectorError> {
         score_windows(self.state.as_ref(), test, missing, WINDOW, |vae, x| {
             // Mean-latent reconstruction (deterministic scoring pass).
-            let recon = no_grad(|| vae.decode(&vae.encode(x).0));
+            let recon = forward_only(|| vae.decode(&vae.encode(x).0));
             channel_mse(x, &recon)
         })
     }

@@ -10,7 +10,7 @@ use imdiff_data::{Detection, Detector, DetectorError, Mts};
 use imdiff_nn::layers::{Linear, Module, TransformerEncoderLayer};
 use imdiff_nn::ops::mse;
 use imdiff_nn::optim::Adam;
-use imdiff_nn::{no_grad, Tensor};
+use imdiff_nn::{forward_only, Tensor};
 use rand::rngs::StdRng;
 
 use crate::common::{
@@ -77,7 +77,7 @@ impl TranAd {
         missing: Option<&[bool]>,
     ) -> Result<Vec<f64>, DetectorError> {
         score_windows(self.state.as_ref(), test, missing, WINDOW, |model, x| {
-            let (o1, o2) = no_grad(|| {
+            let (o1, o2) = forward_only(|| {
                 let (o1, _) = model.forward(x, &Tensor::zeros(x.dims()));
                 let (_, o2) = model.forward(x, &o1.sub(x).square());
                 (o1, o2)
@@ -121,7 +121,7 @@ impl Detector for TranAd {
             // Phase 1: plain reconstruction with zero focus.
             let (o1, _) = model.forward(&x, &zero_focus);
             // Phase 2: self-conditioning on the phase-1 deviation.
-            let focus = no_grad(|| o1.sub(&x).square());
+            let focus = forward_only(|| o1.sub(&x).square());
             let (_, o2) = model.forward(&x, &focus.detach());
 
             // Adversarial schedule (ε = 1 - 1/step decay from the paper):

@@ -4,14 +4,15 @@
 //! (a transcription of the pre-blocking implementation, including its
 //! zero-skip branch) at matched shapes, and times conv1d, the
 //! multi-head-attention forward, one attention forward plus backward
-//! under the tape, and a `Linear` with its GELU fused into the matmul
-//! (forward, and forward plus backward). Every record carries a FLOP
+//! under the tape, a `Linear` with its GELU fused into the matmul
+//! (forward, and forward plus backward), and layer norm (the same two).
+//! Every record carries a FLOP
 //! count so `--save-json BENCH_nn.json` yields GFLOP/s trajectories.
 //!
 //!     cargo bench --bench bench_kernels -- --save-json BENCH_nn.json
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use imdiff_nn::layers::{Linear, Module, MultiHeadAttention};
+use imdiff_nn::layers::{LayerNorm, Linear, Module, MultiHeadAttention};
 use imdiff_nn::ops::{mm_nn, Act};
 use imdiff_nn::pool;
 use imdiff_nn::rng::seeded;
@@ -271,5 +272,50 @@ fn bench_linear(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matmul, bench_conv, bench_attention, bench_linear);
+/// Layer norm over the last axis at `serve_imdiff`'s rows (304 rows,
+/// hidden 8), `detect_offline`'s (7296 rows, hidden 16) and one training
+/// shard's (912 rows, hidden 16). "fwd" is the inference forward; "train"
+/// the forward and backward of its sum under the tape, with the input
+/// tracked. The FLOP counts are nominal: 8 per element forward, three times
+/// that for "train". Each row's timing loop runs inside one `forward_only`
+/// or `recycling` scope, as in the `linear` rows.
+fn bench_layer_norm(c: &mut Criterion) {
+    let mut rng = seeded(19);
+    let mut group = c.benchmark_group("layer_norm");
+    group.sample_size(20);
+    group.record_threads(1);
+    for (rows, d) in [(304usize, 8usize), (7296, 16), (912, 16)] {
+        let ln = LayerNorm::new(d);
+        let x = Tensor::param_from_vec(filled(rows * d, &mut rng), &[rows, d]).unwrap();
+        let flops = (8 * rows * d) as u64;
+        group.throughput(Throughput::Flops(flops));
+        group.bench_function(format!("fwd/{rows}x{d}/t1"), |bch| {
+            imdiff_nn::forward_only(|| {
+                bch.iter(|| pool::with_threads(1, || black_box(ln.forward(&x).data()[0])))
+            })
+        });
+        group.throughput(Throughput::Flops(3 * flops));
+        group.bench_function(format!("train/{rows}x{d}/t1"), |bch| {
+            imdiff_nn::recycling(|| {
+                bch.iter(|| {
+                    let y = pool::with_threads(1, || ln.forward(&x));
+                    pool::with_threads(1, || imdiff_nn::backward(&y.sum_all()));
+                    for p in ln.params().iter().chain([&x]) {
+                        p.zero_grad();
+                    }
+                })
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_matmul,
+    bench_conv,
+    bench_attention,
+    bench_linear,
+    bench_layer_norm
+);
 criterion_main!(benches);

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imdiff_nn::layers::{LayerNorm, MultiHeadAttention};
 use imdiff_nn::rng::seeded;
-use imdiff_nn::{backward, no_grad, Tensor};
+use imdiff_nn::{backward, forward_only, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
@@ -12,7 +12,7 @@ fn bench_matmul(c: &mut Criterion) {
         let a = Tensor::randn(&mut seeded(1), &[n, n]);
         let b = Tensor::randn(&mut seeded(2), &[n, n]);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| no_grad(|| a.matmul(&b)));
+            bench.iter(|| forward_only(|| a.matmul(&b)));
         });
     }
     group.finish();
@@ -27,7 +27,7 @@ fn bench_attention(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("L{l}xD{d}")),
             &x,
             |bench, x| {
-                bench.iter(|| no_grad(|| mha.forward(x, 1)));
+                bench.iter(|| forward_only(|| mha.forward(x, 1)));
             },
         );
     }
@@ -38,7 +38,7 @@ fn bench_layer_norm(c: &mut Criterion) {
     let ln = LayerNorm::new(64);
     let x = Tensor::randn(&mut seeded(5), &[64, 100, 64]);
     c.bench_function("layer_norm_64x100x64", |b| {
-        b.iter(|| no_grad(|| ln.forward(&x)));
+        b.iter(|| forward_only(|| ln.forward(&x)));
     });
 }
 

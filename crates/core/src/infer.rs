@@ -241,7 +241,7 @@ impl ChainCtx<'_> {
 ///
 /// Every chain runs in tape-free forward-only mode (no autodiff graph,
 /// arena-recycled buffers), entered on whichever thread runs it.
-/// Forward-only results are bit-identical to `no_grad` on the same
+/// Forward-only results are bit-identical to the tape path on the same
 /// dispatch tier.
 fn run_groups<F>(
     model: &ImTransformer,

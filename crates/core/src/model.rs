@@ -300,7 +300,7 @@ impl Module for ImTransformer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imdiff_nn::{backward, no_grad};
+    use imdiff_nn::{backward, forward_only};
 
     fn tiny_cfg() -> ImDiffusionConfig {
         ImDiffusionConfig {
@@ -346,9 +346,9 @@ mod tests {
         let model = ImTransformer::new(&cfg, 2, 7);
         let x = Tensor::randn(&mut seeded(6), &[1, 2, 12]);
         let r = Tensor::randn(&mut seeded(7), &[1, 2, 12]);
-        let a = no_grad(|| model.forward(&x, &r, &[1], &[0])).to_vec();
-        let b = no_grad(|| model.forward(&x, &r, &[4], &[0])).to_vec();
-        let c = no_grad(|| model.forward(&x, &r, &[1], &[1])).to_vec();
+        let a = forward_only(|| model.forward(&x, &r, &[1], &[0])).to_vec();
+        let b = forward_only(|| model.forward(&x, &r, &[4], &[0])).to_vec();
+        let c = forward_only(|| model.forward(&x, &r, &[1], &[1])).to_vec();
         assert_ne!(a, b, "step embedding inert");
         assert_ne!(a, c, "policy embedding inert");
     }
@@ -398,7 +398,7 @@ mod tests {
         assert!(model.num_params() > 1_000_000, "{}", model.num_params());
         let x = Tensor::randn(&mut seeded(2), &[1, 4, 100]);
         let r = Tensor::randn(&mut seeded(3), &[1, 4, 100]);
-        let out = no_grad(|| model.forward(&x, &r, &[50], &[1]));
+        let out = forward_only(|| model.forward(&x, &r, &[50], &[1]));
         assert_eq!(out.dims(), &[1, 4, 100]);
         assert!(out.data().iter().all(|v| v.is_finite()));
     }

@@ -19,7 +19,7 @@ pub fn is_grad_enabled() -> bool {
 /// Operations executed inside produce detached tensors, skipping both graph
 /// bookkeeping and backward-closure allocation. Nesting is supported; the
 /// previous state is restored even if `f` panics.
-pub fn no_grad<T>(f: impl FnOnce() -> T) -> T {
+pub(crate) fn no_grad<T>(f: impl FnOnce() -> T) -> T {
     struct Guard(bool);
     impl Drop for Guard {
         fn drop(&mut self) {

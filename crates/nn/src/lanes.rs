@@ -18,7 +18,12 @@
 //!   zero-filled masked lanes.
 //!
 //! A kernel is a [`Kernel`] whose `run` is generic over the lane type, and
-//! [`run`] picks the instantiation from the dispatch tier. The Scalar tier
+//! [`run`] picks the instantiation from the dispatch tier. The kernels
+//! written over it are the elementwise functions and their derivatives
+//! ([`Map`], [`MapGrad`]), `gated_tanh` forward and backward, the matmul
+//! register tile with its epilogue (`simd.rs`), the `sdpa` tiles and
+//! layer norm forward and backward; the last two move rows in and out of
+//! lanes through [`gather_row`] and [`scatter_row`]. The Scalar tier
 //! is the portable instantiation of the same source, so every tier
 //! computes the same bits. It is the slower one: on x86-64 builds without
 //! `+fma` each `f32::mul_add` is an `fmaf` call (on aarch64 it is one
@@ -77,6 +82,8 @@ pub(crate) trait Lane: Copy {
     unsafe fn min(self, b: Self) -> Self;
     /// `self > b ? self : b`: `b` when either is NaN or they are equal.
     unsafe fn max(self, b: Self) -> Self;
+    /// The square root, correctly rounded.
+    unsafe fn sqrt(self) -> Self;
     /// Rounds toward −∞.
     unsafe fn floor(self) -> Self;
     /// `2ⁿ` with `n` the lane rounded to the nearest integer, ties to
@@ -241,6 +248,11 @@ impl Lane for F32x8 {
     }
 
     #[cfg_attr(target_arch = "x86_64", inline(never))]
+    unsafe fn sqrt(self) -> Self {
+        self.map(f32::sqrt)
+    }
+
+    #[cfg_attr(target_arch = "x86_64", inline(never))]
     unsafe fn floor(self) -> Self {
         self.map(f32::floor)
     }
@@ -373,6 +385,11 @@ mod avx2 {
         }
 
         #[inline(always)]
+        unsafe fn sqrt(self) -> Self {
+            _mm256_sqrt_ps(self)
+        }
+
+        #[inline(always)]
         unsafe fn floor(self) -> Self {
             _mm256_floor_ps(self)
         }
@@ -413,6 +430,88 @@ pub(crate) fn run<K: Kernel>(tier: Tier, k: K) -> K::Out {
     }
     // Safety: the portable lanes need no CPU feature.
     unsafe { k.run::<F32x8>() }
+}
+
+/// The `w` floats at `src[b] + at` of each lane `b`, into `dst` as `w`
+/// vectors of eight lanes (element `d` of lane `b` at `8·d + b`): four
+/// columns at a time through a 4×4 transpose in each half, then a scalar
+/// tail.
+///
+/// # Safety
+///
+/// `L`'s operations are supported; each `src[b] + at` addresses `w`
+/// floats, and `dst` holds `8·w`.
+#[inline(always)]
+pub(crate) unsafe fn gather_row<L: Lane>(
+    src: &[*const f32; 8],
+    at: usize,
+    w: usize,
+    dst: &mut [f32],
+) {
+    let p = src.map(|s| s.add(at));
+    let out = dst.as_mut_ptr();
+    let mut d = 0;
+    while d + 4 <= w {
+        // Lane `r` in the low half, lane `r + 4` in the high half.
+        let x = [
+            L::load_halves(p[0].add(d), p[4].add(d)),
+            L::load_halves(p[1].add(d), p[5].add(d)),
+            L::load_halves(p[2].add(d), p[6].add(d)),
+            L::load_halves(p[3].add(d), p[7].add(d)),
+        ];
+        for (c, col) in L::transpose4(x).into_iter().enumerate() {
+            col.store(out.add((d + c) * 8));
+        }
+        d += 4;
+    }
+    for d in d..w {
+        for (b, lane) in p.iter().enumerate() {
+            *out.add(d * 8 + b) = *lane.add(d);
+        }
+    }
+}
+
+/// The inverse of [`gather_row`] for the first `live` lanes: `src` (`w`
+/// vectors of eight lanes) becomes the `w` floats at `dst[b] + at` of each
+/// lane `b < live`. The other lanes are not stored.
+///
+/// # Safety
+///
+/// `L`'s operations are supported; each of the first `live` `dst[b] + at`
+/// addresses `w` floats, and `src` holds `8·w`.
+#[inline(always)]
+pub(crate) unsafe fn scatter_row<L: Lane>(
+    src: &[f32],
+    dst: &[*mut f32; 8],
+    live: usize,
+    at: usize,
+    w: usize,
+) {
+    let p = dst.map(|s| s.wrapping_add(at));
+    let cols = src.as_ptr();
+    let mut d = 0;
+    while d + 4 <= w {
+        let x = [
+            L::load(cols.add(d * 8)),
+            L::load(cols.add((d + 1) * 8)),
+            L::load(cols.add((d + 2) * 8)),
+            L::load(cols.add((d + 3) * 8)),
+        ];
+        for (r, rows) in L::transpose4(x).into_iter().enumerate() {
+            if r < live {
+                rows.store_lo(p[r].add(d));
+            }
+            if r + 4 < live {
+                rows.store_hi(p[r + 4].add(d));
+            }
+        }
+        d += 4;
+    }
+    for d in d..w {
+        for (b, lane) in p.iter().enumerate().take(live) {
+            *lane.add(d) = *cols.add(d * 8 + b);
+        }
+    }
 }
 
 /// The elementwise functions of the unary ops and the matmul epilogue.
@@ -852,7 +951,7 @@ mod tests {
             #[inline(always)]
             unsafe fn run<L: Lane>(self) -> Vec<Vec<f32>> {
                 let Ops(a, b, c) = self;
-                let mut out = vec![vec![0.0f32; a.len()]; 13];
+                let mut out = vec![vec![0.0f32; a.len()]; 14];
                 for o in (0..a.len()).step_by(8) {
                     let w = 8.min(a.len() - o);
                     let [x, y, z] = [
@@ -871,6 +970,7 @@ mod tests {
                         x.fnmadd(y, z),
                         x.min(y),
                         x.max(y),
+                        x.sqrt(),
                         x.floor(),
                         x.exp2i(),
                         t[0],
@@ -894,8 +994,8 @@ mod tests {
             run(Tier::Avx2Fma, Ops(&a, &b, &c)),
         );
         let names = [
-            "add", "sub", "mul", "div", "fmadd", "fnmadd", "min", "max", "floor", "exp2i", "t0",
-            "t1", "t3",
+            "add", "sub", "mul", "div", "fmadd", "fnmadd", "min", "max", "sqrt", "floor", "exp2i",
+            "t0", "t1", "t3",
         ];
         for ((w, g), name) in want.iter().zip(&got).zip(names) {
             // min, max and the data movement keep NaN payloads too.

@@ -24,13 +24,13 @@
 //! descriptive message (the convention of every mainstream tensor library);
 //! fallible *construction* APIs return [`NnError`].
 //!
-//! Inference code should run inside [`no_grad`], which skips graph
+//! Inference code should run inside [`forward_only`], which skips graph
 //! construction entirely:
 //!
 //! ```
-//! use imdiff_nn::{no_grad, Tensor};
+//! use imdiff_nn::{forward_only, Tensor};
 //! let w = Tensor::param_from_vec(vec![1.0, 2.0], &[2]).unwrap();
-//! let y = no_grad(|| w.scale(3.0));
+//! let y = forward_only(|| w.scale(3.0));
 //! assert!(y.grad().is_none());
 //! ```
 
@@ -50,7 +50,8 @@ mod shape;
 pub mod simd;
 mod tensor;
 
-pub use autodiff::{backward, is_grad_enabled, no_grad};
+pub(crate) use autodiff::no_grad;
+pub use autodiff::{backward, is_grad_enabled};
 pub use error::NnError;
 pub use shape::Shape;
 pub use tensor::Tensor;
@@ -68,10 +69,13 @@ pub fn recycling<T>(f: impl FnOnce() -> T) -> T {
     arena::scope(f)
 }
 
-/// Runs `f` in tape-free forward-only mode: gradient tracking off (as in
-/// [`no_grad`]) inside a [`recycling`] scope.
+/// Runs `f` in tape-free forward-only mode: graph recording off (ops
+/// inside produce detached tensors and allocate no backward closures)
+/// inside a [`recycling`] scope. Nesting is supported; the previous state
+/// is restored even if `f` panics.
 ///
-/// Results are bit-identical to `no_grad(f)` on the same dispatch tier.
+/// Results are bit-identical to running `f` under the tape on the same
+/// dispatch tier.
 pub fn forward_only<T>(f: impl FnOnce() -> T) -> T {
     if obs::enabled() {
         obs::counter("nn.forward_only", 1);

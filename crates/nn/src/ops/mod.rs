@@ -1,7 +1,7 @@
 //! Differentiable tensor operations, grouped by category.
 //!
 //! All operations are methods on [`crate::Tensor`]. Each records a backward
-//! closure unless gradient tracking is disabled (see [`crate::no_grad`]) or
+//! closure unless gradient tracking is disabled (see [`crate::forward_only`]) or
 //! no input requires gradients.
 
 mod activation;

@@ -1,247 +1,213 @@
 //! Softmax and fused layer normalization.
+//!
+//! Layer norm, forward and backward, is written once over the lane type
+//! (`crate::lanes`), so every dispatch tier runs the same arithmetic and
+//! gives the same bits. The eight lanes hold eight rows: a group of rows
+//! is gathered into `[d][8]` scratch by 4×4 vector transposes, every
+//! per-row chain runs lane-wise over it with no horizontal op, and the
+//! live rows are scattered back. The last group of fewer than eight rows
+//! repeats its last row in the other lanes, which are computed and never
+//! stored.
+//!
+//! Each lane runs one row's scalar chain: the mean and the variance sum
+//! elements `0..d` in ascending order from −0.0 (as `iter().sum()` does),
+//! mul then add, no fma; `istd = 1/sqrt(var + eps)`; the output is
+//! `((x − mean)·istd)·γ + β`. The backward recomputes `x̂` with the same
+//! chain, sums `mean_dxhat` and `mean_dxhat_xhat` from +0.0 and divides
+//! them by `d`, and writes `istd·((dx̂ − mean_dxhat) − x̂·mean_dxhat_xhat)`;
+//! dγ and dβ add one row at a time, rows ascending.
 
-#[cfg(target_arch = "x86_64")]
-use crate::simd::Tier;
+use crate::lanes::{self, Kernel, Lane};
 use crate::tensor::Tensor;
 
-/// In-register 8×8 transpose (an involution — applying it twice restores
-/// the original registers). Pure data movement, no arithmetic.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn transpose8(t: &mut [std::arch::x86_64::__m256; 8]) {
-    use std::arch::x86_64::*;
-    let a0 = _mm256_unpacklo_ps(t[0], t[1]);
-    let a1 = _mm256_unpackhi_ps(t[0], t[1]);
-    let a2 = _mm256_unpacklo_ps(t[2], t[3]);
-    let a3 = _mm256_unpackhi_ps(t[2], t[3]);
-    let a4 = _mm256_unpacklo_ps(t[4], t[5]);
-    let a5 = _mm256_unpackhi_ps(t[4], t[5]);
-    let a6 = _mm256_unpacklo_ps(t[6], t[7]);
-    let a7 = _mm256_unpackhi_ps(t[6], t[7]);
-    let b0 = _mm256_shuffle_ps(a0, a2, 0x44);
-    let b1 = _mm256_shuffle_ps(a0, a2, 0xEE);
-    let b2 = _mm256_shuffle_ps(a1, a3, 0x44);
-    let b3 = _mm256_shuffle_ps(a1, a3, 0xEE);
-    let b4 = _mm256_shuffle_ps(a4, a6, 0x44);
-    let b5 = _mm256_shuffle_ps(a4, a6, 0xEE);
-    let b6 = _mm256_shuffle_ps(a5, a7, 0x44);
-    let b7 = _mm256_shuffle_ps(a5, a7, 0xEE);
-    t[0] = _mm256_permute2f128_ps(b0, b4, 0x20);
-    t[1] = _mm256_permute2f128_ps(b1, b5, 0x20);
-    t[2] = _mm256_permute2f128_ps(b2, b6, 0x20);
-    t[3] = _mm256_permute2f128_ps(b3, b7, 0x20);
-    t[4] = _mm256_permute2f128_ps(b0, b4, 0x31);
-    t[5] = _mm256_permute2f128_ps(b1, b5, 0x31);
-    t[6] = _mm256_permute2f128_ps(b2, b6, 0x31);
-    t[7] = _mm256_permute2f128_ps(b3, b7, 0x31);
+/// The offsets of the rows of a group of eight from row `r0`, `d` wide,
+/// one per lane, with `live` rows in the group: lanes from `live` on
+/// repeat the last live row.
+#[inline(always)]
+fn lane_rows(r0: usize, live: usize, d: usize) -> [usize; 8] {
+    std::array::from_fn(|b| (r0 + b.min(live - 1)) * d)
 }
 
-/// Mean and `1/std` of one row, as the scalar path computes them
-/// (`iter().sum()` in ascending order, no fma).
-fn row_stats(row: &[f32], eps: f32) -> (f32, f32) {
-    let d = row.len() as f32;
-    let mean: f32 = row.iter().sum::<f32>() / d;
-    let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d;
-    (mean, 1.0 / (var + eps).sqrt())
-}
-
-/// Slab `c` (columns `c..c + 8`) of the eight `d`-wide rows of `x` from
-/// offset `base`, transposed so that lane `i` holds row `i`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn slab(x: &[f32], base: usize, d: usize, c: usize) -> [std::arch::x86_64::__m256; 8] {
-    use std::arch::x86_64::*;
-    let mut t = [_mm256_setzero_ps(); 8];
-    for (i, slot) in t.iter_mut().enumerate() {
-        *slot = _mm256_loadu_ps(x.as_ptr().add(base + i * d + c));
+/// Each lane's mean and `1/std` over the `d` vectors at `t`.
+///
+/// # Safety
+///
+/// `L`'s operations are supported and `t` holds `8·d` floats.
+#[inline(always)]
+unsafe fn lane_stats<L: Lane>(t: *const f32, d: usize, eps: f32) -> (L, L) {
+    let vd = L::splat(d as f32);
+    let mut s = L::splat(-0.0);
+    for k in 0..d {
+        s = s.add(L::load(t.add(8 * k)));
     }
-    transpose8(&mut t);
-    t
-}
-
-/// Mean and `1/std` of the eight `d`-wide rows of `x` from `base`, one row
-/// per lane, with [`row_stats`]' chains: the mean and variance sums add
-/// elements `0..d` in ascending order from −0.0 (as `iter().sum()`; −0.0 +
-/// e0 is e0 exactly), mul then add, no fma.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn lane_stats(
-    x: &[f32],
-    base: usize,
-    d: usize,
-    eps: f32,
-) -> (std::arch::x86_64::__m256, std::arch::x86_64::__m256) {
-    use std::arch::x86_64::*;
-    let vd = _mm256_set1_ps(d as f32);
-    let mut s = _mm256_set1_ps(-0.0);
-    for c in (0..d).step_by(8) {
-        for e in slab(x, base, d, c) {
-            s = _mm256_add_ps(s, e);
-        }
+    let mean = s.div(vd);
+    let mut v = L::splat(-0.0);
+    for k in 0..d {
+        let e = L::load(t.add(8 * k)).sub(mean);
+        v = v.add(e.mul(e));
     }
-    let mean = _mm256_div_ps(s, vd);
-    let mut v = _mm256_set1_ps(-0.0);
-    for c in (0..d).step_by(8) {
-        for e in slab(x, base, d, c) {
-            let de = _mm256_sub_ps(e, mean);
-            v = _mm256_add_ps(v, _mm256_mul_ps(de, de));
-        }
-    }
-    let var = _mm256_div_ps(v, vd);
-    let istd = _mm256_div_ps(_mm256_set1_ps(1.0), _mm256_sqrt_ps(_mm256_add_ps(var, _mm256_set1_ps(eps))));
+    let istd = L::splat(1.0).div(v.div(vd).add(L::splat(eps)).sqrt());
     (mean, istd)
 }
 
-/// Layer norm for rows of `d = 8m` elements: eight rows per pass, each
-/// 8-column slab put through an 8×8 transpose so each lane holds one row
-/// and the per-row serial chains run as vertical vector ops across eight
-/// independent rows. Each pass transposes every slab afresh for the mean,
-/// the variance and the output, so nothing is staged in memory. Returns
-/// how many leading rows it wrote (a multiple of 8); the caller runs the
-/// scalar rows over the rest.
-///
-/// Bit-identical to the scalar path by construction: per lane, the mean
-/// and variance sums add elements `0..d` in the same ascending order (mul
-/// then add, no fma — the scalar path does not fuse), the divisions by
-/// `d`, the `sqrt`, and the final `h * g[i] + b[i]` are the same IEEE
-/// operations, and the transposes are pure data movement.
-///
-/// `D` is the width when it is fixed at compile time (0 reads `d`): at
-/// `D = 8` the three slab transposes of a pass fold into one and the
-/// pass compiles to straight-line register code.
-///
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA. The lengths are checked on entry.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn layer_norm_rows_avx2<const D: usize>(
-    x: &[f32],
-    g: &[f32],
-    b: &[f32],
-    out: &mut [f32],
+/// Layer norm of the rows of `x`, `d` wide, into `out`.
+struct LayerNormRows<'a> {
+    x: &'a [f32],
+    g: &'a [f32],
+    b: &'a [f32],
+    out: &'a mut [f32],
     d: usize,
     eps: f32,
-) -> usize {
-    use std::arch::x86_64::*;
-    let d = if D == 0 { d } else { D };
-    assert!(
-        d > 0 && d.is_multiple_of(8) && g.len() == d && b.len() == d && out.len() == x.len(),
-        "layer norm kernel: lengths do not match width {d}"
-    );
-    let rows = x.len() / d;
-    let mut r = 0;
-    while r + 8 <= rows {
-        let base = r * d;
-        let (mean, istd) = lane_stats(x, base, d, eps);
-        for c in (0..d).step_by(8) {
-            let mut t = slab(x, base, d, c);
-            for (k, e) in (c..).zip(t.iter_mut()) {
-                let h = _mm256_mul_ps(_mm256_sub_ps(*e, mean), istd);
-                *e = _mm256_add_ps(
-                    _mm256_mul_ps(h, _mm256_set1_ps(*g.get_unchecked(k))),
-                    _mm256_set1_ps(*b.get_unchecked(k)),
-                );
-            }
-            transpose8(&mut t);
-            for (i, row) in t.iter().enumerate() {
-                _mm256_storeu_ps(out.as_mut_ptr().add(base + i * d + c), *row);
-            }
-        }
-        r += 8;
-    }
-    r
 }
 
-/// The layer-norm backward for rows of `d = 8m` elements, eight rows per
-/// pass as in [`layer_norm_rows_avx2`]: `gx` gets each row's input
-/// gradient, and `gg`/`gb` (zeroed or holding earlier rows' sums) get each
-/// row's `go ⊙ x̂` and `go` added. Returns how many leading rows it did (a
-/// multiple of 8); the caller runs the scalar rows over the rest.
-///
-/// Bit-identical to the scalar path by construction. Per lane it runs the
-/// scalar row's chains: [`lane_stats`], then `mean_dxhat` and
-/// `mean_dxhat_xhat` from `+0.0` over elements `0..d` ascending (mul then
-/// add), the divisions by `d`, and `istd · ((dx̂ − mean_dxhat) − x̂ ·
-/// mean_dxhat_xhat)`. `x̂` goes back to row layout for the parameter
-/// gradients, which add one row vector at a time in ascending row order,
-/// as the scalar loop adds rows. `x̂` and `dx̂` are recomputed in the
-/// output pass rather than staged, with the same operations.
-///
-/// # Safety
-///
-/// The CPU must support AVX2 and FMA. The lengths are checked on entry.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn layer_norm_bwd_rows_avx2(
-    x: &[f32],
-    gamma: &[f32],
-    gout: &[f32],
-    gx: &mut [f32],
-    gg: &mut [f32],
-    gb: &mut [f32],
+impl LayerNormRows<'_> {
+    /// Every row. A nonzero `D` is the width as a compile-time constant,
+    /// so the passes over a group unroll into straight-line register code;
+    /// 0 reads `d`.
+    #[inline(always)]
+    unsafe fn rows<L: Lane, const D: usize>(mut self) {
+        let d = if D > 0 { D } else { self.d };
+        let (x, g, b) = (self.x, self.g, self.b);
+        assert!(
+            g.len() == d && b.len() == d && self.out.len() == x.len() && x.len().is_multiple_of(d),
+            "layer norm: lengths do not match width {d}"
+        );
+        let mut t = crate::arena::overwrite(8 * d);
+        // Whole groups pass `live` as a constant: their row offsets and
+        // stores need no per-lane test.
+        let rows = x.len() / d;
+        let full = rows - rows % 8;
+        for r0 in (0..full).step_by(8) {
+            self.group::<L, D>(&mut t, lane_rows(r0, 8, d), 8);
+        }
+        if full < rows {
+            self.group::<L, D>(&mut t, lane_rows(full, rows - full, d), rows - full);
+        }
+        crate::arena::recycle(t);
+    }
+
+    /// The rows at `offs`, the first `live` of them stored, through the
+    /// scratch `t` of `8·d` floats; `D` as in `rows`.
+    #[inline(always)]
+    unsafe fn group<L: Lane, const D: usize>(
+        &mut self,
+        t: &mut [f32],
+        offs: [usize; 8],
+        live: usize,
+    ) {
+        let (d, eps) = (if D > 0 { D } else { self.d }, self.eps);
+        lanes::gather_row::<L>(&offs.map(|o| self.x.as_ptr().add(o)), 0, d, t);
+        let tp = t.as_mut_ptr();
+        let (mean, istd) = lane_stats::<L>(tp, d, eps);
+        for k in 0..d {
+            let h = L::load(tp.add(8 * k)).sub(mean).mul(istd);
+            let (g, b) = (L::splat(self.g[k]), L::splat(self.b[k]));
+            h.mul(g).add(b).store(tp.add(8 * k));
+        }
+        lanes::scatter_row::<L>(t, &offs.map(|o| self.out.as_mut_ptr().add(o)), live, 0, d);
+    }
+}
+
+impl Kernel for LayerNormRows<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<L: Lane>(self) {
+        // Width 8, the serving config's hidden size, has an instance of
+        // its own: read at run time, it ran twice as slow.
+        if self.d == 8 {
+            self.rows::<L, 8>()
+        } else {
+            self.rows::<L, 0>()
+        }
+    }
+}
+
+/// The layer-norm backward of the rows of `x`, `d` wide: `gx` gets each
+/// row's input gradient; `gg` and `gb` (zeroed) get every row's `go ⊙ x̂`
+/// and `go` added.
+struct LayerNormGrad<'a> {
+    x: &'a [f32],
+    gamma: &'a [f32],
+    gout: &'a [f32],
+    gx: &'a mut [f32],
+    gg: &'a mut [f32],
+    gb: &'a mut [f32],
     d: usize,
     eps: f32,
-) -> usize {
-    use std::arch::x86_64::*;
-    assert!(
-        d > 0
-            && d.is_multiple_of(8)
-            && [gamma.len(), gg.len(), gb.len()] == [d; 3]
-            && gout.len() == x.len()
-            && gx.len() == x.len(),
-        "layer norm backward kernel: lengths do not match width {d}"
-    );
-    let rows = x.len() / d;
-    let vd = _mm256_set1_ps(d as f32);
-    let mut r = 0;
-    while r + 8 <= rows {
-        let base = r * d;
-        let (mean, istd) = lane_stats(x, base, d, eps);
-        let mut mdx = _mm256_setzero_ps();
-        let mut mdxx = _mm256_setzero_ps();
-        for c in (0..d).step_by(8) {
-            let (xs, gos) = (slab(x, base, d, c), slab(gout, base, d, c));
-            let mut xh = [_mm256_setzero_ps(); 8];
-            for (k, h) in (c..).zip(xh.iter_mut()) {
-                *h = _mm256_mul_ps(_mm256_sub_ps(xs[k - c], mean), istd);
-                let dxh = _mm256_mul_ps(gos[k - c], _mm256_set1_ps(*gamma.get_unchecked(k)));
-                mdx = _mm256_add_ps(mdx, dxh);
-                mdxx = _mm256_add_ps(mdxx, _mm256_mul_ps(dxh, *h));
-            }
-            // Parameter gradients: x̂ back in row layout, rows ascending.
-            transpose8(&mut xh);
-            let (pg, pb) = (gg.as_mut_ptr().add(c), gb.as_mut_ptr().add(c));
-            let (mut vg, mut vb) = (_mm256_loadu_ps(pg), _mm256_loadu_ps(pb));
-            for (i, h) in xh.iter().enumerate() {
-                let go = _mm256_loadu_ps(gout.as_ptr().add(base + i * d + c));
-                vg = _mm256_add_ps(vg, _mm256_mul_ps(go, *h));
-                vb = _mm256_add_ps(vb, go);
-            }
-            _mm256_storeu_ps(pg, vg);
-            _mm256_storeu_ps(pb, vb);
+}
+
+impl LayerNormGrad<'_> {
+    /// The rows at `offs`, the first `live` of them stored, through the
+    /// scratch `ws` of `24·d` floats: x, then x̂, in lanes; go, then dx̂, in
+    /// lanes; x̂ in rows.
+    #[inline(always)]
+    unsafe fn group<L: Lane>(&mut self, ws: &mut [f32], offs: [usize; 8], live: usize) {
+        let (d, eps) = (self.d, self.eps);
+        let (xt, rest) = ws.split_at_mut(8 * d);
+        let (gt, xr) = rest.split_at_mut(8 * d);
+        lanes::gather_row::<L>(&offs.map(|o| self.x.as_ptr().add(o)), 0, d, xt);
+        lanes::gather_row::<L>(&offs.map(|o| self.gout.as_ptr().add(o)), 0, d, gt);
+        let (xp, gp) = (xt.as_mut_ptr(), gt.as_mut_ptr());
+        let (mean, istd) = lane_stats::<L>(xp, d, eps);
+        let (mut mdx, mut mdxx) = (L::zero(), L::zero());
+        for k in 0..d {
+            let h = L::load(xp.add(8 * k)).sub(mean).mul(istd);
+            let dxh = L::load(gp.add(8 * k)).mul(L::splat(self.gamma[k]));
+            mdx = mdx.add(dxh);
+            mdxx = mdxx.add(dxh.mul(h));
+            h.store(xp.add(8 * k));
+            dxh.store(gp.add(8 * k));
         }
-        let mdx = _mm256_div_ps(mdx, vd);
-        let mdxx = _mm256_div_ps(mdxx, vd);
+        // Parameter gradients: x̂ back in rows, rows ascending.
+        let rows: [*mut f32; 8] = std::array::from_fn(|b| xr.as_mut_ptr().wrapping_add(b * d));
+        lanes::scatter_row::<L>(xt, &rows, live, 0, d);
         for c in (0..d).step_by(8) {
-            let (xs, gos) = (slab(x, base, d, c), slab(gout, base, d, c));
-            let mut t = [_mm256_setzero_ps(); 8];
-            for (k, e) in (c..).zip(t.iter_mut()) {
-                let h = _mm256_mul_ps(_mm256_sub_ps(xs[k - c], mean), istd);
-                let dxh = _mm256_mul_ps(gos[k - c], _mm256_set1_ps(*gamma.get_unchecked(k)));
-                *e = _mm256_mul_ps(istd, _mm256_sub_ps(_mm256_sub_ps(dxh, mdx), _mm256_mul_ps(h, mdxx)));
+            let w = 8.min(d - c);
+            let (pg, pb) = (self.gg.as_mut_ptr().add(c), self.gb.as_mut_ptr().add(c));
+            let (mut vg, mut vb) = (L::load_first(pg, w), L::load_first(pb, w));
+            for (i, &o) in offs.iter().enumerate().take(live) {
+                let go = L::load_first(self.gout.as_ptr().add(o + c), w);
+                vg = vg.add(go.mul(L::load_first(xr.as_ptr().add(i * d + c), w)));
+                vb = vb.add(go);
             }
-            transpose8(&mut t);
-            for (i, row) in t.iter().enumerate() {
-                _mm256_storeu_ps(gx.as_mut_ptr().add(base + i * d + c), *row);
-            }
+            vg.store_first(pg, w);
+            vb.store_first(pb, w);
         }
-        r += 8;
+        let vd = L::splat(d as f32);
+        let (mdx, mdxx) = (mdx.div(vd), mdxx.div(vd));
+        for k in 0..d {
+            let (h, dxh) = (L::load(xp.add(8 * k)), L::load(gp.add(8 * k)));
+            istd.mul(dxh.sub(mdx).sub(h.mul(mdxx))).store(xp.add(8 * k));
+        }
+        lanes::scatter_row::<L>(xt, &offs.map(|o| self.gx.as_mut_ptr().add(o)), live, 0, d);
     }
-    r
+}
+
+impl Kernel for LayerNormGrad<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<L: Lane>(mut self) {
+        let (x, d) = (self.x, self.d);
+        assert!(
+            [self.gamma.len(), self.gg.len(), self.gb.len()] == [d; 3]
+                && self.gout.len() == x.len()
+                && self.gx.len() == x.len()
+                && x.len().is_multiple_of(d),
+            "layer norm backward: lengths do not match width {d}"
+        );
+        let mut ws = crate::arena::overwrite(24 * d);
+        let rows = x.len() / d;
+        let full = rows - rows % 8;
+        for r0 in (0..full).step_by(8) {
+            self.group::<L>(&mut ws, lane_rows(r0, 8, d), 8);
+        }
+        if full < rows {
+            self.group::<L>(&mut ws, lane_rows(full, rows - full, d), rows - full);
+        }
+        crate::arena::recycle(ws);
+    }
 }
 
 impl Tensor {
@@ -278,18 +244,23 @@ impl Tensor {
             vec![self.clone()],
             // dx = y ⊙ (g − ⟨y, g⟩) per row, read from the node's own
             // output: no recompute, no scratch buffer.
-            move || Box::new(move |gout, y, parents| {
-                let _sp = crate::obs::span("nn.softmax.bwd");
-                let mut g = crate::arena::overwrite(y.len());
-                let rows = g.chunks_exact_mut(d).zip(y.chunks_exact(d)).zip(gout.chunks_exact(d));
-                for ((gr, yr), go) in rows {
-                    let dot: f32 = yr.iter().zip(go).map(|(&yv, &gv)| yv * gv).sum();
-                    for ((gi, &yv), &gv) in gr.iter_mut().zip(yr).zip(go) {
-                        *gi = yv * (gv - dot);
+            move || {
+                Box::new(move |gout, y, parents| {
+                    let _sp = crate::obs::span("nn.softmax.bwd");
+                    let mut g = crate::arena::overwrite(y.len());
+                    let rows = g
+                        .chunks_exact_mut(d)
+                        .zip(y.chunks_exact(d))
+                        .zip(gout.chunks_exact(d));
+                    for ((gr, yr), go) in rows {
+                        let dot: f32 = yr.iter().zip(go).map(|(&yv, &gv)| yv * gv).sum();
+                        for ((gi, &yv), &gv) in gr.iter_mut().zip(yr).zip(go) {
+                            *gi = yv * (gv - dot);
+                        }
                     }
-                }
-                parents[0].accumulate_grad_owned(g);
-            }),
+                    parents[0].accumulate_grad_owned(g);
+                })
+            },
         )
     }
 
@@ -302,34 +273,20 @@ impl Tensor {
         let d = dims[dims.len() - 1];
         assert_eq!(gamma.dims(), &[d], "layer_norm gamma shape");
         assert_eq!(beta.dims(), &[d], "layer_norm beta shape");
-        let rows = self.numel() / d;
         // The backward follows the forward's tier.
-        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
         let tier = crate::simd::tier();
-
         let mut out = crate::arena::overwrite(self.numel());
         {
             let (x, g, b) = (self.data(), gamma.data(), beta.data());
-            // Rows the Avx2Fma kernel wrote; the scalar path takes the rest.
-            #[cfg(target_arch = "x86_64")]
-            let done = match (d, tier) {
-                // Safety (both arms): gated on the Avx2Fma tier.
-                (8, Tier::Avx2Fma) => unsafe { layer_norm_rows_avx2::<8>(&x, &g, &b, &mut out, d, eps) },
-                (_, Tier::Avx2Fma) if d.is_multiple_of(8) => unsafe {
-                    layer_norm_rows_avx2::<0>(&x, &g, &b, &mut out, d, eps)
-                },
-                _ => 0,
+            let rows = LayerNormRows {
+                x: &x,
+                g: &g,
+                b: &b,
+                out: &mut out,
+                d,
+                eps,
             };
-            #[cfg(not(target_arch = "x86_64"))]
-            let done = 0;
-            let rest = x[done * d..].chunks_exact(d).zip(out[done * d..].chunks_exact_mut(d));
-            for (row, orow) in rest {
-                let (mean, istd) = row_stats(row, eps);
-                for i in 0..d {
-                    let h = (row[i] - mean) * istd;
-                    orow[i] = h * g[i] + b[i];
-                }
-            }
+            lanes::run(tier, rows);
         }
         Tensor::from_op(
             out,
@@ -338,61 +295,32 @@ impl Tensor {
             // Recomputes the per-row statistics and normalized values from
             // the parent input (identical arithmetic → bit-identical
             // gradients) instead of saving them eagerly in the forward.
-            move || Box::new(move |gout, _, parents| {
-                let _sp = crate::obs::span("nn.layer_norm.bwd");
-                let (px, pg, pb) = (&parents[0], &parents[1], &parents[2]);
-                let mut gx = crate::arena::overwrite(px.numel());
-                let mut gg = crate::arena::zeroed(d);
-                let mut gb = crate::arena::zeroed(d);
-                {
-                    let x = px.data();
-                    let gamma_d = pg.data();
-                    // Rows the Avx2Fma kernel did; the scalar loop takes
-                    // the rest, after them, so `gg`/`gb` still add rows in
-                    // ascending order.
-                    #[cfg(target_arch = "x86_64")]
-                    let done = if tier == Tier::Avx2Fma && d.is_multiple_of(8) {
-                        // Safety: gated on the forward's Avx2Fma tier.
-                        unsafe { layer_norm_bwd_rows_avx2(&x, &gamma_d, gout, &mut gx, &mut gg, &mut gb, d, eps) }
-                    } else {
-                        0
-                    };
-                    #[cfg(not(target_arch = "x86_64"))]
-                    let done = 0;
-                    let mut xh = vec![0.0f32; d];
-                    for r in done..rows {
-                        let go = &gout[r * d..(r + 1) * d];
-                        let row = &x[r * d..(r + 1) * d];
-                        let (mean, istd) = row_stats(row, eps);
-                        for (h, &v) in xh.iter_mut().zip(row) {
-                            *h = (v - mean) * istd;
-                        }
-                        let xh = &xh[..];
-                        // Parameter gradients.
-                        for i in 0..d {
-                            gg[i] += go[i] * xh[i];
-                            gb[i] += go[i];
-                        }
-                        // Input gradient.
-                        let mut mean_dxhat = 0.0f32;
-                        let mut mean_dxhat_xhat = 0.0f32;
-                        for i in 0..d {
-                            let dxh = go[i] * gamma_d[i];
-                            mean_dxhat += dxh;
-                            mean_dxhat_xhat += dxh * xh[i];
-                        }
-                        mean_dxhat /= d as f32;
-                        mean_dxhat_xhat /= d as f32;
-                        for i in 0..d {
-                            let dxh = go[i] * gamma_d[i];
-                            gx[r * d + i] = istd * (dxh - mean_dxhat - xh[i] * mean_dxhat_xhat);
-                        }
+            move || {
+                Box::new(move |gout, _, parents| {
+                    let _sp = crate::obs::span("nn.layer_norm.bwd");
+                    let (px, pg, pb) = (&parents[0], &parents[1], &parents[2]);
+                    let mut gx = crate::arena::overwrite(px.numel());
+                    let mut gg = crate::arena::zeroed(d);
+                    let mut gb = crate::arena::zeroed(d);
+                    {
+                        let (x, gamma) = (px.data(), pg.data());
+                        let grad = LayerNormGrad {
+                            x: &x,
+                            gamma: &gamma,
+                            gout,
+                            gx: &mut gx,
+                            gg: &mut gg,
+                            gb: &mut gb,
+                            d,
+                            eps,
+                        };
+                        lanes::run(tier, grad);
                     }
-                }
-                px.accumulate_grad_owned(gx);
-                pg.accumulate_grad_owned(gg);
-                pb.accumulate_grad_owned(gb);
-            }),
+                    px.accumulate_grad_owned(gx);
+                    pg.accumulate_grad_owned(gg);
+                    pb.accumulate_grad_owned(gb);
+                })
+            },
         )
     }
 }
@@ -518,57 +446,122 @@ mod tests {
         });
     }
 
+    /// The bits of `v`, every NaN as one: the compiler may swap the
+    /// operands of an add, so which NaN a sum of two keeps is not fixed.
     fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|f| f.to_bits()).collect()
+        v.iter()
+            .map(|f| if f.is_nan() { u32::MAX } else { f.to_bits() })
+            .collect()
     }
 
-    /// The Avx2Fma layer norm must give the Scalar tier's bits at every
-    /// width, forward and backward: the transposes are pure data movement
-    /// and every lane runs the scalar chain in the same order. Row counts
-    /// that are not multiples of 8 exercise the scalar tail, one row holds
-    /// a NaN, and in the backward cases one row of equal values has
-    /// variance 0, so its `1/std` is `1/sqrt(eps)`.
+    /// Mean and `1/std` of one row: `iter().sum()` in ascending order, no
+    /// fma.
+    fn row_stats(row: &[f32], eps: f32) -> (f32, f32) {
+        let d = row.len() as f32;
+        let mean: f32 = row.iter().sum::<f32>() / d;
+        let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d;
+        (mean, 1.0 / (var + eps).sqrt())
+    }
+
+    /// Layer norm as plain row loops: the arithmetic the lane kernel runs
+    /// in each lane.
+    fn reference_forward(x: &[f32], g: &[f32], b: &[f32], eps: f32) -> Vec<f32> {
+        let d = g.len();
+        let mut out = vec![0.0; x.len()];
+        for (row, orow) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+            let (mean, istd) = row_stats(row, eps);
+            for i in 0..d {
+                let h = (row[i] - mean) * istd;
+                orow[i] = h * g[i] + b[i];
+            }
+        }
+        out
+    }
+
+    /// The layer-norm backward as plain row loops: dx, dγ and dβ, the
+    /// parameter gradients summed over rows in ascending order.
+    fn reference_backward(x: &[f32], gamma: &[f32], gout: &[f32], eps: f32) -> [Vec<f32>; 3] {
+        let d = gamma.len();
+        let (mut gx, mut gg, mut gb) = (vec![0.0; x.len()], vec![0.0; d], vec![0.0; d]);
+        let mut xh = vec![0.0f32; d];
+        for r in 0..x.len() / d {
+            let go = &gout[r * d..(r + 1) * d];
+            let row = &x[r * d..(r + 1) * d];
+            let (mean, istd) = row_stats(row, eps);
+            for (h, &v) in xh.iter_mut().zip(row) {
+                *h = (v - mean) * istd;
+            }
+            for i in 0..d {
+                gg[i] += go[i] * xh[i];
+                gb[i] += go[i];
+            }
+            let mut mean_dxhat = 0.0f32;
+            let mut mean_dxhat_xhat = 0.0f32;
+            for i in 0..d {
+                let dxh = go[i] * gamma[i];
+                mean_dxhat += dxh;
+                mean_dxhat_xhat += dxh * xh[i];
+            }
+            mean_dxhat /= d as f32;
+            mean_dxhat_xhat /= d as f32;
+            for i in 0..d {
+                let dxh = go[i] * gamma[i];
+                gx[r * d + i] = istd * (dxh - mean_dxhat - xh[i] * mean_dxhat_xhat);
+            }
+        }
+        [gx, gg, gb]
+    }
+
+    /// The lane kernels give the bits of the plain row loops on every tier,
+    /// forward and backward, at widths on and off multiples of 4 and 8 and
+    /// row counts that leave a short last group. With 9 rows one row
+    /// holds a NaN and two hold ±inf; otherwise one row of equal values has
+    /// variance 0 (so its `1/std` is `1/sqrt(eps)`) and one is all −0.0.
     #[test]
-    fn layer_norm_avx2_matches_scalar_bits() {
+    fn layer_norm_matches_scalar_row_loops_bits() {
         use crate::simd::{self, with_tier, Tier};
-        if !simd::avx2_available() {
-            return;
+        let mut tiers = vec![Tier::Scalar];
+        if simd::avx2_available() {
+            tiers.push(Tier::Avx2Fma);
         }
         // Many spans: keep them out of the obs tests' snapshots.
         crate::obs::tests::with_exclusive_obs(|| {
             let mut rng = crate::rng::seeded(41);
-            for (d, rows) in [(8usize, 19usize), (16, 13), (24, 21), (128, 11)] {
-                let mut xv = Tensor::randn(&mut rng, &[rows, d]).to_vec();
-                xv[3 * d + 5] = f32::NAN;
-                let x = Tensor::from_vec(xv, &[rows, d]).unwrap();
-                let gamma = Tensor::randn(&mut rng, &[d]);
-                let beta = Tensor::randn(&mut rng, &[d]);
-                let run = |tier| bits(&with_tier(tier, || x.layer_norm(&gamma, &beta, 1e-5).to_vec()));
-                assert_eq!(run(Tier::Avx2Fma), run(Tier::Scalar), "d={d} rows={rows}");
-            }
-            for d in [8usize, 16, 24] {
+            for d in [3usize, 5, 8, 10, 16, 24, 128] {
                 for rows in [1usize, 7, 9, 912] {
                     let mut xv = Tensor::randn(&mut rng, &[rows, d]).to_vec();
-                    xv[(rows / 2) * d..(rows / 2 + 1) * d].fill(0.75);
-                    // A NaN turns every dγ it reaches into NaN: one case.
                     if rows == 9 {
-                        xv[2 * d + 3] = f32::NAN;
+                        xv[2 * d + d / 2] = f32::NAN;
+                        xv[4 * d] = f32::INFINITY;
+                        xv[7 * d + d - 1] = f32::NEG_INFINITY;
+                    } else if rows > 1 {
+                        xv[(rows / 2) * d..(rows / 2 + 1) * d].fill(0.75);
+                        xv[(rows - 1) * d..].fill(-0.0);
                     }
                     let gv = Tensor::randn(&mut rng, &[d]).to_vec();
                     let bv = Tensor::randn(&mut rng, &[d]).to_vec();
                     let r = Tensor::randn(&mut rng, &[rows, d]);
-                    // dx, dγ and dβ of Σ layer_norm(x) ⊙ r.
-                    let run = |tier| {
-                        with_tier(tier, || {
+                    let want_y = bits(&reference_forward(&xv, &gv, &bv, 1e-5));
+                    let want = reference_backward(&xv, &gv, &r.to_vec(), 1e-5).map(|g| bits(&g));
+                    for &tier in &tiers {
+                        // y, then dx, dγ and dβ of Σ layer_norm(x) ⊙ r.
+                        let (y, got) = with_tier(tier, || {
                             let x = param(&xv, &[rows, d]);
                             let (gamma, beta) = (param(&gv, &[d]), param(&bv, &[d]));
-                            backward(&x.layer_norm(&gamma, &beta, 1e-5).mul(&r).sum_all());
-                            [x, gamma, beta].map(|t| bits(&t.grad().unwrap()))
-                        })
-                    };
-                    let (got, want) = (run(Tier::Avx2Fma), run(Tier::Scalar));
-                    for (name, (g, w)) in ["dx", "dgamma", "dbeta"].iter().zip(got.iter().zip(&want)) {
-                        assert_eq!(g, w, "{name}: d={d} rows={rows}");
+                            let y = x.layer_norm(&gamma, &beta, 1e-5);
+                            backward(&y.mul(&r).sum_all());
+                            (
+                                bits(&y.to_vec()),
+                                [x, gamma, beta].map(|t| bits(&t.grad().unwrap())),
+                            )
+                        });
+                        let what = format!("{} d={d} rows={rows}", tier.name());
+                        assert_eq!(y, want_y, "y: {what}");
+                        for (name, (g, w)) in
+                            ["dx", "dgamma", "dbeta"].iter().zip(got.iter().zip(&want))
+                        {
+                            assert_eq!(g, w, "{name}: {what}");
+                        }
                     }
                 }
             }
@@ -594,8 +587,8 @@ mod tests {
     fn layer_norm_writes_every_element() {
         use crate::ops::tests::{assert_writes_every_element, leaf};
         crate::obs::tests::with_exclusive_obs(|| {
-            // The Avx2Fma 8-row blocks with scalar leftover rows, the D = 8
-            // instance, and a width only the scalar loop takes.
+            // Whole 8-row groups and a short last group, at widths on and
+            // off multiples of 4.
             for (rows, d) in [(13, 16), (9, 8), (6, 5)] {
                 assert_writes_every_element(|| {
                     leaf(&[rows, d], 0.2).layer_norm(&leaf(&[d], 1.1), &leaf(&[d], 2.3), 1e-5)
@@ -607,6 +600,8 @@ mod tests {
     #[test]
     fn softmax_writes_every_element() {
         use crate::ops::tests::{assert_writes_every_element, leaf};
-        crate::obs::tests::with_exclusive_obs(|| assert_writes_every_element(|| leaf(&[7, 9], 0.6).softmax_last()));
+        crate::obs::tests::with_exclusive_obs(|| {
+            assert_writes_every_element(|| leaf(&[7, 9], 0.6).softmax_last())
+        });
     }
 }

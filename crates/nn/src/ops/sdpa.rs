@@ -101,76 +101,6 @@ impl Tile {
     }
 }
 
-/// Row `i` of each lane's block of `src`, into `dst` as `dh` vectors of
-/// eight lanes (element `d` of lane `b` at `8·d + b`): four columns at a
-/// time through a 4×4 transpose in each half, then a scalar tail.
-///
-/// # Safety
-///
-/// `L`'s operations are supported; each pointer addresses a block's
-/// strided extent, `i < l`, and `dst` holds `lay.row()` floats.
-#[inline(always)]
-unsafe fn gather_row<L: Lane>(src: &[*const f32; LANES], i: usize, lay: Layout, dst: &mut [f32]) {
-    let p = src.map(|s| s.add(i * lay.ld));
-    let out = dst.as_mut_ptr();
-    let mut d = 0;
-    while d + 4 <= lay.dh {
-        // Lane `r` in the low half, lane `r + 4` in the high half.
-        let x = [
-            L::load_halves(p[0].add(d), p[4].add(d)),
-            L::load_halves(p[1].add(d), p[5].add(d)),
-            L::load_halves(p[2].add(d), p[6].add(d)),
-            L::load_halves(p[3].add(d), p[7].add(d)),
-        ];
-        for (c, col) in L::transpose4(x).into_iter().enumerate() {
-            col.store(out.add((d + c) * LANES));
-        }
-        d += 4;
-    }
-    for d in d..lay.dh {
-        for (b, lane) in p.iter().enumerate() {
-            *out.add(d * LANES + b) = *lane.add(d);
-        }
-    }
-}
-
-/// The inverse of `gather_row` for the first `live` lanes: `src` (`dh`
-/// vectors of eight lanes) becomes row `i` of each lane's block of `dst`.
-///
-/// # Safety
-///
-/// `L`'s operations are supported; each of the first `live` pointers
-/// addresses a block's strided extent, `i < l`, and `src` holds
-/// `lay.row()` floats.
-#[inline(always)]
-unsafe fn scatter_row<L: Lane>(src: &[f32], dst: &[*mut f32; LANES], live: usize, i: usize, lay: Layout) {
-    let p = dst.map(|s| s.wrapping_add(i * lay.ld));
-    let cols = src.as_ptr();
-    let mut d = 0;
-    while d + 4 <= lay.dh {
-        let x = [
-            L::load(cols.add(d * LANES)),
-            L::load(cols.add((d + 1) * LANES)),
-            L::load(cols.add((d + 2) * LANES)),
-            L::load(cols.add((d + 3) * LANES)),
-        ];
-        for (r, rows) in L::transpose4(x).into_iter().enumerate() {
-            if r < live {
-                rows.store_lo(p[r].add(d));
-            }
-            if r + 4 < live {
-                rows.store_hi(p[r + 4].add(d));
-            }
-        }
-        d += 4;
-    }
-    for d in d..lay.dh {
-        for (b, lane) in p.iter().enumerate().take(live) {
-            *lane.add(d) = *cols.add(d * LANES + b);
-        }
-    }
-}
-
 /// Lane-wise `Σ_d a_d · b_d` over `dh` vectors of eight lanes: eight
 /// accumulators `A[e]`, each an fma chain over the 8-wide chunks from
 /// zero, folded as `((A0+A4)+(A2+A6)) + ((A1+A5)+(A3+A7))`, then the fma
@@ -323,14 +253,14 @@ unsafe fn sdpa_tile<L: Lane, const DH: usize>(
     let mut stack = [0.0; STACK_ROW];
     let qi = key_loop_row(qi, &mut stack);
     for j in 0..l {
-        gather_row::<L>(k, j, lay, &mut kt[j * row..][..row]);
-        gather_row::<L>(v, j, lay, &mut vt[j * row..][..row]);
+        lanes::gather_row::<L>(k, j * lay.ld, lay.dh, &mut kt[j * row..][..row]);
+        lanes::gather_row::<L>(v, j * lay.ld, lay.dh, &mut vt[j * row..][..row]);
     }
     for i in 0..l {
-        gather_row::<L>(q, i, lay, qi);
+        lanes::gather_row::<L>(q, i * lay.ld, lay.dh, qi);
         probs_lanes::<L>(qi, kt, p, lay, scale);
         vsum_lanes::<L>(p, vt, oi, lay);
-        scatter_row::<L>(oi, o, live, i, lay);
+        lanes::scatter_row::<L>(oi, o, live, i * lay.ld, lay.dh);
     }
 }
 
@@ -372,14 +302,14 @@ unsafe fn sdpa_tile_bwd<L: Lane, const DH: usize>(
     dkt.fill(0.0);
     dvt.fill(0.0);
     for j in 0..l {
-        gather_row::<L>(k, j, lay, &mut kt[j * row..][..row]);
-        gather_row::<L>(v, j, lay, &mut vt[j * row..][..row]);
+        lanes::gather_row::<L>(k, j * lay.ld, lay.dh, &mut kt[j * row..][..row]);
+        lanes::gather_row::<L>(v, j * lay.ld, lay.dh, &mut vt[j * row..][..row]);
     }
     let vscale = L::splat(scale);
     for i in 0..l {
-        gather_row::<L>(q, i, lay, qi);
-        gather_row::<L>(o, i, lay, oi);
-        gather_row::<L>(go, i, lay, goi);
+        lanes::gather_row::<L>(q, i * lay.ld, lay.dh, qi);
+        lanes::gather_row::<L>(o, i * lay.ld, lay.dh, oi);
+        lanes::gather_row::<L>(go, i * lay.ld, lay.dh, goi);
         probs_lanes::<L>(qi, kt, p, lay, scale);
         let (qp, op, gop, dsp) = (qi.as_ptr(), oi.as_ptr(), goi.as_ptr(), ds.as_mut_ptr());
         let mut delta = L::zero();
@@ -400,11 +330,11 @@ unsafe fn sdpa_tile_bwd<L: Lane, const DH: usize>(
             }
         }
         vsum_lanes::<L>(ds, kt, dqi, lay);
-        scatter_row::<L>(dqi, dq, live, i, lay);
+        lanes::scatter_row::<L>(dqi, dq, live, i * lay.ld, lay.dh);
     }
     for j in 0..l {
-        scatter_row::<L>(&dkt[j * row..][..row], dk, live, j, lay);
-        scatter_row::<L>(&dvt[j * row..][..row], dv, live, j, lay);
+        lanes::scatter_row::<L>(&dkt[j * row..][..row], dk, live, j * lay.ld, lay.dh);
+        lanes::scatter_row::<L>(&dvt[j * row..][..row], dv, live, j * lay.ld, lay.dh);
     }
 }
 

@@ -91,12 +91,13 @@ impl Case {
 
 /// Every kernel the tiers dispatch, forward and backward: `linear` with
 /// each activation, the standalone activations, `gated_tanh`,
-/// `softmax_last`, `conv1d`, and `sdpa` at the head widths with a
-/// compile-time instance (4, 8, 16) and one read at run time (6).
-/// Lengths are not multiples of 8, and the inputs carry NaN, ±inf,
-/// ±88.4, denormals and −0.0: the edge values sit densely in elementwise
-/// inputs and sparsely where a reduction would spread one NaN over the
-/// whole output.
+/// `softmax_last`, `conv1d`, `sdpa` at the head widths with a
+/// compile-time instance (4, 8, 16) and one read at run time (6), and
+/// `layer_norm` at widths on and off multiples of 4 and 8 and row counts
+/// that leave a short last group of eight. Lengths are not multiples of
+/// 8, and the inputs carry NaN, ±inf, ±88.4, denormals and −0.0: the edge
+/// values sit densely in elementwise inputs and sparsely where a
+/// reduction would spread one NaN over the whole output.
 fn cross_tier_cases() -> Vec<Case> {
     let mut cases = Vec::new();
     for act in [Act::Identity, Act::Relu, Act::Gelu, Act::Silu] {
@@ -132,6 +133,26 @@ fn cross_tier_cases() -> Vec<Case> {
             let scale = 1.0 / (dh as f32).sqrt();
             let name = format!("sdpa {dims:?} axis {axis} heads {heads}");
             cases.push(Case::new(name, inputs, move |t| Tensor::sdpa(&t[0], &t[1], &t[2], axis, heads, scale)));
+        }
+    }
+    for d in [3usize, 5, 8, 10, 16, 24, 128] {
+        for rows in [1usize, 7, 9, 912] {
+            let mut x = edged(rows * d, d as f32, rows * d, 1);
+            x[d / 2] = -0.0;
+            // A NaN or an infinity spreads over its row and every dγ: only
+            // the 9-row cases carry them. The others hold a row of equal
+            // values (variance 0) and a row of −0.0.
+            if rows == 9 {
+                x[2 * d + d / 2] = f32::NAN;
+                x[4 * d] = f32::INFINITY;
+                x[7 * d + d - 1] = f32::NEG_INFINITY;
+            } else if rows > 1 {
+                x[3 * d..4 * d].fill(0.75);
+                x[5 * d..6 * d].fill(-0.0);
+            }
+            let inputs = vec![(x, vec![rows, d]), (edged(d, 0.3, d, 1), vec![d]), (edged(d, 1.7, d, 1), vec![d])];
+            let name = format!("layer_norm [{rows}, {d}]");
+            cases.push(Case::new(name, inputs, |t| t[0].layer_norm(&t[1], &t[2], 1e-5)));
         }
     }
     cases
@@ -232,7 +253,7 @@ mod forward_only_inference {
     use imdiffusion_repro::core::{ImDiffusionConfig, ImDiffusionDetector, ImTransformer};
     use imdiffusion_repro::data::synthetic::{generate, Benchmark, SizeProfile};
     use imdiffusion_repro::data::Detector;
-    use imdiffusion_repro::nn::{forward_only, no_grad, pool, Tensor};
+    use imdiffusion_repro::nn::{forward_only, pool, Tensor};
 
     fn fitted() -> (
         ImDiffusionDetector,
@@ -253,7 +274,7 @@ mod forward_only_inference {
         (det, ds)
     }
 
-    /// Tape-free forward-only execution reproduces the `no_grad` path
+    /// Tape-free forward-only execution reproduces the tape path
     /// bit-for-bit on the same dispatch tier, at 1 and N threads: the
     /// arena recycles buffers and skips node construction but never
     /// changes any arithmetic. Several denoiser calls share one scope, so
@@ -284,7 +305,7 @@ mod forward_only_inference {
                 .collect()
         };
         for t in [1usize, 4] {
-            let reference = pool::with_threads(t, || no_grad(run));
+            let reference = pool::with_threads(t, run);
             let fwd = pool::with_threads(t, || forward_only(run));
             assert_eq!(fwd, reference, "forward-only outputs differ at {t} threads");
         }
@@ -311,7 +332,6 @@ mod forward_only_inference {
             for t in [1usize, 4] {
                 let tape = pool::with_threads(t, run);
                 assert_eq!(pool::with_threads(t, || forward_only(run)), tape, "{act:?} t{t}");
-                assert_eq!(pool::with_threads(t, || no_grad(run)), tape, "{act:?} t{t}");
             }
         }
     }
